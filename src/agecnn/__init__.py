@@ -16,22 +16,22 @@ from .errors import (ConfigError, EngineError, FormatError, InputError,
 from .metrics import (EvalReport, confusion, evaluate, exact_accuracy,
                       one_off_accuracy, render_csv, render_report,
                       row_normalize)
-from .network import (NetworkSpec, build_profile, count_params, forward,
-                      backward, head_replace, infer_shapes, init_params,
-                      make_mask, param_shapes, replace_head_spec)
+from .network import (NetworkSpec, build_profile, forward, backward,
+                      head_replace, infer_shapes, init_params, make_mask,
+                      param_shapes, replace_head_spec)
 from .optim import (OptState, SgdConfig, init_state, plateau_update, sgd_step,
                     train_epoch)
 from .predict import (CropTriple, average_probabilities, predict_label,
                       predict_proba, three_crops)
-from .tensor import DTYPE, Rng, argmax, create, gaussian_fill, matmul, pad2d
+from .tensor import DTYPE, Rng, argmax, create, gaussian_fill, pad2d
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AGE_LABELS", "NUM_CLASSES", "DTYPE", "__version__",
-    "Rng", "argmax", "create", "gaussian_fill", "matmul", "pad2d",
+    "Rng", "argmax", "create", "gaussian_fill", "pad2d",
     "NetworkSpec", "build_profile", "infer_shapes", "init_params",
-    "param_shapes", "count_params", "make_mask", "head_replace",
+    "param_shapes", "make_mask", "head_replace",
     "replace_head_spec", "forward", "backward",
     "SgdConfig", "OptState", "init_state", "sgd_step", "plateau_update",
     "train_epoch",

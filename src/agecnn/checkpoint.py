@@ -50,10 +50,6 @@ MAGIC = b"ACNN"
 VERSION = 1
 HEADER_SIZE = 12
 
-# Hyperparameters that are integral; everything else round-trips as float.
-_INT_HYPERS = {"out_channels", "kernel", "stride", "pad", "n", "window",
-               "out_features", "in_features"}
-
 _TENSOR_ORDER = ("weight", "bias")
 
 
@@ -93,7 +89,7 @@ def _tensor_group_bytes(group):
     out = _u16(len(names))
     for n in names:
         out += _tensor_bytes(n, group[n])
-    return b"".join([out])
+    return out
 
 
 def _body_bytes(spec, params, mask, state):
@@ -208,11 +204,11 @@ def _parse(buf, path):
         hypers = {}
         for _ in range(cur.u16()):
             key = cur.string()
-            val = cur.f64()
-            hypers[key] = int(val) if key in _INT_HYPERS else val
+            hypers[key] = cur.f64()
         try:
+            # LayerSpec casts each value to the type its kind declares.
             layer = LayerSpec(lname, kind, hypers)
-        except (ParameterError, KeyError) as e:
+        except ParameterError as e:
             raise IntegrityError(f"{path}: bad layer record {lname!r}: {e}") from None
         layers.append(layer)
         group = cur.tensor_group()

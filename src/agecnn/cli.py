@@ -18,7 +18,7 @@ import numpy as np
 
 from . import checkpoint, data, network, optim, predict
 from .data import AGE_LABELS
-from .errors import ConfigError, EngineError
+from .errors import ConfigError, EngineError, ParseError
 from .metrics import evaluate, render_csv, render_report
 from .tensor import Rng, argmax
 
@@ -57,22 +57,21 @@ _DEFAULTS = {
 
 def _read_config(path):
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}: line {lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            key = key.strip().lower().replace("-", "_")
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
-            try:
-                out[key] = _CONFIG_KEYS[key](value.strip())
-            except ValueError:
-                raise ConfigError(
-                    f"{path}: line {lineno}: bad value {value.strip()!r} for {key}") from None
+    for lineno, line in enumerate(data.read_lines(path, ConfigError), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}: line {lineno}: expected key=value")
+        key, value = line.split("=", 1)
+        key = key.strip().lower().replace("-", "_")
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
+        try:
+            out[key] = _CONFIG_KEYS[key](value.strip())
+        except ValueError:
+            raise ConfigError(
+                f"{path}: line {lineno}: bad value {value.strip()!r} for {key}") from None
     return out
 
 
@@ -179,7 +178,7 @@ def _shape_text(shape):
 
 def cmd_surgery(args, filecfg):
     seed = _resolve(args, filecfg, "seed")
-    rate = _resolve(args, filecfg, "dropout") if args.dropout is None else args.dropout
+    rate = _resolve(args, filecfg, "dropout")
     head = _parse_head(args.head) if args.head else [4096, 5000, 5000, 8]
     spec = network.build_profile(args.profile, dropout_rate=rate)
     trunk_params = checkpoint.import_trunk(args.in_path, spec)
@@ -249,8 +248,7 @@ def cmd_predict(args, filecfg):
     means = _parse_means(args.means) if args.means else None
     spec, params, _, _ = checkpoint.load(args.model)
     failures = 0
-    with open(args.images, encoding="utf-8") as fh:
-        paths = [line.strip() for line in fh if line.strip()]
+    paths = [line.strip() for line in data.read_lines(args.images, ParseError) if line.strip()]
     for path in paths:
         try:
             probs = predict.predict_file(spec, params, path, average=average,

@@ -51,41 +51,48 @@ class DatasetManifest:
         return len(self.records)
 
 
+def read_lines(path, error):
+    """Lines of a UTF-8 text file, endings kept; undecodable bytes raise ``error``."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 text ({e.reason})") from None
+
+
 def load_manifest(path) -> DatasetManifest:
     """Parse a manifest CSV; blank lines are skipped, bad rows name their line."""
     base = os.path.dirname(os.path.abspath(path))
     records = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = None
-        for lineno, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if header is None:
-                header = [cell.strip().lower() for cell in row]
-                if header[:2] != ["path", "label"]:
-                    raise ParseError(
-                        f"{path}: row {lineno}: header must start with 'path,label'")
-                continue
-            if len(row) < 2:
-                raise ParseError(f"{path}: row {lineno}: expected at least path and label")
-            img = row[0].strip()
-            if not img:
-                raise ParseError(f"{path}: row {lineno}: empty image path")
+    header = None
+    for lineno, row in enumerate(csv.reader(read_lines(path, ParseError)), start=1):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if header is None:
+            header = [cell.strip().lower() for cell in row]
+            if header[:2] != ["path", "label"]:
+                raise ParseError(
+                    f"{path}: row {lineno}: header must start with 'path,label'")
+            continue
+        if len(row) < 2:
+            raise ParseError(f"{path}: row {lineno}: expected at least path and label")
+        img = row[0].strip()
+        if not img:
+            raise ParseError(f"{path}: row {lineno}: empty image path")
+        try:
+            label = label_of(row[1].strip())
+        except ParseError as e:
+            raise ParseError(f"{path}: row {lineno}: {e}") from None
+        fold = None
+        if len(row) > 2 and row[2].strip():
             try:
-                label = label_of(row[1].strip())
-            except ParseError as e:
-                raise ParseError(f"{path}: row {lineno}: {e}") from None
-            fold = None
-            if len(row) > 2 and row[2].strip():
-                try:
-                    fold = int(row[2].strip())
-                except ValueError:
-                    raise ParseError(f"{path}: row {lineno}: bad fold {row[2]!r}") from None
-            gender = row[3].strip() if len(row) > 3 and row[3].strip() else None
-            if not os.path.isabs(img):
-                img = os.path.join(base, img)
-            records.append(ManifestRecord(img, label, fold, gender))
+                fold = int(row[2].strip())
+            except ValueError:
+                raise ParseError(f"{path}: row {lineno}: bad fold {row[2]!r}") from None
+        gender = row[3].strip() if len(row) > 3 and row[3].strip() else None
+        if not os.path.isabs(img):
+            img = os.path.join(base, img)
+        records.append(ManifestRecord(img, label, fold, gender))
     if header is None:
         raise ParseError(f"{path}: empty manifest (missing header)")
     return DatasetManifest(tuple(records), os.path.abspath(path))

@@ -1,64 +1,87 @@
 """Forward and backward computation for every layer kind in the profiles.
 
-Convolution and max pooling run through im2col + matrix multiply; the direct
-summation form lives in the test suite as an oracle. Backward passes are exact
-analytic gradients of the forward maps and are finite-difference checked.
+Each kind is one entry of ``KINDS``: its hyperparameters, range rule, shape
+rule, parameter shapes, forward and backward. Convolution and max pooling run
+through im2col + matrix multiply; the direct summation form lives in the test
+suite as an oracle. Backward passes are exact analytic gradients of the
+forward maps and are finite-difference checked.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import LabelError, ParameterError, ShapeError, StateError
 from .tensor import Rng, pad2d
 
-LAYER_KINDS = ("conv", "relu", "lrn", "maxpool", "fc", "dropout", "softmax_loss")
 
-# Layer kinds that own weight/bias tensors.
-PARAM_KINDS = ("conv", "fc")
+@dataclass(frozen=True)
+class LayerKind:
+    """One layer kind. Shapes are per sample (batch axis excluded).
+
+    ``hypers`` maps each hyperparameter name to ``int`` or ``float``; integral
+    ones round-trip through checkpoints as integers, the rest as f64. Names in
+    ``optional`` may be absent or None. ``param_shapes`` is None for kinds
+    without weight/bias tensors.
+    """
+
+    forward: Callable  # (spec, x, {"weight", "bias"} or None, mode, rng) -> (y, cache)
+    backward: Callable  # (cache, d_out, need_param_grads, need_input_grad) -> (d_in, d_params)
+    hypers: dict = field(default_factory=dict)
+    optional: tuple = ()
+    check: Callable = lambda spec: None  # raises ParameterError
+    out_shape: Callable = lambda spec, shape: shape  # raises ShapeError if the input misfits
+    param_shapes: Optional[Callable] = None  # (spec, in_shape) -> {"weight": ..., "bias": ...}
 
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One layer of a sequential network: a kind plus its hyperparameters."""
+    """One layer of a sequential network: a kind plus its hyperparameters.
+
+    Hyperparameters are cast to the types their kind declares; a missing,
+    unknown, non-finite or non-integral (where integral) value is rejected.
+    """
 
     name: str
     kind: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
+        entry = KINDS.get(self.kind)
+        if entry is None:
             raise ParameterError(f"unknown layer kind {self.kind!r} for layer {self.name!r}")
-        p = self.params
-        if self.kind == "conv":
-            if p["out_channels"] < 1 or p["kernel"] < 1 or p["stride"] < 1:
-                raise ParameterError(f"conv layer {self.name!r}: extents must be >= 1")
-            if p["pad"] < 0:
-                raise ParameterError(f"conv layer {self.name!r}: pad must be >= 0")
-        elif self.kind == "lrn":
-            if p["n"] < 1 or p["n"] % 2 == 0:
-                raise ParameterError(f"lrn layer {self.name!r}: window n must be odd and >= 1")
-        elif self.kind == "maxpool":
-            if p["window"] < 1 or p["stride"] < 1:
-                raise ParameterError(f"maxpool layer {self.name!r}: window/stride must be >= 1")
-        elif self.kind == "fc":
-            if p["out_features"] < 1:
-                raise ParameterError(f"fc layer {self.name!r}: out_features must be >= 1")
-        elif self.kind == "dropout":
-            if not 0.0 <= p["rate"] < 1.0:
-                raise ParameterError(f"dropout layer {self.name!r}: rate must be in [0, 1)")
+        where = f"{self.kind} layer {self.name!r}"
+        unknown = sorted(set(self.params) - set(entry.hypers))
+        if unknown:
+            raise ParameterError(f"{where}: unknown hyperparameters {unknown}")
+        typed = {}
+        for key, typ in entry.hypers.items():
+            value = self.params.get(key)
+            if value is None and key in entry.optional:
+                continue
+            try:
+                number = float(value)
+            except (TypeError, ValueError, OverflowError):
+                number = math.nan
+            if not math.isfinite(number) or (typ is int and not number.is_integer()):
+                raise ParameterError(
+                    f"{where}: {key} must be a finite {typ.__name__}, got {value!r}")
+            typed[key] = typ(number)
+        object.__setattr__(self, "params", typed)
+        entry.check(self)
 
     @property
     def has_params(self) -> bool:
-        return self.kind in PARAM_KINDS
+        return KINDS[self.kind].param_shapes is not None
 
 
 def conv(name, out_channels, kernel=3, stride=1, pad=1) -> LayerSpec:
-    return LayerSpec(name, "conv", {"out_channels": int(out_channels), "kernel": int(kernel),
-                                    "stride": int(stride), "pad": int(pad)})
+    return LayerSpec(name, "conv", {"out_channels": out_channels, "kernel": kernel,
+                                    "stride": stride, "pad": pad})
 
 
 def relu(name) -> LayerSpec:
@@ -66,23 +89,19 @@ def relu(name) -> LayerSpec:
 
 
 def lrn(name, n=5, k=2.0, alpha=1e-4, beta=0.75) -> LayerSpec:
-    return LayerSpec(name, "lrn", {"n": int(n), "k": float(k),
-                                   "alpha": float(alpha), "beta": float(beta)})
+    return LayerSpec(name, "lrn", {"n": n, "k": k, "alpha": alpha, "beta": beta})
 
 
 def maxpool(name, window=2, stride=2) -> LayerSpec:
-    return LayerSpec(name, "maxpool", {"window": int(window), "stride": int(stride)})
+    return LayerSpec(name, "maxpool", {"window": window, "stride": stride})
 
 
 def fc(name, out_features, in_features=None) -> LayerSpec:
-    p = {"out_features": int(out_features)}
-    if in_features is not None:
-        p["in_features"] = int(in_features)
-    return LayerSpec(name, "fc", p)
+    return LayerSpec(name, "fc", {"out_features": out_features, "in_features": in_features})
 
 
 def dropout(name, rate) -> LayerSpec:
-    return LayerSpec(name, "dropout", {"rate": float(rate)})
+    return LayerSpec(name, "dropout", {"rate": rate})
 
 
 def softmax_loss(name="prob") -> LayerSpec:
@@ -364,42 +383,98 @@ def softmax_log_loss_backward(cache, d_loss=1.0):
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# the kind table and dispatch
 # ---------------------------------------------------------------------------
 
-def forward_layer(spec: LayerSpec, x, params=None, mode="train", rng=None):
-    """Run one layer forward. Returns (output, LayerCache).
+def _require(rule, text):
+    """A check raising ParameterError unless ``rule(params)`` holds."""
+    def check(spec):
+        if not rule(spec.params):
+            raise ParameterError(f"{spec.kind} layer {spec.name!r}: {text}")
+    return check
 
-    In train mode the softmax_loss layer passes scores through unchanged (the
-    loss needs labels, which arrive at backward time); in eval mode it applies
-    softmax and returns probabilities.
+
+def _window_out_shape(spec, shape, channels, window, stride, pad):
+    """CxHxW after a window slides over H and W; channels None keeps C."""
+    if len(shape) != 3:
+        raise ShapeError(f"layer {spec.name!r}: {spec.kind} needs a CxHxW input, got {shape}")
+    what = f"layer {spec.name!r}"
+    return (channels or shape[0], out_extent(shape[1], window, stride, pad, what),
+            out_extent(shape[2], window, stride, pad, what))
+
+
+def _fc_out_shape(spec, shape):
+    flat = math.prod(shape)
+    want = spec.params.get("in_features", flat)
+    if flat != want:
+        raise ShapeError(
+            f"layer {spec.name!r}: input flattens to {flat} features, expected {want}")
+    return (spec.params["out_features"],)
+
+
+KINDS = {
+    "conv": LayerKind(
+        hypers={"out_channels": int, "kernel": int, "stride": int, "pad": int},
+        check=_require(lambda p: min(p["out_channels"], p["kernel"], p["stride"]) >= 1
+                       and p["pad"] >= 0, "extents must be >= 1 and pad >= 0"),
+        out_shape=lambda s, shape: _window_out_shape(
+            s, shape, s.params["out_channels"], s.params["kernel"], s.params["stride"],
+            s.params["pad"]),
+        param_shapes=lambda s, shape: {
+            "weight": (s.params["out_channels"], shape[0], s.params["kernel"], s.params["kernel"]),
+            "bias": (s.params["out_channels"],)},
+        forward=lambda s, x, w, mode, rng: conv2d_forward(
+            x, w["weight"], w["bias"], s.params["stride"], s.params["pad"]),
+        backward=conv2d_backward),
+    "relu": LayerKind(
+        forward=lambda s, x, w, mode, rng: relu_forward(x),
+        backward=lambda cache, d, *flags: relu_backward(cache, d)),
+    "lrn": LayerKind(
+        hypers={"n": int, "k": float, "alpha": float, "beta": float},
+        check=_require(lambda p: p["n"] >= 1 and p["n"] % 2 == 1,
+                       "window n must be odd and >= 1"),
+        forward=lambda s, x, w, mode, rng: lrn_forward(x, **s.params),
+        backward=lambda cache, d, *flags: lrn_backward(cache, d)),
+    "maxpool": LayerKind(
+        hypers={"window": int, "stride": int},
+        check=_require(lambda p: min(p["window"], p["stride"]) >= 1,
+                       "window/stride must be >= 1"),
+        out_shape=lambda s, shape: _window_out_shape(
+            s, shape, None, s.params["window"], s.params["stride"], 0),
+        forward=lambda s, x, w, mode, rng: maxpool_forward(x, **s.params),
+        backward=lambda cache, d, *flags: maxpool_backward(cache, d)),
+    "fc": LayerKind(
+        hypers={"out_features": int, "in_features": int},
+        optional=("in_features",),
+        check=_require(lambda p: p["out_features"] >= 1, "out_features must be >= 1"),
+        out_shape=_fc_out_shape,
+        param_shapes=lambda s, shape: {"weight": (math.prod(shape), s.params["out_features"]),
+                                       "bias": (s.params["out_features"],)},
+        forward=lambda s, x, w, mode, rng: fc_forward(x, w["weight"], w["bias"]),
+        backward=fc_backward),
+    "dropout": LayerKind(
+        hypers={"rate": float},
+        check=_require(lambda p: 0.0 <= p["rate"] < 1.0, "rate must be in [0, 1)"),
+        forward=lambda s, x, w, mode, rng: dropout_forward(x, s.params["rate"], mode, rng),
+        backward=lambda cache, d, *flags: dropout_backward(cache, d)),
+    # Eval mode returns softmax probabilities. Train mode passes the scores
+    # through, and so does its backward: the loss needs labels, so network
+    # takes it from softmax_log_loss / softmax_log_loss_backward.
+    "softmax_loss": LayerKind(
+        forward=lambda s, x, w, mode, rng: (softmax(x) if mode == "eval" else x,
+                                            {"scores": x}),
+        backward=lambda cache, d, *flags: (d, {})),
+}
+
+
+def forward_layer(spec: LayerSpec, x, params=None, mode="train", rng=None):
+    """Run one layer forward, after the shape rule infer_shapes applies.
+
+    Returns (output, LayerCache).
     """
-    p = spec.params
-    if spec.kind == "conv":
-        y, data = conv2d_forward(x, params["weight"], params["bias"], p["stride"], p["pad"])
-    elif spec.kind == "relu":
-        y, data = relu_forward(x)
-    elif spec.kind == "lrn":
-        y, data = lrn_forward(x, p["n"], p["k"], p["alpha"], p["beta"])
-    elif spec.kind == "maxpool":
-        y, data = maxpool_forward(x, p["window"], p["stride"])
-    elif spec.kind == "fc":
-        if "in_features" in p:
-            flat = int(np.prod(x.shape[1:]))
-            if flat != p["in_features"]:
-                raise ShapeError(
-                    f"layer {spec.name!r}: input flattens to {flat} features, expected "
-                    f"{p['in_features']}")
-        y, data = fc_forward(x, params["weight"], params["bias"])
-    elif spec.kind == "dropout":
-        y, data = dropout_forward(x, p["rate"], mode, rng)
-    elif spec.kind == "softmax_loss":
-        if mode == "eval":
-            y, data = softmax(x), {"scores": x}
-        else:
-            y, data = x, {"scores": x}
-    else:  # pragma: no cover - kinds validated at construction
-        raise ParameterError(f"unknown layer kind {spec.kind!r}")
+    kind = KINDS[spec.kind]
+    kind.out_shape(spec, x.shape[1:])
+    y, data = kind.forward(spec, x, params, mode, rng)
     data["_out_shape"] = y.shape
     return y, LayerCache(spec.name, spec.kind, mode, data)
 
@@ -412,25 +487,8 @@ def backward_layer(spec: LayerSpec, cache: LayerCache, d_out,
             f"cache from layer {cache.name!r}/{cache.kind} fed to {spec.name!r}/{spec.kind}")
     if cache.mode != "train":
         raise StateError(f"layer {spec.name!r}: backward needs a train-mode cache")
-    data = cache.data
-    if spec.kind != "softmax_loss" and d_out.shape != data["_out_shape"]:
+    if d_out.shape != cache.data["_out_shape"]:
         raise ShapeError(
             f"layer {spec.name!r}: upstream gradient shape {d_out.shape} does not match "
-            f"forward output {data['_out_shape']}")
-    if spec.kind == "conv":
-        return conv2d_backward(data, d_out, need_param_grads, need_input_grad)
-    if spec.kind == "relu":
-        return relu_backward(data, d_out)
-    if spec.kind == "lrn":
-        return lrn_backward(data, d_out)
-    if spec.kind == "maxpool":
-        return maxpool_backward(data, d_out)
-    if spec.kind == "fc":
-        return fc_backward(data, d_out, need_param_grads, need_input_grad)
-    if spec.kind == "dropout":
-        return dropout_backward(data, d_out)
-    if spec.kind == "softmax_loss":
-        if "probs" not in data:
-            raise StateError("softmax_loss backward needs a cache from softmax_log_loss")
-        return softmax_log_loss_backward(data, d_out)
-    raise ParameterError(f"unknown layer kind {spec.kind!r}")  # pragma: no cover
+            f"forward output {cache.data['_out_shape']}")
+    return KINDS[spec.kind].backward(cache.data, d_out, need_param_grads, need_input_grad)

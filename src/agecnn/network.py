@@ -8,7 +8,6 @@ A FreezeMask is ``{layer_name: bool}`` over the same keys, True = trainable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +48,7 @@ class NetworkSpec:
         return [l for l in self.layers if l.has_params]
 
 
-def _trunk_layers(blocks, include_norm, norm_n=3):
+def _trunk_layers(blocks, norm_n=3):
     """VGG-style trunk: per block, 3x3/s1/p1 convs + relus, then a 2x2/s2 pool.
 
     ``blocks`` is a list of channel lists; normed blocks get an
@@ -60,13 +59,13 @@ def _trunk_layers(blocks, include_norm, norm_n=3):
         for i, ch in enumerate(channels, start=1):
             out.append(L.conv(f"conv{b}_{i}", ch))
             out.append(L.relu(f"relu{b}_{i}"))
-            if normed and i == 1 and include_norm:
+            if normed and i == 1:
                 out.append(L.lrn(f"norm{b}", n=norm_n))
         out.append(L.maxpool(f"pool{b}"))
     return out
 
 
-def _head_layers(first_index, widths, in_features, rate, dropout_before_relu):
+def _head_layers(first_index, widths, in_features, rate):
     """FC head: every layer but the last is followed by relu and dropout."""
     out = []
     fin = in_features
@@ -75,33 +74,24 @@ def _head_layers(first_index, widths, in_features, rate, dropout_before_relu):
         out.append(L.fc(f"fc{idx}", width, in_features=fin))
         fin = width
         if j < len(widths) - 1:
-            pair = [L.relu(f"relu{idx}"), L.dropout(f"drop{idx}", rate)]
-            if dropout_before_relu:
-                pair.reverse()
-            out.extend(pair)
+            out += [L.relu(f"relu{idx}"), L.dropout(f"drop{idx}", rate)]
     out.append(L.softmax_loss("prob"))
     return out
 
 
-def build_profile(name: str, include_norm: bool = True, dropout_rate: float = 0.6,
-                  dropout_before_relu: bool = False) -> NetworkSpec:
-    """Construct a shipped profile by name (``vgg_face_age`` or ``mini``).
-
-    ``include_norm`` drops the across-channel normalization layers when False;
-    ``dropout_before_relu`` swaps the post-fc activation/dropout order.
-    """
+def build_profile(name: str, dropout_rate: float = 0.6) -> NetworkSpec:
+    """Construct a shipped profile by name (``vgg_face_age`` or ``mini``)."""
     key = name.replace("-", "_")
     if key == "vgg_face_age":
         blocks = [([64, 64], True), ([128, 128], True),
                   ([256, 256, 256], False), ([512, 512, 512], False), ([512, 512, 512], False)]
-        trunk = _trunk_layers(blocks, include_norm)
-        head = _head_layers(6, [4096, 5000, 5000, 8], 512 * 7 * 7,
-                            dropout_rate, dropout_before_relu)
+        trunk = _trunk_layers(blocks)
+        head = _head_layers(6, [4096, 5000, 5000, 8], 512 * 7 * 7, dropout_rate)
         return NetworkSpec("vgg_face_age", (3, 224, 224), trunk + head)
     if key == "mini":
         blocks = [([8, 8], True), ([16, 16], True)]
-        trunk = _trunk_layers(blocks, include_norm)
-        head = _head_layers(3, [32, 16, 8], 16 * 8 * 8, dropout_rate, dropout_before_relu)
+        trunk = _trunk_layers(blocks)
+        head = _head_layers(3, [32, 16, 8], 16 * 8 * 8, dropout_rate)
         return NetworkSpec("mini", (3, 32, 32), trunk + head)
     raise ConfigError(f"unknown profile {name!r}; known: vgg-face-age, mini")
 
@@ -115,61 +105,26 @@ def infer_shapes(spec: NetworkSpec, input_shape=None):
     shape = tuple(input_shape if input_shape is not None else spec.input_shape)
     out = []
     for layer in spec.layers:
-        p = layer.params
-        if layer.kind == "conv":
-            if len(shape) != 3:
-                raise ShapeError(f"layer {layer.name!r}: conv needs a CxHxW input, got {shape}")
-            c, h, w = shape
-            oh = L.out_extent(h, p["kernel"], p["stride"], p["pad"], f"layer {layer.name!r}")
-            ow = L.out_extent(w, p["kernel"], p["stride"], p["pad"], f"layer {layer.name!r}")
-            shape = (p["out_channels"], oh, ow)
-        elif layer.kind == "maxpool":
-            if len(shape) != 3:
-                raise ShapeError(f"layer {layer.name!r}: maxpool needs a CxHxW input, got {shape}")
-            c, h, w = shape
-            if p["window"] > h or p["window"] > w:
-                raise ShapeError(f"layer {layer.name!r}: window {p['window']} exceeds {h}x{w}")
-            oh = L.out_extent(h, p["window"], p["stride"], 0, f"layer {layer.name!r}")
-            ow = L.out_extent(w, p["window"], p["stride"], 0, f"layer {layer.name!r}")
-            shape = (c, oh, ow)
-        elif layer.kind == "fc":
-            flat = int(np.prod(shape))
-            if "in_features" in p and p["in_features"] != flat:
-                raise ShapeError(
-                    f"layer {layer.name!r}: input flattens to {flat} features, expected "
-                    f"{p['in_features']}")
-            shape = (p["out_features"],)
-        # relu / lrn / dropout / softmax_loss preserve shape
+        shape = L.KINDS[layer.kind].out_shape(layer, shape)
         out.append((layer.name, shape))
     return out
 
 
 def param_shapes(spec: NetworkSpec):
     """Expected weight/bias shapes per parameterized layer, from shape inference."""
-    shapes = {}
-    current = spec.input_shape
-    inferred = infer_shapes(spec)
-    for layer, (_, out_shape) in zip(spec.layers, inferred):
-        if layer.kind == "conv":
-            cin = current[0]
-            k = layer.params["kernel"]
-            cout = layer.params["out_channels"]
-            shapes[layer.name] = {"weight": (cout, cin, k, k), "bias": (cout,)}
-        elif layer.kind == "fc":
-            fin = int(np.prod(current))
-            shapes[layer.name] = {"weight": (fin, layer.params["out_features"]),
-                                  "bias": (layer.params["out_features"],)}
-        current = out_shape
-    return shapes
+    in_shapes = [spec.input_shape] + [shape for _, shape in infer_shapes(spec)]
+    return {layer.name: L.KINDS[layer.kind].param_shapes(layer, shape)
+            for layer, shape in zip(spec.layers, in_shapes) if layer.has_params}
+
+
+def _fresh(shapes, std, rng):
+    return {"weight": gaussian_fill(create(shapes["weight"]), 0.0, std, rng),
+            "bias": create(shapes["bias"])}
 
 
 def init_params(spec: NetworkSpec, rng: Rng, std: float = 0.01):
     """Fresh ParamSet: weights ~ normal(0, std^2), biases zero."""
-    params = {}
-    for name, shapes in param_shapes(spec).items():
-        params[name] = {"weight": gaussian_fill(create(shapes["weight"]), 0.0, std, rng),
-                        "bias": create(shapes["bias"])}
-    return params
+    return {name: _fresh(shapes, std, rng) for name, shapes in param_shapes(spec).items()}
 
 
 def validate_params(spec: NetworkSpec, params):
@@ -181,6 +136,9 @@ def validate_params(spec: NetworkSpec, params):
         raise ConfigError(f"params do not match spec: missing {sorted(missing)}, "
                           f"unexpected {sorted(extra)}")
     for name, shapes in expected.items():
+        if set(params[name]) != set(shapes):
+            raise ConfigError(f"layer {name!r}: tensors {sorted(params[name])}, "
+                              f"expected {sorted(shapes)}")
         for tname, shape in shapes.items():
             got = params[name][tname].shape
             if tuple(got) != shape:
@@ -216,8 +174,8 @@ def trunk_and_head(spec: NetworkSpec):
     return spec.layers[:fc_idx], head
 
 
-def replace_head_spec(spec: NetworkSpec, head_widths, dropout_rate: float = 0.6,
-                      dropout_before_relu: bool = False) -> NetworkSpec:
+def replace_head_spec(spec: NetworkSpec, head_widths,
+                      dropout_rate: float = 0.6) -> NetworkSpec:
     """Spec-level head surgery: drop the trailing fc stack, append a new one.
 
     New fc layers are numbered from (number of pooling stages + 1), matching
@@ -230,14 +188,12 @@ def replace_head_spec(spec: NetworkSpec, head_widths, dropout_rate: float = 0.6,
                                             list(trunk) + [L.softmax_loss("prob")]))
     in_features = int(np.prod(trunk_shapes[-2][1])) if len(trunk) else int(np.prod(spec.input_shape))
     first_index = sum(1 for l in trunk if l.kind == "maxpool") + 1
-    head = _head_layers(first_index, list(head_widths), in_features,
-                        dropout_rate, dropout_before_relu)
+    head = _head_layers(first_index, list(head_widths), in_features, dropout_rate)
     return NetworkSpec(spec.name, spec.input_shape, list(trunk) + head)
 
 
 def head_replace(spec: NetworkSpec, head_widths, params, rng: Rng,
-                 dropout_rate: float = 0.6, dropout_before_relu: bool = False,
-                 init_std: float = 0.01):
+                 dropout_rate: float = 0.6, init_std: float = 0.01):
     """Replace the fc head; trunk weights pass through untouched.
 
     Returns (new_spec, new_params, freeze_mask): new fc weights are drawn from
@@ -246,25 +202,18 @@ def head_replace(spec: NetworkSpec, head_widths, params, rng: Rng,
     trunk's parameterized layers (a partial set from a trunk import is fine);
     old head entries are dropped.
     """
-    new_spec = replace_head_spec(spec, head_widths, dropout_rate, dropout_before_relu)
+    new_spec = replace_head_spec(spec, head_widths, dropout_rate)
     trunk, _ = trunk_and_head(new_spec)
+    trunk_names = {l.name for l in trunk}
     new_params, mask = {}, {}
-    for l in trunk:
-        if not l.has_params:
-            continue
-        if l.name not in params:
-            raise ConfigError(f"missing trunk parameters for layer {l.name!r}")
-        new_params[l.name] = params[l.name]
-        mask[l.name] = False
-    shapes = param_shapes(new_spec)
-    for l in new_spec.layers[len(trunk):]:
-        if l.kind != "fc":
-            continue
-        new_params[l.name] = {
-            "weight": gaussian_fill(create(shapes[l.name]["weight"]), 0.0, init_std, rng),
-            "bias": create(shapes[l.name]["bias"]),
-        }
-        mask[l.name] = True
+    for name, shapes in param_shapes(new_spec).items():
+        mask[name] = name not in trunk_names
+        if mask[name]:
+            new_params[name] = _fresh(shapes, init_std, rng)
+        elif name in params:
+            new_params[name] = params[name]
+        else:
+            raise ConfigError(f"missing trunk parameters for layer {name!r}")
     return new_spec, new_params, mask
 
 
@@ -335,9 +284,3 @@ def backward(spec: NetworkSpec, params, caches, labels, mask):
         if need_params:
             grads[layer.name] = dp
     return grads
-
-
-def count_params(spec: NetworkSpec):
-    """Per-layer parameter counts, from shape inference."""
-    return {name: sum(math.prod(s) for s in shapes.values())
-            for name, shapes in param_shapes(spec).items()}

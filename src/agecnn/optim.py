@@ -23,8 +23,6 @@ class SgdConfig:
     patience: int = 1
     min_lr: float = 1e-5
     improvement_epsilon: float = 1e-4
-    # L2 decay normally skips biases; flip to include them.
-    weight_decay_biases: bool = False
 
     def __post_init__(self):
         if self.lr0 <= 0:
@@ -69,7 +67,7 @@ def init_state(params, mask, cfg: SgdConfig) -> OptState:
 def sgd_step(params, grads, mask, state: OptState, cfg: SgdConfig):
     """One update: v <- mu*v - lr*(g + lambda*w); w <- w + v.
 
-    Decay applies to weights only unless cfg.weight_decay_biases is set.
+    Decay applies to weights only, never to biases.
     Frozen tensors are passed through as the same objects, so they stay
     bit-identical no matter how many steps run.
     """
@@ -89,7 +87,7 @@ def sgd_step(params, grads, mask, state: OptState, cfg: SgdConfig):
             g = grads[name].get(tname)
             if g is None:
                 raise StateError(f"layer {name!r}: missing gradient for {tname!r}")
-            lam = cfg.weight_decay if (tname == "weight" or cfg.weight_decay_biases) else 0.0
+            lam = cfg.weight_decay if tname == "weight" else 0.0
             v = mu * state.velocity[name][tname] - lr * (g + lam * w)
             upd_v[tname] = v
             upd_t[tname] = w + v

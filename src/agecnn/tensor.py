@@ -76,15 +76,6 @@ def gaussian_fill(t: np.ndarray, mean: float, std: float, rng: Rng) -> np.ndarra
     return rng.normal(t.shape, mean, std).astype(DTYPE)
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """2-D matrix product c[i,j] = sum_p a[i,p] * b[p,j]."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} x {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def pad2d(t: np.ndarray, pad: int) -> np.ndarray:
     """Zero border of width pad on the two trailing (spatial) axes of NxCxHxW."""
     if t.ndim != 4:

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import struct
 import zlib
@@ -6,10 +7,11 @@ import numpy as np
 import pytest
 
 from agecnn import (ConfigError, FormatError, IntegrityError, NetworkSpec,
-                    OptState, Rng, SgdConfig, build_profile, import_trunk,
-                    init_params, init_state, load, make_mask, save,
-                    train_epoch)
-from agecnn.checkpoint import HEADER_SIZE, MAGIC, VERSION
+                    OptState, Rng, SgdConfig, build_profile, head_replace,
+                    import_trunk, init_params, init_state, load, make_mask,
+                    save, train_epoch)
+from agecnn.checkpoint import HEADER_SIZE, MAGIC, VERSION, _body_bytes, _f64, _str
+from agecnn.cli import main
 from agecnn.network import eval_scores, param_shapes
 
 
@@ -258,9 +260,49 @@ class TestLoadRejections:
         with pytest.raises((FormatError, IntegrityError)):
             load(path)
 
+    @pytest.mark.parametrize("old, new", [
+        (_str("kernel") + _f64(3.0), _str("kernel") + _f64(float("nan"))),
+        (_str("kernel") + _f64(3.0), _str("kernel") + _f64(float("inf"))),
+        (_str("k") + _f64(2.0), _str("k") + _f64(float("nan"))),
+        (_str("weight"), _str("weigxt")),
+    ], ids=["integral-nan", "integral-inf", "lrn-k-nan", "renamed-weight"])
+    def test_forged_body_with_fixed_checksum(self, tmp_path, capsys, old, new):
+        spec, params, mask = mini_fixture()
+        body = _body_bytes(spec, params, mask, None)
+        assert old in body
+        body = body.replace(old, new, 1)
+        path = str(tmp_path / "forged.acnn")
+        with open(path, "wb") as fh:
+            fh.write(MAGIC + struct.pack("<II", VERSION, zlib.crc32(body) & 0xFFFFFFFF) + body)
+        with pytest.raises(IntegrityError):
+            load(path)
+        assert main(["inspect", "--model", path]) == 1
+        assert "forged.acnn" in capsys.readouterr().err
+
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(OSError):
             load(str(tmp_path / "absent.acnn"))
+
+
+class TestFormatGolden:
+    """Pinned file digests: any change to hyperparameter encoding or layer order shows."""
+
+    def _digest(self, tmp_path, spec, params, mask):
+        path = str(tmp_path / "golden.acnn")
+        save(spec, params, mask, path)
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        return hashlib.sha256(blob).hexdigest(), len(blob)
+
+    def test_mini_init(self, tmp_path):
+        assert self._digest(tmp_path, *mini_fixture()) == (
+            "4d607e0e0d78853675b0754554a985ba954ea54072946a12b4fbc52111544f36", 152319)
+
+    def test_mini_after_head_replace(self, tmp_path):
+        spec, params, _ = mini_fixture()
+        replaced = head_replace(spec, [32, 16, 8], params, Rng(0).derive(0))
+        assert self._digest(tmp_path, *replaced) == (
+            "878cb40181d47b931de09254f2a4fb61cb6e6c96f77536d4f39535c435d31f30", 152319)
 
 
 class TestImportTrunk:

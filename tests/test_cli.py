@@ -210,6 +210,17 @@ class TestTrain:
         assert code == 2
         assert "learning_rate" in capsys.readouterr().err
 
+    def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
+        model = make_model(tmp_path)
+        manifest, _ = dataset(tmp_path)
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"lr = 0.05  # caf\xe9\n")
+        code = main(["train", "--model", model, "--train", manifest,
+                     "--val", manifest, "--epochs", "1", "--config", str(cfg),
+                     "--out", str(tmp_path / "ck.acnn")])
+        assert code == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
     def test_missing_manifest_is_runtime_failure(self, tmp_path, capsys):
         model = make_model(tmp_path)
         code = main(["train", "--model", model,
@@ -248,6 +259,15 @@ class TestPredict:
         first = capsys.readouterr().out
         main(["predict", "--model", model, "--images", listing])
         assert capsys.readouterr().out == first
+
+    def test_non_utf8_image_list_is_runtime_failure(self, tmp_path, capsys):
+        model = make_model(tmp_path)
+        listing = tmp_path / "images.txt"
+        listing.write_bytes(b"caf\xe9.ppm\n")
+        assert main(["predict", "--model", model, "--images", str(listing)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not UTF-8" in captured.err
 
     def test_partial_failure_continues_and_exits_1(self, tmp_path, capsys):
         model = make_model(tmp_path)
@@ -312,6 +332,14 @@ class TestEval:
         lines = capsys.readouterr().out.splitlines()
         row_names = [line.split()[0] for line in lines[1:9]]
         assert row_names == list(AGE_LABELS)
+
+
+    def test_non_utf8_manifest_is_runtime_failure(self, tmp_path, capsys):
+        model = make_model(tmp_path)
+        manifest = tmp_path / "latin1.csv"
+        manifest.write_bytes(b"path,label\ncaf\xe9.ppm,0-2\n")
+        assert main(["eval", "--model", model, "--test", str(manifest)]) == 1
+        assert "not UTF-8" in capsys.readouterr().err
 
 
 class TestInspect:

@@ -3,7 +3,7 @@ import pytest
 
 from agecnn import Rng
 from agecnn.errors import LabelError, ParameterError, ShapeError, StateError
-from agecnn.layers import (col2im, conv, conv2d_backward, conv2d_forward,
+from agecnn.layers import (LayerSpec, col2im, conv, conv2d_backward, conv2d_forward,
                            dropout, dropout_backward, dropout_forward, fc,
                            fc_backward, fc_forward, forward_layer, im2col,
                            backward_layer, lrn, lrn_backward, lrn_forward,
@@ -586,3 +586,24 @@ class TestDispatch:
             forward_layer(spec, np.ones((1, 9), np.float32),
                           {"weight": np.zeros((9, 4), np.float32),
                            "bias": np.zeros(4, np.float32)})
+
+
+class TestLayerSpec:
+    @pytest.mark.parametrize("kind, params", [
+        ("conv", {"out_channels": 4, "kernel": 3, "stride": 1}),
+        ("lrn", {"n": 3, "k": float("nan"), "alpha": 1e-4, "beta": 0.75}),
+        ("maxpool", {"window": 2, "stride": float("inf")}),
+        ("fc", {"out_features": 2.5}),
+        ("dropout", {"rate": 0.5, "p": 0.5}),
+        ("relu", {"n": 3}),
+    ], ids=["missing", "nan", "inf", "non-integral", "unknown", "unknown-on-bare-kind"])
+    def test_bad_hyperparameters_rejected(self, kind, params):
+        with pytest.raises(ParameterError):
+            LayerSpec("x", kind, params)
+
+    def test_hyperparameters_take_declared_types(self):
+        spec = LayerSpec("c", "conv", {"out_channels": 4.0, "kernel": 3.0,
+                                       "stride": 1.0, "pad": 1.0})
+        assert all(type(v) is int for v in spec.params.values())
+        assert type(lrn("n", k=2).params["k"]) is float
+        assert fc("f", 4).params == {"out_features": 4}

@@ -2,14 +2,19 @@ import numpy as np
 import pytest
 
 from agecnn import (ConfigError, Rng, ShapeError, StateError, build_profile,
-                    count_params, head_replace, infer_shapes, init_params,
-                    make_mask, param_shapes, replace_head_spec)
+                    head_replace, infer_shapes, init_params, make_mask,
+                    param_shapes, replace_head_spec)
 from agecnn import network as net
 from agecnn.layers import (conv, fc, maxpool, relu, softmax_loss,
                            softmax_log_loss, softmax_log_loss_backward)
 from agecnn.network import NetworkSpec, trunk_and_head, validate_params
 
 from conftest import fd_max_rel_err, to64
+
+
+def param_counts(spec):
+    return {name: sum(int(np.prod(s)) for s in shapes.values())
+            for name, shapes in param_shapes(spec).items()}
 
 
 class TestProfiles:
@@ -32,7 +37,7 @@ class TestProfiles:
         assert last_fc.params["out_features"] == 8
 
     def test_fc9_param_count(self):
-        counts = count_params(build_profile("vgg_face_age"))
+        counts = param_counts(build_profile("vgg_face_age"))
         assert counts["fc9"] == 5000 * 8 + 8 == 40008
 
     def test_vgg_conv_plan(self):
@@ -50,10 +55,6 @@ class TestProfiles:
         assert names.index("norm2") == names.index("relu2_1") + 1
         assert sum(n.startswith("norm") for n in names) == 2
         assert sum(n.startswith("pool") for n in names) == 5
-
-    def test_norm_layers_can_be_omitted(self):
-        names = [l.name for l in build_profile("mini", include_norm=False).layers]
-        assert not any(n.startswith("norm") for n in names)
 
     def test_mini_structure(self):
         spec = build_profile("mini")
@@ -346,13 +347,10 @@ class TestBackward:
 
 class TestCounts:
     def test_mini_total(self):
-        counts = count_params(build_profile("mini"))
+        counts = param_counts(build_profile("mini"))
         conv_total = 224 + 584 + 1168 + 2320
         head_total = (1024 * 32 + 32) + (32 * 16 + 16) + (16 * 8 + 8)
-        assert sum(counts.values()) == conv_total + head_total
+        assert sum(counts.values()) == conv_total + head_total == 37760
 
-    def test_matches_param_shapes(self):
-        spec = build_profile("mini")
-        counts = count_params(spec)
-        for name, shapes in param_shapes(spec).items():
-            assert counts[name] == sum(int(np.prod(s)) for s in shapes.values())
+    def test_vgg_total(self):
+        assert sum(param_counts(build_profile("vgg_face_age")).values()) == 163009240

@@ -68,16 +68,6 @@ class TestSgdStep:
         assert float(new_params["f"]["weight"][0]) == pytest.approx(0.9999)
         assert float(new_params["f"]["bias"][0]) == 1.0
 
-    def test_bias_decay_opt_in(self):
-        params = {"f": {"weight": np.array([1.0]), "bias": np.array([1.0])}}
-        mask = {"f": True}
-        cfg = SgdConfig(lr0=0.1, momentum=0.0, weight_decay=1e-3, batch_size=1,
-                        weight_decay_biases=True)
-        state = init_state(params, mask, cfg)
-        grads = {"f": {"weight": np.zeros(1), "bias": np.zeros(1)}}
-        new_params, _ = sgd_step(params, grads, mask, state, cfg)
-        assert float(new_params["f"]["bias"][0]) == pytest.approx(0.9999)
-
     def test_frozen_tensors_pass_through_as_same_objects(self):
         spec = build_profile("mini")
         params = init_params(spec, Rng(0))

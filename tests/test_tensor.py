@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from agecnn import (ParameterError, Rng, ShapeError, argmax, create,
-                    gaussian_fill, matmul, pad2d)
+                    gaussian_fill, pad2d)
 
 
 class TestRng:
@@ -94,43 +94,6 @@ class TestGaussianFill:
     def test_result_is_float32(self):
         t = gaussian_fill(create((8,)), 0.0, 1.0, Rng(4))
         assert t.dtype == np.float32
-
-
-class TestMatmul:
-    def test_identity(self):
-        b = np.arange(6, dtype=np.float32).reshape(2, 3)
-        assert np.array_equal(matmul(np.eye(2, dtype=np.float32), b), b)
-
-    def test_hand_case(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
-        b = np.array([[5.0], [6.0]], dtype=np.float32)
-        assert matmul(a, b).tolist() == [[17.0], [39.0]]
-
-    def test_matches_triple_loop(self):
-        r = np.random.default_rng(0)
-        a = r.normal(size=(4, 5)).astype(np.float32)
-        b = r.normal(size=(5, 6)).astype(np.float32)
-        want = np.zeros((4, 6), dtype=np.float64)
-        for i in range(4):
-            for j in range(6):
-                for p in range(5):
-                    want[i, j] += float(a[i, p]) * float(b[p, j])
-        assert np.allclose(matmul(a, b), want, atol=1e-6)
-
-    def test_associativity(self):
-        r = np.random.default_rng(1)
-        a, b, c = (r.normal(size=s).astype(np.float32) for s in ((3, 4), (4, 5), (5, 2)))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        assert np.allclose(left, right, atol=1e-4)
-
-    def test_inner_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros((2, 3), np.float32), np.zeros((4, 2), np.float32))
-
-    def test_non_2d_rejected(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros((2, 3, 1), np.float32), np.zeros((3, 2), np.float32))
 
 
 class TestPad2d:
