@@ -34,6 +34,7 @@ place, so readers never observe a partial file.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -49,6 +50,7 @@ from .optim import OptState
 MAGIC = b"ACNN"
 VERSION = 1
 HEADER_SIZE = 12
+MAX_RANK = 4  # conv weights; no tensor of any network has more axes
 
 _TENSOR_ORDER = ("weight", "bias")
 
@@ -181,8 +183,13 @@ class _Cursor:
     def tensor(self):
         name = self.string()
         rank = self.u8()
+        if rank > MAX_RANK:
+            raise IntegrityError(f"{self.path}: tensor {name!r} has rank {rank} > {MAX_RANK}")
         shape = tuple(self.u32() for _ in range(rank))
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        count = math.prod(shape)
+        if 4 * count > len(self.buf) - self.off:
+            raise IntegrityError(
+                f"{self.path}: tensor {name!r} of shape {shape} overruns the file")
         raw = self.take(4 * count)
         data = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
         return name, data

@@ -137,9 +137,11 @@ def read_ppm(path) -> np.ndarray:
             raise FormatError(f"{path}: bad PPM dimensions {width}x{height}")
         if maxval != 255:
             raise FormatError(f"{path}: unsupported PPM maxval {maxval} (need 255)")
-        raw = fh.read(3 * width * height)
-    if len(raw) != 3 * width * height:
-        raise FormatError(f"{path}: truncated PPM pixel data")
+        # checked before reading, so a forged header cannot ask for gigabytes
+        size = 3 * width * height
+        if size > os.fstat(fh.fileno()).st_size - fh.tell():
+            raise FormatError(f"{path}: truncated PPM pixel data ({width}x{height} claimed)")
+        raw = fh.read(size)
     pixels = np.frombuffer(raw, dtype=np.uint8).reshape(height, width, 3)
     return pixels.transpose(2, 0, 1).astype(DTYPE)
 

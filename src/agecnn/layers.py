@@ -1,10 +1,11 @@
 """Forward and backward computation for every layer kind in the profiles.
 
 Each kind is one entry of ``KINDS``: its hyperparameters, range rule, shape
-rule, parameter shapes, forward and backward. Convolution and max pooling run
-through im2col + matrix multiply; the direct summation form lives in the test
-suite as an oracle. Backward passes are exact analytic gradients of the
-forward maps and are finite-difference checked.
+rule, parameter shapes, forward and backward. Convolution is one matrix
+multiply against a patch matrix cut from the flat padded input, and max
+pooling a running maximum over strided window views; the direct summation
+forms live in the test suite as oracles. Backward passes are exact analytic
+gradients of the forward maps and are finite-difference checked.
 """
 
 from __future__ import annotations
@@ -133,41 +134,37 @@ def out_extent(extent, window, stride, pad, what) -> int:
     return out
 
 
-def im2col(x, kh, kw, stride, pad):
-    """Unfold NxCxHxW into a (N*OH*OW, C*kh*kw) patch matrix.
+def _tap_slices(kh, kw, wp, oh, stride):
+    """Slices of a sample's flat padded plane, one per kernel offset (u, v), row-major.
 
-    Row order is (n, oh, ow); column order is (c, u, v). Loops run over the
-    kh*kw kernel offsets only, each moving a strided slice, so the cost is
-    dominated by the copies rather than Python overhead.
+    Slice (u, v) starts at u*Wp + v and takes OH*Wp values at step ``stride``;
+    value i*Wp + j is x_padded[i*s + u, j*s + v]. Values with j >= OW wrap
+    past the row's end and are dropped. The last slice runs past the plane,
+    into a zero tail that ends at its stop.
     """
-    n, c, h, w = x.shape
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (w + 2 * pad - kw) // stride + 1
+    span = (oh * wp - 1) * stride + 1
+    return [slice(u * wp + v, u * wp + v + span, stride) for u in range(kh) for v in range(kw)]
+
+
+def _flat_patches(x, kh, kw, stride, pad):
+    """Patch matrix of NxCxHxW input, built transposed: (C*kh*kw, N*OH*Wp).
+
+    The input is padded once and laid out channel-major, each sample's padded
+    plane flat; row (c, u, v) holds, per sample, the (u, v) tap slice of
+    channel c.
+    """
+    n, c = x.shape[:2]
     xp = pad2d(x, pad)
-    col = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
-    for u in range(kh):
-        u_end = u + stride * oh
-        for v in range(kw):
-            v_end = v + stride * ow
-            col[:, :, u, v] = xp[:, :, u:u_end:stride, v:v_end:stride]
-    return col.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, c * kh * kw)
-
-
-def col2im(col, x_shape, kh, kw, stride, pad):
-    """Fold a patch matrix back to NxCxHxW, accumulating overlapping windows."""
-    n, c, h, w = x_shape
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (w + 2 * pad - kw) // stride + 1
-    col = col.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    img = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=col.dtype)
-    for u in range(kh):
-        u_end = u + stride * oh
-        for v in range(kw):
-            v_end = v + stride * ow
-            img[:, :, u:u_end:stride, v:v_end:stride] += col[:, :, u, v]
-    if pad == 0:
-        return img
-    return img[:, :, pad:pad + h, pad:pad + w]
+    hp, wp = xp.shape[2:]
+    oh = (hp - kh) // stride + 1
+    taps = _tap_slices(kh, kw, wp, oh, stride)
+    flat = np.empty((c, n, taps[-1].stop), dtype=x.dtype)
+    flat[:, :, :hp * wp].reshape(c, n, hp, wp)[...] = xp.transpose(1, 0, 2, 3)
+    flat[:, :, hp * wp:] = 0
+    cols = np.empty((c, kh * kw, n, oh * wp), dtype=x.dtype)
+    for k, tap in enumerate(taps):
+        cols[:, k] = flat[:, :, tap]
+    return cols.reshape(c * kh * kw, n * oh * wp)
 
 
 # ---------------------------------------------------------------------------
@@ -186,30 +183,42 @@ def conv2d_forward(x, w, b, stride, pad):
         raise ShapeError(f"conv bias shape {b.shape} does not match {cout} filters")
     oh = out_extent(h, kh, stride, pad, "conv")
     ow = out_extent(wd, kw, stride, pad, "conv")
-    col = im2col(x, kh, kw, stride, pad)
-    y = col @ w.reshape(cout, -1).T + b
-    y = y.reshape(n, oh, ow, cout).transpose(0, 3, 1, 2)
+    out = w.reshape(cout, -1) @ _flat_patches(x, kh, kw, stride, pad)
+    out = out.reshape(cout, n, oh, wd + 2 * pad)[:, :, :, :ow].transpose(1, 0, 2, 3)
+    y = np.empty((n, cout, oh, ow), dtype=np.result_type(out, b))
+    np.add(out, b[:, None, None], out=y)
     cache = {"x": x, "w": w, "stride": stride, "pad": pad}
-    return np.ascontiguousarray(y), cache
+    return y, cache
 
 
 def conv2d_backward(cache, d_out, need_param_grads=True, need_input_grad=True):
     x, w = cache["x"], cache["w"]
     stride, pad = cache["stride"], cache["pad"]
-    cout = w.shape[0]
-    kh, kw = w.shape[2], w.shape[3]
-    dy = d_out.transpose(0, 2, 3, 1).reshape(-1, cout)
+    n, cin, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    oh, ow = d_out.shape[2:]
+    hp, wp = h + 2 * pad, wd + 2 * pad
+    # d_out in the patch matrix's column layout, zero on the wrapped columns
+    dy = np.zeros((cout, n, oh, wp), dtype=d_out.dtype)
+    dy[:, :, :, :ow] = d_out.transpose(1, 0, 2, 3)
+    dy = dy.reshape(cout, -1)
     d_params = {}
     if need_param_grads:
         # Patch matrix is recomputed here rather than cached: frozen-trunk
         # training never pays for it, and it can dwarf the activations.
-        col = im2col(x, kh, kw, stride, pad)
-        d_params["weight"] = (dy.T @ col).reshape(w.shape)
-        d_params["bias"] = dy.sum(axis=0)
+        cols = _flat_patches(x, kh, kw, stride, pad)
+        d_params["weight"] = (dy @ cols.T).reshape(w.shape)
+        d_params["bias"] = dy.sum(axis=1)
     d_in = None
     if need_input_grad:
-        dcol = dy @ w.reshape(cout, -1)
-        d_in = col2im(dcol, x.shape, kh, kw, stride, pad)
+        # fold: each tap's rows are added back into the slice they were cut from
+        dcols = (w.reshape(cout, -1).T @ dy).reshape(cin, kh * kw, n, oh * wp)
+        taps = _tap_slices(kh, kw, wp, oh, stride)
+        flat = np.zeros((cin, n, taps[-1].stop), dtype=dcols.dtype)
+        for k, tap in enumerate(taps):
+            flat[:, :, tap] += dcols[:, k]
+        img = flat[:, :, :hp * wp].reshape(cin, n, hp, wp)
+        d_in = np.ascontiguousarray(img[:, :, pad:pad + h, pad:pad + wd].transpose(1, 0, 2, 3))
     return d_in, d_params
 
 
@@ -264,8 +273,19 @@ def lrn_backward(cache, d_out):
 # maxpool
 # ---------------------------------------------------------------------------
 
-def maxpool_forward(x, window, stride):
-    """Window-wise maximum; the cache records each window's winning position."""
+def _window_views(x, window, stride, oh, ow):
+    """Strided views of x, one per window offset (u, v) in row-major order."""
+    for u in range(window):
+        for v in range(window):
+            yield x[:, :, u:u + stride * (oh - 1) + 1:stride, v:v + stride * (ow - 1) + 1:stride]
+
+
+def maxpool_forward(x, window, stride, mode="train"):
+    """Window-wise maximum.
+
+    A train-mode cache records, per output, the first window offset (row-major)
+    attaining the maximum, the tie rule of argmax; backward routes by it.
+    """
     if x.ndim != 4:
         raise ShapeError(f"maxpool expects a 4-D tensor, got shape {x.shape}")
     n, c, h, w = x.shape
@@ -273,22 +293,28 @@ def maxpool_forward(x, window, stride):
         raise ShapeError(f"maxpool window {window} exceeds input {h}x{w}")
     oh = out_extent(h, window, stride, 0, "maxpool")
     ow = out_extent(w, window, stride, 0, "maxpool")
-    col = im2col(x.reshape(n * c, 1, h, w), window, window, stride, 0)
-    idx = np.argmax(col, axis=1)
-    y = col[np.arange(col.shape[0]), idx].reshape(n, c, oh, ow)
-    cache = {"idx": idx, "x_shape": x.shape, "window": window,
-             "stride": stride, "cols": col.shape}
-    return y, cache
+    views = list(_window_views(x, window, stride, oh, ow))
+    y = views[0].copy()
+    for view in views[1:]:
+        np.maximum(y, view, out=y)
+    if mode == "eval":
+        return y, {}
+    # idx counts the leading offsets whose value falls short of the maximum
+    idx = np.zeros(y.shape, dtype=np.min_scalar_type(len(views) - 1))
+    short = np.ones(y.shape, dtype=bool)
+    for view in views[:-1]:
+        short &= view < y
+        idx += short
+    return y, {"idx": idx, "x_shape": x.shape, "window": window, "stride": stride}
 
 
 def maxpool_backward(cache, d_out):
-    n, c, h, w = cache["x_shape"]
-    window, stride = cache["window"], cache["stride"]
-    idx = cache["idx"]
-    dcol = np.zeros(cache["cols"], dtype=d_out.dtype)
-    dcol[np.arange(dcol.shape[0]), idx] = d_out.reshape(-1)
-    d_in = col2im(dcol, (n * c, 1, h, w), window, window, stride, 0)
-    return d_in.reshape(n, c, h, w), {}
+    idx, window, stride = cache["idx"], cache["window"], cache["stride"]
+    d_in = np.zeros(cache["x_shape"], dtype=d_out.dtype)
+    oh, ow = idx.shape[2:]
+    for k, view in enumerate(_window_views(d_in, window, stride, oh, ow)):
+        np.add(view, d_out, out=view, where=idx == k)
+    return d_in, {}
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +467,7 @@ KINDS = {
                        "window/stride must be >= 1"),
         out_shape=lambda s, shape: _window_out_shape(
             s, shape, None, s.params["window"], s.params["stride"], 0),
-        forward=lambda s, x, w, mode, rng: maxpool_forward(x, **s.params),
+        forward=lambda s, x, w, mode, rng: maxpool_forward(x, **s.params, mode=mode),
         backward=lambda cache, d, *flags: maxpool_backward(cache, d)),
     "fc": LayerKind(
         hypers={"out_features": int, "in_features": int},

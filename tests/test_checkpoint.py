@@ -10,7 +10,8 @@ from agecnn import (ConfigError, FormatError, IntegrityError, NetworkSpec,
                     OptState, Rng, SgdConfig, build_profile, head_replace,
                     import_trunk, init_params, init_state, load, make_mask,
                     save, train_epoch)
-from agecnn.checkpoint import HEADER_SIZE, MAGIC, VERSION, _body_bytes, _f64, _str
+from agecnn.checkpoint import (HEADER_SIZE, MAGIC, VERSION, _body_bytes, _f64, _str, _u8,
+                               _u32)
 from agecnn.cli import main
 from agecnn.network import eval_scores, param_shapes
 
@@ -265,7 +266,12 @@ class TestLoadRejections:
         (_str("kernel") + _f64(3.0), _str("kernel") + _f64(float("inf"))),
         (_str("k") + _f64(2.0), _str("k") + _f64(float("nan"))),
         (_str("weight"), _str("weigxt")),
-    ], ids=["integral-nan", "integral-inf", "lrn-k-nan", "renamed-weight"])
+        # fc3's bias record: rank 1, extent 32
+        (_str("bias") + _u8(1) + _u32(32), _str("bias") + _u8(65) + _u32(1) * 65),
+        # 2^64 elements, which an int64 element count wraps to 0
+        (_str("bias") + _u8(1) + _u32(32), _str("bias") + _u8(4) + _u32(2 ** 16) * 4),
+    ], ids=["integral-nan", "integral-inf", "lrn-k-nan", "renamed-weight", "rank-65",
+            "count-wraps-int64"])
     def test_forged_body_with_fixed_checksum(self, tmp_path, capsys, old, new):
         spec, params, mask = mini_fixture()
         body = _body_bytes(spec, params, mask, None)

@@ -284,6 +284,18 @@ class TestPredict:
         assert good[0].startswith(manifest.records[0].path + ",")
         assert "gone.ppm" in captured.err
 
+    def test_oversized_ppm_header_is_runtime_failure(self, tmp_path, capsys):
+        # the header claims 30 GB of pixels; the file holds 12 bytes of them
+        model = make_model(tmp_path)
+        huge = tmp_path / "huge.ppm"
+        huge.write_bytes(b"P6\n100000 100000\n255\n" + bytes(12))
+        listing = tmp_path / "images.txt"
+        listing.write_text(str(huge) + "\n")
+        assert main(["predict", "--model", model, "--images", str(listing)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "huge.ppm" in captured.err and "truncated PPM" in captured.err
+
 
 class TestEval:
     def test_perfect_pairing_scores_100(self, tmp_path, capsys):

@@ -3,9 +3,9 @@ import pytest
 
 from agecnn import Rng
 from agecnn.errors import LabelError, ParameterError, ShapeError, StateError
-from agecnn.layers import (LayerSpec, col2im, conv, conv2d_backward, conv2d_forward,
+from agecnn.layers import (LayerSpec, conv, conv2d_backward, conv2d_forward,
                            dropout, dropout_backward, dropout_forward, fc,
-                           fc_backward, fc_forward, forward_layer, im2col,
+                           fc_backward, fc_forward, forward_layer,
                            backward_layer, lrn, lrn_backward, lrn_forward,
                            maxpool, maxpool_backward, maxpool_forward, relu,
                            relu_backward, relu_forward, softmax,
@@ -74,40 +74,6 @@ def lrn_direct(x, n, k, alpha, beta):
                     s = sum(float(x[b, cc, i, j]) ** 2 for cc in range(lo, hi))
                     y[b, ci, i, j] = float(x[b, ci, i, j]) / (k + (alpha / n) * s) ** beta
     return y
-
-
-# ---------------------------------------------------------------------------
-# im2col / col2im
-# ---------------------------------------------------------------------------
-
-class TestIm2col:
-    def test_single_patch_is_flat_input(self):
-        x = np.arange(2 * 3 * 3, dtype=np.float32).reshape(1, 2, 3, 3)
-        col = im2col(x, 3, 3, 1, 0)
-        assert col.shape == (1, 18)
-        assert np.array_equal(col[0], x.reshape(-1))
-
-    def test_row_count(self):
-        x = np.zeros((2, 3, 8, 8), np.float32)
-        col = im2col(x, 3, 3, 1, 1)
-        assert col.shape == (2 * 8 * 8, 3 * 9)
-
-    def test_adjoint_identity(self):
-        # <im2col(x), G> == <x, col2im(G)> characterizes col2im as the adjoint
-        r = np.random.default_rng(0)
-        x = r.normal(size=(2, 3, 6, 6))
-        g = r.normal(size=(2 * 6 * 6, 3 * 9))
-        lhs = float((im2col(x, 3, 3, 1, 1) * g).sum())
-        rhs = float((x * col2im(g, x.shape, 3, 3, 1, 1)).sum())
-        assert abs(lhs - rhs) < 1e-9
-
-    def test_col2im_accumulates_overlaps(self):
-        # stride-1 3x3 windows over 5x5: center position sits in 9 windows
-        x_shape = (1, 1, 5, 5)
-        g = np.ones((9, 9))
-        img = col2im(g, x_shape, 3, 3, 1, 0)
-        assert img[0, 0, 2, 2] == 9.0
-        assert img[0, 0, 0, 0] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +308,22 @@ class TestMaxpool:
             for j in range(2):
                 block = d_in[0, 0, 2 * i:2 * i + 2, 2 * j:2 * j + 2]
                 assert float(block.sum()) == 1.0
+
+    @pytest.mark.parametrize("window, stride", [(2, 2), (3, 1)])
+    def test_ties_route_to_first_offset(self, window, stride):
+        # every element of a constant input attains its window's max; argmax's
+        # rule sends each window's gradient to the window's top-left element
+        _, cache = maxpool_forward(np.full((1, 1, 4, 4), 2.0, np.float32), window, stride)
+        d_out = np.arange(1.0, 5.0, dtype=np.float32).reshape(1, 1, 2, 2)
+        d_in, _ = maxpool_backward(cache, d_out)
+        want = np.zeros((4, 4), np.float32)
+        want[:2 * stride:stride, :2 * stride:stride] = d_out[0, 0]
+        assert np.array_equal(d_in[0, 0], want)
+
+    def test_eval_mode_keeps_no_cache(self):
+        x = np.random.default_rng(18).normal(size=(1, 2, 4, 4))
+        y, cache = maxpool_forward(x, 2, 2, "eval")
+        assert np.array_equal(y, maxpool_forward(x, 2, 2)[0]) and cache == {}
 
     def test_finite_differences(self):
         # distinct values keep the argmax stable under the probe step

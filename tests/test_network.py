@@ -5,7 +5,7 @@ from agecnn import (ConfigError, Rng, ShapeError, StateError, build_profile,
                     head_replace, infer_shapes, init_params, make_mask,
                     param_shapes, replace_head_spec)
 from agecnn import network as net
-from agecnn.layers import (conv, fc, maxpool, relu, softmax_loss,
+from agecnn.layers import (conv, fc, forward_layer, maxpool, relu, softmax_loss,
                            softmax_log_loss, softmax_log_loss_backward)
 from agecnn.network import NetworkSpec, trunk_and_head, validate_params
 
@@ -250,6 +250,33 @@ class TestForward:
         c, _ = net.forward(spec, params, x, mode="train", rng=Rng(10))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_per_sample_outputs_independent_of_batch_size(self):
+        # A sample's trunk features at batch 6 equal, bit for bit, its features
+        # run alone, in both modes, and its scores equal those from batches of
+        # 2. Scores at batch 1 are not compared: BLAS hands a one-row product
+        # to gemv, whose rounding differs from gemm's, so fc's last bits move.
+        spec = build_profile("mini", dropout_rate=0.0)
+        params = init_params(spec, Rng(3), std=0.1)
+        x = Rng(4).normal((6, 3, 32, 32)).astype(np.float32)
+        trunk, _ = trunk_and_head(spec)
+
+        def features(batch, mode):
+            for layer in trunk:
+                batch, _ = forward_layer(layer, batch, params.get(layer.name), mode)
+            return batch
+
+        for mode in ("eval", "train"):
+            whole = features(x, mode)
+            assert len({row.tobytes() for row in whole}) == 6
+            for i in range(6):
+                assert np.array_equal(features(x[i:i + 1], mode)[0], whole[i])
+        scores = net.eval_scores(spec, params, x)
+        trained, _ = net.forward(spec, params, x, mode="train", rng=Rng(9))
+        for i in range(0, 6, 2):
+            assert np.array_equal(net.eval_scores(spec, params, x[i:i + 2]), scores[i:i + 2])
+            pair, _ = net.forward(spec, params, x[i:i + 2], mode="train", rng=Rng(9))
+            assert np.array_equal(pair, trained[i:i + 2])
 
     def test_batch_shape_checked(self):
         spec = build_profile("mini")
