@@ -9,7 +9,7 @@ binary checkpoint format.
 from .checkpoint import import_trunk, load, save
 from .data import (AGE_LABELS, NUM_CLASSES, DatasetManifest, ManifestRecord,
                    Preprocessing, batches, label_of, load_manifest,
-                   random_crop_224, read_ppm, rescale_to_256, write_ppm)
+                   random_crop_224, read_ppm, write_ppm)
 from .errors import (ConfigError, EngineError, FormatError, InputError,
                      IntegrityError, LabelError, ParameterError, ParseError,
                      ShapeError, StateError)
@@ -23,20 +23,20 @@ from .optim import (OptState, SgdConfig, init_state, plateau_update, sgd_step,
                     train_epoch)
 from .predict import (CropTriple, average_probabilities, predict_label,
                       predict_proba, three_crops)
-from .tensor import DTYPE, Rng, argmax, create, gaussian_fill, pad2d
+from .tensor import DTYPE, Rng, argmax, gaussian_fill, pad2d
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AGE_LABELS", "NUM_CLASSES", "DTYPE", "__version__",
-    "Rng", "argmax", "create", "gaussian_fill", "pad2d",
+    "Rng", "argmax", "gaussian_fill", "pad2d",
     "NetworkSpec", "build_profile", "infer_shapes", "init_params",
     "param_shapes", "make_mask", "head_replace",
     "replace_head_spec", "forward", "backward",
     "SgdConfig", "OptState", "init_state", "sgd_step", "plateau_update",
     "train_epoch",
     "DatasetManifest", "ManifestRecord", "Preprocessing", "label_of",
-    "load_manifest", "batches", "read_ppm", "write_ppm", "rescale_to_256",
+    "load_manifest", "batches", "read_ppm", "write_ppm",
     "random_crop_224",
     "CropTriple", "three_crops", "average_probabilities", "predict_proba",
     "predict_label",

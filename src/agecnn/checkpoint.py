@@ -28,8 +28,11 @@ Body:
 Layer names key the chunks, so replacing the fully connected head of a
 network does not invalidate files holding its convolutional trunk. The CRC
 covers the whole body, so any single corrupted byte past the version field is
-rejected before parsing. Files are written to a temp path and renamed into
-place, so readers never observe a partial file.
+rejected before parsing. The writer streams the body straight to disk,
+computing the CRC as it goes, and fills in the header's CRC field last; the
+reader checks the CRC over the file buffer and copies each tensor out of it
+once. Files are written to a temp path and renamed into place, so readers
+never observe a partial file.
 """
 
 from __future__ import annotations
@@ -55,78 +58,89 @@ MAX_RANK = 4  # conv weights; no tensor of any network has more axes
 _TENSOR_ORDER = ("weight", "bias")
 
 
-def _u8(v):
-    return struct.pack("<B", v)
+def _check_velocity(spec, mask, velocity):
+    """Optimizer state must hold a weight and a bias velocity for exactly the
+    trainable layers, shaped like their parameters; raises ConfigError."""
+    shapes = net.param_shapes(spec)
+    trainable = sorted(name for name in shapes if mask[name])
+    if sorted(velocity) != trainable:
+        raise ConfigError(f"velocity covers layers {sorted(velocity)}, "
+                          f"trainable layers are {trainable}")
+    for lname, group in velocity.items():
+        if sorted(group) != sorted(_TENSOR_ORDER):
+            raise ConfigError(f"velocity for {lname!r} holds {sorted(group)}, "
+                              f"expected {sorted(_TENSOR_ORDER)}")
+        for tname, t in group.items():
+            if t.shape != shapes[lname][tname]:
+                raise ConfigError(f"velocity shape {t.shape} for {lname}.{tname} "
+                                  f"does not match parameter shape {shapes[lname][tname]}")
 
 
-def _u16(v):
-    return struct.pack("<H", v)
+class _Writer:
+    """Mirror of _Cursor: appends to an open file and keeps the CRC of all it wrote."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.crc = 0
+
+    def raw(self, data):
+        self.fh.write(data)
+        self.crc = zlib.crc32(data, self.crc)
+
+    def pack(self, fmt, *values):
+        self.raw(struct.pack("<" + fmt, *values))
+
+    def string(self, s):
+        b = s.encode("utf-8")
+        if len(b) > 0xFFFF:
+            raise ParameterError(f"name too long to serialize: {s[:32]!r}...")
+        self.pack("H", len(b))
+        self.raw(b)
+
+    def tensor_group(self, group):
+        self.pack("H", len(_TENSOR_ORDER))
+        for name in _TENSOR_ORDER:
+            t = np.ascontiguousarray(group[name], dtype="<f4")
+            self.string(name)
+            self.pack(f"B{t.ndim}I", t.ndim, *t.shape)
+            self.raw(memoryview(t))
 
 
-def _u32(v):
-    return struct.pack("<I", v)
-
-
-def _f64(v):
-    return struct.pack("<d", v)
-
-
-def _str(s):
-    b = s.encode("utf-8")
-    if len(b) > 0xFFFF:
-        raise ParameterError(f"name too long to serialize: {s[:32]!r}...")
-    return _u16(len(b)) + b
-
-
-def _tensor_bytes(name, t):
-    out = _str(name) + _u8(t.ndim)
-    for e in t.shape:
-        out += _u32(e)
-    return out + np.ascontiguousarray(t, dtype="<f4").tobytes()
-
-
-def _tensor_group_bytes(group):
-    names = [n for n in _TENSOR_ORDER if n in group]
-    names += sorted(n for n in group if n not in _TENSOR_ORDER)
-    out = _u16(len(names))
-    for n in names:
-        out += _tensor_bytes(n, group[n])
-    return out
-
-
-def _body_bytes(spec, params, mask, state):
-    body = bytearray()
-    body += _str(spec.name)
-    body += _u8(len(spec.input_shape))
-    for e in spec.input_shape:
-        body += _u32(e)
-    body += _u32(len(spec.layers))
+def _write(fh, spec, params, mask, state):
+    fh.write(MAGIC + struct.pack("<II", VERSION, 0))
+    out = _Writer(fh)
+    out.string(spec.name)
+    out.pack(f"B{len(spec.input_shape)}I", len(spec.input_shape), *spec.input_shape)
+    out.pack("I", len(spec.layers))
     for layer in spec.layers:
-        body += _str(layer.name) + _str(layer.kind)
+        out.string(layer.name)
+        out.string(layer.kind)
         hypers = sorted(layer.params.items())
-        body += _u16(len(hypers))
+        out.pack("H", len(hypers))
         for k, v in hypers:
-            body += _str(k) + _f64(float(v))
+            out.string(k)
+            out.pack("d", float(v))
         if layer.has_params:
-            body += _tensor_group_bytes(params[layer.name])
+            out.tensor_group(params[layer.name])
         else:
-            body += _u16(0)
-    body += _u8(1)
+            out.pack("H", 0)
     masked = [l.name for l in spec.layers if l.has_params]
-    body += _u32(len(masked))
+    out.pack("BI", 1, len(masked))
     for name in masked:
-        body += _str(name) + _u8(1 if mask[name] else 0)
+        out.string(name)
+        out.pack("B", 1 if mask[name] else 0)
     if state is None:
-        body += _u8(0)
+        out.pack("B", 0)
     else:
-        body += _u8(1)
-        body += _f64(state.lr) + _f64(state.best_accuracy)
-        body += _u32(state.epochs_since_improvement) + _u32(state.epoch)
-        vel_names = [n for n in masked if n in state.velocity]
-        body += _u32(len(vel_names))
-        for name in vel_names:
-            body += _str(name) + _tensor_group_bytes(state.velocity[name])
-    return bytes(body)
+        out.pack("BddII", 1, state.lr, state.best_accuracy,
+                 state.epochs_since_improvement, state.epoch)
+        trainable = [n for n in masked if mask[n]]
+        out.pack("I", len(trainable))
+        for name in trainable:
+            out.string(name)
+            out.tensor_group(state.velocity[name])
+    fh.seek(8)
+    fh.write(struct.pack("<I", out.crc))
 
 
 def save(spec, params, mask, path, state: OptState | None = None) -> None:
@@ -134,13 +148,13 @@ def save(spec, params, mask, path, state: OptState | None = None) -> None:
     net.validate_params(spec, params)
     if set(mask) != {l.name for l in spec.layers if l.has_params}:
         raise ConfigError("freeze mask does not cover the parameterized layers")
-    body = _body_bytes(spec, params, mask, state)
-    blob = MAGIC + _u32(VERSION) + _u32(zlib.crc32(body) & 0xFFFFFFFF) + body
+    if state is not None:
+        _check_velocity(spec, mask, state.velocity)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
+            _write(fh, spec, params, mask, state)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -154,64 +168,57 @@ class _Cursor:
         self.off = HEADER_SIZE
         self.path = path
 
-    def take(self, n):
+    def raw(self, n):
         if n < 0 or self.off + n > len(self.buf):
             raise FormatError(f"{self.path}: truncated file")
         piece = self.buf[self.off:self.off + n]
         self.off += n
         return piece
 
-    def u8(self):
-        return self.take(1)[0]
-
-    def u16(self):
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self):
-        return struct.unpack("<I", self.take(4))[0]
-
-    def f64(self):
-        return struct.unpack("<d", self.take(8))[0]
+    def unpack(self, fmt):
+        fmt = "<" + fmt
+        return struct.unpack(fmt, self.raw(struct.calcsize(fmt)))
 
     def string(self):
-        n = self.u16()
+        (n,) = self.unpack("H")
         try:
-            return self.take(n).decode("utf-8")
+            return str(self.raw(n), "utf-8")
         except UnicodeDecodeError:
             raise IntegrityError(f"{self.path}: undecodable name bytes") from None
 
     def tensor(self):
         name = self.string()
-        rank = self.u8()
+        (rank,) = self.unpack("B")
         if rank > MAX_RANK:
             raise IntegrityError(f"{self.path}: tensor {name!r} has rank {rank} > {MAX_RANK}")
-        shape = tuple(self.u32() for _ in range(rank))
+        shape = self.unpack(f"{rank}I")
         count = math.prod(shape)
         if 4 * count > len(self.buf) - self.off:
             raise IntegrityError(
                 f"{self.path}: tensor {name!r} of shape {shape} overruns the file")
-        raw = self.take(4 * count)
-        data = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
+        # the one copy: from the file buffer into a writable float32 array
+        data = np.frombuffer(self.raw(4 * count), dtype="<f4").reshape(shape).astype(np.float32)
         return name, data
 
     def tensor_group(self):
-        return dict(self.tensor() for _ in range(self.u16()))
+        (count,) = self.unpack("H")
+        return dict(self.tensor() for _ in range(count))
 
 
 def _parse(buf, path):
     cur = _Cursor(buf, path)
     name = cur.string()
-    rank = cur.u8()
-    input_shape = tuple(cur.u32() for _ in range(rank))
-    layer_count = cur.u32()
+    (rank,) = cur.unpack("B")
+    input_shape = cur.unpack(f"{rank}I")
+    (layer_count,) = cur.unpack("I")
     layers, params = [], {}
     for _ in range(layer_count):
         lname = cur.string()
         kind = cur.string()
         hypers = {}
-        for _ in range(cur.u16()):
+        for _ in range(cur.unpack("H")[0]):
             key = cur.string()
-            hypers[key] = cur.f64()
+            (hypers[key],) = cur.unpack("d")
         try:
             # LayerSpec casts each value to the type its kind declares.
             layer = LayerSpec(lname, kind, hypers)
@@ -227,20 +234,17 @@ def _parse(buf, path):
         raise IntegrityError(f"{path}: invalid network record: {e}") from None
 
     mask = None
-    if cur.u8():
+    if cur.unpack("B")[0]:
         mask = {}
-        for _ in range(cur.u32()):
+        for _ in range(cur.unpack("I")[0]):
             # the name must be consumed before the flag byte
             mname = cur.string()
-            mask[mname] = bool(cur.u8())
+            mask[mname] = bool(cur.unpack("B")[0])
     state = None
-    if cur.u8():
-        lr = cur.f64()
-        best = cur.f64()
-        stalled = cur.u32()
-        epoch = cur.u32()
+    if cur.unpack("B")[0]:
+        lr, best, stalled, epoch, vel_count = cur.unpack("ddIII")
         velocity = {}
-        for _ in range(cur.u32()):
+        for _ in range(vel_count):
             vname = cur.string()
             velocity[vname] = cur.tensor_group()
         state = OptState(velocity=velocity, lr=lr, best_accuracy=best,
@@ -253,16 +257,15 @@ def _parse(buf, path):
 def load(path):
     """Read a checkpoint back as (spec, params, mask, state-or-None)."""
     with open(path, "rb") as fh:
-        buf = fh.read()
+        buf = memoryview(fh.read())
     if len(buf) < HEADER_SIZE:
         raise FormatError(f"{path}: truncated file")
     if buf[:4] != MAGIC:
-        raise FormatError(f"{path}: bad magic {buf[:4]!r}")
-    version = struct.unpack("<I", buf[4:8])[0]
+        raise FormatError(f"{path}: bad magic {bytes(buf[:4])!r}")
+    version, stored_crc = struct.unpack("<II", buf[4:HEADER_SIZE])
     if version != VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    stored_crc = struct.unpack("<I", buf[8:12])[0]
-    if zlib.crc32(buf[HEADER_SIZE:]) & 0xFFFFFFFF != stored_crc:
+    if zlib.crc32(buf[HEADER_SIZE:]) != stored_crc:
         raise IntegrityError(f"{path}: checksum mismatch")
 
     spec, params, mask, state = _parse(buf, path)
@@ -276,16 +279,10 @@ def load(path):
     elif set(mask) != owned:
         raise IntegrityError(f"{path}: freeze mask does not cover the parameterized layers")
     if state is not None:
-        shapes = net.param_shapes(spec)
-        for lname, group in state.velocity.items():
-            if lname not in owned:
-                raise IntegrityError(f"{path}: velocity for unknown layer {lname!r}")
-            for tname, t in group.items():
-                want = shapes[lname].get(tname)
-                if want is None or t.shape != want:
-                    raise IntegrityError(
-                        f"{path}: velocity shape {t.shape} for {lname}.{tname} "
-                        f"does not match parameter shape {want}")
+        try:
+            _check_velocity(spec, mask, state.velocity)
+        except ConfigError as e:
+            raise IntegrityError(f"{path}: {e}") from None
     return spec, params, mask, state
 
 

@@ -194,13 +194,6 @@ def resize_bilinear(img, out_h, out_w) -> np.ndarray:
     return (top * (1 - fy) + bot * fy).astype(DTYPE)
 
 
-def rescale_to_256(img) -> np.ndarray:
-    """Stretch a 3xHxW image to 3x256x256 (aspect ratio not preserved)."""
-    if img.ndim != 3 or img.shape[0] != 3:
-        raise ShapeError(f"expected a 3xHxW image, got shape {img.shape}")
-    return resize_bilinear(img, 256, 256)
-
-
 def random_crop(img, size: int, rng: Rng) -> np.ndarray:
     """Uniform random size x size crop; the row offset is drawn before the column."""
     c, h, w = img.shape

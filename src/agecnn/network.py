@@ -14,9 +14,7 @@ import numpy as np
 
 from . import layers as L
 from .errors import ConfigError, ShapeError, StateError
-from .tensor import Rng, create, gaussian_fill
-
-PROFILE_NAMES = ("vgg_face_age", "mini")
+from .tensor import DTYPE, Rng, gaussian_fill
 
 
 @dataclass(frozen=True)
@@ -30,6 +28,9 @@ class NetworkSpec:
     def __post_init__(self):
         object.__setattr__(self, "input_shape", tuple(int(e) for e in self.input_shape))
         object.__setattr__(self, "layers", tuple(self.layers))
+        if any(e < 1 for e in self.input_shape):
+            raise ConfigError(
+                f"network {self.name!r}: input extents must be >= 1, got {self.input_shape}")
         names = [l.name for l in self.layers]
         if len(set(names)) != len(names):
             raise ConfigError(f"network {self.name!r}: duplicate layer names")
@@ -118,8 +119,8 @@ def param_shapes(spec: NetworkSpec):
 
 
 def _fresh(shapes, std, rng):
-    return {"weight": gaussian_fill(create(shapes["weight"]), 0.0, std, rng),
-            "bias": create(shapes["bias"])}
+    return {"weight": gaussian_fill(shapes["weight"], 0.0, std, rng),
+            "bias": np.zeros(shapes["bias"], DTYPE)}
 
 
 def init_params(spec: NetworkSpec, rng: Rng, std: float = 0.01):

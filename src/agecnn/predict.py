@@ -4,9 +4,10 @@ An input image is stretched to 256x256 and read at three 224x224 views whose
 top-left (row, col) offsets are center (16,16), bottom_left (32,0) and
 upper_right (0,32). The views run through the network in one eval-mode
 forward; their softmax vectors are averaged elementwise (a flag switches to
-averaging raw scores before a single softmax). Images already matching the
-network input shape skip the crop machinery and take a direct forward, which
-is the path for small-input profiles.
+averaging raw scores before a single softmax). That is the path of every
+224x224 network, whatever the image size, as in training; networks of any
+other input size (small profiles such as mini) take the image as it is in one
+direct forward, and an image of the wrong size fails there as ShapeError.
 """
 
 from __future__ import annotations
@@ -74,15 +75,10 @@ def predict_proba(spec, params, img, average: str = "probability",
         raise ShapeError(
             f"expected a {spec.input_shape[0]}xHxW image, got shape {img.shape}")
 
-    if img.shape == spec.input_shape:
-        views = img[None].astype(DTYPE)
-    else:
-        if spec.input_shape[1:] != (CROP_SIZE, CROP_SIZE):
-            raise ShapeError(
-                f"image shape {img.shape} does not match network input "
-                f"{spec.input_shape} and the crop path only serves "
-                f"{CROP_SIZE}x{CROP_SIZE} networks")
+    if spec.input_shape[1:] == (CROP_SIZE, CROP_SIZE):
         views = three_crops(resize_bilinear(img, FRAME_SIZE, FRAME_SIZE)).stack()
+    else:
+        views = img[None].astype(DTYPE)
 
     if channel_means is not None:
         views = views - np.asarray(channel_means, dtype=DTYPE)[None, :, None, None]

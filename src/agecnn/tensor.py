@@ -50,30 +50,15 @@ class Rng:
         return self._gen.permutation(n)
 
 
-def _check_shape(shape):
-    shape = tuple(int(e) for e in shape)
-    if len(shape) == 0:
-        raise ShapeError("tensor shape must have at least one extent")
-    for e in shape:
-        if e < 1:
-            raise ShapeError(f"tensor extents must be >= 1, got shape {shape}")
-    return shape
-
-
-def create(shape, fill: float = 0.0) -> np.ndarray:
-    """New float32 tensor of the given shape with every element equal to fill."""
-    return np.full(_check_shape(shape), fill, dtype=DTYPE)
-
-
-def gaussian_fill(t: np.ndarray, mean: float, std: float, rng: Rng) -> np.ndarray:
-    """Tensor with t's shape whose elements are i.i.d. normal(mean, std^2).
+def gaussian_fill(shape, mean: float, std: float, rng: Rng) -> np.ndarray:
+    """New float32 tensor of the given shape, elements i.i.d. normal(mean, std^2).
 
     std = 0 degenerates to a constant fill with mean. Deterministic given the
     rng's seed.
     """
     if std < 0:
         raise ParameterError(f"std must be >= 0, got {std}")
-    return rng.normal(t.shape, mean, std).astype(DTYPE)
+    return rng.normal(shape, mean, std).astype(DTYPE)
 
 
 def pad2d(t: np.ndarray, pad: int) -> np.ndarray:

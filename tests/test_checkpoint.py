@@ -1,6 +1,7 @@
 import hashlib
 import os
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -10,10 +11,11 @@ from agecnn import (ConfigError, FormatError, IntegrityError, NetworkSpec,
                     OptState, Rng, SgdConfig, build_profile, head_replace,
                     import_trunk, init_params, init_state, load, make_mask,
                     save, train_epoch)
-from agecnn.checkpoint import (HEADER_SIZE, MAGIC, VERSION, _body_bytes, _f64, _str, _u8,
-                               _u32)
+from agecnn.checkpoint import HEADER_SIZE, MAGIC, VERSION
 from agecnn.cli import main
 from agecnn.network import eval_scores, param_shapes
+
+from conftest import write_dataset
 
 
 def mini_fixture(seed=0):
@@ -33,6 +35,35 @@ def sample_state(params, mask, lr=0.01, best=0.25, stalled=1, epoch=3):
 
 def str_size(s):
     return 2 + len(s.encode("utf-8"))
+
+
+def packed_str(s):
+    """A str as the format lays it out: u16 byte length, then UTF-8 bytes."""
+    b = s.encode("utf-8")
+    return struct.pack("<H", len(b)) + b
+
+
+def saved_body(path, spec, params, mask, state=None):
+    """Body bytes (everything after the header) of a file written by save."""
+    save(spec, params, mask, path, state=state)
+    with open(path, "rb") as fh:
+        return fh.read()[HEADER_SIZE:]
+
+
+def write_forged(path, body):
+    """Write a body under a valid header, its CRC recomputed to match."""
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<II", VERSION, zlib.crc32(body)) + body)
+
+
+def traced_peak(fn):
+    """Peak bytes traced by tracemalloc while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def tensor_size(name, shape):
@@ -188,6 +219,23 @@ class TestSaveValidation:
         save(spec, params, mask, str(tmp_path / "m.acnn"))
         assert sorted(os.listdir(tmp_path)) == ["m.acnn"]
 
+    @pytest.mark.parametrize("cut", [lambda v: v.pop("fc5"), lambda v: v["fc5"].pop("bias")],
+                             ids=["layer", "bias"])
+    def test_partial_velocity_rejected(self, tmp_path, cut):
+        spec, params, mask = mini_fixture()
+        state = sample_state(params, mask)
+        cut(state.velocity)
+        with pytest.raises(ConfigError):
+            save(spec, params, mask, str(tmp_path / "m.acnn"), state=state)
+        assert os.listdir(tmp_path) == []
+
+    def test_velocity_for_frozen_layer_rejected(self, tmp_path):
+        spec, params, mask = mini_fixture()
+        state = sample_state(params, mask)
+        mask["fc5"] = False
+        with pytest.raises(ConfigError):
+            save(spec, params, mask, str(tmp_path / "m.acnn"), state=state)
+
 
 class TestLoadRejections:
     def _saved(self, tmp_path):
@@ -240,9 +288,7 @@ class TestLoadRejections:
 
     def test_trailing_garbage_rejected(self, tmp_path):
         path, buf = self._saved(tmp_path)
-        body = buf[12:] + b"\x00\x00\x00\x00"
-        crc = struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
-        open(path, "wb").write(buf[:8] + crc + body)
+        write_forged(path, buf[HEADER_SIZE:] + b"\x00\x00\x00\x00")
         with pytest.raises(FormatError):
             load(path)
 
@@ -262,24 +308,26 @@ class TestLoadRejections:
             load(path)
 
     @pytest.mark.parametrize("old, new", [
-        (_str("kernel") + _f64(3.0), _str("kernel") + _f64(float("nan"))),
-        (_str("kernel") + _f64(3.0), _str("kernel") + _f64(float("inf"))),
-        (_str("k") + _f64(2.0), _str("k") + _f64(float("nan"))),
-        (_str("weight"), _str("weigxt")),
+        (packed_str("kernel") + struct.pack("<d", 3.0),
+         packed_str("kernel") + struct.pack("<d", float("nan"))),
+        (packed_str("kernel") + struct.pack("<d", 3.0),
+         packed_str("kernel") + struct.pack("<d", float("inf"))),
+        (packed_str("k") + struct.pack("<d", 2.0),
+         packed_str("k") + struct.pack("<d", float("nan"))),
+        (packed_str("weight"), packed_str("weigxt")),
         # fc3's bias record: rank 1, extent 32
-        (_str("bias") + _u8(1) + _u32(32), _str("bias") + _u8(65) + _u32(1) * 65),
+        (packed_str("bias") + struct.pack("<BI", 1, 32),
+         packed_str("bias") + struct.pack("<B65I", 65, *[1] * 65)),
         # 2^64 elements, which an int64 element count wraps to 0
-        (_str("bias") + _u8(1) + _u32(32), _str("bias") + _u8(4) + _u32(2 ** 16) * 4),
+        (packed_str("bias") + struct.pack("<BI", 1, 32),
+         packed_str("bias") + struct.pack("<B4I", 4, *[2 ** 16] * 4)),
     ], ids=["integral-nan", "integral-inf", "lrn-k-nan", "renamed-weight", "rank-65",
             "count-wraps-int64"])
     def test_forged_body_with_fixed_checksum(self, tmp_path, capsys, old, new):
-        spec, params, mask = mini_fixture()
-        body = _body_bytes(spec, params, mask, None)
-        assert old in body
-        body = body.replace(old, new, 1)
         path = str(tmp_path / "forged.acnn")
-        with open(path, "wb") as fh:
-            fh.write(MAGIC + struct.pack("<II", VERSION, zlib.crc32(body) & 0xFFFFFFFF) + body)
+        body = saved_body(path, *mini_fixture())
+        assert old in body
+        write_forged(path, body.replace(old, new, 1))
         with pytest.raises(IntegrityError):
             load(path)
         assert main(["inspect", "--model", path]) == 1
@@ -290,12 +338,52 @@ class TestLoadRejections:
             load(str(tmp_path / "absent.acnn"))
 
 
+class TestPartialVelocity:
+    """Files whose optimizer state misses a trainable tensor, forged from valid
+    files with the CRC recomputed, must fail at load rather than mid-training."""
+
+    def _velocity_without_layer(self, path):
+        # a file with fc5 frozen has no fc5 velocity; mark fc5 trainable again
+        spec, params, mask = mini_fixture()
+        mask["fc5"] = False
+        body = saved_body(path, spec, params, mask, sample_state(params, mask))
+        frozen = packed_str("fc5") + b"\x00"
+        assert body.count(frozen) == 1
+        return body.replace(frozen, packed_str("fc5") + b"\x01")
+
+    def _velocity_without_bias(self, path):
+        # fc5's velocity group ends the file; drop its bias record
+        spec, params, mask = mini_fixture()
+        body = saved_body(path, spec, params, mask, sample_state(params, mask))
+        bias = packed_str("bias") + struct.pack("<BI", 1, 8)
+        cut = len(bias) + 4 * 8
+        assert body[-cut:].startswith(bias)
+        group = packed_str("fc5") + struct.pack("<H", 2)
+        at = body.rindex(group)
+        return (body[:at] + packed_str("fc5") + struct.pack("<H", 1)
+                + body[at + len(group):-cut])
+
+    @pytest.mark.parametrize("forge", ["_velocity_without_layer", "_velocity_without_bias"],
+                             ids=["layer", "bias"])
+    def test_load_rejects_and_train_exits_1(self, tmp_path, capsys, forge):
+        path = str(tmp_path / "forged.acnn")
+        write_forged(path, getattr(self, forge)(path))
+        with pytest.raises(IntegrityError):
+            load(path)
+        manifest = write_dataset(str(tmp_path), 4, Rng(3))
+        assert main(["train", "--model", path, "--train", manifest, "--val", manifest,
+                     "--epochs", "1", "--batch-size", "4",
+                     "--out", str(tmp_path / "out.acnn")]) == 1
+        assert "forged.acnn" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out.acnn")
+
+
 class TestFormatGolden:
     """Pinned file digests: any change to hyperparameter encoding or layer order shows."""
 
-    def _digest(self, tmp_path, spec, params, mask):
+    def _digest(self, tmp_path, spec, params, mask, state=None):
         path = str(tmp_path / "golden.acnn")
-        save(spec, params, mask, path)
+        save(spec, params, mask, path, state=state)
         with open(path, "rb") as fh:
             blob = fh.read()
         return hashlib.sha256(blob).hexdigest(), len(blob)
@@ -309,6 +397,27 @@ class TestFormatGolden:
         replaced = head_replace(spec, [32, 16, 8], params, Rng(0).derive(0))
         assert self._digest(tmp_path, *replaced) == (
             "878cb40181d47b931de09254f2a4fb61cb6e6c96f77536d4f39535c435d31f30", 152319)
+
+    def test_mini_with_optimizer_state(self, tmp_path):
+        spec, params, mask = mini_fixture()
+        state = sample_state(params, mask)
+        assert self._digest(tmp_path, spec, params, mask, state) == (
+            "cf6f41978dfd748d2d3cf0781fc3047105797e46a0330d74a3f7386bd074a0af", 303680)
+
+
+class TestMemory:
+    """save streams the body to disk and holds no copy of it; load holds the
+    file once plus one copy of each tensor (bounds: multiples of the file size)."""
+
+    def test_traced_peaks(self, tmp_path):
+        spec, params, mask = mini_fixture()
+        state = sample_state(params, mask)
+        path = str(tmp_path / "m.acnn")
+        save_peak = traced_peak(lambda: save(spec, params, mask, path, state=state))
+        load_peak = traced_peak(lambda: load(path))
+        size = os.path.getsize(path)
+        assert save_peak < 0.5 * size
+        assert load_peak < 2.2 * size
 
 
 class TestImportTrunk:

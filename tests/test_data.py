@@ -5,8 +5,7 @@ import pytest
 
 from agecnn import (AGE_LABELS, FormatError, ParameterError, ParseError,
                     Preprocessing, Rng, ShapeError, batches, label_of,
-                    load_manifest, random_crop_224, read_ppm, rescale_to_256,
-                    write_ppm)
+                    load_manifest, random_crop_224, read_ppm, write_ppm)
 from agecnn.data import center_crop, resize_bilinear
 
 from conftest import write_dataset
@@ -148,7 +147,7 @@ class TestResize:
 
     def test_constant_stays_constant(self):
         img = np.full((3, 512, 384), 37.0, np.float32)
-        out = rescale_to_256(img)
+        out = resize_bilinear(img, 256, 256)
         assert out.shape == (3, 256, 256)
         assert np.allclose(out, 37.0, atol=1e-4)
 
@@ -177,13 +176,13 @@ class TestResize:
 
     def test_range_preserved(self):
         img = (Rng(4).uniform((3, 20, 30)) * 255).astype(np.float32)
-        out = rescale_to_256(img)
+        out = resize_bilinear(img, 256, 256)
         assert out.min() >= img.min() - 1e-3
         assert out.max() <= img.max() + 1e-3
 
     def test_wrong_rank_rejected(self):
         with pytest.raises(ShapeError):
-            rescale_to_256(np.zeros((16, 16), np.float32))
+            resize_bilinear(np.zeros((16, 16), np.float32), 256, 256)
 
 
 class TestCrops:

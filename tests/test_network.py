@@ -79,6 +79,12 @@ class TestProfiles:
         with pytest.raises(ConfigError):
             NetworkSpec("bad", (3, 8, 8), (conv("c", 2), conv("c", 2), softmax_loss()))
 
+    @pytest.mark.parametrize("shape", [(0, 8, 8), (-1, 8, 8), (3, 8, 0)])
+    def test_non_positive_input_extent_rejected(self, shape):
+        # a zero-channel input would otherwise give conv a zero-extent weight
+        with pytest.raises(ConfigError):
+            NetworkSpec("bad", shape, (conv("c", 2), relu("r"), fc("f", 3), softmax_loss()))
+
 
 class TestInferShapes:
     def test_vgg_trunk_ends_512x7x7(self):

@@ -125,6 +125,16 @@ class TestPredictProba:
         assert np.allclose(probs, want, atol=1e-7)
         assert abs(probs.sum() - 1.0) < 1e-6
 
+    def test_224_image_on_224_network_takes_crop_path(self):
+        # a 224 network always rescales to 256 and crops, as training does
+        spec = tiny_224_spec()
+        params = init_params(spec, Rng(5), std=0.1)
+        img = (Rng(21).uniform((3, 224, 224)) * 255).astype(np.float32)
+        probs = predict_proba(spec, params, img)
+        views = three_crops(resize_bilinear(img, 256, 256)).stack()
+        want = softmax(eval_scores(spec, params, views)).mean(axis=0)
+        assert np.array_equal(probs, want)
+
     def test_score_averaging_differs_from_probability_averaging(self):
         # spikes landing inside exactly one view make the per-view scores
         # genuinely different, so the two averaging rules visibly disagree
@@ -174,6 +184,7 @@ class TestPredictProba:
             predict_proba(spec, params, np.zeros((1, 32, 32), np.float32))
 
     def test_crop_path_requires_224_network(self):
+        # other networks take the image as it is, so a wrong size fails the forward
         spec = build_profile("mini")
         params = init_params(spec, Rng(14))
         with pytest.raises(ShapeError):

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from agecnn import (ParameterError, Rng, ShapeError, argmax, create,
-                    gaussian_fill, pad2d)
+from agecnn import ParameterError, Rng, ShapeError, argmax, gaussian_fill, pad2d
 
 
 class TestRng:
@@ -50,49 +49,29 @@ class TestRng:
         assert first == again
 
 
-class TestCreate:
-    def test_zeros(self):
-        t = create((2, 3))
-        assert t.shape == (2, 3)
-        assert t.dtype == np.float32
-        assert np.all(t == 0.0)
-
-    def test_fill_value(self):
-        t = create((1,), 7.5)
-        assert t.tolist() == [7.5]
-
-    def test_zero_extent_rejected(self):
-        with pytest.raises(ShapeError):
-            create((0, 3))
-
-    def test_negative_extent_rejected(self):
-        with pytest.raises(ShapeError):
-            create((2, -1))
-
-
 class TestGaussianFill:
     def test_zero_std_gives_mean(self):
-        t = gaussian_fill(create((4, 4)), 2.5, 0.0, Rng(1))
+        t = gaussian_fill((4, 4), 2.5, 0.0, Rng(1))
         assert np.allclose(t, 2.5)
 
     def test_same_seed_identical(self):
-        a = gaussian_fill(create((64,)), 0.0, 1.0, Rng(11))
-        b = gaussian_fill(create((64,)), 0.0, 1.0, Rng(11))
+        a = gaussian_fill((64,), 0.0, 1.0, Rng(11))
+        b = gaussian_fill((64,), 0.0, 1.0, Rng(11))
         assert np.array_equal(a, b)
 
     def test_negative_std_rejected(self):
         with pytest.raises(ParameterError):
-            gaussian_fill(create((2,)), 0.0, -0.1, Rng(1))
+            gaussian_fill((2,), 0.0, -0.1, Rng(1))
 
     def test_sample_statistics(self):
         # bounds computed from standard-error formulas: se_mean = 0.01/1000,
         # 3 se = 3e-5; std estimate within 2% at this sample size
-        t = gaussian_fill(create((1000, 1000)), 0.0, 0.01, Rng(77))
+        t = gaussian_fill((1000, 1000), 0.0, 0.01, Rng(77))
         assert abs(float(t.mean())) < 3e-5
         assert abs(float(t.std()) - 0.01) < 0.0002
 
     def test_result_is_float32(self):
-        t = gaussian_fill(create((8,)), 0.0, 1.0, Rng(4))
+        t = gaussian_fill((8,), 0.0, 1.0, Rng(4))
         assert t.dtype == np.float32
 
 
