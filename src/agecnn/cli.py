@@ -215,12 +215,7 @@ def cmd_train(args, filecfg):
     spec, params, mask, state = checkpoint.load(args.model)
     train_manifest = data.load_manifest(args.train_manifest)
     val_manifest = data.load_manifest(args.val_manifest)
-    if spec.input_shape[1:] == (224, 224):
-        pre = data.Preprocessing(rescale_to=256, crop_to=224, random_crop=True,
-                                 channel_means=means)
-    else:
-        pre = data.Preprocessing(rescale_to=None, crop_to=None, random_crop=False,
-                                 channel_means=means)
+    pre = data.Preprocessing.for_input(spec.input_shape, means)
     root = Rng(seed)
     if epochs > 0 and state is None:
         state = optim.init_state(params, mask, cfg)

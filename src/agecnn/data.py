@@ -2,9 +2,9 @@
 rescaling, and random-crop batch assembly.
 
 Manifest files are plain CSV with a ``path,label,fold,gender`` header; fold
-and gender are optional. Image paths are resolved relative to the manifest's
-directory unless absolute. Images decode to float32 tensors of shape 3xHxW,
-channel order R,G,B, values in [0, 255].
+and gender are optional and not stored, but a fold must be an integer. Image
+paths resolve against the manifest's directory unless absolute. Images decode
+to float32 tensors of shape 3xHxW, channel order R,G,B, values in [0, 255].
 """
 
 from __future__ import annotations
@@ -18,6 +18,11 @@ import numpy as np
 
 from .errors import FormatError, ParameterError, ParseError, ShapeError
 from .tensor import DTYPE, Rng
+
+# The one input rule (Preprocessing.for_input): a network with a CROP_SIZE
+# square input sees faces rescaled to a FRAME_SIZE square, then cropped.
+FRAME_SIZE = 256
+CROP_SIZE = 224
 
 AGE_LABELS = ("0-2", "4-6", "8-13", "15-20", "25-32", "38-43", "48-53", "60-")
 NUM_CLASSES = len(AGE_LABELS)
@@ -38,8 +43,6 @@ def label_of(range_string: str) -> int:
 class ManifestRecord:
     path: str
     label: int
-    fold: Optional[int] = None
-    gender: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -83,16 +86,14 @@ def load_manifest(path) -> DatasetManifest:
             label = label_of(row[1].strip())
         except ParseError as e:
             raise ParseError(f"{path}: row {lineno}: {e}") from None
-        fold = None
         if len(row) > 2 and row[2].strip():
             try:
-                fold = int(row[2].strip())
+                int(row[2].strip())
             except ValueError:
                 raise ParseError(f"{path}: row {lineno}: bad fold {row[2]!r}") from None
-        gender = row[3].strip() if len(row) > 3 and row[3].strip() else None
         if not os.path.isabs(img):
             img = os.path.join(base, img)
-        records.append(ManifestRecord(img, label, fold, gender))
+        records.append(ManifestRecord(img, label))
     if header is None:
         raise ParseError(f"{path}: empty manifest (missing header)")
     return DatasetManifest(tuple(records), os.path.abspath(path))
@@ -189,8 +190,9 @@ def resize_bilinear(img, out_h, out_w) -> np.ndarray:
     fy = (ys - y0)[None, :, None]
     fx = (xs - x0)[None, None, :]
     src = img.astype(np.float64)
-    top = src[:, y0][:, :, x0] * (1 - fx) + src[:, y0][:, :, x1] * fx
-    bot = src[:, y1][:, :, x0] * (1 - fx) + src[:, y1][:, :, x1] * fx
+    above, below = src[:, y0], src[:, y1]
+    top = above[:, :, x0] * (1 - fx) + above[:, :, x1] * fx
+    bot = below[:, :, x0] * (1 - fx) + below[:, :, x1] * fx
     return (top * (1 - fy) + bot * fy).astype(DTYPE)
 
 
@@ -206,18 +208,9 @@ def random_crop(img, size: int, rng: Rng) -> np.ndarray:
 
 def random_crop_224(img, rng: Rng) -> np.ndarray:
     """Random 224x224 crop of a 3x256x256 image; offsets are uniform on [0,32]^2."""
-    if img.shape != (3, 256, 256):
-        raise ShapeError(f"random_crop_224 expects 3x256x256, got shape {img.shape}")
-    return random_crop(img, 224, rng)
-
-
-def center_crop(img, size: int) -> np.ndarray:
-    c, h, w = img.shape
-    if size > h or size > w:
-        raise ShapeError(f"crop size {size} exceeds image {h}x{w}")
-    r = (h - size) // 2
-    col = (w - size) // 2
-    return img[:, r:r + size, col:col + size]
+    if img.shape != (3, FRAME_SIZE, FRAME_SIZE):
+        raise ShapeError(f"random_crop_224 expects 3x{FRAME_SIZE}x{FRAME_SIZE}, got shape {img.shape}")
+    return random_crop(img, CROP_SIZE, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -226,28 +219,37 @@ def center_crop(img, size: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Preprocessing:
-    """Per-image pipeline: optional rescale, optional crop, optional mean shift.
+    """Per-image pipeline: optional rescale, optional random crop, optional mean shift.
 
     ``rescale_to``/``crop_to`` of None (or 0) skip that stage, which is the
-    path for datasets already at the network's input size.
+    path for datasets already at the network's input size. A crop is always
+    random: fixed views belong to prediction (``predict.three_crops``).
     """
 
-    rescale_to: Optional[int] = 256
-    crop_to: Optional[int] = 224
+    rescale_to: Optional[int] = FRAME_SIZE
+    crop_to: Optional[int] = CROP_SIZE
     random_crop: bool = True
     channel_means: Optional[tuple] = None
+
+    def __post_init__(self):
+        if self.crop_to and not self.random_crop:
+            raise ParameterError(f"crop_to={self.crop_to} needs random_crop=True")
+
+    @classmethod
+    def for_input(cls, input_shape, channel_means) -> "Preprocessing":
+        """The training pipeline of a network with this (C, H, W) input."""
+        if tuple(input_shape[1:]) == (CROP_SIZE, CROP_SIZE):
+            return cls(FRAME_SIZE, CROP_SIZE, True, channel_means)
+        return cls(None, None, False, channel_means)
 
 
 def apply_preprocessing(img, pre: Preprocessing, rng: Optional[Rng] = None):
     if pre.rescale_to:
         img = resize_bilinear(img, pre.rescale_to, pre.rescale_to)
     if pre.crop_to:
-        if pre.random_crop:
-            if rng is None:
-                raise ParameterError("random cropping needs an rng")
-            img = random_crop(img, pre.crop_to, rng)
-        else:
-            img = center_crop(img, pre.crop_to)
+        if rng is None:
+            raise ParameterError("random cropping needs an rng")
+        img = random_crop(img, pre.crop_to, rng)
     if pre.channel_means is not None:
         img = img - np.asarray(pre.channel_means, dtype=DTYPE)[:, None, None]
     return img
@@ -280,4 +282,4 @@ def batches(manifest: DatasetManifest, batch_size: int, shuffle: bool = False,
                     f"{rec.path}: image shape {img.shape} differs from batch {imgs[0].shape}")
             imgs.append(img)
             labels.append(rec.label)
-        yield np.stack(imgs).astype(DTYPE), labels
+        yield np.stack(imgs), labels

@@ -330,7 +330,9 @@ def fc_forward(x, w, b):
             f"fc feature mismatch: input flattens to {x2.shape[1]}, weights expect {w.shape[0]}")
     if b.shape != (w.shape[1],):
         raise ShapeError(f"fc bias shape {b.shape} does not match {w.shape[1]} outputs")
-    y = x2 @ w + b
+    # BLAS sends a one-row product to gemv, which rounds unlike a batch's gemm
+    rows = x2 if x2.shape[0] != 1 else np.concatenate([x2, x2])
+    y = (rows @ w)[:x2.shape[0]] + b
     return y, {"x2": x2, "w": w, "orig_shape": orig_shape}
 
 
@@ -400,12 +402,12 @@ def softmax_log_loss(scores, labels):
     return loss, probs, cache
 
 
-def softmax_log_loss_backward(cache, d_loss=1.0):
+def softmax_log_loss_backward(cache):
     probs, labels = cache["probs"], cache["labels"]
     n = probs.shape[0]
     d_scores = probs.copy()
     d_scores[np.arange(n), labels] -= 1.0
-    return d_scores * (d_loss / n), {}
+    return d_scores * (1.0 / n), {}
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,14 @@ from .data import AGE_LABELS, NUM_CLASSES
 from .errors import InputError
 
 
-def confusion(preds, truths, num_classes: int = NUM_CLASSES) -> np.ndarray:
+def confusion(preds, truths) -> np.ndarray:
     """Tally (truth, prediction) pairs into an int64 count matrix."""
     if len(preds) != len(truths):
         raise InputError(f"got {len(preds)} predictions for {len(truths)} truths")
-    m = np.zeros((num_classes, num_classes), dtype=np.int64)
+    m = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
     for p, t in zip(preds, truths):
-        if not (0 <= p < num_classes) or not (0 <= t < num_classes):
-            raise InputError(f"label pair ({t}, {p}) outside [0, {num_classes})")
+        if not (0 <= p < NUM_CLASSES) or not (0 <= t < NUM_CLASSES):
+            raise InputError(f"label pair ({t}, {p}) outside [0, {NUM_CLASSES})")
         m[t, p] += 1
     return m
 
@@ -59,32 +59,32 @@ class EvalReport:
     normalized: np.ndarray
 
 
-def evaluate(preds, truths, num_classes: int = NUM_CLASSES) -> EvalReport:
-    m = confusion(preds, truths, num_classes)
+def evaluate(preds, truths) -> EvalReport:
+    m = confusion(preds, truths)
     return EvalReport(exact_accuracy=exact_accuracy(m),
                       one_off_accuracy=one_off_accuracy(m),
                       matrix=m,
                       normalized=row_normalize(m))
 
 
-def render_report(report: EvalReport, labels=AGE_LABELS) -> str:
+def render_report(report: EvalReport) -> str:
     """Fixed-width text table of row percentages plus an accuracy footer."""
-    width = max(8, max(len(s) for s in labels) + 3)
-    head = " " * width + "".join(f"{s:>{width}}" for s in labels)
+    width = max(8, max(len(s) for s in AGE_LABELS) + 3)
+    head = " " * width + "".join(f"{s:>{width}}" for s in AGE_LABELS)
     lines = [head]
     for i, row in enumerate(report.normalized):
         cells = "".join(f"{v:>{width}.2f}" for v in row)
-        lines.append(f"{labels[i]:>{width}}" + cells)
+        lines.append(f"{AGE_LABELS[i]:>{width}}" + cells)
     lines.append(f"exact={report.exact_accuracy * 100:.2f}% "
                  f"one_off={report.one_off_accuracy * 100:.2f}%")
     return "\n".join(lines) + "\n"
 
 
-def render_csv(report: EvalReport, labels=AGE_LABELS) -> str:
+def render_csv(report: EvalReport) -> str:
     """Machine-readable twin of the text table: raw counts plus accuracies."""
-    lines = ["truth," + ",".join(labels)]
+    lines = ["truth," + ",".join(AGE_LABELS)]
     for i, row in enumerate(report.matrix):
-        lines.append(labels[i] + "," + ",".join(str(int(v)) for v in row))
+        lines.append(AGE_LABELS[i] + "," + ",".join(str(int(v)) for v in row))
     lines.append(f"exact,{report.exact_accuracy:.6f}")
     lines.append(f"one_off,{report.one_off_accuracy:.6f}")
     return "\n".join(lines) + "\n"

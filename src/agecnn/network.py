@@ -39,12 +39,6 @@ class NetworkSpec:
             raise ConfigError(
                 f"network {self.name!r}: exactly one softmax_loss layer is required, last")
 
-    def layer(self, name: str) -> L.LayerSpec:
-        for l in self.layers:
-            if l.name == name:
-                return l
-        raise ConfigError(f"network {self.name!r} has no layer {name!r}")
-
     def parameterized(self):
         return [l for l in self.layers if l.has_params]
 
@@ -194,11 +188,11 @@ def replace_head_spec(spec: NetworkSpec, head_widths,
 
 
 def head_replace(spec: NetworkSpec, head_widths, params, rng: Rng,
-                 dropout_rate: float = 0.6, init_std: float = 0.01):
+                 dropout_rate: float = 0.6):
     """Replace the fc head; trunk weights pass through untouched.
 
     Returns (new_spec, new_params, freeze_mask): new fc weights are drawn from
-    normal(0, init_std^2) with zero biases, the mask freezes every trunk
+    normal(0, 0.01^2) with zero biases, the mask freezes every trunk
     parameter and marks every new fc trainable. ``params`` must cover the
     trunk's parameterized layers (a partial set from a trunk import is fine);
     old head entries are dropped.
@@ -210,7 +204,7 @@ def head_replace(spec: NetworkSpec, head_widths, params, rng: Rng,
     for name, shapes in param_shapes(new_spec).items():
         mask[name] = name not in trunk_names
         if mask[name]:
-            new_params[name] = _fresh(shapes, init_std, rng)
+            new_params[name] = _fresh(shapes, 0.01, rng)
         elif name in params:
             new_params[name] = params[name]
         else:

@@ -114,7 +114,8 @@ def plateau_update(state: OptState, epoch_val_accuracy: float, cfg: SgdConfig) -
 def train_epoch(spec, params, mask, state: OptState, cfg: SgdConfig, train_batches, rng):
     """One pass over the batch stream: forward, loss, backward, sgd_step.
 
-    Returns (params', state', mean per-example loss). The final short batch is
+    Returns (params', state', mean per-example loss). A non-finite batch loss
+    raises StateError before that batch's step. The final short batch is
     processed like any other; the mean weights batches by true example count.
     """
     total_loss = 0.0
@@ -122,6 +123,9 @@ def train_epoch(spec, params, mask, state: OptState, cfg: SgdConfig, train_batch
     for x, labels in train_batches:
         scores, caches = forward(spec, params, x, "train", rng)
         loss, _, _ = softmax_log_loss(scores, labels)
+        if not np.isfinite(loss):
+            raise StateError(f"epoch {state.epoch + 1}: batch loss is {loss}; "
+                             "training diverged (try a lower learning rate)")
         grads = backward(spec, params, caches, labels, mask)
         params, state = sgd_step(params, grads, mask, state, cfg)
         n = x.shape[0]

@@ -1,13 +1,13 @@
 """Single-image prediction: three fixed crops, averaged class probabilities.
 
-An input image is stretched to 256x256 and read at three 224x224 views whose
-top-left (row, col) offsets are center (16,16), bottom_left (32,0) and
+When a network's training pipeline rescales (``data.Preprocessing.for_input``),
+an image of any size is stretched to the FRAME_SIZE square and read at three
+CROP_SIZE views at (row, col) offsets center (16,16), bottom_left (32,0) and
 upper_right (0,32). The views run through the network in one eval-mode
 forward; their softmax vectors are averaged elementwise (a flag switches to
-averaging raw scores before a single softmax). That is the path of every
-224x224 network, whatever the image size, as in training; networks of any
-other input size (small profiles such as mini) take the image as it is in one
-direct forward, and an image of the wrong size fails there as ShapeError.
+averaging raw scores before a single softmax). Other networks (small profiles
+such as mini) take the image as it is in one direct forward, and an image of
+the wrong size fails there as ShapeError.
 """
 
 from __future__ import annotations
@@ -17,18 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network as net
-from .data import decode_image, resize_bilinear
+from .data import CROP_SIZE, FRAME_SIZE, Preprocessing, decode_image, resize_bilinear
 from .errors import ConfigError, ShapeError
 from .layers import softmax
 from .tensor import DTYPE, argmax
 
-CROP_SIZE = 224
-FRAME_SIZE = 256
-
-# (row, col) offsets of the three views inside the 256x256 frame.
-CENTER_OFFSET = (16, 16)
-BOTTOM_LEFT_OFFSET = (32, 0)
-UPPER_RIGHT_OFFSET = (0, 32)
+# (row, col) offsets of the three views inside the FRAME_SIZE frame.
+_MARGIN = FRAME_SIZE - CROP_SIZE
+CENTER_OFFSET = (_MARGIN // 2, _MARGIN // 2)
+BOTTOM_LEFT_OFFSET = (_MARGIN, 0)
+UPPER_RIGHT_OFFSET = (0, _MARGIN)
 
 
 @dataclass(frozen=True)
@@ -47,9 +45,9 @@ def _window(img, offset):
 
 
 def three_crops(img) -> CropTriple:
-    """The three fixed 224x224 views of a 3x256x256 image."""
+    """The three fixed CROP_SIZE views of a 3xFRAME_SIZExFRAME_SIZE image."""
     if img.shape != (3, FRAME_SIZE, FRAME_SIZE):
-        raise ShapeError(f"three_crops expects 3x256x256, got shape {img.shape}")
+        raise ShapeError(f"three_crops expects 3x{FRAME_SIZE}x{FRAME_SIZE}, got shape {img.shape}")
     return CropTriple(center=_window(img, CENTER_OFFSET),
                       bottom_left=_window(img, BOTTOM_LEFT_OFFSET),
                       upper_right=_window(img, UPPER_RIGHT_OFFSET))
@@ -75,8 +73,9 @@ def predict_proba(spec, params, img, average: str = "probability",
         raise ShapeError(
             f"expected a {spec.input_shape[0]}xHxW image, got shape {img.shape}")
 
-    if spec.input_shape[1:] == (CROP_SIZE, CROP_SIZE):
-        views = three_crops(resize_bilinear(img, FRAME_SIZE, FRAME_SIZE)).stack()
+    frame = Preprocessing.for_input(spec.input_shape, channel_means).rescale_to
+    if frame:
+        views = three_crops(resize_bilinear(img, frame, frame)).stack()
     else:
         views = img[None].astype(DTYPE)
 

@@ -221,6 +221,18 @@ class TestTrain:
         assert code == 2
         assert "not UTF-8" in capsys.readouterr().err
 
+    def test_diverging_run_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        model = make_model(tmp_path)
+        manifest, _ = dataset(tmp_path)
+        out = tmp_path / "ck.acnn"
+        with np.errstate(all="ignore"):
+            code = main(["train", "--model", model, "--train", manifest,
+                         "--val", manifest, "--epochs", "1", "--out", str(out),
+                         "--batch-size", "4", "--lr", "1e30"])
+        assert code == 1
+        assert "diverged" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_manifest_is_runtime_failure(self, tmp_path, capsys):
         model = make_model(tmp_path)
         code = main(["train", "--model", model,

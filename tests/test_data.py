@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from agecnn import (AGE_LABELS, FormatError, ParameterError, ParseError,
-                    Preprocessing, Rng, ShapeError, batches, label_of,
-                    load_manifest, random_crop_224, read_ppm, write_ppm)
-from agecnn.data import center_crop, resize_bilinear
+                    Preprocessing, Rng, ShapeError, batches, build_profile,
+                    label_of, load_manifest, random_crop_224, read_ppm,
+                    write_ppm)
+from agecnn.data import resize_bilinear
 
 from conftest import write_dataset
 
@@ -43,8 +44,6 @@ class TestManifest:
             "path,label,fold,gender\na.ppm,0-2,0,f\nb.ppm,25-32,1,m\nc.ppm,60-,2,\n"))
         assert len(m) == 3
         assert m.records[1].label == 4
-        assert m.records[2].fold == 2
-        assert m.records[2].gender is None
 
     def test_paths_resolve_against_manifest_directory(self, tmp_path):
         m = load_manifest(self._write(tmp_path, "path,label\nsub/a.ppm,0-2\n"))
@@ -220,10 +219,19 @@ class TestCrops:
         with pytest.raises(ShapeError):
             random_crop_224(np.zeros((3, 255, 256), np.float32), Rng(1))
 
-    def test_center_crop(self):
-        img = np.zeros((3, 256, 256), np.float32)
-        img[:, 16:240, 16:240] = 1.0
-        assert np.all(center_crop(img, 224) == 1.0)
+
+class TestPreprocessing:
+    def test_fixed_crop_rejected(self):
+        # fixed views belong to prediction; a training crop is always random
+        with pytest.raises(ParameterError):
+            Preprocessing(256, 224, random_crop=False)
+
+    def test_pipeline_follows_network_input(self):
+        means = (1.0, 2.0, 3.0)
+        assert Preprocessing.for_input((3, 224, 224), means) == \
+            Preprocessing(rescale_to=256, crop_to=224, random_crop=True, channel_means=means)
+        assert Preprocessing.for_input(build_profile("mini").input_shape, None) == \
+            Preprocessing(rescale_to=None, crop_to=None, random_crop=False)
 
 
 class TestBatches:

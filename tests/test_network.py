@@ -260,8 +260,8 @@ class TestForward:
     def test_per_sample_outputs_independent_of_batch_size(self):
         # A sample's trunk features at batch 6 equal, bit for bit, its features
         # run alone, in both modes, and its scores equal those from batches of
-        # 2. Scores at batch 1 are not compared: BLAS hands a one-row product
-        # to gemv, whose rounding differs from gemm's, so fc's last bits move.
+        # 2 and of 1 (fc keeps a one-row product off gemv, which rounds
+        # differently from gemm).
         spec = build_profile("mini", dropout_rate=0.0)
         params = init_params(spec, Rng(3), std=0.1)
         x = Rng(4).normal((6, 3, 32, 32)).astype(np.float32)
@@ -279,6 +279,8 @@ class TestForward:
                 assert np.array_equal(features(x[i:i + 1], mode)[0], whole[i])
         scores = net.eval_scores(spec, params, x)
         trained, _ = net.forward(spec, params, x, mode="train", rng=Rng(9))
+        for i in range(6):
+            assert np.array_equal(net.eval_scores(spec, params, x[i:i + 1])[0], scores[i])
         for i in range(0, 6, 2):
             assert np.array_equal(net.eval_scores(spec, params, x[i:i + 2]), scores[i:i + 2])
             pair, _ = net.forward(spec, params, x[i:i + 2], mode="train", rng=Rng(9))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from agecnn import (ConfigError, NetworkSpec, Rng, ShapeError,
+from agecnn import (ConfigError, NetworkSpec, Preprocessing, Rng, ShapeError,
                     average_probabilities, build_profile, init_params,
                     load_manifest, predict_label, predict_proba, three_crops)
 from agecnn.layers import fc, maxpool, softmax, softmax_loss
@@ -134,6 +134,16 @@ class TestPredictProba:
         views = three_crops(resize_bilinear(img, 256, 256)).stack()
         want = softmax(eval_scores(spec, params, views)).mean(axis=0)
         assert np.array_equal(probs, want)
+
+    def test_crop_path_taken_exactly_when_training_rescales(self, monkeypatch):
+        # predict reads the rule from the training pipeline, not from its own copy
+        spec = tiny_224_spec()
+        params = init_params(spec, Rng(5), std=0.1)
+        img = (Rng(22).uniform((3, 224, 224)) * 255).astype(np.float32)
+        monkeypatch.setattr(Preprocessing, "for_input", classmethod(
+            lambda cls, shape, means: cls(None, None, False, means)))
+        want = softmax(eval_scores(spec, params, img[None]))[0]
+        assert np.array_equal(predict_proba(spec, params, img), want)
 
     def test_score_averaging_differs_from_probability_averaging(self):
         # spikes landing inside exactly one view make the per-view scores
