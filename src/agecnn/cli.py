@@ -12,6 +12,7 @@ so reruns and resumed runs are bit-reproducible.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -219,6 +220,13 @@ def cmd_train(args, filecfg):
     root = Rng(seed)
     if epochs > 0 and state is None:
         state = optim.init_state(params, mask, cfg)
+    # The frozen prefix never changes, so the val views go through it once,
+    # where what it outputs per view is smaller than the view.
+    split = network.frozen_prefix(spec, mask)
+    val_features = None
+    if epochs > 0 and split and (math.prod(network.infer_shapes(spec)[split - 1][1])
+                                 < math.prod(spec.input_shape)):
+        val_features = predict.manifest_features(spec, params, val_manifest, means, split)
     for _ in range(epochs):
         lr_used = state.lr
         stream = data.batches(train_manifest, cfg.batch_size, shuffle=shuffle,
@@ -227,8 +235,8 @@ def cmd_train(args, filecfg):
         params, state, mean_loss = optim.train_epoch(
             spec, params, mask, state, cfg, stream,
             root.derive(_ROLE_DROPOUT, state.epoch))
-        preds, truths = predict.predict_manifest(spec, params, val_manifest,
-                                                 average=average, channel_means=means)
+        preds, truths = predict.predict_manifest(spec, params, val_manifest, average=average,
+                                                 channel_means=means, features=val_features)
         report = evaluate(preds, truths)
         state = optim.plateau_update(state, report.exact_accuracy, cfg)
         print(f"{state.epoch},{lr_used:.8g},{mean_loss:.6f},"

@@ -1,5 +1,7 @@
 """Sequential network assembly: profiles, shape inference, head surgery,
-and the full forward/backward pass with a per-layer freeze mask.
+the forward/backward pass with a per-layer freeze mask, and cache-free
+eval-mode runs of a layer range in micro-batches (the frozen prefix a
+training step and validation use as a fixed feature extractor).
 
 A ParamSet is a plain dict ``{layer_name: {"weight": array, "bias": array}}``
 covering exactly the parameterized (conv/fc) layers of its NetworkSpec.
@@ -212,53 +214,104 @@ def head_replace(spec: NetworkSpec, head_widths, params, rng: Rng,
     return new_spec, new_params, mask
 
 
-def _run_layers(spec, params, batch, mode, rng, stop_before_loss=False):
-    if batch.ndim != 1 + len(spec.input_shape) or tuple(batch.shape[1:]) != spec.input_shape:
-        raise ShapeError(
-            f"batch shape {batch.shape} does not match input contract {spec.input_shape}")
+# Rows per forward call when layers run cache-free in eval mode
+# (eval_layers). Every op of a frozen prefix is per-sample, so its outputs do
+# not depend on this; peak memory grows with it, since conv builds a patch
+# matrix per call. At 3, predict's three crops of one image are one call.
+MICRO_BATCH = 3
+
+
+def _check_mask(spec, mask):
+    if set(mask) != {l.name for l in spec.parameterized()}:
+        raise ConfigError("freeze mask must cover exactly the parameterized layers")
+
+
+def frozen_prefix(spec: NetworkSpec, mask) -> int:
+    """Number of leading layers a training step runs as a fixed feature extractor.
+
+    The prefix ends at the earliest trainable layer, and before the first
+    dropout (its train mode draws from the rng) or the loss layer. Its layers
+    hold only frozen parameters and give the same output in train and eval
+    mode, and backward never reads their caches.
+    """
+    _check_mask(spec, mask)
+    return next(i for i, l in enumerate(spec.layers)
+                if (l.has_params and mask[l.name]) or l.kind in ("dropout", "softmax_loss"))
+
+
+def _check_batch(spec, batch, start):
+    shape = spec.input_shape
+    for layer in spec.layers[:start]:
+        shape = L.KINDS[layer.kind].out_shape(layer, shape)
+    if batch.ndim != 1 + len(shape) or tuple(batch.shape[1:]) != tuple(shape):
+        where = "input contract" if start == 0 else f"input of layer {spec.layers[start].name!r}"
+        raise ShapeError(f"batch shape {batch.shape} does not match {where} {shape}")
+
+
+def _layer_params(layer, params):
+    if not layer.has_params:
+        return None
+    if params is None or layer.name not in params:
+        raise StateError(f"no parameters supplied for layer {layer.name!r}")
+    return params[layer.name]
+
+
+def forward(spec: NetworkSpec, params, batch, mode: str = "train", rng: Rng = None,
+            start: int = 0):
+    """Apply layers[start:] in order. Returns (output, cache list of those layers).
+
+    With ``start`` > 0, ``batch`` is the output of the layers before it
+    (``eval_layers``). Train mode output is the pre-softmax score matrix (the
+    loss layer passes scores through; labels arrive at backward time). Eval
+    mode output is the softmax probability matrix, with dropout inactive.
+    """
+    if mode not in ("train", "eval"):
+        raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
+    _check_batch(spec, batch, start)
     x = batch
     caches = []
-    todo = spec.layers[:-1] if stop_before_loss else spec.layers
-    for layer in todo:
-        lp = None
-        if layer.has_params:
-            if params is None or layer.name not in params:
-                raise StateError(f"no parameters supplied for layer {layer.name!r}")
-            lp = params[layer.name]
-        x, cache = L.forward_layer(layer, x, lp, mode, rng)
+    for layer in spec.layers[start:]:
+        x, cache = L.forward_layer(layer, x, _layer_params(layer, params), mode, rng)
         caches.append(cache)
     return x, caches
 
 
-def forward(spec: NetworkSpec, params, batch, mode: str = "train", rng: Rng = None):
-    """Apply all layers in order. Returns (output, cache list).
+def eval_layers(spec: NetworkSpec, params, batch, start: int, stop: int):
+    """Eval-mode output of layers [start, stop), MICRO_BATCH rows per call.
 
-    Train mode output is the pre-softmax score matrix (the loss layer passes
-    scores through; labels arrive at backward time). Eval mode output is the
-    softmax probability matrix, with dropout inactive.
+    No cache outlives its layer call. ``start`` == ``stop`` returns ``batch``.
     """
-    if mode not in ("train", "eval"):
-        raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
-    return _run_layers(spec, params, batch, mode, rng)
+    _check_batch(spec, batch, start)
+    if start == stop:
+        return batch
+    parts = []
+    for row in range(0, batch.shape[0], MICRO_BATCH):
+        x = batch[row:row + MICRO_BATCH]
+        for layer in spec.layers[start:stop]:
+            x, _ = L.forward_layer(layer, x, _layer_params(layer, params), "eval")
+        parts.append(x)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def eval_scores(spec: NetworkSpec, params, batch):
     """Eval-mode pre-softmax scores (all layers except the final loss layer)."""
-    scores, _ = _run_layers(spec, params, batch, "eval", None, stop_before_loss=True)
-    return scores
+    return eval_layers(spec, params, batch, 0, len(spec.layers) - 1)
 
 
 def backward(spec: NetworkSpec, params, caches, labels, mask):
     """Gradients of the mean log loss for the mask's trainable layers only.
 
-    The chain still propagates through frozen layers whenever an earlier layer
-    is trainable; below the earliest trainable layer nothing is computed.
+    ``caches`` are the train-mode caches of the last len(caches) layers (see
+    forward's ``start``); they must reach down to the earliest trainable
+    layer. The chain still propagates through frozen layers whenever an
+    earlier layer is trainable; below the earliest trainable layer nothing is
+    computed.
     """
-    if set(mask) != {l.name for l in spec.parameterized()}:
-        raise ConfigError("freeze mask must cover exactly the parameterized layers")
-    if len(caches) != len(spec.layers):
-        raise StateError(f"expected {len(spec.layers)} caches, got {len(caches)}")
-    for layer, cache in zip(spec.layers, caches):
+    _check_mask(spec, mask)
+    start = len(spec.layers) - len(caches)
+    if not 0 <= start < len(spec.layers):
+        raise StateError(f"expected 1 to {len(spec.layers)} caches, got {len(caches)}")
+    for layer, cache in zip(spec.layers[start:], caches):
         if cache.name != layer.name or cache.mode != "train":
             raise StateError(f"cache for layer {layer.name!r} is stale or from another network")
 
@@ -267,6 +320,9 @@ def backward(spec: NetworkSpec, params, caches, labels, mask):
     if not trainable_idx:
         return grads
     earliest = min(trainable_idx)
+    if earliest < start:
+        raise StateError(f"caches start at layer {spec.layers[start].name!r}, above the "
+                         f"trainable layer {spec.layers[earliest].name!r}")
 
     scores = caches[-1].data["scores"]
     _, _, loss_cache = L.softmax_log_loss(scores, labels)
@@ -275,7 +331,7 @@ def backward(spec: NetworkSpec, params, caches, labels, mask):
         layer = spec.layers[i]
         need_params = layer.has_params and mask[layer.name]
         need_input = i > earliest
-        d, dp = L.backward_layer(layer, caches[i], d, need_params, need_input)
+        d, dp = L.backward_layer(layer, caches[i - start], d, need_params, need_input)
         if need_params:
             grads[layer.name] = dp
     return grads

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import InputError, ParameterError, StateError
 from .layers import softmax_log_loss
-from .network import backward, forward
+from .network import backward, eval_layers, forward, frozen_prefix
 
 
 @dataclass(frozen=True)
@@ -111,26 +111,42 @@ def plateau_update(state: OptState, epoch_val_accuracy: float, cfg: SgdConfig) -
     return replace(state, epochs_since_improvement=stalled)
 
 
+def _step(spec, params, mask, state, cfg, x, labels, split, rng):
+    # the caches live only as long as this step
+    features = eval_layers(spec, params, x, 0, split)
+    scores, caches = forward(spec, params, features, "train", rng, start=split)
+    loss, _, _ = softmax_log_loss(scores, labels)
+    if not np.isfinite(loss):
+        raise StateError(f"epoch {state.epoch + 1}: batch loss is {loss}; "
+                         "training diverged (try a lower learning rate)")
+    grads = backward(spec, params, caches, labels, mask)
+    params, state = sgd_step(params, grads, mask, state, cfg)
+    return params, state, loss
+
+
 def train_epoch(spec, params, mask, state: OptState, cfg: SgdConfig, train_batches, rng):
     """One pass over the batch stream: forward, loss, backward, sgd_step.
 
-    Returns (params', state', mean per-example loss). A non-finite batch loss
-    raises StateError before that batch's step. The final short batch is
+    The frozen prefix (``network.frozen_prefix``) runs as a fixed feature
+    extractor, in eval mode and micro-batches with no caches kept; forward
+    keeps train-mode caches for the layers from there on only. Returns
+    (params', state', mean per-example loss). A non-finite batch loss raises
+    StateError before that batch's step, and a non-finite trainable tensor
+    after the last step raises StateError too. The final short batch is
     processed like any other; the mean weights batches by true example count.
     """
+    split = frozen_prefix(spec, mask)
     total_loss = 0.0
     total_n = 0
     for x, labels in train_batches:
-        scores, caches = forward(spec, params, x, "train", rng)
-        loss, _, _ = softmax_log_loss(scores, labels)
-        if not np.isfinite(loss):
-            raise StateError(f"epoch {state.epoch + 1}: batch loss is {loss}; "
-                             "training diverged (try a lower learning rate)")
-        grads = backward(spec, params, caches, labels, mask)
-        params, state = sgd_step(params, grads, mask, state, cfg)
+        params, state, loss = _step(spec, params, mask, state, cfg, x, labels, split, rng)
         n = x.shape[0]
         total_loss += loss * n
         total_n += n
     if total_n == 0:
         raise InputError("train_epoch received an empty batch stream")
+    for name, tensors in params.items():
+        if mask.get(name) and not all(np.isfinite(t).all() for t in tensors.values()):
+            raise StateError(f"epoch {state.epoch + 1}: layer {name!r} has non-finite "
+                             "weights; training diverged (try a lower learning rate)")
     return params, replace(state, epoch=state.epoch + 1), total_loss / total_n

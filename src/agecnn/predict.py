@@ -1,13 +1,20 @@
-"""Single-image prediction: three fixed crops, averaged class probabilities.
+"""Prediction: three fixed crops per image, averaged class probabilities.
 
 When a network's training pipeline rescales (``data.Preprocessing.for_input``),
 an image of any size is stretched to the FRAME_SIZE square and read at three
 CROP_SIZE views at (row, col) offsets center (16,16), bottom_left (32,0) and
-upper_right (0,32). The views run through the network in one eval-mode
-forward; their softmax vectors are averaged elementwise (a flag switches to
-averaging raw scores before a single softmax). Other networks (small profiles
-such as mini) take the image as it is in one direct forward, and an image of
-the wrong size fails there as ShapeError.
+upper_right (0,32); their softmax vectors are averaged elementwise (a flag
+switches to averaging raw scores before a single softmax). Other networks
+(small profiles such as mini) take the image as it is as a single view, and
+an image of the wrong size fails as ShapeError.
+
+``predict_proba`` scores one image, its views in one eval-mode forward.
+``predict_manifest`` scores a whole manifest on one batched path
+(``manifest_features``): images are decoded and cut into views only as the
+next micro-batch needs them, and only per-view outputs are kept. A caller
+that scores the same manifest again and again with frozen leading layers
+(validation in ``train``) computes those layers' outputs once and passes
+them back in.
 """
 
 from __future__ import annotations
@@ -60,6 +67,36 @@ def average_probabilities(per_view: np.ndarray) -> np.ndarray:
     return per_view.mean(axis=0)
 
 
+def _check_average(average):
+    if average not in ("probability", "score"):
+        raise ConfigError(f"average must be 'probability' or 'score', got {average!r}")
+
+
+def _views(spec, img, channel_means):
+    """The rows one image (3xHxW, values 0..255) is scored on: three crops, or itself."""
+    if img.ndim != 3 or img.shape[0] != spec.input_shape[0]:
+        raise ShapeError(
+            f"expected a {spec.input_shape[0]}xHxW image, got shape {img.shape}")
+    frame = Preprocessing.for_input(spec.input_shape, channel_means).rescale_to
+    if frame:
+        views = three_crops(resize_bilinear(img, frame, frame)).stack()
+    elif img.shape == spec.input_shape:
+        views = img[None].astype(DTYPE)
+    else:
+        raise ShapeError(f"image shape {img.shape} does not match input contract "
+                         f"{spec.input_shape}")
+    if channel_means is not None:
+        views = views - np.asarray(channel_means, dtype=DTYPE)[None, :, None, None]
+    return views
+
+
+def _average(scores, average):
+    """One image's class-probability vector from its per-view scores."""
+    if average == "probability":
+        return average_probabilities(softmax(scores))
+    return softmax(scores.mean(axis=0, keepdims=True))[0]
+
+
 def predict_proba(spec, params, img, average: str = "probability",
                   channel_means=None) -> np.ndarray:
     """Class-probability vector for one image (3xHxW, values 0..255).
@@ -67,25 +104,8 @@ def predict_proba(spec, params, img, average: str = "probability",
     average: 'probability' averages softmaxed per-view outputs; 'score'
     averages raw scores across views, then softmaxes once.
     """
-    if average not in ("probability", "score"):
-        raise ConfigError(f"average must be 'probability' or 'score', got {average!r}")
-    if img.ndim != 3 or img.shape[0] != spec.input_shape[0]:
-        raise ShapeError(
-            f"expected a {spec.input_shape[0]}xHxW image, got shape {img.shape}")
-
-    frame = Preprocessing.for_input(spec.input_shape, channel_means).rescale_to
-    if frame:
-        views = three_crops(resize_bilinear(img, frame, frame)).stack()
-    else:
-        views = img[None].astype(DTYPE)
-
-    if channel_means is not None:
-        views = views - np.asarray(channel_means, dtype=DTYPE)[None, :, None, None]
-
-    scores = net.eval_scores(spec, params, views)
-    if average == "probability":
-        return average_probabilities(softmax(scores))
-    return softmax(scores.mean(axis=0, keepdims=True))[0]
+    _check_average(average)
+    return _average(net.eval_scores(spec, params, _views(spec, img, channel_means)), average)
 
 
 def predict_label(spec, params, img, average: str = "probability",
@@ -101,13 +121,53 @@ def predict_file(spec, params, path, average: str = "probability",
                          channel_means=channel_means)
 
 
-def predict_manifest(spec, params, manifest, average: str = "probability",
-                     channel_means=None):
-    """Predicted and true label indices for every record of a manifest."""
-    preds, truths = [], []
+@dataclass(frozen=True)
+class ViewFeatures:
+    """Outputs of a network's layers [0, stop) for every view of a manifest's
+    images, in record order, the same number of rows per image."""
+
+    rows: np.ndarray
+    stop: int
+
+
+def _micro_batches(spec, manifest, channel_means):
+    """The manifest's view rows, stacked MICRO_BATCH at a time; images decode lazily."""
+    pending = []
     for rec in manifest.records:
-        probs = predict_file(spec, params, rec.path, average=average,
-                             channel_means=channel_means)
-        preds.append(argmax(probs))
-        truths.append(rec.label)
-    return preds, truths
+        pending.extend(_views(spec, decode_image(rec.path), channel_means))
+        while len(pending) >= net.MICRO_BATCH:
+            yield np.stack(pending[:net.MICRO_BATCH])
+            del pending[:net.MICRO_BATCH]
+    if pending:
+        yield np.stack(pending)
+
+
+def manifest_features(spec, params, manifest, channel_means, stop) -> ViewFeatures:
+    """Eval-mode outputs of layers [0, stop) for every view of every record.
+
+    Images are decoded and cut into views only as the next micro-batch
+    (``network.MICRO_BATCH`` rows) needs them; only the outputs are kept.
+    """
+    parts = [net.eval_layers(spec, params, batch, 0, stop)
+             for batch in _micro_batches(spec, manifest, channel_means)]
+    return ViewFeatures(np.concatenate(parts) if parts else np.empty(0, DTYPE), stop)
+
+
+def predict_manifest(spec, params, manifest, average: str = "probability",
+                     channel_means=None, features=None):
+    """Predicted and true label indices for every record of a manifest.
+
+    ``features`` is an earlier ``manifest_features`` result for this manifest
+    whose layers are unchanged since; only the layers from its ``stop`` on
+    then run, and its channel means apply.
+    """
+    _check_average(average)
+    truths = [rec.label for rec in manifest.records]
+    if not truths:
+        return [], truths
+    if features is None:
+        features = manifest_features(spec, params, manifest, channel_means,
+                                     len(spec.layers) - 1)
+    scores = net.eval_layers(spec, params, features.rows, features.stop, len(spec.layers) - 1)
+    per_image = scores.reshape(len(truths), -1, scores.shape[-1])
+    return [argmax(_average(s, average)) for s in per_image], truths

@@ -50,15 +50,25 @@ class Rng:
         return self._gen.permutation(n)
 
 
+# Elements gaussian_fill draws per call. The stream is consumed in order, so
+# blocked draws equal one full draw, without a float64 copy of the tensor.
+_FILL_BLOCK = 65536
+
+
 def gaussian_fill(shape, mean: float, std: float, rng: Rng) -> np.ndarray:
     """New float32 tensor of the given shape, elements i.i.d. normal(mean, std^2).
 
     std = 0 degenerates to a constant fill with mean. Deterministic given the
-    rng's seed.
+    rng's seed: equal to one float64 draw of the whole shape, cast to float32.
     """
     if std < 0:
         raise ParameterError(f"std must be >= 0, got {std}")
-    return rng.normal(shape, mean, std).astype(DTYPE)
+    out = np.empty(shape, DTYPE)
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, _FILL_BLOCK):
+        flat[start:start + _FILL_BLOCK] = rng.normal(min(_FILL_BLOCK, flat.size - start),
+                                                     mean, std)
+    return out
 
 
 def pad2d(t: np.ndarray, pad: int) -> np.ndarray:

@@ -1,13 +1,18 @@
 import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from agecnn import (AGE_LABELS, Rng, build_profile, init_params, load,
-                    load_manifest, make_mask, save)
+from agecnn import (AGE_LABELS, NetworkSpec, Preprocessing, Rng, SgdConfig,
+                    argmax, batches, build_profile, evaluate, init_params,
+                    init_state, layers, load, load_manifest, make_mask,
+                    network, plateau_update, predict_proba, save, sgd_step)
+from agecnn import cli
 from agecnn.cli import main
 from agecnn.data import decode_image
+from agecnn.layers import conv, fc, maxpool, relu, softmax_log_loss, softmax_loss
 from agecnn.predict import predict_label
 
 from conftest import write_dataset
@@ -33,6 +38,48 @@ def surgery_model(tmp_path, donor, name="surgical.acnn", seed=0):
 def dataset(tmp_path, count=8):
     manifest_path = write_dataset(str(tmp_path), count, Rng(7))
     return manifest_path, load_manifest(manifest_path)
+
+
+def tiny_224_model(tmp_path):
+    # a 224 network takes the rescale-and-crop path; pooling hard keeps it cheap
+    spec = NetworkSpec("t224", (3, 224, 224), (
+        conv("c1", 4), relu("r1"), maxpool("p1", window=32, stride=32),
+        fc("f1", 8), softmax_loss()))
+    path = str(tmp_path / "t224.acnn")
+    save(spec, init_params(spec, Rng(0), std=0.002), make_mask(spec, {"f1"}), path)
+    return path
+
+
+def reference_train(model, train_manifest, val_manifest, out, epochs, batch_size, lr, seed,
+                    means=None):
+    """``train``'s run as one plain loop: each batch through the whole network
+    in train mode, each val image scored on its own by predict_proba."""
+    spec, params, mask, _ = load(model)
+    cfg = SgdConfig(lr0=lr, batch_size=batch_size)
+    pre = Preprocessing.for_input(spec.input_shape, means)
+    train, val = load_manifest(train_manifest), load_manifest(val_manifest)
+    root = Rng(seed)
+    state = init_state(params, mask, cfg)
+    lines = []
+    for _ in range(epochs):
+        lr_used, total, count = state.lr, 0.0, 0
+        drop = root.derive(cli._ROLE_DROPOUT, state.epoch)
+        for x, labels in batches(train, batch_size, shuffle=True, preprocessing=pre,
+                                 rng=root.derive(cli._ROLE_BATCH, state.epoch)):
+            scores, caches = network.forward(spec, params, x, "train", drop)
+            total += softmax_log_loss(scores, labels)[0] * len(labels)
+            count += len(labels)
+            grads = network.backward(spec, params, caches, labels, mask)
+            params, state = sgd_step(params, grads, mask, state, cfg)
+        state = replace(state, epoch=state.epoch + 1)
+        preds = [argmax(predict_proba(spec, params, decode_image(r.path), channel_means=means))
+                 for r in val.records]
+        report = evaluate(preds, [r.label for r in val.records])
+        state = plateau_update(state, report.exact_accuracy, cfg)
+        lines.append(f"{state.epoch},{lr_used:.8g},{total / count:.6f},"
+                     f"{report.exact_accuracy:.6f},{report.one_off_accuracy:.6f}")
+    save(spec, params, mask, out, state=state)
+    return lines + [f"wrote {out}"]
 
 
 class TestUsageErrors:
@@ -232,6 +279,84 @@ class TestTrain:
         assert code == 1
         assert "diverged" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_non_finite_weights_exit_1_and_write_nothing(self, tmp_path, capsys):
+        # one step: its loss is still finite, the weights it writes are not
+        donor = make_model(tmp_path)
+        model = surgery_model(tmp_path, donor)
+        manifest, _ = dataset(tmp_path, count=4)
+        out = tmp_path / "ck.acnn"
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            code = main(["train", "--model", model, "--train", manifest,
+                         "--val", manifest, "--epochs", "1", "--out", str(out),
+                         "--batch-size", "4", "--lr", "1e40"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "diverged" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["surgery", "all-trainable", "shallow-prefix",
+                                      "crop-path"])
+    def test_matches_reference_loop(self, kind, tmp_path, capsys):
+        # batches of 5 and a 7-image val set leave short micro-batches; the
+        # all-trainable mask has an empty frozen prefix, and the shallow one
+        # outputs more per view than it reads, so neither caches val features;
+        # the crop path also subtracts channel means
+        size = 40 if kind == "crop-path" else 32
+        os.mkdir(tmp_path / "train")
+        os.mkdir(tmp_path / "val")
+        train = write_dataset(str(tmp_path / "train"), 9, Rng(7), size=size)
+        val = write_dataset(str(tmp_path / "val"), 7, Rng(8), size=size)
+        if kind == "surgery":
+            model = surgery_model(tmp_path, make_model(tmp_path))
+        elif kind == "all-trainable":
+            model = make_model(tmp_path)
+        elif kind == "shallow-prefix":
+            spec = build_profile("mini")
+            model = str(tmp_path / "shallow.acnn")
+            save(spec, init_params(spec, Rng(0)), make_mask(spec, {"conv1_2", "fc5"}), model)
+        else:
+            model = tiny_224_model(tmp_path)
+        means = (90.0, 100.0, 110.0) if kind == "crop-path" else None
+        out, ref = str(tmp_path / "ck.acnn"), str(tmp_path / "ref.acnn")
+        capsys.readouterr()
+        assert main(["train", "--model", model, "--train", train, "--val", val,
+                     "--epochs", "2", "--batch-size", "5", "--lr", "0.05", "--seed", "3",
+                     "--out", out] + (["--means", "90,100,110"] if means else [])) == 0
+        got = capsys.readouterr().out.splitlines()
+        want = reference_train(model, train, val, ref, 2, 5, 0.05, 3, means)
+        assert got[:-1] == want[:-1]
+        assert open(out, "rb").read() == open(ref, "rb").read()
+
+    def test_val_images_run_through_the_trunk_once_per_run(self, tmp_path, monkeypatch):
+        os.mkdir(tmp_path / "train")
+        os.mkdir(tmp_path / "val")
+        train = write_dataset(str(tmp_path / "train"), 8, Rng(7))
+        val = write_dataset(str(tmp_path / "val"), 5, Rng(8))
+        model = surgery_model(tmp_path, make_model(tmp_path))
+        rows = []
+        real = layers.forward_layer
+
+        def spy(spec, x, *args, **kwargs):
+            if spec.name == "conv1_1":
+                rows.append(x.shape[0])
+            return real(spec, x, *args, **kwargs)
+
+        monkeypatch.setattr(layers, "forward_layer", spy)
+        assert main(["train", "--model", model, "--train", train, "--val", val,
+                     "--epochs", "3", "--batch-size", "4", "--out",
+                     str(tmp_path / "ck.acnn")]) == 0
+        assert sum(rows) == 3 * 8 + 5
+        # conv1_1's output is larger than its input: no cache, val runs each epoch
+        spec = build_profile("mini")
+        save(spec, init_params(spec, Rng(0)), make_mask(spec, {"conv1_2", "fc5"}), model)
+        rows.clear()
+        assert main(["train", "--model", model, "--train", train, "--val", val,
+                     "--epochs", "3", "--batch-size", "4", "--out",
+                     str(tmp_path / "ck.acnn")]) == 0
+        assert sum(rows) == 3 * 8 + 3 * 5
 
     def test_missing_manifest_is_runtime_failure(self, tmp_path, capsys):
         model = make_model(tmp_path)

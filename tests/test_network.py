@@ -299,6 +299,62 @@ class TestForward:
             net.forward(spec, params, np.zeros((1, 3, 32, 32), np.float32), mode="test")
 
 
+class TestFrozenPrefix:
+    def test_ends_at_earliest_trainable_layer(self):
+        spec = build_profile("mini")
+        names = [l.name for l in spec.layers]
+        assert net.frozen_prefix(spec, make_mask(spec, {"fc3", "fc4", "fc5"})) == \
+            names.index("fc3")
+        assert net.frozen_prefix(spec, make_mask(spec, {"conv2_1", "fc5"})) == \
+            names.index("conv2_1")
+        assert net.frozen_prefix(spec, make_mask(spec, True)) == 0
+
+    def test_stops_before_dropout_and_loss(self):
+        # dropout draws from the rng in train mode, and the loss layer
+        # softmaxes only in eval mode, so neither may run as a fixed extractor
+        spec = build_profile("mini")
+        names = [l.name for l in spec.layers]
+        assert net.frozen_prefix(spec, make_mask(spec, {"fc5"})) == names.index("drop3")
+        spec0 = build_profile("mini", dropout_rate=0.0)
+        assert net.frozen_prefix(spec0, make_mask(spec0, {"fc5"})) == names.index("drop3")
+        nodrop = NetworkSpec("t", (2, 6, 6), (conv("c1", 3), relu("r1"), fc("f1", 4),
+                                              softmax_loss()))
+        assert net.frozen_prefix(nodrop, make_mask(nodrop, False)) == 3
+
+    def test_mask_must_cover_parameterized_layers(self):
+        with pytest.raises(ConfigError):
+            net.frozen_prefix(build_profile("mini"), {"fc3": True})
+
+    @pytest.mark.parametrize("size", [1, 2, None])
+    def test_outputs_independent_of_micro_batch_size(self, size, monkeypatch):
+        # every trunk op is per-sample, so how the rows are cut into micro-
+        # batches cannot move a bit; 7 rows leave a short last micro-batch
+        spec = build_profile("mini")
+        params = init_params(spec, Rng(3), std=0.1)
+        x = Rng(4).normal((7, 3, 32, 32)).astype(np.float32)
+        split = net.frozen_prefix(spec, make_mask(spec, {"fc3", "fc4", "fc5"}))
+        whole, _ = net.forward(spec, params, x, mode="train", rng=Rng(9))
+        trunk = x
+        for layer in spec.layers[:split]:
+            trunk, _ = forward_layer(layer, trunk, params.get(layer.name), "train")
+        if size is not None:
+            monkeypatch.setattr(net, "MICRO_BATCH", size)
+        got = net.eval_layers(spec, params, x, 0, split)
+        assert got.tobytes() == trunk.tobytes()
+        rest, caches = net.forward(spec, params, got, mode="train", rng=Rng(9), start=split)
+        assert rest.tobytes() == whole.tobytes()
+        assert [c.name for c in caches] == [l.name for l in spec.layers[split:]]
+
+    def test_input_shape_checked_at_start(self):
+        spec = build_profile("mini")
+        params = init_params(spec, Rng(3))
+        split = [l.name for l in spec.layers].index("fc3")
+        with pytest.raises(ShapeError, match="fc3"):
+            net.forward(spec, params, np.zeros((2, 3, 32, 32), np.float32), start=split)
+        with pytest.raises(ShapeError, match="input contract"):
+            net.eval_layers(spec, params, np.zeros((2, 3, 16, 16), np.float32), 0, split)
+
+
 class TestBackward:
     def _setup(self, mask_arg):
         spec = build_profile("mini")
@@ -334,6 +390,22 @@ class TestBackward:
             for tname in head_grads[name]:
                 assert np.allclose(head_grads[name][tname],
                                    full_grads[name][tname], atol=1e-7)
+
+    def test_caches_from_the_split_give_the_same_grads(self):
+        spec, params, caches, labels, mask = self._setup({"fc3", "fc4", "fc5"})
+        full = net.backward(spec, params, caches, labels, mask)
+        split = net.frozen_prefix(spec, mask)
+        part = net.backward(spec, params, caches[split:], labels, mask)
+        for name in full:
+            for tname in full[name]:
+                assert part[name][tname].tobytes() == full[name][tname].tobytes()
+
+    def test_caches_must_reach_the_earliest_trainable_layer(self):
+        spec, params, caches, labels, mask = self._setup({"conv2_1"})
+        with pytest.raises(StateError, match="conv2_1"):
+            net.backward(spec, params, caches[-4:], labels, mask)
+        with pytest.raises(StateError):
+            net.backward(spec, params, [], labels, mask)
 
     def test_mask_must_cover_parameterized_layers(self):
         spec, params, caches, labels, _ = self._setup(True)

@@ -3,6 +3,7 @@ import pytest
 
 from agecnn import (InputError, ParameterError, Rng, StateError, build_profile,
                     init_params, make_mask)
+from agecnn import optim
 from agecnn.optim import (OptState, SgdConfig, init_state, plateau_update,
                           sgd_step, train_epoch)
 
@@ -240,6 +241,33 @@ class TestTrainEpoch:
         for name, group in before.items():
             for tname, t in group.items():
                 assert t.tobytes() == cur[name][tname].tobytes()
+
+    @pytest.mark.parametrize("trainable, first", [
+        ({"fc3", "fc4", "fc5"}, "fc3"), ({"conv2_1", "fc5"}, "conv2_1"),
+        (True, "conv1_1"), ({"fc5"}, "drop3")])
+    def test_caches_start_at_the_split(self, trainable, first, monkeypatch):
+        # the frozen prefix keeps no caches: forward's start at the earliest
+        # trainable layer, or at an earlier dropout (frozen_prefix)
+        spec, params, _, cfg, _, x, labels = self._setup(0.01)
+        mask = make_mask(spec, trainable)
+        seen = []
+        real = optim.forward
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            seen.append(out[1][0].name)
+            return out
+
+        monkeypatch.setattr(optim, "forward", spy)
+        train_epoch(spec, params, mask, init_state(params, mask, cfg), cfg,
+                    one_batch_stream(x, labels, 2), Rng(5))
+        assert seen == [first, first]
+
+    def test_non_finite_weights_after_last_step_rejected(self):
+        # one step whose loss is still finite but whose update overflows
+        spec, params, mask, cfg, state, x, labels = self._setup(1e40)
+        with np.errstate(all="ignore"), pytest.raises(StateError, match="non-finite"):
+            train_epoch(spec, params, mask, state, cfg, one_batch_stream(x, labels), Rng(5))
 
     def test_empty_stream_rejected(self):
         spec, params, mask, cfg, state, _, _ = self._setup(0.01)

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from agecnn import (ConfigError, NetworkSpec, Preprocessing, Rng, ShapeError,
-                    average_probabilities, build_profile, init_params,
-                    load_manifest, predict_label, predict_proba, three_crops)
+                    argmax, average_probabilities, build_profile, init_params,
+                    load_manifest, make_mask, predict_label, predict_proba,
+                    three_crops, write_ppm)
 from agecnn.layers import fc, maxpool, softmax, softmax_loss
-from agecnn.network import eval_scores
+from agecnn.network import eval_scores, frozen_prefix
 from agecnn.predict import (BOTTOM_LEFT_OFFSET, CENTER_OFFSET,
-                            UPPER_RIGHT_OFFSET, predict_manifest)
-from agecnn.data import resize_bilinear
+                            UPPER_RIGHT_OFFSET, manifest_features, predict_manifest)
+from agecnn.data import decode_image, resize_bilinear
 
 from conftest import write_dataset
 
@@ -226,3 +227,67 @@ class TestPredictManifest:
         assert len(preds) == len(truths) == 6
         assert truths == [r.label for r in manifest.records]
         assert all(isinstance(p, int) and 0 <= p < 8 for p in preds)
+
+    def test_empty_manifest(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("path,label\n")
+        spec = build_profile("mini")
+        assert predict_manifest(spec, init_params(spec, Rng(20)),
+                                load_manifest(str(path))) == ([], [])
+
+    def test_wrong_size_image_is_shape_error(self, tmp_path):
+        manifest = load_manifest(write_dataset(str(tmp_path), 2, Rng(19)))
+        write_ppm(manifest.records[1].path, np.zeros((3, 40, 40), np.float32))
+        spec = build_profile("mini")
+        with pytest.raises(ShapeError):
+            predict_manifest(spec, init_params(spec, Rng(20)), manifest)
+
+
+def batched_case(kind, tmp_path):
+    """(spec, params, manifest) for the direct path (mini) or the crop path."""
+    if kind == "mini":
+        spec, size = build_profile("mini"), 32
+        params = init_params(spec, Rng(23), std=0.1)
+    else:
+        spec, size = tiny_224_spec(), 40
+        params = init_params(spec, Rng(24), std=0.05)
+    # 7 images: the last micro-batch of the direct path is short
+    return spec, params, load_manifest(write_dataset(str(tmp_path), 7, Rng(25), size=size))
+
+
+class TestBatchedPath:
+    @pytest.mark.parametrize("kind", ["mini", "crop-path"])
+    @pytest.mark.parametrize("means", [None, (90.0, 100.0, 110.0)])
+    @pytest.mark.parametrize("average", ["probability", "score"])
+    def test_labels_equal_per_image_prediction(self, kind, means, average, tmp_path):
+        spec, params, manifest = batched_case(kind, tmp_path)
+        preds, truths = predict_manifest(spec, params, manifest, average=average,
+                                         channel_means=means)
+        assert preds == [argmax(predict_proba(spec, params, decode_image(r.path),
+                                              average=average, channel_means=means))
+                         for r in manifest.records]
+        assert truths == [r.label for r in manifest.records]
+
+    @pytest.mark.parametrize("kind", ["mini", "crop-path"])
+    def test_scores_equal_per_image_scores(self, kind, tmp_path):
+        spec, params, manifest = batched_case(kind, tmp_path)
+        means = np.array([90.0, 100.0, 110.0], np.float32)[None, :, None, None]
+        want = []
+        for rec in manifest.records:
+            img = decode_image(rec.path)
+            views = (img[None] if kind == "mini"
+                     else three_crops(resize_bilinear(img, 256, 256)).stack())
+            want.append(eval_scores(spec, params, views - means))
+        got = manifest_features(spec, params, manifest, (90.0, 100.0, 110.0),
+                                len(spec.layers) - 1)
+        assert got.rows.tobytes() == np.concatenate(want).tobytes()
+
+    def test_cached_prefix_gives_the_same_labels(self, tmp_path):
+        spec, params, manifest = batched_case("mini", tmp_path)
+        split = frozen_prefix(spec, make_mask(spec, {"fc3", "fc4", "fc5"}))
+        features = manifest_features(spec, params, manifest, None, split)
+        assert features.rows.shape == (7, 16, 8, 8)
+        for average in ("probability", "score"):
+            assert predict_manifest(spec, params, manifest, average=average,
+                                    features=features) == \
+                predict_manifest(spec, params, manifest, average=average)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from agecnn import ParameterError, Rng, ShapeError, argmax, gaussian_fill, pad2d
+from agecnn import tensor
 
 
 class TestRng:
@@ -73,6 +74,24 @@ class TestGaussianFill:
     def test_result_is_float32(self):
         t = gaussian_fill((8,), 0.0, 1.0, Rng(4))
         assert t.dtype == np.float32
+
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_blocked_draw_equals_full_draw(self, block, monkeypatch):
+        # several whole blocks plus a short one, at the shipped block size and
+        # at a tiny one
+        if block is not None:
+            monkeypatch.setattr(tensor, "_FILL_BLOCK", block)
+        shape = (3, 5, 11) if block else (1000003,)
+        want = Rng(13).normal(shape, 0.5, 2.0).astype(np.float32)
+        got = gaussian_fill(shape, 0.5, 2.0, Rng(13))
+        assert got.shape == want.shape and got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+
+    def test_twin_stream_stays_in_step(self):
+        filled, twin = Rng(21), Rng(21)
+        gaussian_fill((300, 700), 0.0, 0.01, filled)
+        twin.normal((300, 700))
+        assert np.array_equal(filled.normal((5,)), twin.normal((5,)))
 
 
 class TestPad2d:
