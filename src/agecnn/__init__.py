@@ -21,8 +21,8 @@ from .network import (NetworkSpec, build_profile, forward, backward,
                       param_shapes, replace_head_spec)
 from .optim import (OptState, SgdConfig, init_state, plateau_update, sgd_step,
                     train_epoch)
-from .predict import (CropTriple, average_probabilities, predict_label,
-                      predict_proba, three_crops)
+from .predict import (CropTriple, average_probabilities, predict_proba,
+                      three_crops)
 from .tensor import DTYPE, Rng, argmax, gaussian_fill, pad2d
 
 __version__ = "0.1.0"
@@ -39,7 +39,6 @@ __all__ = [
     "load_manifest", "batches", "read_ppm", "write_ppm",
     "random_crop_224",
     "CropTriple", "three_crops", "average_probabilities", "predict_proba",
-    "predict_label",
     "EvalReport", "confusion", "exact_accuracy", "one_off_accuracy",
     "row_normalize", "evaluate", "render_report", "render_csv",
     "save", "load", "import_trunk",

@@ -124,7 +124,7 @@ def _write(fh, spec, params, mask, state):
             out.tensor_group(params[layer.name])
         else:
             out.pack("H", 0)
-    masked = [l.name for l in spec.layers if l.has_params]
+    masked = [l.name for l in spec.parameterized()]
     out.pack("BI", 1, len(masked))
     for name in masked:
         out.string(name)
@@ -146,8 +146,7 @@ def _write(fh, spec, params, mask, state):
 def save(spec, params, mask, path, state: OptState | None = None) -> None:
     """Write a checkpoint; identical inputs always produce identical bytes."""
     net.validate_params(spec, params)
-    if set(mask) != {l.name for l in spec.layers if l.has_params}:
-        raise ConfigError("freeze mask does not cover the parameterized layers")
+    net.check_mask(spec, mask)
     if state is not None:
         _check_velocity(spec, mask, state.velocity)
     directory = os.path.dirname(os.path.abspath(path))
@@ -273,16 +272,14 @@ def load(path):
         net.validate_params(spec, params)
     except (ConfigError, ShapeError) as e:
         raise IntegrityError(f"{path}: {e}") from None
-    owned = {l.name for l in spec.layers if l.has_params}
     if mask is None:
-        mask = {name: True for name in owned}
-    elif set(mask) != owned:
-        raise IntegrityError(f"{path}: freeze mask does not cover the parameterized layers")
-    if state is not None:
-        try:
+        mask = net.make_mask(spec, True)
+    try:
+        net.check_mask(spec, mask)
+        if state is not None:
             _check_velocity(spec, mask, state.velocity)
-        except ConfigError as e:
-            raise IntegrityError(f"{path}: {e}") from None
+    except ConfigError as e:
+        raise IntegrityError(f"{path}: {e}") from None
     return spec, params, mask, state
 
 

@@ -28,35 +28,14 @@ _ROLE_SURGERY = 0
 _ROLE_BATCH = 1
 _ROLE_DROPOUT = 2
 
-_TRUE_WORDS = ("1", "true", "yes", "on")
-_FALSE_WORDS = ("0", "false", "no", "off")
+# The words a config file may give as a boolean flag's value.
+_BOOLEANS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+             **dict.fromkeys(("0", "false", "no", "off"), False)}
 
 
-def _parse_bool(text):
-    low = text.lower()
-    if low in _TRUE_WORDS:
-        return True
-    if low in _FALSE_WORDS:
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
-
-
-_CONFIG_KEYS = {
-    "lr": float, "momentum": float, "weight_decay": float, "batch_size": int,
-    "lr_factor": float, "patience": int, "min_lr": float,
-    "improvement_eps": float, "dropout": float, "seed": int,
-    "shuffle": _parse_bool, "average": str, "epochs": int,
-}
-
-_DEFAULTS = {
-    "lr": 0.1, "momentum": 0.9, "weight_decay": 1e-3, "batch_size": 256,
-    "lr_factor": 0.1, "patience": 1, "min_lr": 1e-5, "improvement_eps": 1e-4,
-    "dropout": 0.6, "seed": 0, "shuffle": True, "average": "probability",
-    "epochs": None,
-}
-
-
-def _read_config(path):
+def _read_config(path, flags):
+    """The values a key=value file sets, by key. Each value is parsed by the
+    type and choices of its key's flag action in ``flags``."""
     out = {}
     for lineno, line in enumerate(data.read_lines(path, ConfigError), start=1):
         line = line.split("#", 1)[0].strip()
@@ -64,178 +43,182 @@ def _read_config(path):
             continue
         if "=" not in line:
             raise ConfigError(f"{path}: line {lineno}: expected key=value")
-        key, value = line.split("=", 1)
-        key = key.strip().lower().replace("-", "_")
-        if key not in _CONFIG_KEYS:
+        key, value = (part.strip() for part in line.split("=", 1))
+        key = key.lower().replace("-", "_")
+        if key not in flags:
             raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
+        action = flags[key]
+        bad = f"{path}: line {lineno}: bad value {value!r} for {key}"
         try:
-            out[key] = _CONFIG_KEYS[key](value.strip())
-        except ValueError:
-            raise ConfigError(
-                f"{path}: line {lineno}: bad value {value.strip()!r} for {key}") from None
+            if isinstance(action, argparse.BooleanOptionalAction):
+                out[key] = _BOOLEANS[value.lower()]
+            else:
+                out[key] = (action.type or str)(value)
+        except (KeyError, ValueError):
+            raise ConfigError(bad) from None
+        if action.choices is not None and out[key] not in action.choices:
+            raise ConfigError(f"{bad}; choose from {', '.join(action.choices)}")
     return out
-
-
-def _resolve(args, filecfg, key):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in filecfg:
-        return filecfg[key]
-    return _DEFAULTS[key]
 
 
 def _parse_head(text):
     try:
         widths = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise ConfigError(f"bad head widths {text!r}; expected e.g. 4096,5000,5000,8") from None
+        raise ConfigError(f"bad head widths {text!r}; expected comma-separated integers") from None
     if not widths:
         raise ConfigError("head widths must not be empty")
     return widths
 
 
 def _parse_means(text):
+    """The three channel means of a --means value, or None if it is not given."""
+    if not text:
+        return None
     parts = [p for p in text.split(",") if p.strip()]
     if len(parts) != 3:
         raise ConfigError(f"expected three channel means, got {text!r}")
     try:
-        return tuple(float(p) for p in parts)
+        means = tuple(float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"bad channel means {text!r}") from None
+    if not all(math.isfinite(m) for m in means):
+        raise ConfigError(f"channel means must be finite, got {text!r}")
+    return means
 
 
-def _add_common(p):
-    p.add_argument("--config", help="key=value file supplying flag defaults")
-    p.add_argument("--seed", type=int, help="master random seed (default 0)")
+def _add_view_flags(p):
+    """Flags of the commands that score images; returns the --average action."""
+    p.add_argument("--means", help="R,G,B channel means subtracted from inputs")
+    return p.add_argument("--average", choices=predict.AVERAGES, default=predict.AVERAGES[0],
+                          help="space an image's views are averaged in (default: %(default)s)")
 
 
 def build_parser():
+    """The parser, the subparser of each command by name, and the flag action
+    of each config key. A tunable's default is declared here or read from the
+    code it configures."""
+    sgd = optim.SgdConfig()
     parser = argparse.ArgumentParser(
         prog="agecnn",
         description="Train and run an 8-bucket age classifier on a frozen "
                     "convolutional trunk.")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="key=value file supplying flag defaults")
+    config_flags = [common.add_argument("--seed", type=int, default=0,
+                                        help="master random seed (default: %(default)s)")]
 
-    p = sub.add_parser("surgery", help="replace a trunk file's head with fresh layers")
+    p = sub.add_parser("surgery", parents=[common],
+                       help="replace a trunk file's head with fresh layers")
     p.add_argument("--in", dest="in_path", required=True, help="donor weight file")
     p.add_argument("--profile", required=True, help="network profile (vgg-face-age or mini)")
-    p.add_argument("--head", help="fc widths, comma separated (default 4096,5000,5000,8)")
-    p.add_argument("--dropout", type=float, help="head dropout rate (default 0.6)")
+    p.add_argument("--head", default="4096,5000,5000,8",
+                   help="fc widths, comma separated (default: %(default)s)")
+    config_flags.append(p.add_argument("--dropout", type=float, default=network.DROPOUT_RATE,
+                                       help="head dropout rate (default: %(default)s)"))
     p.add_argument("--out", required=True, help="output weight file")
-    _add_common(p)
 
-    p = sub.add_parser("train", help="fine-tune the unfrozen layers")
+    p = sub.add_parser("train", parents=[common], help="fine-tune the unfrozen layers")
     p.add_argument("--model", required=True, help="input weight file")
     p.add_argument("--train", dest="train_manifest", required=True, help="training manifest CSV")
     p.add_argument("--val", dest="val_manifest", required=True, help="validation manifest CSV")
-    p.add_argument("--epochs", type=int, help="number of epochs to run")
     p.add_argument("--out", required=True, help="output checkpoint file")
-    p.add_argument("--lr", type=float, help="initial learning rate (default 0.1)")
-    p.add_argument("--momentum", type=float, help="momentum coefficient (default 0.9)")
-    p.add_argument("--weight-decay", type=float, help="L2 coefficient (default 1e-3)")
-    p.add_argument("--batch-size", type=int, help="mini-batch size (default 256)")
-    p.add_argument("--lr-factor", type=float, help="plateau decay factor (default 0.1)")
-    p.add_argument("--patience", type=int, help="epochs without improvement before decay (default 1)")
-    p.add_argument("--min-lr", type=float, help="learning-rate floor (default 1e-5)")
-    p.add_argument("--improvement-eps", type=float,
-                   help="minimum accuracy gain that counts as improvement (default 1e-4)")
-    p.add_argument("--shuffle", action=argparse.BooleanOptionalAction, default=None,
-                   help="shuffle training order each epoch (default on)")
-    p.add_argument("--means", help="R,G,B channel means subtracted from inputs")
-    p.add_argument("--average", choices=("probability", "score"),
-                   help="validation averaging space (default probability)")
-    _add_common(p)
+    config_flags += [
+        p.add_argument("--epochs", type=int, help="number of epochs to run"),
+        p.add_argument("--lr", type=float, default=sgd.lr0,
+                       help="initial learning rate (default: %(default)s)"),
+        p.add_argument("--momentum", type=float, default=sgd.momentum,
+                       help="momentum coefficient (default: %(default)s)"),
+        p.add_argument("--weight-decay", type=float, default=sgd.weight_decay,
+                       help="L2 coefficient (default: %(default)s)"),
+        p.add_argument("--batch-size", type=int, default=sgd.batch_size,
+                       help="mini-batch size (default: %(default)s)"),
+        p.add_argument("--lr-factor", type=float, default=sgd.lr_factor,
+                       help="plateau decay factor (default: %(default)s)"),
+        p.add_argument("--patience", type=int, default=sgd.patience,
+                       help="epochs without improvement before decay (default: %(default)s)"),
+        p.add_argument("--min-lr", type=float, default=sgd.min_lr,
+                       help="learning-rate floor (default: %(default)s)"),
+        p.add_argument("--improvement-eps", type=float, default=sgd.improvement_epsilon,
+                       help="minimum accuracy gain that counts as improvement "
+                            "(default: %(default)s)"),
+        p.add_argument("--shuffle", action=argparse.BooleanOptionalAction, default=True,
+                       help="shuffle training order each epoch (default: %(default)s)"),
+        _add_view_flags(p),
+    ]
 
-    p = sub.add_parser("predict", help="classify a list of images")
+    p = sub.add_parser("predict", parents=[common], help="classify a list of images")
     p.add_argument("--model", required=True, help="weight file")
     p.add_argument("--images", required=True, help="text file, one image path per line")
-    p.add_argument("--means", help="R,G,B channel means subtracted from inputs")
-    p.add_argument("--average", choices=("probability", "score"),
-                   help="averaging space (default probability)")
-    _add_common(p)
+    _add_view_flags(p)
 
-    p = sub.add_parser("eval", help="score a model against a labeled manifest")
+    p = sub.add_parser("eval", parents=[common], help="score a model against a labeled manifest")
     p.add_argument("--model", required=True, help="weight file")
     p.add_argument("--test", dest="test_manifest", required=True, help="test manifest CSV")
     p.add_argument("--csv-out", help="CSV report path (default <test manifest>.report.csv)")
-    p.add_argument("--means", help="R,G,B channel means subtracted from inputs")
-    p.add_argument("--average", choices=("probability", "score"),
-                   help="averaging space (default probability)")
-    _add_common(p)
+    _add_view_flags(p)
 
-    p = sub.add_parser("inspect", help="describe a weight file or profile")
+    p = sub.add_parser("inspect", parents=[common], help="describe a weight file or profile")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--model", help="weight file to describe")
     group.add_argument("--profile", help="profile name to describe without a file")
-    _add_common(p)
 
-    return parser
+    return parser, sub.choices, {action.dest: action for action in config_flags}
 
 
 def _shape_text(shape):
     return "x".join(str(e) for e in shape)
 
 
-def cmd_surgery(args, filecfg):
-    seed = _resolve(args, filecfg, "seed")
-    rate = _resolve(args, filecfg, "dropout")
-    head = _parse_head(args.head) if args.head else [4096, 5000, 5000, 8]
-    spec = network.build_profile(args.profile, dropout_rate=rate)
+def cmd_surgery(args):
+    head = _parse_head(args.head)
+    spec = network.build_profile(args.profile, dropout_rate=args.dropout)
     trunk_params = checkpoint.import_trunk(args.in_path, spec)
-    rng = Rng(seed).derive(_ROLE_SURGERY)
+    rng = Rng(args.seed).derive(_ROLE_SURGERY)
     new_spec, new_params, mask = network.head_replace(
-        spec, head, trunk_params, rng, dropout_rate=rate)
+        spec, head, trunk_params, rng, dropout_rate=args.dropout)
     checkpoint.save(new_spec, new_params, mask, args.out)
     print(f"wrote {args.out}")
     return 0
 
 
-def cmd_train(args, filecfg):
-    epochs = _resolve(args, filecfg, "epochs")
-    if epochs is None:
+def cmd_train(args):
+    if args.epochs is None:
         print("the train command needs --epochs", file=sys.stderr)
         return 2
-    if epochs < 0:
-        print(f"--epochs must be >= 0, got {epochs}", file=sys.stderr)
+    if args.epochs < 0:
+        print(f"--epochs must be >= 0, got {args.epochs}", file=sys.stderr)
         return 2
-    seed = _resolve(args, filecfg, "seed")
-    shuffle = _resolve(args, filecfg, "shuffle")
-    average = _resolve(args, filecfg, "average")
-    means = _parse_means(args.means) if args.means else None
+    means = _parse_means(args.means)
     cfg = optim.SgdConfig(
-        lr0=_resolve(args, filecfg, "lr"),
-        momentum=_resolve(args, filecfg, "momentum"),
-        weight_decay=_resolve(args, filecfg, "weight_decay"),
-        batch_size=_resolve(args, filecfg, "batch_size"),
-        lr_factor=_resolve(args, filecfg, "lr_factor"),
-        patience=_resolve(args, filecfg, "patience"),
-        min_lr=_resolve(args, filecfg, "min_lr"),
-        improvement_epsilon=_resolve(args, filecfg, "improvement_eps"))
+        lr0=args.lr, momentum=args.momentum, weight_decay=args.weight_decay,
+        batch_size=args.batch_size, lr_factor=args.lr_factor, patience=args.patience,
+        min_lr=args.min_lr, improvement_epsilon=args.improvement_eps)
 
     spec, params, mask, state = checkpoint.load(args.model)
     train_manifest = data.load_manifest(args.train_manifest)
     val_manifest = data.load_manifest(args.val_manifest)
     pre = data.Preprocessing.for_input(spec.input_shape, means)
-    root = Rng(seed)
-    if epochs > 0 and state is None:
+    root = Rng(args.seed)
+    if args.epochs > 0 and state is None:
         state = optim.init_state(params, mask, cfg)
     # The frozen prefix never changes, so the val views go through it once,
     # where what it outputs per view is smaller than the view.
     split = network.frozen_prefix(spec, mask)
     val_features = None
-    if epochs > 0 and split and (math.prod(network.infer_shapes(spec)[split - 1][1])
-                                 < math.prod(spec.input_shape)):
+    if args.epochs > 0 and split and (math.prod(network.infer_shapes(spec)[split - 1][1])
+                                      < math.prod(spec.input_shape)):
         val_features = predict.manifest_features(spec, params, val_manifest, means, split)
-    for _ in range(epochs):
+    for _ in range(args.epochs):
         lr_used = state.lr
-        stream = data.batches(train_manifest, cfg.batch_size, shuffle=shuffle,
+        stream = data.batches(train_manifest, cfg.batch_size, shuffle=args.shuffle,
                               rng=root.derive(_ROLE_BATCH, state.epoch),
                               preprocessing=pre)
         params, state, mean_loss = optim.train_epoch(
             spec, params, mask, state, cfg, stream,
             root.derive(_ROLE_DROPOUT, state.epoch))
-        preds, truths = predict.predict_manifest(spec, params, val_manifest, average=average,
+        preds, truths = predict.predict_manifest(spec, params, val_manifest, average=args.average,
                                                  channel_means=means, features=val_features)
         report = evaluate(preds, truths)
         state = optim.plateau_update(state, report.exact_accuracy, cfg)
@@ -246,15 +229,14 @@ def cmd_train(args, filecfg):
     return 0
 
 
-def cmd_predict(args, filecfg):
-    average = _resolve(args, filecfg, "average")
-    means = _parse_means(args.means) if args.means else None
+def cmd_predict(args):
+    means = _parse_means(args.means)
     spec, params, _, _ = checkpoint.load(args.model)
     failures = 0
     paths = [line.strip() for line in data.read_lines(args.images, ParseError) if line.strip()]
     for path in paths:
         try:
-            probs = predict.predict_file(spec, params, path, average=average,
+            probs = predict.predict_file(spec, params, path, average=args.average,
                                          channel_means=means)
         except (EngineError, OSError) as e:
             print(f"{path}: {e}", file=sys.stderr)
@@ -266,13 +248,12 @@ def cmd_predict(args, filecfg):
     return 1 if failures else 0
 
 
-def cmd_eval(args, filecfg):
-    average = _resolve(args, filecfg, "average")
-    means = _parse_means(args.means) if args.means else None
+def cmd_eval(args):
+    means = _parse_means(args.means)
     spec, params, _, _ = checkpoint.load(args.model)
     manifest = data.load_manifest(args.test_manifest)
     preds, truths = predict.predict_manifest(spec, params, manifest,
-                                             average=average, channel_means=means)
+                                             average=args.average, channel_means=means)
     report = evaluate(preds, truths)
     print(render_report(report), end="")
     csv_path = args.csv_out or args.test_manifest + ".report.csv"
@@ -282,7 +263,7 @@ def cmd_eval(args, filecfg):
     return 0
 
 
-def cmd_inspect(args, filecfg):
+def cmd_inspect(args):
     if args.model:
         spec, params, mask, state = checkpoint.load(args.model)
     else:
@@ -322,15 +303,19 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands, config_flags = build_parser()
     args = parser.parse_args(argv)
+    if args.config:
+        # File values become the running command's defaults, so explicit
+        # flags still win; a key the command has no flag for goes unread.
+        try:
+            commands[args.command].set_defaults(**_read_config(args.config, config_flags))
+        except (ConfigError, OSError) as e:
+            print(str(e), file=sys.stderr)
+            return 2
+        args = parser.parse_args(argv)
     try:
-        filecfg = _read_config(args.config) if args.config else {}
-    except (ConfigError, OSError) as e:
-        print(str(e), file=sys.stderr)
-        return 2
-    try:
-        return _COMMANDS[args.command](args, filecfg)
+        return _COMMANDS[args.command](args)
     except (EngineError, OSError) as e:
         print(str(e), file=sys.stderr)
         return 1

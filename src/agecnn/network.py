@@ -76,7 +76,11 @@ def _head_layers(first_index, widths, in_features, rate):
     return out
 
 
-def build_profile(name: str, dropout_rate: float = 0.6) -> NetworkSpec:
+# Dropout rate after every head fc layer but the last.
+DROPOUT_RATE = 0.6
+
+
+def build_profile(name: str, dropout_rate: float = DROPOUT_RATE) -> NetworkSpec:
     """Construct a shipped profile by name (``vgg_face_age`` or ``mini``)."""
     key = name.replace("-", "_")
     if key == "vgg_face_age":
@@ -172,7 +176,7 @@ def trunk_and_head(spec: NetworkSpec):
 
 
 def replace_head_spec(spec: NetworkSpec, head_widths,
-                      dropout_rate: float = 0.6) -> NetworkSpec:
+                      dropout_rate: float = DROPOUT_RATE) -> NetworkSpec:
     """Spec-level head surgery: drop the trailing fc stack, append a new one.
 
     New fc layers are numbered from (number of pooling stages + 1), matching
@@ -190,7 +194,7 @@ def replace_head_spec(spec: NetworkSpec, head_widths,
 
 
 def head_replace(spec: NetworkSpec, head_widths, params, rng: Rng,
-                 dropout_rate: float = 0.6):
+                 dropout_rate: float = DROPOUT_RATE):
     """Replace the fc head; trunk weights pass through untouched.
 
     Returns (new_spec, new_params, freeze_mask): new fc weights are drawn from
@@ -221,7 +225,8 @@ def head_replace(spec: NetworkSpec, head_widths, params, rng: Rng,
 MICRO_BATCH = 3
 
 
-def _check_mask(spec, mask):
+def check_mask(spec: NetworkSpec, mask):
+    """Raise ConfigError unless the mask's keys are exactly the parameterized layers."""
     if set(mask) != {l.name for l in spec.parameterized()}:
         raise ConfigError("freeze mask must cover exactly the parameterized layers")
 
@@ -234,7 +239,7 @@ def frozen_prefix(spec: NetworkSpec, mask) -> int:
     hold only frozen parameters and give the same output in train and eval
     mode, and backward never reads their caches.
     """
-    _check_mask(spec, mask)
+    check_mask(spec, mask)
     return next(i for i, l in enumerate(spec.layers)
                 if (l.has_params and mask[l.name]) or l.kind in ("dropout", "softmax_loss"))
 
@@ -307,7 +312,7 @@ def backward(spec: NetworkSpec, params, caches, labels, mask):
     earlier layer is trainable; below the earliest trainable layer nothing is
     computed.
     """
-    _check_mask(spec, mask)
+    check_mask(spec, mask)
     start = len(spec.layers) - len(caches)
     if not 0 <= start < len(spec.layers):
         raise StateError(f"expected 1 to {len(spec.layers)} caches, got {len(caches)}")

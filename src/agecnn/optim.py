@@ -4,6 +4,7 @@ and the one-epoch training loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,8 +26,9 @@ class SgdConfig:
     improvement_epsilon: float = 1e-4
 
     def __post_init__(self):
-        if self.lr0 <= 0:
-            raise ParameterError(f"lr0 must be > 0, got {self.lr0}")
+        # The chained comparisons also reject NaN and infinity.
+        if not 0.0 < self.lr0 < math.inf:
+            raise ParameterError(f"lr0 must be finite and > 0, got {self.lr0}")
         if not 0.0 <= self.momentum < 1.0:
             raise ParameterError(f"momentum must be in [0, 1), got {self.momentum}")
         if not 0.0 < self.lr_factor < 1.0:
@@ -35,13 +37,13 @@ class SgdConfig:
             raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.patience < 1:
             raise ParameterError(f"patience must be >= 1, got {self.patience}")
-        if self.weight_decay < 0:
-            raise ParameterError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.min_lr < 0:
-            raise ParameterError(f"min_lr must be >= 0, got {self.min_lr}")
-        if self.improvement_epsilon < 0:
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ParameterError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if not 0.0 <= self.min_lr < math.inf:
+            raise ParameterError(f"min_lr must be finite and >= 0, got {self.min_lr}")
+        if not 0.0 <= self.improvement_epsilon < math.inf:
             raise ParameterError(
-                f"improvement_epsilon must be >= 0, got {self.improvement_epsilon}")
+                f"improvement_epsilon must be finite and >= 0, got {self.improvement_epsilon}")
 
 
 @dataclass(frozen=True)

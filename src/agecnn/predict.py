@@ -67,9 +67,13 @@ def average_probabilities(per_view: np.ndarray) -> np.ndarray:
     return per_view.mean(axis=0)
 
 
+# Spaces an image's views are averaged in; the first is the default.
+AVERAGES = ("probability", "score")
+
+
 def _check_average(average):
-    if average not in ("probability", "score"):
-        raise ConfigError(f"average must be 'probability' or 'score', got {average!r}")
+    if average not in AVERAGES:
+        raise ConfigError(f"average must be one of {AVERAGES}, got {average!r}")
 
 
 def _views(spec, img, channel_means):
@@ -97,7 +101,7 @@ def _average(scores, average):
     return softmax(scores.mean(axis=0, keepdims=True))[0]
 
 
-def predict_proba(spec, params, img, average: str = "probability",
+def predict_proba(spec, params, img, average: str = AVERAGES[0],
                   channel_means=None) -> np.ndarray:
     """Class-probability vector for one image (3xHxW, values 0..255).
 
@@ -108,14 +112,7 @@ def predict_proba(spec, params, img, average: str = "probability",
     return _average(net.eval_scores(spec, params, _views(spec, img, channel_means)), average)
 
 
-def predict_label(spec, params, img, average: str = "probability",
-                  channel_means=None) -> int:
-    """Index of the most probable class; ties go to the lowest index."""
-    return argmax(predict_proba(spec, params, img, average=average,
-                                channel_means=channel_means))
-
-
-def predict_file(spec, params, path, average: str = "probability",
+def predict_file(spec, params, path, average: str = AVERAGES[0],
                  channel_means=None) -> np.ndarray:
     return predict_proba(spec, params, decode_image(path), average=average,
                          channel_means=channel_means)
@@ -153,7 +150,7 @@ def manifest_features(spec, params, manifest, channel_means, stop) -> ViewFeatur
     return ViewFeatures(np.concatenate(parts) if parts else np.empty(0, DTYPE), stop)
 
 
-def predict_manifest(spec, params, manifest, average: str = "probability",
+def predict_manifest(spec, params, manifest, average: str = AVERAGES[0],
                      channel_means=None, features=None):
     """Predicted and true label indices for every record of a manifest.
 

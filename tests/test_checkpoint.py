@@ -321,8 +321,11 @@ class TestLoadRejections:
         # 2^64 elements, which an int64 element count wraps to 0
         (packed_str("bias") + struct.pack("<BI", 1, 32),
          packed_str("bias") + struct.pack("<B4I", 4, *[2 ** 16] * 4)),
+        # the freeze mask's last entry, then the no-state flag
+        (packed_str("fc5") + struct.pack("<BB", 1, 0),
+         packed_str("fc9") + struct.pack("<BB", 1, 0)),
     ], ids=["integral-nan", "integral-inf", "lrn-k-nan", "renamed-weight", "rank-65",
-            "count-wraps-int64"])
+            "count-wraps-int64", "mask-names-no-layer"])
     def test_forged_body_with_fixed_checksum(self, tmp_path, capsys, old, new):
         path = str(tmp_path / "forged.acnn")
         body = saved_body(path, *mini_fixture())

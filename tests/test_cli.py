@@ -13,7 +13,6 @@ from agecnn import cli
 from agecnn.cli import main
 from agecnn.data import decode_image
 from agecnn.layers import conv, fc, maxpool, relu, softmax_log_loss, softmax_loss
-from agecnn.predict import predict_label
 
 from conftest import write_dataset
 
@@ -367,6 +366,78 @@ class TestTrain:
         assert code == 1
 
 
+# Required arguments per command; the command itself is stubbed out.
+REQUIRED = {
+    "surgery": ["--in", "donor.acnn", "--profile", "mini", "--out", "out.acnn"],
+    "train": ["--model", "m.acnn", "--train", "t.csv", "--val", "v.csv", "--out", "o.acnn"],
+    "predict": ["--model", "m.acnn", "--images", "images.txt"],
+}
+
+# (command, config key, file value, the same value as flags, another value as flags)
+CONFIG_CASES = [
+    ("train", "lr", "0.05", ["--lr", "0.05"], ["--lr", "0.5"]),
+    ("train", "momentum", "0.5", ["--momentum", "0.5"], ["--momentum", "0"]),
+    ("train", "weight_decay", "0.01", ["--weight-decay", "0.01"], ["--weight-decay", "0"]),
+    ("train", "batch_size", "4", ["--batch-size", "4"], ["--batch-size", "8"]),
+    ("train", "lr_factor", "0.5", ["--lr-factor", "0.5"], ["--lr-factor", "0.2"]),
+    ("train", "patience", "3", ["--patience", "3"], ["--patience", "2"]),
+    ("train", "min_lr", "0.001", ["--min-lr", "0.001"], ["--min-lr", "0"]),
+    ("train", "improvement_eps", "0.01", ["--improvement-eps", "0.01"],
+     ["--improvement-eps", "0"]),
+    ("surgery", "dropout", "0.3", ["--dropout", "0.3"], ["--dropout", "0"]),
+    ("surgery", "seed", "7", ["--seed", "7"], ["--seed", "8"]),
+    ("train", "shuffle", "off", ["--no-shuffle"], ["--shuffle"]),
+    ("predict", "average", "score", ["--average", "score"], ["--average", "probability"]),
+    ("train", "epochs", "5", ["--epochs", "5"], ["--epochs", "6"]),
+]
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("command, key, text, same, other", CONFIG_CASES,
+                             ids=[case[1] for case in CONFIG_CASES])
+    def test_file_value_reaches_command_as_its_flag(self, command, key, text, same, other,
+                                                    tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, command, lambda args: seen.append(
+            {k: v for k, v in vars(args).items() if k != "config"}) or 0)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {text}\n")
+        with_file = ["--config", str(cfg)]
+        for extra in ([], same, with_file, with_file + other, other):
+            assert main([command] + REQUIRED[command] + extra) == 0
+        default, flag, from_file, file_and_flag, flag_only = seen
+        assert from_file == flag
+        assert from_file[key] != default[key]
+        assert file_and_flag == flag_only
+        assert file_and_flag[key] != from_file[key]
+
+    @pytest.mark.parametrize("line", ["average = foo", "shuffle = maybe", "batch_size = 4.5",
+                                      "lr = abc"])
+    def test_bad_value_is_usage_error(self, line, tmp_path, monkeypatch, capsys):
+        # predict takes --average but none of the other flags: their values
+        # are still parsed, and a bad one rejected
+        monkeypatch.setitem(cli._COMMANDS, "predict", lambda args: 0)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        code = main(["predict"] + REQUIRED["predict"] + ["--config", str(cfg)])
+        assert code == 2
+        assert "bad value" in capsys.readouterr().err
+
+    def test_train_help_shows_sgd_config_defaults(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["train", "--help"])
+        assert e.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        sgd = SgdConfig()
+        for flag, value in [("--lr", sgd.lr0), ("--momentum", sgd.momentum),
+                            ("--weight-decay", sgd.weight_decay),
+                            ("--batch-size", sgd.batch_size), ("--lr-factor", sgd.lr_factor),
+                            ("--patience", sgd.patience), ("--min-lr", sgd.min_lr),
+                            ("--improvement-eps", sgd.improvement_epsilon)]:
+            assert re.search(rf"{flag} [A-Z_]+ [^()]*\(default: {re.escape(str(value))}\)",
+                             text), flag
+
+
 class TestPredict:
     def _image_list(self, tmp_path, manifest):
         listing = tmp_path / "images.txt"
@@ -433,6 +504,16 @@ class TestPredict:
         assert captured.out == ""
         assert "huge.ppm" in captured.err and "truncated PPM" in captured.err
 
+    @pytest.mark.parametrize("means", ["nan,0,0", "0,inf,0"])
+    def test_non_finite_means_are_runtime_failure(self, means, tmp_path, capsys):
+        model = make_model(tmp_path)
+        _, manifest = dataset(tmp_path, count=1)
+        listing = self._image_list(tmp_path, manifest)
+        assert main(["predict", "--model", model, "--images", listing, "--means", means]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
+
 
 class TestEval:
     def test_perfect_pairing_scores_100(self, tmp_path, capsys):
@@ -441,7 +522,7 @@ class TestEval:
         spec, params, _, _ = load(model)
         rows = ["path,label,fold,gender"]
         for rec in manifest.records:
-            pred = predict_label(spec, params, decode_image(rec.path))
+            pred = argmax(predict_proba(spec, params, decode_image(rec.path)))
             rows.append(f"{os.path.basename(rec.path)},{AGE_LABELS[pred]},0,")
         agreed = tmp_path / "agreed.csv"
         agreed.write_text("\n".join(rows) + "\n")

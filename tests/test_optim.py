@@ -34,6 +34,10 @@ class TestSgdConfig:
         {"lr0": 0.0}, {"lr0": -1.0}, {"momentum": 1.0}, {"momentum": -0.1},
         {"weight_decay": -1e-3}, {"batch_size": 0}, {"lr_factor": 0.0},
         {"lr_factor": 1.0}, {"patience": 0}, {"min_lr": -1.0},
+        {"lr0": float("nan")}, {"lr0": float("inf")},
+        {"weight_decay": float("nan")}, {"weight_decay": float("inf")},
+        {"min_lr": float("nan")}, {"min_lr": float("inf")},
+        {"improvement_epsilon": float("nan")}, {"improvement_epsilon": float("inf")},
     ])
     def test_invalid_fields_rejected(self, bad):
         with pytest.raises(ParameterError):

@@ -3,8 +3,8 @@ import pytest
 
 from agecnn import (ConfigError, NetworkSpec, Preprocessing, Rng, ShapeError,
                     argmax, average_probabilities, build_profile, init_params,
-                    load_manifest, make_mask, predict_label, predict_proba,
-                    three_crops, write_ppm)
+                    load_manifest, make_mask, predict_proba, three_crops,
+                    write_ppm)
 from agecnn.layers import fc, maxpool, softmax, softmax_loss
 from agecnn.network import eval_scores, frozen_prefix
 from agecnn.predict import (BOTTOM_LEFT_OFFSET, CENTER_OFFSET,
@@ -200,22 +200,6 @@ class TestPredictProba:
         params = init_params(spec, Rng(14))
         with pytest.raises(ShapeError):
             predict_proba(spec, params, np.zeros((3, 256, 256), np.float32))
-
-
-class TestPredictLabel:
-    def test_argmax_of_probability_vector(self):
-        spec = build_profile("mini")
-        params = init_params(spec, Rng(15))
-        img = (Rng(16).uniform((3, 32, 32)) * 255).astype(np.float32)
-        probs = predict_proba(spec, params, img)
-        assert predict_label(spec, params, img) == int(np.argmax(probs))
-
-    def test_uniform_scores_pick_lowest_index(self):
-        spec = build_profile("mini")
-        params = {name: {k: np.zeros_like(v) for k, v in group.items()}
-                  for name, group in init_params(spec, Rng(17)).items()}
-        img = (Rng(18).uniform((3, 32, 32)) * 255).astype(np.float32)
-        assert predict_label(spec, params, img) == 0
 
 
 class TestPredictManifest:
