@@ -18,8 +18,8 @@ import sys
 import numpy as np
 
 from . import checkpoint, data, network, optim, predict
-from .data import AGE_LABELS
-from .errors import ConfigError, EngineError, ParseError
+from .data import AGE_LABELS, NUM_CLASSES
+from .errors import ConfigError, EngineError, InputError, ParseError
 from .metrics import evaluate, render_csv, render_report
 from .tensor import Rng, argmax
 
@@ -171,6 +171,14 @@ def _shape_text(shape):
     return "x".join(str(e) for e in shape)
 
 
+def _check_classes(spec):
+    """Raise ConfigError unless the network scores exactly the NUM_CLASSES age buckets."""
+    out = network.infer_shapes(spec)[-1][1]
+    if out != (NUM_CLASSES,):
+        raise ConfigError(f"network {spec.name!r} outputs {_shape_text(out)} scores, "
+                          f"expected one per age bucket ({NUM_CLASSES})")
+
+
 def cmd_surgery(args):
     head = _parse_head(args.head)
     spec = network.build_profile(args.profile, dropout_rate=args.dropout)
@@ -178,6 +186,7 @@ def cmd_surgery(args):
     rng = Rng(args.seed).derive(_ROLE_SURGERY)
     new_spec, new_params, mask = network.head_replace(
         spec, head, trunk_params, rng, dropout_rate=args.dropout)
+    _check_classes(new_spec)
     checkpoint.save(new_spec, new_params, mask, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -197,8 +206,13 @@ def cmd_train(args):
         min_lr=args.min_lr, improvement_epsilon=args.improvement_eps)
 
     spec, params, mask, state = checkpoint.load(args.model)
+    _check_classes(spec)
     train_manifest = data.load_manifest(args.train_manifest)
     val_manifest = data.load_manifest(args.val_manifest)
+    for path, manifest in ((args.train_manifest, train_manifest),
+                           (args.val_manifest, val_manifest)):
+        if not manifest.records:
+            raise InputError(f"{path}: manifest has no records")
     pre = data.Preprocessing.for_input(spec.input_shape, means)
     root = Rng(args.seed)
     if args.epochs > 0 and state is None:
@@ -232,6 +246,7 @@ def cmd_train(args):
 def cmd_predict(args):
     means = _parse_means(args.means)
     spec, params, _, _ = checkpoint.load(args.model)
+    _check_classes(spec)
     failures = 0
     paths = [line.strip() for line in data.read_lines(args.images, ParseError) if line.strip()]
     for path in paths:
@@ -251,6 +266,7 @@ def cmd_predict(args):
 def cmd_eval(args):
     means = _parse_means(args.means)
     spec, params, _, _ = checkpoint.load(args.model)
+    _check_classes(spec)
     manifest = data.load_manifest(args.test_manifest)
     preds, truths = predict.predict_manifest(spec, params, manifest,
                                              average=args.average, channel_means=means)

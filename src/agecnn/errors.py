@@ -38,4 +38,4 @@ class StateError(EngineError):
 
 
 class InputError(EngineError):
-    """Metric inputs are empty or mismatched."""
+    """Metric or training inputs are empty or mismatched."""

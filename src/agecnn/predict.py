@@ -8,13 +8,11 @@ switches to averaging raw scores before a single softmax). Other networks
 (small profiles such as mini) take the image as it is as a single view, and
 an image of the wrong size fails as ShapeError.
 
-``predict_proba`` scores one image, its views in one eval-mode forward.
-``predict_manifest`` scores a whole manifest on one batched path
-(``manifest_features``): images are decoded and cut into views only as the
-next micro-batch needs them, and only per-view outputs are kept. A caller
-that scores the same manifest again and again with frozen leading layers
-(validation in ``train``) computes those layers' outputs once and passes
-them back in.
+Each image is scored on its own, its views in one eval-mode forward:
+``predict_proba`` scores one image, ``predict_manifest`` (``eval`` and
+validation) each record of a manifest in turn. Validation in ``train``, which
+scores the same manifest every epoch behind frozen leading layers, computes
+those layers' outputs once per image (``manifest_features``) and passes them in.
 """
 
 from __future__ import annotations
@@ -120,51 +118,35 @@ def predict_file(spec, params, path, average: str = AVERAGES[0],
 
 @dataclass(frozen=True)
 class ViewFeatures:
-    """Outputs of a network's layers [0, stop) for every view of a manifest's
-    images, in record order, the same number of rows per image."""
+    """Outputs of layers [0, stop), one array of view rows per manifest record."""
 
-    rows: np.ndarray
+    rows: tuple
     stop: int
 
 
-def _micro_batches(spec, manifest, channel_means):
-    """The manifest's view rows, stacked MICRO_BATCH at a time; images decode lazily."""
-    pending = []
-    for rec in manifest.records:
-        pending.extend(_views(spec, decode_image(rec.path), channel_means))
-        while len(pending) >= net.MICRO_BATCH:
-            yield np.stack(pending[:net.MICRO_BATCH])
-            del pending[:net.MICRO_BATCH]
-    if pending:
-        yield np.stack(pending)
-
-
 def manifest_features(spec, params, manifest, channel_means, stop) -> ViewFeatures:
-    """Eval-mode outputs of layers [0, stop) for every view of every record.
+    """Eval-mode outputs of layers [0, stop) for each record's views.
 
-    Images are decoded and cut into views only as the next micro-batch
-    (``network.MICRO_BATCH`` rows) needs them; only the outputs are kept.
+    Each image is decoded and run on its own; only its outputs are kept.
     """
-    parts = [net.eval_layers(spec, params, batch, 0, stop)
-             for batch in _micro_batches(spec, manifest, channel_means)]
-    return ViewFeatures(np.concatenate(parts) if parts else np.empty(0, DTYPE), stop)
+    views = (_views(spec, decode_image(rec.path), channel_means) for rec in manifest.records)
+    return ViewFeatures(tuple(net.eval_layers(spec, params, v, 0, stop) for v in views), stop)
 
 
 def predict_manifest(spec, params, manifest, average: str = AVERAGES[0],
                      channel_means=None, features=None):
     """Predicted and true label indices for every record of a manifest.
 
-    ``features`` is an earlier ``manifest_features`` result for this manifest
-    whose layers are unchanged since; only the layers from its ``stop`` on
-    then run, and its channel means apply.
+    Each record is scored as ``predict_proba`` scores one image. ``features``
+    is an earlier ``manifest_features`` result for this manifest whose layers
+    are unchanged since; only the layers from its ``stop`` on then run, and
+    its channel means apply.
     """
     _check_average(average)
     truths = [rec.label for rec in manifest.records]
-    if not truths:
-        return [], truths
     if features is None:
-        features = manifest_features(spec, params, manifest, channel_means,
-                                     len(spec.layers) - 1)
-    scores = net.eval_layers(spec, params, features.rows, features.stop, len(spec.layers) - 1)
-    per_image = scores.reshape(len(truths), -1, scores.shape[-1])
-    return [argmax(_average(s, average)) for s in per_image], truths
+        return [argmax(predict_file(spec, params, rec.path, average, channel_means))
+                for rec in manifest.records], truths
+    stop = len(spec.layers) - 1
+    return [argmax(_average(net.eval_layers(spec, params, rows, features.stop, stop), average))
+            for rows in features.rows], truths

@@ -8,7 +8,8 @@ import pytest
 from agecnn import (AGE_LABELS, NetworkSpec, Preprocessing, Rng, SgdConfig,
                     argmax, batches, build_profile, evaluate, init_params,
                     init_state, layers, load, load_manifest, make_mask,
-                    network, plateau_update, predict_proba, save, sgd_step)
+                    network, plateau_update, predict, predict_proba,
+                    replace_head_spec, save, sgd_step)
 from agecnn import cli
 from agecnn.cli import main
 from agecnn.data import decode_image
@@ -47,6 +48,42 @@ def tiny_224_model(tmp_path):
     path = str(tmp_path / "t224.acnn")
     save(spec, init_params(spec, Rng(0), std=0.002), make_mask(spec, {"f1"}), path)
     return path
+
+
+def nine_class_model(tmp_path):
+    # a mini model scoring 9 classes, whose extra class always wins
+    spec = replace_head_spec(build_profile("mini"), [32, 16, 9])
+    params = init_params(spec, Rng(0))
+    params["fc5"]["bias"][8] = 100.0
+    path = str(tmp_path / "nine.acnn")
+    save(spec, params, make_mask(spec, {"fc3", "fc4", "fc5"}), path)
+    return path
+
+
+def spy_scoring(monkeypatch):
+    """(layer name, rows) of every layer call made while ``predict`` scores a
+    manifest or computes its features."""
+    seen, active = [], []
+    real_layer = layers.forward_layer
+
+    def layer_spy(layer, x, *args, **kwargs):
+        if active:
+            seen.append((layer.name, x.shape[0]))
+        return real_layer(layer, x, *args, **kwargs)
+
+    def scoring(real):
+        def run(*args, **kwargs):
+            active.append(real)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                active.pop()
+        return run
+
+    monkeypatch.setattr(layers, "forward_layer", layer_spy)
+    for name in ("manifest_features", "predict_manifest"):
+        monkeypatch.setattr(predict, name, scoring(getattr(predict, name)))
+    return seen
 
 
 def reference_train(model, train_manifest, val_manifest, out, epochs, batch_size, lr, seed,
@@ -357,6 +394,27 @@ class TestTrain:
                      str(tmp_path / "ck.acnn")]) == 0
         assert sum(rows) == 3 * 8 + 3 * 5
 
+    @pytest.mark.parametrize("empty", ["--train", "--val"])
+    def test_empty_manifest_fails_before_any_forward(self, empty, tmp_path, monkeypatch,
+                                                     capsys):
+        model = surgery_model(tmp_path, make_model(tmp_path))
+        manifest, _ = dataset(tmp_path)
+        blank = tmp_path / "empty.csv"
+        blank.write_text("path,label\n")
+        manifests = {"--train": manifest, "--val": manifest, empty: str(blank)}
+        calls = []
+        real = layers.forward_layer
+        monkeypatch.setattr(layers, "forward_layer",
+                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        out = tmp_path / "ck.acnn"
+        capsys.readouterr()
+        code = main(["train", "--model", model, "--train", manifests["--train"],
+                     "--val", manifests["--val"], "--epochs", "1", "--out", str(out)])
+        assert code == 1
+        assert f"{blank}: manifest has no records" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
     def test_missing_manifest_is_runtime_failure(self, tmp_path, capsys):
         model = make_model(tmp_path)
         code = main(["train", "--model", model,
@@ -364,6 +422,72 @@ class TestTrain:
                      "--val", str(tmp_path / "nope.csv"), "--epochs", "1",
                      "--out", str(tmp_path / "ck.acnn")])
         assert code == 1
+
+
+class TestOutputWidth:
+    def test_surgery_head_not_8_wide_writes_nothing(self, tmp_path, capsys):
+        donor = make_model(tmp_path)
+        out = tmp_path / "x.acnn"
+        code = main(["surgery", "--in", donor, "--profile", "mini",
+                     "--head", "32,16,9", "--out", str(out)])
+        assert code == 1
+        assert "outputs 9 scores, expected one per age bucket (8)" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "predict", "eval"])
+    def test_loaded_model_not_8_wide_is_runtime_failure(self, command, tmp_path, capsys):
+        model = nine_class_model(tmp_path)
+        manifest, loaded = dataset(tmp_path, count=2)
+        listing = tmp_path / "images.txt"
+        listing.write_text("".join(r.path + "\n" for r in loaded.records))
+        out = tmp_path / "ck.acnn"
+        args = {"train": ["--train", manifest, "--val", manifest, "--epochs", "1",
+                          "--out", str(out)],
+                "predict": ["--images", str(listing)],
+                "eval": ["--test", manifest, "--csv-out", str(out)]}[command]
+        assert main([command, "--model", model] + args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "outputs 9 scores, expected one per age bucket (8)" in captured.err
+        assert not out.exists()
+
+
+class TestOneImagePerForward:
+    """Each layer call made while scoring a manifest carries one image's views."""
+
+    @pytest.mark.parametrize("kind, views", [("mini", 1), ("crop-path", 3)])
+    def test_eval(self, kind, views, tmp_path, monkeypatch, capsys):
+        model = make_model(tmp_path) if kind == "mini" else tiny_224_model(tmp_path)
+        manifest = write_dataset(str(tmp_path), 7, Rng(8), size=32 if kind == "mini" else 40)
+        seen = spy_scoring(monkeypatch)
+        assert main(["eval", "--model", model, "--test", manifest]) == 0
+        first = load(model)[0].layers[0].name
+        assert [name for name, _ in seen].count(first) == 7
+        assert {rows for _, rows in seen} == {views}
+
+    # (kind, view rows per image, first-layer calls over 2 epochs of 5 val images):
+    # the surgery and crop-path masks cache the val prefix, all-trainable does not
+    @pytest.mark.parametrize("kind, views, first_calls", [
+        ("surgery", 1, 5), ("all-trainable", 1, 10), ("crop-path", 3, 5)])
+    def test_train_validation(self, kind, views, first_calls, tmp_path, monkeypatch):
+        size = 40 if kind == "crop-path" else 32
+        os.mkdir(tmp_path / "train")
+        os.mkdir(tmp_path / "val")
+        train = write_dataset(str(tmp_path / "train"), 4, Rng(7), size=size)
+        val = write_dataset(str(tmp_path / "val"), 5, Rng(8), size=size)
+        if kind == "surgery":
+            model = surgery_model(tmp_path, make_model(tmp_path))
+        elif kind == "all-trainable":
+            model = make_model(tmp_path)
+        else:
+            model = tiny_224_model(tmp_path)
+        seen = spy_scoring(monkeypatch)
+        assert main(["train", "--model", model, "--train", train, "--val", val,
+                     "--epochs", "2", "--batch-size", "4",
+                     "--out", str(tmp_path / "ck.acnn")]) == 0
+        first = load(model)[0].layers[0].name
+        assert [name for name, _ in seen].count(first) == first_calls
+        assert {rows for _, rows in seen} == {views}
 
 
 # Required arguments per command; the command itself is stubbed out.

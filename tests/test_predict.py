@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -227,7 +229,7 @@ class TestPredictManifest:
             predict_manifest(spec, init_params(spec, Rng(20)), manifest)
 
 
-def batched_case(kind, tmp_path):
+def scoring_case(kind, tmp_path):
     """(spec, params, manifest) for the direct path (mini) or the crop path."""
     if kind == "mini":
         spec, size = build_profile("mini"), 32
@@ -235,16 +237,17 @@ def batched_case(kind, tmp_path):
     else:
         spec, size = tiny_224_spec(), 40
         params = init_params(spec, Rng(24), std=0.05)
-    # 7 images: the last micro-batch of the direct path is short
     return spec, params, load_manifest(write_dataset(str(tmp_path), 7, Rng(25), size=size))
 
 
 class TestBatchedPath:
+    """``predict_manifest`` and ``manifest_features`` agree with per-image scoring."""
+
     @pytest.mark.parametrize("kind", ["mini", "crop-path"])
     @pytest.mark.parametrize("means", [None, (90.0, 100.0, 110.0)])
     @pytest.mark.parametrize("average", ["probability", "score"])
     def test_labels_equal_per_image_prediction(self, kind, means, average, tmp_path):
-        spec, params, manifest = batched_case(kind, tmp_path)
+        spec, params, manifest = scoring_case(kind, tmp_path)
         preds, truths = predict_manifest(spec, params, manifest, average=average,
                                          channel_means=means)
         assert preds == [argmax(predict_proba(spec, params, decode_image(r.path),
@@ -254,7 +257,7 @@ class TestBatchedPath:
 
     @pytest.mark.parametrize("kind", ["mini", "crop-path"])
     def test_scores_equal_per_image_scores(self, kind, tmp_path):
-        spec, params, manifest = batched_case(kind, tmp_path)
+        spec, params, manifest = scoring_case(kind, tmp_path)
         means = np.array([90.0, 100.0, 110.0], np.float32)[None, :, None, None]
         want = []
         for rec in manifest.records:
@@ -264,14 +267,30 @@ class TestBatchedPath:
             want.append(eval_scores(spec, params, views - means))
         got = manifest_features(spec, params, manifest, (90.0, 100.0, 110.0),
                                 len(spec.layers) - 1)
-        assert got.rows.tobytes() == np.concatenate(want).tobytes()
+        assert [rows.tobytes() for rows in got.rows] == [rows.tobytes() for rows in want]
 
     def test_cached_prefix_gives_the_same_labels(self, tmp_path):
-        spec, params, manifest = batched_case("mini", tmp_path)
+        spec, params, manifest = scoring_case("mini", tmp_path)
         split = frozen_prefix(spec, make_mask(spec, {"fc3", "fc4", "fc5"}))
         features = manifest_features(spec, params, manifest, None, split)
-        assert features.rows.shape == (7, 16, 8, 8)
+        assert [rows.shape for rows in features.rows] == [(1, 16, 8, 8)] * 7
         for average in ("probability", "score"):
             assert predict_manifest(spec, params, manifest, average=average,
                                     features=features) == \
                 predict_manifest(spec, params, manifest, average=average)
+
+    def test_building_the_cache_holds_it_once(self, tmp_path):
+        # each image's outputs are kept as they come; nothing copies them all
+        spec = build_profile("mini")
+        params = init_params(spec, Rng(23), std=0.1)
+        manifest = load_manifest(write_dataset(str(tmp_path), 300, Rng(26)))
+        split = frozen_prefix(spec, make_mask(spec, {"fc3", "fc4", "fc5"}))
+        tracemalloc.start()
+        try:
+            features = manifest_features(spec, params, manifest, None, split)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cache = sum(rows.nbytes for rows in features.rows)
+        assert cache == 300 * 16 * 8 * 8 * 4
+        assert peak < 1.75 * cache
