@@ -58,22 +58,13 @@ MAX_RANK = 4  # conv weights; no tensor of any network has more axes
 _TENSOR_ORDER = ("weight", "bias")
 
 
-def _check_velocity(spec, mask, velocity):
-    """Optimizer state must hold a weight and a bias velocity for exactly the
-    trainable layers, shaped like their parameters; raises ConfigError."""
-    shapes = net.param_shapes(spec)
-    trainable = sorted(name for name in shapes if mask[name])
-    if sorted(velocity) != trainable:
-        raise ConfigError(f"velocity covers layers {sorted(velocity)}, "
-                          f"trainable layers are {trainable}")
-    for lname, group in velocity.items():
-        if sorted(group) != sorted(_TENSOR_ORDER):
-            raise ConfigError(f"velocity for {lname!r} holds {sorted(group)}, "
-                              f"expected {sorted(_TENSOR_ORDER)}")
-        for tname, t in group.items():
-            if t.shape != shapes[lname][tname]:
-                raise ConfigError(f"velocity shape {t.shape} for {lname}.{tname} "
-                                  f"does not match parameter shape {shapes[lname][tname]}")
+def _check_content(spec, params, mask, state):
+    """Params, freeze mask and any optimizer velocity must match the spec; the
+    velocity covers exactly the trainable layers. Raises ConfigError or ShapeError."""
+    net.validate_params(spec, params)
+    net.check_mask(spec, mask)
+    if state is not None:
+        net.check_group(spec, "velocity", state.velocity, [n for n in mask if mask[n]])
 
 
 class _Writer:
@@ -145,10 +136,7 @@ def _write(fh, spec, params, mask, state):
 
 def save(spec, params, mask, path, state: OptState | None = None) -> None:
     """Write a checkpoint; identical inputs always produce identical bytes."""
-    net.validate_params(spec, params)
-    net.check_mask(spec, mask)
-    if state is not None:
-        _check_velocity(spec, mask, state.velocity)
+    _check_content(spec, params, mask, state)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -229,7 +217,7 @@ def _parse(buf, path):
             params[lname] = group
     try:
         spec = net.NetworkSpec(name, input_shape, tuple(layers))
-    except (ConfigError, ParameterError) as e:
+    except (ConfigError, ParameterError, ShapeError) as e:
         raise IntegrityError(f"{path}: invalid network record: {e}") from None
 
     mask = None
@@ -268,17 +256,11 @@ def load(path):
         raise IntegrityError(f"{path}: checksum mismatch")
 
     spec, params, mask, state = _parse(buf, path)
-    try:
-        net.validate_params(spec, params)
-    except (ConfigError, ShapeError) as e:
-        raise IntegrityError(f"{path}: {e}") from None
     if mask is None:
         mask = net.make_mask(spec, True)
     try:
-        net.check_mask(spec, mask)
-        if state is not None:
-            _check_velocity(spec, mask, state.velocity)
-    except ConfigError as e:
+        _check_content(spec, params, mask, state)
+    except (ConfigError, ShapeError) as e:
         raise IntegrityError(f"{path}: {e}") from None
     return spec, params, mask, state
 
@@ -292,17 +274,10 @@ def import_trunk(path, target_spec):
     """
     _, src_params, _, _ = load(path)
     trunk, _ = net.trunk_and_head(target_spec)
-    shapes = net.param_shapes(target_spec)
-    out = {}
-    for layer in trunk:
-        if not layer.has_params or layer.name not in src_params:
-            continue
-        group = src_params[layer.name]
-        for tname, want in shapes[layer.name].items():
-            have = group.get(tname)
-            if have is None or have.shape != want:
-                raise IntegrityError(
-                    f"{path}: layer {layer.name!r} tensor {tname!r} has shape "
-                    f"{None if have is None else have.shape}, target needs {want}")
-        out[layer.name] = {tname: group[tname] for tname in shapes[layer.name]}
+    found = [l.name for l in trunk if l.has_params and l.name in src_params]
+    out = {name: src_params[name] for name in found}
+    try:
+        net.check_group(target_spec, "donor tensors", out, found)
+    except (ConfigError, ShapeError) as e:
+        raise IntegrityError(f"{path}: {e}") from None
     return out

@@ -173,10 +173,18 @@ def _shape_text(shape):
 
 def _check_classes(spec):
     """Raise ConfigError unless the network scores exactly the NUM_CLASSES age buckets."""
-    out = network.infer_shapes(spec)[-1][1]
+    out = spec.shapes[-1]
     if out != (NUM_CLASSES,):
         raise ConfigError(f"network {spec.name!r} outputs {_shape_text(out)} scores, "
                           f"expected one per age bucket ({NUM_CLASSES})")
+
+
+def _load_manifest(path):
+    """A manifest that holds at least one record; an empty one is an InputError."""
+    manifest = data.load_manifest(path)
+    if not manifest.records:
+        raise InputError(f"{path}: manifest has no records")
+    return manifest
 
 
 def cmd_surgery(args):
@@ -207,12 +215,8 @@ def cmd_train(args):
 
     spec, params, mask, state = checkpoint.load(args.model)
     _check_classes(spec)
-    train_manifest = data.load_manifest(args.train_manifest)
-    val_manifest = data.load_manifest(args.val_manifest)
-    for path, manifest in ((args.train_manifest, train_manifest),
-                           (args.val_manifest, val_manifest)):
-        if not manifest.records:
-            raise InputError(f"{path}: manifest has no records")
+    train_manifest = _load_manifest(args.train_manifest)
+    val_manifest = _load_manifest(args.val_manifest)
     pre = data.Preprocessing.for_input(spec.input_shape, means)
     root = Rng(args.seed)
     if args.epochs > 0 and state is None:
@@ -221,8 +225,7 @@ def cmd_train(args):
     # where what it outputs per view is smaller than the view.
     split = network.frozen_prefix(spec, mask)
     val_features = None
-    if args.epochs > 0 and split and (math.prod(network.infer_shapes(spec)[split - 1][1])
-                                      < math.prod(spec.input_shape)):
+    if args.epochs > 0 and split and math.prod(spec.shapes[split]) < math.prod(spec.input_shape):
         val_features = predict.manifest_features(spec, params, val_manifest, means, split)
     for _ in range(args.epochs):
         lr_used = state.lr
@@ -267,7 +270,7 @@ def cmd_eval(args):
     means = _parse_means(args.means)
     spec, params, _, _ = checkpoint.load(args.model)
     _check_classes(spec)
-    manifest = data.load_manifest(args.test_manifest)
+    manifest = _load_manifest(args.test_manifest)
     preds, truths = predict.predict_manifest(spec, params, manifest,
                                              average=args.average, channel_means=means)
     report = evaluate(preds, truths)

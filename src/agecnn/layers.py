@@ -496,7 +496,7 @@ KINDS = {
 
 
 def forward_layer(spec: LayerSpec, x, params=None, mode="train", rng=None):
-    """Run one layer forward, after the shape rule infer_shapes applies.
+    """Run one layer forward, after the shape rule NetworkSpec applies.
 
     Returns (output, LayerCache).
     """

@@ -1,16 +1,24 @@
-"""Sequential network assembly: profiles, shape inference, head surgery,
-the forward/backward pass with a per-layer freeze mask, and cache-free
-eval-mode runs of a layer range in micro-batches (the frozen prefix a
-training step and validation use as a fixed feature extractor).
+"""Sequential network assembly: profiles, head surgery, the forward/backward
+pass with a per-layer freeze mask, and cache-free eval-mode runs of a layer
+range in micro-batches (the frozen prefix a training step and validation use
+as a fixed feature extractor).
+
+A NetworkSpec decides its shapes when it is built: construction walks the
+layer kinds' shape rules once, stores every layer's input and output shape,
+and raises ShapeError naming the first layer that does not fit. Everything
+else reads those stored shapes.
 
 A ParamSet is a plain dict ``{layer_name: {"weight": array, "bias": array}}``
-covering exactly the parameterized (conv/fc) layers of its NetworkSpec.
-A FreezeMask is ``{layer_name: bool}`` over the same keys, True = trainable.
+covering exactly the parameterized (conv/fc) layers of its NetworkSpec; one
+rule (``check_group``) checks it, and the optimizer's velocity and an
+imported trunk likewise. A FreezeMask is ``{layer_name: bool}`` over the same
+keys, True = trainable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,11 +29,16 @@ from .tensor import DTYPE, Rng, gaussian_fill
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Ordered layer stack plus the input shape contract (C, H, W)."""
+    """Ordered layer stack plus the input shape contract (C, H, W).
+
+    ``shapes`` is computed at construction: ``shapes[i]`` is the per-sample
+    input shape of ``layers[i]`` and ``shapes[-1]`` the network's output.
+    """
 
     name: str
     input_shape: tuple
     layers: tuple
+    shapes: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "input_shape", tuple(int(e) for e in self.input_shape))
@@ -40,6 +53,10 @@ class NetworkSpec:
         if len(loss_idx) != 1 or loss_idx[0] != len(self.layers) - 1:
             raise ConfigError(
                 f"network {self.name!r}: exactly one softmax_loss layer is required, last")
+        shapes = [self.input_shape]
+        for layer in self.layers:
+            shapes.append(L.KINDS[layer.kind].out_shape(layer, shapes[-1]))
+        object.__setattr__(self, "shapes", tuple(shapes))
 
     def parameterized(self):
         return [l for l in self.layers if l.has_params]
@@ -97,25 +114,16 @@ def build_profile(name: str, dropout_rate: float = DROPOUT_RATE) -> NetworkSpec:
     raise ConfigError(f"unknown profile {name!r}; known: vgg-face-age, mini")
 
 
-def infer_shapes(spec: NetworkSpec, input_shape=None):
-    """Per-layer output shapes (batch dimension excluded), in layer order.
-
-    Returns a list of (layer_name, shape) tuples. Raises ShapeError naming the
-    first inconsistent layer.
-    """
-    shape = tuple(input_shape if input_shape is not None else spec.input_shape)
-    out = []
-    for layer in spec.layers:
-        shape = L.KINDS[layer.kind].out_shape(layer, shape)
-        out.append((layer.name, shape))
-    return out
+def infer_shapes(spec: NetworkSpec):
+    """Per-layer output shapes (batch dimension excluded), in layer order,
+    as a list of (layer_name, shape) tuples."""
+    return [(layer.name, shape) for layer, shape in zip(spec.layers, spec.shapes[1:])]
 
 
 def param_shapes(spec: NetworkSpec):
-    """Expected weight/bias shapes per parameterized layer, from shape inference."""
-    in_shapes = [spec.input_shape] + [shape for _, shape in infer_shapes(spec)]
+    """Expected weight/bias shapes per parameterized layer, from its input shape."""
     return {layer.name: L.KINDS[layer.kind].param_shapes(layer, shape)
-            for layer, shape in zip(spec.layers, in_shapes) if layer.has_params}
+            for layer, shape in zip(spec.layers, spec.shapes) if layer.has_params}
 
 
 def _fresh(shapes, std, rng):
@@ -128,22 +136,31 @@ def init_params(spec: NetworkSpec, rng: Rng, std: float = 0.01):
     return {name: _fresh(shapes, std, rng) for name, shapes in param_shapes(spec).items()}
 
 
+def check_group(spec: NetworkSpec, what: str, group, names):
+    """Check that ``group`` holds, for exactly the layers ``names``, a weight
+    and a bias shaped as the spec says; ``what`` names the group in errors.
+
+    Raises ConfigError for a missing or unexpected layer or tensor, and
+    ShapeError naming the layer and tensor whose shape differs.
+    """
+    expected = param_shapes(spec)
+    if set(group) != set(names):
+        raise ConfigError(f"{what}: missing layers {sorted(set(names) - set(group))}, "
+                          f"unexpected layers {sorted(set(group) - set(names))}")
+    for name in names:
+        if set(group[name]) != set(expected[name]):
+            raise ConfigError(f"{what} for layer {name!r}: tensors {sorted(group[name])}, "
+                              f"expected {sorted(expected[name])}")
+        for tname, shape in expected[name].items():
+            got = group[name][tname].shape
+            if tuple(got) != shape:
+                raise ShapeError(f"{what} for layer {name!r}: {tname} shape {got}, "
+                                 f"expected {shape}")
+
+
 def validate_params(spec: NetworkSpec, params):
     """Check ParamSet keys and shapes against the spec; raises on mismatch."""
-    expected = param_shapes(spec)
-    if set(params) != set(expected):
-        missing = set(expected) - set(params)
-        extra = set(params) - set(expected)
-        raise ConfigError(f"params do not match spec: missing {sorted(missing)}, "
-                          f"unexpected {sorted(extra)}")
-    for name, shapes in expected.items():
-        if set(params[name]) != set(shapes):
-            raise ConfigError(f"layer {name!r}: tensors {sorted(params[name])}, "
-                              f"expected {sorted(shapes)}")
-        for tname, shape in shapes.items():
-            got = params[name][tname].shape
-            if tuple(got) != shape:
-                raise ShapeError(f"layer {name!r}: {tname} shape {got}, expected {shape}")
+    check_group(spec, "params", params, [l.name for l in spec.parameterized()])
 
 
 def make_mask(spec: NetworkSpec, trainable=True):
@@ -185,9 +202,7 @@ def replace_head_spec(spec: NetworkSpec, head_widths,
     if not head_widths:
         raise ConfigError("head_widths must not be empty")
     trunk, _ = trunk_and_head(spec)
-    trunk_shapes = infer_shapes(NetworkSpec(spec.name, spec.input_shape,
-                                            list(trunk) + [L.softmax_loss("prob")]))
-    in_features = int(np.prod(trunk_shapes[-2][1])) if len(trunk) else int(np.prod(spec.input_shape))
+    in_features = math.prod(spec.shapes[len(trunk)])
     first_index = sum(1 for l in trunk if l.kind == "maxpool") + 1
     head = _head_layers(first_index, list(head_widths), in_features, dropout_rate)
     return NetworkSpec(spec.name, spec.input_shape, list(trunk) + head)
@@ -245,12 +260,9 @@ def frozen_prefix(spec: NetworkSpec, mask) -> int:
 
 
 def _check_batch(spec, batch, start):
-    shape = spec.input_shape
-    for layer in spec.layers[:start]:
-        shape = L.KINDS[layer.kind].out_shape(layer, shape)
-    if batch.ndim != 1 + len(shape) or tuple(batch.shape[1:]) != tuple(shape):
+    if batch.shape[1:] != spec.shapes[start]:
         where = "input contract" if start == 0 else f"input of layer {spec.layers[start].name!r}"
-        raise ShapeError(f"batch shape {batch.shape} does not match {where} {shape}")
+        raise ShapeError(f"batch shape {batch.shape} does not match {where} {spec.shapes[start]}")
 
 
 def _layer_params(layer, params):

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import os
 import struct
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from agecnn import (ConfigError, FormatError, IntegrityError, NetworkSpec,
-                    OptState, Rng, SgdConfig, build_profile, head_replace,
+                    OptState, Rng, SgdConfig, ShapeError, build_profile, head_replace,
                     import_trunk, init_params, init_state, load, make_mask,
                     save, train_epoch)
 from agecnn.checkpoint import HEADER_SIZE, MAGIC, VERSION
@@ -54,6 +55,23 @@ def write_forged(path, body):
     """Write a body under a valid header, its CRC recomputed to match."""
     with open(path, "wb") as fh:
         fh.write(MAGIC + struct.pack("<II", VERSION, zlib.crc32(body)) + body)
+
+
+def mutated_bodies(body, count, rng):
+    """Forged bodies, taking turns: a byte flipped anywhere, a truncation, 1 to 8
+    random bytes inserted, and a byte flipped among the first 600 (the network
+    record: names, hyperparameters and the first tensor headers)."""
+    for i in range(count):
+        bad = bytearray(body)
+        kind = i % 4
+        if kind == 1:
+            del bad[rng.integers(0, len(bad)):]
+        elif kind == 2:
+            at = rng.integers(0, len(bad) + 1)
+            bad[at:at] = bytes(rng.integers(0, 256) for _ in range(rng.integers(1, 9)))
+        else:
+            bad[rng.integers(0, len(bad) if kind == 0 else 600)] ^= rng.integers(1, 256)
+        yield bytes(bad)
 
 
 def traced_peak(fn):
@@ -229,6 +247,14 @@ class TestSaveValidation:
             save(spec, params, mask, str(tmp_path / "m.acnn"), state=state)
         assert os.listdir(tmp_path) == []
 
+    def test_misshaped_velocity_rejected(self, tmp_path):
+        spec, params, mask = mini_fixture()
+        state = sample_state(params, mask)
+        state.velocity["fc5"]["bias"] = np.zeros(3, np.float32)
+        with pytest.raises(ShapeError, match="fc5"):
+            save(spec, params, mask, str(tmp_path / "m.acnn"), state=state)
+        assert os.listdir(tmp_path) == []
+
     def test_velocity_for_frozen_layer_rejected(self, tmp_path):
         spec, params, mask = mini_fixture()
         state = sample_state(params, mask)
@@ -341,6 +367,41 @@ class TestLoadRejections:
             load(str(tmp_path / "absent.acnn"))
 
 
+class TestForgedBodies:
+    """Seeded mutations of a file with optimizer state, the CRC recomputed each
+    time, so that every forged body reaches the parser and the content checks."""
+
+    def test_every_failure_is_typed(self, tmp_path):
+        path = str(tmp_path / "forged.acnn")
+        spec, params, mask = mini_fixture()
+        body = saved_body(path, spec, params, mask, sample_state(params, mask))
+        outcomes = collections.Counter()
+        for bad in mutated_bodies(body, 500, Rng(2024)):
+            write_forged(path, bad)
+            try:
+                load(path)
+                outcomes["loaded"] += 1
+            except (FormatError, IntegrityError) as e:
+                outcomes[type(e).__name__] += 1
+        # Moves with the checks: a dropped check loads more, a reordered one
+        # trades FormatError for IntegrityError.
+        assert outcomes == {"loaded": 225, "IntegrityError": 228, "FormatError": 47}
+
+    def test_no_mask_record_loads_all_trainable(self, tmp_path):
+        path = str(tmp_path / "m.acnn")
+        spec, params, _ = mini_fixture()
+        frozen = make_mask(spec, {"fc5"})
+        body = saved_body(path, spec, params, frozen)
+        record = struct.pack("<BI", 1, len(frozen)) + b"".join(
+            packed_str(name) + bytes([trainable]) for name, trainable in frozen.items())
+        assert body.endswith(record + b"\x00")
+        write_forged(path, body[:-len(record) - 1] + b"\x00\x00")
+        _, loaded, mask, state = load(path)
+        assert mask == make_mask(spec, True)
+        assert state is None
+        assert_params_equal(loaded, params)
+
+
 class TestPartialVelocity:
     """Files whose optimizer state misses a trainable tensor, forged from valid
     files with the CRC recomputed, must fail at load rather than mid-training."""
@@ -447,7 +508,7 @@ class TestImportTrunk:
             maxpool("pool1"), fc("fc2", 8), softmax_loss()))
         with pytest.raises(IntegrityError) as err:
             import_trunk(path, other)
-        assert "conv1_1" in str(err.value)
+        assert "conv1_1" in str(err.value) and "weight" in str(err.value)
 
     def test_imported_trunk_evaluates_identically(self, tmp_path):
         spec, params, mask = mini_fixture()

@@ -185,9 +185,12 @@ class TestSurgery:
 
     def test_bad_head_is_runtime_failure(self, tmp_path, capsys):
         donor = make_model(tmp_path)
-        code = main(["surgery", "--in", donor, "--profile", "mini",
-                     "--head", "32,banana", "--out", str(tmp_path / "x.acnn")])
-        assert code == 1
+        for head in ("32,banana", ","):
+            code = main(["surgery", "--in", donor, "--profile", "mini",
+                         "--head", head, "--out", str(tmp_path / "x.acnn")])
+            assert code == 1
+            assert "head widths" in capsys.readouterr().err
+        assert not (tmp_path / "x.acnn").exists()
 
 
 class TestTrain:
@@ -515,6 +518,13 @@ CONFIG_CASES = [
     ("train", "epochs", "5", ["--epochs", "5"], ["--epochs", "6"]),
 ]
 
+# (config file line, the start of its error after "line 1: ")
+BAD_CONFIG_LINES = [
+    ("average = foo", "bad value"), ("shuffle = maybe", "bad value"),
+    ("batch_size = 4.5", "bad value"), ("lr = abc", "bad value"),
+    ("lr 0.05", "expected key=value"),
+]
+
 
 class TestConfigFile:
     @pytest.mark.parametrize("command, key, text, same, other", CONFIG_CASES,
@@ -535,9 +545,9 @@ class TestConfigFile:
         assert file_and_flag == flag_only
         assert file_and_flag[key] != from_file[key]
 
-    @pytest.mark.parametrize("line", ["average = foo", "shuffle = maybe", "batch_size = 4.5",
-                                      "lr = abc"])
-    def test_bad_value_is_usage_error(self, line, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("line, error", BAD_CONFIG_LINES,
+                             ids=[line for line, _ in BAD_CONFIG_LINES])
+    def test_bad_value_is_usage_error(self, line, error, tmp_path, monkeypatch, capsys):
         # predict takes --average but none of the other flags: their values
         # are still parsed, and a bad one rejected
         monkeypatch.setitem(cli._COMMANDS, "predict", lambda args: 0)
@@ -545,7 +555,7 @@ class TestConfigFile:
         cfg.write_text(line + "\n")
         code = main(["predict"] + REQUIRED["predict"] + ["--config", str(cfg)])
         assert code == 2
-        assert "bad value" in capsys.readouterr().err
+        assert f"bad.cfg: line 1: {error}" in capsys.readouterr().err
 
     def test_train_help_shows_sgd_config_defaults(self, capsys):
         with pytest.raises(SystemExit) as e:
@@ -560,6 +570,11 @@ class TestConfigFile:
                             ("--improvement-eps", sgd.improvement_epsilon)]:
             assert re.search(rf"{flag} [A-Z_]+ [^()]*\(default: {re.escape(str(value))}\)",
                              text), flag
+
+
+# (--means value, a part of its error)
+BAD_MEANS = [("nan,0,0", "finite"), ("0,inf,0", "finite"),
+             ("1,2", "expected three channel means"), ("a,b,c", "bad channel means")]
 
 
 class TestPredict:
@@ -628,15 +643,15 @@ class TestPredict:
         assert captured.out == ""
         assert "huge.ppm" in captured.err and "truncated PPM" in captured.err
 
-    @pytest.mark.parametrize("means", ["nan,0,0", "0,inf,0"])
-    def test_non_finite_means_are_runtime_failure(self, means, tmp_path, capsys):
+    @pytest.mark.parametrize("means, error", BAD_MEANS, ids=[means for means, _ in BAD_MEANS])
+    def test_non_finite_means_are_runtime_failure(self, means, error, tmp_path, capsys):
         model = make_model(tmp_path)
         _, manifest = dataset(tmp_path, count=1)
         listing = self._image_list(tmp_path, manifest)
         assert main(["predict", "--model", model, "--images", listing, "--means", means]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "finite" in captured.err
+        assert error in captured.err
 
 
 class TestEval:
@@ -687,6 +702,15 @@ class TestEval:
         row_names = [line.split()[0] for line in lines[1:9]]
         assert row_names == list(AGE_LABELS)
 
+    def test_empty_manifest_names_it_and_writes_no_report(self, tmp_path, capsys):
+        model = make_model(tmp_path)
+        blank = tmp_path / "empty.csv"
+        blank.write_text("path,label\n")
+        assert main(["eval", "--model", model, "--test", str(blank)]) == 1
+        captured = capsys.readouterr()
+        assert f"{blank}: manifest has no records" in captured.err
+        assert captured.out == ""
+        assert not os.path.exists(str(blank) + ".report.csv")
 
     def test_non_utf8_manifest_is_runtime_failure(self, tmp_path, capsys):
         model = make_model(tmp_path)

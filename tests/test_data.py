@@ -69,6 +69,14 @@ class TestManifest:
             load_manifest(self._write(tmp_path, "path,label,fold\na.ppm,0-2,x\n"))
         assert "row 2" in str(err.value)
 
+    @pytest.mark.parametrize("row, error", [("b.ppm", "expected at least path and label"),
+                                            (" ,0-2", "empty image path")],
+                             ids=["path-only", "empty-path"])
+    def test_incomplete_row_names_row(self, tmp_path, row, error):
+        with pytest.raises(ParseError) as err:
+            load_manifest(self._write(tmp_path, f"path,label\na.ppm,0-2\n{row}\n"))
+        assert "row 3: " + error in str(err.value)
+
     def test_missing_header_rejected(self, tmp_path):
         with pytest.raises(ParseError):
             load_manifest(self._write(tmp_path, "a.ppm,0-2\n"))
@@ -122,6 +130,19 @@ class TestPpm:
             fh.write(b"P6\n2 1\n65535\n" + bytes(12))
         with pytest.raises(FormatError):
             read_ppm(path)
+
+    @pytest.mark.parametrize("header, error", [
+        (b"P6\n2 1", "truncated PPM header"),
+        (b"P6\nx 1\n255\n", "malformed PPM header"),
+        (b"P6\n0 1\n255\n", "bad PPM dimensions 0x1"),
+    ], ids=["truncated", "non-integer-width", "zero-width"])
+    def test_malformed_header_rejected(self, tmp_path, header, error):
+        path = str(tmp_path / "x.ppm")
+        with open(path, "wb") as fh:
+            fh.write(header)
+        with pytest.raises(FormatError) as err:
+            read_ppm(path)
+        assert f"x.ppm: {error}" in str(err.value)
 
     def test_truncated_pixels_rejected(self, tmp_path):
         path = str(tmp_path / "x.ppm")

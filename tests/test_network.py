@@ -102,26 +102,25 @@ class TestInferShapes:
         assert shapes["fc5"] == (8,)
 
     def test_removing_a_pool_breaks_fc_width(self):
+        # a spec whose shapes do not chain fails when it is built
         spec = build_profile("mini")
         layers = tuple(l for l in spec.layers if l.name != "pool2")
-        broken = NetworkSpec("broken", spec.input_shape, layers)
         with pytest.raises(ShapeError) as err:
-            infer_shapes(broken)
+            NetworkSpec("broken", spec.input_shape, layers)
         assert "fc3" in str(err.value)
 
     def test_pinned_fc_width_rejects_other_input_sizes(self):
-        # profile fc layers declare their flattened input width, so feeding a
+        # profile fc layers declare their flattened input width, so a
         # different spatial size must fail at the first fc, by name
         spec = build_profile("mini")
         with pytest.raises(ShapeError) as err:
-            infer_shapes(spec, (3, 64, 64))
+            NetworkSpec(spec.name, (3, 64, 64), spec.layers)
         assert "fc3" in str(err.value)
 
     def test_unpinned_fc_adapts_to_input_shape(self):
-        spec = NetworkSpec("t", (1, 8, 8),
-                           (maxpool("p"), fc("f", 4), softmax_loss()))
-        assert dict(infer_shapes(spec))["f"] == (4,)
-        assert dict(infer_shapes(spec, (1, 16, 16)))["f"] == (4,)
+        layers = (maxpool("p"), fc("f", 4), softmax_loss())
+        assert dict(infer_shapes(NetworkSpec("t", (1, 8, 8), layers)))["f"] == (4,)
+        assert dict(infer_shapes(NetworkSpec("t", (1, 16, 16), layers)))["f"] == (4,)
 
 
 class TestParams:
