@@ -68,7 +68,12 @@ def load_manifest(path) -> DatasetManifest:
     base = os.path.dirname(os.path.abspath(path))
     records = []
     header = None
-    for lineno, row in enumerate(csv.reader(read_lines(path, ParseError)), start=1):
+    reader = csv.reader(read_lines(path, ParseError))
+    try:
+        rows = list(reader)
+    except csv.Error as e:  # e.g. a field over csv.field_size_limit()
+        raise ParseError(f"{path}: row {reader.line_num}: {e}") from None
+    for lineno, row in enumerate(rows, start=1):
         if not row or all(not cell.strip() for cell in row):
             continue
         if header is None:

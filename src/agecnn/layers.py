@@ -485,12 +485,10 @@ KINDS = {
         check=_require(lambda p: 0.0 <= p["rate"] < 1.0, "rate must be in [0, 1)"),
         forward=lambda s, x, w, mode, rng: dropout_forward(x, s.params["rate"], mode, rng),
         backward=lambda cache, d, *flags: dropout_backward(cache, d)),
-    # Eval mode returns softmax probabilities. Train mode passes the scores
-    # through, and so does its backward: the loss needs labels, so network
-    # takes it from softmax_log_loss / softmax_log_loss_backward.
+    # Forward and backward pass scores through: the loss needs labels, so
+    # network takes it from softmax_log_loss / softmax_log_loss_backward.
     "softmax_loss": LayerKind(
-        forward=lambda s, x, w, mode, rng: (softmax(x) if mode == "eval" else x,
-                                            {"scores": x}),
+        forward=lambda s, x, w, mode, rng: (x, {"scores": x}),
         backward=lambda cache, d, *flags: (d, {})),
 }
 

@@ -1,7 +1,7 @@
-"""Sequential network assembly: profiles, head surgery, the forward/backward
-pass with a per-layer freeze mask, and cache-free eval-mode runs of a layer
-range in micro-batches (the frozen prefix a training step and validation use
-as a fixed feature extractor).
+"""Sequential network assembly: profiles, head surgery and the two layer walks:
+``forward`` in train mode, keeping the caches ``backward`` reads under a
+per-layer freeze mask, and ``eval_layers``, the only eval-mode walk, cache-free
+in micro-batches (scoring, and the frozen prefix used as a feature extractor).
 
 A NetworkSpec decides its shapes when it is built: construction walks the
 layer kinds' shape rules once, stores every layer's input and output shape,
@@ -275,15 +275,14 @@ def _layer_params(layer, params):
 
 def forward(spec: NetworkSpec, params, batch, mode: str = "train", rng: Rng = None,
             start: int = 0):
-    """Apply layers[start:] in order. Returns (output, cache list of those layers).
+    """Apply layers[start:] in train mode. Returns (scores, cache list of those layers).
 
     With ``start`` > 0, ``batch`` is the output of the layers before it
-    (``eval_layers``). Train mode output is the pre-softmax score matrix (the
-    loss layer passes scores through; labels arrive at backward time). Eval
-    mode output is the softmax probability matrix, with dropout inactive.
+    (``eval_layers``, the one eval-mode walk). The loss layer passes the
+    pre-softmax scores through; labels arrive at backward time.
     """
-    if mode not in ("train", "eval"):
-        raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
+    if mode != "train":
+        raise ConfigError(f"forward runs train mode only, got {mode!r}; use eval_layers")
     _check_batch(spec, batch, start)
     x = batch
     caches = []
@@ -328,9 +327,9 @@ def backward(spec: NetworkSpec, params, caches, labels, mask):
     start = len(spec.layers) - len(caches)
     if not 0 <= start < len(spec.layers):
         raise StateError(f"expected 1 to {len(spec.layers)} caches, got {len(caches)}")
-    for layer, cache in zip(spec.layers[start:], caches):
-        if cache.name != layer.name or cache.mode != "train":
-            raise StateError(f"cache for layer {layer.name!r} is stale or from another network")
+    # the loss cache, read here; backward_layer checks every other cache it reads
+    if caches[-1].name != spec.layers[-1].name or caches[-1].mode != "train":
+        raise StateError(f"loss cache {caches[-1].name!r} is stale or from another network")
 
     trainable_idx = [i for i, l in enumerate(spec.layers) if l.has_params and mask[l.name]]
     grads = {}

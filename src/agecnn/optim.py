@@ -67,35 +67,28 @@ def init_state(params, mask, cfg: SgdConfig) -> OptState:
 
 
 def sgd_step(params, grads, mask, state: OptState, cfg: SgdConfig):
-    """One update: v <- mu*v - lr*(g + lambda*w); w <- w + v.
+    """One update, in place: v <- mu*v - lr*(g + lambda*w); w <- w + v.
 
-    Decay applies to weights only, never to biases.
-    Frozen tensors are passed through as the same objects, so they stay
-    bit-identical no matter how many steps run.
+    The one exception to ``tensor``'s immutability rule: once the gradients are checked,
+    each trainable tensor and its velocity are overwritten and the same ``params`` and
+    ``state`` come back. Decay spares biases; frozen tensors are never written.
     """
-    trainable = {name for name in params if mask.get(name)}
-    if set(grads) != trainable:
+    trainable = [name for name in params if mask.get(name)]
+    if set(grads) != set(trainable):
         raise StateError(
             f"gradients cover {sorted(grads)}, trainable layers are {sorted(trainable)}")
-    lr = state.lr
-    mu = cfg.momentum
-    new_params, new_velocity = {}, {}
-    for name, tensors in params.items():
-        if name not in trainable:
-            new_params[name] = tensors
-            continue
-        upd_t, upd_v = {}, {}
-        for tname, w in tensors.items():
-            g = grads[name].get(tname)
-            if g is None:
-                raise StateError(f"layer {name!r}: missing gradient for {tname!r}")
+    missing = [(n, t) for n in trainable for t in params[n] if t not in grads[n]]
+    if missing:
+        raise StateError(f"layer {missing[0][0]!r}: missing gradient for {missing[0][1]!r}")
+    for name in trainable:
+        for tname, w in params[name].items():
             lam = cfg.weight_decay if tname == "weight" else 0.0
-            v = mu * state.velocity[name][tname] - lr * (g + lam * w)
-            upd_v[tname] = v
-            upd_t[tname] = w + v
-        new_params[name] = upd_t
-        new_velocity[name] = upd_v
-    return new_params, replace(state, velocity=new_velocity)
+            v = state.velocity[name][tname]
+            # the float32 operations and order of mu * v - lr * (g + lam * w)
+            v *= cfg.momentum
+            v -= state.lr * (grads[name][tname] + lam * w)
+            w += v
+    return params, state
 
 
 def plateau_update(state: OptState, epoch_val_accuracy: float, cfg: SgdConfig) -> OptState:
@@ -121,9 +114,8 @@ def _step(spec, params, mask, state, cfg, x, labels, split, rng):
     if not np.isfinite(loss):
         raise StateError(f"epoch {state.epoch + 1}: batch loss is {loss}; "
                          "training diverged (try a lower learning rate)")
-    grads = backward(spec, params, caches, labels, mask)
-    params, state = sgd_step(params, grads, mask, state, cfg)
-    return params, state, loss
+    sgd_step(params, backward(spec, params, caches, labels, mask), mask, state, cfg)
+    return loss
 
 
 def train_epoch(spec, params, mask, state: OptState, cfg: SgdConfig, train_batches, rng):
@@ -131,8 +123,9 @@ def train_epoch(spec, params, mask, state: OptState, cfg: SgdConfig, train_batch
 
     The frozen prefix (``network.frozen_prefix``) runs as a fixed feature
     extractor, in eval mode and micro-batches with no caches kept; forward
-    keeps train-mode caches for the layers from there on only. Returns
-    (params', state', mean per-example loss). A non-finite batch loss raises
+    keeps train-mode caches for the layers from there on only. Each step
+    updates ``params`` and the velocity in place (``sgd_step``). Returns
+    (params, state', mean per-example loss). A non-finite batch loss raises
     StateError before that batch's step, and a non-finite trainable tensor
     after the last step raises StateError too. The final short batch is
     processed like any other; the mean weights batches by true example count.
@@ -141,7 +134,7 @@ def train_epoch(spec, params, mask, state: OptState, cfg: SgdConfig, train_batch
     total_loss = 0.0
     total_n = 0
     for x, labels in train_batches:
-        params, state, loss = _step(spec, params, mask, state, cfg, x, labels, split, rng)
+        loss = _step(spec, params, mask, state, cfg, x, labels, split, rng)
         n = x.shape[0]
         total_loss += loss * n
         total_n += n

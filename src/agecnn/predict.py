@@ -8,11 +8,11 @@ switches to averaging raw scores before a single softmax). Other networks
 (small profiles such as mini) take the image as it is as a single view, and
 an image of the wrong size fails as ShapeError.
 
-Each image is scored on its own, its views in one eval-mode forward:
-``predict_proba`` scores one image, ``predict_manifest`` (``eval`` and
-validation) each record of a manifest in turn. Validation in ``train``, which
-scores the same manifest every epoch behind frozen leading layers, computes
-those layers' outputs once per image (``manifest_features``) and passes them in.
+Each image is scored on its own, its views in one call of the one eval-mode
+walk, ``network.eval_layers``: ``predict_proba`` scores one image, and
+``predict_manifest`` (``eval`` and validation) each record of a manifest in
+turn. Validation in ``train`` computes the outputs of frozen leading layers
+once per image (``manifest_features``) and starts each epoch's walk there.
 """
 
 from __future__ import annotations
@@ -118,10 +118,15 @@ def predict_file(spec, params, path, average: str = AVERAGES[0],
 
 @dataclass(frozen=True)
 class ViewFeatures:
-    """Outputs of layers [0, stop), one array of view rows per manifest record."""
+    """Outputs of layers [0, stop), one array of view rows per record (at stop 0, its views)."""
 
     rows: tuple
     stop: int
+
+
+def _record_views(spec, manifest, channel_means):
+    """Each record's views, its image decoded only when the caller asks for them."""
+    return (_views(spec, decode_image(rec.path), channel_means) for rec in manifest.records)
 
 
 def manifest_features(spec, params, manifest, channel_means, stop) -> ViewFeatures:
@@ -129,7 +134,7 @@ def manifest_features(spec, params, manifest, channel_means, stop) -> ViewFeatur
 
     Each image is decoded and run on its own; only its outputs are kept.
     """
-    views = (_views(spec, decode_image(rec.path), channel_means) for rec in manifest.records)
+    views = _record_views(spec, manifest, channel_means)
     return ViewFeatures(tuple(net.eval_layers(spec, params, v, 0, stop) for v in views), stop)
 
 
@@ -143,10 +148,7 @@ def predict_manifest(spec, params, manifest, average: str = AVERAGES[0],
     its channel means apply.
     """
     _check_average(average)
-    truths = [rec.label for rec in manifest.records]
-    if features is None:
-        return [argmax(predict_file(spec, params, rec.path, average, channel_means))
-                for rec in manifest.records], truths
+    features = features or ViewFeatures(_record_views(spec, manifest, channel_means), 0)
     stop = len(spec.layers) - 1
-    return [argmax(_average(net.eval_layers(spec, params, rows, features.stop, stop), average))
-            for rows in features.rows], truths
+    return ([argmax(_average(net.eval_layers(spec, params, rows, features.stop, stop), average))
+             for rows in features.rows], [rec.label for rec in manifest.records])

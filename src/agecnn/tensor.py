@@ -3,7 +3,9 @@
 Tensors are plain numpy arrays in row-major order. Activations use the
 N x C x H x W layout (batch, channels, height, width); convolution weights use
 OutC x InC x kH x kW. Arrays are treated as immutable once written: operations
-return new arrays and never modify their inputs in place.
+return new arrays and never modify their inputs in place. The one exception is
+the momentum step (``optim.sgd_step``, and ``optim.train_epoch`` through it),
+which updates the trainable tensors and their velocities in place.
 """
 
 from __future__ import annotations

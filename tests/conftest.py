@@ -2,6 +2,7 @@
 
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,42 @@ def fd_max_rel_err(f, tensors, analytic, h=FD_H, samples=None, seed=0):
             fd = (up - down) / (2.0 * h)
             worst = max(worst, rel_err(flat_g[i], fd))
     return worst
+
+
+def traced_peak(fn):
+    """Peak bytes traced by tracemalloc while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Bytes with a meaning in a manifest, PPM header or config file: separators,
+# quotes, comments, NUL.
+SPECIAL_BYTES = b',\n\r\t ="#\0'
+
+
+def mutations(data, seed, count, head=None):
+    """``count`` seeded mutants of ``data``, each 1 to 3 edits: a bit flip,
+    1 to 4 inserted special or random bytes, or a deleted run of 1 to 8
+    bytes. With ``head``, every other mutant is edited in its first ``head`` bytes only."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        buf = bytearray(data)
+        for _ in range(int(rng.integers(1, 4))):
+            pos = int(rng.integers(0, (head if head and i % 2 else len(buf)) + 1))
+            op = int(rng.integers(0, 3))
+            if op == 0 and pos < len(buf):
+                buf[pos] ^= 1 << int(rng.integers(0, 8))
+            elif op == 1:
+                pool = SPECIAL_BYTES if rng.integers(0, 2) else bytes(range(256))
+                buf[pos:pos] = bytes(pool[int(j)] for j in
+                                     rng.integers(0, len(pool), int(rng.integers(1, 5))))
+            else:
+                del buf[pos:pos + int(rng.integers(1, 9))]
+        yield bytes(buf)
 
 
 def to64(params):

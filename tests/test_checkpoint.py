@@ -2,7 +2,6 @@ import collections
 import hashlib
 import os
 import struct
-import tracemalloc
 import zlib
 
 import numpy as np
@@ -16,7 +15,7 @@ from agecnn.checkpoint import HEADER_SIZE, MAGIC, VERSION
 from agecnn.cli import main
 from agecnn.network import eval_scores, param_shapes
 
-from conftest import write_dataset
+from conftest import traced_peak, write_dataset
 
 
 def mini_fixture(seed=0):
@@ -72,16 +71,6 @@ def mutated_bodies(body, count, rng):
         else:
             bad[rng.integers(0, len(bad) if kind == 0 else 600)] ^= rng.integers(1, 256)
         yield bytes(bad)
-
-
-def traced_peak(fn):
-    """Peak bytes traced by tracemalloc while fn runs."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def tensor_size(name, shape):

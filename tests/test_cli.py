@@ -15,7 +15,7 @@ from agecnn.cli import main
 from agecnn.data import decode_image
 from agecnn.layers import conv, fc, maxpool, relu, softmax_log_loss, softmax_loss
 
-from conftest import write_dataset
+from conftest import mutations, write_dataset
 
 LOG_LINE = re.compile(r"^\d+,[0-9.eE+-]+,\d+\.\d{6},\d\.\d{6},\d\.\d{6}$")
 
@@ -557,6 +557,18 @@ class TestConfigFile:
         assert code == 2
         assert f"bad.cfg: line 1: {error}" in capsys.readouterr().err
 
+    def test_mutated_files_are_usage_errors_or_accepted(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(cli._COMMANDS, "train", lambda args: 0)
+        valid = (b"# tuned by hand\nseed = 7\nepochs=3\nlr = 0.01  # lower\n"
+                 b"shuffle = no\naverage = score\nbatch-size = 4\n"
+                 b"dropout = 0.5\n")
+        cfg = tmp_path / "run.cfg"
+        codes = []
+        for data in mutations(valid, 13, 200):
+            cfg.write_bytes(data)
+            codes.append(main(["train"] + REQUIRED["train"] + ["--config", str(cfg)]))
+        assert set(codes) == {0, 2}
+
     def test_train_help_shows_sgd_config_defaults(self, capsys):
         with pytest.raises(SystemExit) as e:
             main(["train", "--help"])
@@ -711,6 +723,14 @@ class TestEval:
         assert f"{blank}: manifest has no records" in captured.err
         assert captured.out == ""
         assert not os.path.exists(str(blank) + ".report.csv")
+
+    def test_oversized_field_is_runtime_failure(self, tmp_path, capsys):
+        model = make_model(tmp_path)
+        manifest = tmp_path / "long.csv"
+        manifest.write_text(f"path,label\n{'x' * 200_000}.ppm,0-2\n")
+        assert main(["eval", "--model", model, "--test", str(manifest)]) == 1
+        assert f"{manifest}: row 2: field larger" in capsys.readouterr().err
+        assert not os.path.exists(str(manifest) + ".report.csv")
 
     def test_non_utf8_manifest_is_runtime_failure(self, tmp_path, capsys):
         model = make_model(tmp_path)

@@ -3,13 +3,13 @@ import os
 import numpy as np
 import pytest
 
-from agecnn import (AGE_LABELS, FormatError, ParameterError, ParseError,
+from agecnn import (AGE_LABELS, EngineError, FormatError, ParameterError, ParseError,
                     Preprocessing, Rng, ShapeError, batches, build_profile,
                     label_of, load_manifest, random_crop_224, read_ppm,
                     write_ppm)
 from agecnn.data import resize_bilinear
 
-from conftest import write_dataset
+from conftest import mutations, write_dataset
 
 
 class TestLabels:
@@ -89,6 +89,27 @@ class TestManifest:
         with pytest.raises(OSError):
             load_manifest(str(tmp_path / "absent.csv"))
 
+    def test_oversized_field_names_file_and_row(self, tmp_path):
+        # csv rejects a field over its 131,072-character limit
+        path = self._write(tmp_path, f"path,label\na.ppm,0-2\n{'x' * 200_000}.ppm,0-2\n")
+        with pytest.raises(ParseError) as err:
+            load_manifest(path)
+        assert str(err.value).startswith(f"{path}: row 3: field larger")
+
+    def test_mutated_manifests_fail_typed(self, tmp_path):
+        valid = ('path,label,fold,gender\na.ppm,0-2,0,f\n"b,c.ppm",25-32,1,m\n'
+                 '# c.ppm,60-,2,\n\nd.ppm,8-13,,\n').encode()
+        path = tmp_path / "m.csv"
+        outcomes = {"loaded": 0, "rejected": 0}
+        for data in [*mutations(valid, 11, 400), f"path,label\n{'x' * 200_000},0-2\n".encode()]:
+            path.write_bytes(data)
+            try:
+                load_manifest(str(path))
+                outcomes["loaded"] += 1
+            except EngineError:
+                outcomes["rejected"] += 1
+        assert min(outcomes.values()) > 0
+
 
 class TestPpm:
     def test_roundtrip(self, tmp_path):
@@ -151,6 +172,20 @@ class TestPpm:
         with pytest.raises(FormatError) as err:
             read_ppm(path)
         assert "x.ppm" in str(err.value)
+
+    def test_mutated_files_fail_typed(self, tmp_path):
+        path = tmp_path / "x.ppm"
+        write_ppm(str(path), (Rng(2).uniform((3, 4, 5)) * 255).astype(np.float32))
+        valid = path.read_bytes()
+        outcomes = {"decoded": 0, "rejected": 0}
+        for data in mutations(valid, 12, 400, head=len(b"P6\n5 4\n255\n")):
+            path.write_bytes(data)
+            try:
+                read_ppm(str(path))
+                outcomes["decoded"] += 1
+            except EngineError:
+                outcomes["rejected"] += 1
+        assert min(outcomes.values()) > 0
 
     def test_write_clips_range(self, tmp_path):
         img = np.array([[[-5.0, 300.0]]] * 3, np.float32)

@@ -5,7 +5,7 @@ from agecnn import (ConfigError, Rng, ShapeError, StateError, build_profile,
                     head_replace, infer_shapes, init_params, make_mask,
                     param_shapes, replace_head_spec)
 from agecnn import network as net
-from agecnn.layers import (conv, fc, forward_layer, maxpool, relu, softmax_loss,
+from agecnn.layers import (conv, fc, forward_layer, maxpool, relu, softmax, softmax_loss,
                            softmax_log_loss, softmax_log_loss_backward)
 from agecnn.network import NetworkSpec, trunk_and_head, validate_params
 
@@ -233,17 +233,17 @@ class TestForward:
         spec = build_profile("mini")
         params = init_params(spec, Rng(3))
         x = Rng(4).normal((2, 3, 32, 32)).astype(np.float32)
-        probs, caches = net.forward(spec, params, x, mode="eval")
-        assert probs.shape == (2, 8)
-        assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
-        assert len(caches) == len(spec.layers)
+        scores = net.eval_scores(spec, params, x)
+        assert scores.shape == (2, 8)
+        assert np.array_equal(net.eval_layers(spec, params, x, 0, len(spec.layers) - 1), scores)
+        assert np.allclose(softmax(scores).sum(axis=1), 1.0, atol=1e-6)
 
     def test_eval_deterministic(self):
         spec = build_profile("mini")
         params = init_params(spec, Rng(3))
         x = Rng(4).normal((2, 3, 32, 32)).astype(np.float32)
-        a, _ = net.forward(spec, params, x, mode="eval")
-        b, _ = net.forward(spec, params, x, mode="eval")
+        a = net.eval_scores(spec, params, x)
+        b = net.eval_scores(spec, params, x)
         assert np.array_equal(a, b)
 
     def test_train_mode_seeded_repeatable(self):
@@ -288,14 +288,19 @@ class TestForward:
     def test_batch_shape_checked(self):
         spec = build_profile("mini")
         params = init_params(spec, Rng(3))
+        x = np.zeros((2, 3, 16, 16), np.float32)
         with pytest.raises(ShapeError):
-            net.forward(spec, params, np.zeros((2, 3, 16, 16), np.float32), mode="eval")
+            net.eval_layers(spec, params, x, 0, len(spec.layers) - 1)
+        with pytest.raises(ShapeError):
+            net.forward(spec, params, x, "train", Rng(9))
 
     def test_bad_mode_rejected(self):
+        # eval-mode runs go through eval_layers, the one eval walk
         spec = build_profile("mini")
         params = init_params(spec, Rng(3))
-        with pytest.raises(ConfigError):
-            net.forward(spec, params, np.zeros((1, 3, 32, 32), np.float32), mode="test")
+        for mode in ("test", "eval"):
+            with pytest.raises(ConfigError, match="eval_layers"):
+                net.forward(spec, params, np.zeros((1, 3, 32, 32), np.float32), mode=mode)
 
 
 class TestFrozenPrefix:
@@ -415,9 +420,21 @@ class TestBackward:
         spec = build_profile("mini")
         params = init_params(spec, Rng(5))
         x = Rng(6).normal((1, 3, 32, 32)).astype(np.float32)
-        _, caches = net.forward(spec, params, x, mode="eval")
+        y, caches = x, []
+        for layer in spec.layers:
+            y, cache = forward_layer(layer, y, params.get(layer.name), "eval")
+            caches.append(cache)
+        mask = make_mask(spec, True)
         with pytest.raises(StateError):
-            net.backward(spec, params, caches, [0], make_mask(spec, True))
+            net.backward(spec, params, caches, [0], mask)
+        # one eval-mode cache among train-mode ones: backward reads the loss
+        # cache itself and hands every other one to backward_layer
+        _, train_caches = net.forward(spec, params, x, "train", Rng(7))
+        for i, error in ((-1, "loss cache"), (3, "train-mode")):
+            mixed = list(train_caches)
+            mixed[i] = caches[i]
+            with pytest.raises(StateError, match=error):
+                net.backward(spec, params, mixed, [0], mask)
 
     def test_end_to_end_finite_differences_small_net(self):
         # tiny dedicated net (no dropout) so every coordinate can be probed

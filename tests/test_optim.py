@@ -7,6 +7,8 @@ from agecnn import optim
 from agecnn.optim import (OptState, SgdConfig, init_state, plateau_update,
                           sgd_step, train_epoch)
 
+from conftest import traced_peak
+
 LN8 = 2.0794415416798357
 
 
@@ -100,6 +102,64 @@ class TestSgdStep:
         with pytest.raises(StateError):
             sgd_step(params, grads, mask, state, cfg)
 
+    def _trainable_set(self, layers, shape):
+        rng = Rng(40)
+        params = {f"f{i}": {"weight": rng.normal(shape).astype(np.float32),
+                            "bias": rng.normal(shape[-1:]).astype(np.float32)}
+                  for i in range(layers)}
+        mask = dict.fromkeys(params, True)
+        cfg = SgdConfig(lr0=0.05, momentum=0.9, weight_decay=1e-3, batch_size=1)
+        return params, mask, cfg, init_state(params, mask, cfg)
+
+    def _grads(self, params, seed):
+        rng = Rng(seed)
+        return {n: {t: rng.normal(a.shape).astype(np.float32) for t, a in g.items()}
+                for n, g in params.items()}
+
+    def test_in_place_step_matches_out_of_place_formula(self):
+        params, mask, cfg, state = self._trainable_set(2, (5, 3))
+        ref_w = {n: {t: a.copy() for t, a in g.items()} for n, g in params.items()}
+        ref_v = {n: {t: np.zeros_like(a) for t, a in g.items()} for n, g in params.items()}
+        arrays = {(n, t): (params[n][t], state.velocity[n][t]) for n in params for t in params[n]}
+        for step in range(3):
+            grads = self._grads(params, step)
+            got_params, got_state = sgd_step(params, grads, mask, state, cfg)
+            assert got_params is params and got_state is state
+            for n in params:
+                for t in ("weight", "bias"):
+                    assert params[n][t] is arrays[n, t][0]
+                    assert state.velocity[n][t] is arrays[n, t][1]
+                    lam = cfg.weight_decay if t == "weight" else 0.0
+                    ref_v[n][t] = (cfg.momentum * ref_v[n][t]
+                                   - state.lr * (grads[n][t] + lam * ref_w[n][t]))
+                    ref_w[n][t] = ref_w[n][t] + ref_v[n][t]
+                    assert params[n][t].tobytes() == ref_w[n][t].tobytes()
+                    assert state.velocity[n][t].tobytes() == ref_v[n][t].tobytes()
+
+    def test_bad_gradients_write_nothing(self):
+        params, mask, cfg, state = self._trainable_set(2, (5, 3))
+        sgd_step(params, self._grads(params, 1), mask, state, cfg)  # nonzero velocity
+
+        def snapshot():
+            return [a.tobytes() for group in (params, state.velocity)
+                    for n in group for a in group[n].values()]
+
+        before = snapshot()
+        good = self._grads(params, 2)
+        for bad in ({"f0": good["f0"]},
+                    {**good, "g": good["f0"]},
+                    {"f0": good["f0"], "f1": {"weight": good["f1"]["weight"]}}):
+            with pytest.raises(StateError):
+                sgd_step(params, bad, mask, state, cfg)
+            assert snapshot() == before
+
+    def test_step_allocates_no_new_tensors(self):
+        # the old out-of-place step allocated about 2.2x all trainable bytes
+        params, mask, cfg, state = self._trainable_set(4, (512, 512))
+        grads = self._grads(params, 3)
+        peak = traced_peak(lambda: sgd_step(params, grads, mask, state, cfg))
+        assert peak < 2.5 * params["f0"]["weight"].nbytes
+
     def test_quadratic_descent_is_monotone(self):
         # L(w) = 0.5*(w-3)^2, gradient w-3; plain SGD at lr 1e-2
         params = {"f": {"weight": np.array([10.0]), "bias": np.zeros(1)}}
@@ -184,12 +244,13 @@ class TestTrainEpoch:
 
     def test_lr_zero_leaves_params_unchanged(self):
         spec, params, mask, cfg, state, x, labels = self._setup(1e-30)
+        before = {n: {t: a.copy() for t, a in g.items()} for n, g in params.items()}
         new_params, new_state, loss = train_epoch(
             spec, params, mask, state, cfg, one_batch_stream(x, labels), Rng(5))
         for name in params:
             for tname in params[name]:
                 assert np.allclose(new_params[name][tname],
-                                   params[name][tname], atol=1e-25)
+                                   before[name][tname], atol=1e-25)
         assert loss == pytest.approx(LN8, abs=0.1)
 
     def test_first_epoch_loss_near_ln8(self):
@@ -199,11 +260,14 @@ class TestTrainEpoch:
         assert abs(loss - LN8) < 0.1
 
     def test_deterministic_given_seed(self):
+        # two separately built sets: the step updates its inputs in place
         spec, params, mask, cfg, state, x, labels = self._setup(0.01)
         a, _, _ = train_epoch(spec, params, mask, state, cfg,
                               one_batch_stream(x, labels, 3), Rng(5))
+        spec, params, mask, cfg, state, x, labels = self._setup(0.01)
         b, _, _ = train_epoch(spec, params, mask, state, cfg,
                               one_batch_stream(x, labels, 3), Rng(5))
+        assert a is not b
         for name in a:
             for tname in a[name]:
                 assert np.array_equal(a[name][tname], b[name][tname])
