@@ -29,10 +29,12 @@ Layer names key the chunks, so replacing the fully connected head of a
 network does not invalidate files holding its convolutional trunk. The CRC
 covers the whole body, so any single corrupted byte past the version field is
 rejected before parsing. The writer streams the body straight to disk,
-computing the CRC as it goes, and fills in the header's CRC field last; the
-reader checks the CRC over the file buffer and copies each tensor out of it
-once. Files are written to a temp path and renamed into place, so readers
-never observe a partial file.
+computing the CRC as it goes, and fills in the header's CRC field last. The
+reader makes two passes over one open file: it checks the CRC over the body in
+64 KiB chunks, then seeks back and reads each tensor from the file straight
+into its own array. Files are written to a temp path and renamed into place
+(os.replace), so readers never observe a partial file, and a reader holding
+the file open keeps reading the old one: both passes see the same bytes.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ def _check_content(spec, params, mask, state):
 
 
 class _Writer:
-    """Mirror of _Cursor: appends to an open file and keeps the CRC of all it wrote."""
+    """Mirror of _Reader: appends to an open file and keeps the CRC of all it wrote."""
 
     def __init__(self, fh):
         self.fh = fh
@@ -149,17 +151,16 @@ def save(spec, params, mask, path, state: OptState | None = None) -> None:
         raise
 
 
-class _Cursor:
-    def __init__(self, buf, path):
-        self.buf = buf
-        self.off = HEADER_SIZE
+class _Reader:
+    def __init__(self, fh, size, path):
+        self.fh = fh
+        self.size = size
         self.path = path
 
     def raw(self, n):
-        if n < 0 or self.off + n > len(self.buf):
+        piece = self.fh.read(n)
+        if len(piece) != n:
             raise FormatError(f"{self.path}: truncated file")
-        piece = self.buf[self.off:self.off + n]
-        self.off += n
         return piece
 
     def unpack(self, fmt):
@@ -179,12 +180,13 @@ class _Cursor:
         if rank > MAX_RANK:
             raise IntegrityError(f"{self.path}: tensor {name!r} has rank {rank} > {MAX_RANK}")
         shape = self.unpack(f"{rank}I")
-        count = math.prod(shape)
-        if 4 * count > len(self.buf) - self.off:
+        if 4 * math.prod(shape) > self.size - self.fh.tell():
             raise IntegrityError(
                 f"{self.path}: tensor {name!r} of shape {shape} overruns the file")
-        # the one copy: from the file buffer into a writable float32 array
-        data = np.frombuffer(self.raw(4 * count), dtype="<f4").reshape(shape).astype(np.float32)
+        # the one copy: from the file into the tensor's own float32 array
+        data = np.empty(shape, "<f4")
+        if self.fh.readinto(data) != data.nbytes:
+            raise FormatError(f"{self.path}: truncated file")
         return name, data
 
     def tensor_group(self):
@@ -192,8 +194,7 @@ class _Cursor:
         return dict(self.tensor() for _ in range(count))
 
 
-def _parse(buf, path):
-    cur = _Cursor(buf, path)
+def _parse(cur, path):
     name = cur.string()
     (rank,) = cur.unpack("B")
     input_shape = cur.unpack(f"{rank}I")
@@ -236,26 +237,27 @@ def _parse(buf, path):
             velocity[vname] = cur.tensor_group()
         state = OptState(velocity=velocity, lr=lr, best_accuracy=best,
                          epochs_since_improvement=stalled, epoch=epoch)
-    if cur.off != len(buf):
-        raise FormatError(f"{path}: {len(buf) - cur.off} unexpected trailing bytes")
+    if cur.fh.tell() != cur.size:
+        raise FormatError(f"{path}: {cur.size - cur.fh.tell()} unexpected trailing bytes")
     return spec, params, mask, state
 
 
 def load(path):
     """Read a checkpoint back as (spec, params, mask, state-or-None)."""
     with open(path, "rb") as fh:
-        buf = memoryview(fh.read())
-    if len(buf) < HEADER_SIZE:
-        raise FormatError(f"{path}: truncated file")
-    if buf[:4] != MAGIC:
-        raise FormatError(f"{path}: bad magic {bytes(buf[:4])!r}")
-    version, stored_crc = struct.unpack("<II", buf[4:HEADER_SIZE])
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    if zlib.crc32(buf[HEADER_SIZE:]) != stored_crc:
-        raise IntegrityError(f"{path}: checksum mismatch")
-
-    spec, params, mask, state = _parse(buf, path)
+        cur = _Reader(fh, os.fstat(fh.fileno()).st_size, path)
+        magic, version, stored_crc = cur.unpack("4sII")
+        if magic != MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}")
+        if version != VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        crc = 0
+        while chunk := fh.read(1 << 16):
+            crc = zlib.crc32(chunk, crc)
+        if crc != stored_crc:
+            raise IntegrityError(f"{path}: checksum mismatch")
+        fh.seek(HEADER_SIZE)
+        spec, params, mask, state = _parse(cur, path)
     if mask is None:
         mask = net.make_mask(spec, True)
     try:

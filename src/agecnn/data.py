@@ -130,6 +130,9 @@ def _ppm_token(fh, path):
 
 def read_ppm(path) -> np.ndarray:
     """Decode a binary PPM (P6, maxval 255) into a float32 3xHxW tensor."""
+    if "\0" in os.fspath(path):
+        # open() would raise ValueError, which no caller treats as bad input
+        raise FormatError(f"{path!r}: image path holds a NUL byte")
     with open(path, "rb") as fh:
         if fh.read(2) != b"P6":
             raise FormatError(f"{path}: not a binary PPM (P6) file")

@@ -356,7 +356,7 @@ def dropout_forward(x, p, mode, rng: Optional[Rng] = None):
     if not 0.0 <= p < 1.0:
         raise ParameterError(f"dropout rate must be in [0, 1), got {p}")
     if mode == "eval":
-        return x, {"mask": None}
+        return x, {}
     if rng is None:
         raise ParameterError("dropout in train mode needs an rng")
     keep = rng.uniform(x.shape) >= p
@@ -365,8 +365,7 @@ def dropout_forward(x, p, mode, rng: Optional[Rng] = None):
 
 
 def dropout_backward(cache, d_out):
-    mask = cache["mask"]
-    return (d_out if mask is None else d_out * mask), {}
+    return d_out * cache["mask"], {}
 
 
 # ---------------------------------------------------------------------------

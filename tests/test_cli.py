@@ -1,3 +1,4 @@
+import collections
 import os
 import re
 from dataclasses import replace
@@ -738,6 +739,56 @@ class TestEval:
         manifest.write_bytes(b"path,label\ncaf\xe9.ppm,0-2\n")
         assert main(["eval", "--model", model, "--test", str(manifest)]) == 1
         assert "not UTF-8" in capsys.readouterr().err
+
+
+class TestNulBytePath:
+    """An image path holding a NUL byte fails as that image's typed error."""
+
+    def _manifest(self, tmp_path):
+        _, loaded = dataset(tmp_path, count=2)
+        manifest = tmp_path / "nul.csv"
+        manifest.write_text(f"path,label\na\0b.ppm,0-2\n{loaded.records[0].path},0-2\n")
+        return str(manifest)
+
+    def test_predict_prints_good_rows_and_exits_1(self, tmp_path, capsys):
+        model = make_model(tmp_path)
+        _, loaded = dataset(tmp_path, count=1)
+        good = loaded.records[0].path
+        listing = tmp_path / "images.txt"
+        listing.write_text(f"a\0b.ppm\n{good}\n")
+        assert main(["predict", "--model", model, "--images", str(listing)]) == 1
+        captured = capsys.readouterr()
+        rows = captured.out.strip().splitlines()
+        assert len(rows) == 1 and rows[0].startswith(good + ",")
+        assert "'a\\x00b.ppm': image path holds a NUL byte" in captured.err
+
+    def test_eval_exits_1_and_writes_no_report(self, tmp_path, capsys):
+        model = make_model(tmp_path)
+        manifest = self._manifest(tmp_path)
+        assert main(["eval", "--model", model, "--test", manifest]) == 1
+        assert "image path holds a NUL byte" in capsys.readouterr().err
+        assert not os.path.exists(manifest + ".report.csv")
+
+    def test_train_exits_1_and_writes_no_checkpoint(self, tmp_path, capsys):
+        model = make_model(tmp_path)
+        manifest = self._manifest(tmp_path)
+        out = tmp_path / "ck.acnn"
+        assert main(["train", "--model", model, "--train", manifest, "--val", manifest,
+                     "--epochs", "1", "--out", str(out)]) == 1
+        assert "image path holds a NUL byte" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mutated_manifests_never_raise_through_eval(self, tmp_path, capsys):
+        model = make_model(tmp_path)
+        dataset(tmp_path, count=2)
+        valid = b"path,label\nimg000.ppm,0-2\nimg001.ppm,4-6\n"
+        manifest = tmp_path / "m.csv"
+        codes = collections.Counter()
+        for data in mutations(valid, 14, 24):
+            manifest.write_bytes(data)
+            codes[main(["eval", "--model", model, "--test", str(manifest)])] += 1
+        capsys.readouterr()
+        assert set(codes) == {0, 1}
 
 
 class TestInspect:
