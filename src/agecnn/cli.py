@@ -12,6 +12,7 @@ so reruns and resumed runs are bit-reproducible.
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import sys
 
@@ -252,17 +253,17 @@ def cmd_predict(args):
     _check_classes(spec)
     failures = 0
     paths = [line.strip() for line in data.read_lines(args.images, ParseError) if line.strip()]
+    rows = csv.writer(sys.stdout, lineterminator="\n")
     for path in paths:
         try:
             probs = predict.predict_file(spec, params, path, average=args.average,
                                          channel_means=means)
         except (EngineError, OSError) as e:
-            print(f"{path}: {e}", file=sys.stderr)
+            shown = path if path.isprintable() else repr(path)
+            print(f"{shown}: {e}", file=sys.stderr)
             failures += 1
             continue
-        label = AGE_LABELS[argmax(probs)]
-        cells = ",".join(f"{p:.6f}" for p in probs)
-        print(f"{path},{label},{cells}")
+        rows.writerow([path, AGE_LABELS[argmax(probs)], *(f"{p:.6f}" for p in probs)])
     return 1 if failures else 0
 
 

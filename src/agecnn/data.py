@@ -48,7 +48,6 @@ class ManifestRecord:
 @dataclass(frozen=True)
 class DatasetManifest:
     records: tuple
-    source: str
 
     def __len__(self):
         return len(self.records)
@@ -101,7 +100,7 @@ def load_manifest(path) -> DatasetManifest:
         records.append(ManifestRecord(img, label))
     if header is None:
         raise ParseError(f"{path}: empty manifest (missing header)")
-    return DatasetManifest(tuple(records), os.path.abspath(path))
+    return DatasetManifest(tuple(records))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +267,8 @@ def batches(manifest: DatasetManifest, batch_size: int, shuffle: bool = False,
     """Yield (float32 Nx3xHxW tensor, label list) batches over the manifest.
 
     Record order follows the manifest, or a seeded permutation when shuffling;
-    the final batch may be short.
+    the final batch may be short. Each image is written straight into its
+    batch's array, so while a batch is out only that array is held.
     """
     if batch_size < 1:
         raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
@@ -280,14 +280,13 @@ def batches(manifest: DatasetManifest, batch_size: int, shuffle: bool = False,
     else:
         order = np.arange(n)
     for start in range(0, n, batch_size):
-        group = order[start:start + batch_size]
-        imgs, labels = [], []
-        for idx in group:
-            rec = manifest.records[int(idx)]
+        group = [manifest.records[int(idx)] for idx in order[start:start + batch_size]]
+        for i, rec in enumerate(group):
             img = apply_preprocessing(decode_image(rec.path), preprocessing, rng)
-            if imgs and img.shape != imgs[0].shape:
+            if i == 0:
+                x = np.empty((len(group),) + img.shape, img.dtype)
+            elif img.shape != x.shape[1:]:
                 raise ShapeError(
-                    f"{rec.path}: image shape {img.shape} differs from batch {imgs[0].shape}")
-            imgs.append(img)
-            labels.append(rec.label)
-        yield np.stack(imgs), labels
+                    f"{rec.path}: image shape {img.shape} differs from batch {x.shape[1:]}")
+            x[i] = img
+        yield x, [rec.label for rec in group]

@@ -111,11 +111,10 @@ def softmax_loss(name="prob") -> LayerSpec:
 
 @dataclass
 class LayerCache:
-    """Values kept from one forward call for the matching backward call."""
+    """Values one train-mode forward call keeps for the matching backward call."""
 
     name: str
     kind: str
-    mode: str
     data: dict
 
 
@@ -495,13 +494,15 @@ KINDS = {
 def forward_layer(spec: LayerSpec, x, params=None, mode="train", rng=None):
     """Run one layer forward, after the shape rule NetworkSpec applies.
 
-    Returns (output, LayerCache).
+    Returns (output, LayerCache), or (output, None) in eval mode.
     """
     kind = KINDS[spec.kind]
     kind.out_shape(spec, x.shape[1:])
     y, data = kind.forward(spec, x, params, mode, rng)
+    if mode == "eval":
+        return y, None
     data["_out_shape"] = y.shape
-    return y, LayerCache(spec.name, spec.kind, mode, data)
+    return y, LayerCache(spec.name, spec.kind, data)
 
 
 def backward_layer(spec: LayerSpec, cache: LayerCache, d_out,
@@ -510,8 +511,6 @@ def backward_layer(spec: LayerSpec, cache: LayerCache, d_out,
     if cache.name != spec.name or cache.kind != spec.kind:
         raise StateError(
             f"cache from layer {cache.name!r}/{cache.kind} fed to {spec.name!r}/{spec.kind}")
-    if cache.mode != "train":
-        raise StateError(f"layer {spec.name!r}: backward needs a train-mode cache")
     if d_out.shape != cache.data["_out_shape"]:
         raise ShapeError(
             f"layer {spec.name!r}: upstream gradient shape {d_out.shape} does not match "

@@ -62,7 +62,7 @@ class NetworkSpec:
         return [l for l in self.layers if l.has_params]
 
 
-def _trunk_layers(blocks, norm_n=3):
+def _trunk_layers(blocks):
     """VGG-style trunk: per block, 3x3/s1/p1 convs + relus, then a 2x2/s2 pool.
 
     ``blocks`` is a list of channel lists; normed blocks get an
@@ -74,7 +74,7 @@ def _trunk_layers(blocks, norm_n=3):
             out.append(L.conv(f"conv{b}_{i}", ch))
             out.append(L.relu(f"relu{b}_{i}"))
             if normed and i == 1:
-                out.append(L.lrn(f"norm{b}", n=norm_n))
+                out.append(L.lrn(f"norm{b}", n=3))
         out.append(L.maxpool(f"pool{b}"))
     return out
 
@@ -295,7 +295,8 @@ def forward(spec: NetworkSpec, params, batch, mode: str = "train", rng: Rng = No
 def eval_layers(spec: NetworkSpec, params, batch, start: int, stop: int):
     """Eval-mode output of layers [start, stop), MICRO_BATCH rows per call.
 
-    No cache outlives its layer call. ``start`` == ``stop`` returns ``batch``.
+    No layer call returns a cache, so a micro-batch holds one activation at a
+    time. ``start`` == ``stop`` returns ``batch``.
     """
     _check_batch(spec, batch, start)
     if start == stop:
@@ -328,7 +329,7 @@ def backward(spec: NetworkSpec, params, caches, labels, mask):
     if not 0 <= start < len(spec.layers):
         raise StateError(f"expected 1 to {len(spec.layers)} caches, got {len(caches)}")
     # the loss cache, read here; backward_layer checks every other cache it reads
-    if caches[-1].name != spec.layers[-1].name or caches[-1].mode != "train":
+    if caches[-1].name != spec.layers[-1].name:
         raise StateError(f"loss cache {caches[-1].name!r} is stale or from another network")
 
     trainable_idx = [i for i, l in enumerate(spec.layers) if l.has_params and mask[l.name]]

@@ -1,6 +1,9 @@
 import collections
+import csv
+import io
 import os
 import re
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -611,6 +614,24 @@ class TestPredict:
             assert len(probs) == 8
             assert abs(sum(probs) - 1.0) < 1e-6
 
+    def test_paths_with_commas_and_quotes_parse_back(self, tmp_path, capsys):
+        # rows are csv-quoted where a path needs it, so each parses back to
+        # 10 cells and its path; a plain path is written as it is
+        model = make_model(tmp_path)
+        _, manifest = dataset(tmp_path, count=1)
+        plain = manifest.records[0].path
+        odd = [str(tmp_path / "a,b.ppm"), str(tmp_path / 'say "hi".ppm')]
+        for path in odd:
+            shutil.copyfile(plain, path)
+        listing = tmp_path / "images.txt"
+        listing.write_text("\n".join([plain, *odd]) + "\n")
+        assert main(["predict", "--model", model, "--images", str(listing)]) == 0
+        out = capsys.readouterr().out
+        rows = list(csv.reader(io.StringIO(out)))
+        assert [row[0] for row in rows] == [plain, *odd]
+        assert all(len(row) == 10 and row[1:] == rows[0][1:] for row in rows)
+        assert out.startswith(plain + ",")
+
     def test_deterministic_across_runs(self, tmp_path, capsys):
         model = make_model(tmp_path)
         _, manifest = dataset(tmp_path, count=3)
@@ -761,6 +782,14 @@ class TestNulBytePath:
         rows = captured.out.strip().splitlines()
         assert len(rows) == 1 and rows[0].startswith(good + ",")
         assert "'a\\x00b.ppm': image path holds a NUL byte" in captured.err
+
+    def test_predict_error_line_holds_no_raw_nul(self, tmp_path, capsys):
+        model = make_model(tmp_path)
+        listing = tmp_path / "images.txt"
+        listing.write_text("a\0b.ppm\n")
+        assert main(["predict", "--model", model, "--images", str(listing)]) == 1
+        err = capsys.readouterr().err
+        assert "\0" not in err and err.startswith("'a\\x00b.ppm': ")
 
     def test_eval_exits_1_and_writes_no_report(self, tmp_path, capsys):
         model = make_model(tmp_path)

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -296,6 +297,24 @@ class TestBatches:
 
     def _pre(self):
         return Preprocessing(rescale_to=None, crop_to=None, random_crop=False)
+
+    def test_only_the_batch_is_held_while_a_step_runs(self, tmp_path):
+        # during a step the consumer's batch is all a batch holds; building the
+        # next one while the consumer still holds the last one doubles it
+        m = self._manifest(tmp_path, 128)
+        tracemalloc.start()
+        try:
+            stream = batches(m, 64, preprocessing=self._pre())
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            during = []
+            for x, _ in stream:
+                during.append((tracemalloc.get_traced_memory()[0] - base) / x.nbytes)
+            peak = (tracemalloc.get_traced_memory()[1] - base) / x.nbytes
+        finally:
+            tracemalloc.stop()
+        assert len(during) == 2 and max(during) < 1.1
+        assert 1.9 < peak < 2.2
 
     def test_batch_sizes(self, tmp_path):
         m = self._manifest(tmp_path, 10)

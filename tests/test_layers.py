@@ -3,13 +3,13 @@ import pytest
 
 from agecnn import Rng
 from agecnn.errors import LabelError, ParameterError, ShapeError, StateError
-from agecnn.layers import (LayerSpec, conv, conv2d_backward, conv2d_forward,
+from agecnn.layers import (KINDS, LayerSpec, conv, conv2d_backward, conv2d_forward,
                            dropout, dropout_backward, dropout_forward, fc,
                            fc_backward, fc_forward, forward_layer,
                            backward_layer, lrn, lrn_backward, lrn_forward,
                            maxpool, maxpool_backward, maxpool_forward, relu,
                            relu_backward, relu_forward, softmax,
-                           softmax_log_loss, softmax_log_loss_backward)
+                           softmax_log_loss, softmax_log_loss_backward, softmax_loss)
 
 from conftest import fd_max_rel_err
 
@@ -538,8 +538,12 @@ class TestDispatch:
             (relu("r"), None),
             (lrn("n", n=3), None),
             (maxpool("p"), None),
+            (fc("f", 5), {"weight": r.normal(size=(192, 5)).astype(np.float32),
+                          "bias": np.zeros(5, np.float32)}),
             (dropout("d", 0.5), None),
+            (softmax_loss(), None),
         ]
+        assert {spec.kind for spec, _ in cases} == set(KINDS)
         for spec, params in cases:
             y, cache = forward_layer(spec, x, params, mode="train", rng=Rng(1))
             d_in, d_params = backward_layer(spec, cache, np.ones_like(y))
@@ -548,6 +552,7 @@ class TestDispatch:
                 assert set(d_params) == {"weight", "bias"}
             else:
                 assert d_params == {}
+            assert forward_layer(spec, x, params, "eval")[1] is None
 
     def test_backward_rejects_wrong_shape(self):
         spec = relu("r")

@@ -1,9 +1,12 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from agecnn import (ConfigError, Rng, ShapeError, StateError, build_profile,
                     head_replace, infer_shapes, init_params, make_mask,
                     param_shapes, replace_head_spec)
+from agecnn import layers as L
 from agecnn import network as net
 from agecnn.layers import (conv, fc, forward_layer, maxpool, relu, softmax, softmax_loss,
                            softmax_log_loss, softmax_log_loss_backward)
@@ -238,6 +241,29 @@ class TestForward:
         assert np.array_equal(net.eval_layers(spec, params, x, 0, len(spec.layers) - 1), scores)
         assert np.allclose(softmax(scores).sum(axis=1), 1.0, atol=1e-6)
 
+    def test_eval_walk_drops_what_a_layer_computed(self, monkeypatch):
+        # norm1's input, window base and scale are dead by the time conv1_2
+        # runs: only norm1's output is held between the two layer calls
+        spec = build_profile("mini")
+        params = init_params(spec, Rng(3))
+        kept, alive = [], []
+        real_lrn, real_layer = L.lrn_forward, L.forward_layer
+
+        def lrn_spy(x, **hypers):
+            y, data = real_lrn(x, **hypers)
+            kept.extend(weakref.ref(data[key]) for key in ("x", "denom_base", "scale"))
+            return y, data
+
+        def layer_spy(layer, x, *args):
+            if layer.name == "conv1_2":
+                alive.append([ref() is not None for ref in kept])
+            return real_layer(layer, x, *args)
+
+        monkeypatch.setattr(L, "lrn_forward", lrn_spy)
+        monkeypatch.setattr(L, "forward_layer", layer_spy)
+        net.eval_scores(spec, params, Rng(4).normal((3, 3, 32, 32)).astype(np.float32))
+        assert alive == [[False, False, False]]
+
     def test_eval_deterministic(self):
         spec = build_profile("mini")
         params = init_params(spec, Rng(3))
@@ -416,25 +442,15 @@ class TestBackward:
         with pytest.raises(ConfigError):
             net.backward(spec, params, caches, labels, {"fc3": True})
 
-    def test_eval_caches_rejected(self):
-        spec = build_profile("mini")
-        params = init_params(spec, Rng(5))
-        x = Rng(6).normal((1, 3, 32, 32)).astype(np.float32)
-        y, caches = x, []
-        for layer in spec.layers:
-            y, cache = forward_layer(layer, y, params.get(layer.name), "eval")
-            caches.append(cache)
-        mask = make_mask(spec, True)
-        with pytest.raises(StateError):
-            net.backward(spec, params, caches, [0], mask)
-        # one eval-mode cache among train-mode ones: backward reads the loss
-        # cache itself and hands every other one to backward_layer
-        _, train_caches = net.forward(spec, params, x, "train", Rng(7))
-        for i, error in ((-1, "loss cache"), (3, "train-mode")):
-            mixed = list(train_caches)
-            mixed[i] = caches[i]
+    def test_misplaced_caches_rejected(self):
+        # backward reads the loss cache itself and hands every other cache to
+        # backward_layer; both check whose cache it is
+        spec, params, caches, labels, mask = self._setup(True)
+        for i, j, error in ((-1, 3, "loss cache"), (3, 2, "'norm1'/lrn fed to 'conv1_2'")):
+            mixed = list(caches)
+            mixed[i] = caches[j]
             with pytest.raises(StateError, match=error):
-                net.backward(spec, params, mixed, [0], mask)
+                net.backward(spec, params, mixed, labels, mask)
 
     def test_end_to_end_finite_differences_small_net(self):
         # tiny dedicated net (no dropout) so every coordinate can be probed
