@@ -196,8 +196,9 @@ def resize_bilinear(img, out_h, out_w) -> np.ndarray:
     x1 = np.minimum(x0 + 1, w - 1)
     fy = (ys - y0)[None, :, None]
     fx = (xs - x0)[None, None, :]
-    src = img.astype(np.float64)
-    above, below = src[:, y0], src[:, y1]
+    # widen only the rows the output samples, not the whole image
+    above = img[:, y0].astype(np.float64)
+    below = img[:, y1].astype(np.float64)
     top = above[:, :, x0] * (1 - fx) + above[:, :, x1] * fx
     bot = below[:, :, x0] * (1 - fx) + below[:, :, x1] * fx
     return (top * (1 - fy) + bot * fy).astype(DTYPE)
@@ -290,3 +291,5 @@ def batches(manifest: DatasetManifest, batch_size: int, shuffle: bool = False,
                     f"{rec.path}: image shape {img.shape} differs from batch {x.shape[1:]}")
             x[i] = img
         yield x, [rec.label for rec in group]
+        # a batch the consumer has dropped is not kept alive while the next is built
+        del x

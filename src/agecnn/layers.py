@@ -238,13 +238,13 @@ def relu_backward(cache, d_out):
 # ---------------------------------------------------------------------------
 
 def _channel_window_sum(t, n):
-    """Sliding sum of width n along the channel axis, window clipped at the ends."""
+    """Sliding sum of width n along the channel axis; zero and total padding clip the window."""
     c = t.shape[1]
     half = n // 2
-    cs = np.concatenate([np.zeros_like(t[:, :1]), np.cumsum(t, axis=1)], axis=1)
-    hi = np.minimum(np.arange(c) + half + 1, c)
-    lo = np.maximum(np.arange(c) - half, 0)
-    return cs[:, hi] - cs[:, lo]
+    cs = np.zeros(t.shape[:1] + (c + n,) + t.shape[2:], dtype=t.dtype)
+    np.cumsum(t, axis=1, out=cs[:, half + 1:half + 1 + c])
+    cs[:, half + 1 + c:] = cs[:, half + c:half + 1 + c]
+    return cs[:, n:] - cs[:, :c]
 
 
 def lrn_forward(x, n, k, alpha, beta):

@@ -134,8 +134,10 @@ def train_epoch(spec, params, mask, state: OptState, cfg: SgdConfig, train_batch
     total_loss = 0.0
     total_n = 0
     for x, labels in train_batches:
-        loss = _step(spec, params, mask, state, cfg, x, labels, split, rng)
         n = x.shape[0]
+        loss = _step(spec, params, mask, state, cfg, x, labels, split, rng)
+        # drop the batch before the stream builds the next one
+        del x
         total_loss += loss * n
         total_n += n
     if total_n == 0:

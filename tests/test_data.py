@@ -1,5 +1,6 @@
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from agecnn import (AGE_LABELS, EngineError, FormatError, ParameterError, ParseE
                     Preprocessing, Rng, ShapeError, batches, build_profile,
                     label_of, load_manifest, random_crop_224, read_ppm,
                     write_ppm)
-from agecnn.data import resize_bilinear
+from agecnn import data
+from agecnn.data import _sample_grid, resize_bilinear
 
-from conftest import mutations, write_dataset
+from conftest import mutations, traced_peak, write_dataset
 
 
 class TestLabels:
@@ -240,6 +242,28 @@ class TestResize:
         with pytest.raises(ShapeError):
             resize_bilinear(np.zeros((16, 16), np.float32), 256, 256)
 
+    @pytest.mark.parametrize("h, w", [(299, 232), (1, 1), (100, 1)])
+    def test_bytes_match_whole_image_widening(self, h, w):
+        # reference: widen the whole image to float64, then gather the rows
+        img = (Rng(5).uniform((3, h, w)) * 255).astype(np.float32)
+        ys = _sample_grid(h, 256)
+        xs = _sample_grid(w, 256)
+        y0, x0 = np.floor(ys).astype(np.int64), np.floor(xs).astype(np.int64)
+        y1, x1 = np.minimum(y0 + 1, h - 1), np.minimum(x0 + 1, w - 1)
+        fy, fx = (ys - y0)[None, :, None], (xs - x0)[None, None, :]
+        src = img.astype(np.float64)
+        above, below = src[:, y0], src[:, y1]
+        top = above[:, :, x0] * (1 - fx) + above[:, :, x1] * fx
+        bot = below[:, :, x0] * (1 - fx) + below[:, :, x1] * fx
+        want = (top * (1 - fy) + bot * fy).astype(np.float32)
+        assert resize_bilinear(img, 256, 256).tobytes() == want.tobytes()
+
+    def test_tall_image_is_not_widened_whole(self):
+        # only the sampled rows are widened to float64, not the whole image
+        img = np.ones((3, 4000, 64), np.float32)
+        peak = traced_peak(lambda: resize_bilinear(img, 32, 32))
+        assert peak < 0.5 * img.nbytes
+
 
 class TestCrops:
     def test_offsets_within_bounds(self):
@@ -315,6 +339,23 @@ class TestBatches:
             tracemalloc.stop()
         assert len(during) == 2 and max(during) < 1.1
         assert 1.9 < peak < 2.2
+
+    def test_a_dropped_batch_is_dead_before_the_next_is_built(self, tmp_path, monkeypatch):
+        # a consumer that lets go of each batch leaves nothing in the
+        # generator holding it while the next batch's images are decoded
+        m = self._manifest(tmp_path, 6)
+        refs = []
+        real = data.decode_image
+
+        def decode(path):
+            assert all(ref() is None for ref in refs)
+            return real(path)
+
+        monkeypatch.setattr(data, "decode_image", decode)
+        for x, _ in batches(m, 2, preprocessing=self._pre()):
+            refs.append(weakref.ref(x))
+            del x
+        assert len(refs) == 3
 
     def test_batch_sizes(self, tmp_path):
         m = self._manifest(tmp_path, 10)

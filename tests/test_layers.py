@@ -11,7 +11,8 @@ from agecnn.layers import (KINDS, LayerSpec, conv, conv2d_backward, conv2d_forwa
                            relu_backward, relu_forward, softmax,
                            softmax_log_loss, softmax_log_loss_backward, softmax_loss)
 
-from conftest import fd_max_rel_err
+from agecnn import layers
+from conftest import fd_max_rel_err, traced_peak
 
 # frozen before implementation: 2 / (2 + 1e-4 * 2^2) ^ 0.75
 LRN_SCALAR = 1.1890287651464355
@@ -74,6 +75,17 @@ def lrn_direct(x, n, k, alpha, beta):
                     s = sum(float(x[b, cc, i, j]) ** 2 for cc in range(lo, hi))
                     y[b, ci, i, j] = float(x[b, ci, i, j]) / (k + (alpha / n) * s) ** beta
     return y
+
+
+def gather_window_sum(t, n):
+    """The window sum as an earlier engine computed it: clipped index arrays
+    into a concatenated prefix sum. The byte reference for every window."""
+    c = t.shape[1]
+    half = n // 2
+    cs = np.concatenate([np.zeros_like(t[:, :1]), np.cumsum(t, axis=1)], axis=1)
+    hi = np.minimum(np.arange(c) + half + 1, c)
+    lo = np.maximum(np.arange(c) - half, 0)
+    return cs[:, hi] - cs[:, lo]
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +273,38 @@ class TestLrn:
         _, cache = lrn_forward(x, *args)
         d_in, _ = lrn_backward(cache, probe)
         assert fd_max_rel_err(objective, [x], [d_in]) < 1e-4
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
+    @pytest.mark.parametrize("c", range(1, 8))
+    def test_bytes_match_gather_reference(self, c, n, monkeypatch):
+        # post-ReLU input (exact zeros) and mixed-sign d_out give the window
+        # sums signed zeros; windows wider than the channel count clip at both
+        # ends. Alpha is scaled up so the window sum reaches the low bits.
+        rng = np.random.default_rng(100 * c + n)
+        x = np.maximum(rng.normal(size=(2, c, 3, 4)), 0).astype(np.float32)
+        d_out = rng.normal(size=x.shape).astype(np.float32)
+        d_out[:, :, 0] = 0.0
+
+        def run():
+            y, cache = lrn_forward(x, n, 2.0, 0.1, 0.75)
+            d_in, _ = lrn_backward(cache, d_out)
+            return [y, cache["denom_base"], cache["scale"], d_in]
+
+        got = run()
+        with monkeypatch.context() as m:
+            m.setattr(layers, "_channel_window_sum", gather_window_sum)
+            want = run()
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == np.float32 and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    def test_eval_peak_is_bounded(self):
+        # norm1's channels and window: the squared input, the padded prefix
+        # sum, the window sum, then denom_base, scale and the output
+        x = np.maximum(np.random.default_rng(13).normal(size=(2, 64, 32, 32)),
+                       0).astype(np.float32)
+        peak = traced_peak(lambda: forward_layer(lrn("norm1", n=3), x, None, "eval"))
+        assert peak <= 3.2 * x.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -330,6 +332,23 @@ class TestTrainEpoch:
         train_epoch(spec, params, mask, init_state(params, mask, cfg), cfg,
                     one_batch_stream(x, labels, 2), Rng(5))
         assert seen == [first, first]
+
+    def test_batch_is_dead_before_the_next_is_built(self):
+        # the stream checks that nothing still holds the last batch when it
+        # builds the next one
+        spec, params, mask, cfg, state, x, labels = self._setup(0.01)
+        refs = []
+
+        def stream():
+            for _ in range(3):
+                assert all(ref() is None for ref in refs)
+                batch = x.copy()
+                refs.append(weakref.ref(batch))
+                yield batch, labels
+                del batch
+
+        train_epoch(spec, params, mask, state, cfg, stream(), Rng(5))
+        assert len(refs) == 3
 
     def test_non_finite_weights_after_last_step_rejected(self):
         # one step whose loss is still finite but whose update overflows
