@@ -1,11 +1,19 @@
 """Forward and backward computation for every layer kind in the profiles.
 
 Each kind is one entry of ``KINDS``: its hyperparameters, range rule, shape
-rule, parameter shapes, forward and backward. Convolution is one matrix
-multiply against a patch matrix cut from the flat padded input, and max
-pooling a running maximum over strided window views; the direct summation
-forms live in the test suite as oracles. Backward passes are exact analytic
-gradients of the forward maps and are finite-difference checked.
+rule, parameter shapes, scratch needs, forward and backward. Convolution
+multiplies the weights by a patch matrix cut from the flat padded input, one
+band of output rows of one sample at a time, and max pooling is a running
+maximum over strided window views; the direct summation forms live in the
+test suite as oracles. Backward passes are exact analytic gradients of the
+forward maps and are finite-difference checked.
+
+The eval walk runs on a ``BufferPlan``, sized once per walk from the layers'
+shapes: two ping-pong activation buffers, conv's padded plane, patch band and
+GEMM band, and LRN's prefix buffer. Conv, LRN and max pooling write into the
+activation buffer their input is not in, ReLU works in place, eval dropout is
+the identity and fc allocates its (small) output. For ``vgg-face-age`` at 3
+rows the plan is about 178 MB; the patch band is at most ``BAND_BYTES``.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import LabelError, ParameterError, ShapeError, StateError
-from .tensor import Rng, pad2d
+from .tensor import DTYPE, Rng, pad2d
 
 
 @dataclass(frozen=True)
@@ -30,13 +38,14 @@ class LayerKind:
     without weight/bias tensors.
     """
 
-    forward: Callable  # (spec, x, {"weight", "bias"} or None, mode, rng) -> (y, cache)
+    forward: Callable  # (spec, x, {"weight", "bias"} or None, mode, rng, plan) -> (y, cache)
     backward: Callable  # (cache, d_out, need_param_grads, need_input_grad) -> (d_in, d_params)
     hypers: dict = field(default_factory=dict)
     optional: tuple = ()
     check: Callable = lambda spec: None  # raises ParameterError
     out_shape: Callable = lambda spec, shape: shape  # raises ShapeError if the input misfits
     param_shapes: Optional[Callable] = None  # (spec, in_shape) -> {"weight": ..., "bias": ...}
+    scratch: Callable = lambda spec, shape, rows: {}  # BufferPlan elements wanted, by name
 
 
 @dataclass(frozen=True)
@@ -118,6 +127,38 @@ class LayerCache:
     data: dict
 
 
+class BufferPlan:
+    """The buffers an eval-mode run of layers writes into, sized from its shapes.
+
+    ``shapes`` are the per-sample input shape of ``layers[0]`` followed by each
+    layer's output shape; ``rows`` is the most samples one call carries. Two
+    ping-pong activation buffers each hold the largest of those shapes, and
+    each scratch buffer the largest request any layer's kind makes for it.
+    """
+
+    def __init__(self, layers, shapes, rows, dtype=DTYPE):
+        sizes = {}
+        for layer, shape in zip(layers, shapes):
+            for name, size in KINDS[layer.kind].scratch(layer, shape, rows).items():
+                sizes[name] = max(sizes.get(name, 0), size)
+        act = rows * max(math.prod(shape) for shape in shapes)
+        self.acts = (np.empty(act, dtype), np.empty(act, dtype))
+        self.scratch = {name: np.empty(size, dtype) for name, size in sizes.items()}
+
+    @property
+    def nbytes(self) -> int:
+        return sum(buf.nbytes for buf in self.acts + tuple(self.scratch.values()))
+
+    def other(self, x, shape):
+        """A ``shape`` view of the activation buffer that ``x`` does not live in."""
+        buf = self.acts[1] if np.may_share_memory(x, self.acts[0]) else self.acts[0]
+        return buf[:math.prod(shape)].reshape(shape)
+
+    def take(self, name, shape):
+        """A ``shape`` view of scratch buffer ``name``."""
+        return self.scratch[name][:math.prod(shape)].reshape(shape)
+
+
 def out_extent(extent, window, stride, pad, what) -> int:
     """Output spatial extent (extent + 2*pad - window) / stride + 1.
 
@@ -133,20 +174,23 @@ def out_extent(extent, window, stride, pad, what) -> int:
     return out
 
 
-def _tap_slices(kh, kw, wp, oh, stride):
+def _tap_slices(kh, kw, wp, oh, stride, top=0):
     """Slices of a sample's flat padded plane, one per kernel offset (u, v), row-major.
 
-    Slice (u, v) starts at u*Wp + v and takes OH*Wp values at step ``stride``;
-    value i*Wp + j is x_padded[i*s + u, j*s + v]. Values with j >= OW wrap
-    past the row's end and are dropped. The last slice runs past the plane,
-    into a zero tail that ends at its stop.
+    Slice (u, v) covers output rows [top, top + OH): it starts at
+    (top*s + u)*Wp + v and takes OH*Wp values at step ``stride``; value
+    i*Wp + j is x_padded[(top + i)*s + u, j*s + v]. Values with j >= OW wrap
+    past the row's end and are dropped. The last slice of the last row runs
+    past the plane, into a zero tail that ends at its stop.
     """
     span = (oh * wp - 1) * stride + 1
-    return [slice(u * wp + v, u * wp + v + span, stride) for u in range(kh) for v in range(kw)]
+    first = top * stride * wp
+    return [slice(first + u * wp + v, first + u * wp + v + span, stride)
+            for u in range(kh) for v in range(kw)]
 
 
 def _flat_patches(x, kh, kw, stride, pad):
-    """Patch matrix of NxCxHxW input, built transposed: (C*kh*kw, N*OH*Wp).
+    """Patch matrix of NxCxHxW input, built transposed: (C*kh*kw, N*OH*Wp), for backward.
 
     The input is padded once and laid out channel-major, each sample's padded
     plane flat; row (c, u, v) holds, per sample, the (u, v) tap slice of
@@ -170,8 +214,43 @@ def _flat_patches(x, kh, kw, stride, pad):
 # conv
 # ---------------------------------------------------------------------------
 
-def conv2d_forward(x, w, b, stride, pad):
-    """y[n,o,i,j] = b[o] + sum_{c,u,v} w[o,c,u,v] * x_padded[n,c,i*s+u,j*s+v]."""
+# Bytes of one patch band: conv lowers and multiplies as many output rows of
+# a sample at a time as fit here (at least one), so its scratch does not grow
+# with the batch or the image height. The band depends only on the layer's
+# shape, so both modes and every batch size run the same GEMMs on a sample:
+# BLAS may round a column differently when the GEMM's N axis is cut
+# elsewhere, so the cut must not move with the batch.
+BAND_BYTES = 16 * 2**20
+
+
+def _lowering(cin, h, wd, kh, kw, stride, pad):
+    """(Wp, OH, OW, flat plane length, band rows) of conv's banded lowering."""
+    wp = wd + 2 * pad
+    oh = out_extent(h, kh, stride, pad, "conv")
+    ow = out_extent(wd, kw, stride, pad, "conv")
+    plane = _tap_slices(kh, kw, wp, oh, stride)[-1].stop
+    rows = BAND_BYTES // (cin * kh * kw * wp * np.dtype(DTYPE).itemsize)
+    return wp, oh, ow, plane, max(1, min(oh, rows))
+
+
+def _conv_scratch(spec, shape, rows):
+    cin, h, wd = shape
+    k, cout = spec.params["kernel"], spec.params["out_channels"]
+    wp, _, _, plane, band = _lowering(cin, h, wd, k, k, spec.params["stride"],
+                                      spec.params["pad"])
+    return {"plane": rows * cin * plane, "band": cin * k * k * band * wp,
+            "gemm": cout * band * wp}
+
+
+def conv2d_forward(x, w, b, stride, pad, plan=None):
+    """y[n,o,i,j] = b[o] + sum_{c,u,v} w[o,c,u,v] * x_padded[n,c,i*s+u,j*s+v].
+
+    The input is padded into a flat plane per sample and channel, with a zero
+    tail. Each band of a sample's output rows is one GEMM, weights times the
+    band's patch matrix (one strided slice of the plane per kernel offset),
+    and the bias is added as the band is written to y. ``plan`` (eval mode)
+    supplies the plane, band, GEMM band and y; without it they are allocated.
+    """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv expects 4-D input and weights, got {x.shape} / {w.shape}")
     n, cin, h, wd = x.shape
@@ -180,12 +259,32 @@ def conv2d_forward(x, w, b, stride, pad):
         raise ShapeError(f"conv channel mismatch: input has {cin}, weights expect {cin_w}")
     if b.shape != (cout,):
         raise ShapeError(f"conv bias shape {b.shape} does not match {cout} filters")
-    oh = out_extent(h, kh, stride, pad, "conv")
-    ow = out_extent(wd, kw, stride, pad, "conv")
-    out = w.reshape(cout, -1) @ _flat_patches(x, kh, kw, stride, pad)
-    out = out.reshape(cout, n, oh, wd + 2 * pad)[:, :, :, :ow].transpose(1, 0, 2, 3)
-    y = np.empty((n, cout, oh, ow), dtype=np.result_type(out, b))
-    np.add(out, b[:, None, None], out=y)
+    wp, oh, ow, length, rows = _lowering(cin, h, wd, kh, kw, stride, pad)
+    hp, taps = h + 2 * pad, kh * kw
+    if plan is None:
+        dtype = np.result_type(x, w)
+        plane = np.empty((n, cin, length), x.dtype)
+        band = np.empty(cin * taps * rows * wp, x.dtype)
+        gemm = np.empty(cout * rows * wp, dtype)
+        y = np.empty((n, cout, oh, ow), np.result_type(dtype, b))
+    else:
+        plane = plan.take("plane", (n, cin, length))
+        band = plan.take("band", (cin * taps * rows * wp,))
+        gemm = plan.take("gemm", (cout * rows * wp,))
+        y = plan.other(x, (n, cout, oh, ow))
+    pad2d(x, pad, out=plane[:, :, :hp * wp].reshape(n, cin, hp, wp))
+    plane[:, :, hp * wp:] = 0
+    w2 = w.reshape(cout, -1)
+    for i in range(n):
+        for top in range(0, oh, rows):
+            r = min(rows, oh - top)
+            cols = band[:cin * taps * r * wp].reshape(cin, taps, r * wp)
+            for k, tap in enumerate(_tap_slices(kh, kw, wp, r, stride, top)):
+                cols[:, k] = plane[i, :, tap]
+            out = np.matmul(w2, cols.reshape(cin * taps, r * wp),
+                            out=gemm[:cout * r * wp].reshape(cout, r * wp))
+            np.add(out.reshape(cout, r, wp)[:, :, :ow], b[:, None, None],
+                   out=y[i, :, top:top + r])
     cache = {"x": x, "w": w, "stride": stride, "pad": pad}
     return y, cache
 
@@ -225,8 +324,8 @@ def conv2d_backward(cache, d_out, need_param_grads=True, need_input_grad=True):
 # relu
 # ---------------------------------------------------------------------------
 
-def relu_forward(x):
-    return np.maximum(x, 0), {"x": x}
+def relu_forward(x, out=None):
+    return np.maximum(x, 0, out=out), {"x": x}
 
 
 def relu_backward(cache, d_out):
@@ -237,26 +336,49 @@ def relu_backward(cache, d_out):
 # lrn (across-channel local response normalization)
 # ---------------------------------------------------------------------------
 
-def _channel_window_sum(t, n):
-    """Sliding sum of width n along the channel axis; zero and total padding clip the window."""
+def _channel_window_sum(t, n, prefix=None, out=None):
+    """Sliding sum of width n along the channel axis; zero and total padding clip the window.
+
+    ``prefix`` (C + n channels) holds the padded cumulative sum and ``out``
+    the result; either is allocated when not given. ``out`` may be ``t``.
+    """
     c = t.shape[1]
     half = n // 2
-    cs = np.zeros(t.shape[:1] + (c + n,) + t.shape[2:], dtype=t.dtype)
-    np.cumsum(t, axis=1, out=cs[:, half + 1:half + 1 + c])
-    cs[:, half + 1 + c:] = cs[:, half + c:half + 1 + c]
-    return cs[:, n:] - cs[:, :c]
+    if prefix is None:
+        prefix = np.empty(t.shape[:1] + (c + n,) + t.shape[2:], dtype=t.dtype)
+    prefix[:, :half + 1] = 0
+    np.cumsum(t, axis=1, out=prefix[:, half + 1:half + 1 + c])
+    prefix[:, half + 1 + c:] = prefix[:, half + c:half + 1 + c]
+    return np.subtract(prefix[:, n:], prefix[:, :c], out=out)
 
 
-def lrn_forward(x, n, k, alpha, beta):
-    """y[c] = x[c] / (k + (alpha/n) * sum_{c' in window(c)} x[c']^2)^beta."""
+def _lrn_scratch(spec, shape, rows):
+    return {"prefix": rows * (shape[0] + spec.params["n"]) * math.prod(shape[1:])}
+
+
+def lrn_forward(x, n, k, alpha, beta, plan=None):
+    """y[c] = x[c] / (k + (alpha/n) * sum_{c' in window(c)} x[c']^2)^beta.
+
+    With ``plan`` (eval mode) the same steps write into the activation buffer
+    x is not in, the window sum uses the plan's prefix buffer, and nothing is
+    kept for backward.
+    """
     if n < 1 or n % 2 == 0:
         raise ParameterError(f"lrn window n must be odd and >= 1, got {n}")
-    denom_base = k + (alpha / n) * _channel_window_sum(x * x, n)
-    scale = denom_base ** (-beta)
-    y = x * scale
-    cache = {"x": x, "denom_base": denom_base, "scale": scale,
-             "n": n, "alpha": alpha, "beta": beta}
-    return y, cache
+    if plan is None:
+        denom_base = k + (alpha / n) * _channel_window_sum(x * x, n)
+        scale = denom_base ** (-beta)
+        y = x * scale
+        cache = {"x": x, "denom_base": denom_base, "scale": scale,
+                 "n": n, "alpha": alpha, "beta": beta}
+        return y, cache
+    out = plan.other(x, x.shape)
+    prefix = plan.take("prefix", (x.shape[0], x.shape[1] + n) + x.shape[2:])
+    _channel_window_sum(np.multiply(x, x, out=out), n, prefix, out)
+    np.multiply(out, alpha / n, out=out)
+    np.add(out, k, out=out)
+    out **= -beta
+    return np.multiply(x, out, out=out), None
 
 
 def lrn_backward(cache, d_out):
@@ -279,8 +401,8 @@ def _window_views(x, window, stride, oh, ow):
             yield x[:, :, u:u + stride * (oh - 1) + 1:stride, v:v + stride * (ow - 1) + 1:stride]
 
 
-def maxpool_forward(x, window, stride, mode="train"):
-    """Window-wise maximum.
+def maxpool_forward(x, window, stride, mode="train", plan=None):
+    """Window-wise maximum, written to the activation buffer x is not in given ``plan``.
 
     A train-mode cache records, per output, the first window offset (row-major)
     attaining the maximum, the tie rule of argmax; backward routes by it.
@@ -293,7 +415,8 @@ def maxpool_forward(x, window, stride, mode="train"):
     oh = out_extent(h, window, stride, 0, "maxpool")
     ow = out_extent(w, window, stride, 0, "maxpool")
     views = list(_window_views(x, window, stride, oh, ow))
-    y = views[0].copy()
+    y = np.empty(views[0].shape, x.dtype) if plan is None else plan.other(x, views[0].shape)
+    y[...] = views[0]
     for view in views[1:]:
         np.maximum(y, view, out=y)
     if mode == "eval":
@@ -449,17 +572,19 @@ KINDS = {
         param_shapes=lambda s, shape: {
             "weight": (s.params["out_channels"], shape[0], s.params["kernel"], s.params["kernel"]),
             "bias": (s.params["out_channels"],)},
-        forward=lambda s, x, w, mode, rng: conv2d_forward(
-            x, w["weight"], w["bias"], s.params["stride"], s.params["pad"]),
+        scratch=_conv_scratch,
+        forward=lambda s, x, w, mode, rng, plan: conv2d_forward(
+            x, w["weight"], w["bias"], s.params["stride"], s.params["pad"], plan),
         backward=conv2d_backward),
     "relu": LayerKind(
-        forward=lambda s, x, w, mode, rng: relu_forward(x),
+        forward=lambda s, x, w, mode, rng, plan: relu_forward(x, None if plan is None else x),
         backward=lambda cache, d, *flags: relu_backward(cache, d)),
     "lrn": LayerKind(
         hypers={"n": int, "k": float, "alpha": float, "beta": float},
         check=_require(lambda p: p["n"] >= 1 and p["n"] % 2 == 1,
                        "window n must be odd and >= 1"),
-        forward=lambda s, x, w, mode, rng: lrn_forward(x, **s.params),
+        scratch=_lrn_scratch,
+        forward=lambda s, x, w, mode, rng, plan: lrn_forward(x, **s.params, plan=plan),
         backward=lambda cache, d, *flags: lrn_backward(cache, d)),
     "maxpool": LayerKind(
         hypers={"window": int, "stride": int},
@@ -467,7 +592,8 @@ KINDS = {
                        "window/stride must be >= 1"),
         out_shape=lambda s, shape: _window_out_shape(
             s, shape, None, s.params["window"], s.params["stride"], 0),
-        forward=lambda s, x, w, mode, rng: maxpool_forward(x, **s.params, mode=mode),
+        forward=lambda s, x, w, mode, rng, plan: maxpool_forward(x, **s.params, mode=mode,
+                                                               plan=plan),
         backward=lambda cache, d, *flags: maxpool_backward(cache, d)),
     "fc": LayerKind(
         hypers={"out_features": int, "in_features": int},
@@ -476,29 +602,32 @@ KINDS = {
         out_shape=_fc_out_shape,
         param_shapes=lambda s, shape: {"weight": (math.prod(shape), s.params["out_features"]),
                                        "bias": (s.params["out_features"],)},
-        forward=lambda s, x, w, mode, rng: fc_forward(x, w["weight"], w["bias"]),
+        forward=lambda s, x, w, mode, rng, plan: fc_forward(x, w["weight"], w["bias"]),
         backward=fc_backward),
     "dropout": LayerKind(
         hypers={"rate": float},
         check=_require(lambda p: 0.0 <= p["rate"] < 1.0, "rate must be in [0, 1)"),
-        forward=lambda s, x, w, mode, rng: dropout_forward(x, s.params["rate"], mode, rng),
+        forward=lambda s, x, w, mode, rng, plan: dropout_forward(x, s.params["rate"], mode, rng),
         backward=lambda cache, d, *flags: dropout_backward(cache, d)),
     # Forward and backward pass scores through: the loss needs labels, so
     # network takes it from softmax_log_loss / softmax_log_loss_backward.
     "softmax_loss": LayerKind(
-        forward=lambda s, x, w, mode, rng: (x, {"scores": x}),
+        forward=lambda s, x, w, mode, rng, plan: (x, {"scores": x}),
         backward=lambda cache, d, *flags: (d, {})),
 }
 
 
-def forward_layer(spec: LayerSpec, x, params=None, mode="train", rng=None):
+def forward_layer(spec: LayerSpec, x, params=None, mode="train", rng=None, plan=None):
     """Run one layer forward, after the shape rule NetworkSpec applies.
 
-    Returns (output, LayerCache), or (output, None) in eval mode.
+    Returns (output, LayerCache), or (output, None) in eval mode. An eval-mode
+    call given a BufferPlan writes into its buffers and may overwrite ``x``.
     """
     kind = KINDS[spec.kind]
     kind.out_shape(spec, x.shape[1:])
-    y, data = kind.forward(spec, x, params, mode, rng)
+    if plan is not None and mode != "eval":
+        raise StateError(f"layer {spec.name!r}: a buffer plan serves eval mode only")
+    y, data = kind.forward(spec, x, params, mode, rng, plan)
     if mode == "eval":
         return y, None
     data["_out_shape"] = y.shape

@@ -235,8 +235,10 @@ def head_replace(spec: NetworkSpec, head_widths, params, rng: Rng,
 
 # Rows per forward call when layers run cache-free in eval mode
 # (eval_layers). Every op of a frozen prefix is per-sample, so its outputs do
-# not depend on this; peak memory grows with it, since conv builds a patch
-# matrix per call. At 3, predict's three crops of one image are one call.
+# not depend on this. The walk's buffer plan grows with it: the activation,
+# padded-plane and LRN prefix buffers hold this many rows, while conv's patch
+# band is one sample's band of rows (layers.BAND_BYTES). At 3, predict's three
+# crops of one image are one call.
 MICRO_BATCH = 3
 
 
@@ -295,19 +297,27 @@ def forward(spec: NetworkSpec, params, batch, mode: str = "train", rng: Rng = No
 def eval_layers(spec: NetworkSpec, params, batch, start: int, stop: int):
     """Eval-mode output of layers [start, stop), MICRO_BATCH rows per call.
 
-    No layer call returns a cache, so a micro-batch holds one activation at a
-    time. ``start`` == ``stop`` returns ``batch``.
+    The call plans its buffers once, from the layers' shapes at the rows of
+    its largest micro-batch (layers.BufferPlan). Each micro-batch is copied
+    into the plan, every layer call writes into it and returns no cache, and
+    the last layer's output is copied into a new result array; the plan is
+    freed on return. ``start`` == ``stop`` returns ``batch``.
     """
     _check_batch(spec, batch, start)
     if start == stop:
         return batch
-    parts = []
+    layers = spec.layers[start:stop]
+    dtype = np.result_type(batch, DTYPE)
+    plan = L.BufferPlan(layers, spec.shapes[start:stop + 1], min(MICRO_BATCH, len(batch)), dtype)
+    out = np.empty(batch.shape[:1] + spec.shapes[stop], dtype)
     for row in range(0, batch.shape[0], MICRO_BATCH):
-        x = batch[row:row + MICRO_BATCH]
-        for layer in spec.layers[start:stop]:
-            x, _ = L.forward_layer(layer, x, _layer_params(layer, params), "eval")
-        parts.append(x)
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        part = batch[row:row + MICRO_BATCH]
+        x = plan.other(part, part.shape)
+        x[...] = part
+        for layer in layers:
+            x, _ = L.forward_layer(layer, x, _layer_params(layer, params), "eval", None, plan)
+        out[row:row + MICRO_BATCH] = x
+    return out
 
 
 def eval_scores(spec: NetworkSpec, params, batch):

@@ -3,9 +3,12 @@
 Tensors are plain numpy arrays in row-major order. Activations use the
 N x C x H x W layout (batch, channels, height, width); convolution weights use
 OutC x InC x kH x kW. Arrays are treated as immutable once written: operations
-return new arrays and never modify their inputs in place. The one exception is
-the momentum step (``optim.sgd_step``, and ``optim.train_epoch`` through it),
-which updates the trainable tensors and their velocities in place.
+return new arrays and never modify their inputs in place. There are two
+exceptions. The momentum step (``optim.sgd_step``, and ``optim.train_epoch``
+through it) updates the trainable tensors and their velocities in place. The
+eval walk (``network.eval_layers``) owns a buffer plan (``layers.BufferPlan``)
+for the length of one call: its layers write into the plan's buffers, ReLU
+in place, and the walk returns a new array.
 """
 
 from __future__ import annotations
@@ -73,15 +76,27 @@ def gaussian_fill(shape, mean: float, std: float, rng: Rng) -> np.ndarray:
     return out
 
 
-def pad2d(t: np.ndarray, pad: int) -> np.ndarray:
-    """Zero border of width pad on the two trailing (spatial) axes of NxCxHxW."""
+def pad2d(t: np.ndarray, pad: int, out: np.ndarray = None) -> np.ndarray:
+    """Zero border of width pad on the two trailing (spatial) axes of NxCxHxW.
+
+    With ``out``, an array of the padded shape, the result is written there
+    and ``out`` is returned.
+    """
     if t.ndim != 4:
         raise ShapeError(f"pad2d expects a 4-D tensor, got shape {t.shape}")
     if pad < 0:
         raise ParameterError(f"pad must be >= 0, got {pad}")
-    if pad == 0:
-        return t
-    return np.pad(t, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    if out is None:
+        return t if pad == 0 else np.pad(t, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    n, c, h, w = t.shape
+    if out.shape != (n, c, h + 2 * pad, w + 2 * pad):
+        raise ShapeError(f"pad2d of {t.shape} by {pad} cannot fill an array of {out.shape}")
+    out[:, :, :pad] = 0
+    out[:, :, pad + h:] = 0
+    out[:, :, pad:pad + h, :pad] = 0
+    out[:, :, pad:pad + h, pad + w:] = 0
+    out[:, :, pad:pad + h, pad:pad + w] = t
+    return out
 
 
 def argmax(v: np.ndarray) -> int:

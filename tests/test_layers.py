@@ -131,6 +131,27 @@ class TestConvForward:
         y, _ = conv2d_forward(x, w, b, stride, pad)
         assert np.allclose(y, conv_direct(x, w, b, stride, pad), atol=1e-5)
 
+    @pytest.mark.parametrize("band_bytes", [1, 2000, layers.BAND_BYTES])
+    @pytest.mark.parametrize("case", [
+        ((3, 3, 7, 5), (4, 3, 3, 3), 1, 1),
+        ((3, 2, 9, 7), (3, 2, 3, 3), 2, 0),
+        ((3, 2, 6, 5), (2, 2, 5, 5), 1, 2),
+        ((3, 4, 5, 4), (3, 4, 1, 1), 1, 0),
+    ])
+    def test_bands_match_direct_and_keep_samples_apart(self, case, band_bytes, monkeypatch):
+        # one GEMM per sample and band of output rows (a band of one row
+        # at 1 byte); a sample's bits never depend on the rest of the batch
+        monkeypatch.setattr(layers, "BAND_BYTES", band_bytes)
+        x_shape, w_shape, stride, pad = case
+        r = np.random.default_rng(sum(x_shape) + band_bytes)
+        x = r.normal(size=x_shape).astype(np.float32)
+        w = r.normal(size=w_shape).astype(np.float32)
+        b = r.normal(size=w_shape[0]).astype(np.float32)
+        y, _ = conv2d_forward(x, w, b, stride, pad)
+        assert np.allclose(y, conv_direct(x, w, b, stride, pad), atol=1e-5)
+        for i in range(len(x)):
+            assert conv2d_forward(x[i:i + 1], w, b, stride, pad)[0].tobytes() == y[i].tobytes()
+
     def test_non_integral_extent_rejected(self):
         x = np.zeros((1, 1, 5, 5), np.float32)
         w = np.zeros((1, 1, 2, 2), np.float32)
@@ -597,6 +618,16 @@ class TestDispatch:
             else:
                 assert d_params == {}
             assert forward_layer(spec, x, params, "eval")[1] is None
+
+    def test_buffer_plan_serves_eval_mode_only(self):
+        # a train-mode cache must not point into buffers the next call reuses
+        spec = relu("r")
+        x = np.full((2, 3, 4, 4), -1.0, np.float32)
+        plan = layers.BufferPlan([spec], [x.shape[1:]] * 2, 2)
+        with pytest.raises(StateError, match="eval mode only"):
+            forward_layer(spec, x, None, "train", None, plan)
+        y, cache = forward_layer(spec, x, None, "eval", None, plan)
+        assert y is x and cache is None and not x.any()
 
     def test_backward_rejects_wrong_shape(self):
         spec = relu("r")

@@ -1,4 +1,4 @@
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +8,8 @@ from agecnn import (ConfigError, Rng, ShapeError, StateError, build_profile,
                     param_shapes, replace_head_spec)
 from agecnn import layers as L
 from agecnn import network as net
-from agecnn.layers import (conv, fc, forward_layer, maxpool, relu, softmax, softmax_loss,
-                           softmax_log_loss, softmax_log_loss_backward)
+from agecnn.layers import (conv, dropout, fc, forward_layer, lrn, maxpool, relu, softmax,
+                           softmax_loss, softmax_log_loss, softmax_log_loss_backward)
 from agecnn.network import NetworkSpec, trunk_and_head, validate_params
 
 from conftest import fd_max_rel_err, to64
@@ -241,29 +241,6 @@ class TestForward:
         assert np.array_equal(net.eval_layers(spec, params, x, 0, len(spec.layers) - 1), scores)
         assert np.allclose(softmax(scores).sum(axis=1), 1.0, atol=1e-6)
 
-    def test_eval_walk_drops_what_a_layer_computed(self, monkeypatch):
-        # norm1's input, window base and scale are dead by the time conv1_2
-        # runs: only norm1's output is held between the two layer calls
-        spec = build_profile("mini")
-        params = init_params(spec, Rng(3))
-        kept, alive = [], []
-        real_lrn, real_layer = L.lrn_forward, L.forward_layer
-
-        def lrn_spy(x, **hypers):
-            y, data = real_lrn(x, **hypers)
-            kept.extend(weakref.ref(data[key]) for key in ("x", "denom_base", "scale"))
-            return y, data
-
-        def layer_spy(layer, x, *args):
-            if layer.name == "conv1_2":
-                alive.append([ref() is not None for ref in kept])
-            return real_layer(layer, x, *args)
-
-        monkeypatch.setattr(L, "lrn_forward", lrn_spy)
-        monkeypatch.setattr(L, "forward_layer", layer_spy)
-        net.eval_scores(spec, params, Rng(4).normal((3, 3, 32, 32)).astype(np.float32))
-        assert alive == [[False, False, False]]
-
     def test_eval_deterministic(self):
         spec = build_profile("mini")
         params = init_params(spec, Rng(3))
@@ -383,6 +360,130 @@ class TestFrozenPrefix:
             net.forward(spec, params, np.zeros((2, 3, 32, 32), np.float32), start=split)
         with pytest.raises(ShapeError, match="input contract"):
             net.eval_layers(spec, params, np.zeros((2, 3, 16, 16), np.float32), 0, split)
+
+
+def train_walk(spec, params, x, start, stop):
+    """Layers [start, stop) one train-mode forward_layer call at a time, on
+    the eval walk's micro-batches: the reference the planned walk must match
+    byte for byte. (fc's GEMM may round a row differently by where it falls
+    in the batch, so the rows are cut where the walk cuts them.)"""
+    parts = []
+    for row in range(0, len(x), net.MICRO_BATCH):
+        part = x[row:row + net.MICRO_BATCH]
+        for layer in spec.layers[start:stop]:
+            part, _ = forward_layer(layer, part, params.get(layer.name), "train", Rng(0))
+        parts.append(part)
+    return np.concatenate(parts)
+
+
+def hand_stacks():
+    """Small stacks with what the vgg profiles lack: kernels 5, 2 and 1,
+    stride-2 convs with and without padding, overlapping pooling, an LRN
+    window wider than its channels, ReLU first and after fc. Dropout rates
+    are 0, so train mode (the reference) gives eval mode's values."""
+    a = NetworkSpec("a", (3, 13, 11), (
+        conv("c1", 4, kernel=5, pad=2), relu("r1"), lrn("n1", n=7, k=1.0, alpha=0.5),
+        conv("c2", 6, kernel=3, stride=2, pad=0), maxpool("p1", window=2, stride=1),
+        conv("c3", 5, kernel=1, pad=0), relu("r2"), dropout("d1", 0.0), fc("f1", 7),
+        relu("r3"), dropout("d2", 0.0), fc("f2", 8), softmax_loss()))
+    b = NetworkSpec("b", (2, 11, 11), (
+        relu("r0"), lrn("n0", n=3), conv("c1", 3, stride=2), relu("r1"),
+        maxpool("p1"), conv("c2", 4, kernel=2, pad=0), fc("f1", 8),
+        softmax_loss()))
+    return [a, b]
+
+
+@pytest.fixture(scope="module")
+def vgg_trunk():
+    """The vgg-face-age trunk with He-scaled weights, under an 8-wide fc6 head."""
+    spec = replace_head_spec(build_profile("vgg-face-age"), [8])
+    rng = Rng(40)
+    params = {}
+    for name, shapes in param_shapes(spec).items():
+        fan_in = int(np.prod(shapes["weight"][1:])) if name.startswith("conv") else 25088
+        params[name] = {"weight": net.gaussian_fill(shapes["weight"], 0.0,
+                                                    (2.0 / fan_in) ** 0.5, rng),
+                        "bias": np.full(shapes["bias"], 0.01, np.float32)}
+    return spec, params, [l.name for l in spec.layers].index("fc6")
+
+
+class TestEvalPlan:
+    @pytest.mark.parametrize("band_bytes", [1, 9000, None])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_hand_stacks_match_train_walk(self, which, band_bytes, monkeypatch):
+        # 7 rows leave a short last micro-batch; at 9000 bytes a's c1 cuts
+        # its 13 output rows into bands of 2 and a last of 1, and c2 its 6
+        # into 5 + 1; at 1 byte every band is one row
+        if band_bytes is not None:
+            monkeypatch.setattr(L, "BAND_BYTES", band_bytes)
+        spec = hand_stacks()[which]
+        params = init_params(spec, Rng(31), std=0.3)
+        x = Rng(32).normal((7,) + spec.input_shape).astype(np.float32)
+        stop = len(spec.layers) - 1
+        want = train_walk(spec, params, x, 0, stop)
+        assert net.eval_layers(spec, params, x, 0, stop).tobytes() == want.tobytes()
+        for start in range(1, stop):
+            mid = train_walk(spec, params, x, 0, start)
+            got = net.eval_layers(spec, params, mid, start, stop)
+            assert got.tobytes() == want.tobytes(), spec.layers[start].name
+
+    def test_mini_matches_train_walk(self):
+        spec = build_profile("mini", dropout_rate=0.0)
+        params = init_params(spec, Rng(33), std=0.1)
+        x = Rng(34).normal((7, 3, 32, 32)).astype(np.float32)
+        stop = len(spec.layers) - 1
+        assert net.eval_scores(spec, params, x).tobytes() == \
+            train_walk(spec, params, x, 0, stop).tobytes()
+
+    def test_vgg_trunk_matches_train_walk(self, vgg_trunk):
+        spec, params, split = vgg_trunk
+        x = Rng(41).normal((3, 3, 224, 224)).astype(np.float32)
+        got = net.eval_layers(spec, params, x, 0, split)
+        assert got.tobytes() == train_walk(spec, params, x, 0, split).tobytes()
+        assert len({row.tobytes() for row in got}) == 3 and np.isfinite(got).all()
+
+    def test_batch_untouched_and_result_fresh(self):
+        # b starts with ReLU, which works in place on the plan, not the batch
+        spec = hand_stacks()[1]
+        params = init_params(spec, Rng(35), std=0.3)
+        x = Rng(36).normal((4,) + spec.input_shape).astype(np.float32)
+        before = x.copy()
+        for stop in (1, 2, len(spec.layers) - 1):
+            first = net.eval_layers(spec, params, x, 0, stop)
+            second = net.eval_layers(spec, params, x, 0, stop)
+            assert x.tobytes() == before.tobytes()
+            assert first.tobytes() == second.tobytes()
+            assert not np.shares_memory(first, second)
+            assert not np.shares_memory(first, x)
+
+    def test_empty_batch(self):
+        spec = build_profile("mini")
+        params = init_params(spec, Rng(37))
+        empty = np.zeros((0, 3, 32, 32), np.float32)
+        split = [l.name for l in spec.layers].index("fc3")
+        assert net.eval_layers(spec, params, empty, 0, split).shape == (0, 16, 8, 8)
+        assert net.eval_scores(spec, params, empty).shape == (0, 8)
+
+    def test_peak_is_the_plan_at_any_batch(self, vgg_trunk):
+        # the walk allocates its plan once and nothing per layer: its traced
+        # peak is the plan plus the result, at every batch size
+        spec, params, split = vgg_trunk
+        trunk, shapes = spec.layers[:split], spec.shapes[:split + 1]
+        plan = L.BufferPlan(trunk, shapes, net.MICRO_BATCH).nbytes
+        assert plan < 180 * 2**20
+        peaks = {}
+        for batch in (1, 3, 7):
+            x = Rng(42).normal((batch, 3, 224, 224)).astype(np.float32)
+            tracemalloc.start()
+            try:
+                out = net.eval_layers(spec, params, x, 0, split)
+                peaks[batch] = tracemalloc.get_traced_memory()[1] - out.nbytes
+            finally:
+                tracemalloc.stop()
+        one_row = L.BufferPlan(trunk, shapes, 1).nbytes
+        assert one_row <= peaks[1] <= one_row + 2**20
+        for batch in (3, 7):
+            assert plan <= peaks[batch] <= plan + 2**20, (batch, peaks)
 
 
 class TestBackward:

@@ -116,6 +116,18 @@ class TestPad2d:
         out = pad2d(t, 2)
         assert np.array_equal(out[:, :, 2:-2, 2:-2], t)
 
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    def test_out_form_fills_a_given_array(self, pad):
+        # every element of out is written, border zeros included
+        t = np.random.default_rng(5).normal(size=(2, 3, 4, 5)).astype(np.float32)
+        out = np.full((2, 3, 4 + 2 * pad, 5 + 2 * pad), np.nan, np.float32)
+        assert pad2d(t, pad, out=out) is out
+        assert out.tobytes() == np.pad(t, ((0, 0), (0, 0), (pad, pad), (pad, pad))).tobytes()
+
+    def test_out_form_checks_the_shape(self):
+        with pytest.raises(ShapeError):
+            pad2d(np.ones((1, 1, 3, 3), np.float32), 1, out=np.empty((1, 1, 4, 5), np.float32))
+
 
 class TestArgmax:
     def test_plain(self):
