@@ -7,6 +7,12 @@ set in an optional ``key=value`` config file (``--config``); explicit flags
 win over the file, the file wins over built-in defaults. All randomness
 derives from the single ``--seed`` value through per-role, per-epoch streams,
 so reruns and resumed runs are bit-reproducible.
+
+Every command runs at one BLAS thread (``tensor.set_blas_threads``; the
+caller's count is restored on return) and scores on a ``network.WorkerPool``
+of ``network.pool_size()`` workers, so its bytes do not depend on the core
+count or on ``OPENBLAS_NUM_THREADS``. Where numpy carries no OpenBLAS whose
+thread count can be set, the pool has one worker and BLAS is left alone.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from . import checkpoint, data, network, optim, predict
 from .data import AGE_LABELS, NUM_CLASSES
 from .errors import ConfigError, EngineError, InputError, ParseError
 from .metrics import evaluate, render_csv, render_report
-from .tensor import Rng, argmax
+from .tensor import Rng, argmax, set_blas_threads
 
 # rng stream roles; the epoch number is appended for per-epoch streams.
 _ROLE_SURGERY = 0
@@ -224,10 +230,13 @@ def cmd_train(args):
         state = optim.init_state(params, mask, cfg)
     # The frozen prefix never changes, so the val views go through it once,
     # where what it outputs per view is smaller than the view.
+    # Each pool lasts one phase, so no plan outlives it into a step.
     split = network.frozen_prefix(spec, mask)
     val_features = None
     if args.epochs > 0 and split and math.prod(spec.shapes[split]) < math.prod(spec.input_shape):
-        val_features = predict.manifest_features(spec, params, val_manifest, means, split)
+        with network.WorkerPool(args.workers) as pool:
+            val_features = predict.manifest_features(spec, params, val_manifest, means, split,
+                                                     pool)
     for _ in range(args.epochs):
         lr_used = state.lr
         stream = data.batches(train_manifest, cfg.batch_size, shuffle=args.shuffle,
@@ -235,9 +244,11 @@ def cmd_train(args):
                               preprocessing=pre)
         params, state, mean_loss = optim.train_epoch(
             spec, params, mask, state, cfg, stream,
-            root.derive(_ROLE_DROPOUT, state.epoch))
-        preds, truths = predict.predict_manifest(spec, params, val_manifest, average=args.average,
-                                                 channel_means=means, features=val_features)
+            root.derive(_ROLE_DROPOUT, state.epoch), args.workers)
+        with network.WorkerPool(args.workers) as pool:
+            preds, truths = predict.predict_manifest(
+                spec, params, val_manifest, average=args.average, channel_means=means,
+                features=val_features, pool=pool)
         report = evaluate(preds, truths)
         state = optim.plateau_update(state, report.exact_accuracy, cfg)
         print(f"{state.epoch},{lr_used:.8g},{mean_loss:.6f},"
@@ -254,16 +265,17 @@ def cmd_predict(args):
     failures = 0
     paths = [line.strip() for line in data.read_lines(args.images, ParseError) if line.strip()]
     rows = csv.writer(sys.stdout, lineterminator="\n")
-    for path in paths:
-        try:
-            probs = predict.predict_file(spec, params, path, average=args.average,
-                                         channel_means=means)
-        except (EngineError, OSError) as e:
-            shown = path if path.isprintable() else repr(path)
-            print(f"{shown}: {e}", file=sys.stderr)
-            failures += 1
-            continue
-        rows.writerow([path, AGE_LABELS[argmax(probs)], *(f"{p:.6f}" for p in probs)])
+    with network.WorkerPool(args.workers) as pool:
+        for path in paths:
+            try:
+                probs = predict.predict_file(spec, params, path, average=args.average,
+                                             channel_means=means, pool=pool)
+            except (EngineError, OSError) as e:
+                shown = path if path.isprintable() else repr(path)
+                print(f"{shown}: {e}", file=sys.stderr)
+                failures += 1
+                continue
+            rows.writerow([path, AGE_LABELS[argmax(probs)], *(f"{p:.6f}" for p in probs)])
     return 1 if failures else 0
 
 
@@ -272,8 +284,9 @@ def cmd_eval(args):
     spec, params, _, _ = checkpoint.load(args.model)
     _check_classes(spec)
     manifest = _load_manifest(args.test_manifest)
-    preds, truths = predict.predict_manifest(spec, params, manifest,
-                                             average=args.average, channel_means=means)
+    with network.WorkerPool(args.workers) as pool:
+        preds, truths = predict.predict_manifest(spec, params, manifest, average=args.average,
+                                                 channel_means=means, pool=pool)
     report = evaluate(preds, truths)
     print(render_report(report), end="")
     csv_path = args.csv_out or args.test_manifest + ".report.csv"
@@ -334,11 +347,16 @@ def main(argv=None) -> int:
             print(str(e), file=sys.stderr)
             return 2
         args = parser.parse_args(argv)
+    blas_before = set_blas_threads(1)
+    args.workers = 1 if blas_before is None else network.pool_size()
     try:
         return _COMMANDS[args.command](args)
     except (EngineError, OSError) as e:
         print(str(e), file=sys.stderr)
         return 1
+    finally:
+        if blas_before is not None:
+            set_blas_threads(blas_before)
 
 
 def entry():

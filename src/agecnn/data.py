@@ -127,8 +127,18 @@ def _ppm_token(fh, path):
         tok += ch
 
 
+# Largest PPM width and height read_ppm accepts. It bounds what one image can
+# cost: at 4096x4096 the decode holds 50 MB of bytes and 201 MB of float32,
+# and resizing to the FRAME_SIZE frame widens 2 x 256 of its rows.
+MAX_PPM_EXTENT = 4096
+
+
 def read_ppm(path) -> np.ndarray:
-    """Decode a binary PPM (P6, maxval 255) into a float32 3xHxW tensor."""
+    """Decode a binary PPM (P6, maxval 255) into a float32 3xHxW tensor.
+
+    A width or height above MAX_PPM_EXTENT is a FormatError, raised before
+    any pixel data is read.
+    """
     if "\0" in os.fspath(path):
         # open() would raise ValueError, which no caller treats as bad input
         raise FormatError(f"{path!r}: image path holds a NUL byte")
@@ -149,6 +159,9 @@ def read_ppm(path) -> np.ndarray:
         size = 3 * width * height
         if size > os.fstat(fh.fileno()).st_size - fh.tell():
             raise FormatError(f"{path}: truncated PPM pixel data ({width}x{height} claimed)")
+        if max(width, height) > MAX_PPM_EXTENT:
+            raise FormatError(f"{path}: PPM dimensions {width}x{height} exceed the "
+                              f"{MAX_PPM_EXTENT}x{MAX_PPM_EXTENT} limit")
         raw = fh.read(size)
     pixels = np.frombuffer(raw, dtype=np.uint8).reshape(height, width, 3)
     return pixels.transpose(2, 0, 1).astype(DTYPE)

@@ -8,12 +8,19 @@ maximum over strided window views; the direct summation forms live in the
 test suite as oracles. Backward passes are exact analytic gradients of the
 forward maps and are finite-difference checked.
 
-The eval walk runs on a ``BufferPlan``, sized once per walk from the layers'
-shapes: two ping-pong activation buffers, conv's padded plane, patch band and
-GEMM band, and LRN's prefix buffer. Conv, LRN and max pooling write into the
-activation buffer their input is not in, ReLU works in place, eval dropout is
-the identity and fc allocates its (small) output. For ``vgg-face-age`` at 3
-rows the plan is about 178 MB; the patch band is at most ``BAND_BYTES``.
+The eval walk runs on a ``BufferPlan``, sized from the layers' shapes: two
+ping-pong activation buffers, conv's padded plane, patch band and GEMM band,
+and LRN's prefix buffer. Conv, LRN and max pooling write into the activation
+buffer their input is not in, ReLU works in place, eval dropout is the
+identity and fc allocates its (small) output. For the ``vgg-face-age`` trunk at
+3 rows the plan is about 134 MB, and 23 MB more per further worker; the patch
+band is at most ``BAND_BYTES``.
+
+On a plan, conv, ReLU, LRN and max pooling cut their work into pieces that
+depend only on the shapes, never on the number of workers, and the plan's
+workers take the pieces in turn (``BufferPlan.run``). Each piece writes its
+own part of the output with the same operations a whole-batch call makes, so
+the bits do not depend on who ran which piece.
 """
 
 from __future__ import annotations
@@ -127,6 +134,21 @@ class LayerCache:
     data: dict
 
 
+# Scratch buffers each worker of a plan owns a copy of (conv's patch band and
+# GEMM band, LRN's prefix for one piece); the others are shared, each piece
+# writing its own rows.
+PER_WORKER = ("band", "gemm", "prefix")
+
+
+# Elements a BufferPlan aligns each buffer to: 64 bytes of float32.
+_ALIGN = 16
+
+
+def _in_order(piece, count):
+    for i in range(count):
+        piece(i, 0)
+
+
 class BufferPlan:
     """The buffers an eval-mode run of layers writes into, sized from its shapes.
 
@@ -134,29 +156,60 @@ class BufferPlan:
     layer's output shape; ``rows`` is the most samples one call carries. Two
     ping-pong activation buffers each hold the largest of those shapes, and
     each scratch buffer the largest request any layer's kind makes for it.
+    ``pool`` (a ``network.WorkerPool``) runs the layers' pieces on its
+    workers, each with its own copy of the ``PER_WORKER`` buffers; without
+    one, the pieces run in order on the calling thread.
     """
 
-    def __init__(self, layers, shapes, rows, dtype=DTYPE):
+    def __init__(self, layers, shapes, rows, dtype=DTYPE, pool=None):
         sizes = {}
         for layer, shape in zip(layers, shapes):
             for name, size in KINDS[layer.kind].scratch(layer, shape, rows).items():
                 sizes[name] = max(sizes.get(name, 0), size)
         act = rows * max(math.prod(shape) for shape in shapes)
-        self.acts = (np.empty(act, dtype), np.empty(act, dtype))
-        self.scratch = {name: np.empty(size, dtype) for name, size in sizes.items()}
+        self.workers = 1 if pool is None else pool.workers
+        self.run = _in_order if pool is None else pool.run
+        copies = {name: self.workers if name in PER_WORKER else 1 for name in sizes}
+        # One block, carved into 64-byte aligned buffers: a large block is
+        # mapped on its own, so freeing the plan hands all of it back to the
+        # system, where buffers below the allocator's mapping threshold would
+        # stay in the heap.
+        lengths = [act, act] + [sizes[name] for name in sizes for _ in range(copies[name])]
+        starts = np.cumsum([0] + [-(-n // _ALIGN) * _ALIGN for n in lengths])
+        self.block = np.empty(starts[-1], dtype)
+        bufs = iter([self.block[a:a + n] for a, n in zip(starts, lengths)])
+        self.acts = (next(bufs), next(bufs))
+        self.scratch = {name: [next(bufs) for _ in range(copies[name])] for name in sizes}
 
     @property
     def nbytes(self) -> int:
-        return sum(buf.nbytes for buf in self.acts + tuple(self.scratch.values()))
+        return self.block.nbytes
 
     def other(self, x, shape):
         """A ``shape`` view of the activation buffer that ``x`` does not live in."""
         buf = self.acts[1] if np.may_share_memory(x, self.acts[0]) else self.acts[0]
         return buf[:math.prod(shape)].reshape(shape)
 
-    def take(self, name, shape):
-        """A ``shape`` view of scratch buffer ``name``."""
-        return self.scratch[name][:math.prod(shape)].reshape(shape)
+    def take(self, name, shape, worker=0):
+        """A ``shape`` view of scratch buffer ``name`` (worker ``worker``'s copy)."""
+        return self.scratch[name][worker][:math.prod(shape)].reshape(shape)
+
+
+# Most elements one piece of an eval-mode ReLU, LRN or max-pooling call
+# covers (1 MB of float32), so a layer splits into pieces of similar cost.
+PIECE_ELEMENTS = 2**18
+
+
+def _piece_rows(extent, per_row):
+    """Rows of one piece of an output of ``extent`` rows, ``per_row`` elements each."""
+    return max(1, min(extent, PIECE_ELEMENTS // per_row))
+
+
+def _row_pieces(n, extent, per_row):
+    """(sample, first row, end row) pieces of an n-sample output of ``extent``
+    rows, ``per_row`` elements each, at most about PIECE_ELEMENTS per piece."""
+    step = _piece_rows(extent, per_row)
+    return [(i, top, min(top + step, extent)) for i in range(n) for top in range(0, extent, step)]
 
 
 def out_extent(extent, window, stride, pad, what) -> int:
@@ -236,20 +289,37 @@ def _lowering(cin, h, wd, kh, kw, stride, pad):
 def _conv_scratch(spec, shape, rows):
     cin, h, wd = shape
     k, cout = spec.params["kernel"], spec.params["out_channels"]
-    wp, _, _, plane, band = _lowering(cin, h, wd, k, k, spec.params["stride"],
-                                      spec.params["pad"])
+    wp, oh, _, plane, band = _lowering(cin, h, wd, k, k, spec.params["stride"],
+                                       spec.params["pad"])
+    block = max(hi - lo for lo, hi in _filter_blocks(cout, -(-oh // band)))
     return {"plane": rows * cin * plane, "band": cin * k * k * band * wp,
-            "gemm": cout * band * wp}
+            "gemm": block * band * wp}
+
+
+def _filter_blocks(cout, bands):
+    """The (first, end) filter rows each GEMM of a band covers.
+
+    A sample whose output is one band splits its filters in two, so that two
+    workers can share a layer of few samples; a filter row's K-sum runs the
+    same BLAS kernel either way. No block is a single row, which BLAS would
+    send to gemv.
+    """
+    if bands > 1 or cout < 4:
+        return [(0, cout)]
+    return [(0, cout // 2), (cout // 2, cout)]
 
 
 def conv2d_forward(x, w, b, stride, pad, plan=None):
     """y[n,o,i,j] = b[o] + sum_{c,u,v} w[o,c,u,v] * x_padded[n,c,i*s+u,j*s+v].
 
     The input is padded into a flat plane per sample and channel, with a zero
-    tail. Each band of a sample's output rows is one GEMM, weights times the
-    band's patch matrix (one strided slice of the plane per kernel offset),
-    and the bias is added as the band is written to y. ``plan`` (eval mode)
-    supplies the plane, band, GEMM band and y; without it they are allocated.
+    tail. Each band of a sample's output rows, and each block of filters
+    (``_filter_blocks``), is one GEMM: weights times the band's patch matrix
+    (one strided slice of the plane per kernel offset), with the bias added
+    as the band is written to y. These pieces depend only on the shapes.
+    ``plan`` (eval mode) supplies the plane, each worker's band and GEMM band
+    and y, and runs the pieces on its workers; without it they are allocated
+    and run in order.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv expects 4-D input and weights, got {x.shape} / {w.shape}")
@@ -261,30 +331,39 @@ def conv2d_forward(x, w, b, stride, pad, plan=None):
         raise ShapeError(f"conv bias shape {b.shape} does not match {cout} filters")
     wp, oh, ow, length, rows = _lowering(cin, h, wd, kh, kw, stride, pad)
     hp, taps = h + 2 * pad, kh * kw
+    tops = range(0, oh, rows)
+    blocks = _filter_blocks(cout, len(tops))
+    band_size = cin * taps * rows * wp
+    gemm_size = max(hi - lo for lo, hi in blocks) * rows * wp
     if plan is None:
         dtype = np.result_type(x, w)
         plane = np.empty((n, cin, length), x.dtype)
-        band = np.empty(cin * taps * rows * wp, x.dtype)
-        gemm = np.empty(cout * rows * wp, dtype)
+        bands = [(np.empty(band_size, x.dtype), np.empty(gemm_size, dtype))]
         y = np.empty((n, cout, oh, ow), np.result_type(dtype, b))
+        run = _in_order
     else:
         plane = plan.take("plane", (n, cin, length))
-        band = plan.take("band", (cin * taps * rows * wp,))
-        gemm = plan.take("gemm", (cout * rows * wp,))
+        bands = [(plan.take("band", (band_size,), worker), plan.take("gemm", (gemm_size,), worker))
+                 for worker in range(plan.workers)]
         y = plan.other(x, (n, cout, oh, ow))
+        run = plan.run
     pad2d(x, pad, out=plane[:, :, :hp * wp].reshape(n, cin, hp, wp))
     plane[:, :, hp * wp:] = 0
     w2 = w.reshape(cout, -1)
-    for i in range(n):
-        for top in range(0, oh, rows):
-            r = min(rows, oh - top)
-            cols = band[:cin * taps * r * wp].reshape(cin, taps, r * wp)
-            for k, tap in enumerate(_tap_slices(kh, kw, wp, r, stride, top)):
-                cols[:, k] = plane[i, :, tap]
-            out = np.matmul(w2, cols.reshape(cin * taps, r * wp),
-                            out=gemm[:cout * r * wp].reshape(cout, r * wp))
-            np.add(out.reshape(cout, r, wp)[:, :, :ow], b[:, None, None],
-                   out=y[i, :, top:top + r])
+    pieces = [(i, top, block) for i in range(n) for top in tops for block in blocks]
+
+    def piece(j, worker):
+        (i, top, (lo, hi)), (band, gemm) = pieces[j], bands[worker]
+        r = min(rows, oh - top)
+        cols = band[:cin * taps * r * wp].reshape(cin, taps, r * wp)
+        for k, tap in enumerate(_tap_slices(kh, kw, wp, r, stride, top)):
+            cols[:, k] = plane[i, :, tap]
+        out = np.matmul(w2[lo:hi], cols.reshape(cin * taps, r * wp),
+                        out=gemm[:(hi - lo) * r * wp].reshape(hi - lo, r * wp))
+        np.add(out.reshape(hi - lo, r, wp)[:, :, :ow], b[lo:hi, None, None],
+               out=y[i, lo:hi, top:top + r])
+
+    run(piece, len(pieces))
     cache = {"x": x, "w": w, "stride": stride, "pad": pad}
     return y, cache
 
@@ -324,8 +403,21 @@ def conv2d_backward(cache, d_out, need_param_grads=True, need_input_grad=True):
 # relu
 # ---------------------------------------------------------------------------
 
-def relu_forward(x, out=None):
-    return np.maximum(x, 0, out=out), {"x": x}
+def relu_forward(x, plan=None):
+    """max(x, 0); with ``plan`` (eval mode) in place, in pieces on its workers."""
+    if plan is None:
+        return np.maximum(x, 0), {"x": x}
+    if not x.flags.c_contiguous:
+        return np.maximum(x, 0, out=x), None
+    flat = x.reshape(-1)
+    starts = range(0, flat.size, PIECE_ELEMENTS)
+
+    def piece(j, worker):
+        part = flat[starts[j]:starts[j] + PIECE_ELEMENTS]
+        np.maximum(part, 0, out=part)
+
+    plan.run(piece, len(starts))
+    return x, None
 
 
 def relu_backward(cache, d_out):
@@ -353,15 +445,16 @@ def _channel_window_sum(t, n, prefix=None, out=None):
 
 
 def _lrn_scratch(spec, shape, rows):
-    return {"prefix": rows * (shape[0] + spec.params["n"]) * math.prod(shape[1:])}
+    c, h, w = shape
+    return {"prefix": (c + spec.params["n"]) * _piece_rows(h, c * w) * w}
 
 
 def lrn_forward(x, n, k, alpha, beta, plan=None):
     """y[c] = x[c] / (k + (alpha/n) * sum_{c' in window(c)} x[c']^2)^beta.
 
     With ``plan`` (eval mode) the same steps write into the activation buffer
-    x is not in, the window sum uses the plan's prefix buffer, and nothing is
-    kept for backward.
+    x is not in, in pieces of rows whose window sums use their worker's prefix
+    buffer, and nothing is kept for backward.
     """
     if n < 1 or n % 2 == 0:
         raise ParameterError(f"lrn window n must be odd and >= 1, got {n}")
@@ -372,13 +465,22 @@ def lrn_forward(x, n, k, alpha, beta, plan=None):
         cache = {"x": x, "denom_base": denom_base, "scale": scale,
                  "n": n, "alpha": alpha, "beta": beta}
         return y, cache
-    out = plan.other(x, x.shape)
-    prefix = plan.take("prefix", (x.shape[0], x.shape[1] + n) + x.shape[2:])
-    _channel_window_sum(np.multiply(x, x, out=out), n, prefix, out)
-    np.multiply(out, alpha / n, out=out)
-    np.add(out, k, out=out)
-    out **= -beta
-    return np.multiply(x, out, out=out), None
+    y = plan.other(x, x.shape)
+    c, w = x.shape[1], x.shape[3]
+    pieces = _row_pieces(x.shape[0], x.shape[2], c * w)
+
+    def piece(j, worker):
+        i, top, end = pieces[j]
+        part, out = x[i:i + 1, :, top:end], y[i:i + 1, :, top:end]
+        prefix = plan.take("prefix", (1, c + n, end - top, w), worker)
+        _channel_window_sum(np.multiply(part, part, out=out), n, prefix, out)
+        np.multiply(out, alpha / n, out=out)
+        np.add(out, k, out=out)
+        out **= -beta
+        np.multiply(part, out, out=out)
+
+    plan.run(piece, len(pieces))
+    return y, None
 
 
 def lrn_backward(cache, d_out):
@@ -401,6 +503,15 @@ def _window_views(x, window, stride, oh, ow):
             yield x[:, :, u:u + stride * (oh - 1) + 1:stride, v:v + stride * (ow - 1) + 1:stride]
 
 
+def _running_max(views, y):
+    """Write the elementwise maximum of ``views`` to y, first view first."""
+    views = iter(views)
+    y[...] = next(views)
+    for view in views:
+        np.maximum(y, view, out=y)
+    return y
+
+
 def maxpool_forward(x, window, stride, mode="train", plan=None):
     """Window-wise maximum, written to the activation buffer x is not in given ``plan``.
 
@@ -414,11 +525,19 @@ def maxpool_forward(x, window, stride, mode="train", plan=None):
         raise ShapeError(f"maxpool window {window} exceeds input {h}x{w}")
     oh = out_extent(h, window, stride, 0, "maxpool")
     ow = out_extent(w, window, stride, 0, "maxpool")
+    if plan is not None:
+        y = plan.other(x, (n, c, oh, ow))
+        pieces = _row_pieces(n, oh, c * ow)
+
+        def piece(j, worker):
+            i, top, end = pieces[j]
+            _running_max(_window_views(x[i:i + 1, :, top * stride:], window, stride,
+                                       end - top, ow), y[i:i + 1, :, top:end])
+
+        plan.run(piece, len(pieces))
+        return y, {}
     views = list(_window_views(x, window, stride, oh, ow))
-    y = np.empty(views[0].shape, x.dtype) if plan is None else plan.other(x, views[0].shape)
-    y[...] = views[0]
-    for view in views[1:]:
-        np.maximum(y, view, out=y)
+    y = _running_max(views, np.empty(views[0].shape, x.dtype))
     if mode == "eval":
         return y, {}
     # idx counts the leading offsets whose value falls short of the maximum
@@ -443,8 +562,19 @@ def maxpool_backward(cache, d_out):
 # fc
 # ---------------------------------------------------------------------------
 
-def fc_forward(x, w, b):
-    """y = flatten(x) . w + b with w laid out in_features x out_features."""
+# Output columns of one fc GEMM. Each block of columns is its own product, in
+# both modes, so a layer wider than this is cut the same way on any number of
+# workers; blocks this wide keep BLAS off its small-matrix kernels, whose
+# bits differ, at the profiles' widths.
+FC_COLUMNS = 512
+
+
+def fc_forward(x, w, b, plan=None):
+    """y = flatten(x) . w + b with w laid out in_features x out_features.
+
+    The product runs in blocks of FC_COLUMNS output columns, on ``plan``'s
+    workers if it is given.
+    """
     orig_shape = x.shape
     x2 = x.reshape(orig_shape[0], -1) if x.ndim != 2 else x
     if x2.shape[1] != w.shape[0]:
@@ -454,7 +584,15 @@ def fc_forward(x, w, b):
         raise ShapeError(f"fc bias shape {b.shape} does not match {w.shape[1]} outputs")
     # BLAS sends a one-row product to gemv, which rounds unlike a batch's gemm
     rows = x2 if x2.shape[0] != 1 else np.concatenate([x2, x2])
-    y = (rows @ w)[:x2.shape[0]] + b
+    prod = np.empty((rows.shape[0], w.shape[1]), np.result_type(rows, w))
+    starts = range(0, w.shape[1], FC_COLUMNS)
+
+    def piece(j, worker):
+        block = slice(starts[j], starts[j] + FC_COLUMNS)
+        np.matmul(rows, w[:, block], out=prod[:, block])
+
+    (_in_order if plan is None else plan.run)(piece, len(starts))
+    y = prod[:x2.shape[0]] + b
     return y, {"x2": x2, "w": w, "orig_shape": orig_shape}
 
 
@@ -577,7 +715,7 @@ KINDS = {
             x, w["weight"], w["bias"], s.params["stride"], s.params["pad"], plan),
         backward=conv2d_backward),
     "relu": LayerKind(
-        forward=lambda s, x, w, mode, rng, plan: relu_forward(x, None if plan is None else x),
+        forward=lambda s, x, w, mode, rng, plan: relu_forward(x, plan),
         backward=lambda cache, d, *flags: relu_backward(cache, d)),
     "lrn": LayerKind(
         hypers={"n": int, "k": float, "alpha": float, "beta": float},
@@ -602,7 +740,7 @@ KINDS = {
         out_shape=_fc_out_shape,
         param_shapes=lambda s, shape: {"weight": (math.prod(shape), s.params["out_features"]),
                                        "bias": (s.params["out_features"],)},
-        forward=lambda s, x, w, mode, rng, plan: fc_forward(x, w["weight"], w["bias"]),
+        forward=lambda s, x, w, mode, rng, plan: fc_forward(x, w["weight"], w["bias"], plan),
         backward=fc_backward),
     "dropout": LayerKind(
         hypers={"rate": float},

@@ -3,6 +3,14 @@
 per-layer freeze mask, and ``eval_layers``, the only eval-mode walk, cache-free
 in micro-batches (scoring, and the frozen prefix used as a feature extractor).
 
+``eval_layers`` may run on a ``WorkerPool``: inside each layer call the
+pool's threads share the layer's pieces (conv bands and filter blocks, row
+ranges of ReLU, LRN and max pooling), which depend only on the shapes. So a
+sample's output through the layers before the first fc is the same at every
+batch size, micro-batch size and worker count. fc layers run on the calling
+thread, one GEMM per micro-batch; a row's fc bits depend on its place in
+that GEMM, so fc outputs are the same only for the same row groups.
+
 A NetworkSpec decides its shapes when it is built: construction walks the
 layer kinds' shape rules once, stores every layer's input and output shape,
 and raises ShapeError naming the first layer that does not fit. Everything
@@ -18,12 +26,14 @@ keys, True = trainable.
 from __future__ import annotations
 
 import math
+import os
+from concurrent import futures
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import layers as L
-from .errors import ConfigError, ShapeError, StateError
+from .errors import ConfigError, ParameterError, ShapeError, StateError
 from .tensor import DTYPE, Rng, gaussian_fill
 
 
@@ -234,11 +244,12 @@ def head_replace(spec: NetworkSpec, head_widths, params, rng: Rng,
 
 
 # Rows per forward call when layers run cache-free in eval mode
-# (eval_layers). Every op of a frozen prefix is per-sample, so its outputs do
-# not depend on this. The walk's buffer plan grows with it: the activation,
-# padded-plane and LRN prefix buffers hold this many rows, while conv's patch
-# band is one sample's band of rows (layers.BAND_BYTES). At 3, predict's three
-# crops of one image are one call.
+# (eval_layers). Every op before the first fc is per-sample, so its outputs
+# do not depend on this; fc's do (see the module docstring). The walk's
+# buffer plan grows with it: the activation and padded-plane buffers hold
+# this many rows, while conv's patch band is one sample's band of rows
+# (layers.BAND_BYTES) and LRN's prefix one piece. At 3, predict's three crops
+# of one image are one call.
 MICRO_BATCH = 3
 
 
@@ -294,21 +305,98 @@ def forward(spec: NetworkSpec, params, batch, mode: str = "train", rng: Rng = No
     return x, caches
 
 
-def eval_layers(spec: NetworkSpec, params, batch, start: int, stop: int):
+# Most workers a pool gets: the engine's speed-ups were measured on 2 cores.
+MAX_WORKERS = 2
+
+
+def pool_size() -> int:
+    """Workers for a WorkerPool here: the CPUs this process may run on, at most MAX_WORKERS."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(MAX_WORKERS, cpus or 1))
+
+
+class WorkerPool:
+    """Threads that share each eval-mode layer call, and the buffer plan kept between calls.
+
+    The calling thread is worker 0; ``workers - 1`` helper threads join it in
+    ``run``. The pool keeps the last plan ``eval_layers`` asked it for and
+    hands it out again for the same layers, shapes and dtype at no more rows,
+    so a loop that scores one image per call plans its buffers once. Leaving
+    the ``with`` block (``close``) stops the helpers and frees the plan.
+    """
+
+    def __init__(self, workers: int = 1):
+        if workers < 1:
+            raise ParameterError(f"a worker pool needs at least one worker, got {workers}")
+        self.workers = workers
+        self._helpers = (futures.ThreadPoolExecutor(workers - 1, "agecnn-worker")
+                         if workers > 1 else None)
+        self._kept = None
+
+    def run(self, piece, count):
+        """Call ``piece(i, worker)`` for every i in range(count); return when all are done.
+
+        Each worker takes the next i in turn, so which worker runs a piece
+        varies from run to run; a piece writes only its own part of the result.
+        """
+        if self._helpers is None or count < 2:
+            for i in range(count):
+                piece(i, 0)
+            return
+        todo = iter(range(count))  # shared: each next() happens under the GIL
+
+        def drain(worker):
+            for i in todo:
+                piece(i, worker)
+
+        helpers = [self._helpers.submit(drain, w) for w in range(1, min(self.workers, count))]
+        try:
+            drain(0)
+        finally:
+            futures.wait(helpers)
+        for helper in helpers:
+            helper.result()
+
+    def plan(self, layers, shapes, rows, dtype) -> L.BufferPlan:
+        """A plan for ``rows`` rows of ``layers``: the kept one if it fits, else a new one."""
+        key = (layers, shapes, np.dtype(dtype))
+        if self._kept is None or self._kept[0] != key or self._kept[1] < rows:
+            self._kept = None  # free the old plan before the new one is built
+            self._kept = (key, rows, L.BufferPlan(layers, shapes, rows, dtype, self))
+        return self._kept[2]
+
+    def close(self):
+        self._kept = None
+        if self._helpers is not None:
+            self._helpers.shutdown(wait=True)
+            self._helpers = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+def eval_layers(spec: NetworkSpec, params, batch, start: int, stop: int, pool=None):
     """Eval-mode output of layers [start, stop), MICRO_BATCH rows per call.
 
-    The call plans its buffers once, from the layers' shapes at the rows of
-    its largest micro-batch (layers.BufferPlan). Each micro-batch is copied
-    into the plan, every layer call writes into it and returns no cache, and
-    the last layer's output is copied into a new result array; the plan is
-    freed on return. ``start`` == ``stop`` returns ``batch``.
+    The walk runs on one buffer plan, sized from the layers' shapes at the
+    rows of its largest micro-batch (layers.BufferPlan): a new one that is
+    freed on return, or with ``pool`` (a WorkerPool) the pool's kept plan,
+    whose pieces the pool's workers share. Each micro-batch is copied into
+    the plan, every layer call writes into it and returns no cache, and the
+    last layer's output is copied into a new result array. ``start`` ==
+    ``stop`` returns ``batch``.
     """
     _check_batch(spec, batch, start)
     if start == stop:
         return batch
     layers = spec.layers[start:stop]
+    shapes, rows = spec.shapes[start:stop + 1], min(MICRO_BATCH, len(batch))
     dtype = np.result_type(batch, DTYPE)
-    plan = L.BufferPlan(layers, spec.shapes[start:stop + 1], min(MICRO_BATCH, len(batch)), dtype)
+    plan = (L.BufferPlan(layers, shapes, rows, dtype) if pool is None
+            else pool.plan(layers, shapes, rows, dtype))
     out = np.empty(batch.shape[:1] + spec.shapes[stop], dtype)
     for row in range(0, batch.shape[0], MICRO_BATCH):
         part = batch[row:row + MICRO_BATCH]
@@ -320,9 +408,9 @@ def eval_layers(spec: NetworkSpec, params, batch, start: int, stop: int):
     return out
 
 
-def eval_scores(spec: NetworkSpec, params, batch):
+def eval_scores(spec: NetworkSpec, params, batch, pool=None):
     """Eval-mode pre-softmax scores (all layers except the final loss layer)."""
-    return eval_layers(spec, params, batch, 0, len(spec.layers) - 1)
+    return eval_layers(spec, params, batch, 0, len(spec.layers) - 1, pool)
 
 
 def backward(spec: NetworkSpec, params, caches, labels, mask):

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import InputError, ParameterError, StateError
 from .layers import softmax_log_loss
-from .network import backward, eval_layers, forward, frozen_prefix
+from .network import WorkerPool, backward, eval_layers, forward, frozen_prefix
 
 
 @dataclass(frozen=True)
@@ -106,9 +106,11 @@ def plateau_update(state: OptState, epoch_val_accuracy: float, cfg: SgdConfig) -
     return replace(state, epochs_since_improvement=stalled)
 
 
-def _step(spec, params, mask, state, cfg, x, labels, split, rng):
+def _step(spec, params, mask, state, cfg, x, labels, split, rng, workers):
+    # the prefix's pool and plan are gone before the caches are made, and
     # the caches live only as long as this step
-    features = eval_layers(spec, params, x, 0, split)
+    with WorkerPool(workers) as pool:
+        features = eval_layers(spec, params, x, 0, split, pool)
     scores, caches = forward(spec, params, features, "train", rng, start=split)
     loss, _, _ = softmax_log_loss(scores, labels)
     if not np.isfinite(loss):
@@ -118,12 +120,14 @@ def _step(spec, params, mask, state, cfg, x, labels, split, rng):
     return loss
 
 
-def train_epoch(spec, params, mask, state: OptState, cfg: SgdConfig, train_batches, rng):
+def train_epoch(spec, params, mask, state: OptState, cfg: SgdConfig, train_batches, rng,
+                workers: int = 1):
     """One pass over the batch stream: forward, loss, backward, sgd_step.
 
     The frozen prefix (``network.frozen_prefix``) runs as a fixed feature
-    extractor, in eval mode and micro-batches with no caches kept; forward
-    keeps train-mode caches for the layers from there on only. Each step
+    extractor, in eval mode and micro-batches with no caches kept, on a
+    ``network.WorkerPool`` of ``workers`` that lasts one step's prefix;
+    forward keeps train-mode caches for the layers from there on only. Each step
     updates ``params`` and the velocity in place (``sgd_step``). Returns
     (params, state', mean per-example loss). A non-finite batch loss raises
     StateError before that batch's step, and a non-finite trainable tensor
@@ -135,7 +139,7 @@ def train_epoch(spec, params, mask, state: OptState, cfg: SgdConfig, train_batch
     total_n = 0
     for x, labels in train_batches:
         n = x.shape[0]
-        loss = _step(spec, params, mask, state, cfg, x, labels, split, rng)
+        loss = _step(spec, params, mask, state, cfg, x, labels, split, rng, workers)
         # drop the batch before the stream builds the next one
         del x
         total_loss += loss * n

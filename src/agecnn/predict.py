@@ -13,6 +13,9 @@ walk, ``network.eval_layers``: ``predict_proba`` scores one image, and
 ``predict_manifest`` (``eval`` and validation) each record of a manifest in
 turn. Validation in ``train`` computes the outputs of frozen leading layers
 once per image (``manifest_features``) and starts each epoch's walk there.
+Every scorer takes an optional ``network.WorkerPool``: its workers share
+each layer call, and its plan serves image after image. The pool changes no
+output bit.
 """
 
 from __future__ import annotations
@@ -100,20 +103,21 @@ def _average(scores, average):
 
 
 def predict_proba(spec, params, img, average: str = AVERAGES[0],
-                  channel_means=None) -> np.ndarray:
+                  channel_means=None, pool=None) -> np.ndarray:
     """Class-probability vector for one image (3xHxW, values 0..255).
 
     average: 'probability' averages softmaxed per-view outputs; 'score'
     averages raw scores across views, then softmaxes once.
     """
     _check_average(average)
-    return _average(net.eval_scores(spec, params, _views(spec, img, channel_means)), average)
+    return _average(net.eval_scores(spec, params, _views(spec, img, channel_means), pool),
+                    average)
 
 
 def predict_file(spec, params, path, average: str = AVERAGES[0],
-                 channel_means=None) -> np.ndarray:
+                 channel_means=None, pool=None) -> np.ndarray:
     return predict_proba(spec, params, decode_image(path), average=average,
-                         channel_means=channel_means)
+                         channel_means=channel_means, pool=pool)
 
 
 @dataclass(frozen=True)
@@ -129,17 +133,18 @@ def _record_views(spec, manifest, channel_means):
     return (_views(spec, decode_image(rec.path), channel_means) for rec in manifest.records)
 
 
-def manifest_features(spec, params, manifest, channel_means, stop) -> ViewFeatures:
+def manifest_features(spec, params, manifest, channel_means, stop, pool=None) -> ViewFeatures:
     """Eval-mode outputs of layers [0, stop) for each record's views.
 
     Each image is decoded and run on its own; only its outputs are kept.
     """
     views = _record_views(spec, manifest, channel_means)
-    return ViewFeatures(tuple(net.eval_layers(spec, params, v, 0, stop) for v in views), stop)
+    return ViewFeatures(tuple(net.eval_layers(spec, params, v, 0, stop, pool) for v in views),
+                        stop)
 
 
 def predict_manifest(spec, params, manifest, average: str = AVERAGES[0],
-                     channel_means=None, features=None):
+                     channel_means=None, features=None, pool=None):
     """Predicted and true label indices for every record of a manifest.
 
     Each record is scored as ``predict_proba`` scores one image. ``features``
@@ -150,5 +155,6 @@ def predict_manifest(spec, params, manifest, average: str = AVERAGES[0],
     _check_average(average)
     features = features or ViewFeatures(_record_views(spec, manifest, channel_means), 0)
     stop = len(spec.layers) - 1
-    return ([argmax(_average(net.eval_layers(spec, params, rows, features.stop, stop), average))
+    return ([argmax(_average(net.eval_layers(spec, params, rows, features.stop, stop, pool),
+                             average))
              for rows in features.rows], [rec.label for rec in manifest.records])

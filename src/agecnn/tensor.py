@@ -6,12 +6,23 @@ OutC x InC x kH x kW. Arrays are treated as immutable once written: operations
 return new arrays and never modify their inputs in place. There are two
 exceptions. The momentum step (``optim.sgd_step``, and ``optim.train_epoch``
 through it) updates the trainable tensors and their velocities in place. The
-eval walk (``network.eval_layers``) owns a buffer plan (``layers.BufferPlan``)
-for the length of one call: its layers write into the plan's buffers, ReLU
-in place, and the walk returns a new array.
+eval walk (``network.eval_layers``) runs on a buffer plan
+(``layers.BufferPlan``): its layers write into the plan's buffers, ReLU in
+place, and the walk returns a new array.
+
+Matrix products go to the OpenBLAS library bundled with numpy. OpenBLAS may
+round a product differently at another thread count, so the CLI runs every
+command at one BLAS thread (``set_blas_threads``) and spreads a layer's work
+over its own worker threads (``network.WorkerPool``), in pieces that do not
+depend on the worker count. Same seed, same bytes then holds at any core
+count and any ``OPENBLAS_NUM_THREADS``, on one CPU kernel family.
 """
 
 from __future__ import annotations
+
+import ctypes
+import glob
+import os
 
 import numpy as np
 
@@ -104,3 +115,41 @@ def argmax(v: np.ndarray) -> int:
     if v.ndim != 1 or v.shape[0] < 1:
         raise ShapeError(f"argmax expects a nonempty 1-D tensor, got shape {v.shape}")
     return int(np.argmax(v))
+
+
+# The thread-count entry points of numpy's bundled OpenBLAS (scipy-openblas,
+# 64-bit integer interface).
+_BLAS_SET = "scipy_openblas_set_num_threads64_"
+_BLAS_GET = "scipy_openblas_get_num_threads64_"
+
+
+def _blas_controls():
+    """(set, get) of numpy's bundled OpenBLAS thread count, or None if absent."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        set_fn, get_fn = getattr(lib, _BLAS_SET, None), getattr(lib, _BLAS_GET, None)
+        if set_fn is not None and get_fn is not None:
+            set_fn.argtypes, set_fn.restype = [ctypes.c_int], None
+            get_fn.argtypes, get_fn.restype = [], ctypes.c_int
+            return set_fn, get_fn
+    return None
+
+
+def set_blas_threads(count: int):
+    """Set the thread count of numpy's bundled OpenBLAS; returns the count before.
+
+    Returns None, and changes nothing, when numpy carries no OpenBLAS with
+    that control (another BLAS, or another build); matrix products then run
+    at whatever thread count the library chose.
+    """
+    controls = _blas_controls()
+    if controls is None:
+        return None
+    set_fn, get_fn = controls
+    before = get_fn()
+    set_fn(int(count))
+    return before

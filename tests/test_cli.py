@@ -4,6 +4,7 @@ import io
 import os
 import re
 import shutil
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -13,8 +14,8 @@ from agecnn import (AGE_LABELS, NetworkSpec, Preprocessing, Rng, SgdConfig,
                     argmax, batches, build_profile, evaluate, init_params,
                     init_state, layers, load, load_manifest, make_mask,
                     network, plateau_update, predict, predict_proba,
-                    replace_head_spec, save, sgd_step)
-from agecnn import cli
+                    replace_head_spec, save, sgd_step, tensor, write_ppm)
+from agecnn import cli, optim
 from agecnn.cli import main
 from agecnn.data import decode_image
 from agecnn.layers import conv, fc, maxpool, relu, softmax_log_loss, softmax_loss
@@ -868,3 +869,115 @@ class TestInspect:
         bad.write_bytes(b"garbage")
         assert main(["inspect", "--model", str(bad)]) == 1
         assert capsys.readouterr().err != ""
+
+
+def blas_count():
+    """The bundled OpenBLAS's thread count; skips the test where it cannot be read."""
+    controls = tensor._blas_controls()
+    if controls is None:
+        pytest.skip("numpy carries no OpenBLAS with a settable thread count")
+    return controls[1]()
+
+
+def spy_pools(monkeypatch):
+    """(workers, BLAS thread count) at every WorkerPool a command opens."""
+    seen = []
+    real = network.WorkerPool
+    get = tensor._blas_controls()[1]
+
+    class Spy(real):
+        def __init__(self, workers=1):
+            seen.append((workers, get()))
+            super().__init__(workers)
+
+    monkeypatch.setattr(network, "WorkerPool", Spy)
+    monkeypatch.setattr(optim, "WorkerPool", Spy)
+    return seen
+
+
+def engine_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("agecnn-worker")]
+
+
+class TestEngineThreads:
+    """Each command runs at one BLAS thread on pools of network.pool_size()
+    workers, and hands the caller's BLAS thread count back."""
+
+    @pytest.fixture
+    def caller_count(self):
+        before = blas_count()
+        tensor.set_blas_threads(2)
+        yield 2
+        tensor.set_blas_threads(before)
+
+    def test_one_blas_thread_inside_caller_count_restored(self, tmp_path, caller_count,
+                                                         monkeypatch, capsys):
+        manifest, loaded = dataset(tmp_path, count=3)
+        model = surgery_model(tmp_path, make_model(tmp_path))
+        listing = tmp_path / "images.txt"
+        listing.write_text("".join(r.path + "\n" for r in loaded.records))
+        seen = spy_pools(monkeypatch)
+        assert main(["train", "--model", model, "--train", manifest, "--val", manifest,
+                     "--epochs", "1", "--batch-size", "2", "--out", str(tmp_path / "t.acnn")]) == 0
+        assert main(["predict", "--model", model, "--images", str(listing)]) == 0
+        assert main(["eval", "--model", model, "--test", manifest]) == 0
+        # val features, two train steps and validation; predict; eval
+        assert seen == [(network.pool_size(), 1)] * 6
+        assert blas_count() == caller_count
+
+    def test_missing_blas_symbol_one_worker_blas_left_alone(self, tmp_path, caller_count,
+                                                           monkeypatch, capsys):
+        _, loaded = dataset(tmp_path, count=2)
+        listing = tmp_path / "images.txt"
+        listing.write_text("".join(r.path + "\n" for r in loaded.records))
+        model = make_model(tmp_path)
+        seen = spy_pools(monkeypatch)
+        get = tensor._blas_controls()[1]
+        monkeypatch.setattr(tensor, "_BLAS_SET", "no_such_symbol")
+        assert main(["predict", "--model", model, "--images", str(listing)]) == 0
+        assert seen == [(1, caller_count)]
+        assert get() == caller_count
+
+    def test_no_engine_thread_outlives_main(self, tmp_path, capsys):
+        manifest, loaded = dataset(tmp_path, count=3)
+        model = make_model(tmp_path)
+        listing = tmp_path / "images.txt"
+        listing.write_text("".join(r.path + "\n" for r in loaded.records))
+        assert main(["predict", "--model", model, "--images", str(listing)]) == 0
+        assert engine_threads() == []
+        # the second image is missing: eval fails after the pool has run
+        broken = tmp_path / "broken.csv"
+        lines = open(manifest, encoding="utf-8").read().splitlines()
+        broken.write_text("\n".join([lines[0], lines[1], "missing.ppm," + lines[2].split(",")[1],
+                                      lines[3]]) + "\n")
+        assert main(["eval", "--model", model, "--test", str(broken)]) == 1
+        assert "missing.ppm" in capsys.readouterr().err
+        assert engine_threads() == []
+
+    def test_predict_rows_and_errors_in_input_order(self, tmp_path, capsys, monkeypatch):
+        # good, missing and malformed images interleaved on the crop path:
+        # rows and error lines come in input order, the same at one worker
+        model = tiny_224_model(tmp_path)
+        paths = []
+        for i, kind in enumerate(["good", "missing", "good", "magic", "good", "truncated",
+                                  "good"]):
+            path = str(tmp_path / f"{i}-{kind}.ppm")
+            if kind == "good":
+                write_ppm(path, Rng(i).uniform((3, 30 + 5 * i, 40)) * 255)
+            elif kind == "magic":
+                open(path, "wb").write(b"P5\n2 2\n255\n" + bytes(4))
+            elif kind == "truncated":
+                open(path, "wb").write(b"P6\n4 4\n255\n" + bytes(10))
+            paths.append(path)
+        listing = tmp_path / "images.txt"
+        listing.write_text("\n".join(paths) + "\n")
+        argv = ["predict", "--model", model, "--images", str(listing)]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert [row[0] for row in csv.reader(io.StringIO(out))] == \
+            [p for p in paths if p.endswith("good.ppm")]
+        assert [line.split(": ")[0] for line in err.splitlines()] == \
+            [p for p in paths if not p.endswith("good.ppm")]
+        monkeypatch.setattr(network, "pool_size", lambda: 1)
+        assert main(argv) == 1
+        assert capsys.readouterr() == (out, err)

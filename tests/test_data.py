@@ -428,3 +428,34 @@ class TestBatches:
         with pytest.raises(ShapeError) as err:
             list(batches(m, 2, preprocessing=self._pre()))
         assert "b.ppm" in str(err.value)
+
+
+class TestImageCost:
+    """What one image can cost is bounded by data.MAX_PPM_EXTENT."""
+
+    @pytest.mark.parametrize("width, height", [(data.MAX_PPM_EXTENT + 1, 1),
+                                               (1, data.MAX_PPM_EXTENT + 1)])
+    def test_extent_above_the_limit_is_rejected(self, tmp_path, width, height):
+        path = str(tmp_path / "x.ppm")
+        with open(path, "wb") as fh:
+            fh.write(b"P6\n%d %d\n255\n" % (width, height))
+            fh.truncate(fh.tell() + 3 * width * height)
+        cap = data.MAX_PPM_EXTENT
+        with pytest.raises(FormatError, match=f"x.ppm: PPM dimensions {width}x{height} "
+                                              f"exceed the {cap}x{cap} limit"):
+            read_ppm(path)
+
+    def test_largest_accepted_image_decodes_and_frames_in_bounded_memory(self, tmp_path):
+        # decode (its bytes and its float32 copy) and the resize to the frame
+        # (the float32 image and two widened row sets) each stay under 16
+        # bytes per pixel of the largest image read_ppm accepts
+        cap = data.MAX_PPM_EXTENT
+        path = tmp_path / "big.ppm"
+        with open(path, "wb") as fh:
+            fh.write(b"P6\n%d %d\n255\n" % (cap, cap))
+            fh.truncate(fh.tell() + 3 * cap * cap)
+        frame = []
+        peak = traced_peak(lambda: frame.append(
+            resize_bilinear(data.decode_image(str(path)), data.FRAME_SIZE, data.FRAME_SIZE)))
+        assert frame[0].shape == (3, data.FRAME_SIZE, data.FRAME_SIZE)
+        assert peak < 16 * cap * cap

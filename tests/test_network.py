@@ -1,9 +1,11 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from agecnn import (ConfigError, Rng, ShapeError, StateError, build_profile,
+from agecnn import (ConfigError, ParameterError, Rng, ShapeError, StateError, build_profile,
                     head_replace, infer_shapes, init_params, make_mask,
                     param_shapes, replace_head_spec)
 from agecnn import layers as L
@@ -594,3 +596,131 @@ class TestCounts:
 
     def test_vgg_total(self):
         assert sum(param_counts(build_profile("vgg_face_age")).values()) == 163009240
+
+
+class TestWorkerPool:
+    """A pool shares each eval-mode layer call among its workers, in pieces
+    fixed by the shapes, so no output bit depends on the pool or its size."""
+
+    @pytest.mark.parametrize("band_bytes, piece", [(1, 7), (9000, 40), (None, None)])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_hand_stacks_same_bits_on_any_pool(self, which, band_bytes, piece, monkeypatch):
+        # small bands and pieces cut every layer into many pieces
+        if band_bytes is not None:
+            monkeypatch.setattr(L, "BAND_BYTES", band_bytes)
+            monkeypatch.setattr(L, "PIECE_ELEMENTS", piece)
+        spec = hand_stacks()[which]
+        params = init_params(spec, Rng(31), std=0.3)
+        x = Rng(32).normal((7,) + spec.input_shape).astype(np.float32)
+        stop = len(spec.layers) - 1
+        want = train_walk(spec, params, x, 0, stop)
+        for workers in (1, 2, 3):
+            with net.WorkerPool(workers) as pool:
+                for _ in range(2):  # the second call runs on the kept plan
+                    got = net.eval_layers(spec, params, x, 0, stop, pool)
+                    assert got.tobytes() == want.tobytes(), workers
+
+    def test_vgg_trunk_same_bits_on_a_pool(self, vgg_trunk):
+        spec, params, split = vgg_trunk
+        x = Rng(41).normal((3, 3, 224, 224)).astype(np.float32)
+        with net.WorkerPool(2) as pool:
+            got = net.eval_layers(spec, params, x, 0, split, pool)
+        assert got.tobytes() == train_walk(spec, params, x, 0, split).tobytes()
+
+    def test_wide_fc_runs_in_the_same_column_blocks_in_both_modes(self, monkeypatch):
+        # fc wider than FC_COLUMNS is cut into column blocks in train and eval
+        # mode alike, so the walks agree at any worker count
+        monkeypatch.setattr(L, "FC_COLUMNS", 16)
+        spec = NetworkSpec("wide", (3, 6, 6), (
+            conv("c1", 4), relu("r1"), fc("f1", 40), relu("r2"), fc("f2", 8), softmax_loss()))
+        params = init_params(spec, Rng(5), std=0.3)
+        x = Rng(6).normal((5, 3, 6, 6)).astype(np.float32)
+        want = train_walk(spec, params, x, 0, len(spec.layers) - 1)
+        assert net.eval_scores(spec, params, x).tobytes() == want.tobytes()
+        with net.WorkerPool(2) as pool:
+            assert net.eval_scores(spec, params, x, pool).tobytes() == want.tobytes()
+
+    def test_plan_kept_for_the_same_layers_at_no_more_rows(self):
+        spec = build_profile("mini")
+        layers, shapes = spec.layers[:5], spec.shapes[:6]
+        with net.WorkerPool(2) as pool:
+            plan = pool.plan(layers, shapes, 3, np.float32)
+            assert pool.plan(layers, shapes, 1, np.float32) is plan
+            assert pool.plan(layers, shapes, 3, np.float64) is not plan
+            bigger = pool.plan(layers, shapes, 4, np.float32)
+            assert bigger is not plan and pool.plan(layers, shapes, 2, np.float32) is bigger
+            assert len(bigger.scratch["band"]) == 2
+            assert pool.plan(spec.layers[:4], spec.shapes[:5], 2, np.float32) is not bigger
+        assert pool._kept is None
+
+    def test_run_calls_every_piece_once(self):
+        # more workers than cores and a short switch interval: a piece taken
+        # twice, or lost, shows in its count
+        counts, workers = np.zeros(5000, np.int64), set()
+
+        def piece(i, worker):
+            counts[i] += 1
+            workers.add(worker)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with net.WorkerPool(4) as pool:
+                pool.run(piece, len(counts))
+        finally:
+            sys.setswitchinterval(interval)
+        assert (counts == 1).all()
+        assert workers <= {0, 1, 2, 3}
+
+    def test_run_raises_a_piece_error_after_every_piece_is_done(self):
+        running = []
+
+        def piece(i, worker):
+            running.append(i)
+            if i == 3:
+                raise ValueError("piece 3")
+            running.remove(i)
+
+        with net.WorkerPool(2) as pool:
+            with pytest.raises(ValueError, match="piece 3"):
+                pool.run(piece, 40)
+            assert running == [3]
+
+    def test_close_leaves_no_thread(self):
+        def alive():
+            return [t for t in threading.enumerate() if t.name.startswith("agecnn-worker")]
+
+        with net.WorkerPool(2) as pool:
+            pool.run(lambda i, worker: None, 4)
+            assert len(alive()) == 1
+        assert alive() == []
+
+    def test_needs_a_worker(self):
+        with pytest.raises(ParameterError):
+            net.WorkerPool(0)
+
+    @pytest.mark.parametrize("cpus, size", [({0}, 1), ({0, 1}, 2), (set(range(8)), 2)])
+    def test_pool_size_follows_the_affinity(self, cpus, size, monkeypatch):
+        monkeypatch.setattr(net.os, "sched_getaffinity", lambda pid: cpus)
+        assert net.pool_size() == size
+
+
+class TestPerSampleClaim:
+    def test_prefix_holding_fc_is_per_sample_up_to_the_first_fc(self):
+        # A frozen prefix may run past the first fc (mini's fc3, vgg's fc6):
+        # here fc3 is frozen and fc4 trains. Up to the first fc a sample's
+        # bits are the same at batches 1-7, with and without a pool; fc's
+        # bits depend on the row group, so the claim ends there.
+        spec = build_profile("mini")
+        params = init_params(spec, Rng(3), std=0.1)
+        names = [l.name for l in spec.layers]
+        first_fc = names.index("fc3")
+        assert net.frozen_prefix(spec, make_mask(spec, {"fc4", "fc5"})) > first_fc
+        x = Rng(4).normal((7, 3, 32, 32)).astype(np.float32)
+        alone = [net.eval_layers(spec, params, x[i:i + 1], 0, first_fc)[0] for i in range(7)]
+        assert len({a.tobytes() for a in alone}) == 7
+        with net.WorkerPool(2) as pool:
+            for batch in range(1, 8):
+                for p in (None, pool):
+                    got = net.eval_layers(spec, params, x[:batch], 0, first_fc, p)
+                    assert [g.tobytes() for g in got] == [a.tobytes() for a in alone[:batch]]

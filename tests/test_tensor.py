@@ -150,3 +150,30 @@ class TestArgmax:
     def test_2d_rejected(self):
         with pytest.raises(ShapeError):
             argmax(np.zeros((2, 2)))
+
+
+class TestBlasThreads:
+    """set_blas_threads drives numpy's bundled OpenBLAS through ctypes."""
+
+    @pytest.fixture
+    def count(self):
+        controls = tensor._blas_controls()
+        if controls is None:
+            pytest.skip("numpy carries no OpenBLAS with a settable thread count")
+        before = controls[1]()
+        yield controls[1]
+        controls[0](before)
+
+    def test_sets_the_count_and_returns_the_one_before(self, count):
+        start = count()
+        assert tensor.set_blas_threads(1) == start
+        assert count() == 1
+        assert tensor.set_blas_threads(start) == 1
+        assert count() == start
+
+    def test_missing_symbol_changes_nothing(self, count, monkeypatch):
+        start = count()
+        monkeypatch.setattr(tensor, "_BLAS_SET", "no_such_symbol")
+        assert tensor._blas_controls() is None
+        assert tensor.set_blas_threads(1) is None
+        assert count() == start
