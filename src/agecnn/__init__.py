@@ -1,6 +1,6 @@
 """Small CPU deep-learning engine for 8-bucket age classification.
 
-A sequential conv/pool/fc network with a single-GEMM convolution core, SGD with
+A sequential conv/pool/fc network with a banded-GEMM convolution core, SGD with
 momentum and plateau learning-rate decay, a frozen-trunk fine-tuning path,
 3-crop averaged prediction, exact / 1-off accuracy reporting, and a compact
 binary checkpoint format.

@@ -2,25 +2,24 @@
 
 Each kind is one entry of ``KINDS``: its hyperparameters, range rule, shape
 rule, parameter shapes, scratch needs, forward and backward. Convolution
-multiplies the weights by a patch matrix cut from the flat padded input, one
-band of output rows of one sample at a time, and max pooling is a running
-maximum over strided window views; the direct summation forms live in the
-test suite as oracles. Backward passes are exact analytic gradients of the
-forward maps and are finite-difference checked.
+multiplies by a patch matrix cut from the flat padded input, one band of
+output rows of one sample at a time, in both directions; max pooling is a
+running maximum over strided window views. Direct-sum oracles live in the
+test suite, and the exact analytic gradients are finite-difference checked.
 
-The eval walk runs on a ``BufferPlan``, sized from the layers' shapes: two
-ping-pong activation buffers, conv's padded plane, patch band and GEMM band,
-and LRN's prefix buffer. Conv, LRN and max pooling write into the activation
-buffer their input is not in, ReLU works in place, eval dropout is the
-identity and fc allocates its (small) output. For the ``vgg-face-age`` trunk at
-3 rows the plan is about 134 MB, and 23 MB more per further worker; the patch
-band is at most ``BAND_BYTES``.
-
-On a plan, conv, ReLU, LRN and max pooling cut their work into pieces that
-depend only on the shapes, never on the number of workers, and the plan's
-workers take the pieces in turn (``BufferPlan.run``). Each piece writes its
-own part of the output with the same operations a whole-batch call makes, so
-the bits do not depend on who ran which piece.
+Conv, ReLU, LRN and max pooling each have one forward body. It cuts the output
+into pieces fixed by the shapes alone (conv's bands and filter blocks, row
+ranges of at most about ``PIECE_ELEMENTS``), each written with the same
+operations a whole-batch call makes, so no bit depends on the mode, the batch
+or who ran a piece. Given a ``BufferPlan`` (eval mode only) the pieces write
+into its buffers and its workers share them (``BufferPlan.run``); without one
+(train mode) they write into new arrays, in order, and the body keeps what
+backward reads. A plan holds two ping-pong activation buffers, conv's padded
+plane, patch band and GEMM band, and LRN's prefix buffer; conv, LRN and max
+pooling write into the activation buffer their input is not in, ReLU works in
+place, eval dropout is the identity and fc allocates its (small) output. For
+the ``vgg-face-age`` trunk at 3 rows the plan is about 134 MB, and 23 MB more
+per further worker.
 """
 
 from __future__ import annotations
@@ -190,13 +189,19 @@ class BufferPlan:
         buf = self.acts[1] if np.may_share_memory(x, self.acts[0]) else self.acts[0]
         return buf[:math.prod(shape)].reshape(shape)
 
+    def copy_in(self, x):
+        """A copy of ``x`` in the activation buffer it does not live in."""
+        y = self.other(x, x.shape)
+        y[...] = x
+        return y
+
     def take(self, name, shape, worker=0):
         """A ``shape`` view of scratch buffer ``name`` (worker ``worker``'s copy)."""
         return self.scratch[name][worker][:math.prod(shape)].reshape(shape)
 
 
-# Most elements one piece of an eval-mode ReLU, LRN or max-pooling call
-# covers (1 MB of float32), so a layer splits into pieces of similar cost.
+# Most elements one piece of a ReLU, LRN or max-pooling call covers (1 MB of
+# float32), so a layer splits into pieces of similar cost.
 PIECE_ELEMENTS = 2**18
 
 
@@ -240,27 +245,6 @@ def _tap_slices(kh, kw, wp, oh, stride, top=0):
     first = top * stride * wp
     return [slice(first + u * wp + v, first + u * wp + v + span, stride)
             for u in range(kh) for v in range(kw)]
-
-
-def _flat_patches(x, kh, kw, stride, pad):
-    """Patch matrix of NxCxHxW input, built transposed: (C*kh*kw, N*OH*Wp), for backward.
-
-    The input is padded once and laid out channel-major, each sample's padded
-    plane flat; row (c, u, v) holds, per sample, the (u, v) tap slice of
-    channel c.
-    """
-    n, c = x.shape[:2]
-    xp = pad2d(x, pad)
-    hp, wp = xp.shape[2:]
-    oh = (hp - kh) // stride + 1
-    taps = _tap_slices(kh, kw, wp, oh, stride)
-    flat = np.empty((c, n, taps[-1].stop), dtype=x.dtype)
-    flat[:, :, :hp * wp].reshape(c, n, hp, wp)[...] = xp.transpose(1, 0, 2, 3)
-    flat[:, :, hp * wp:] = 0
-    cols = np.empty((c, kh * kw, n, oh * wp), dtype=x.dtype)
-    for k, tap in enumerate(taps):
-        cols[:, k] = flat[:, :, tap]
-    return cols.reshape(c * kh * kw, n * oh * wp)
 
 
 # ---------------------------------------------------------------------------
@@ -309,17 +293,35 @@ def _filter_blocks(cout, bands):
     return [(0, cout // 2), (cout // 2, cout)]
 
 
+def _pad_planes(x, pad, plane):
+    """Write NxCxHxW ``x`` into ``plane`` (N x C x length), zero padded, flat, zero tail."""
+    n, c, h, wd = x.shape
+    hp, wp = h + 2 * pad, wd + 2 * pad
+    pad2d(x, pad, out=plane[:, :, :hp * wp].reshape(n, c, hp, wp))
+    plane[:, :, hp * wp:] = 0
+
+
+def _patches(plane, kh, kw, stride, wp, top, r, buf):
+    """Patch matrix (C*kh*kw, r*Wp) of output rows [top, top + r) of one sample,
+    cut into ``buf`` from its flat padded plane (C x length), one tap slice per
+    kernel offset. Forward and backward both multiply by it."""
+    cin = plane.shape[0]
+    cols = buf[:cin * kh * kw * r * wp].reshape(cin, kh * kw, r * wp)
+    for k, tap in enumerate(_tap_slices(kh, kw, wp, r, stride, top)):
+        cols[:, k] = plane[:, tap]
+    return cols.reshape(cin * kh * kw, r * wp)
+
+
 def conv2d_forward(x, w, b, stride, pad, plan=None):
     """y[n,o,i,j] = b[o] + sum_{c,u,v} w[o,c,u,v] * x_padded[n,c,i*s+u,j*s+v].
 
     The input is padded into a flat plane per sample and channel, with a zero
     tail. Each band of a sample's output rows, and each block of filters
     (``_filter_blocks``), is one GEMM: weights times the band's patch matrix
-    (one strided slice of the plane per kernel offset), with the bias added
-    as the band is written to y. These pieces depend only on the shapes.
-    ``plan`` (eval mode) supplies the plane, each worker's band and GEMM band
-    and y, and runs the pieces on its workers; without it they are allocated
-    and run in order.
+    (``_patches``), with the bias added as the band is written to y. These
+    pieces depend only on the shapes. ``plan`` (eval mode) supplies the plane,
+    each worker's band and GEMM band and y, and runs the pieces on its
+    workers; without it they are allocated and run in order.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv expects 4-D input and weights, got {x.shape} / {w.shape}")
@@ -330,73 +332,80 @@ def conv2d_forward(x, w, b, stride, pad, plan=None):
     if b.shape != (cout,):
         raise ShapeError(f"conv bias shape {b.shape} does not match {cout} filters")
     wp, oh, ow, length, rows = _lowering(cin, h, wd, kh, kw, stride, pad)
-    hp, taps = h + 2 * pad, kh * kw
     tops = range(0, oh, rows)
     blocks = _filter_blocks(cout, len(tops))
-    band_size = cin * taps * rows * wp
+    band_size = cin * kh * kw * rows * wp
     gemm_size = max(hi - lo for lo, hi in blocks) * rows * wp
     if plan is None:
         dtype = np.result_type(x, w)
         plane = np.empty((n, cin, length), x.dtype)
         bands = [(np.empty(band_size, x.dtype), np.empty(gemm_size, dtype))]
         y = np.empty((n, cout, oh, ow), np.result_type(dtype, b))
-        run = _in_order
     else:
         plane = plan.take("plane", (n, cin, length))
         bands = [(plan.take("band", (band_size,), worker), plan.take("gemm", (gemm_size,), worker))
                  for worker in range(plan.workers)]
         y = plan.other(x, (n, cout, oh, ow))
-        run = plan.run
-    pad2d(x, pad, out=plane[:, :, :hp * wp].reshape(n, cin, hp, wp))
-    plane[:, :, hp * wp:] = 0
+    _pad_planes(x, pad, plane)
     w2 = w.reshape(cout, -1)
     pieces = [(i, top, block) for i in range(n) for top in tops for block in blocks]
 
     def piece(j, worker):
         (i, top, (lo, hi)), (band, gemm) = pieces[j], bands[worker]
         r = min(rows, oh - top)
-        cols = band[:cin * taps * r * wp].reshape(cin, taps, r * wp)
-        for k, tap in enumerate(_tap_slices(kh, kw, wp, r, stride, top)):
-            cols[:, k] = plane[i, :, tap]
-        out = np.matmul(w2[lo:hi], cols.reshape(cin * taps, r * wp),
-                        out=gemm[:(hi - lo) * r * wp].reshape(hi - lo, r * wp))
+        cols = _patches(plane[i], kh, kw, stride, wp, top, r, band)
+        out = np.matmul(w2[lo:hi], cols, out=gemm[:(hi - lo) * r * wp].reshape(hi - lo, r * wp))
         np.add(out.reshape(hi - lo, r, wp)[:, :, :ow], b[lo:hi, None, None],
                out=y[i, lo:hi, top:top + r])
 
-    run(piece, len(pieces))
-    cache = {"x": x, "w": w, "stride": stride, "pad": pad}
-    return y, cache
+    (_in_order if plan is None else plan.run)(piece, len(pieces))
+    return y, None if plan is not None else {"x": x, "w": w, "stride": stride, "pad": pad}
 
 
 def conv2d_backward(cache, d_out, need_param_grads=True, need_input_grad=True):
+    """Gradients through the forward's bands, one (sample, band) at a time.
+
+    With dy_band the band's output gradient, zero on the wrapped columns,
+    dW += dy_band @ patches.T in sample-then-band order, the patches cut again
+    from the sample's plane; W.T @ dy_band is added back, tap by tap, into the
+    slices of an input-gradient plane they came from. Scratch is one sample's
+    planes and one band, at any batch size.
+    """
     x, w = cache["x"], cache["w"]
     stride, pad = cache["stride"], cache["pad"]
     n, cin, h, wd = x.shape
     cout, _, kh, kw = w.shape
-    oh, ow = d_out.shape[2:]
-    hp, wp = h + 2 * pad, wd + 2 * pad
-    # d_out in the patch matrix's column layout, zero on the wrapped columns
-    dy = np.zeros((cout, n, oh, wp), dtype=d_out.dtype)
-    dy[:, :, :, :ow] = d_out.transpose(1, 0, 2, 3)
-    dy = dy.reshape(cout, -1)
-    d_params = {}
+    wp, oh, ow, length, rows = _lowering(cin, h, wd, kh, kw, stride, pad)
+    w2 = w.reshape(cout, -1)
     if need_param_grads:
-        # Patch matrix is recomputed here rather than cached: frozen-trunk
-        # training never pays for it, and it can dwarf the activations.
-        cols = _flat_patches(x, kh, kw, stride, pad)
-        d_params["weight"] = (dy @ cols.T).reshape(w.shape)
-        d_params["bias"] = dy.sum(axis=1)
+        dw = np.zeros(w2.shape, np.result_type(d_out, x))
+        plane = np.empty((1, cin, length), x.dtype)
+        band = np.empty(cin * kh * kw * rows * wp, x.dtype)
     d_in = None
     if need_input_grad:
-        # fold: each tap's rows are added back into the slice they were cut from
-        dcols = (w.reshape(cout, -1).T @ dy).reshape(cin, kh * kw, n, oh * wp)
-        taps = _tap_slices(kh, kw, wp, oh, stride)
-        flat = np.zeros((cin, n, taps[-1].stop), dtype=dcols.dtype)
-        for k, tap in enumerate(taps):
-            flat[:, :, tap] += dcols[:, k]
-        img = flat[:, :, :hp * wp].reshape(cin, n, hp, wp)
-        d_in = np.ascontiguousarray(img[:, :, pad:pad + h, pad:pad + wd].transpose(1, 0, 2, 3))
-    return d_in, d_params
+        d_in = np.empty(x.shape, np.result_type(w, d_out))
+        d_plane = np.empty((cin, length), d_in.dtype)
+    for i in range(n):
+        if need_param_grads:
+            _pad_planes(x[i:i + 1], pad, plane)
+        if need_input_grad:
+            d_plane[...] = 0
+        for top in range(0, oh, rows):
+            r = min(rows, oh - top)
+            dy = np.zeros((cout, r * wp), d_out.dtype)
+            dy.reshape(cout, r, wp)[:, :, :ow] = d_out[i, :, top:top + r]
+            if need_param_grads:
+                dw += dy @ _patches(plane[0], kh, kw, stride, wp, top, r, band).T
+            if need_input_grad:
+                d_cols = (w2.T @ dy).reshape(cin, kh * kw, r * wp)
+                for k, tap in enumerate(_tap_slices(kh, kw, wp, r, stride, top)):
+                    d_plane[:, tap] += d_cols[:, k]
+        if need_input_grad:
+            img = d_plane[:, :(h + 2 * pad) * wp].reshape(cin, -1, wp)
+            d_in[i] = img[:, pad:pad + h, pad:pad + wd]
+    if not need_param_grads:
+        return d_in, {}
+    return d_in, {"weight": dw.reshape(w.shape), "bias": d_out.sum(axis=(0, 2, 3))}
 
 
 # ---------------------------------------------------------------------------
@@ -404,20 +413,18 @@ def conv2d_backward(cache, d_out, need_param_grads=True, need_input_grad=True):
 # ---------------------------------------------------------------------------
 
 def relu_forward(x, plan=None):
-    """max(x, 0); with ``plan`` (eval mode) in place, in pieces on its workers."""
-    if plan is None:
-        return np.maximum(x, 0), {"x": x}
-    if not x.flags.c_contiguous:
-        return np.maximum(x, 0, out=x), None
-    flat = x.reshape(-1)
+    """max(x, 0) in flat pieces of PIECE_ELEMENTS: in place given ``plan`` (eval
+    mode), else into a new array, keeping x for backward."""
+    y = x if plan is not None else np.empty(x.shape, x.dtype)
+    flat, out = x.reshape(-1), y.reshape(-1)
     starts = range(0, flat.size, PIECE_ELEMENTS)
 
     def piece(j, worker):
-        part = flat[starts[j]:starts[j] + PIECE_ELEMENTS]
-        np.maximum(part, 0, out=part)
+        part = slice(starts[j], starts[j] + PIECE_ELEMENTS)
+        np.maximum(flat[part], 0, out=out[part])
 
-    plan.run(piece, len(starts))
-    return x, None
+    (_in_order if plan is None else plan.run)(piece, len(starts))
+    return y, None if plan is not None else {"x": x}
 
 
 def relu_backward(cache, d_out):
@@ -450,37 +457,36 @@ def _lrn_scratch(spec, shape, rows):
 
 
 def lrn_forward(x, n, k, alpha, beta, plan=None):
-    """y[c] = x[c] / (k + (alpha/n) * sum_{c' in window(c)} x[c']^2)^beta.
+    """y[c] = x[c] / (k + (alpha/n) * sum_{c' in window(c)} x[c']^2)^beta, in pieces of rows.
 
-    With ``plan`` (eval mode) the same steps write into the activation buffer
-    x is not in, in pieces of rows whose window sums use their worker's prefix
-    buffer, and nothing is kept for backward.
+    Given ``plan`` (eval mode) each piece's steps run in place in the
+    activation buffer x is not in, the window sum in its worker's prefix
+    buffer. Without one, the base k + (alpha/n) * sum and its power
+    ``scale`` go to arrays of their own, kept for backward.
     """
     if n < 1 or n % 2 == 0:
         raise ParameterError(f"lrn window n must be odd and >= 1, got {n}")
     if plan is None:
-        denom_base = k + (alpha / n) * _channel_window_sum(x * x, n)
-        scale = denom_base ** (-beta)
-        y = x * scale
-        cache = {"x": x, "denom_base": denom_base, "scale": scale,
-                 "n": n, "alpha": alpha, "beta": beta}
-        return y, cache
-    y = plan.other(x, x.shape)
+        y, base, scale = (np.empty(x.shape, x.dtype) for _ in range(3))
+    else:
+        y = base = scale = plan.other(x, x.shape)
     c, w = x.shape[1], x.shape[3]
     pieces = _row_pieces(x.shape[0], x.shape[2], c * w)
 
     def piece(j, worker):
         i, top, end = pieces[j]
-        part, out = x[i:i + 1, :, top:end], y[i:i + 1, :, top:end]
-        prefix = plan.take("prefix", (1, c + n, end - top, w), worker)
-        _channel_window_sum(np.multiply(part, part, out=out), n, prefix, out)
-        np.multiply(out, alpha / n, out=out)
-        np.add(out, k, out=out)
-        out **= -beta
-        np.multiply(part, out, out=out)
+        rows = np.s_[i:i + 1, :, top:end]
+        part, b, s = x[rows], base[rows], scale[rows]
+        prefix = None if plan is None else plan.take("prefix", (1, c + n, end - top, w), worker)
+        _channel_window_sum(np.multiply(part, part, out=b), n, prefix, b)
+        np.multiply(b, alpha / n, out=b)
+        np.add(b, k, out=b)
+        np.power(b, -beta, out=s)
+        np.multiply(part, s, out=y[rows])
 
-    plan.run(piece, len(pieces))
-    return y, None
+    (_in_order if plan is None else plan.run)(piece, len(pieces))
+    return y, None if plan is not None else {"x": x, "denom_base": base, "scale": scale,
+                                             "n": n, "alpha": alpha, "beta": beta}
 
 
 def lrn_backward(cache, d_out):
@@ -503,21 +509,11 @@ def _window_views(x, window, stride, oh, ow):
             yield x[:, :, u:u + stride * (oh - 1) + 1:stride, v:v + stride * (ow - 1) + 1:stride]
 
 
-def _running_max(views, y):
-    """Write the elementwise maximum of ``views`` to y, first view first."""
-    views = iter(views)
-    y[...] = next(views)
-    for view in views:
-        np.maximum(y, view, out=y)
-    return y
-
-
-def maxpool_forward(x, window, stride, mode="train", plan=None):
-    """Window-wise maximum, written to the activation buffer x is not in given ``plan``.
-
-    A train-mode cache records, per output, the first window offset (row-major)
-    attaining the maximum, the tie rule of argmax; backward routes by it.
-    """
+def maxpool_forward(x, window, stride, plan=None):
+    """Window-wise maximum, in pieces of output rows; into the activation buffer
+    x is not in given ``plan`` (eval mode). Else the cache records, per output,
+    the first window offset (row-major) attaining the maximum, the tie rule of
+    argmax; backward routes by it."""
     if x.ndim != 4:
         raise ShapeError(f"maxpool expects a 4-D tensor, got shape {x.shape}")
     n, c, h, w = x.shape
@@ -525,25 +521,24 @@ def maxpool_forward(x, window, stride, mode="train", plan=None):
         raise ShapeError(f"maxpool window {window} exceeds input {h}x{w}")
     oh = out_extent(h, window, stride, 0, "maxpool")
     ow = out_extent(w, window, stride, 0, "maxpool")
+    y = np.empty((n, c, oh, ow), x.dtype) if plan is None else plan.other(x, (n, c, oh, ow))
+    pieces = _row_pieces(n, oh, c * ow)
+
+    def piece(j, worker):
+        i, top, end = pieces[j]
+        out = y[i:i + 1, :, top:end]
+        views = _window_views(x[i:i + 1, :, top * stride:], window, stride, end - top, ow)
+        out[...] = next(views)
+        for view in views:
+            np.maximum(out, view, out=out)
+
+    (_in_order if plan is None else plan.run)(piece, len(pieces))
     if plan is not None:
-        y = plan.other(x, (n, c, oh, ow))
-        pieces = _row_pieces(n, oh, c * ow)
-
-        def piece(j, worker):
-            i, top, end = pieces[j]
-            _running_max(_window_views(x[i:i + 1, :, top * stride:], window, stride,
-                                       end - top, ow), y[i:i + 1, :, top:end])
-
-        plan.run(piece, len(pieces))
-        return y, {}
-    views = list(_window_views(x, window, stride, oh, ow))
-    y = _running_max(views, np.empty(views[0].shape, x.dtype))
-    if mode == "eval":
-        return y, {}
+        return y, None
     # idx counts the leading offsets whose value falls short of the maximum
-    idx = np.zeros(y.shape, dtype=np.min_scalar_type(len(views) - 1))
+    idx = np.zeros(y.shape, dtype=np.min_scalar_type(window * window - 1))
     short = np.ones(y.shape, dtype=bool)
-    for view in views[:-1]:
+    for view in list(_window_views(x, window, stride, oh, ow))[:-1]:
         short &= view < y
         idx += short
     return y, {"idx": idx, "x_shape": x.shape, "window": window, "stride": stride}
@@ -730,8 +725,7 @@ KINDS = {
                        "window/stride must be >= 1"),
         out_shape=lambda s, shape: _window_out_shape(
             s, shape, None, s.params["window"], s.params["stride"], 0),
-        forward=lambda s, x, w, mode, rng, plan: maxpool_forward(x, **s.params, mode=mode,
-                                                               plan=plan),
+        forward=lambda s, x, w, mode, rng, plan: maxpool_forward(x, **s.params, plan=plan),
         backward=lambda cache, d, *flags: maxpool_backward(cache, d)),
     "fc": LayerKind(
         hypers={"out_features": int, "in_features": int},
@@ -759,12 +753,17 @@ def forward_layer(spec: LayerSpec, x, params=None, mode="train", rng=None, plan=
     """Run one layer forward, after the shape rule NetworkSpec applies.
 
     Returns (output, LayerCache), or (output, None) in eval mode. An eval-mode
-    call given a BufferPlan writes into its buffers and may overwrite ``x``.
+    call given a BufferPlan writes into its buffers and may overwrite ``x``;
+    one given none runs on a plan of its own, into which ``x`` is copied, so
+    the kernels learn their mode from the plan alone.
     """
     kind = KINDS[spec.kind]
-    kind.out_shape(spec, x.shape[1:])
+    out_shape = kind.out_shape(spec, x.shape[1:])
     if plan is not None and mode != "eval":
         raise StateError(f"layer {spec.name!r}: a buffer plan serves eval mode only")
+    if mode == "eval" and plan is None:
+        plan = BufferPlan([spec], [x.shape[1:], out_shape], len(x), np.result_type(x, DTYPE))
+        x = plan.copy_in(x)
     y, data = kind.forward(spec, x, params, mode, rng, plan)
     if mode == "eval":
         return y, None

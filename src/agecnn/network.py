@@ -5,11 +5,12 @@ in micro-batches (scoring, and the frozen prefix used as a feature extractor).
 
 ``eval_layers`` may run on a ``WorkerPool``: inside each layer call the
 pool's threads share the layer's pieces (conv bands and filter blocks, row
-ranges of ReLU, LRN and max pooling), which depend only on the shapes. So a
-sample's output through the layers before the first fc is the same at every
-batch size, micro-batch size and worker count. fc layers run on the calling
-thread, one GEMM per micro-batch; a row's fc bits depend on its place in
-that GEMM, so fc outputs are the same only for the same row groups.
+ranges of ReLU, LRN and max pooling, fc's blocks of ``layers.FC_COLUMNS``
+output columns), which depend only on the shapes and are the same in train
+mode. So a sample's output through the layers before the first fc is the
+same at every batch size, micro-batch size and worker count, in either mode.
+A row's fc bits depend on its place in the GEMM of its micro-batch, so fc
+outputs are the same only for the same row groups.
 
 A NetworkSpec decides its shapes when it is built: construction walks the
 layer kinds' shape rules once, stores every layer's input and output shape,
@@ -400,8 +401,7 @@ def eval_layers(spec: NetworkSpec, params, batch, start: int, stop: int, pool=No
     out = np.empty(batch.shape[:1] + spec.shapes[stop], dtype)
     for row in range(0, batch.shape[0], MICRO_BATCH):
         part = batch[row:row + MICRO_BATCH]
-        x = plan.other(part, part.shape)
-        x[...] = part
+        x = plan.copy_in(part)
         for layer in layers:
             x, _ = L.forward_layer(layer, x, _layer_params(layer, params), "eval", None, plan)
         out[row:row + MICRO_BATCH] = x

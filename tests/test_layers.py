@@ -47,6 +47,27 @@ def conv_direct(x, w, b, stride, pad):
     return y
 
 
+def conv_backward_direct(x, w, d_out, stride, pad):
+    """Gradients of conv_direct's map, by a loop over outputs: each output's
+    gradient goes to its bias, to the weights times its window of the padded
+    input, and back into that window times the weights. Float64."""
+    n, cin, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    xp = np.zeros((n, cin, h + 2 * pad, wd + 2 * pad))
+    xp[:, :, pad:pad + h, pad:pad + wd] = x
+    dxp, dw, db = np.zeros_like(xp), np.zeros(w.shape), np.zeros(cout)
+    for ni in range(n):
+        for o in range(cout):
+            for i in range(d_out.shape[2]):
+                for j in range(d_out.shape[3]):
+                    g = float(d_out[ni, o, i, j])
+                    window = np.s_[ni, :, i * stride:i * stride + kh, j * stride:j * stride + kw]
+                    db[o] += g
+                    dw[o] += g * xp[window]
+                    dxp[window] += g * w[o]
+    return dw, db, dxp[:, :, pad:pad + h, pad:pad + wd]
+
+
 def maxpool_direct(x, window, stride):
     n, c, h, w = x.shape
     oh = (h - window) // stride + 1
@@ -200,6 +221,43 @@ class TestConvBackward:
                              [d_in, d_params["weight"], d_params["bias"]])
         assert err < 1e-4
 
+    @pytest.mark.parametrize("band_bytes", [1, 9000, layers.BAND_BYTES])
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 5])
+    def test_matches_direct_sum(self, kernel, stride, pad, band_bytes, monkeypatch):
+        # at 1 byte every band is one row; at 9000 each 3x3 case, and some 2x2
+        # and 5x5 ones, cut a sample into bands of 2 to 9 rows and a shorter
+        # last one, so the fold and the dW sum cross band edges
+        monkeypatch.setattr(layers, "BAND_BYTES", band_bytes)
+        extent = 9 if (9 + 2 * pad - kernel) % stride == 0 else 10
+        r = np.random.default_rng(1000 * kernel + 100 * stride + 10 * pad)
+        x = r.normal(size=(2, 4, extent, extent + 2))
+        w = r.normal(size=(3, 4, kernel, kernel))
+        y, cache = conv2d_forward(x, w, r.normal(size=3), stride, pad)
+        d_out = r.normal(size=y.shape)
+        d_in, d_params = conv2d_backward(cache, d_out)
+        want = conv_backward_direct(x, w, d_out, stride, pad)
+        for got, ref in zip((d_params["weight"], d_params["bias"], d_in), want):
+            assert got.dtype == np.float64 and got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_peak_grows_only_by_the_input_gradient(self):
+        # one sample's planes and one band of scratch: at 16x16x32x32 the
+        # peak is a small multiple of the input, and from batch 4 to 16 it
+        # grows by little more than the input gradient does
+        r = np.random.default_rng(9)
+        w = r.normal(size=(16, 16, 3, 3)).astype(np.float32)
+        peaks, sizes = {}, {}
+        for batch in (4, 16):
+            x = r.normal(size=(batch, 16, 32, 32)).astype(np.float32)
+            y, cache = conv2d_forward(x, w, np.zeros(16, np.float32), 1, 1)
+            d_out = r.normal(size=y.shape).astype(np.float32)
+            peaks[batch] = traced_peak(lambda: conv2d_backward(cache, d_out))
+            sizes[batch] = x.nbytes
+        assert peaks[16] <= 4 * sizes[16]
+        assert peaks[16] - peaks[4] <= 1.25 * (sizes[16] - sizes[4])
+
     def test_skip_flags(self):
         x = np.random.default_rng(7).normal(size=(1, 1, 4, 4))
         w = np.ones((1, 1, 3, 3))
@@ -300,7 +358,9 @@ class TestLrn:
     def test_bytes_match_gather_reference(self, c, n, monkeypatch):
         # post-ReLU input (exact zeros) and mixed-sign d_out give the window
         # sums signed zeros; windows wider than the channel count clip at both
-        # ends. Alpha is scaled up so the window sum reaches the low bits.
+        # ends. Alpha is scaled up so the window sum reaches the low bits. At
+        # 8 elements a piece, each sample's 3 rows are cut into pieces of one
+        # row, or of two and one at c = 1.
         rng = np.random.default_rng(100 * c + n)
         x = np.maximum(rng.normal(size=(2, c, 3, 4)), 0).astype(np.float32)
         d_out = rng.normal(size=x.shape).astype(np.float32)
@@ -311,13 +371,20 @@ class TestLrn:
             d_in, _ = lrn_backward(cache, d_out)
             return [y, cache["denom_base"], cache["scale"], d_in]
 
-        got = run()
-        with monkeypatch.context() as m:
-            m.setattr(layers, "_channel_window_sum", gather_window_sum)
-            want = run()
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype == np.float32 and g.shape == w.shape
-            assert g.tobytes() == w.tobytes()
+        def gather(t, n, prefix=None, out=None):
+            return gather_window_sum(t, n) if out is None else \
+                np.copyto(out, gather_window_sum(t, n))
+
+        for piece in (layers.PIECE_ELEMENTS, 8):
+            monkeypatch.setattr(layers, "PIECE_ELEMENTS", piece)
+            got = run()
+            with monkeypatch.context() as m:
+                m.setattr(layers, "_channel_window_sum", gather)
+                m.setattr(layers, "PIECE_ELEMENTS", x.size)
+                want = run()
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype == np.float32 and g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
 
     def test_eval_peak_is_bounded(self):
         # norm1's channels and window: the squared input, the padded prefix
@@ -346,15 +413,25 @@ class TestMaxpool:
         y, _ = maxpool_forward(np.zeros((1, 2, 224, 224), np.float32), 2, 2)
         assert y.shape == (1, 2, 112, 112)
 
-    def test_matches_direct_loop(self):
-        x = np.random.default_rng(13).normal(size=(2, 3, 6, 6))
-        y, _ = maxpool_forward(x, 2, 2)
-        assert np.array_equal(y, maxpool_direct(x, 2, 2))
+    @staticmethod
+    def check_against_direct(x, window, stride, monkeypatch):
+        # in both modes, whole samples and pieces of one and of two output rows
+        spec = maxpool("p", window=window, stride=stride)
+        want = maxpool_direct(x, window, stride)
+        row = x.shape[1] * want.shape[3]
+        for piece in (layers.PIECE_ELEMENTS, row, 2 * row):
+            monkeypatch.setattr(layers, "PIECE_ELEMENTS", piece)
+            for mode in ("train", "eval"):
+                y, _ = forward_layer(spec, x, None, mode)
+                assert np.array_equal(y, want), (piece, mode)
 
-    def test_overlapping_matches_direct_loop(self):
+    def test_matches_direct_loop(self, monkeypatch):
+        x = np.random.default_rng(13).normal(size=(2, 3, 6, 6))
+        self.check_against_direct(x, 2, 2, monkeypatch)
+
+    def test_overlapping_matches_direct_loop(self, monkeypatch):
         x = np.random.default_rng(14).normal(size=(1, 2, 5, 5))
-        y, _ = maxpool_forward(x, 3, 1)
-        assert np.array_equal(y, maxpool_direct(x, 3, 1))
+        self.check_against_direct(x, 3, 1, monkeypatch)
 
     def test_window_too_large_rejected(self):
         with pytest.raises(ShapeError):
@@ -387,8 +464,8 @@ class TestMaxpool:
 
     def test_eval_mode_keeps_no_cache(self):
         x = np.random.default_rng(18).normal(size=(1, 2, 4, 4))
-        y, cache = maxpool_forward(x, 2, 2, "eval")
-        assert np.array_equal(y, maxpool_forward(x, 2, 2)[0]) and cache == {}
+        y, cache = forward_layer(maxpool("p"), x, None, "eval")
+        assert np.array_equal(y, maxpool_forward(x, 2, 2)[0]) and cache is None
 
     def test_finite_differences(self):
         # distinct values keep the argmax stable under the probe step
