@@ -28,21 +28,29 @@ Body:
 Layer names key the chunks, so replacing the fully connected head of a
 network does not invalidate files holding its convolutional trunk. The CRC
 covers the whole body, so any single corrupted byte past the version field is
-rejected before parsing. The writer streams the body straight to disk,
-computing the CRC as it goes, and fills in the header's CRC field last. The
-reader makes two passes over one open file: it checks the CRC over the body in
-64 KiB chunks, then seeks back and reads each tensor from the file straight
-into its own array. Files are written to a temp path and renamed into place
-(os.replace), so readers never observe a partial file, and a reader holding
-the file open keeps reading the old one: both passes see the same bytes.
+rejected, and the checksum outranks every other finding: a body whose parse
+fails is read to its end, and if its CRC does not match, the load raises
+"checksum mismatch" rather than the parse error. Both directions make one pass
+over the file. The writer streams the body straight to disk and fills in the
+header's CRC field last; the reader parses the fields in order and reads each
+tensor's values from the file straight into its own array. Tensor values move
+in pieces of PIECE_BYTES, and every body byte, in file order, is handed to one
+helper thread that folds it into the CRC while the calling thread moves the
+next piece. The pieces are views of the tensors, never copies, and the CRC is
+compared before the content checks run and before any array is returned, so
+the bytes checked are the bytes returned. Files are written to a temp path and
+renamed into place (os.replace), so readers never observe a partial file, and
+a reader holding the file open keeps reading the old one.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import queue
 import struct
 import tempfile
+import threading
 import zlib
 
 import numpy as np
@@ -56,6 +64,7 @@ MAGIC = b"ACNN"
 VERSION = 1
 HEADER_SIZE = 12
 MAX_RANK = 4  # conv weights; no tensor of any network has more axes
+PIECE_BYTES = 8 << 20  # tensor values move to and from the file in pieces this size
 
 _TENSOR_ORDER = ("weight", "bias")
 
@@ -69,16 +78,72 @@ def _check_content(spec, params, mask, state):
         net.check_group(spec, "velocity", state.velocity, [n for n in mask if mask[n]])
 
 
-class _Writer:
-    """Mirror of _Reader: appends to an open file and keeps the CRC of all it wrote."""
+class _Crc:
+    """CRC-32 of the bytes given to it, folded in order on one helper thread.
 
-    def __init__(self, fh):
+    The helper runs nothing but ``zlib.crc32``, which releases the GIL on large
+    pieces, so the calling thread reads or writes the next piece meanwhile. A
+    fed piece must not change until ``value`` returns. Small fields are
+    gathered and go to the helper as one piece before the next fed one. As a
+    context manager it stops the helper on every exit path.
+    """
+
+    def __init__(self):
+        self._pieces = queue.SimpleQueue()
+        self._fields = bytearray()
+        self._value = 0
+        self._helper = threading.Thread(target=self._fold, name="checkpoint-crc", daemon=True)
+
+    def __enter__(self):
+        self._helper.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.value()
+
+    def _fold(self):
+        crc = 0
+        while (piece := self._pieces.get()) is not None:
+            crc = zlib.crc32(piece, crc)
+        self._value = crc
+
+    def add(self, field):
+        self._fields += field
+
+    def feed(self, piece):
+        self._put_fields()
+        self._pieces.put(piece)
+
+    def _put_fields(self):
+        if self._fields:
+            self._pieces.put(self._fields)
+            self._fields = bytearray()
+
+    def value(self):
+        """The CRC of all bytes given; stops the helper, so give nothing after."""
+        if self._helper.is_alive():
+            self._put_fields()
+            self._pieces.put(None)
+            self._helper.join()
+        return self._value
+
+
+def _pieces(array):
+    """Views of a C-contiguous array's bytes, PIECE_BYTES each (the last shorter)."""
+    flat = array.reshape(-1).view(np.uint8)
+    return [flat[lo:lo + PIECE_BYTES] for lo in range(0, flat.size, PIECE_BYTES)]
+
+
+class _Writer:
+    """Mirror of _Reader: appends to an open file and gives all it wrote to a _Crc."""
+
+    def __init__(self, fh, crc):
         self.fh = fh
-        self.crc = 0
+        self.crc = crc
 
     def raw(self, data):
         self.fh.write(data)
-        self.crc = zlib.crc32(data, self.crc)
+        self.crc.add(data)
 
     def pack(self, fmt, *values):
         self.raw(struct.pack("<" + fmt, *values))
@@ -96,12 +161,21 @@ class _Writer:
             t = np.ascontiguousarray(group[name], dtype="<f4")
             self.string(name)
             self.pack(f"B{t.ndim}I", t.ndim, *t.shape)
-            self.raw(memoryview(t))
+            for piece in _pieces(t):
+                self.fh.write(piece)
+                self.crc.feed(piece)
 
 
 def _write(fh, spec, params, mask, state):
     fh.write(MAGIC + struct.pack("<II", VERSION, 0))
-    out = _Writer(fh)
+    with _Crc() as crc:
+        _write_body(_Writer(fh, crc), spec, params, mask, state)
+        value = crc.value()
+    fh.seek(8)
+    fh.write(struct.pack("<I", value))
+
+
+def _write_body(out, spec, params, mask, state):
     out.string(spec.name)
     out.pack(f"B{len(spec.input_shape)}I", len(spec.input_shape), *spec.input_shape)
     out.pack("I", len(spec.layers))
@@ -132,8 +206,6 @@ def _write(fh, spec, params, mask, state):
         for name in trainable:
             out.string(name)
             out.tensor_group(state.velocity[name])
-    fh.seek(8)
-    fh.write(struct.pack("<I", out.crc))
 
 
 def save(spec, params, mask, path, state: OptState | None = None) -> None:
@@ -152,13 +224,26 @@ def save(spec, params, mask, path, state: OptState | None = None) -> None:
 
 
 class _Reader:
-    def __init__(self, fh, size, path):
+    """Parses the body of an open file in order and gives every byte it read,
+    short reads included, to a _Crc."""
+
+    def __init__(self, fh, size, path, crc):
         self.fh = fh
         self.size = size
         self.path = path
+        self.crc = crc
+
+    def checksum(self, to_end=False):
+        """CRC of the body bytes read so far; with ``to_end``, of the rest of
+        the file too, read and folded on the calling thread."""
+        crc = self.crc.value()
+        while to_end and (piece := self.fh.read(PIECE_BYTES)):
+            crc = zlib.crc32(piece, crc)
+        return crc
 
     def raw(self, n):
         piece = self.fh.read(n)
+        self.crc.add(piece)
         if len(piece) != n:
             raise FormatError(f"{self.path}: truncated file")
         return piece
@@ -185,8 +270,11 @@ class _Reader:
                 f"{self.path}: tensor {name!r} of shape {shape} overruns the file")
         # the one copy: from the file into the tensor's own float32 array
         data = np.empty(shape, "<f4")
-        if self.fh.readinto(data) != data.nbytes:
-            raise FormatError(f"{self.path}: truncated file")
+        for piece in _pieces(data):
+            got = self.fh.readinto(piece)
+            self.crc.feed(piece[:got])
+            if got != piece.size:
+                raise FormatError(f"{self.path}: truncated file")
         return name, data
 
     def tensor_group(self):
@@ -244,20 +332,25 @@ def _parse(cur, path):
 
 def load(path):
     """Read a checkpoint back as (spec, params, mask, state-or-None)."""
-    with open(path, "rb") as fh:
-        cur = _Reader(fh, os.fstat(fh.fileno()).st_size, path)
-        magic, version, stored_crc = cur.unpack("4sII")
+    with open(path, "rb") as fh, _Crc() as crc:
+        header = fh.read(HEADER_SIZE)
+        if len(header) != HEADER_SIZE:
+            raise FormatError(f"{path}: truncated file")
+        magic, version, stored_crc = struct.unpack("<4sII", header)
         if magic != MAGIC:
             raise FormatError(f"{path}: bad magic {magic!r}")
         if version != VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
-        crc = 0
-        while chunk := fh.read(1 << 16):
-            crc = zlib.crc32(chunk, crc)
-        if crc != stored_crc:
+        cur = _Reader(fh, os.fstat(fh.fileno()).st_size, path, crc)
+        try:
+            spec, params, mask, state = _parse(cur, path)
+        except Exception:
+            # a corrupt body reports as corrupt, whatever the parser tripped on
+            if cur.checksum(to_end=True) != stored_crc:
+                raise IntegrityError(f"{path}: checksum mismatch") from None
+            raise
+        if cur.checksum() != stored_crc:
             raise IntegrityError(f"{path}: checksum mismatch")
-        fh.seek(HEADER_SIZE)
-        spec, params, mask, state = _parse(cur, path)
     if mask is None:
         mask = net.make_mask(spec, True)
     try:

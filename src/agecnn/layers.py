@@ -319,9 +319,10 @@ def conv2d_forward(x, w, b, stride, pad, plan=None):
     tail. Each band of a sample's output rows, and each block of filters
     (``_filter_blocks``), is one GEMM: weights times the band's patch matrix
     (``_patches``), with the bias added as the band is written to y. These
-    pieces depend only on the shapes. ``plan`` (eval mode) supplies the plane,
-    each worker's band and GEMM band and y, and runs the pieces on its
-    workers; without it they are allocated and run in order.
+    pieces depend only on the shapes. ``plan`` (eval mode) supplies every
+    sample's plane, each worker's band and GEMM band and y, and runs the pieces
+    on its workers; without it they are allocated, the pieces run in order, and
+    one sample's plane is padded at a time, as its first piece runs.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv expects 4-D input and weights, got {x.shape} / {w.shape}")
@@ -338,7 +339,7 @@ def conv2d_forward(x, w, b, stride, pad, plan=None):
     gemm_size = max(hi - lo for lo, hi in blocks) * rows * wp
     if plan is None:
         dtype = np.result_type(x, w)
-        plane = np.empty((n, cin, length), x.dtype)
+        plane = np.empty((1, cin, length), x.dtype)
         bands = [(np.empty(band_size, x.dtype), np.empty(gemm_size, dtype))]
         y = np.empty((n, cout, oh, ow), np.result_type(dtype, b))
     else:
@@ -346,14 +347,16 @@ def conv2d_forward(x, w, b, stride, pad, plan=None):
         bands = [(plan.take("band", (band_size,), worker), plan.take("gemm", (gemm_size,), worker))
                  for worker in range(plan.workers)]
         y = plan.other(x, (n, cout, oh, ow))
-    _pad_planes(x, pad, plane)
+        _pad_planes(x, pad, plane)
     w2 = w.reshape(cout, -1)
     pieces = [(i, top, block) for i in range(n) for top in tops for block in blocks]
 
     def piece(j, worker):
         (i, top, (lo, hi)), (band, gemm) = pieces[j], bands[worker]
+        if plan is None and top == 0 and lo == 0:
+            _pad_planes(x[i:i + 1], pad, plane)  # over the sample before
         r = min(rows, oh - top)
-        cols = _patches(plane[i], kh, kw, stride, wp, top, r, band)
+        cols = _patches(plane[0 if plan is None else i], kh, kw, stride, wp, top, r, band)
         out = np.matmul(w2[lo:hi], cols, out=gemm[:(hi - lo) * r * wp].reshape(hi - lo, r * wp))
         np.add(out.reshape(hi - lo, r, wp)[:, :, :ow], b[lo:hi, None, None],
                out=y[i, lo:hi, top:top + r])

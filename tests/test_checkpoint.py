@@ -1,7 +1,9 @@
 import collections
+import errno
 import hashlib
 import os
 import struct
+import threading
 import zlib
 
 import numpy as np
@@ -11,6 +13,7 @@ from agecnn import (ConfigError, FormatError, IntegrityError, NetworkSpec,
                     OptState, Rng, SgdConfig, ShapeError, build_profile, head_replace,
                     import_trunk, init_params, init_state, load, make_mask,
                     save, train_epoch)
+from agecnn import checkpoint
 from agecnn.checkpoint import HEADER_SIZE, MAGIC, VERSION
 from agecnn.cli import main
 from agecnn.network import eval_scores, param_shapes
@@ -278,24 +281,27 @@ class TestLoadRejections:
             with pytest.raises((FormatError, IntegrityError)):
                 load(path)
 
-    def test_file_cut_between_passes_is_short_read(self, tmp_path, monkeypatch):
-        # A file cut in place (save replaces, never cuts) after the CRC pass:
-        # the read of the last tensor, the final velocity bias, comes up short.
+    def test_file_cut_in_place_during_the_pass(self, tmp_path, monkeypatch):
+        # A file cut in place (save replaces, never cuts) after the reader has
+        # parsed two tensors: the rest reads short, and the bytes read do not
+        # match the stored CRC.
         spec, params, mask = mini_fixture()
         path = str(tmp_path / "m.acnn")
         save(spec, params, mask, path, state=sample_state(params, mask))
         size = os.path.getsize(path)
-        real_crc32, checked = zlib.crc32, []
+        real_tensor, parsed = checkpoint._Reader.tensor, []
 
-        def crc32_then_cut(data, value=0):
-            checked.append(len(data))
-            if sum(checked) == size - HEADER_SIZE:
-                os.truncate(path, size - 4)
-            return real_crc32(data, value)
+        def tensor_then_cut(reader):
+            parsed.append(real_tensor(reader))
+            if len(parsed) == 2:
+                os.truncate(path, size // 2)
+            return parsed[-1]
 
-        monkeypatch.setattr(zlib, "crc32", crc32_then_cut)
-        with pytest.raises(FormatError, match="truncated file"):
-            load(path)
+        monkeypatch.setattr(checkpoint._Reader, "tensor", tensor_then_cut)
+        got = []
+        with pytest.raises(IntegrityError, match="checksum mismatch"):
+            got.append(load(path))
+        assert len(parsed) >= 2 and got == []
 
     def test_header_fuzz_sweep(self, tmp_path):
         # every single-byte header corruption must be rejected cleanly
@@ -448,6 +454,99 @@ class TestPartialVelocity:
                      "--out", str(tmp_path / "out.acnn")]) == 1
         assert "forged.acnn" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out.acnn")
+
+
+class _FullDisk:
+    """A file whose writes fail once ``limit`` bytes would be on disk."""
+
+    def __init__(self, fh, limit):
+        self.fh, self.limit = fh, limit
+
+    def write(self, data):
+        if self.fh.tell() + memoryview(data).nbytes > self.limit:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+class TestOnePass:
+    """load reads each byte once and save writes each byte once; one helper
+    thread folds the body into the CRC meanwhile, and is gone when they end."""
+
+    def _crc_calls(self, monkeypatch):
+        real_crc32, calls = zlib.crc32, []
+
+        def recording_crc32(data, value=0):
+            calls.append((bytes(data), threading.get_ident()))
+            return real_crc32(data, value)
+
+        monkeypatch.setattr(zlib, "crc32", recording_crc32)
+        return calls
+
+    @pytest.mark.parametrize("op", ["load", "save"])
+    def test_every_body_byte_folded_once_off_the_calling_thread(
+            self, tmp_path, monkeypatch, op):
+        spec, params, mask = mini_fixture()
+        path = str(tmp_path / "m.acnn")
+        body = saved_body(path, spec, params, mask, sample_state(params, mask))
+        calls = self._crc_calls(monkeypatch)
+        if op == "load":
+            load(path)
+        else:
+            save(spec, params, mask, path, state=sample_state(params, mask))
+        assert b"".join(data for data, _ in calls) == body
+        assert any(ident != threading.get_ident() for _, ident in calls)
+
+    @pytest.mark.parametrize("field", ["rank", "name-length"])
+    def test_byte_that_fails_the_parse_is_a_checksum_mismatch(self, tmp_path, field):
+        path = str(tmp_path / "m.acnn")
+        body = bytearray(saved_body(path, *mini_fixture()))
+        weight = body.index(packed_str("weight"))
+        if field == "rank":
+            body[weight + len(packed_str("weight"))] = 9  # > MAX_RANK
+        else:
+            body[weight:weight + 2] = struct.pack("<H", 0xFFFF)
+        with open(path, "r+b") as fh:
+            fh.seek(HEADER_SIZE)
+            fh.write(body)
+        with pytest.raises(IntegrityError, match="checksum mismatch"):
+            load(path)
+
+    def test_no_helper_thread_outlives_a_call(self, tmp_path, monkeypatch):
+        spec, params, mask = mini_fixture()
+        path = str(tmp_path / "m.acnn")
+        before = set(threading.enumerate())
+        save(spec, params, mask, path)
+        load(path)
+        buf = open(path, "rb").read()
+        open(path, "wb").write(buf[:len(buf) // 2])
+        with pytest.raises(IntegrityError):
+            load(path)
+        monkeypatch.setattr(os, "fdopen", lambda fd, mode: _FullDisk(open(fd, mode), 4096))
+        with pytest.raises(OSError):
+            save(spec, params, mask, path)
+        assert set(threading.enumerate()) == before
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        spec, params, mask = mini_fixture()
+        path = str(tmp_path / "m.acnn")
+        save(spec, params, mask, path)
+        old = open(path, "rb").read()
+        real_fdopen = os.fdopen
+        monkeypatch.setattr(
+            os, "fdopen", lambda fd, mode: _FullDisk(real_fdopen(fd, mode), len(old) // 2))
+        with pytest.raises(OSError, match=os.strerror(errno.ENOSPC)):
+            save(spec, params, mask, path, state=sample_state(params, mask))
+        assert os.listdir(tmp_path) == ["m.acnn"]
+        assert open(path, "rb").read() == old
 
 
 class TestFormatGolden:

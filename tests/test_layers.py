@@ -173,6 +173,21 @@ class TestConvForward:
         for i in range(len(x)):
             assert conv2d_forward(x[i:i + 1], w, b, stride, pad)[0].tobytes() == y[i].tobytes()
 
+    def test_train_peak_pads_one_sample_at_a_time(self):
+        # without a plan: y, one sample's plane and one band of scratch. At
+        # 16x16x32x32 y is 1.0x the input and the band's patches 0.6x, and
+        # from batch 4 to 16 the peak grows by little more than y does
+        r = np.random.default_rng(9)
+        w = r.normal(size=(16, 16, 3, 3)).astype(np.float32)
+        b = np.zeros(16, np.float32)
+        peaks, sizes = {}, {}
+        for batch in (4, 16):
+            x = r.normal(size=(batch, 16, 32, 32)).astype(np.float32)
+            peaks[batch] = traced_peak(lambda: conv2d_forward(x, w, b, 1, 1))
+            sizes[batch] = x.nbytes
+        assert peaks[16] <= 1.8 * sizes[16]
+        assert peaks[16] - peaks[4] <= 1.25 * (sizes[16] - sizes[4])
+
     def test_non_integral_extent_rejected(self):
         x = np.zeros((1, 1, 5, 5), np.float32)
         w = np.zeros((1, 1, 2, 2), np.float32)
