@@ -170,9 +170,8 @@ def _write(fh, spec, params, mask, state):
     fh.write(MAGIC + struct.pack("<II", VERSION, 0))
     with _Crc() as crc:
         _write_body(_Writer(fh, crc), spec, params, mask, state)
-        value = crc.value()
     fh.seek(8)
-    fh.write(struct.pack("<I", value))
+    fh.write(struct.pack("<I", crc.value()))
 
 
 def _write_body(out, spec, params, mask, state):
@@ -344,7 +343,7 @@ def load(path):
         cur = _Reader(fh, os.fstat(fh.fileno()).st_size, path, crc)
         try:
             spec, params, mask, state = _parse(cur, path)
-        except Exception:
+        except (FormatError, IntegrityError):
             # a corrupt body reports as corrupt, whatever the parser tripped on
             if cur.checksum(to_end=True) != stored_crc:
                 raise IntegrityError(f"{path}: checksum mismatch") from None

@@ -13,6 +13,9 @@ caller's count is restored on return) and scores on a ``network.WorkerPool``
 of ``network.pool_size()`` workers, so its bytes do not depend on the core
 count or on ``OPENBLAS_NUM_THREADS``. Where numpy carries no OpenBLAS whose
 thread count can be set, the pool has one worker and BLAS is left alone.
+Each ``checkpoint.load`` and ``checkpoint.save`` also runs one CRC helper
+thread for its own duration. It runs only ``zlib.crc32`` over bytes already
+read or written, so no output bit depends on it.
 """
 
 from __future__ import annotations

@@ -354,7 +354,7 @@ def conv2d_forward(x, w, b, stride, pad, plan=None):
     def piece(j, worker):
         (i, top, (lo, hi)), (band, gemm) = pieces[j], bands[worker]
         if plan is None and top == 0 and lo == 0:
-            _pad_planes(x[i:i + 1], pad, plane)  # over the sample before
+            _pad_planes(x[i:i + 1], pad, plane)  # pieces run in order: over the last sample
         r = min(rows, oh - top)
         cols = _patches(plane[0 if plan is None else i], kh, kw, stride, wp, top, r, band)
         out = np.matmul(w2[lo:hi], cols, out=gemm[:(hi - lo) * r * wp].reshape(hi - lo, r * wp))

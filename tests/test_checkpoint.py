@@ -481,6 +481,10 @@ class TestOnePass:
     """load reads each byte once and save writes each byte once; one helper
     thread folds the body into the CRC meanwhile, and is gone when they end."""
 
+    def _fill_disk_after(self, monkeypatch, limit):
+        real_fdopen = os.fdopen
+        monkeypatch.setattr(os, "fdopen", lambda fd, mode: _FullDisk(real_fdopen(fd, mode), limit))
+
     def _crc_calls(self, monkeypatch):
         real_crc32, calls = zlib.crc32, []
 
@@ -530,7 +534,7 @@ class TestOnePass:
         open(path, "wb").write(buf[:len(buf) // 2])
         with pytest.raises(IntegrityError):
             load(path)
-        monkeypatch.setattr(os, "fdopen", lambda fd, mode: _FullDisk(open(fd, mode), 4096))
+        self._fill_disk_after(monkeypatch, 4096)
         with pytest.raises(OSError):
             save(spec, params, mask, path)
         assert set(threading.enumerate()) == before
@@ -540,9 +544,7 @@ class TestOnePass:
         path = str(tmp_path / "m.acnn")
         save(spec, params, mask, path)
         old = open(path, "rb").read()
-        real_fdopen = os.fdopen
-        monkeypatch.setattr(
-            os, "fdopen", lambda fd, mode: _FullDisk(real_fdopen(fd, mode), len(old) // 2))
+        self._fill_disk_after(monkeypatch, len(old) // 2)
         with pytest.raises(OSError, match=os.strerror(errno.ENOSPC)):
             save(spec, params, mask, path, state=sample_state(params, mask))
         assert os.listdir(tmp_path) == ["m.acnn"]
