@@ -157,10 +157,12 @@ class BufferPlan:
     each scratch buffer the largest request any layer's kind makes for it.
     ``pool`` (a ``network.WorkerPool``) runs the layers' pieces on its
     workers, each with its own copy of the ``PER_WORKER`` buffers; without
-    one, the pieces run in order on the calling thread.
+    one, the pieces run in order on the calling thread. ``acts``, two flat
+    arrays, replace the two activation buffers in the plan's block; each must
+    hold what the layers write into it.
     """
 
-    def __init__(self, layers, shapes, rows, dtype=DTYPE, pool=None):
+    def __init__(self, layers, shapes, rows, dtype=DTYPE, pool=None, acts=None):
         sizes = {}
         for layer, shape in zip(layers, shapes):
             for name, size in KINDS[layer.kind].scratch(layer, shape, rows).items():
@@ -173,11 +175,12 @@ class BufferPlan:
         # mapped on its own, so freeing the plan hands all of it back to the
         # system, where buffers below the allocator's mapping threshold would
         # stay in the heap.
-        lengths = [act, act] + [sizes[name] for name in sizes for _ in range(copies[name])]
+        lengths = ([] if acts else [act, act]) + [sizes[name] for name in sizes
+                                                  for _ in range(copies[name])]
         starts = np.cumsum([0] + [-(-n // _ALIGN) * _ALIGN for n in lengths])
         self.block = np.empty(starts[-1], dtype)
         bufs = iter([self.block[a:a + n] for a, n in zip(starts, lengths)])
-        self.acts = (next(bufs), next(bufs))
+        self.acts = tuple(acts) if acts else (next(bufs), next(bufs))
         self.scratch = {name: [next(bufs) for _ in range(copies[name])] for name in sizes}
 
     @property
@@ -756,19 +759,27 @@ def forward_layer(spec: LayerSpec, x, params=None, mode="train", rng=None, plan=
     """Run one layer forward, after the shape rule NetworkSpec applies.
 
     Returns (output, LayerCache), or (output, None) in eval mode. An eval-mode
-    call given a BufferPlan writes into its buffers and may overwrite ``x``;
-    one given none runs on a plan of its own, into which ``x`` is copied, so
-    the kernels learn their mode from the plan alone.
+    call given a BufferPlan writes into its buffers and may overwrite ``x``.
+    One given none runs on a plan of its own, so the kernels learn their mode
+    from the plan alone; that plan's activation buffers are two new arrays, a
+    copy of ``x`` and one shaped as the output, and the result is whichever
+    the layer wrote, an array that owns its bytes.
     """
     kind = KINDS[spec.kind]
     out_shape = kind.out_shape(spec, x.shape[1:])
     if plan is not None and mode != "eval":
         raise StateError(f"layer {spec.name!r}: a buffer plan serves eval mode only")
+    own = ()
     if mode == "eval" and plan is None:
-        plan = BufferPlan([spec], [x.shape[1:], out_shape], len(x), np.result_type(x, DTYPE))
-        x = plan.copy_in(x)
+        dtype = np.result_type(x, DTYPE)
+        own = (np.array(x, dtype), np.empty(x.shape[:1] + out_shape, dtype))
+        plan = BufferPlan([spec], [x.shape[1:], out_shape], len(x), dtype,
+                          acts=[a.reshape(-1) for a in own])
+        x = own[0]
     y, data = kind.forward(spec, x, params, mode, rng, plan)
     if mode == "eval":
+        # fc's output is a new array already; the other kinds write into a buffer
+        y = next((a for a in own if a.shape == y.shape and np.may_share_memory(a, y)), y)
         return y, None
     data["_out_shape"] = y.shape
     return y, LayerCache(spec.name, spec.kind, data)

@@ -413,7 +413,7 @@ def eval_scores(spec: NetworkSpec, params, batch, pool=None):
     return eval_layers(spec, params, batch, 0, len(spec.layers) - 1, pool)
 
 
-def backward(spec: NetworkSpec, params, caches, labels, mask):
+def backward(spec: NetworkSpec, params, caches, labels, mask, *, consume=None):
     """Gradients of the mean log loss for the mask's trainable layers only.
 
     ``caches`` are the train-mode caches of the last len(caches) layers (see
@@ -421,6 +421,12 @@ def backward(spec: NetworkSpec, params, caches, labels, mask):
     layer. The chain still propagates through frozen layers whenever an
     earlier layer is trainable; below the earliest trainable layer nothing is
     computed.
+
+    Returns ``{layer_name: {"weight": ..., "bias": ...}}``. Given ``consume``,
+    each trainable layer's gradients go instead to ``consume(layer_name,
+    grads)`` as soon as that layer's backward returns them, top layer first,
+    and backward keeps no reference to them (it returns ``{}``). The layer's
+    parameters are not read again by then, so the consumer may update them.
     """
     check_mask(spec, mask)
     start = len(spec.layers) - len(caches)
@@ -432,6 +438,7 @@ def backward(spec: NetworkSpec, params, caches, labels, mask):
 
     trainable_idx = [i for i, l in enumerate(spec.layers) if l.has_params and mask[l.name]]
     grads = {}
+    consume = consume or grads.__setitem__
     if not trainable_idx:
         return grads
     earliest = min(trainable_idx)
@@ -448,5 +455,6 @@ def backward(spec: NetworkSpec, params, caches, labels, mask):
         need_input = i > earliest
         d, dp = L.backward_layer(layer, caches[i - start], d, need_params, need_input)
         if need_params:
-            grads[layer.name] = dp
+            consume(layer.name, dp)
+        del dp  # before the next layer's backward makes its gradients
     return grads

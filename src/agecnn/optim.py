@@ -9,8 +9,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InputError, ParameterError, StateError
-from .layers import softmax_log_loss
+from .errors import InputError, ParameterError, ShapeError, StateError
+from .layers import PIECE_ELEMENTS, softmax_log_loss
 from .network import WorkerPool, backward, eval_layers, forward, frozen_prefix
 
 
@@ -72,23 +72,55 @@ def sgd_step(params, grads, mask, state: OptState, cfg: SgdConfig):
     The one exception to ``tensor``'s immutability rule: once the gradients are checked,
     each trainable tensor and its velocity are overwritten and the same ``params`` and
     ``state`` come back. Decay spares biases; frozen tensors are never written.
+    ``grads`` covers exactly the layers ``mask`` marks trainable, so a mask that
+    marks one layer steps that layer alone, as ``train_epoch`` does while
+    backward hands over each layer's gradients. Each tensor is updated in
+    chunks of ``layers.PIECE_ELEMENTS`` elements through one chunk of scratch.
     """
     trainable = [name for name in params if mask.get(name)]
     if set(grads) != set(trainable):
         raise StateError(
             f"gradients cover {sorted(grads)}, trainable layers are {sorted(trainable)}")
-    missing = [(n, t) for n in trainable for t in params[n] if t not in grads[n]]
-    if missing:
-        raise StateError(f"layer {missing[0][0]!r}: missing gradient for {missing[0][1]!r}")
+    for name in trainable:
+        for tname, w in params[name].items():
+            if tname not in grads[name]:
+                raise StateError(f"layer {name!r}: missing gradient for {tname!r}")
+            for what, a in (("gradient", grads[name][tname]),
+                            ("velocity", state.velocity[name][tname])):
+                if a.shape != w.shape:
+                    raise ShapeError(f"layer {name!r}: {tname} {what} shape {a.shape}, "
+                                     f"expected {w.shape}")
     for name in trainable:
         for tname, w in params[name].items():
             lam = cfg.weight_decay if tname == "weight" else 0.0
-            v = state.velocity[name][tname]
-            # the float32 operations and order of mu * v - lr * (g + lam * w)
-            v *= cfg.momentum
-            v -= state.lr * (grads[name][tname] + lam * w)
-            w += v
+            _momentum_update(w, state.velocity[name][tname], grads[name][tname],
+                             state.lr, cfg.momentum, lam)
     return params, state
+
+
+def _momentum_update(w, v, g, lr, mu, lam):
+    """v <- mu*v - lr*(g + lam*w); w <- w + v, in chunks of PIECE_ELEMENTS elements.
+
+    Each chunk runs the float operations of ``v *= mu; v -= lr * (g + lam * w);
+    w += v`` in the same order, at the same precision, through one chunk of
+    scratch, so the bytes do not depend on the chunking.
+    """
+    if w.flags.c_contiguous and v.flags.c_contiguous:
+        w, v, g = w.reshape(-1), v.reshape(-1), g.reshape(-1)
+        size = PIECE_ELEMENTS
+    else:  # flat views would be copies: a strided tensor is one chunk
+        size = len(w)
+    scratch = np.empty(w[:size].shape, np.result_type(g, w, lam, lr))
+    for start in range(0, len(w), size):
+        part = slice(start, start + size)
+        wc, vc = w[part], v[part]
+        t = scratch[:len(wc)]
+        vc *= mu
+        np.multiply(lam, wc, out=t)
+        np.add(g[part], t, out=t)
+        np.multiply(lr, t, out=t)
+        vc -= t
+        wc += vc
 
 
 def plateau_update(state: OptState, epoch_val_accuracy: float, cfg: SgdConfig) -> OptState:
@@ -116,7 +148,9 @@ def _step(spec, params, mask, state, cfg, x, labels, split, rng, workers):
     if not np.isfinite(loss):
         raise StateError(f"epoch {state.epoch + 1}: batch loss is {loss}; "
                          "training diverged (try a lower learning rate)")
-    sgd_step(params, backward(spec, params, caches, labels, mask), mask, state, cfg)
+    # each layer steps as soon as backward has its gradients, which then die
+    backward(spec, params, caches, labels, mask,
+             consume=lambda name, g: sgd_step(params, {name: g}, {name: True}, state, cfg))
     return loss
 
 
@@ -128,7 +162,9 @@ def train_epoch(spec, params, mask, state: OptState, cfg: SgdConfig, train_batch
     extractor, in eval mode and micro-batches with no caches kept, on a
     ``network.WorkerPool`` of ``workers`` that lasts one step's prefix;
     forward keeps train-mode caches for the layers from there on only. Each step
-    updates ``params`` and the velocity in place (``sgd_step``). Returns
+    updates ``params`` and the velocity in place, one layer at a time: backward
+    hands each trainable layer's gradients to ``sgd_step`` as soon as it has
+    them and keeps none, so one layer's gradients are alive at a time. Returns
     (params, state', mean per-example loss). A non-finite batch loss raises
     StateError before that batch's step, and a non-finite trainable tensor
     after the last step raises StateError too. The final short batch is

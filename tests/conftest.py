@@ -46,11 +46,11 @@ def fd_max_rel_err(f, tensors, analytic, h=FD_H, samples=None, seed=0):
 
 
 def traced_peak(fn):
-    """Peak bytes traced by tracemalloc while fn runs."""
+    """(peak bytes traced by tracemalloc while fn runs, fn's result)."""
     tracemalloc.start()
     try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
+        out = fn()
+        return tracemalloc.get_traced_memory()[1], out
     finally:
         tracemalloc.stop()
 

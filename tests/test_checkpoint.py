@@ -46,17 +46,25 @@ def packed_str(s):
     return struct.pack("<H", len(b)) + b
 
 
+def read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def write_bytes(path, data):
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
 def saved_body(path, spec, params, mask, state=None):
     """Body bytes (everything after the header) of a file written by save."""
     save(spec, params, mask, path, state=state)
-    with open(path, "rb") as fh:
-        return fh.read()[HEADER_SIZE:]
+    return read_bytes(path)[HEADER_SIZE:]
 
 
 def write_forged(path, body):
     """Write a body under a valid header, its CRC recomputed to match."""
-    with open(path, "wb") as fh:
-        fh.write(MAGIC + struct.pack("<II", VERSION, zlib.crc32(body)) + body)
+    write_bytes(path, MAGIC + struct.pack("<II", VERSION, zlib.crc32(body)) + body)
 
 
 def mutated_bodies(body, count, rng):
@@ -162,7 +170,7 @@ class TestRoundtrip:
         a, b = str(tmp_path / "a.acnn"), str(tmp_path / "b.acnn")
         save(spec, params, mask, a, state=state)
         save(spec, params, mask, b, state=state)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert read_bytes(a) == read_bytes(b)
 
     def test_load_save_cycle_preserves_bytes(self, tmp_path):
         spec, params, mask = mini_fixture()
@@ -170,7 +178,7 @@ class TestRoundtrip:
         save(spec, params, mask, a, state=sample_state(params, mask))
         spec2, params2, mask2, state2 = load(a)
         save(spec2, params2, mask2, b, state=state2)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert read_bytes(a) == read_bytes(b)
 
     def test_custom_spec_roundtrips(self, tmp_path):
         from agecnn.layers import conv, fc, relu, softmax_loss
@@ -204,7 +212,7 @@ class TestSizeArithmetic:
         spec, params, mask = mini_fixture()
         path = str(tmp_path / "m.acnn")
         save(spec, params, mask, path)
-        buf = open(path, "rb").read()
+        buf = read_bytes(path)
         assert buf[:4] == MAGIC == b"ACNN"
         assert struct.unpack("<I", buf[4:8])[0] == VERSION == 1
         crc = struct.unpack("<I", buf[8:12])[0]
@@ -260,24 +268,24 @@ class TestLoadRejections:
         spec, params, mask = mini_fixture()
         path = str(tmp_path / "m.acnn")
         save(spec, params, mask, path)
-        return path, open(path, "rb").read()
+        return path, read_bytes(path)
 
     def test_bad_magic(self, tmp_path):
         path, buf = self._saved(tmp_path)
-        open(path, "wb").write(b"NOPE" + buf[4:])
+        write_bytes(path, b"NOPE" + buf[4:])
         with pytest.raises(FormatError):
             load(path)
 
     def test_bad_version(self, tmp_path):
         path, buf = self._saved(tmp_path)
-        open(path, "wb").write(buf[:4] + struct.pack("<I", 2) + buf[8:])
+        write_bytes(path, buf[:4] + struct.pack("<I", 2) + buf[8:])
         with pytest.raises(FormatError):
             load(path)
 
     def test_truncations_rejected(self, tmp_path):
         path, buf = self._saved(tmp_path)
         for cut in (0, 3, 11, 12, len(buf) // 2, len(buf) - 1):
-            open(path, "wb").write(buf[:cut])
+            write_bytes(path, buf[:cut])
             with pytest.raises((FormatError, IntegrityError)):
                 load(path)
 
@@ -309,7 +317,7 @@ class TestLoadRejections:
         for off in range(HEADER_SIZE):
             bad = bytearray(buf)
             bad[off] ^= 0xFF
-            open(path, "wb").write(bytes(bad))
+            write_bytes(path, bytes(bad))
             if off < 8:
                 with pytest.raises(FormatError):
                     load(path)
@@ -322,7 +330,7 @@ class TestLoadRejections:
         for off in range(HEADER_SIZE, len(buf), 997):
             bad = bytearray(buf)
             bad[off] ^= 0x01
-            open(path, "wb").write(bytes(bad))
+            write_bytes(path, bytes(bad))
             with pytest.raises(IntegrityError):
                 load(path)
 
@@ -343,7 +351,7 @@ class TestLoadRejections:
         extent_off = at + len(needle) - 16
         bad[extent_off:extent_off + 4] = struct.pack("<I", 9)
         bad[8:12] = struct.pack("<I", zlib.crc32(bytes(bad[12:])) & 0xFFFFFFFF)
-        open(path, "wb").write(bytes(bad))
+        write_bytes(path, bytes(bad))
         with pytest.raises((FormatError, IntegrityError)):
             load(path)
 
@@ -530,8 +538,8 @@ class TestOnePass:
         before = set(threading.enumerate())
         save(spec, params, mask, path)
         load(path)
-        buf = open(path, "rb").read()
-        open(path, "wb").write(buf[:len(buf) // 2])
+        buf = read_bytes(path)
+        write_bytes(path, buf[:len(buf) // 2])
         with pytest.raises(IntegrityError):
             load(path)
         self._fill_disk_after(monkeypatch, 4096)
@@ -543,12 +551,12 @@ class TestOnePass:
         spec, params, mask = mini_fixture()
         path = str(tmp_path / "m.acnn")
         save(spec, params, mask, path)
-        old = open(path, "rb").read()
+        old = read_bytes(path)
         self._fill_disk_after(monkeypatch, len(old) // 2)
         with pytest.raises(OSError, match=os.strerror(errno.ENOSPC)):
             save(spec, params, mask, path, state=sample_state(params, mask))
         assert os.listdir(tmp_path) == ["m.acnn"]
-        assert open(path, "rb").read() == old
+        assert read_bytes(path) == old
 
 
 class TestFormatGolden:
@@ -587,8 +595,8 @@ class TestMemory:
         spec, params, mask = mini_fixture()
         state = sample_state(params, mask)
         path = str(tmp_path / "m.acnn")
-        save_peak = traced_peak(lambda: save(spec, params, mask, path, state=state))
-        load_peak = traced_peak(lambda: load(path))
+        save_peak, _ = traced_peak(lambda: save(spec, params, mask, path, state=state))
+        load_peak, _ = traced_peak(lambda: load(path))
         size = os.path.getsize(path)
         assert save_peak < 0.5 * size
         assert load_peak < 1.3 * size

@@ -25,6 +25,16 @@ from conftest import mutations, write_dataset
 LOG_LINE = re.compile(r"^\d+,[0-9.eE+-]+,\d+\.\d{6},\d\.\d{6},\d\.\d{6}$")
 
 
+def read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def write_bytes(path, data):
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
 def make_model(tmp_path, name="model.acnn", seed=0):
     spec = build_profile("mini")
     params = init_params(spec, Rng(seed))
@@ -173,13 +183,13 @@ class TestSurgery:
         donor = make_model(tmp_path)
         a = surgery_model(tmp_path, donor, "a.acnn", seed=5)
         b = surgery_model(tmp_path, donor, "b.acnn", seed=5)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert read_bytes(a) == read_bytes(b)
 
     def test_different_seed_differs(self, tmp_path):
         donor = make_model(tmp_path)
         a = surgery_model(tmp_path, donor, "a.acnn", seed=5)
         b = surgery_model(tmp_path, donor, "b.acnn", seed=6)
-        assert open(a, "rb").read() != open(b, "rb").read()
+        assert read_bytes(a) != read_bytes(b)
 
     def test_missing_donor_is_runtime_failure(self, tmp_path, capsys):
         code = main(["surgery", "--in", str(tmp_path / "nope.acnn"),
@@ -223,7 +233,7 @@ class TestTrain:
         out = str(tmp_path / "ck.acnn")
         assert main(["train", "--model", model, "--train", manifest,
                      "--val", manifest, "--epochs", "0", "--out", out]) == 0
-        assert open(out, "rb").read() == open(model, "rb").read()
+        assert read_bytes(out) == read_bytes(model)
 
     def test_missing_epochs_is_usage_error(self, tmp_path, capsys):
         model = make_model(tmp_path)
@@ -251,7 +261,7 @@ class TestTrain:
                          "--val", manifest, "--epochs", "1", "--out", out,
                          "--batch-size", "4", "--lr", "0.001",
                          "--seed", "11"]) == 0
-            outs.append(open(out, "rb").read())
+            outs.append(read_bytes(out))
         assert outs[0] == outs[1]
 
     def test_frozen_trunk_bytes_unchanged(self, tmp_path):
@@ -372,7 +382,7 @@ class TestTrain:
         got = capsys.readouterr().out.splitlines()
         want = reference_train(model, train, val, ref, 2, 5, 0.05, 3, means)
         assert got[:-1] == want[:-1]
-        assert open(out, "rb").read() == open(ref, "rb").read()
+        assert read_bytes(out) == read_bytes(ref)
 
     def test_val_images_run_through_the_trunk_once_per_run(self, tmp_path, monkeypatch):
         os.mkdir(tmp_path / "train")
@@ -719,7 +729,7 @@ class TestEval:
         assert m
         assert float(m.group(1)) <= float(m.group(2))
         assert os.path.exists(csv_out)
-        assert open(csv_out).readline().startswith("truth,")
+        assert read_bytes(csv_out).startswith(b"truth,")
         assert f"wrote {csv_out}" in captured.err
 
     def test_default_csv_path(self, tmp_path, capsys):
@@ -947,7 +957,7 @@ class TestEngineThreads:
         assert engine_threads() == []
         # the second image is missing: eval fails after the pool has run
         broken = tmp_path / "broken.csv"
-        lines = open(manifest, encoding="utf-8").read().splitlines()
+        lines = read_bytes(manifest).decode("utf-8").splitlines()
         broken.write_text("\n".join([lines[0], lines[1], "missing.ppm," + lines[2].split(",")[1],
                                       lines[3]]) + "\n")
         assert main(["eval", "--model", model, "--test", str(broken)]) == 1
@@ -965,9 +975,9 @@ class TestEngineThreads:
             if kind == "good":
                 write_ppm(path, Rng(i).uniform((3, 30 + 5 * i, 40)) * 255)
             elif kind == "magic":
-                open(path, "wb").write(b"P5\n2 2\n255\n" + bytes(4))
+                write_bytes(path, b"P5\n2 2\n255\n" + bytes(4))
             elif kind == "truncated":
-                open(path, "wb").write(b"P6\n4 4\n255\n" + bytes(10))
+                write_bytes(path, b"P6\n4 4\n255\n" + bytes(10))
             paths.append(path)
         listing = tmp_path / "images.txt"
         listing.write_text("\n".join(paths) + "\n")

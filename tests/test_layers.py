@@ -183,7 +183,7 @@ class TestConvForward:
         peaks, sizes = {}, {}
         for batch in (4, 16):
             x = r.normal(size=(batch, 16, 32, 32)).astype(np.float32)
-            peaks[batch] = traced_peak(lambda: conv2d_forward(x, w, b, 1, 1))
+            peaks[batch], _ = traced_peak(lambda: conv2d_forward(x, w, b, 1, 1))
             sizes[batch] = x.nbytes
         assert peaks[16] <= 1.8 * sizes[16]
         assert peaks[16] - peaks[4] <= 1.25 * (sizes[16] - sizes[4])
@@ -268,7 +268,7 @@ class TestConvBackward:
             x = r.normal(size=(batch, 16, 32, 32)).astype(np.float32)
             y, cache = conv2d_forward(x, w, np.zeros(16, np.float32), 1, 1)
             d_out = r.normal(size=y.shape).astype(np.float32)
-            peaks[batch] = traced_peak(lambda: conv2d_backward(cache, d_out))
+            peaks[batch], _ = traced_peak(lambda: conv2d_backward(cache, d_out))
             sizes[batch] = x.nbytes
         assert peaks[16] <= 4 * sizes[16]
         assert peaks[16] - peaks[4] <= 1.25 * (sizes[16] - sizes[4])
@@ -406,8 +406,10 @@ class TestLrn:
         # sum, the window sum, then denom_base, scale and the output
         x = np.maximum(np.random.default_rng(13).normal(size=(2, 64, 32, 32)),
                        0).astype(np.float32)
-        peak = traced_peak(lambda: forward_layer(lrn("norm1", n=3), x, None, "eval"))
+        peak, (y, _) = traced_peak(lambda: forward_layer(lrn("norm1", n=3), x, None, "eval"))
         assert peak <= 3.2 * x.nbytes
+        # the result is not a view that keeps the call's scratch alive
+        assert y.flags.owndata
 
 
 # ---------------------------------------------------------------------------
@@ -686,10 +688,9 @@ class TestSoftmaxLoss:
 # ---------------------------------------------------------------------------
 
 class TestDispatch:
-    def test_forward_backward_roundtrip_per_kind(self):
-        r = np.random.default_rng(30)
-        x = r.normal(size=(2, 3, 8, 8)).astype(np.float32)
-        cases = [
+    @staticmethod
+    def cases(r):
+        return [
             (conv("c", 4), {"weight": r.normal(size=(4, 3, 3, 3)).astype(np.float32),
                             "bias": np.zeros(4, np.float32)}),
             (relu("r"), None),
@@ -700,6 +701,11 @@ class TestDispatch:
             (dropout("d", 0.5), None),
             (softmax_loss(), None),
         ]
+
+    def test_forward_backward_roundtrip_per_kind(self):
+        r = np.random.default_rng(30)
+        x = r.normal(size=(2, 3, 8, 8)).astype(np.float32)
+        cases = self.cases(r)
         assert {spec.kind for spec, _ in cases} == set(KINDS)
         for spec, params in cases:
             y, cache = forward_layer(spec, x, params, mode="train", rng=Rng(1))
@@ -710,6 +716,21 @@ class TestDispatch:
             else:
                 assert d_params == {}
             assert forward_layer(spec, x, params, "eval")[1] is None
+
+    def test_eval_without_a_plan_returns_an_array_of_its_own(self):
+        # the same bytes as a run on a plan the caller holds, in an array that
+        # owns them, and x is left as it was
+        r = np.random.default_rng(31)
+        x = r.normal(size=(2, 3, 8, 8)).astype(np.float32)
+        before = x.tobytes()
+        for spec, params in self.cases(r):
+            shapes = [x.shape[1:], KINDS[spec.kind].out_shape(spec, x.shape[1:])]
+            plan = layers.BufferPlan([spec], shapes, len(x))
+            want, _ = forward_layer(spec, plan.copy_in(x), params, "eval", None, plan)
+            y, cache = forward_layer(spec, x, params, "eval")
+            assert cache is None and y.flags.owndata, spec.kind
+            assert y.shape == want.shape and y.tobytes() == want.tobytes(), spec.kind
+            assert x.tobytes() == before, spec.kind
 
     def test_buffer_plan_serves_eval_mode_only(self):
         # a train-mode cache must not point into buffers the next call reuses

@@ -1,6 +1,5 @@
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from agecnn.layers import (conv, dropout, fc, forward_layer, lrn, maxpool, relu,
                            softmax_loss, softmax_log_loss, softmax_log_loss_backward)
 from agecnn.network import NetworkSpec, trunk_and_head, validate_params
 
-from conftest import fd_max_rel_err, to64
+from conftest import fd_max_rel_err, to64, traced_peak
 
 
 def param_counts(spec):
@@ -476,12 +475,8 @@ class TestEvalPlan:
         peaks = {}
         for batch in (1, 3, 7):
             x = Rng(42).normal((batch, 3, 224, 224)).astype(np.float32)
-            tracemalloc.start()
-            try:
-                out = net.eval_layers(spec, params, x, 0, split)
-                peaks[batch] = tracemalloc.get_traced_memory()[1] - out.nbytes
-            finally:
-                tracemalloc.stop()
+            peak, out = traced_peak(lambda: net.eval_layers(spec, params, x, 0, split))
+            peaks[batch] = peak - out.nbytes
         one_row = L.BufferPlan(trunk, shapes, 1).nbytes
         assert one_row <= peaks[1] <= one_row + 2**20
         for batch in (3, 7):
@@ -532,6 +527,27 @@ class TestBackward:
         for name in full:
             for tname in full[name]:
                 assert part[name][tname].tobytes() == full[name][tname].tobytes()
+
+    @pytest.mark.parametrize("trainable", [True, {"conv1_2", "fc3", "fc5"}])
+    def test_consumer_gets_each_layer_top_down(self, trainable):
+        # the dict form's bytes, one call per trainable layer from the top,
+        # even when the consumer changes each layer's params as it gets them
+        spec, params, caches, labels, mask = self._setup(trainable)
+        want = net.backward(spec, params, caches, labels, mask)
+        got = []
+
+        def consume(name, grads):
+            got.append((name, {t: g.copy() for t, g in grads.items()}))
+            for a in params[name].values():
+                a += 1.0
+
+        assert net.backward(spec, params, caches, labels, mask, consume=consume) == {}
+        order = [l.name for l in reversed(spec.layers) if l.has_params and mask[l.name]]
+        assert [name for name, _ in got] == order
+        for name, grads in got:
+            assert grads.keys() == want[name].keys()
+            for t, g in grads.items():
+                assert g.tobytes() == want[name][t].tobytes(), (name, t)
 
     def test_caches_must_reach_the_earliest_trainable_layer(self):
         spec, params, caches, labels, mask = self._setup({"conv2_1"})

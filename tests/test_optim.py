@@ -3,9 +3,10 @@ import weakref
 import numpy as np
 import pytest
 
-from agecnn import (InputError, ParameterError, Rng, StateError, build_profile,
-                    init_params, make_mask)
+from agecnn import (InputError, NetworkSpec, ParameterError, Rng, ShapeError, StateError,
+                    build_profile, init_params, make_mask)
 from agecnn import optim
+from agecnn.layers import PIECE_ELEMENTS, fc, relu, softmax_loss
 from agecnn.optim import (OptState, SgdConfig, init_state, plateau_update,
                           sgd_step, train_epoch)
 
@@ -155,11 +156,68 @@ class TestSgdStep:
                 sgd_step(params, bad, mask, state, cfg)
             assert snapshot() == before
 
+    @pytest.mark.parametrize("bad", [("bias", (1,)), ("weight", (8,))])
+    def test_misshaped_gradient_rejected(self, bad):
+        # broadcasting would apply a (1,) bias gradient, or one row of weight
+        # gradient, to every element or row
+        tname, shape = bad
+        params = {"f": {"weight": np.ones((4, 8), np.float32),
+                        "bias": np.ones(8, np.float32)}}
+        mask = {"f": True}
+        cfg = SgdConfig(batch_size=1)
+        state = init_state(params, mask, cfg)
+        grads = {"f": {t: np.ones_like(a) for t, a in params["f"].items()}}
+        grads["f"][tname] = np.ones(shape, np.float32)
+        with pytest.raises(ShapeError, match=f"layer 'f': {tname} gradient shape"):
+            sgd_step(params, grads, mask, state, cfg)
+        assert all((a == 1).all() for a in params["f"].values())
+        assert not any(a.any() for a in state.velocity["f"].values())
+
+    @pytest.mark.parametrize("gdtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lr, mu, lam", [(0.05, 0.9, 1e-3), (0.013, 0.5, 0.0),
+                                             (1e-4, 0.0, 0.05)])
+    def test_chunked_step_matches_the_whole_tensor_step(self, lr, mu, lam, gdtype):
+        def whole_tensor_step(w, v, g, lam):
+            # the update on whole tensors, as it ran before the chunked one
+            v *= mu
+            v -= lr * (g + lam * w)
+            w += v
+
+        rng = Rng(43)
+        sizes = (1, PIECE_ELEMENTS - 1, PIECE_ELEMENTS, PIECE_ELEMENTS + 1,
+                 3 * PIECE_ELEMENTS + 5)
+        params = {f"f{n}": {"weight": rng.normal((n,)).astype(np.float32),
+                            "bias": rng.normal((n,)).astype(np.float32)} for n in sizes}
+        # a transposed weight: not C-contiguous
+        params["t"] = {"weight": rng.normal((700, 600)).astype(np.float32).T,
+                       "bias": rng.normal((600,)).astype(np.float32)}
+        mask = dict.fromkeys(params, True)
+        cfg = SgdConfig(lr0=lr, momentum=mu, weight_decay=lam, batch_size=1)
+        state = init_state(params, mask, cfg)
+        ref_w = {n: {t: a.copy() for t, a in g.items()} for n, g in params.items()}
+        ref_v = {n: {t: np.zeros_like(a) for t, a in g.items()} for n, g in params.items()}
+        def arrays():
+            return [a for group in (params, state.velocity) for g in group.values()
+                    for a in g.values()]
+
+        updated_in_place = arrays()
+        for step in range(2):
+            grads = {n: {t: rng.normal(a.shape).astype(gdtype) for t, a in g.items()}
+                     for n, g in params.items()}
+            sgd_step(params, grads, mask, state, cfg)
+            for n in params:
+                for t in ("weight", "bias"):
+                    whole_tensor_step(ref_w[n][t], ref_v[n][t], grads[n][t],
+                                      lam if t == "weight" else 0.0)
+                    assert params[n][t].tobytes() == ref_w[n][t].tobytes(), (n, t, step)
+                    assert state.velocity[n][t].tobytes() == ref_v[n][t].tobytes(), (n, t)
+        assert all(a is b for a, b in zip(arrays(), updated_in_place))
+
     def test_step_allocates_no_new_tensors(self):
         # the old out-of-place step allocated about 2.2x all trainable bytes
         params, mask, cfg, state = self._trainable_set(4, (512, 512))
         grads = self._grads(params, 3)
-        peak = traced_peak(lambda: sgd_step(params, grads, mask, state, cfg))
+        peak, _ = traced_peak(lambda: sgd_step(params, grads, mask, state, cfg))
         assert peak < 2.5 * params["f0"]["weight"].nbytes
 
     def test_quadratic_descent_is_monotone(self):
@@ -234,6 +292,23 @@ def one_batch_stream(x, labels, times=1):
 
 
 class TestTrainEpoch:
+    def test_step_holds_one_gradient_and_one_chunk(self):
+        # two equally large fc layers, back to back: keeping a gradient past
+        # its update, or a tensor-sized temporary inside it, breaks the bound
+        spec = NetworkSpec("two", (1024, 1, 1), [
+            fc("fc1", 1024), fc("fc2", 1024), relu("relu2"), fc("fc3", 8), softmax_loss()])
+        params = init_params(spec, Rng(50))
+        mask = make_mask(spec, True)
+        cfg = SgdConfig(lr0=0.01, batch_size=4)
+        state = init_state(params, mask, cfg)
+        x = Rng(51).normal((4, 1024, 1, 1)).astype(np.float32)
+        # params and velocity exist before tracing starts, so are not counted
+        peak, _ = traced_peak(lambda: train_epoch(
+            spec, params, mask, state, cfg, one_batch_stream(x, [0, 1, 2, 3]), Rng(52)))
+        largest = params["fc1"]["weight"].nbytes
+        assert largest == params["fc2"]["weight"].nbytes == 4 * 2**20
+        assert peak <= largest + PIECE_ELEMENTS * 4 + 2**18, peak
+
     def _setup(self, lr):
         spec = build_profile("mini")
         params = init_params(spec, Rng(21))

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -13,7 +11,7 @@ from agecnn.predict import (BOTTOM_LEFT_OFFSET, CENTER_OFFSET,
                             UPPER_RIGHT_OFFSET, manifest_features, predict_manifest)
 from agecnn.data import decode_image, resize_bilinear
 
-from conftest import write_dataset
+from conftest import traced_peak, write_dataset
 
 
 def coordinate_image():
@@ -285,12 +283,7 @@ class TestBatchedPath:
         params = init_params(spec, Rng(23), std=0.1)
         manifest = load_manifest(write_dataset(str(tmp_path), 300, Rng(26)))
         split = frozen_prefix(spec, make_mask(spec, {"fc3", "fc4", "fc5"}))
-        tracemalloc.start()
-        try:
-            features = manifest_features(spec, params, manifest, None, split)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, features = traced_peak(lambda: manifest_features(spec, params, manifest, None, split))
         cache = sum(rows.nbytes for rows in features.rows)
         assert cache == 300 * 16 * 8 * 8 * 4
         assert peak < 1.75 * cache
