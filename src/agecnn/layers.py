@@ -11,20 +11,23 @@ Conv, ReLU, LRN and max pooling each have one forward body. It cuts the output
 into pieces fixed by the shapes alone (conv's bands and filter blocks, row
 ranges of at most about ``PIECE_ELEMENTS``), each written with the same
 operations a whole-batch call makes, so no bit depends on the mode, the batch
-or who ran a piece. Given a ``BufferPlan`` (eval mode only) the pieces write
-into its buffers and its workers share them (``BufferPlan.run``); without one
-(train mode) they write into new arrays, in order, and the body keeps what
-backward reads. A plan holds two ping-pong activation buffers, conv's padded
-plane, patch band and GEMM band, and LRN's prefix buffer; conv, LRN and max
-pooling write into the activation buffer their input is not in, ReLU works in
-place, eval dropout is the identity and fc allocates its (small) output. For
-the ``vgg-face-age`` trunk at 3 rows the plan is about 134 MB, and 23 MB more
-per further worker.
+or who ran a piece. Eval mode runs only on a ``BufferPlan``, which
+``network.eval_layers`` gets from a ``network.WorkerPool``: the pieces write
+into its buffers and the pool's workers share them. Train mode takes no plan:
+the pieces write into new arrays, in order, and the body keeps what backward
+reads. A plan holds two ping-pong activation buffers and the scratch each
+kind's ``scratch`` rule sizes, shared or one per worker: conv's padded plane,
+patch band and GEMM band, and LRN's prefix buffer. Conv, LRN and max pooling
+write into the activation buffer their input is not in, ReLU works in place,
+eval dropout is the identity and fc allocates its (small) output. For the
+``vgg-face-age`` trunk at 3 rows the plan is about 134 MB, and 23 MB more per
+further worker.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -51,7 +54,7 @@ class LayerKind:
     check: Callable = lambda spec: None  # raises ParameterError
     out_shape: Callable = lambda spec, shape: shape  # raises ShapeError if the input misfits
     param_shapes: Optional[Callable] = None  # (spec, in_shape) -> {"weight": ..., "bias": ...}
-    scratch: Callable = lambda spec, shape, rows: {}  # BufferPlan elements wanted, by name
+    scratch: Callable = lambda spec, shape, rows: {}  # BufferPlan {name: (elements, per worker)}
 
 
 @dataclass(frozen=True)
@@ -133,12 +136,6 @@ class LayerCache:
     data: dict
 
 
-# Scratch buffers each worker of a plan owns a copy of (conv's patch band and
-# GEMM band, LRN's prefix for one piece); the others are shared, each piece
-# writing its own rows.
-PER_WORKER = ("band", "gemm", "prefix")
-
-
 # Elements a BufferPlan aligns each buffer to: 64 bytes of float32.
 _ALIGN = 16
 
@@ -154,33 +151,29 @@ class BufferPlan:
     ``shapes`` are the per-sample input shape of ``layers[0]`` followed by each
     layer's output shape; ``rows`` is the most samples one call carries. Two
     ping-pong activation buffers each hold the largest of those shapes, and
-    each scratch buffer the largest request any layer's kind makes for it.
-    ``pool`` (a ``network.WorkerPool``) runs the layers' pieces on its
-    workers, each with its own copy of the ``PER_WORKER`` buffers; without
-    one, the pieces run in order on the calling thread. ``acts``, two flat
-    arrays, replace the two activation buffers in the plan's block; each must
-    hold what the layers write into it.
+    each scratch buffer the largest request any layer's kind makes for it,
+    in one shared copy or, where the kind's ``scratch`` rule says so, one per
+    worker of ``pool``. ``pool``, the ``network.WorkerPool`` whose ``plan``
+    makes this one, runs the layers' pieces on its workers.
     """
 
-    def __init__(self, layers, shapes, rows, dtype=DTYPE, pool=None, acts=None):
-        sizes = {}
+    def __init__(self, layers, shapes, rows, dtype, pool):
+        sizes, copies = {}, {}
         for layer, shape in zip(layers, shapes):
-            for name, size in KINDS[layer.kind].scratch(layer, shape, rows).items():
+            for name, (size, per_worker) in KINDS[layer.kind].scratch(layer, shape, rows).items():
                 sizes[name] = max(sizes.get(name, 0), size)
+                copies[name] = pool.workers if per_worker else 1
         act = rows * max(math.prod(shape) for shape in shapes)
-        self.workers = 1 if pool is None else pool.workers
-        self.run = _in_order if pool is None else pool.run
-        copies = {name: self.workers if name in PER_WORKER else 1 for name in sizes}
+        self.workers, self.run = pool.workers, pool.run
         # One block, carved into 64-byte aligned buffers: a large block is
         # mapped on its own, so freeing the plan hands all of it back to the
         # system, where buffers below the allocator's mapping threshold would
         # stay in the heap.
-        lengths = ([] if acts else [act, act]) + [sizes[name] for name in sizes
-                                                  for _ in range(copies[name])]
+        lengths = [act, act] + [sizes[name] for name in sizes for _ in range(copies[name])]
         starts = np.cumsum([0] + [-(-n // _ALIGN) * _ALIGN for n in lengths])
         self.block = np.empty(starts[-1], dtype)
         bufs = iter([self.block[a:a + n] for a, n in zip(starts, lengths)])
-        self.acts = tuple(acts) if acts else (next(bufs), next(bufs))
+        self.ping_pong = (next(bufs), next(bufs))
         self.scratch = {name: [next(bufs) for _ in range(copies[name])] for name in sizes}
 
     @property
@@ -189,7 +182,7 @@ class BufferPlan:
 
     def other(self, x, shape):
         """A ``shape`` view of the activation buffer that ``x`` does not live in."""
-        buf = self.acts[1] if np.may_share_memory(x, self.acts[0]) else self.acts[0]
+        buf = self.ping_pong[1] if np.may_share_memory(x, self.ping_pong[0]) else self.ping_pong[0]
         return buf[:math.prod(shape)].reshape(shape)
 
     def copy_in(self, x):
@@ -263,24 +256,32 @@ def _tap_slices(kh, kw, wp, oh, stride, top=0):
 BAND_BYTES = 16 * 2**20
 
 
-def _lowering(cin, h, wd, kh, kw, stride, pad):
-    """(Wp, OH, OW, flat plane length, band rows) of conv's banded lowering."""
+_ConvGeometry = namedtuple("_ConvGeometry", "wp oh ow plane band_rows tops blocks band gemm")
+
+
+def _conv_geometry(cin, h, wd, cout, kh, kw, stride, pad):
+    """Conv's banded lowering of one sample, from the shapes alone; forward,
+    backward and the plan's scratch all read it. ``wp`` is the padded row
+    width, ``plane`` a channel's flat padded plane with its zero tail,
+    ``tops`` the first output row of each band of ``band_rows`` rows,
+    ``blocks`` the (first, end) filter rows of each GEMM of a band, and
+    ``band`` and ``gemm`` the elements of a band's patches and of one GEMM."""
     wp = wd + 2 * pad
     oh = out_extent(h, kh, stride, pad, "conv")
-    ow = out_extent(wd, kw, stride, pad, "conv")
-    plane = _tap_slices(kh, kw, wp, oh, stride)[-1].stop
-    rows = BAND_BYTES // (cin * kh * kw * wp * np.dtype(DTYPE).itemsize)
-    return wp, oh, ow, plane, max(1, min(oh, rows))
+    rows = max(1, min(oh, BAND_BYTES // (cin * kh * kw * wp * np.dtype(DTYPE).itemsize)))
+    tops = range(0, oh, rows)
+    blocks = _filter_blocks(cout, len(tops))
+    return _ConvGeometry(wp, oh, out_extent(wd, kw, stride, pad, "conv"),
+                         _tap_slices(kh, kw, wp, oh, stride)[-1].stop, rows, tops, blocks,
+                         cin * kh * kw * rows * wp, max(hi - lo for lo, hi in blocks) * rows * wp)
 
 
 def _conv_scratch(spec, shape, rows):
-    cin, h, wd = shape
-    k, cout = spec.params["kernel"], spec.params["out_channels"]
-    wp, oh, _, plane, band = _lowering(cin, h, wd, k, k, spec.params["stride"],
-                                       spec.params["pad"])
-    block = max(hi - lo for lo, hi in _filter_blocks(cout, -(-oh // band)))
-    return {"plane": rows * cin * plane, "band": cin * k * k * band * wp,
-            "gemm": block * band * wp}
+    k = spec.params["kernel"]
+    g = _conv_geometry(*shape, spec.params["out_channels"], k, k, spec.params["stride"],
+                       spec.params["pad"])
+    return {"plane": (rows * shape[0] * g.plane, False), "band": (g.band, True),
+            "gemm": (g.gemm, True)}
 
 
 def _filter_blocks(cout, bands):
@@ -322,7 +323,8 @@ def conv2d_forward(x, w, b, stride, pad, plan=None):
     tail. Each band of a sample's output rows, and each block of filters
     (``_filter_blocks``), is one GEMM: weights times the band's patch matrix
     (``_patches``), with the bias added as the band is written to y. These
-    pieces depend only on the shapes. ``plan`` (eval mode) supplies every
+    pieces, and every buffer's size, come from the shapes alone
+    (``_conv_geometry``). ``plan`` (eval mode) supplies every
     sample's plane, each worker's band and GEMM band and y, and runs the pieces
     on its workers; without it they are allocated, the pieces run in order, and
     one sample's plane is padded at a time, as its first piece runs.
@@ -335,30 +337,27 @@ def conv2d_forward(x, w, b, stride, pad, plan=None):
         raise ShapeError(f"conv channel mismatch: input has {cin}, weights expect {cin_w}")
     if b.shape != (cout,):
         raise ShapeError(f"conv bias shape {b.shape} does not match {cout} filters")
-    wp, oh, ow, length, rows = _lowering(cin, h, wd, kh, kw, stride, pad)
-    tops = range(0, oh, rows)
-    blocks = _filter_blocks(cout, len(tops))
-    band_size = cin * kh * kw * rows * wp
-    gemm_size = max(hi - lo for lo, hi in blocks) * rows * wp
+    g = _conv_geometry(cin, h, wd, cout, kh, kw, stride, pad)
+    oh, ow, wp = g.oh, g.ow, g.wp
     if plan is None:
         dtype = np.result_type(x, w)
-        plane = np.empty((1, cin, length), x.dtype)
-        bands = [(np.empty(band_size, x.dtype), np.empty(gemm_size, dtype))]
+        plane = np.empty((1, cin, g.plane), x.dtype)
+        bands = [(np.empty(g.band, x.dtype), np.empty(g.gemm, dtype))]
         y = np.empty((n, cout, oh, ow), np.result_type(dtype, b))
     else:
-        plane = plan.take("plane", (n, cin, length))
-        bands = [(plan.take("band", (band_size,), worker), plan.take("gemm", (gemm_size,), worker))
+        plane = plan.take("plane", (n, cin, g.plane))
+        bands = [(plan.take("band", (g.band,), worker), plan.take("gemm", (g.gemm,), worker))
                  for worker in range(plan.workers)]
         y = plan.other(x, (n, cout, oh, ow))
         _pad_planes(x, pad, plane)
     w2 = w.reshape(cout, -1)
-    pieces = [(i, top, block) for i in range(n) for top in tops for block in blocks]
+    pieces = [(i, top, block) for i in range(n) for top in g.tops for block in g.blocks]
 
     def piece(j, worker):
         (i, top, (lo, hi)), (band, gemm) = pieces[j], bands[worker]
         if plan is None and top == 0 and lo == 0:
             _pad_planes(x[i:i + 1], pad, plane)  # pieces run in order: over the last sample
-        r = min(rows, oh - top)
+        r = min(g.band_rows, oh - top)
         cols = _patches(plane[0 if plan is None else i], kh, kw, stride, wp, top, r, band)
         out = np.matmul(w2[lo:hi], cols, out=gemm[:(hi - lo) * r * wp].reshape(hi - lo, r * wp))
         np.add(out.reshape(hi - lo, r, wp)[:, :, :ow], b[lo:hi, None, None],
@@ -381,23 +380,24 @@ def conv2d_backward(cache, d_out, need_param_grads=True, need_input_grad=True):
     stride, pad = cache["stride"], cache["pad"]
     n, cin, h, wd = x.shape
     cout, _, kh, kw = w.shape
-    wp, oh, ow, length, rows = _lowering(cin, h, wd, kh, kw, stride, pad)
+    g = _conv_geometry(cin, h, wd, cout, kh, kw, stride, pad)
+    oh, ow, wp = g.oh, g.ow, g.wp
     w2 = w.reshape(cout, -1)
     if need_param_grads:
         dw = np.zeros(w2.shape, np.result_type(d_out, x))
-        plane = np.empty((1, cin, length), x.dtype)
-        band = np.empty(cin * kh * kw * rows * wp, x.dtype)
+        plane = np.empty((1, cin, g.plane), x.dtype)
+        band = np.empty(g.band, x.dtype)
     d_in = None
     if need_input_grad:
         d_in = np.empty(x.shape, np.result_type(w, d_out))
-        d_plane = np.empty((cin, length), d_in.dtype)
+        d_plane = np.empty((cin, g.plane), d_in.dtype)
     for i in range(n):
         if need_param_grads:
             _pad_planes(x[i:i + 1], pad, plane)
         if need_input_grad:
             d_plane[...] = 0
-        for top in range(0, oh, rows):
-            r = min(rows, oh - top)
+        for top in g.tops:
+            r = min(g.band_rows, oh - top)
             dy = np.zeros((cout, r * wp), d_out.dtype)
             dy.reshape(cout, r, wp)[:, :, :ow] = d_out[i, :, top:top + r]
             if need_param_grads:
@@ -459,7 +459,7 @@ def _channel_window_sum(t, n, prefix=None, out=None):
 
 def _lrn_scratch(spec, shape, rows):
     c, h, w = shape
-    return {"prefix": (c + spec.params["n"]) * _piece_rows(h, c * w) * w}
+    return {"prefix": ((c + spec.params["n"]) * _piece_rows(h, c * w) * w, True)}
 
 
 def lrn_forward(x, n, k, alpha, beta, plan=None):
@@ -758,28 +758,20 @@ KINDS = {
 def forward_layer(spec: LayerSpec, x, params=None, mode="train", rng=None, plan=None):
     """Run one layer forward, after the shape rule NetworkSpec applies.
 
-    Returns (output, LayerCache), or (output, None) in eval mode. An eval-mode
-    call given a BufferPlan writes into its buffers and may overwrite ``x``.
-    One given none runs on a plan of its own, so the kernels learn their mode
-    from the plan alone; that plan's activation buffers are two new arrays, a
-    copy of ``x`` and one shaped as the output, and the result is whichever
-    the layer wrote, an array that owns its bytes.
+    Returns (output, LayerCache) in train mode. Eval mode needs a BufferPlan,
+    from which the kernels learn their mode, and ``network.eval_layers`` is
+    the walk that gives it one: the call writes into the plan's buffers, may
+    overwrite ``x``, and returns (output, None).
     """
     kind = KINDS[spec.kind]
-    out_shape = kind.out_shape(spec, x.shape[1:])
+    kind.out_shape(spec, x.shape[1:])
     if plan is not None and mode != "eval":
         raise StateError(f"layer {spec.name!r}: a buffer plan serves eval mode only")
-    own = ()
-    if mode == "eval" and plan is None:
-        dtype = np.result_type(x, DTYPE)
-        own = (np.array(x, dtype), np.empty(x.shape[:1] + out_shape, dtype))
-        plan = BufferPlan([spec], [x.shape[1:], out_shape], len(x), dtype,
-                          acts=[a.reshape(-1) for a in own])
-        x = own[0]
+    if plan is None and mode == "eval":
+        raise StateError(f"layer {spec.name!r}: eval mode runs on a buffer plan; "
+                         "use network.eval_layers")
     y, data = kind.forward(spec, x, params, mode, rng, plan)
     if mode == "eval":
-        # fc's output is a new array already; the other kinds write into a buffer
-        y = next((a for a in own if a.shape == y.shape and np.may_share_memory(a, y)), y)
         return y, None
     data["_out_shape"] = y.shape
     return y, LayerCache(spec.name, spec.kind, data)

@@ -3,14 +3,16 @@
 per-layer freeze mask, and ``eval_layers``, the only eval-mode walk, cache-free
 in micro-batches (scoring, and the frozen prefix used as a feature extractor).
 
-``eval_layers`` may run on a ``WorkerPool``: inside each layer call the
-pool's threads share the layer's pieces (conv bands and filter blocks, row
-ranges of ReLU, LRN and max pooling, fc's blocks of ``layers.FC_COLUMNS``
-output columns), which depend only on the shapes and are the same in train
-mode. So a sample's output through the layers before the first fc is the
-same at every batch size, micro-batch size and worker count, in either mode.
-A row's fc bits depend on its place in the GEMM of its micro-batch, so fc
-outputs are the same only for the same row groups.
+``eval_layers`` runs on a ``WorkerPool``, one-worker for the call if it is
+given none, and the pool's ``plan`` makes the buffer plan every eval-mode
+layer call writes into. Inside each layer call the pool's threads share the
+layer's pieces (conv bands and filter blocks, row ranges of ReLU, LRN and max
+pooling, fc's blocks of ``layers.FC_COLUMNS`` output columns), which depend
+only on the shapes and are the same in train mode. So a sample's output
+through the layers before the first fc is the same at every batch size,
+micro-batch size and worker count, in either mode. A row's fc bits depend on
+its place in the GEMM of its micro-batch, so fc outputs are the same only for
+the same row groups.
 
 A NetworkSpec decides its shapes when it is built: construction walks the
 layer kinds' shape rules once, stores every layer's input and output shape,
@@ -273,9 +275,13 @@ def frozen_prefix(spec: NetworkSpec, mask) -> int:
                 if (l.has_params and mask[l.name]) or l.kind in ("dropout", "softmax_loss"))
 
 
-def _check_batch(spec, batch, start):
+def _check_batch(spec, batch, start, stop):
+    if not 0 <= start <= stop <= len(spec.layers):
+        raise ParameterError(f"layer range [{start}, {stop}) is not within network "
+                             f"{spec.name!r}'s {len(spec.layers)} layers")
     if batch.shape[1:] != spec.shapes[start]:
-        where = "input contract" if start == 0 else f"input of layer {spec.layers[start].name!r}"
+        where = ("input contract" if start == 0 else "output" if start == len(spec.layers)
+                 else f"input of layer {spec.layers[start].name!r}")
         raise ShapeError(f"batch shape {batch.shape} does not match {where} {spec.shapes[start]}")
 
 
@@ -297,7 +303,7 @@ def forward(spec: NetworkSpec, params, batch, mode: str = "train", rng: Rng = No
     """
     if mode != "train":
         raise ConfigError(f"forward runs train mode only, got {mode!r}; use eval_layers")
-    _check_batch(spec, batch, start)
+    _check_batch(spec, batch, start, len(spec.layers))
     x = batch
     caches = []
     for layer in spec.layers[start:]:
@@ -320,10 +326,10 @@ class WorkerPool:
     """Threads that share each eval-mode layer call, and the buffer plan kept between calls.
 
     The calling thread is worker 0; ``workers - 1`` helper threads join it in
-    ``run``. The pool keeps the last plan ``eval_layers`` asked it for and
-    hands it out again for the same layers, shapes and dtype at no more rows,
-    so a loop that scores one image per call plans its buffers once. Leaving
-    the ``with`` block (``close``) stops the helpers and frees the plan.
+    ``run``. ``plan`` makes every ``layers.BufferPlan``: it keeps the last one
+    and hands it out again for the same layers, shapes and dtype at no more
+    rows, so a loop that scores one image per call plans its buffers once.
+    Leaving the ``with`` block (``close``) stops the helpers and frees the plan.
     """
 
     def __init__(self, workers: int = 1):
@@ -382,22 +388,22 @@ class WorkerPool:
 def eval_layers(spec: NetworkSpec, params, batch, start: int, stop: int, pool=None):
     """Eval-mode output of layers [start, stop), MICRO_BATCH rows per call.
 
-    The walk runs on one buffer plan, sized from the layers' shapes at the
-    rows of its largest micro-batch (layers.BufferPlan): a new one that is
-    freed on return, or with ``pool`` (a WorkerPool) the pool's kept plan,
-    whose pieces the pool's workers share. Each micro-batch is copied into
-    the plan, every layer call writes into it and returns no cache, and the
-    last layer's output is copied into a new result array. ``start`` ==
-    ``stop`` returns ``batch``.
+    The walk runs on the plan of ``pool`` (a WorkerPool, or a one-worker pool
+    that lasts the call), sized from the layers' shapes at the rows of its
+    largest micro-batch; the pool's workers share each layer's pieces. Each
+    micro-batch is copied into the plan, every layer call writes into it and
+    returns no cache, and the last layer's output is copied into a new result
+    array. ``start`` == ``stop`` returns ``batch``; a range outside
+    0 <= start <= stop <= len(spec.layers) raises ParameterError.
     """
-    _check_batch(spec, batch, start)
+    _check_batch(spec, batch, start, stop)
     if start == stop:
         return batch
-    layers = spec.layers[start:stop]
-    shapes, rows = spec.shapes[start:stop + 1], min(MICRO_BATCH, len(batch))
-    dtype = np.result_type(batch, DTYPE)
-    plan = (L.BufferPlan(layers, shapes, rows, dtype) if pool is None
-            else pool.plan(layers, shapes, rows, dtype))
+    if pool is None:
+        with WorkerPool() as own:
+            return eval_layers(spec, params, batch, start, stop, own)
+    layers, dtype = spec.layers[start:stop], np.result_type(batch, DTYPE)
+    plan = pool.plan(layers, spec.shapes[start:stop + 1], min(MICRO_BATCH, len(batch)), dtype)
     out = np.empty(batch.shape[:1] + spec.shapes[stop], dtype)
     for row in range(0, batch.shape[0], MICRO_BATCH):
         part = batch[row:row + MICRO_BATCH]

@@ -82,14 +82,14 @@ def sgd_step(params, grads, mask, state: OptState, cfg: SgdConfig):
         raise StateError(
             f"gradients cover {sorted(grads)}, trainable layers are {sorted(trainable)}")
     for name in trainable:
-        for tname, w in params[name].items():
-            if tname not in grads[name]:
-                raise StateError(f"layer {name!r}: missing gradient for {tname!r}")
-            for what, a in (("gradient", grads[name][tname]),
-                            ("velocity", state.velocity[name][tname])):
-                if a.shape != w.shape:
-                    raise ShapeError(f"layer {name!r}: {tname} {what} shape {a.shape}, "
-                                     f"expected {w.shape}")
+        for what, group in (("gradient", grads[name]), ("velocity", state.velocity.get(name, {}))):
+            if set(group) != set(params[name]):
+                raise StateError(f"layer {name!r}: {what} tensors {sorted(group)}, "
+                                 f"expected {sorted(params[name])}")
+            for tname, w in params[name].items():
+                if group[tname].shape != w.shape:
+                    raise ShapeError(f"layer {name!r}: {tname} {what} shape "
+                                     f"{group[tname].shape}, expected {w.shape}")
     for name in trainable:
         for tname, w in params[name].items():
             lam = cfg.weight_decay if tname == "weight" else 0.0

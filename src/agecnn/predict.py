@@ -13,9 +13,9 @@ walk, ``network.eval_layers``: ``predict_proba`` scores one image, and
 ``predict_manifest`` (``eval`` and validation) each record of a manifest in
 turn. Validation in ``train`` computes the outputs of frozen leading layers
 once per image (``manifest_features``) and starts each epoch's walk there.
-Every scorer takes an optional ``network.WorkerPool``: its workers share
-each layer call, and its plan serves image after image. The pool changes no
-output bit.
+Every scorer takes an optional ``network.WorkerPool``: its workers share each
+layer call and its plan serves image after image, where without one each
+call plans on a one-worker pool of its own. The pool changes no output bit.
 """
 
 from __future__ import annotations

@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from agecnn import AGE_LABELS, Rng, write_ppm
+from agecnn.layers import KINDS, forward_layer
+from agecnn.network import WorkerPool
+from agecnn.tensor import DTYPE
 
 FD_H = 1e-3
 
@@ -53,6 +56,16 @@ def traced_peak(fn):
         return tracemalloc.get_traced_memory()[1], out
     finally:
         tracemalloc.stop()
+
+
+def eval_layer(spec, x, params=None):
+    """One layer in eval mode on a one-worker pool's plan, as forward_layer's
+    (output, cache), the output copied out of the plan into an array of its own."""
+    shapes = (x.shape[1:], KINDS[spec.kind].out_shape(spec, x.shape[1:]))
+    with WorkerPool(1) as pool:
+        plan = pool.plan((spec,), shapes, len(x), np.result_type(x, DTYPE))
+        y, cache = forward_layer(spec, plan.copy_in(x), params, "eval", None, plan)
+        return y.copy(), cache
 
 
 # Bytes with a meaning in a manifest, PPM header or config file: separators,

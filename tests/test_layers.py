@@ -12,7 +12,8 @@ from agecnn.layers import (KINDS, LayerSpec, conv, conv2d_backward, conv2d_forwa
                            softmax_log_loss, softmax_log_loss_backward, softmax_loss)
 
 from agecnn import layers
-from conftest import fd_max_rel_err, traced_peak
+from agecnn.network import WorkerPool
+from conftest import eval_layer, fd_max_rel_err, traced_peak
 
 # frozen before implementation: 2 / (2 + 1e-4 * 2^2) ^ 0.75
 LRN_SCALAR = 1.1890287651464355
@@ -402,14 +403,21 @@ class TestLrn:
                 assert g.tobytes() == w.tobytes()
 
     def test_eval_peak_is_bounded(self):
-        # norm1's channels and window: the squared input, the padded prefix
-        # sum, the window sum, then denom_base, scale and the output
+        # norm1's channels and window: the plan holds two activation buffers
+        # and one piece's padded prefix sum, and the call, whose steps run in
+        # those buffers, allocates next to nothing
+        spec = lrn("norm1", n=3)
         x = np.maximum(np.random.default_rng(13).normal(size=(2, 64, 32, 32)),
                        0).astype(np.float32)
-        peak, (y, _) = traced_peak(lambda: forward_layer(lrn("norm1", n=3), x, None, "eval"))
-        assert peak <= 3.2 * x.nbytes
-        # the result is not a view that keeps the call's scratch alive
-        assert y.flags.owndata
+        with WorkerPool(1) as pool:
+            peak, plan = traced_peak(lambda: pool.plan((spec,), (x.shape[1:],) * 2, len(x),
+                                                       np.float32))
+            assert peak <= 3.2 * x.nbytes
+            x_in = plan.copy_in(x)
+            peak, (y, _) = traced_peak(lambda: forward_layer(spec, x_in, None, "eval", None, plan))
+            assert peak <= 0.05 * x.nbytes
+            assert np.shares_memory(y, plan.block)
+            assert y.tobytes() == lrn_forward(x, 3, 2.0, 1e-4, 0.75)[0].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +446,9 @@ class TestMaxpool:
         row = x.shape[1] * want.shape[3]
         for piece in (layers.PIECE_ELEMENTS, row, 2 * row):
             monkeypatch.setattr(layers, "PIECE_ELEMENTS", piece)
-            for mode in ("train", "eval"):
-                y, _ = forward_layer(spec, x, None, mode)
-                assert np.array_equal(y, want), (piece, mode)
+            for run in (forward_layer, eval_layer):
+                y, _ = run(spec, x, None)
+                assert np.array_equal(y, want), (piece, run.__name__)
 
     def test_matches_direct_loop(self, monkeypatch):
         x = np.random.default_rng(13).normal(size=(2, 3, 6, 6))
@@ -481,7 +489,7 @@ class TestMaxpool:
 
     def test_eval_mode_keeps_no_cache(self):
         x = np.random.default_rng(18).normal(size=(1, 2, 4, 4))
-        y, cache = forward_layer(maxpool("p"), x, None, "eval")
+        y, cache = eval_layer(maxpool("p"), x)
         assert np.array_equal(y, maxpool_forward(x, 2, 2)[0]) and cache is None
 
     def test_finite_differences(self):
@@ -715,31 +723,28 @@ class TestDispatch:
                 assert set(d_params) == {"weight", "bias"}
             else:
                 assert d_params == {}
-            assert forward_layer(spec, x, params, "eval")[1] is None
+            assert eval_layer(spec, x, params)[1] is None
 
-    def test_eval_without_a_plan_returns_an_array_of_its_own(self):
-        # the same bytes as a run on a plan the caller holds, in an array that
-        # owns them, and x is left as it was
+    def test_eval_needs_a_plan(self):
+        # eval mode runs on a pool's plan, through network.eval_layers; a call
+        # without one is refused before it writes anything
         r = np.random.default_rng(31)
         x = r.normal(size=(2, 3, 8, 8)).astype(np.float32)
         before = x.tobytes()
         for spec, params in self.cases(r):
-            shapes = [x.shape[1:], KINDS[spec.kind].out_shape(spec, x.shape[1:])]
-            plan = layers.BufferPlan([spec], shapes, len(x))
-            want, _ = forward_layer(spec, plan.copy_in(x), params, "eval", None, plan)
-            y, cache = forward_layer(spec, x, params, "eval")
-            assert cache is None and y.flags.owndata, spec.kind
-            assert y.shape == want.shape and y.tobytes() == want.tobytes(), spec.kind
+            with pytest.raises(StateError, match="eval_layers"):
+                forward_layer(spec, x, params, "eval")
             assert x.tobytes() == before, spec.kind
 
     def test_buffer_plan_serves_eval_mode_only(self):
         # a train-mode cache must not point into buffers the next call reuses
         spec = relu("r")
         x = np.full((2, 3, 4, 4), -1.0, np.float32)
-        plan = layers.BufferPlan([spec], [x.shape[1:]] * 2, 2)
-        with pytest.raises(StateError, match="eval mode only"):
-            forward_layer(spec, x, None, "train", None, plan)
-        y, cache = forward_layer(spec, x, None, "eval", None, plan)
+        with WorkerPool(1) as pool:
+            plan = pool.plan((spec,), (x.shape[1:],) * 2, 2, np.float32)
+            with pytest.raises(StateError, match="eval mode only"):
+                forward_layer(spec, x, None, "train", None, plan)
+            y, cache = forward_layer(spec, x, None, "eval", None, plan)
         assert y is x and cache is None and not x.any()
 
     def test_backward_rejects_wrong_shape(self):

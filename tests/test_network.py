@@ -13,7 +13,7 @@ from agecnn.layers import (conv, dropout, fc, forward_layer, lrn, maxpool, relu,
                            softmax_loss, softmax_log_loss, softmax_log_loss_backward)
 from agecnn.network import NetworkSpec, trunk_and_head, validate_params
 
-from conftest import fd_max_rel_err, to64, traced_peak
+from conftest import eval_layer, fd_max_rel_err, to64, traced_peak
 
 
 def param_counts(spec):
@@ -270,16 +270,16 @@ class TestForward:
         x = Rng(4).normal((6, 3, 32, 32)).astype(np.float32)
         trunk, _ = trunk_and_head(spec)
 
-        def features(batch, mode):
+        def features(batch, run):
             for layer in trunk:
-                batch, _ = forward_layer(layer, batch, params.get(layer.name), mode)
+                batch, _ = run(layer, batch, params.get(layer.name))
             return batch
 
-        for mode in ("eval", "train"):
-            whole = features(x, mode)
+        for run in (eval_layer, forward_layer):
+            whole = features(x, run)
             assert len({row.tobytes() for row in whole}) == 6
             for i in range(6):
-                assert np.array_equal(features(x[i:i + 1], mode)[0], whole[i])
+                assert np.array_equal(features(x[i:i + 1], run)[0], whole[i])
         scores = net.eval_scores(spec, params, x)
         trained, _ = net.forward(spec, params, x, mode="train", rng=Rng(9))
         for i in range(6):
@@ -465,19 +465,39 @@ class TestEvalPlan:
         assert net.eval_layers(spec, params, empty, 0, split).shape == (0, 16, 8, 8)
         assert net.eval_scores(spec, params, empty).shape == (0, 8)
 
+    @pytest.mark.parametrize("start, stop", [(5, 3), (-3, 2), (5, 99), (-1, -1)])
+    def test_layer_range_checked(self, start, stop):
+        spec = build_profile("mini")
+        params = init_params(spec, Rng(3))
+        x = np.zeros((2,) + spec.input_shape, np.float32)
+        with pytest.raises(ParameterError, match=rf"\[{start}, {stop}\)"):
+            net.eval_layers(spec, params, x, start, stop)
+
+    def test_forward_start_checked(self):
+        spec = build_profile("mini")
+        params = init_params(spec, Rng(3))
+        for start in (len(spec.layers) + 2, -1):
+            with pytest.raises(ParameterError, match=rf"\[{start}, {len(spec.layers)}\)"):
+                net.forward(spec, params, np.zeros((2, 8), np.float32), start=start)
+
     def test_peak_is_the_plan_at_any_batch(self, vgg_trunk):
         # the walk allocates its plan once and nothing per layer: its traced
         # peak is the plan plus the result, at every batch size
         spec, params, split = vgg_trunk
         trunk, shapes = spec.layers[:split], spec.shapes[:split + 1]
-        plan = L.BufferPlan(trunk, shapes, net.MICRO_BATCH).nbytes
+
+        def plan_bytes(rows):
+            with net.WorkerPool(1) as pool:
+                return pool.plan(trunk, shapes, rows, np.float32).nbytes
+
+        plan = plan_bytes(net.MICRO_BATCH)
         assert plan < 180 * 2**20
         peaks = {}
         for batch in (1, 3, 7):
             x = Rng(42).normal((batch, 3, 224, 224)).astype(np.float32)
             peak, out = traced_peak(lambda: net.eval_layers(spec, params, x, 0, split))
             peaks[batch] = peak - out.nbytes
-        one_row = L.BufferPlan(trunk, shapes, 1).nbytes
+        one_row = plan_bytes(1)
         assert one_row <= peaks[1] <= one_row + 2**20
         for batch in (3, 7):
             assert plan <= peaks[batch] <= plan + 2**20, (batch, peaks)
@@ -612,6 +632,75 @@ class TestCounts:
 
     def test_vgg_total(self):
         assert sum(param_counts(build_profile("vgg_face_age")).values()) == 163009240
+
+
+def random_stack(rng):
+    """A small valid stack with random hyperparameters and input extents: 1
+    to 5 conv, relu, lrn and maxpool layers, then 0 to 2 fc layers, each fc
+    but the last before a relu, under a loss layer. A draw whose shapes do
+    not chain (NetworkSpec raises ShapeError) is redrawn whole."""
+    def draw(i, kind):
+        if kind == "conv":
+            return conv(f"c{i}", int(rng.integers(1, 17)), kernel=int(rng.integers(1, 6)),
+                        stride=int(rng.integers(1, 3)), pad=int(rng.integers(0, 3)))
+        if kind == "lrn":
+            return lrn(f"n{i}", n=int(rng.choice([1, 3, 5, 7])), k=float(rng.uniform(0.5, 2)),
+                       alpha=float(rng.uniform(1e-4, 1)), beta=float(rng.uniform(0.5, 1)))
+        if kind == "maxpool":
+            return maxpool(f"p{i}", window=int(rng.integers(1, 4)), stride=int(rng.integers(1, 3)))
+        return relu(f"r{i}")
+
+    while True:
+        shape = (int(rng.integers(1, 9)),) + tuple(int(e) for e in rng.integers(4, 14, 2))
+        kinds = rng.choice(["conv", "conv", "conv", "relu", "lrn", "maxpool"],
+                           int(rng.integers(1, 6)))
+        layers = [draw(i, kind) for i, kind in enumerate(kinds)]
+        for j in range(int(rng.integers(0, 3))):
+            layers += [relu(f"fr{j}")] if j else []
+            layers.append(fc(f"f{j}", int(rng.integers(1, 13))))
+        try:
+            return NetworkSpec("random", shape, layers + [softmax_loss()])
+        except ShapeError:
+            continue
+
+
+class TestRandomStacks:
+    """A differential oracle over random stacks: the eval walk on a pool's
+    plan must give the train-mode walk's bytes, however it is cut."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_eval_walk_matches_train_walk_at_every_cut(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        spec = random_stack(rng)
+        # small band, piece and column budgets cut each layer into many pieces
+        monkeypatch.setattr(L, "BAND_BYTES", int(2 ** rng.uniform(6, 18)))
+        monkeypatch.setattr(L, "PIECE_ELEMENTS", int(rng.choice([97, 500, L.PIECE_ELEMENTS])))
+        monkeypatch.setattr(L, "FC_COLUMNS", int(rng.choice([2, 5, L.FC_COLUMNS])))
+        params = init_params(spec, Rng(seed), std=0.5)
+        x = Rng(seed).normal((int(rng.integers(1, 8)),) + spec.input_shape).astype(np.float32)
+        stop = len(spec.layers) - 1
+        # acts[k]: the train-mode output of layers [0, k), cut at the eval
+        # walk's micro-batch rows, where fc's GEMM rounds each row group
+        parts = []
+        for row in range(0, len(x), net.MICRO_BATCH):
+            outs = [x[row:row + net.MICRO_BATCH]]
+            for layer in spec.layers[:stop]:
+                outs.append(forward_layer(layer, outs[-1], params.get(layer.name), "train")[0])
+            parts.append(outs)
+        acts = [np.concatenate(outs) for outs in zip(*parts)]
+        cuts = [(a, b, c) for a in range(stop) for b in range(a, stop + 1)
+                for c in range(max(b, a + 1), stop + 1)]
+        for workers in (1, 2):
+            with net.WorkerPool(workers) as pool:
+                for start, split, end in cuts:
+                    mid = net.eval_layers(spec, params, acts[start], start, split, pool)
+                    got = net.eval_layers(spec, params, mid, split, end, pool)
+                    assert got.tobytes() == acts[end].tobytes(), (spec.layers, start, split, end)
+        # up to the first fc, a sample's bits do not depend on its batch
+        first_fc = next(i for i, l in enumerate(spec.layers) if l.kind in ("fc", "softmax_loss"))
+        for i in range(len(x)):
+            alone = net.eval_layers(spec, params, x[i:i + 1], 0, first_fc)
+            assert alone[0].tobytes() == acts[first_fc][i].tobytes(), (spec.layers, i)
 
 
 class TestWorkerPool:

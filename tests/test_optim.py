@@ -173,6 +173,31 @@ class TestSgdStep:
         assert all((a == 1).all() for a in params["f"].values())
         assert not any(a.any() for a in state.velocity["f"].values())
 
+    @pytest.mark.parametrize("fault, match", [
+        ("velocity lacks the layer", r"layer 'f1': velocity tensors \[\], expected"),
+        ("velocity lacks a tensor", r"layer 'f1': velocity tensors \['weight'\], expected"),
+        ("gradient has an extra tensor", r"layer 'f1': gradient tensors \['bias', 'extra', 'w"),
+        ("velocity has an extra tensor", r"layer 'f1': velocity tensors \['bias', 'extra', 'w"),
+    ])
+    def test_mismatched_tensor_sets_rejected(self, fault, match):
+        # f0 comes first and is sound: a check that ran as the update went
+        # would already have written it
+        params, mask, cfg, state = self._trainable_set(2, (5, 3))
+        grads = self._grads(params, 3)
+        if fault == "velocity lacks the layer":
+            del state.velocity["f1"]
+        elif fault == "velocity lacks a tensor":
+            del state.velocity["f1"]["bias"]
+        else:
+            group = grads["f1"] if fault.startswith("gradient") else state.velocity["f1"]
+            group["extra"] = np.zeros(3, np.float32)
+        before = [a.tobytes() for group in (params, state.velocity)
+                  for n in group for a in group[n].values()]
+        with pytest.raises(StateError, match=match):
+            sgd_step(params, grads, mask, state, cfg)
+        assert [a.tobytes() for group in (params, state.velocity)
+                for n in group for a in group[n].values()] == before
+
     @pytest.mark.parametrize("gdtype", [np.float32, np.float64])
     @pytest.mark.parametrize("lr, mu, lam", [(0.05, 0.9, 1e-3), (0.013, 0.5, 0.0),
                                              (1e-4, 0.0, 0.05)])
