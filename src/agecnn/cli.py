@@ -9,10 +9,11 @@ derives from the single ``--seed`` value through per-role, per-epoch streams,
 so reruns and resumed runs are bit-reproducible.
 
 Every command runs at one BLAS thread (``tensor.set_blas_threads``; the
-caller's count is restored on return) and scores on a ``network.WorkerPool``
-of ``network.pool_size()`` workers, so its bytes do not depend on the core
-count or on ``OPENBLAS_NUM_THREADS``. Where numpy carries no OpenBLAS whose
-thread count can be set, the pool has one worker and BLAS is left alone.
+caller's count is restored on return) on the one ``network.WorkerPool`` of
+``network.pool_size()`` workers that ``main`` opens for it, so its bytes do
+not depend on the core count or on ``OPENBLAS_NUM_THREADS``. Where numpy
+carries no OpenBLAS whose thread count can be set, the pool has one worker
+and BLAS is left alone.
 Each ``checkpoint.load`` and ``checkpoint.save`` also runs one CRC helper
 thread for its own duration. It runs only ``zlib.crc32`` over bytes already
 read or written, so no output bit depends on it.
@@ -197,7 +198,7 @@ def _load_manifest(path):
     return manifest
 
 
-def cmd_surgery(args):
+def cmd_surgery(args, pool):
     head = _parse_head(args.head)
     spec = network.build_profile(args.profile, dropout_rate=args.dropout)
     trunk_params = checkpoint.import_trunk(args.in_path, spec)
@@ -210,7 +211,7 @@ def cmd_surgery(args):
     return 0
 
 
-def cmd_train(args):
+def cmd_train(args, pool):
     if args.epochs is None:
         print("the train command needs --epochs", file=sys.stderr)
         return 2
@@ -232,14 +233,12 @@ def cmd_train(args):
     if args.epochs > 0 and state is None:
         state = optim.init_state(params, mask, cfg)
     # The frozen prefix never changes, so the val views go through it once,
-    # where what it outputs per view is smaller than the view.
-    # Each pool lasts one phase, so no plan outlives it into a step.
+    # where what it outputs per view is smaller than the view. Its plan
+    # stays in the pool until the first step's prefix has run.
     split = network.frozen_prefix(spec, mask)
     val_features = None
     if args.epochs > 0 and split and math.prod(spec.shapes[split]) < math.prod(spec.input_shape):
-        with network.WorkerPool(args.workers) as pool:
-            val_features = predict.manifest_features(spec, params, val_manifest, means, split,
-                                                     pool)
+        val_features = predict.manifest_features(spec, params, val_manifest, means, split, pool)
     for _ in range(args.epochs):
         lr_used = state.lr
         stream = data.batches(train_manifest, cfg.batch_size, shuffle=args.shuffle,
@@ -247,11 +246,10 @@ def cmd_train(args):
                               preprocessing=pre)
         params, state, mean_loss = optim.train_epoch(
             spec, params, mask, state, cfg, stream,
-            root.derive(_ROLE_DROPOUT, state.epoch), args.workers)
-        with network.WorkerPool(args.workers) as pool:
-            preds, truths = predict.predict_manifest(
-                spec, params, val_manifest, average=args.average, channel_means=means,
-                features=val_features, pool=pool)
+            root.derive(_ROLE_DROPOUT, state.epoch), pool)
+        preds, truths = predict.predict_manifest(
+            spec, params, val_manifest, average=args.average, channel_means=means,
+            features=val_features, pool=pool)
         report = evaluate(preds, truths)
         state = optim.plateau_update(state, report.exact_accuracy, cfg)
         print(f"{state.epoch},{lr_used:.8g},{mean_loss:.6f},"
@@ -261,35 +259,33 @@ def cmd_train(args):
     return 0
 
 
-def cmd_predict(args):
+def cmd_predict(args, pool):
     means = _parse_means(args.means)
     spec, params, _, _ = checkpoint.load(args.model)
     _check_classes(spec)
     failures = 0
     paths = [line.strip() for line in data.read_lines(args.images, ParseError) if line.strip()]
     rows = csv.writer(sys.stdout, lineterminator="\n")
-    with network.WorkerPool(args.workers) as pool:
-        for path in paths:
-            try:
-                probs = predict.predict_file(spec, params, path, average=args.average,
-                                             channel_means=means, pool=pool)
-            except (EngineError, OSError) as e:
-                shown = path if path.isprintable() else repr(path)
-                print(f"{shown}: {e}", file=sys.stderr)
-                failures += 1
-                continue
-            rows.writerow([path, AGE_LABELS[argmax(probs)], *(f"{p:.6f}" for p in probs)])
+    for path in paths:
+        try:
+            probs = predict.predict_file(spec, params, path, average=args.average,
+                                         channel_means=means, pool=pool)
+        except (EngineError, OSError) as e:
+            shown = path if path.isprintable() else repr(path)
+            print(f"{shown}: {e}", file=sys.stderr)
+            failures += 1
+            continue
+        rows.writerow([path, AGE_LABELS[argmax(probs)], *(f"{p:.6f}" for p in probs)])
     return 1 if failures else 0
 
 
-def cmd_eval(args):
+def cmd_eval(args, pool):
     means = _parse_means(args.means)
     spec, params, _, _ = checkpoint.load(args.model)
     _check_classes(spec)
     manifest = _load_manifest(args.test_manifest)
-    with network.WorkerPool(args.workers) as pool:
-        preds, truths = predict.predict_manifest(spec, params, manifest, average=args.average,
-                                                 channel_means=means, pool=pool)
+    preds, truths = predict.predict_manifest(spec, params, manifest, average=args.average,
+                                             channel_means=means, pool=pool)
     report = evaluate(preds, truths)
     print(render_report(report), end="")
     csv_path = args.csv_out or args.test_manifest + ".report.csv"
@@ -299,7 +295,7 @@ def cmd_eval(args):
     return 0
 
 
-def cmd_inspect(args):
+def cmd_inspect(args, pool):
     if args.model:
         spec, params, mask, state = checkpoint.load(args.model)
     else:
@@ -351,9 +347,9 @@ def main(argv=None) -> int:
             return 2
         args = parser.parse_args(argv)
     blas_before = set_blas_threads(1)
-    args.workers = 1 if blas_before is None else network.pool_size()
     try:
-        return _COMMANDS[args.command](args)
+        with network.WorkerPool(1 if blas_before is None else network.pool_size()) as pool:
+            return _COMMANDS[args.command](args, pool)
     except (EngineError, OSError) as e:
         print(str(e), file=sys.stderr)
         return 1

@@ -720,8 +720,9 @@ KINDS = {
         backward=lambda cache, d, *flags: relu_backward(cache, d)),
     "lrn": LayerKind(
         hypers={"n": int, "k": float, "alpha": float, "beta": float},
-        check=_require(lambda p: p["n"] >= 1 and p["n"] % 2 == 1,
-                       "window n must be odd and >= 1"),
+        check=_require(lambda p: p["n"] >= 1 and p["n"] % 2 == 1 and p["k"] > 0
+                       and p["alpha"] >= 0, "window n must be odd and >= 1, k > 0, alpha >= 0"),
+        out_shape=lambda s, shape: _window_out_shape(s, shape, None, 1, 1, 0),
         scratch=_lrn_scratch,
         forward=lambda s, x, w, mode, rng, plan: lrn_forward(x, **s.params, plan=plan),
         backward=lambda cache, d, *flags: lrn_backward(cache, d)),

@@ -3,16 +3,16 @@
 per-layer freeze mask, and ``eval_layers``, the only eval-mode walk, cache-free
 in micro-batches (scoring, and the frozen prefix used as a feature extractor).
 
-``eval_layers`` runs on a ``WorkerPool``, one-worker for the call if it is
-given none, and the pool's ``plan`` makes the buffer plan every eval-mode
-layer call writes into. Inside each layer call the pool's threads share the
-layer's pieces (conv bands and filter blocks, row ranges of ReLU, LRN and max
-pooling, fc's blocks of ``layers.FC_COLUMNS`` output columns), which depend
-only on the shapes and are the same in train mode. So a sample's output
-through the layers before the first fc is the same at every batch size,
-micro-batch size and worker count, in either mode. A row's fc bits depend on
-its place in the GEMM of its micro-batch, so fc outputs are the same only for
-the same row groups.
+``eval_layers`` runs on a ``WorkerPool`` (a CLI command's one pool, or a
+one-worker pool for the call), whose ``plan`` makes the buffer plan each
+eval-mode layer call writes into. Inside each layer call the pool's threads
+share the layer's pieces (conv bands and filter blocks, row ranges of ReLU,
+LRN and max pooling, fc's blocks of ``layers.FC_COLUMNS`` output columns),
+which depend only on the shapes and are the same in train mode. So a
+sample's output through the layers before the first fc is the same at every
+batch size, micro-batch size and worker count, in either mode. A row's fc
+bits depend on its place in the GEMM of its micro-batch, so fc outputs are
+the same only for the same row groups.
 
 A NetworkSpec decides its shapes when it is built: construction walks the
 layer kinds' shape rules once, stores every layer's input and output shape,
@@ -293,21 +293,18 @@ def _layer_params(layer, params):
     return params[layer.name]
 
 
-def forward(spec: NetworkSpec, params, batch, mode: str = "train", rng: Rng = None,
-            start: int = 0):
+def forward(spec: NetworkSpec, params, batch, rng: Rng = None, start: int = 0):
     """Apply layers[start:] in train mode. Returns (scores, cache list of those layers).
 
     With ``start`` > 0, ``batch`` is the output of the layers before it
     (``eval_layers``, the one eval-mode walk). The loss layer passes the
     pre-softmax scores through; labels arrive at backward time.
     """
-    if mode != "train":
-        raise ConfigError(f"forward runs train mode only, got {mode!r}; use eval_layers")
     _check_batch(spec, batch, start, len(spec.layers))
     x = batch
     caches = []
     for layer in spec.layers[start:]:
-        x, cache = L.forward_layer(layer, x, _layer_params(layer, params), mode, rng)
+        x, cache = L.forward_layer(layer, x, _layer_params(layer, params), "train", rng)
         caches.append(cache)
     return x, caches
 
@@ -329,7 +326,8 @@ class WorkerPool:
     ``run``. ``plan`` makes every ``layers.BufferPlan``: it keeps the last one
     and hands it out again for the same layers, shapes and dtype at no more
     rows, so a loop that scores one image per call plans its buffers once.
-    Leaving the ``with`` block (``close``) stops the helpers and frees the plan.
+    ``release`` frees the kept plan and leaves the helpers running; leaving
+    the ``with`` block (``close``) frees the plan and stops the helpers.
     """
 
     def __init__(self, workers: int = 1):
@@ -372,8 +370,12 @@ class WorkerPool:
             self._kept = (key, rows, L.BufferPlan(layers, shapes, rows, dtype, self))
         return self._kept[2]
 
-    def close(self):
+    def release(self):
+        """Free the kept plan; the next ``plan`` call builds a new one."""
         self._kept = None
+
+    def close(self):
+        self.release()
         if self._helpers is not None:
             self._helpers.shutdown(wait=True)
             self._helpers = None

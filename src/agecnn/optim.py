@@ -1,5 +1,5 @@
 """SGD with momentum and coupled L2 decay, plateau learning-rate schedule,
-and the one-epoch training loop.
+and the one-epoch training loop, whose steps share the caller's WorkerPool.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import InputError, ParameterError, ShapeError, StateError
 from .layers import PIECE_ELEMENTS, softmax_log_loss
-from .network import WorkerPool, backward, eval_layers, forward, frozen_prefix
+from .network import backward, eval_layers, forward, frozen_prefix
 
 
 @dataclass(frozen=True)
@@ -138,12 +138,13 @@ def plateau_update(state: OptState, epoch_val_accuracy: float, cfg: SgdConfig) -
     return replace(state, epochs_since_improvement=stalled)
 
 
-def _step(spec, params, mask, state, cfg, x, labels, split, rng, workers):
-    # the prefix's pool and plan are gone before the caches are made, and
-    # the caches live only as long as this step
-    with WorkerPool(workers) as pool:
-        features = eval_layers(spec, params, x, 0, split, pool)
-    scores, caches = forward(spec, params, features, "train", rng, start=split)
+def _step(spec, params, mask, state, cfg, x, labels, split, rng, pool):
+    # the prefix's plan is gone before the caches are made, and the caches
+    # live only as long as this step
+    features = eval_layers(spec, params, x, 0, split, pool)
+    if pool is not None:
+        pool.release()
+    scores, caches = forward(spec, params, features, rng, start=split)
     loss, _, _ = softmax_log_loss(scores, labels)
     if not np.isfinite(loss):
         raise StateError(f"epoch {state.epoch + 1}: batch loss is {loss}; "
@@ -155,13 +156,13 @@ def _step(spec, params, mask, state, cfg, x, labels, split, rng, workers):
 
 
 def train_epoch(spec, params, mask, state: OptState, cfg: SgdConfig, train_batches, rng,
-                workers: int = 1):
+                pool=None):
     """One pass over the batch stream: forward, loss, backward, sgd_step.
 
     The frozen prefix (``network.frozen_prefix``) runs as a fixed feature
-    extractor, in eval mode and micro-batches with no caches kept, on a
-    ``network.WorkerPool`` of ``workers`` that lasts one step's prefix;
-    forward keeps train-mode caches for the layers from there on only. Each step
+    extractor, in eval mode and micro-batches with no caches kept, on
+    ``pool`` as ``network.eval_layers`` takes it; the step then frees the
+    pool's plan, and forward keeps train-mode caches from there on. Each step
     updates ``params`` and the velocity in place, one layer at a time: backward
     hands each trainable layer's gradients to ``sgd_step`` as soon as it has
     them and keeps none, so one layer's gradients are alive at a time. Returns
@@ -175,7 +176,7 @@ def train_epoch(spec, params, mask, state: OptState, cfg: SgdConfig, train_batch
     total_n = 0
     for x, labels in train_batches:
         n = x.shape[0]
-        loss = _step(spec, params, mask, state, cfg, x, labels, split, rng, workers)
+        loss = _step(spec, params, mask, state, cfg, x, labels, split, rng, pool)
         # drop the batch before the stream builds the next one
         del x
         total_loss += loss * n

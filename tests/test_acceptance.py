@@ -221,10 +221,10 @@ def test_criterion_01_gradient_suite():
         labels = np.array([0, 5])
 
         def net_loss():
-            s, _ = forward(spec, p64, x64, "train", Rng(7))
+            s, _ = forward(spec, p64, x64, Rng(7))
             return L.softmax_log_loss(s, labels)[0]
 
-        scores, caches = forward(spec, p64, x64, "train", Rng(7))
+        scores, caches = forward(spec, p64, x64, Rng(7))
         grads = backward(spec, p64, caches, labels, mask)
         tensors, analytic = [], []
         for layer in spec.layers:
@@ -272,7 +272,7 @@ def test_criterion_02_freeze_invariance():
         labels = np.array([0, 2, 5, 7])
         fc3_before = params["fc3"]["weight"].copy()
         for step in range(50):
-            scores, caches = forward(spec2, params, x, "train", Rng(6 + step))
+            scores, caches = forward(spec2, params, x, Rng(6 + step))
             grads = backward(spec2, params, caches, labels, mask)
             params, state = sgd_step(params, grads, mask, state, cfg)
         head_moved = not np.array_equal(params["fc3"]["weight"], fc3_before)
@@ -289,7 +289,7 @@ def test_criterion_03_initial_loss():
         params = init_params(spec, Rng(12))
         x = Rng(13).normal((8, 3, 32, 32)).astype(np.float32)
         labels = np.arange(8)
-        scores, _ = forward(spec, params, x, "train", Rng(14))
+        scores, _ = forward(spec, params, x, Rng(14))
         loss, _, _ = L.softmax_log_loss(scores, labels)
         assert abs(loss - LN8) < 0.1
         info["detail"] = f"loss {loss:.6f} vs ln8 {LN8:.6f}"

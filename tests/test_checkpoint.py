@@ -362,6 +362,10 @@ class TestLoadRejections:
          packed_str("kernel") + struct.pack("<d", float("inf"))),
         (packed_str("k") + struct.pack("<d", 2.0),
          packed_str("k") + struct.pack("<d", float("nan"))),
+        (packed_str("k") + struct.pack("<d", 2.0),
+         packed_str("k") + struct.pack("<d", 0.0)),
+        (packed_str("alpha") + struct.pack("<d", 1e-4),
+         packed_str("alpha") + struct.pack("<d", -2.0)),
         (packed_str("weight"), packed_str("weigxt")),
         # fc3's bias record: rank 1, extent 32
         (packed_str("bias") + struct.pack("<BI", 1, 32),
@@ -372,8 +376,8 @@ class TestLoadRejections:
         # the freeze mask's last entry, then the no-state flag
         (packed_str("fc5") + struct.pack("<BB", 1, 0),
          packed_str("fc9") + struct.pack("<BB", 1, 0)),
-    ], ids=["integral-nan", "integral-inf", "lrn-k-nan", "renamed-weight", "rank-65",
-            "count-wraps-int64", "mask-names-no-layer"])
+    ], ids=["integral-nan", "integral-inf", "lrn-k-nan", "lrn-k-zero", "lrn-alpha-negative",
+            "renamed-weight", "rank-65", "count-wraps-int64", "mask-names-no-layer"])
     def test_forged_body_with_fixed_checksum(self, tmp_path, capsys, old, new):
         path = str(tmp_path / "forged.acnn")
         body = saved_body(path, *mini_fixture())

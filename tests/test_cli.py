@@ -15,7 +15,7 @@ from agecnn import (AGE_LABELS, NetworkSpec, Preprocessing, Rng, SgdConfig,
                     init_state, layers, load, load_manifest, make_mask,
                     network, plateau_update, predict, predict_proba,
                     replace_head_spec, save, sgd_step, tensor, write_ppm)
-from agecnn import cli, optim
+from agecnn import cli
 from agecnn.cli import main
 from agecnn.data import decode_image
 from agecnn.layers import conv, fc, maxpool, relu, softmax_log_loss, softmax_loss
@@ -117,7 +117,7 @@ def reference_train(model, train_manifest, val_manifest, out, epochs, batch_size
         drop = root.derive(cli._ROLE_DROPOUT, state.epoch)
         for x, labels in batches(train, batch_size, shuffle=True, preprocessing=pre,
                                  rng=root.derive(cli._ROLE_BATCH, state.epoch)):
-            scores, caches = network.forward(spec, params, x, "train", drop)
+            scores, caches = network.forward(spec, params, x, drop)
             total += softmax_log_loss(scores, labels)[0] * len(labels)
             count += len(labels)
             grads = network.backward(spec, params, caches, labels, mask)
@@ -547,7 +547,7 @@ class TestConfigFile:
     def test_file_value_reaches_command_as_its_flag(self, command, key, text, same, other,
                                                     tmp_path, monkeypatch):
         seen = []
-        monkeypatch.setitem(cli._COMMANDS, command, lambda args: seen.append(
+        monkeypatch.setitem(cli._COMMANDS, command, lambda args, pool: seen.append(
             {k: v for k, v in vars(args).items() if k != "config"}) or 0)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = {text}\n")
@@ -565,7 +565,7 @@ class TestConfigFile:
     def test_bad_value_is_usage_error(self, line, error, tmp_path, monkeypatch, capsys):
         # predict takes --average but none of the other flags: their values
         # are still parsed, and a bad one rejected
-        monkeypatch.setitem(cli._COMMANDS, "predict", lambda args: 0)
+        monkeypatch.setitem(cli._COMMANDS, "predict", lambda args, pool: 0)
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
         code = main(["predict"] + REQUIRED["predict"] + ["--config", str(cfg)])
@@ -573,7 +573,7 @@ class TestConfigFile:
         assert f"bad.cfg: line 1: {error}" in capsys.readouterr().err
 
     def test_mutated_files_are_usage_errors_or_accepted(self, tmp_path, monkeypatch):
-        monkeypatch.setitem(cli._COMMANDS, "train", lambda args: 0)
+        monkeypatch.setitem(cli._COMMANDS, "train", lambda args, pool: 0)
         valid = (b"# tuned by hand\nseed = 7\nepochs=3\nlr = 0.01  # lower\n"
                  b"shuffle = no\naverage = score\nbatch-size = 4\n"
                  b"dropout = 0.5\n")
@@ -901,7 +901,6 @@ def spy_pools(monkeypatch):
             super().__init__(workers)
 
     monkeypatch.setattr(network, "WorkerPool", Spy)
-    monkeypatch.setattr(optim, "WorkerPool", Spy)
     return seen
 
 
@@ -910,7 +909,7 @@ def engine_threads():
 
 
 class TestEngineThreads:
-    """Each command runs at one BLAS thread on pools of network.pool_size()
+    """Each command runs at one BLAS thread on one pool of network.pool_size()
     workers, and hands the caller's BLAS thread count back."""
 
     @pytest.fixture
@@ -931,8 +930,9 @@ class TestEngineThreads:
                      "--epochs", "1", "--batch-size", "2", "--out", str(tmp_path / "t.acnn")]) == 0
         assert main(["predict", "--model", model, "--images", str(listing)]) == 0
         assert main(["eval", "--model", model, "--test", manifest]) == 0
-        # val features, two train steps and validation; predict; eval
-        assert seen == [(network.pool_size(), 1)] * 6
+        # one pool per command: train's val features, steps and validation
+        # share it, and no scoring call opens a one-worker pool of its own
+        assert seen == [(network.pool_size(), 1)] * 3
         assert blas_count() == caller_count
 
     def test_missing_blas_symbol_one_worker_blas_left_alone(self, tmp_path, caller_count,

@@ -776,7 +776,11 @@ class TestLayerSpec:
         ("fc", {"out_features": 2.5}),
         ("dropout", {"rate": 0.5, "p": 0.5}),
         ("relu", {"n": 3}),
-    ], ids=["missing", "nan", "inf", "non-integral", "unknown", "unknown-on-bare-kind"])
+        # k = 0 divides a zero input by zero, alpha < 0 powers a negative base
+        ("lrn", {"n": 3, "k": 0.0, "alpha": 1e-4, "beta": 0.75}),
+        ("lrn", {"n": 3, "k": 1.0, "alpha": -2.0, "beta": 0.75}),
+    ], ids=["missing", "nan", "inf", "non-integral", "unknown", "unknown-on-bare-kind",
+            "lrn-k-zero", "lrn-alpha-negative"])
     def test_bad_hyperparameters_rejected(self, kind, params):
         with pytest.raises(ParameterError):
             LayerSpec("x", kind, params)

@@ -1,5 +1,6 @@
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -120,6 +121,11 @@ class TestInferShapes:
         with pytest.raises(ShapeError) as err:
             NetworkSpec(spec.name, (3, 64, 64), spec.layers)
         assert "fc3" in str(err.value)
+
+    def test_lrn_after_fc_rejected_at_construction(self):
+        # LRN normalizes across the channels of a CxHxW input; after fc there are none
+        with pytest.raises(ShapeError, match="'n'"):
+            NetworkSpec("t", (2, 4, 4), (fc("f", 4), lrn("n", n=3), softmax_loss()))
 
     def test_unpinned_fc_adapts_to_input_shape(self):
         layers = (maxpool("p"), fc("f", 4), softmax_loss())
@@ -254,9 +260,9 @@ class TestForward:
         spec = build_profile("mini")
         params = init_params(spec, Rng(3))
         x = Rng(4).normal((2, 3, 32, 32)).astype(np.float32)
-        a, _ = net.forward(spec, params, x, mode="train", rng=Rng(9))
-        b, _ = net.forward(spec, params, x, mode="train", rng=Rng(9))
-        c, _ = net.forward(spec, params, x, mode="train", rng=Rng(10))
+        a, _ = net.forward(spec, params, x, rng=Rng(9))
+        b, _ = net.forward(spec, params, x, rng=Rng(9))
+        c, _ = net.forward(spec, params, x, rng=Rng(10))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -281,12 +287,12 @@ class TestForward:
             for i in range(6):
                 assert np.array_equal(features(x[i:i + 1], run)[0], whole[i])
         scores = net.eval_scores(spec, params, x)
-        trained, _ = net.forward(spec, params, x, mode="train", rng=Rng(9))
+        trained, _ = net.forward(spec, params, x, rng=Rng(9))
         for i in range(6):
             assert np.array_equal(net.eval_scores(spec, params, x[i:i + 1])[0], scores[i])
         for i in range(0, 6, 2):
             assert np.array_equal(net.eval_scores(spec, params, x[i:i + 2]), scores[i:i + 2])
-            pair, _ = net.forward(spec, params, x[i:i + 2], mode="train", rng=Rng(9))
+            pair, _ = net.forward(spec, params, x[i:i + 2], rng=Rng(9))
             assert np.array_equal(pair, trained[i:i + 2])
 
     def test_batch_shape_checked(self):
@@ -296,15 +302,7 @@ class TestForward:
         with pytest.raises(ShapeError):
             net.eval_layers(spec, params, x, 0, len(spec.layers) - 1)
         with pytest.raises(ShapeError):
-            net.forward(spec, params, x, "train", Rng(9))
-
-    def test_bad_mode_rejected(self):
-        # eval-mode runs go through eval_layers, the one eval walk
-        spec = build_profile("mini")
-        params = init_params(spec, Rng(3))
-        for mode in ("test", "eval"):
-            with pytest.raises(ConfigError, match="eval_layers"):
-                net.forward(spec, params, np.zeros((1, 3, 32, 32), np.float32), mode=mode)
+            net.forward(spec, params, x, Rng(9))
 
 
 class TestFrozenPrefix:
@@ -341,7 +339,7 @@ class TestFrozenPrefix:
         params = init_params(spec, Rng(3), std=0.1)
         x = Rng(4).normal((7, 3, 32, 32)).astype(np.float32)
         split = net.frozen_prefix(spec, make_mask(spec, {"fc3", "fc4", "fc5"}))
-        whole, _ = net.forward(spec, params, x, mode="train", rng=Rng(9))
+        whole, _ = net.forward(spec, params, x, rng=Rng(9))
         trunk = x
         for layer in spec.layers[:split]:
             trunk, _ = forward_layer(layer, trunk, params.get(layer.name), "train")
@@ -349,7 +347,7 @@ class TestFrozenPrefix:
             monkeypatch.setattr(net, "MICRO_BATCH", size)
         got = net.eval_layers(spec, params, x, 0, split)
         assert got.tobytes() == trunk.tobytes()
-        rest, caches = net.forward(spec, params, got, mode="train", rng=Rng(9), start=split)
+        rest, caches = net.forward(spec, params, got, rng=Rng(9), start=split)
         assert rest.tobytes() == whole.tobytes()
         assert [c.name for c in caches] == [l.name for l in spec.layers[split:]]
 
@@ -509,7 +507,7 @@ class TestBackward:
         params = init_params(spec, Rng(5))
         x = Rng(6).normal((2, 3, 32, 32)).astype(np.float32)
         labels = [1, 4]
-        scores, caches = net.forward(spec, params, x, mode="train", rng=Rng(7))
+        scores, caches = net.forward(spec, params, x, rng=Rng(7))
         mask = make_mask(spec, mask_arg)
         return spec, params, caches, labels, mask
 
@@ -609,11 +607,11 @@ class TestBackward:
         labels = [0, 3]
 
         def objective():
-            scores, _ = net.forward(spec, params, x, mode="train")
+            scores, _ = net.forward(spec, params, x)
             loss, _, _ = softmax_log_loss(scores, labels)
             return loss
 
-        scores, caches = net.forward(spec, params, x, mode="train")
+        scores, caches = net.forward(spec, params, x)
         grads = net.backward(spec, params, caches, labels, make_mask(spec, True))
         tensors, analytic = [], []
         for name in grads:
@@ -757,6 +755,28 @@ class TestWorkerPool:
             assert len(bigger.scratch["band"]) == 2
             assert pool.plan(spec.layers[:4], spec.shapes[:5], 2, np.float32) is not bigger
         assert pool._kept is None
+
+    def test_release_frees_the_plan_and_keeps_the_workers(self):
+        spec = build_profile("mini")
+        layers, shapes = spec.layers[:5], spec.shapes[:6]
+        arrived = threading.Barrier(2)
+
+        def piece(i, worker):
+            # the first two pieces each wait for the other: one worker alone
+            # cannot finish them
+            if i < 2:
+                arrived.wait(timeout=10)
+            used.add(worker)
+
+        with net.WorkerPool(2) as pool:
+            kept = weakref.ref(pool.plan(layers, shapes, 3, np.float32))
+            pool.release()
+            assert kept() is None
+            plan = pool.plan(layers, shapes, 3, np.float32)
+            assert pool.plan(layers, shapes, 3, np.float32) is plan
+            used = set()
+            pool.run(piece, 8)
+            assert used == {0, 1}
 
     def test_run_calls_every_piece_once(self):
         # more workers than cores and a short switch interval: a piece taken

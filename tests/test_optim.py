@@ -6,7 +6,8 @@ import pytest
 from agecnn import (InputError, NetworkSpec, ParameterError, Rng, ShapeError, StateError,
                     build_profile, init_params, make_mask)
 from agecnn import optim
-from agecnn.layers import PIECE_ELEMENTS, fc, relu, softmax_loss
+from agecnn.layers import PIECE_ELEMENTS, conv, fc, maxpool, relu, softmax_loss
+from agecnn.network import WorkerPool
 from agecnn.optim import (OptState, SgdConfig, init_state, plateau_update,
                           sgd_step, train_epoch)
 
@@ -334,6 +335,26 @@ class TestTrainEpoch:
         assert largest == params["fc2"]["weight"].nbytes == 4 * 2**20
         assert peak <= largest + PIECE_ELEMENTS * 4 + 2**18, peak
 
+    def test_step_frees_the_prefix_plan_before_the_head_runs(self):
+        # a frozen conv prefix whose plan is several MB, in front of a
+        # trainable fc whose gradient is about as large: a pool that kept the
+        # plan into the head's forward and backward would hold both at once
+        spec = NetworkSpec("split", (16, 64, 64), [
+            conv("c1", 16), relu("r1"), maxpool("p1"), fc("f1", 64), softmax_loss()])
+        params = init_params(spec, Rng(60))
+        mask = make_mask(spec, {"f1"})
+        cfg = SgdConfig(lr0=0.01, batch_size=3)
+        state = init_state(params, mask, cfg)
+        x = Rng(61).normal((3, 16, 64, 64)).astype(np.float32)
+        with WorkerPool(2) as pool:
+            plan = pool.plan(spec.layers[:3], spec.shapes[:4], 3, np.float32).nbytes
+            pool.release()
+            peak, _ = traced_peak(lambda: train_epoch(
+                spec, params, mask, state, cfg, one_batch_stream(x, [0, 1, 2]), Rng(62), pool))
+        grad = params["f1"]["weight"].nbytes
+        assert plan > 6 * 2**20 and grad == 4 * 2**20
+        assert peak < plan + grad, (peak, plan, grad)
+
     def _setup(self, lr):
         spec = build_profile("mini")
         params = init_params(spec, Rng(21))
@@ -391,9 +412,9 @@ class TestTrainEpoch:
         from agecnn.network import forward
         from agecnn.layers import softmax_log_loss
         drop_rng = Rng(5)
-        s1, _ = forward(spec, params, x, mode="train", rng=drop_rng)
+        s1, _ = forward(spec, params, x, rng=drop_rng)
         l1 = softmax_log_loss(s1, labels)[0]
-        s2, _ = forward(spec, params, x[:2], mode="train", rng=drop_rng)
+        s2, _ = forward(spec, params, x[:2], rng=drop_rng)
         l2 = softmax_log_loss(s2, labels[:2])[0]
         want = (4 * l1 + 2 * l2) / 6
         _, _, loss = train_epoch(spec, params, mask, state, cfg, stream(), Rng(5))
