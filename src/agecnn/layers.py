@@ -2,10 +2,11 @@
 
 Each kind is one entry of ``KINDS``: its hyperparameters, range rule, shape
 rule, parameter shapes, scratch needs, forward and backward. Convolution
-multiplies by a patch matrix cut from the flat padded input, one band of
-output rows of one sample at a time, in both directions; max pooling is a
-running maximum over strided window views. Direct-sum oracles live in the
-test suite, and the exact analytic gradients are finite-difference checked.
+multiplies by a patch matrix, one band of output rows of one sample at a
+time, in both directions; the patches are cut from a slab into which the
+band's input rows alone are padded. Max pooling is a running maximum over
+strided window views. Direct-sum oracles live in the test suite, and the
+exact analytic gradients are finite-difference checked.
 
 Conv, ReLU, LRN and max pooling each have one forward body. It cuts the output
 into pieces fixed by the shapes alone (conv's bands and filter blocks, row
@@ -15,13 +16,13 @@ or who ran a piece. Eval mode runs only on a ``BufferPlan``, which
 ``network.eval_layers`` gets from a ``network.WorkerPool``: the pieces write
 into its buffers and the pool's workers share them. Train mode takes no plan:
 the pieces write into new arrays, in order, and the body keeps what backward
-reads. A plan holds two ping-pong activation buffers and the scratch each
-kind's ``scratch`` rule sizes, shared or one per worker: conv's padded plane,
-patch band and GEMM band, and LRN's prefix buffer. Conv, LRN and max pooling
-write into the activation buffer their input is not in, ReLU works in place,
-eval dropout is the identity and fc allocates its (small) output. For the
-``vgg-face-age`` trunk at 3 rows the plan is about 134 MB, and 23 MB more per
-further worker.
+reads. A plan holds two ping-pong activation buffers, the only buffers that
+grow with the rows, and per worker the scratch each kind's ``scratch`` rule
+sizes: conv's slab, patch band and GEMM band, and LRN's prefix buffer. Conv,
+LRN and max pooling write into the activation buffer their input is not in,
+ReLU works in place, eval dropout is the identity and fc allocates its
+(small) output. For the ``vgg-face-age`` trunk at 3 rows the plan is about
+99 MB, and 25 MB more per further worker.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class LayerKind:
     check: Callable = lambda spec: None  # raises ParameterError
     out_shape: Callable = lambda spec, shape: shape  # raises ShapeError if the input misfits
     param_shapes: Optional[Callable] = None  # (spec, in_shape) -> {"weight": ..., "bias": ...}
-    scratch: Callable = lambda spec, shape, rows: {}  # BufferPlan {name: (elements, per worker)}
+    scratch: Callable = lambda spec, shape: {}  # BufferPlan {name: elements}, one per worker
 
 
 @dataclass(frozen=True)
@@ -150,31 +151,30 @@ class BufferPlan:
 
     ``shapes`` are the per-sample input shape of ``layers[0]`` followed by each
     layer's output shape; ``rows`` is the most samples one call carries. Two
-    ping-pong activation buffers each hold the largest of those shapes, and
-    each scratch buffer the largest request any layer's kind makes for it,
-    in one shared copy or, where the kind's ``scratch`` rule says so, one per
-    worker of ``pool``. ``pool``, the ``network.WorkerPool`` whose ``plan``
-    makes this one, runs the layers' pieces on its workers.
+    ping-pong activation buffers each hold ``rows`` of the largest of those
+    shapes, and each worker of ``pool`` has its own copy of each scratch
+    buffer, sized to the largest request any layer's kind makes for it.
+    ``pool``, the ``network.WorkerPool`` whose ``plan`` makes this one, runs
+    the layers' pieces on its workers.
     """
 
     def __init__(self, layers, shapes, rows, dtype, pool):
-        sizes, copies = {}, {}
+        sizes = {}
         for layer, shape in zip(layers, shapes):
-            for name, (size, per_worker) in KINDS[layer.kind].scratch(layer, shape, rows).items():
+            for name, size in KINDS[layer.kind].scratch(layer, shape).items():
                 sizes[name] = max(sizes.get(name, 0), size)
-                copies[name] = pool.workers if per_worker else 1
         act = rows * max(math.prod(shape) for shape in shapes)
         self.workers, self.run = pool.workers, pool.run
         # One block, carved into 64-byte aligned buffers: a large block is
         # mapped on its own, so freeing the plan hands all of it back to the
         # system, where buffers below the allocator's mapping threshold would
         # stay in the heap.
-        lengths = [act, act] + [sizes[name] for name in sizes for _ in range(copies[name])]
+        lengths = [act, act] + [sizes[name] for name in sizes for _ in range(pool.workers)]
         starts = np.cumsum([0] + [-(-n // _ALIGN) * _ALIGN for n in lengths])
         self.block = np.empty(starts[-1], dtype)
         bufs = iter([self.block[a:a + n] for a, n in zip(starts, lengths)])
         self.ping_pong = (next(bufs), next(bufs))
-        self.scratch = {name: [next(bufs) for _ in range(copies[name])] for name in sizes}
+        self.scratch = {name: [next(bufs) for _ in range(pool.workers)] for name in sizes}
 
     @property
     def nbytes(self) -> int:
@@ -256,16 +256,19 @@ def _tap_slices(kh, kw, wp, oh, stride, top=0):
 BAND_BYTES = 16 * 2**20
 
 
-_ConvGeometry = namedtuple("_ConvGeometry", "wp oh ow plane band_rows tops blocks band gemm")
+_ConvGeometry = namedtuple("_ConvGeometry",
+                           "wp oh ow plane band_rows tops blocks band gemm slab")
 
 
 def _conv_geometry(cin, h, wd, cout, kh, kw, stride, pad):
     """Conv's banded lowering of one sample, from the shapes alone; forward,
     backward and the plan's scratch all read it. ``wp`` is the padded row
-    width, ``plane`` a channel's flat padded plane with its zero tail,
-    ``tops`` the first output row of each band of ``band_rows`` rows,
-    ``blocks`` the (first, end) filter rows of each GEMM of a band, and
-    ``band`` and ``gemm`` the elements of a band's patches and of one GEMM."""
+    width, ``plane`` a channel's flat padded plane with its zero tail (the
+    input gradient's, in backward), ``tops`` the first output row of each
+    band of ``band_rows`` rows, ``blocks`` the (first, end) filter rows of
+    each GEMM of a band, and ``band``, ``gemm`` and ``slab`` the elements of
+    a band's patches, of one GEMM and of the buffer a band's slab is padded
+    into (``_pad_slab``)."""
     wp = wd + 2 * pad
     oh = out_extent(h, kh, stride, pad, "conv")
     rows = max(1, min(oh, BAND_BYTES // (cin * kh * kw * wp * np.dtype(DTYPE).itemsize)))
@@ -273,15 +276,23 @@ def _conv_geometry(cin, h, wd, cout, kh, kw, stride, pad):
     blocks = _filter_blocks(cout, len(tops))
     return _ConvGeometry(wp, oh, out_extent(wd, kw, stride, pad, "conv"),
                          _tap_slices(kh, kw, wp, oh, stride)[-1].stop, rows, tops, blocks,
-                         cin * kh * kw * rows * wp, max(hi - lo for lo, hi in blocks) * rows * wp)
+                         cin * kh * kw * rows * wp, max(hi - lo for lo, hi in blocks) * rows * wp,
+                         cin * (_slab_rows(kh, kw, wp, rows, stride) + 2 * pad) * wp)
 
 
-def _conv_scratch(spec, shape, rows):
+def _slab_rows(kh, kw, wp, r, stride):
+    """Padded rows the patches of ``r`` output rows read, from the band's
+    first to the end of its last tap slice, whose wrapped columns run on
+    into the next row."""
+    return -(-_tap_slices(kh, kw, wp, r, stride)[-1].stop // wp)
+
+
+def _conv_scratch(spec, shape):
+    """A slab, a patch band and a GEMM band: one band's worth, at any batch size."""
     k = spec.params["kernel"]
     g = _conv_geometry(*shape, spec.params["out_channels"], k, k, spec.params["stride"],
                        spec.params["pad"])
-    return {"plane": (rows * shape[0] * g.plane, False), "band": (g.band, True),
-            "gemm": (g.gemm, True)}
+    return {"slab": g.slab, "band": g.band, "gemm": g.gemm}
 
 
 def _filter_blocks(cout, bands):
@@ -297,37 +308,52 @@ def _filter_blocks(cout, bands):
     return [(0, cout // 2), (cout // 2, cout)]
 
 
-def _pad_planes(x, pad, plane):
-    """Write NxCxHxW ``x`` into ``plane`` (N x C x length), zero padded, flat, zero tail."""
-    n, c, h, wd = x.shape
-    hp, wp = h + 2 * pad, wd + 2 * pad
-    pad2d(x, pad, out=plane[:, :, :hp * wp].reshape(n, c, hp, wp))
-    plane[:, :, hp * wp:] = 0
+def _pad_slab(x, pad, first, rows, buf):
+    """Padded rows [first, first + rows) of one sample ``x`` (C x H x W) as a
+    (C, rows * Wp) slab: element for element the same range of the sample's
+    flat padded plane, so zero past the bottom pad, where the plane's zero
+    tail lies. ``buf`` holds C x (rows + 2*pad) rows of Wp; pad2d pads the
+    image rows the slab covers into it, and its zero rows fall on the pad
+    rows of headroom either side of the slab, or on the slab's own pad rows
+    at the image's edges."""
+    cin, h, wd = x.shape
+    wp = wd + 2 * pad
+    room = buf[:cin * (rows + 2 * pad) * wp].reshape(cin, rows + 2 * pad, wp)
+    lo, hi = (min(max(row - pad, 0), h) for row in (first, first + rows))  # image rows
+    zero = 0  # slab rows from this one on are zero: past the bottom pad, or all rows
+    if lo < hi:  # room's row b holds padded row first - pad + b
+        pad2d(x[None, :, lo:hi], pad, out=room[None, :, lo - first + pad:hi - first + 3 * pad])
+        zero = hi + 2 * pad - first
+    slab = room[:, pad:pad + rows]
+    slab[:, zero:] = 0
+    return slab.reshape(cin, rows * wp)
 
 
-def _patches(plane, kh, kw, stride, wp, top, r, buf):
-    """Patch matrix (C*kh*kw, r*Wp) of output rows [top, top + r) of one sample,
-    cut into ``buf`` from its flat padded plane (C x length), one tap slice per
-    kernel offset. Forward and backward both multiply by it."""
-    cin = plane.shape[0]
-    cols = buf[:cin * kh * kw * r * wp].reshape(cin, kh * kw, r * wp)
-    for k, tap in enumerate(_tap_slices(kh, kw, wp, r, stride, top)):
-        cols[:, k] = plane[:, tap]
+def _patches(x, kh, kw, stride, pad, top, r, slab, band):
+    """Patch matrix (C*kh*kw, r*Wp) of output rows [top, top + r) of one
+    sample ``x`` (C x H x W): the rows they read are padded into ``slab``
+    (``_pad_slab``), and one tap slice per kernel offset is cut from there
+    into ``band``. Forward and backward both multiply by it."""
+    cin, wp = x.shape[0], x.shape[2] + 2 * pad
+    padded = _pad_slab(x, pad, top * stride, _slab_rows(kh, kw, wp, r, stride), slab)
+    cols = band[:cin * kh * kw * r * wp].reshape(cin, kh * kw, r * wp)
+    for k, tap in enumerate(_tap_slices(kh, kw, wp, r, stride)):
+        cols[:, k] = padded[:, tap]
     return cols.reshape(cin * kh * kw, r * wp)
 
 
 def conv2d_forward(x, w, b, stride, pad, plan=None):
     """y[n,o,i,j] = b[o] + sum_{c,u,v} w[o,c,u,v] * x_padded[n,c,i*s+u,j*s+v].
 
-    The input is padded into a flat plane per sample and channel, with a zero
-    tail. Each band of a sample's output rows, and each block of filters
-    (``_filter_blocks``), is one GEMM: weights times the band's patch matrix
-    (``_patches``), with the bias added as the band is written to y. These
-    pieces, and every buffer's size, come from the shapes alone
-    (``_conv_geometry``). ``plan`` (eval mode) supplies every
-    sample's plane, each worker's band and GEMM band and y, and runs the pieces
-    on its workers; without it they are allocated, the pieces run in order, and
-    one sample's plane is padded at a time, as its first piece runs.
+    Each band of a sample's output rows, and each block of filters
+    (``_filter_blocks``), is one piece and one GEMM: weights times the band's
+    patch matrix (``_patches``), with the bias added as the band is written
+    to y. The piece first pads the input rows its band reads into its
+    worker's slab, so no padded copy of the whole input exists. These pieces,
+    and every buffer's size, come from the shapes alone (``_conv_geometry``).
+    ``plan`` (eval mode) supplies each worker's slab, band and GEMM band and
+    y, and runs the pieces on its workers; without it they are allocated and
+    the pieces run in order.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv expects 4-D input and weights, got {x.shape} / {w.shape}")
@@ -341,24 +367,19 @@ def conv2d_forward(x, w, b, stride, pad, plan=None):
     oh, ow, wp = g.oh, g.ow, g.wp
     if plan is None:
         dtype = np.result_type(x, w)
-        plane = np.empty((1, cin, g.plane), x.dtype)
-        bands = [(np.empty(g.band, x.dtype), np.empty(g.gemm, dtype))]
+        scratch = [(np.empty(g.slab, x.dtype), np.empty(g.band, x.dtype), np.empty(g.gemm, dtype))]
         y = np.empty((n, cout, oh, ow), np.result_type(dtype, b))
     else:
-        plane = plan.take("plane", (n, cin, g.plane))
-        bands = [(plan.take("band", (g.band,), worker), plan.take("gemm", (g.gemm,), worker))
-                 for worker in range(plan.workers)]
+        scratch = [(plan.take("slab", (g.slab,), worker), plan.take("band", (g.band,), worker),
+                    plan.take("gemm", (g.gemm,), worker)) for worker in range(plan.workers)]
         y = plan.other(x, (n, cout, oh, ow))
-        _pad_planes(x, pad, plane)
     w2 = w.reshape(cout, -1)
     pieces = [(i, top, block) for i in range(n) for top in g.tops for block in g.blocks]
 
     def piece(j, worker):
-        (i, top, (lo, hi)), (band, gemm) = pieces[j], bands[worker]
-        if plan is None and top == 0 and lo == 0:
-            _pad_planes(x[i:i + 1], pad, plane)  # pieces run in order: over the last sample
+        (i, top, (lo, hi)), (slab, band, gemm) = pieces[j], scratch[worker]
         r = min(g.band_rows, oh - top)
-        cols = _patches(plane[0 if plan is None else i], kh, kw, stride, wp, top, r, band)
+        cols = _patches(x[i], kh, kw, stride, pad, top, r, slab, band)
         out = np.matmul(w2[lo:hi], cols, out=gemm[:(hi - lo) * r * wp].reshape(hi - lo, r * wp))
         np.add(out.reshape(hi - lo, r, wp)[:, :, :ow], b[lo:hi, None, None],
                out=y[i, lo:hi, top:top + r])
@@ -371,10 +392,11 @@ def conv2d_backward(cache, d_out, need_param_grads=True, need_input_grad=True):
     """Gradients through the forward's bands, one (sample, band) at a time.
 
     With dy_band the band's output gradient, zero on the wrapped columns,
-    dW += dy_band @ patches.T in sample-then-band order, the patches cut again
-    from the sample's plane; W.T @ dy_band is added back, tap by tap, into the
-    slices of an input-gradient plane they came from. Scratch is one sample's
-    planes and one band, at any batch size.
+    dW += dy_band @ patches.T in sample-then-band order, the patches cut
+    again from the band's slab, as forward cuts them; W.T @ dy_band is added
+    back, tap by tap, into the slices of an input-gradient plane they came
+    from. Scratch is one slab, one band and one sample's input-gradient
+    plane, at any batch size.
     """
     x, w = cache["x"], cache["w"]
     stride, pad = cache["stride"], cache["pad"]
@@ -385,15 +407,12 @@ def conv2d_backward(cache, d_out, need_param_grads=True, need_input_grad=True):
     w2 = w.reshape(cout, -1)
     if need_param_grads:
         dw = np.zeros(w2.shape, np.result_type(d_out, x))
-        plane = np.empty((1, cin, g.plane), x.dtype)
-        band = np.empty(g.band, x.dtype)
+        slab, band = np.empty(g.slab, x.dtype), np.empty(g.band, x.dtype)
     d_in = None
     if need_input_grad:
         d_in = np.empty(x.shape, np.result_type(w, d_out))
         d_plane = np.empty((cin, g.plane), d_in.dtype)
     for i in range(n):
-        if need_param_grads:
-            _pad_planes(x[i:i + 1], pad, plane)
         if need_input_grad:
             d_plane[...] = 0
         for top in g.tops:
@@ -401,7 +420,7 @@ def conv2d_backward(cache, d_out, need_param_grads=True, need_input_grad=True):
             dy = np.zeros((cout, r * wp), d_out.dtype)
             dy.reshape(cout, r, wp)[:, :, :ow] = d_out[i, :, top:top + r]
             if need_param_grads:
-                dw += dy @ _patches(plane[0], kh, kw, stride, wp, top, r, band).T
+                dw += dy @ _patches(x[i], kh, kw, stride, pad, top, r, slab, band).T
             if need_input_grad:
                 d_cols = (w2.T @ dy).reshape(cin, kh * kw, r * wp)
                 for k, tap in enumerate(_tap_slices(kh, kw, wp, r, stride, top)):
@@ -457,9 +476,9 @@ def _channel_window_sum(t, n, prefix=None, out=None):
     return np.subtract(prefix[:, n:], prefix[:, :c], out=out)
 
 
-def _lrn_scratch(spec, shape, rows):
+def _lrn_scratch(spec, shape):
     c, h, w = shape
-    return {"prefix": ((c + spec.params["n"]) * _piece_rows(h, c * w) * w, True)}
+    return {"prefix": (c + spec.params["n"]) * _piece_rows(h, c * w) * w}
 
 
 def lrn_forward(x, n, k, alpha, beta, plan=None):

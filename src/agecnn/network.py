@@ -249,10 +249,10 @@ def head_replace(spec: NetworkSpec, head_widths, params, rng: Rng,
 # Rows per forward call when layers run cache-free in eval mode
 # (eval_layers). Every op before the first fc is per-sample, so its outputs
 # do not depend on this; fc's do (see the module docstring). The walk's
-# buffer plan grows with it: the activation and padded-plane buffers hold
-# this many rows, while conv's patch band is one sample's band of rows
-# (layers.BAND_BYTES) and LRN's prefix one piece. At 3, predict's three crops
-# of one image are one call.
+# buffer plan grows with it: the two activation buffers hold this many rows,
+# and they alone, while conv's slab and patch band are one sample's band of
+# rows (layers.BAND_BYTES) and LRN's prefix one piece. At 3, predict's three
+# crops of one image are one call.
 MICRO_BATCH = 3
 
 

@@ -68,6 +68,23 @@ def eval_layer(spec, x, params=None):
         return y.copy(), cache
 
 
+def nan_plans(pool):
+    """``pool``, with every plan it hands out filled with NaN first.
+
+    ``network.eval_layers`` asks its pool for the plan once per walk, so each
+    walk starts on a block of NaN: a scratch or activation element that an
+    eval-mode kind reads before it writes it turns up in the result."""
+    make = pool.plan
+
+    def plan(*args):
+        made = make(*args)
+        made.block.fill(np.nan)
+        return made
+
+    pool.plan = plan
+    return pool
+
+
 # Bytes with a meaning in a manifest, PPM header or config file: separators,
 # quotes, comments, NUL.
 SPECIAL_BYTES = b',\n\r\t ="#\0'

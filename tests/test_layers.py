@@ -175,7 +175,7 @@ class TestConvForward:
             assert conv2d_forward(x[i:i + 1], w, b, stride, pad)[0].tobytes() == y[i].tobytes()
 
     def test_train_peak_pads_one_sample_at_a_time(self):
-        # without a plan: y, one sample's plane and one band of scratch. At
+        # without a plan: y, one slab and one band of scratch. At
         # 16x16x32x32 y is 1.0x the input and the band's patches 0.6x, and
         # from batch 4 to 16 the peak grows by little more than y does
         r = np.random.default_rng(9)
@@ -189,6 +189,21 @@ class TestConvForward:
         assert peaks[16] <= 1.8 * sizes[16]
         assert peaks[16] - peaks[4] <= 1.25 * (sizes[16] - sizes[4])
 
+    def test_train_peak_pads_one_band_at_a_time(self, monkeypatch):
+        # without a plan and beside y, the band and the GEMM band: one slab,
+        # padded again by each band. At 32x64x64 in bands of 8 rows the slab
+        # (8 + 2 + 1 rows and 2 of headroom, of 66) is 0.21 of a sample, where
+        # a sample's padded plane is 1.06; measured 0.27 with the rest
+        monkeypatch.setattr(layers, "BAND_BYTES", 8 * 32 * 9 * 66 * 4)
+        r = np.random.default_rng(9)
+        w = r.normal(size=(4, 32, 3, 3)).astype(np.float32)
+        g = layers._conv_geometry(32, 64, 64, 4, 3, 3, 1, 1)
+        assert (g.band_rows, len(g.tops)) == (8, 8)
+        for batch in (1, 4):
+            x = r.normal(size=(batch, 32, 64, 64)).astype(np.float32)
+            peak, (y, _) = traced_peak(lambda: conv2d_forward(x, w, np.zeros(4, np.float32), 1, 1))
+            assert peak - y.nbytes - 4 * (g.band + g.gemm) <= 0.3 * x[0].nbytes, batch
+
     def test_non_integral_extent_rejected(self):
         x = np.zeros((1, 1, 5, 5), np.float32)
         w = np.zeros((1, 1, 2, 2), np.float32)
@@ -200,6 +215,70 @@ class TestConvForward:
         w = np.zeros((1, 3, 3, 3), np.float32)
         with pytest.raises(ShapeError):
             conv2d_forward(x, w, np.zeros(1, np.float32), 1, 1)
+
+
+def slab_draw(rng):
+    """(x, filters, kernel, stride, pad, band rows) of a conv that tiles its
+    input: C 1-4, H and W up to 12, kernel 1-5, stride 1-2, pad 0-2."""
+    while True:
+        k, s, p = int(rng.integers(1, 6)), int(rng.integers(1, 3)), int(rng.integers(0, 3))
+        c, h, wd = (int(e) for e in rng.integers(1, [5, 13, 13]))
+        if all(e + 2 * p >= k and (e + 2 * p - k) % s == 0 for e in (h, wd)):
+            x = rng.normal(size=(c, h, wd)).astype(np.float32)
+            return x, int(rng.integers(1, 9)), k, s, p, int(rng.integers(1, h + 3))
+
+
+class TestConvSlab:
+    """A band's slab equals the matching range of the sample's flat padded
+    plane (np.pad's, with a zero tail), element for element: wrapped columns,
+    bottom pad and zero tail included. So are the patches cut from it."""
+
+    @staticmethod
+    def check(x, cout, k, stride, pad, band_rows, monkeypatch):
+        cin, h, wd = x.shape
+        wp = wd + 2 * pad
+        monkeypatch.setattr(layers, "BAND_BYTES", band_rows * cin * k * k * wp * 4)
+        g = layers._conv_geometry(cin, h, wd, cout, k, k, stride, pad)
+        # the plane, and zero rows past it as far as any slab reaches
+        flat = np.pad(x, ((0, 0), (pad, pad), (pad, pad))).reshape(cin, -1)
+        plane = np.concatenate([flat, np.zeros((cin, g.plane + 3 * wp), x.dtype)], axis=1)
+        slab, band = np.empty(g.slab, x.dtype), np.empty(g.band, x.dtype)
+        for top in g.tops:
+            r = min(g.band_rows, g.oh - top)
+            rows = layers._slab_rows(k, k, wp, r, stride)
+            first = top * stride * wp
+            for _ in g.blocks:  # each filter block pads the band's slab again
+                slab.fill(np.nan)
+                got = layers._pad_slab(x, pad, top * stride, rows, slab)
+                assert got.tobytes() == plane[:, first:first + rows * wp].tobytes(), top
+                band.fill(np.nan)
+                cols = layers._patches(x, k, k, stride, pad, top, r, slab, band)
+                want = [plane[:, tap] for tap in layers._tap_slices(k, k, wp, r, stride, top)]
+                assert cols.tobytes() == np.stack(want, axis=1).tobytes(), top
+        # the last band's slab runs to the plane's end, through its zero tail
+        assert first + layers._tap_slices(k, k, wp, r, stride)[-1].stop == g.plane
+        return g
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_layers(self, seed, monkeypatch):
+        self.check(*slab_draw(np.random.default_rng(seed)), monkeypatch)
+
+    @pytest.mark.parametrize("case", [
+        ((2, 7, 5), 3, 3, 1, 1, 2),   # the last band reads the bottom pad and the tail
+        ((2, 9, 7), 3, 3, 2, 1, 1),   # stride 2: a tail of more than a row
+        ((1, 5, 5), 2, 1, 1, 2, 1),   # kernel 1, pad 2: slabs of pad rows only
+        ((1, 5, 7), 2, 1, 2, 2, 1),
+        ((3, 6, 4), 3, 5, 1, 2, 2),
+    ])
+    def test_edges(self, case, monkeypatch):
+        shape, cout, k, stride, pad, band_rows = case
+        x = np.random.default_rng(sum(shape)).normal(size=shape).astype(np.float32)
+        self.check(x, cout, k, stride, pad, band_rows, monkeypatch)
+
+    def test_one_band_two_blocks(self, monkeypatch):
+        x = np.random.default_rng(5).normal(size=(3, 6, 7)).astype(np.float32)
+        g = self.check(x, 6, 3, 1, 1, 6, monkeypatch)
+        assert len(g.tops) == 1 and len(g.blocks) == 2
 
 
 class TestConvBackward:
@@ -259,9 +338,9 @@ class TestConvBackward:
             assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
     def test_peak_grows_only_by_the_input_gradient(self):
-        # one sample's planes and one band of scratch: at 16x16x32x32 the
-        # peak is a small multiple of the input, and from batch 4 to 16 it
-        # grows by little more than the input gradient does
+        # one slab, one band and one sample's input-gradient plane: at
+        # 16x16x32x32 the peak is a small multiple of the input, and from
+        # batch 4 to 16 it grows by little more than the input gradient does
         r = np.random.default_rng(9)
         w = r.normal(size=(16, 16, 3, 3)).astype(np.float32)
         peaks, sizes = {}, {}

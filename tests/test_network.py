@@ -14,7 +14,7 @@ from agecnn.layers import (conv, dropout, fc, forward_layer, lrn, maxpool, relu,
                            softmax_loss, softmax_log_loss, softmax_log_loss_backward)
 from agecnn.network import NetworkSpec, trunk_and_head, validate_params
 
-from conftest import eval_layer, fd_max_rel_err, to64, traced_peak
+from conftest import eval_layer, fd_max_rel_err, nan_plans, to64, traced_peak
 
 
 def param_counts(spec):
@@ -427,12 +427,14 @@ class TestEvalPlan:
             assert got.tobytes() == want.tobytes(), spec.layers[start].name
 
     def test_mini_matches_train_walk(self):
+        # on a plan of NaN: every eval-mode kind writes each element it reads
         spec = build_profile("mini", dropout_rate=0.0)
         params = init_params(spec, Rng(33), std=0.1)
         x = Rng(34).normal((7, 3, 32, 32)).astype(np.float32)
-        stop = len(spec.layers) - 1
-        assert net.eval_scores(spec, params, x).tobytes() == \
-            train_walk(spec, params, x, 0, stop).tobytes()
+        want = train_walk(spec, params, x, 0, len(spec.layers) - 1).tobytes()
+        for workers in (1, 2):
+            with nan_plans(net.WorkerPool(workers)) as pool:
+                assert net.eval_scores(spec, params, x, pool).tobytes() == want, workers
 
     def test_vgg_trunk_matches_train_walk(self, vgg_trunk):
         spec, params, split = vgg_trunk
@@ -499,6 +501,17 @@ class TestEvalPlan:
         assert one_row <= peaks[1] <= one_row + 2**20
         for batch in (3, 7):
             assert plan <= peaks[batch] <= plan + 2**20, (batch, peaks)
+
+    def test_plan_grows_only_by_the_activations(self, vgg_trunk):
+        # conv pads each band into its worker's slab, so at two workers only
+        # the two activation buffers grow with the rows
+        spec, _, split = vgg_trunk
+        trunk, shapes = spec.layers[:split], spec.shapes[:split + 1]
+        with net.WorkerPool(2) as pool:
+            sizes = {rows: pool.plan(trunk, shapes, rows, np.float32).nbytes for rows in (3, 4)}
+        largest = max(int(np.prod(shape)) for shape in shapes) * 4
+        assert sizes[4] - sizes[3] == 2 * largest
+        assert sizes[3] <= 124 * 2**20
 
 
 class TestBackward:
@@ -664,7 +677,8 @@ def random_stack(rng):
 
 class TestRandomStacks:
     """A differential oracle over random stacks: the eval walk on a pool's
-    plan must give the train-mode walk's bytes, however it is cut."""
+    plan must give the train-mode walk's bytes, however it is cut, even when
+    every walk starts on a plan of NaN."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_eval_walk_matches_train_walk_at_every_cut(self, seed, monkeypatch):
@@ -689,7 +703,7 @@ class TestRandomStacks:
         cuts = [(a, b, c) for a in range(stop) for b in range(a, stop + 1)
                 for c in range(max(b, a + 1), stop + 1)]
         for workers in (1, 2):
-            with net.WorkerPool(workers) as pool:
+            with nan_plans(net.WorkerPool(workers)) as pool:
                 for start, split, end in cuts:
                     mid = net.eval_layers(spec, params, acts[start], start, split, pool)
                     got = net.eval_layers(spec, params, mid, split, end, pool)
