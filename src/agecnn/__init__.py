@@ -23,13 +23,13 @@ from .optim import (OptState, SgdConfig, init_state, plateau_update, sgd_step,
                     train_epoch)
 from .predict import (CropTriple, average_probabilities, predict_proba,
                       three_crops)
-from .tensor import DTYPE, Rng, argmax, gaussian_fill, pad2d
+from .tensor import DTYPE, Rng, argmax, gaussian_fill
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AGE_LABELS", "NUM_CLASSES", "DTYPE", "__version__",
-    "Rng", "argmax", "gaussian_fill", "pad2d",
+    "Rng", "argmax", "gaussian_fill",
     "NetworkSpec", "build_profile", "infer_shapes", "init_params",
     "param_shapes", "make_mask", "head_replace",
     "replace_head_spec", "forward", "backward",

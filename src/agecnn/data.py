@@ -117,13 +117,16 @@ def _ppm_token(fh, path):
         if not ch:
             raise FormatError(f"{path}: truncated PPM header")
         if ch == b"#" and not tok:
-            while ch not in (b"\n", b""):
-                ch = fh.read(1)
+            line = ch
+            while line and not line.endswith(b"\n"):
+                line = fh.readline(_COMMENT_CHUNK)
             continue
         if ch.isspace():
             if tok:
                 return tok
             continue
+        if len(tok) == MAX_PPM_TOKEN:
+            raise FormatError(f"{path}: malformed PPM header")
         tok += ch
 
 
@@ -132,12 +135,21 @@ def _ppm_token(fh, path):
 # and resizing to the FRAME_SIZE frame widens 2 x 256 of its rows.
 MAX_PPM_EXTENT = 4096
 
+# Longest PPM header token (width, height or maxval) read_ppm reads: any
+# 64-bit count fits, and a longer token is a malformed header, found after
+# this many bytes rather than after the whole token.
+MAX_PPM_TOKEN = 20
+
+# Bytes of a header comment read at a time while skipping it.
+_COMMENT_CHUNK = 2**16
+
 
 def read_ppm(path) -> np.ndarray:
     """Decode a binary PPM (P6, maxval 255) into a float32 3xHxW tensor.
 
-    A width or height above MAX_PPM_EXTENT is a FormatError, raised before
-    any pixel data is read.
+    A width or height above MAX_PPM_EXTENT, or a header token longer than
+    MAX_PPM_TOKEN bytes, is a FormatError, raised before any pixel data is
+    read.
     """
     if "\0" in os.fspath(path):
         # open() would raise ValueError, which no caller treats as bad input

@@ -22,7 +22,7 @@ sizes: conv's slab, patch band and GEMM band, and LRN's prefix buffer. Conv,
 LRN and max pooling write into the activation buffer their input is not in,
 ReLU works in place, eval dropout is the identity and fc allocates its
 (small) output. For the ``vgg-face-age`` trunk at 3 rows the plan is about
-99 MB, and 25 MB more per further worker.
+98.5 MB, and 25 MB more per further worker.
 """
 
 from __future__ import annotations
@@ -191,8 +191,8 @@ class BufferPlan:
         y[...] = x
         return y
 
-    def take(self, name, shape, worker=0):
-        """A ``shape`` view of scratch buffer ``name`` (worker ``worker``'s copy)."""
+    def take(self, name, shape, worker):
+        """A ``shape`` view of worker ``worker``'s copy of scratch buffer ``name``."""
         return self.scratch[name][worker][:math.prod(shape)].reshape(shape)
 
 
@@ -267,8 +267,8 @@ def _conv_geometry(cin, h, wd, cout, kh, kw, stride, pad):
     input gradient's, in backward), ``tops`` the first output row of each
     band of ``band_rows`` rows, ``blocks`` the (first, end) filter rows of
     each GEMM of a band, and ``band``, ``gemm`` and ``slab`` the elements of
-    a band's patches, of one GEMM and of the buffer a band's slab is padded
-    into (``_pad_slab``)."""
+    a band's patches, of one GEMM and of the padded input rows the band
+    reads (``_patches``)."""
     wp = wd + 2 * pad
     oh = out_extent(h, kh, stride, pad, "conv")
     rows = max(1, min(oh, BAND_BYTES // (cin * kh * kw * wp * np.dtype(DTYPE).itemsize)))
@@ -277,7 +277,7 @@ def _conv_geometry(cin, h, wd, cout, kh, kw, stride, pad):
     return _ConvGeometry(wp, oh, out_extent(wd, kw, stride, pad, "conv"),
                          _tap_slices(kh, kw, wp, oh, stride)[-1].stop, rows, tops, blocks,
                          cin * kh * kw * rows * wp, max(hi - lo for lo, hi in blocks) * rows * wp,
-                         cin * (_slab_rows(kh, kw, wp, rows, stride) + 2 * pad) * wp)
+                         cin * _slab_rows(kh, kw, wp, rows, stride) * wp)
 
 
 def _slab_rows(kh, kw, wp, r, stride):
@@ -308,34 +308,16 @@ def _filter_blocks(cout, bands):
     return [(0, cout // 2), (cout // 2, cout)]
 
 
-def _pad_slab(x, pad, first, rows, buf):
-    """Padded rows [first, first + rows) of one sample ``x`` (C x H x W) as a
-    (C, rows * Wp) slab: element for element the same range of the sample's
-    flat padded plane, so zero past the bottom pad, where the plane's zero
-    tail lies. ``buf`` holds C x (rows + 2*pad) rows of Wp; pad2d pads the
-    image rows the slab covers into it, and its zero rows fall on the pad
-    rows of headroom either side of the slab, or on the slab's own pad rows
-    at the image's edges."""
-    cin, h, wd = x.shape
-    wp = wd + 2 * pad
-    room = buf[:cin * (rows + 2 * pad) * wp].reshape(cin, rows + 2 * pad, wp)
-    lo, hi = (min(max(row - pad, 0), h) for row in (first, first + rows))  # image rows
-    zero = 0  # slab rows from this one on are zero: past the bottom pad, or all rows
-    if lo < hi:  # room's row b holds padded row first - pad + b
-        pad2d(x[None, :, lo:hi], pad, out=room[None, :, lo - first + pad:hi - first + 3 * pad])
-        zero = hi + 2 * pad - first
-    slab = room[:, pad:pad + rows]
-    slab[:, zero:] = 0
-    return slab.reshape(cin, rows * wp)
-
-
 def _patches(x, kh, kw, stride, pad, top, r, slab, band):
     """Patch matrix (C*kh*kw, r*Wp) of output rows [top, top + r) of one
-    sample ``x`` (C x H x W): the rows they read are padded into ``slab``
-    (``_pad_slab``), and one tap slice per kernel offset is cut from there
+    sample ``x`` (C x H x W): pad2d pads the rows they read into ``slab``,
+    which then equals the same range of the sample's flat padded plane, zero
+    tail included, and one tap slice per kernel offset is cut from there
     into ``band``. Forward and backward both multiply by it."""
     cin, wp = x.shape[0], x.shape[2] + 2 * pad
-    padded = _pad_slab(x, pad, top * stride, _slab_rows(kh, kw, wp, r, stride), slab)
+    rows = _slab_rows(kh, kw, wp, r, stride)
+    padded = pad2d(x, pad, top * stride, slab[:cin * rows * wp].reshape(cin, rows, wp))
+    padded = padded.reshape(cin, rows * wp)
     cols = band[:cin * kh * kw * r * wp].reshape(cin, kh * kw, r * wp)
     for k, tap in enumerate(_tap_slices(kh, kw, wp, r, stride)):
         cols[:, k] = padded[:, tap]
@@ -349,11 +331,11 @@ def conv2d_forward(x, w, b, stride, pad, plan=None):
     (``_filter_blocks``), is one piece and one GEMM: weights times the band's
     patch matrix (``_patches``), with the bias added as the band is written
     to y. The piece first pads the input rows its band reads into its
-    worker's slab, so no padded copy of the whole input exists. These pieces,
-    and every buffer's size, come from the shapes alone (``_conv_geometry``).
-    ``plan`` (eval mode) supplies each worker's slab, band and GEMM band and
-    y, and runs the pieces on its workers; without it they are allocated and
-    the pieces run in order.
+    worker's slab (``tensor.pad2d``), so no padded copy of the whole input
+    exists. These pieces, and every buffer's size, come from the shapes
+    alone (``_conv_geometry``). ``plan`` (eval mode) supplies each worker's
+    slab, band and GEMM band and y, and runs the pieces on its workers;
+    without it they are allocated and the pieces run in order.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv expects 4-D input and weights, got {x.shape} / {w.shape}")

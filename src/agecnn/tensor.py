@@ -88,26 +88,27 @@ def gaussian_fill(shape, mean: float, std: float, rng: Rng) -> np.ndarray:
     return out
 
 
-def pad2d(t: np.ndarray, pad: int, out: np.ndarray = None) -> np.ndarray:
-    """Zero border of width pad on the two trailing (spatial) axes of NxCxHxW.
+def pad2d(x: np.ndarray, pad: int, first: int, out: np.ndarray) -> np.ndarray:
+    """Rows [first, first + R) of one CxHxW sample padded by ``pad`` zeros on
+    each side, written into ``out`` (C x R x (W + 2*pad)), which is returned.
 
-    With ``out``, an array of the padded shape, the result is written there
-    and ``out`` is returned.
+    Padded row p holds image row p - pad. Every element whose source lies
+    outside ``x`` is zero: the border columns, the top and bottom pad, and
+    rows past the bottom pad.
     """
-    if t.ndim != 4:
-        raise ShapeError(f"pad2d expects a 4-D tensor, got shape {t.shape}")
     if pad < 0:
         raise ParameterError(f"pad must be >= 0, got {pad}")
-    if out is None:
-        return t if pad == 0 else np.pad(t, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    n, c, h, w = t.shape
-    if out.shape != (n, c, h + 2 * pad, w + 2 * pad):
-        raise ShapeError(f"pad2d of {t.shape} by {pad} cannot fill an array of {out.shape}")
-    out[:, :, :pad] = 0
-    out[:, :, pad + h:] = 0
-    out[:, :, pad:pad + h, :pad] = 0
-    out[:, :, pad:pad + h, pad + w:] = 0
-    out[:, :, pad:pad + h, pad:pad + w] = t
+    if x.ndim != 3 or out.ndim != 3 or out.shape[::2] != (x.shape[0], x.shape[2] + 2 * pad):
+        raise ShapeError(f"pad2d of {x.shape} by {pad} cannot fill an array of {out.shape}")
+    h, w = x.shape[1:]
+    lo, hi = (min(max(row - pad, 0), h) for row in (first, first + out.shape[1]))  # image rows
+    a = max(lo + pad - first, 0)  # out's row of image row lo
+    b = a + hi - lo
+    out[:, :a] = 0
+    out[:, b:] = 0
+    out[:, a:b, :pad] = 0
+    out[:, a:b, pad + w:] = 0
+    out[:, a:b, pad:pad + w] = x[:, lo:hi]
     return out
 
 

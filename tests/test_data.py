@@ -1,3 +1,4 @@
+import io
 import os
 import tracemalloc
 import weakref
@@ -157,9 +158,11 @@ class TestPpm:
 
     @pytest.mark.parametrize("header, error", [
         (b"P6\n2 1", "truncated PPM header"),
+        (b"P6\n2 1\n# a comment the file ends in", "truncated PPM header"),
         (b"P6\nx 1\n255\n", "malformed PPM header"),
         (b"P6\n0 1\n255\n", "bad PPM dimensions 0x1"),
-    ], ids=["truncated", "non-integer-width", "zero-width"])
+        (b"P6\n%d 1\n255\n" % 10**data.MAX_PPM_TOKEN, "malformed PPM header"),
+    ], ids=["truncated", "comment-to-eof", "non-integer-width", "zero-width", "long-token"])
     def test_malformed_header_rejected(self, tmp_path, header, error):
         path = str(tmp_path / "x.ppm")
         with open(path, "wb") as fh:
@@ -167,6 +170,32 @@ class TestPpm:
         with pytest.raises(FormatError) as err:
             read_ppm(path)
         assert f"x.ppm: {error}" in str(err.value)
+
+    def test_long_token_stops_the_read(self, tmp_path, monkeypatch):
+        # a 4 MB width is rejected after MAX_PPM_TOKEN of its bytes, not read whole
+        path = tmp_path / "x.ppm"
+        path.write_bytes(b"P6\n" + b"1" * 4 * 2**20 + b" 1\n255\n")
+        stops = []
+
+        class Recording(io.BufferedReader):
+            def close(self):
+                stops.append(self.tell())
+                super().close()
+
+        monkeypatch.setattr(data, "open", lambda p, mode: Recording(io.FileIO(p, mode)),
+                            raising=False)
+        with pytest.raises(FormatError, match="x.ppm: malformed PPM header"):
+            read_ppm(str(path))
+        assert stops == [len(b"P6\n") + data.MAX_PPM_TOKEN + 1]
+
+    def test_longest_token_and_long_comment_ok(self, tmp_path):
+        # a width of MAX_PPM_TOKEN digits, and a 4 MB comment skipped in chunks
+        path = tmp_path / "x.ppm"
+        width = b"0" * (data.MAX_PPM_TOKEN - 1) + b"2"
+        path.write_bytes(b"P6\n# " + b"c" * 4 * 2**20 + b"\n" + width + b" 1\n255\n"
+                         + bytes([1, 2, 3, 4, 5, 6]))
+        assert read_ppm(str(path)).tobytes() == np.array(
+            [[[1, 4]], [[2, 5]], [[3, 6]]], np.float32).tobytes()
 
     def test_truncated_pixels_rejected(self, tmp_path):
         path = str(tmp_path / "x.ppm")

@@ -13,6 +13,7 @@ from agecnn.layers import (KINDS, LayerSpec, conv, conv2d_backward, conv2d_forwa
 
 from agecnn import layers
 from agecnn.network import WorkerPool
+from agecnn.tensor import pad2d
 from conftest import eval_layer, fd_max_rel_err, traced_peak
 
 # frozen before implementation: 2 / (2 + 1e-4 * 2^2) ^ 0.75
@@ -192,8 +193,8 @@ class TestConvForward:
     def test_train_peak_pads_one_band_at_a_time(self, monkeypatch):
         # without a plan and beside y, the band and the GEMM band: one slab,
         # padded again by each band. At 32x64x64 in bands of 8 rows the slab
-        # (8 + 2 + 1 rows and 2 of headroom, of 66) is 0.21 of a sample, where
-        # a sample's padded plane is 1.06; measured 0.27 with the rest
+        # (8 + 2 + 1 rows of 66) is 0.18 of a sample, where a sample's
+        # padded plane is 1.06; measured 0.23 with the rest
         monkeypatch.setattr(layers, "BAND_BYTES", 8 * 32 * 9 * 66 * 4)
         r = np.random.default_rng(9)
         w = r.normal(size=(4, 32, 3, 3)).astype(np.float32)
@@ -215,6 +216,11 @@ class TestConvForward:
         w = np.zeros((1, 3, 3, 3), np.float32)
         with pytest.raises(ShapeError):
             conv2d_forward(x, w, np.zeros(1, np.float32), 1, 1)
+
+    def test_negative_pad_rejected(self):
+        x = np.zeros((1, 1, 5, 5), np.float32)
+        with pytest.raises(ParameterError):
+            conv2d_forward(x, np.zeros((1, 1, 1, 1), np.float32), np.zeros(1, np.float32), 1, -1)
 
 
 def slab_draw(rng):
@@ -249,7 +255,7 @@ class TestConvSlab:
             first = top * stride * wp
             for _ in g.blocks:  # each filter block pads the band's slab again
                 slab.fill(np.nan)
-                got = layers._pad_slab(x, pad, top * stride, rows, slab)
+                got = pad2d(x, pad, top * stride, slab[:cin * rows * wp].reshape(cin, rows, wp))
                 assert got.tobytes() == plane[:, first:first + rows * wp].tobytes(), top
                 band.fill(np.nan)
                 cols = layers._patches(x, k, k, stride, pad, top, r, slab, band)

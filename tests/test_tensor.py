@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from agecnn import ParameterError, Rng, ShapeError, argmax, gaussian_fill, pad2d
+from agecnn import ParameterError, Rng, ShapeError, argmax, gaussian_fill
 from agecnn import tensor
+from agecnn.tensor import pad2d
 
 
 class TestRng:
@@ -94,39 +95,67 @@ class TestGaussianFill:
         assert np.array_equal(filled.normal((5,)), twin.normal((5,)))
 
 
+def padded_rows(x, pad, first, rows):
+    """Rows [first, first + rows) of np.pad's plane of x, zero rows below it."""
+    c, h, w = x.shape
+    plane = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    tail = np.zeros((c, max(0, first + rows - h - 2 * pad), w + 2 * pad), x.dtype)
+    return np.concatenate([plane, tail], axis=1)[:, first:first + rows]
+
+
 class TestPad2d:
+    """pad2d(x, pad, first, out) writes every element of out: rows
+    [first, first + R) of x's padded plane, zero past the bottom pad."""
+
+    @staticmethod
+    def filled(x, pad, first, rows):
+        out = np.full((x.shape[0], rows, x.shape[2] + 2 * pad), np.nan, x.dtype)
+        assert pad2d(x, pad, first, out) is out
+        return out
+
     def test_pad_zero_is_identity(self):
-        t = np.ones((1, 2, 3, 3), np.float32)
-        assert pad2d(t, 0) is t
+        t = np.random.default_rng(1).normal(size=(2, 3, 3)).astype(np.float32)
+        assert self.filled(t, 0, 0, 3).tobytes() == t.tobytes()
 
     def test_single_element(self):
-        t = np.full((1, 1, 1, 1), 5.0, np.float32)
-        out = pad2d(t, 1)
-        assert out.shape == (1, 1, 3, 3)
-        assert out[0, 0, 1, 1] == 5.0
+        out = self.filled(np.full((1, 1, 1), 5.0, np.float32), 1, 0, 3)
+        assert out.shape == (1, 3, 3)
+        assert out[0, 1, 1] == 5.0
         assert float(out.sum()) == 5.0
 
     def test_sum_preserved(self):
-        t = np.random.default_rng(2).normal(size=(2, 3, 4, 5)).astype(np.float32)
+        t = np.random.default_rng(2).normal(size=(3, 4, 5)).astype(np.float32)
         for pad in (1, 2, 3):
-            assert np.isclose(pad2d(t, pad).sum(), t.sum(), atol=1e-4)
+            assert np.isclose(self.filled(t, pad, 0, 4 + 2 * pad).sum(), t.sum(), atol=1e-4)
 
     def test_interior_equals_input(self):
-        t = np.random.default_rng(3).normal(size=(1, 2, 3, 4)).astype(np.float32)
-        out = pad2d(t, 2)
-        assert np.array_equal(out[:, :, 2:-2, 2:-2], t)
+        t = np.random.default_rng(3).normal(size=(2, 3, 4)).astype(np.float32)
+        out = self.filled(t, 2, 0, 7)
+        assert np.array_equal(out[:, 2:-2, 2:-2], t)
 
     @pytest.mark.parametrize("pad", [0, 1, 2])
     def test_out_form_fills_a_given_array(self, pad):
-        # every element of out is written, border zeros included
-        t = np.random.default_rng(5).normal(size=(2, 3, 4, 5)).astype(np.float32)
-        out = np.full((2, 3, 4 + 2 * pad, 5 + 2 * pad), np.nan, np.float32)
-        assert pad2d(t, pad, out=out) is out
-        assert out.tobytes() == np.pad(t, ((0, 0), (0, 0), (pad, pad), (pad, pad))).tobytes()
+        # every window from the top pad to three rows past the bottom pad:
+        # straddling a pad, wholly in one, or wholly past the bottom pad, as
+        # a stride-2 conv's last band can reach
+        t = np.random.default_rng(5).normal(size=(3, 4, 5)).astype(np.float32)
+        end = 4 + 2 * pad + 3
+        for first in range(end + 1):
+            for rows in range(end - first + 1):
+                got = self.filled(t, pad, first, rows)
+                assert got.tobytes() == padded_rows(t, pad, first, rows).tobytes(), (first, rows)
 
     def test_out_form_checks_the_shape(self):
+        t = np.ones((2, 3, 3), np.float32)
+        for shape in ((2, 4, 4), (1, 4, 5), (1, 2, 4, 5)):
+            with pytest.raises(ShapeError):
+                pad2d(t, 1, 0, np.empty(shape, np.float32))
         with pytest.raises(ShapeError):
-            pad2d(np.ones((1, 1, 3, 3), np.float32), 1, out=np.empty((1, 1, 4, 5), np.float32))
+            pad2d(t[None], 1, 0, np.empty((2, 4, 5), np.float32))
+
+    def test_negative_pad_rejected(self):
+        with pytest.raises(ParameterError):
+            pad2d(np.ones((1, 3, 3), np.float32), -1, 0, np.empty((1, 3, 1), np.float32))
 
 
 class TestArgmax:
