@@ -38,9 +38,15 @@ in pieces of PIECE_BYTES, and every body byte, in file order, is handed to one
 helper thread that folds it into the CRC while the calling thread moves the
 next piece. The pieces are views of the tensors, never copies, and the CRC is
 compared before the content checks run and before any array is returned, so
-the bytes checked are the bytes returned. Files are written to a temp path and
-renamed into place (os.replace), so readers never observe a partial file, and
-a reader holding the file open keeps reading the old one.
+the bytes checked are the bytes returned. A weight given as a
+``network.DrawnWeight`` (surgery's fresh head) is drawn as it is written and
+never held whole: the calling thread draws each piece, in stream order, into
+one of DRAW_BUFFERS reused buffers of at most PIECE_BYTES, and the helper
+writes that piece and then folds it while the calling thread draws the next.
+The file's bytes are those of the same weight saved as an array. Files are
+written to a temp path and renamed into place (os.replace), so readers never
+observe a partial file, and a reader holding the file open keeps reading the
+old one.
 """
 
 from __future__ import annotations
@@ -65,6 +71,7 @@ VERSION = 1
 HEADER_SIZE = 12
 MAX_RANK = 4  # conv weights; no tensor of any network has more axes
 PIECE_BYTES = 8 << 20  # tensor values move to and from the file in pieces this size
+DRAW_BUFFERS = 3  # buffers a DrawnWeight is drawn into while earlier pieces are written
 
 _TENSOR_ORDER = ("weight", "bias")
 
@@ -81,17 +88,26 @@ def _check_content(spec, params, mask, state):
 class _Crc:
     """CRC-32 of the bytes given to it, folded in order on one helper thread.
 
-    The helper runs nothing but ``zlib.crc32``, which releases the GIL on large
-    pieces, so the calling thread reads or writes the next piece meanwhile. A
-    fed piece must not change until ``value`` returns. Small fields are
-    gathered and go to the helper as one piece before the next fed one. As a
-    context manager it stops the helper on every exit path.
+    The helper runs little but ``zlib.crc32``, which releases the GIL on large
+    pieces, so the calling thread reads, writes or draws the next piece
+    meanwhile. A piece given to ``feed`` is already in the file; one given to
+    ``write`` the helper writes to the file first, then folds, then hands back
+    through the piece's ``release``. A given piece must not change until it
+    is folded. Small fields are gathered and go to the helper as one piece
+    before the next given one. As a context manager it stops the helper on
+    every exit path.
+
+    A write that fails on the helper is raised on the calling thread by
+    ``check`` or ``value``. The helper writes and folds nothing after it, but
+    still releases every later piece, so a caller waiting for a released
+    buffer never waits forever.
     """
 
     def __init__(self):
         self._pieces = queue.SimpleQueue()
         self._fields = bytearray()
         self._value = 0
+        self._failure = None
         self._helper = threading.Thread(target=self._fold, name="checkpoint-crc", daemon=True)
 
     def __enter__(self):
@@ -99,32 +115,60 @@ class _Crc:
         return self
 
     def __exit__(self, *exc):
-        self.value()
+        self._stop()
 
     def _fold(self):
         crc = 0
-        while (piece := self._pieces.get()) is not None:
-            crc = zlib.crc32(piece, crc)
+        while (job := self._pieces.get()) is not None:
+            crc = self._take(crc, *job)
+            del job  # a drawn piece's buffer is freed, not held until the next piece
         self._value = crc
+
+    def _take(self, crc, piece, fh, release):
+        if self._failure is None:
+            try:
+                if fh is not None:
+                    fh.write(piece)
+                crc = zlib.crc32(piece, crc)
+            except Exception as e:  # raised on the calling thread by check()
+                self._failure = e
+        if release is not None:
+            release()
+        return crc
 
     def add(self, field):
         self._fields += field
 
     def feed(self, piece):
         self._put_fields()
-        self._pieces.put(piece)
+        self._pieces.put((piece, None, None))
+
+    def write(self, fh, piece, release):
+        """Have the helper write ``piece`` to ``fh``, fold it, then call
+        ``release()``; the caller writes nothing to ``fh`` until then."""
+        self._put_fields()
+        self._pieces.put((piece, fh, release))
 
     def _put_fields(self):
         if self._fields:
-            self._pieces.put(self._fields)
+            self._pieces.put((self._fields, None, None))
             self._fields = bytearray()
 
-    def value(self):
-        """The CRC of all bytes given; stops the helper, so give nothing after."""
+    def _stop(self):
         if self._helper.is_alive():
             self._put_fields()
             self._pieces.put(None)
             self._helper.join()
+
+    def check(self):
+        """Raise the helper's failed write, if one failed."""
+        if self._failure is not None:
+            raise self._failure
+
+    def value(self):
+        """The CRC of all bytes given; stops the helper, so give nothing after."""
+        self._stop()
+        self.check()
         return self._value
 
 
@@ -158,12 +202,35 @@ class _Writer:
     def tensor_group(self, group):
         self.pack("H", len(_TENSOR_ORDER))
         for name in _TENSOR_ORDER:
-            t = np.ascontiguousarray(group[name], dtype="<f4")
+            t = group[name]
+            drawn = isinstance(t, net.DrawnWeight)
+            if not drawn:
+                t = np.ascontiguousarray(t, dtype="<f4")
             self.string(name)
-            self.pack(f"B{t.ndim}I", t.ndim, *t.shape)
-            for piece in _pieces(t):
-                self.fh.write(piece)
-                self.crc.feed(piece)
+            self.pack(f"B{len(t.shape)}I", len(t.shape), *t.shape)
+            if drawn:
+                self.draw(t)
+            else:
+                for piece in _pieces(t):
+                    self.fh.write(piece)
+                    self.crc.feed(piece)
+
+    def draw(self, weight):
+        """Write a DrawnWeight's values as they are drawn: this thread draws
+        each piece into one of DRAW_BUFFERS reused buffers while the helper
+        writes and folds the piece before it."""
+        step = max(1, min(PIECE_BYTES // 4, weight.size))
+        free = queue.SimpleQueue()
+        for _ in range(DRAW_BUFFERS):
+            free.put(np.empty(step, "<f4"))
+        for lo in range(0, weight.size, step):
+            buf = free.get()
+            self.crc.check()
+            piece = weight.fill(buf[:min(step, weight.size - lo)])
+            self.crc.write(self.fh, piece.view(np.uint8), lambda buf=buf: free.put(buf))
+        for _ in range(DRAW_BUFFERS):
+            free.get()  # every piece is written: the file is this thread's again
+        self.crc.check()
 
 
 def _write(fh, spec, params, mask, state):

@@ -15,8 +15,9 @@ not depend on the core count or on ``OPENBLAS_NUM_THREADS``. Where numpy
 carries no OpenBLAS whose thread count can be set, the pool has one worker
 and BLAS is left alone.
 Each ``checkpoint.load`` and ``checkpoint.save`` also runs one CRC helper
-thread for its own duration. It runs only ``zlib.crc32`` over bytes already
-read or written, so no output bit depends on it.
+thread for its own duration. It folds bytes already read or written into the
+CRC, and in ``surgery`` it also writes each piece of the fresh head after the
+calling thread has drawn it, in file order, so no output bit depends on it.
 """
 
 from __future__ import annotations
@@ -204,7 +205,7 @@ def cmd_surgery(args, pool):
     trunk_params = checkpoint.import_trunk(args.in_path, spec)
     rng = Rng(args.seed).derive(_ROLE_SURGERY)
     new_spec, new_params, mask = network.head_replace(
-        spec, head, trunk_params, rng, dropout_rate=args.dropout)
+        spec, head, trunk_params, rng, dropout_rate=args.dropout, draw_on_write=True)
     _check_classes(new_spec)
     checkpoint.save(new_spec, new_params, mask, args.out)
     print(f"wrote {args.out}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import os
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -108,27 +109,44 @@ def load_manifest(path) -> DatasetManifest:
 # ---------------------------------------------------------------------------
 
 def _ppm_token(fh, path):
-    # Tokens are separated by whitespace; '#' starts a comment running to EOL.
-    # The single delimiter after the last header token is consumed here, which
-    # leaves the stream positioned at the first raw sample byte.
+    # Tokens are separated by whitespace; '#' before a token starts a comment
+    # running to EOL. What comes before a token is skipped a buffered chunk
+    # at a time: peek, match the whitespace runs and whole comment lines, and
+    # read just those bytes. The token is read a byte at a time, at most
+    # MAX_PPM_TOKEN + 1 of them. The single delimiter after the token is
+    # consumed here, which leaves the stream after the last header token
+    # positioned at the first raw sample byte.
+    in_comment = False
+    while True:
+        ahead = fh.peek(1)
+        if not ahead:
+            raise FormatError(f"{path}: truncated PPM header")
+        if in_comment:
+            nl = ahead.find(b"\n")
+            in_comment = nl < 0
+            fh.read(len(ahead) if in_comment else nl + 1)
+            continue
+        skip = _PPM_SKIP.match(ahead).end()
+        if skip < len(ahead) and ahead[skip:skip + 1] != b"#":
+            fh.read(skip)
+            break
+        in_comment = skip < len(ahead)  # a comment running past this chunk
+        fh.read(len(ahead))
     tok = b""
     while True:
         ch = fh.read(1)
         if not ch:
             raise FormatError(f"{path}: truncated PPM header")
-        if ch == b"#" and not tok:
-            line = ch
-            while line and not line.endswith(b"\n"):
-                line = fh.readline(_COMMENT_CHUNK)
-            continue
         if ch.isspace():
-            if tok:
-                return tok
-            continue
+            return tok
         if len(tok) == MAX_PPM_TOKEN:
             raise FormatError(f"{path}: malformed PPM header")
         tok += ch
 
+
+# A run of PPM header whitespace (the bytes ``bytes.isspace`` accepts) and
+# whole comment lines.
+_PPM_SKIP = re.compile(rb"(?:[ \t\n\r\x0b\x0c]+|#[^\n]*\n)*")
 
 # Largest PPM width and height read_ppm accepts. It bounds what one image can
 # cost: at 4096x4096 the decode holds 50 MB of bytes and 201 MB of float32,
@@ -139,9 +157,6 @@ MAX_PPM_EXTENT = 4096
 # 64-bit count fits, and a longer token is a malformed header, found after
 # this many bytes rather than after the whole token.
 MAX_PPM_TOKEN = 20
-
-# Bytes of a header comment read at a time while skipping it.
-_COMMENT_CHUNK = 2**16
 
 
 def read_ppm(path) -> np.ndarray:

@@ -144,6 +144,43 @@ def _fresh(shapes, std, rng):
             "bias": np.zeros(shapes["bias"], DTYPE)}
 
 
+class DrawnWeight:
+    """A fresh weight, normal(0, std^2), drawn piece by piece as it is
+    consumed instead of held whole: ``checkpoint.save`` draws each piece into
+    a reused buffer, and its helper thread writes the piece while the next is
+    drawn.
+
+    Its values are those ``gaussian_fill`` of the whole shape would draw at
+    the same point of the rng's stream. So weights sharing an rng are filled
+    in the order they were made (``after`` is the one made before), each from
+    its first value to its last, with nothing else drawn from the rng between
+    them. A weight is drawn once: a fill past its end or before ``after`` is
+    done raises StateError, because the rng has already moved on.
+    """
+
+    def __init__(self, shape, std: float, rng: Rng, after: "DrawnWeight" = None):
+        self.shape = tuple(shape)
+        self.size = math.prod(self.shape)
+        self._std, self._rng, self._after = std, rng, after
+        self._drawn = 0
+
+    @property
+    def done(self) -> bool:
+        return self._drawn == self.size
+
+    def fill(self, out):
+        """Draw the next ``out.size`` values, in row-major order, into the
+        float32 array ``out``, and return it."""
+        if self._after is not None and not self._after.done:
+            raise StateError(f"weight of shape {self.shape} drawn before the one made before it")
+        if self._drawn + out.size > self.size:
+            raise StateError(f"weight of shape {self.shape} has {self.size - self._drawn} "
+                             f"values left to draw, not {out.size}")
+        gaussian_fill(out.shape, 0.0, self._std, self._rng, out=out)
+        self._drawn += out.size
+        return out
+
+
 def init_params(spec: NetworkSpec, rng: Rng, std: float = 0.01):
     """Fresh ParamSet: weights ~ normal(0, std^2), biases zero."""
     return {name: _fresh(shapes, std, rng) for name, shapes in param_shapes(spec).items()}
@@ -222,22 +259,27 @@ def replace_head_spec(spec: NetworkSpec, head_widths,
 
 
 def head_replace(spec: NetworkSpec, head_widths, params, rng: Rng,
-                 dropout_rate: float = DROPOUT_RATE):
+                 dropout_rate: float = DROPOUT_RATE, draw_on_write: bool = False):
     """Replace the fc head; trunk weights pass through untouched.
 
     Returns (new_spec, new_params, freeze_mask): new fc weights are drawn from
     normal(0, 0.01^2) with zero biases, the mask freezes every trunk
     parameter and marks every new fc trainable. ``params`` must cover the
     trunk's parameterized layers (a partial set from a trunk import is fine);
-    old head entries are dropped.
+    old head entries are dropped. With ``draw_on_write`` each new weight is a
+    DrawnWeight, drawn only as ``checkpoint.save`` writes it, so the head is
+    never held whole; the saved file's bytes are the same.
     """
     new_spec = replace_head_spec(spec, head_widths, dropout_rate)
     trunk, _ = trunk_and_head(new_spec)
     trunk_names = {l.name for l in trunk}
-    new_params, mask = {}, {}
+    new_params, mask, drawn = {}, {}, None
     for name, shapes in param_shapes(new_spec).items():
         mask[name] = name not in trunk_names
-        if mask[name]:
+        if mask[name] and draw_on_write:
+            drawn = DrawnWeight(shapes["weight"], 0.01, rng, after=drawn)
+            new_params[name] = {"weight": drawn, "bias": np.zeros(shapes["bias"], DTYPE)}
+        elif mask[name]:
             new_params[name] = _fresh(shapes, 0.01, rng)
         elif name in params:
             new_params[name] = params[name]

@@ -72,15 +72,24 @@ class Rng:
 _FILL_BLOCK = 65536
 
 
-def gaussian_fill(shape, mean: float, std: float, rng: Rng) -> np.ndarray:
-    """New float32 tensor of the given shape, elements i.i.d. normal(mean, std^2).
+def gaussian_fill(shape, mean: float, std: float, rng: Rng, out=None) -> np.ndarray:
+    """Float32 tensor of the given shape, elements i.i.d. normal(mean, std^2):
+    a new one, or ``out`` (a C-contiguous float32 array of that shape) filled
+    in place and returned.
 
     std = 0 degenerates to a constant fill with mean. Deterministic given the
     rng's seed: equal to one float64 draw of the whole shape, cast to float32.
+    The draw takes the rng's next values in row-major order, so filling the
+    consecutive pieces of a tensor one after another, with nothing else drawn
+    from the rng between them, gives the values one fill of the whole makes.
     """
     if std < 0:
         raise ParameterError(f"std must be >= 0, got {std}")
-    out = np.empty(shape, DTYPE)
+    if out is None:
+        out = np.empty(shape, DTYPE)
+    elif out.shape != tuple(shape) or out.dtype != DTYPE or not out.flags.c_contiguous:
+        raise ShapeError(f"gaussian_fill of {tuple(shape)} cannot fill an array of "
+                         f"{out.shape} {out.dtype}")
     flat = out.reshape(-1)
     for start in range(0, flat.size, _FILL_BLOCK):
         flat[start:start + _FILL_BLOCK] = rng.normal(min(_FILL_BLOCK, flat.size - start),

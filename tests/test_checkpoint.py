@@ -4,16 +4,17 @@ import hashlib
 import os
 import struct
 import threading
+import time
 import zlib
 
 import numpy as np
 import pytest
 
 from agecnn import (ConfigError, FormatError, IntegrityError, NetworkSpec,
-                    OptState, Rng, SgdConfig, ShapeError, build_profile, head_replace,
-                    import_trunk, init_params, init_state, load, make_mask,
+                    OptState, Rng, SgdConfig, ShapeError, StateError, build_profile,
+                    head_replace, import_trunk, init_params, init_state, load, make_mask,
                     save, train_epoch)
-from agecnn import checkpoint
+from agecnn import checkpoint, network, tensor
 from agecnn.checkpoint import HEADER_SIZE, MAGIC, VERSION
 from agecnn.cli import main
 from agecnn.network import eval_scores, param_shapes
@@ -469,13 +470,15 @@ class TestPartialVelocity:
 
 
 class _FullDisk:
-    """A file whose writes fail once ``limit`` bytes would be on disk."""
+    """A file whose writes fail once ``limit`` bytes would be on disk, each
+    failing write after a stall of ``stall`` seconds."""
 
-    def __init__(self, fh, limit):
-        self.fh, self.limit = fh, limit
+    def __init__(self, fh, limit, stall=0.0):
+        self.fh, self.limit, self.stall = fh, limit, stall
 
     def write(self, data):
         if self.fh.tell() + memoryview(data).nbytes > self.limit:
+            time.sleep(self.stall)
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
         return self.fh.write(data)
 
@@ -493,9 +496,10 @@ class TestOnePass:
     """load reads each byte once and save writes each byte once; one helper
     thread folds the body into the CRC meanwhile, and is gone when they end."""
 
-    def _fill_disk_after(self, monkeypatch, limit):
+    def _fill_disk_after(self, monkeypatch, limit, stall=0.0):
         real_fdopen = os.fdopen
-        monkeypatch.setattr(os, "fdopen", lambda fd, mode: _FullDisk(real_fdopen(fd, mode), limit))
+        monkeypatch.setattr(os, "fdopen",
+                            lambda fd, mode: _FullDisk(real_fdopen(fd, mode), limit, stall))
 
     def _crc_calls(self, monkeypatch):
         real_crc32, calls = zlib.crc32, []
@@ -562,6 +566,79 @@ class TestOnePass:
         assert os.listdir(tmp_path) == ["m.acnn"]
         assert read_bytes(path) == old
 
+    def _surgery_in_time(self, monkeypatch, donor):
+        """(exit code, stderr lines) of a mini surgery run on its own thread,
+        which must end within 30 s, leaving no checkpoint thread or file."""
+        monkeypatch.setattr(checkpoint, "PIECE_BYTES", 4096)  # 512 pieces of fc3
+        codes = []
+        run = threading.Thread(target=lambda: codes.append(main([
+            "surgery", "--in", donor, "--profile", "mini", "--head", "512,16,8",
+            "--out", os.path.join(os.path.dirname(donor), "model.acnn")])), daemon=True)
+        run.start()
+        run.join(timeout=30)
+        assert not run.is_alive()
+        assert [t.name for t in threading.enumerate() if t.name.startswith("checkpoint-")] == []
+        assert os.listdir(os.path.dirname(donor)) == ["donor.acnn"]
+        return codes
+
+    def _donor(self, tmp_path):
+        spec, params, mask = mini_fixture()
+        donor = str(tmp_path / "donor.acnn")
+        save(spec, params, mask, donor)
+        return donor
+
+    def test_surgery_write_failing_on_the_helper_exits_1(self, tmp_path, monkeypatch, capsys):
+        donor = self._donor(tmp_path)
+        # halfway through fc3's weight, stalling until every buffer is given out
+        self._fill_disk_after(monkeypatch, 1 << 20, stall=0.2)
+        assert self._surgery_in_time(monkeypatch, donor) == [1]
+        assert capsys.readouterr().err.splitlines() == [
+            f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
+
+    def test_surgery_draw_failing_exits_1(self, tmp_path, monkeypatch, capsys):
+        donor = self._donor(tmp_path)
+        real_fill, calls = network.gaussian_fill, []
+
+        def failing_fill(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 100:
+                raise OSError("draw failed")
+            return real_fill(*args, **kwargs)
+
+        monkeypatch.setattr(network, "gaussian_fill", failing_fill)
+        assert self._surgery_in_time(monkeypatch, donor) == [1]
+        assert capsys.readouterr().err.splitlines() == ["draw failed"]
+
+
+class TestDrawOnWrite:
+    """save draws a DrawnWeight piece by piece as it writes it, and the file
+    is the one an eager head_replace and save write."""
+
+    @pytest.mark.parametrize("piece_bytes, block", [(None, None), (4 * 1000, 333), (4 * 7, 5)],
+                             ids=["shipped", "1000-values-by-333", "7-values-by-5"])
+    def test_same_bytes_as_eager(self, tmp_path, monkeypatch, piece_bytes, block):
+        if piece_bytes is not None:
+            monkeypatch.setattr(checkpoint, "PIECE_BYTES", piece_bytes)
+            monkeypatch.setattr(tensor, "_FILL_BLOCK", block)
+        spec, params, _ = mini_fixture()
+        files = []
+        for draw in (False, True):
+            files.append(str(tmp_path / f"{draw}.acnn"))
+            save(*head_replace(spec, [64, 24, 8], params, Rng(0).derive(0),
+                               draw_on_write=draw), files[-1])
+        assert read_bytes(files[0]) == read_bytes(files[1])
+
+    def test_second_save_refused_and_first_kept(self, tmp_path):
+        spec, params, _ = mini_fixture()
+        replaced = head_replace(spec, [64, 24, 8], params, Rng(0).derive(0), draw_on_write=True)
+        path = str(tmp_path / "m.acnn")
+        save(*replaced, path)
+        first = read_bytes(path)
+        with pytest.raises(StateError, match="0 values left to draw"):
+            save(*replaced, path)
+        assert os.listdir(tmp_path) == ["m.acnn"]
+        assert read_bytes(path) == first
+
 
 class TestFormatGolden:
     """Pinned file digests: any change to hyperparameter encoding or layer order shows."""
@@ -580,6 +657,12 @@ class TestFormatGolden:
     def test_mini_after_head_replace(self, tmp_path):
         spec, params, _ = mini_fixture()
         replaced = head_replace(spec, [32, 16, 8], params, Rng(0).derive(0))
+        assert self._digest(tmp_path, *replaced) == (
+            "878cb40181d47b931de09254f2a4fb61cb6e6c96f77536d4f39535c435d31f30", 152319)
+
+    def test_mini_after_head_replace_drawn_on_write(self, tmp_path):
+        spec, params, _ = mini_fixture()
+        replaced = head_replace(spec, [32, 16, 8], params, Rng(0).derive(0), draw_on_write=True)
         assert self._digest(tmp_path, *replaced) == (
             "878cb40181d47b931de09254f2a4fb61cb6e6c96f77536d4f39535c435d31f30", 152319)
 
@@ -604,6 +687,25 @@ class TestMemory:
         size = os.path.getsize(path)
         assert save_peak < 0.5 * size
         assert load_peak < 1.3 * size
+
+    def test_surgery_peak_does_not_grow_with_the_head(self, tmp_path, monkeypatch):
+        # at 64 KB pieces both first fc weights (256 KB and 8 MB) span many pieces
+        monkeypatch.setattr(checkpoint, "PIECE_BYTES", 64 << 10)
+        spec, params, mask = mini_fixture()
+        donor = str(tmp_path / "donor.acnn")
+        save(spec, params, mask, donor)
+
+        def surgery(width):
+            return main(["surgery", "--in", donor, "--profile", "mini",
+                         "--head", f"{width},16,8", "--out", str(tmp_path / "model.acnn")])
+
+        assert surgery(64) == 0  # first-call set-up outside the traced runs
+        peaks = {}
+        for width in (64, 2048):
+            peaks[width], code = traced_peak(lambda: surgery(width))
+            assert code == 0
+        assert abs(peaks[2048] - peaks[64]) < checkpoint.PIECE_BYTES
+        assert peaks[2048] < 4 * 1024 * 2048  # fc3's weight is never held whole
 
     def test_loaded_tensors_are_plain_float32_arrays(self, tmp_path):
         # sgd_step updates params and velocity in place after a resume

@@ -115,6 +115,27 @@ class TestManifest:
         assert min(outcomes.values()) > 0
 
 
+def byte_at_a_time_ppm_token(fh, path):
+    """The header tokenizer ``data._ppm_token`` replaced, one byte per read:
+    the oracle for which inputs it accepts and rejects."""
+    tok = b""
+    while True:
+        ch = fh.read(1)
+        if not ch:
+            raise FormatError(f"{path}: truncated PPM header")
+        if ch == b"#" and not tok:
+            while ch and ch != b"\n":
+                ch = fh.read(1)
+            continue
+        if ch.isspace():
+            if tok:
+                return tok
+            continue
+        if len(tok) == data.MAX_PPM_TOKEN:
+            raise FormatError(f"{path}: malformed PPM header")
+        tok += ch
+
+
 class TestPpm:
     def test_roundtrip(self, tmp_path):
         img = (Rng(1).uniform((3, 5, 7)) * 255).astype(np.float32)
@@ -187,6 +208,53 @@ class TestPpm:
         with pytest.raises(FormatError, match="x.ppm: malformed PPM header"):
             read_ppm(str(path))
         assert stops == [len(b"P6\n") + data.MAX_PPM_TOKEN + 1]
+
+    @pytest.mark.parametrize("pad", [b" " * 4 * 2**20, b"\n" + b"#\n" * 2 * 10**6],
+                             ids=["4MB-of-spaces", "2M-comment-lines"])
+    def test_padding_skipped_in_chunks(self, tmp_path, monkeypatch, pad):
+        path = tmp_path / "x.ppm"
+        path.write_bytes(b"P6\n2" + pad + b" 1\n255\n" + bytes(range(6)))
+        calls = []
+
+        class Recording(io.BufferedReader):
+            def read(self, *args):
+                calls.append("read")
+                return super().read(*args)
+
+            def peek(self, *args):
+                calls.append("peek")
+                return super().peek(*args)
+
+        monkeypatch.setattr(data, "open", lambda p, mode: Recording(io.FileIO(p, mode)),
+                            raising=False)
+        assert read_ppm(str(path)).tobytes() == np.array(
+            [[[0, 3]], [[1, 4]], [[2, 5]]], np.float32).tobytes()
+        # a few calls per buffered chunk of padding, not one or two per byte
+        assert len(calls) <= 4 * (len(pad) // io.DEFAULT_BUFFER_SIZE + 1) + 64
+
+    def test_tokens_match_the_byte_at_a_time_reader(self):
+        # random headers read through buffers of 1 to 64 bytes, so that chunk
+        # edges fall inside whitespace runs, comments and tokens
+        rng = Rng(3)
+        parts = [b"1", b"7", b"x", b"#", b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c",
+                 b"9" * data.MAX_PPM_TOKEN]
+
+        def outcome(read_token, raw, buffer_size):
+            fh = io.BufferedReader(io.BytesIO(raw), buffer_size)
+            tokens = []
+            try:
+                for _ in range(3):
+                    tokens.append(read_token(fh, "x.ppm"))
+            except FormatError as e:
+                tokens.append(str(e))
+            return tokens, fh.tell()
+
+        for _ in range(400):
+            raw = b"".join(parts[rng.integers(0, len(parts))]
+                           for _ in range(rng.integers(0, 40)))
+            want = outcome(byte_at_a_time_ppm_token, raw, 64)
+            for size in (1, 2, 3, 64):
+                assert outcome(data._ppm_token, raw, size) == want, raw
 
     def test_longest_token_and_long_comment_ok(self, tmp_path):
         # a width of MAX_PPM_TOKEN digits, and a 4 MB comment skipped in chunks

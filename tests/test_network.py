@@ -207,6 +207,35 @@ class TestHeadReplace:
         assert abs(float(w.std()) - 0.01) < 0.002
         assert abs(float(w.mean())) < 0.002
 
+    def test_draw_on_write_defers_only_the_new_weights(self):
+        spec = build_profile("mini")
+        params = init_params(spec, Rng(1))
+        _, eager, _ = head_replace(spec, [24, 8], params, Rng(2))
+        _, drawn, _ = head_replace(spec, [24, 8], params, Rng(2), draw_on_write=True)
+        for name in ("fc3", "fc4"):
+            w = drawn[name]["weight"]
+            assert isinstance(w, net.DrawnWeight) and w.shape == eager[name]["weight"].shape
+            assert drawn[name]["bias"].tobytes() == eager[name]["bias"].tobytes()
+            out = np.empty(w.size, np.float32)
+            assert w.fill(out) is out and w.done
+            assert out.tobytes() == eager[name]["weight"].tobytes()
+        assert drawn["conv1_1"] is params["conv1_1"]
+
+    def test_drawn_weight_refuses_a_second_or_early_draw(self):
+        spec = build_profile("mini")
+        _, drawn, _ = head_replace(spec, [24, 8], init_params(spec, Rng(1)), Rng(2),
+                                   draw_on_write=True)
+        first, second = drawn["fc3"]["weight"], drawn["fc4"]["weight"]
+        with pytest.raises(StateError, match="before the one made before it"):
+            second.fill(np.empty(4, np.float32))
+        first.fill(np.empty(first.size - 1, np.float32))
+        with pytest.raises(StateError, match="1 values left to draw, not 2"):
+            first.fill(np.empty(2, np.float32))
+        first.fill(np.empty(1, np.float32))
+        with pytest.raises(StateError, match="0 values left"):
+            first.fill(np.empty(1, np.float32))
+        second.fill(np.empty(second.size, np.float32))
+
     def test_head_names_continue_numbering(self):
         spec = build_profile("mini")
         new_spec = replace_head_spec(spec, [10, 9, 8])

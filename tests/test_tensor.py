@@ -88,6 +88,23 @@ class TestGaussianFill:
         assert got.shape == want.shape and got.dtype == np.float32
         assert got.tobytes() == want.tobytes()
 
+    def test_pieces_filled_in_order_equal_one_fill(self, monkeypatch):
+        # pieces of 10 and 7 values through blocks of 3: no boundary lines up
+        monkeypatch.setattr(tensor, "_FILL_BLOCK", 3)
+        want = gaussian_fill((4, 9), 0.0, 0.01, Rng(5)).reshape(-1)
+        rng, got = Rng(5), np.empty(36, np.float32)
+        for lo, hi in ((0, 10), (10, 17), (17, 36)):
+            piece = got[lo:hi]
+            assert gaussian_fill(piece.shape, 0.0, 0.01, rng, out=piece) is piece
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("out", [np.empty(5, np.float32), np.empty(6, np.float64),
+                                     np.empty(12, np.float32)[::2]],
+                             ids=["shape", "dtype", "strided"])
+    def test_out_must_fit(self, out):
+        with pytest.raises(ShapeError):
+            gaussian_fill((6,), 0.0, 1.0, Rng(1), out=out)
+
     def test_twin_stream_stays_in_step(self):
         filled, twin = Rng(21), Rng(21)
         gaussian_fill((300, 700), 0.0, 0.01, filled)
