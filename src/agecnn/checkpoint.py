@@ -30,23 +30,26 @@ network does not invalidate files holding its convolutional trunk. The CRC
 covers the whole body, so any single corrupted byte past the version field is
 rejected, and the checksum outranks every other finding: a body whose parse
 fails is read to its end, and if its CRC does not match, the load raises
-"checksum mismatch" rather than the parse error. Both directions make one pass
-over the file. The writer streams the body straight to disk and fills in the
-header's CRC field last; the reader parses the fields in order and reads each
-tensor's values from the file straight into its own array. Tensor values move
-in pieces of PIECE_BYTES, and every body byte, in file order, is handed to one
-helper thread that folds it into the CRC while the calling thread moves the
-next piece. The pieces are views of the tensors, never copies, and the CRC is
-compared before the content checks run and before any array is returned, so
-the bytes checked are the bytes returned. A weight given as a
-``network.DrawnWeight`` (surgery's fresh head) is drawn as it is written and
-never held whole: the calling thread draws each piece, in stream order, into
-one of DRAW_BUFFERS reused buffers of at most PIECE_BYTES, and the helper
-writes that piece and then folds it while the calling thread draws the next.
-The file's bytes are those of the same weight saved as an array. Files are
-written to a temp path and renamed into place (os.replace), so readers never
-observe a partial file, and a reader holding the file open keeps reading the
-old one.
+"checksum mismatch" rather than the parse error.
+
+Both directions make one pass over the file and keep one rule for body
+bytes: every one goes to one helper thread (``_Crc``), in file order, as it
+comes. In save the helper is the only thread that writes the body: the
+calling thread makes the bytes (packs each field, cuts each tensor into views
+of PIECE_BYTES, draws each piece of a ``network.DrawnWeight``) and touches the
+file only for the 12-byte header before the body and the CRC after it; the
+helper writes each piece, folds it into the CRC and hands it back. In load
+the calling thread parses the fields in order and reads each tensor's values
+from the file straight into its own array, and the helper folds every byte
+read, the rest of a file whose parse failed included. The pieces are views of
+the tensors, never copies, and the CRC is compared before the content checks
+run and before any array is returned, so the bytes checked are the bytes
+returned. A DrawnWeight (surgery's fresh head) is never held whole: it is
+drawn in stream order into one of DRAW_BUFFERS reused buffers of at most
+PIECE_BYTES while the helper writes the piece before, and the file's bytes are
+those of the same weight saved as an array. Files are written to a temp
+path and renamed into place (os.replace), so readers never observe a partial
+file, and a reader holding the file open keeps reading the old one.
 """
 
 from __future__ import annotations
@@ -88,14 +91,14 @@ def _check_content(spec, params, mask, state):
 class _Crc:
     """CRC-32 of the bytes given to it, folded in order on one helper thread.
 
-    The helper runs little but ``zlib.crc32``, which releases the GIL on large
-    pieces, so the calling thread reads, writes or draws the next piece
-    meanwhile. A piece given to ``feed`` is already in the file; one given to
-    ``write`` the helper writes to the file first, then folds, then hands back
-    through the piece's ``release``. A given piece must not change until it
-    is folded. Small fields are gathered and go to the helper as one piece
-    before the next given one. As a context manager it stops the helper on
-    every exit path.
+    Every body byte goes through ``give``, in file order, as it comes. Given
+    a file (save), the helper is the only thread that writes the body: it
+    writes each piece, folds it, then hands it back through the piece's
+    ``release``. Without one (load), it only folds. The helper runs little
+    but ``fh.write`` and ``zlib.crc32``, which release the GIL on large
+    pieces, so the calling thread reads or makes the next piece meanwhile.
+    A given piece must not change until it is handed back. As a context
+    manager it stops the helper on every exit path.
 
     A write that fails on the helper is raised on the calling thread by
     ``check`` or ``value``. The helper writes and folds nothing after it, but
@@ -103,9 +106,9 @@ class _Crc:
     buffer never waits forever.
     """
 
-    def __init__(self):
+    def __init__(self, fh=None):
+        self._fh = fh
         self._pieces = queue.SimpleQueue()
-        self._fields = bytearray()
         self._value = 0
         self._failure = None
         self._helper = threading.Thread(target=self._fold, name="checkpoint-crc", daemon=True)
@@ -121,14 +124,14 @@ class _Crc:
         crc = 0
         while (job := self._pieces.get()) is not None:
             crc = self._take(crc, *job)
-            del job  # a drawn piece's buffer is freed, not held until the next piece
+            del job  # a piece read or drawn is freed, not held until the next one
         self._value = crc
 
-    def _take(self, crc, piece, fh, release):
+    def _take(self, crc, piece, release):
         if self._failure is None:
             try:
-                if fh is not None:
-                    fh.write(piece)
+                if self._fh is not None:
+                    self._fh.write(piece)
                 crc = zlib.crc32(piece, crc)
             except Exception as e:  # raised on the calling thread by check()
                 self._failure = e
@@ -136,27 +139,13 @@ class _Crc:
             release()
         return crc
 
-    def add(self, field):
-        self._fields += field
-
-    def feed(self, piece):
-        self._put_fields()
-        self._pieces.put((piece, None, None))
-
-    def write(self, fh, piece, release):
-        """Have the helper write ``piece`` to ``fh``, fold it, then call
-        ``release()``; the caller writes nothing to ``fh`` until then."""
-        self._put_fields()
-        self._pieces.put((piece, fh, release))
-
-    def _put_fields(self):
-        if self._fields:
-            self._pieces.put((self._fields, None, None))
-            self._fields = bytearray()
+    def give(self, piece, release=None):
+        """Have the helper write ``piece`` (given a file) and fold it, then
+        call ``release()``, if given."""
+        self._pieces.put((piece, release))
 
     def _stop(self):
         if self._helper.is_alive():
-            self._put_fields()
             self._pieces.put(None)
             self._helper.join()
 
@@ -179,25 +168,21 @@ def _pieces(array):
 
 
 class _Writer:
-    """Mirror of _Reader: appends to an open file and gives all it wrote to a _Crc."""
+    """Mirror of _Reader: makes the body's bytes in file order and gives them
+    to a _Crc, whose helper writes them."""
 
-    def __init__(self, fh, crc):
-        self.fh = fh
+    def __init__(self, crc):
         self.crc = crc
 
-    def raw(self, data):
-        self.fh.write(data)
-        self.crc.add(data)
-
     def pack(self, fmt, *values):
-        self.raw(struct.pack("<" + fmt, *values))
+        self.crc.give(struct.pack("<" + fmt, *values))
 
     def string(self, s):
         b = s.encode("utf-8")
         if len(b) > 0xFFFF:
             raise ParameterError(f"name too long to serialize: {s[:32]!r}...")
         self.pack("H", len(b))
-        self.raw(b)
+        self.crc.give(b)
 
     def tensor_group(self, group):
         self.pack("H", len(_TENSOR_ORDER))
@@ -212,11 +197,10 @@ class _Writer:
                 self.draw(t)
             else:
                 for piece in _pieces(t):
-                    self.fh.write(piece)
-                    self.crc.feed(piece)
+                    self.crc.give(piece)
 
     def draw(self, weight):
-        """Write a DrawnWeight's values as they are drawn: this thread draws
+        """Give a DrawnWeight's values as they are drawn: this thread draws
         each piece into one of DRAW_BUFFERS reused buffers while the helper
         writes and folds the piece before it."""
         step = max(1, min(PIECE_BYTES // 4, weight.size))
@@ -227,16 +211,16 @@ class _Writer:
             buf = free.get()
             self.crc.check()
             piece = weight.fill(buf[:min(step, weight.size - lo)])
-            self.crc.write(self.fh, piece.view(np.uint8), lambda buf=buf: free.put(buf))
+            self.crc.give(piece.view(np.uint8), lambda buf=buf: free.put(buf))
         for _ in range(DRAW_BUFFERS):
-            free.get()  # every piece is written: the file is this thread's again
+            free.get()  # every buffer is handed back before the next weight makes its own
         self.crc.check()
 
 
 def _write(fh, spec, params, mask, state):
     fh.write(MAGIC + struct.pack("<II", VERSION, 0))
-    with _Crc() as crc:
-        _write_body(_Writer(fh, crc), spec, params, mask, state)
+    with _Crc(fh) as crc:
+        _write_body(_Writer(crc), spec, params, mask, state)
     fh.seek(8)
     fh.write(struct.pack("<I", crc.value()))
 
@@ -301,15 +285,17 @@ class _Reader:
 
     def checksum(self, to_end=False):
         """CRC of the body bytes read so far; with ``to_end``, of the rest of
-        the file too, read and folded on the calling thread."""
-        crc = self.crc.value()
+        the file too, read one piece at a time and each folded on the helper
+        before the next is read."""
+        folded = threading.Semaphore(0)
         while to_end and (piece := self.fh.read(PIECE_BYTES)):
-            crc = zlib.crc32(piece, crc)
-        return crc
+            self.crc.give(piece, folded.release)
+            folded.acquire()
+        return self.crc.value()
 
     def raw(self, n):
         piece = self.fh.read(n)
-        self.crc.add(piece)
+        self.crc.give(piece)
         if len(piece) != n:
             raise FormatError(f"{self.path}: truncated file")
         return piece
@@ -338,7 +324,7 @@ class _Reader:
         data = np.empty(shape, "<f4")
         for piece in _pieces(data):
             got = self.fh.readinto(piece)
-            self.crc.feed(piece[:got])
+            self.crc.give(piece[:got])
             if got != piece.size:
                 raise FormatError(f"{self.path}: truncated file")
         return name, data

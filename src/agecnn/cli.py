@@ -15,9 +15,10 @@ not depend on the core count or on ``OPENBLAS_NUM_THREADS``. Where numpy
 carries no OpenBLAS whose thread count can be set, the pool has one worker
 and BLAS is left alone.
 Each ``checkpoint.load`` and ``checkpoint.save`` also runs one CRC helper
-thread for its own duration. It folds bytes already read or written into the
-CRC, and in ``surgery`` it also writes each piece of the fresh head after the
-calling thread has drawn it, in file order, so no output bit depends on it.
+thread for its own duration. Every body byte goes to it in file order: it
+folds each into the CRC and, in a save, writes each first. The calling thread
+makes every byte (in ``surgery`` it draws the fresh head in stream order), so
+no output bit depends on the helper.
 """
 
 from __future__ import annotations
@@ -80,6 +81,9 @@ def _parse_head(text):
         raise ConfigError(f"bad head widths {text!r}; expected comma-separated integers") from None
     if not widths:
         raise ConfigError("head widths must not be empty")
+    if max(widths) > 0xFFFFFFFF:
+        raise ConfigError(f"head width {max(widths)} does not fit a checkpoint extent "
+                          f"(at most {0xFFFFFFFF})")
     return widths
 
 
@@ -351,8 +355,8 @@ def main(argv=None) -> int:
     try:
         with network.WorkerPool(1 if blas_before is None else network.pool_size()) as pool:
             return _COMMANDS[args.command](args, pool)
-    except (EngineError, OSError) as e:
-        print(str(e), file=sys.stderr)
+    except (EngineError, OSError, MemoryError) as e:
+        print(str(e) or repr(e), file=sys.stderr)
         return 1
     finally:
         if blas_before is not None:

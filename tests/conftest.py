@@ -2,6 +2,7 @@
 
 import os
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -115,6 +116,16 @@ def to64(params):
     """Deep float64 copy of a {layer: {tensor: array}} set."""
     return {l: {t: np.asarray(a, dtype=np.float64).copy() for t, a in group.items()}
             for l, group in params.items()}
+
+
+@pytest.fixture(autouse=True)
+def no_engine_thread_left():
+    """Fail a test that leaves a checkpoint helper or a pool worker running."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate()
+            if t not in before and t.name.startswith(("checkpoint-", "agecnn-worker"))]
+    assert left == [], f"threads left running: {left}"
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 import collections
 import errno
 import hashlib
+import itertools
 import os
 import struct
 import threading
@@ -523,7 +524,7 @@ class TestOnePass:
         else:
             save(spec, params, mask, path, state=sample_state(params, mask))
         assert b"".join(data for data, _ in calls) == body
-        assert any(ident != threading.get_ident() for _, ident in calls)
+        assert all(ident != threading.get_ident() for _, ident in calls)
 
     @pytest.mark.parametrize("field", ["rank", "name-length"])
     def test_byte_that_fails_the_parse_is_a_checksum_mismatch(self, tmp_path, field):
@@ -539,6 +540,47 @@ class TestOnePass:
             fh.write(body)
         with pytest.raises(IntegrityError, match="checksum mismatch"):
             load(path)
+
+    @pytest.mark.parametrize("field", ["rank", "name-length"])
+    def test_corrupt_body_folded_off_the_calling_thread(self, tmp_path, monkeypatch, field):
+        # the save and the failed load above, with every CRC-32 call recorded
+        calls = self._crc_calls(monkeypatch)
+        self.test_byte_that_fails_the_parse_is_a_checksum_mismatch(tmp_path, field)
+        body = read_bytes(tmp_path / "m.acnn")[HEADER_SIZE:]
+        folded = b"".join(data for data, _ in calls)
+        assert len(folded) == 2 * len(body) and folded.endswith(body)
+        assert all(ident != threading.get_ident() for _, ident in calls)
+
+    def _writes(self, monkeypatch):
+        """(offset, size, thread name) of every write to a file save opens, as it comes."""
+        real_fdopen, writes = os.fdopen, []
+
+        class Recording(_FullDisk):
+            def write(self, data):
+                writes.append((self.fh.tell(), memoryview(data).nbytes,
+                               threading.current_thread().name))
+                return self.fh.write(data)
+
+        monkeypatch.setattr(os, "fdopen", lambda fd, mode: Recording(real_fdopen(fd, mode), None))
+        return writes
+
+    @pytest.mark.parametrize("op", ["save", "surgery"])
+    def test_every_body_byte_written_by_the_helper(self, tmp_path, monkeypatch, op):
+        spec, params, mask = mini_fixture()
+        path = str(tmp_path / "m.acnn")
+        save(spec, params, mask, path)
+        writes = self._writes(monkeypatch)
+        if op == "save":
+            save(spec, params, mask, path, state=sample_state(params, mask))
+        else:
+            assert main(["surgery", "--in", path, "--profile", "mini",
+                         "--head", "512,16,8", "--out", path]) == 0
+        body = [(at, n) for at, n, name in writes if name == "checkpoint-crc"]
+        assert [(at, n) for at, n, name in writes if name != "checkpoint-crc"] == [
+            (0, HEADER_SIZE), (8, 4)]
+        ends = list(itertools.accumulate((n for _, n in body), initial=HEADER_SIZE))
+        assert [at for at, _ in body] == ends[:-1]
+        assert ends[-1] == os.path.getsize(path)
 
     def test_no_helper_thread_outlives_a_call(self, tmp_path, monkeypatch):
         spec, params, mask = mini_fixture()

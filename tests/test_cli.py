@@ -207,6 +207,32 @@ class TestSurgery:
             assert "head widths" in capsys.readouterr().err
         assert not (tmp_path / "x.acnn").exists()
 
+    def test_head_wider_than_a_stored_extent_is_runtime_failure(self, tmp_path, capsys):
+        # a checkpoint stores each extent as a u32; this one would first ask
+        # numpy for an 18.6 GiB bias
+        donor = make_model(tmp_path)
+        code = main(["surgery", "--in", donor, "--profile", "mini",
+                     "--head", "5000000000,8", "--out", str(tmp_path / "x.acnn")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "head width 5000000000 does not fit a checkpoint extent (at most 4294967295)"]
+        assert os.listdir(tmp_path) == ["model.acnn"]
+        assert cli._parse_head("4294967295,8") == [4294967295, 8]
+
+    @pytest.mark.parametrize("error, line", [
+        (MemoryError("Unable to allocate 18.6 GiB"), "Unable to allocate 18.6 GiB"),
+        (MemoryError(), "MemoryError()")], ids=["message", "bare"])
+    def test_memory_error_is_runtime_failure(self, tmp_path, capsys, monkeypatch, error, line):
+        def import_trunk(*args):
+            raise error
+
+        monkeypatch.setattr(cli.checkpoint, "import_trunk", import_trunk)
+        code = main(["surgery", "--in", str(tmp_path / "donor.acnn"), "--profile", "mini",
+                     "--head", "32,16,8", "--out", str(tmp_path / "x.acnn")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert os.listdir(tmp_path) == []
+
 
 class TestTrain:
     def test_log_lines_and_exit(self, tmp_path, capsys):
