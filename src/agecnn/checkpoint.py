@@ -35,21 +35,25 @@ fails is read to its end, and if its CRC does not match, the load raises
 Both directions make one pass over the file and keep one rule for body
 bytes: every one goes to one helper thread (``_Crc``), in file order, as it
 comes. In save the helper is the only thread that writes the body: the
-calling thread makes the bytes (packs each field, cuts each tensor into views
-of PIECE_BYTES, draws each piece of a ``network.DrawnWeight``) and touches the
-file only for the 12-byte header before the body and the CRC after it; the
-helper writes each piece, folds it into the CRC and hands it back. In load
-the calling thread parses the fields in order and reads each tensor's values
-from the file straight into its own array, and the helper folds every byte
-read, the rest of a file whose parse failed included. The pieces are views of
-the tensors, never copies, and the CRC is compared before the content checks
-run and before any array is returned, so the bytes checked are the bytes
-returned. A DrawnWeight (surgery's fresh head) is never held whole: it is
-drawn in stream order into one of DRAW_BUFFERS reused buffers of at most
-PIECE_BYTES while the helper writes the piece before, and the file's bytes are
-those of the same weight saved as an array. Files are written to a temp
-path and renamed into place (os.replace), so readers never observe a partial
-file, and a reader holding the file open keeps reading the old one.
+calling thread makes the bytes (packs each field, cuts each tensor into
+pieces of at most PIECE_BYTES) and touches the file only for the 12-byte
+header before the body and the CRC after it; the helper writes each piece,
+folds it into the CRC and hands it back. A tensor's pieces take one of two
+routes, chosen by the tensor alone. A C-contiguous little-endian float32
+array is ready bytes, and its pieces are views of its own memory. Any other
+tensor (a ``network.DrawnWeight``, surgery's fresh head, or an array of
+another dtype, byte order or layout) is made into the ring: each piece is
+drawn, or cast in row-major order as ``astype`` casts, into one of at most
+DRAW_BUFFERS reused buffers while the helper writes the piece before. So
+save holds at most DRAW_BUFFERS pieces beyond the caller's tensors, and a
+tensor's bytes are the same on either route. In load the calling thread
+parses the fields in order and reads each tensor's values from the file
+straight into its own array, and the helper folds every byte read, the rest
+of a file whose parse failed included. The CRC is compared before the
+content checks run and before any array is returned, so the bytes checked
+are the bytes returned. Files are written to a temp path and renamed into
+place (os.replace), so readers never observe a partial file, and a reader
+holding the file open keeps reading the old one.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ VERSION = 1
 HEADER_SIZE = 12
 MAX_RANK = 4  # conv weights; no tensor of any network has more axes
 PIECE_BYTES = 8 << 20  # tensor values move to and from the file in pieces this size
-DRAW_BUFFERS = 3  # buffers a DrawnWeight is drawn into while earlier pieces are written
+DRAW_BUFFERS = 3  # most ring buffers a tensor that is not ready bytes is made into
 
 _TENSOR_ORDER = ("weight", "bias")
 
@@ -167,6 +171,25 @@ def _pieces(array):
     return [flat[lo:lo + PIECE_BYTES] for lo in range(0, flat.size, PIECE_BYTES)]
 
 
+def _cast(out, array, lo):
+    """Fill float32 ``out`` with ``array``'s values from flat index ``lo`` on,
+    in row-major order, cast as ``astype`` casts them. Each assignment reads
+    a view of ``array``, of any layout, so nothing is copied whole."""
+    if array.ndim <= 1:
+        out[...] = array.reshape(-1)[lo:lo + out.size]
+        return
+    row = math.prod(array.shape[1:])
+    first, at = divmod(lo, row)
+    if at:  # the rest of a partial first row
+        n = min(row - at, out.size)
+        _cast(out[:n], array[first], at)
+        out, first = out[n:], first + 1
+    whole = out.size // row
+    out[:whole * row].reshape(whole, *array.shape[1:])[...] = array[first:first + whole]
+    if out.size % row:
+        _cast(out[whole * row:], array[first + whole], 0)
+
+
 class _Writer:
     """Mirror of _Reader: makes the body's bytes in file order and gives them
     to a _Crc, whose helper writes them."""
@@ -188,32 +211,36 @@ class _Writer:
         self.pack("H", len(_TENSOR_ORDER))
         for name in _TENSOR_ORDER:
             t = group[name]
-            drawn = isinstance(t, net.DrawnWeight)
-            if not drawn:
-                t = np.ascontiguousarray(t, dtype="<f4")
             self.string(name)
             self.pack(f"B{len(t.shape)}I", len(t.shape), *t.shape)
-            if drawn:
-                self.draw(t)
-            else:
+            if isinstance(t, np.ndarray) and t.dtype == "<f4" and t.flags.c_contiguous:
                 for piece in _pieces(t):
                     self.crc.give(piece)
+            else:
+                self.draw(t)
 
-    def draw(self, weight):
-        """Give a DrawnWeight's values as they are drawn: this thread draws
-        each piece into one of DRAW_BUFFERS reused buffers while the helper
-        writes and folds the piece before it."""
-        step = max(1, min(PIECE_BYTES // 4, weight.size))
+    def draw(self, t):
+        """Give a tensor that is not ready bytes (a DrawnWeight, or an array
+        of another dtype, byte order or layout) as float32 pieces made in
+        row-major order: this thread draws or casts each piece into one of at
+        most DRAW_BUFFERS reused buffers while the helper writes and folds the
+        piece before it."""
+        step = max(1, min(PIECE_BYTES // 4, t.size))
+        buffers = min(DRAW_BUFFERS, -(-t.size // step))
         free = queue.SimpleQueue()
-        for _ in range(DRAW_BUFFERS):
+        for _ in range(buffers):
             free.put(np.empty(step, "<f4"))
-        for lo in range(0, weight.size, step):
+        for lo in range(0, t.size, step):
             buf = free.get()
             self.crc.check()
-            piece = weight.fill(buf[:min(step, weight.size - lo)])
+            piece = buf[:min(step, t.size - lo)]
+            if isinstance(t, net.DrawnWeight):
+                t.fill(piece)
+            else:
+                _cast(piece, np.asarray(t), lo)  # a subclass such as np.matrix indexes otherwise
             self.crc.give(piece.view(np.uint8), lambda buf=buf: free.put(buf))
-        for _ in range(DRAW_BUFFERS):
-            free.get()  # every buffer is handed back before the next weight makes its own
+        for _ in range(buffers):
+            free.get()  # every buffer is handed back before the next tensor makes its own
         self.crc.check()
 
 

@@ -28,8 +28,6 @@ import csv
 import math
 import sys
 
-import numpy as np
-
 from . import checkpoint, data, network, optim, predict
 from .data import AGE_LABELS, NUM_CLASSES
 from .errors import ConfigError, EngineError, InputError, ParseError
@@ -307,7 +305,6 @@ def cmd_inspect(args, pool):
         spec = network.build_profile(args.profile)
         mask = None
         state = None
-    shapes = network.infer_shapes(spec)
     param_shapes = network.param_shapes(spec)
     print(f"network: {spec.name}")
     print(f"input: {_shape_text(spec.input_shape)}")
@@ -315,8 +312,8 @@ def cmd_inspect(args, pool):
         print(f"optimizer: lr={state.lr:.8g} epoch={state.epoch}")
     print(f"{'layer':<12} {'kind':<12} {'output':<14} {'params':>10} {'trainable':>10}")
     total = frozen = 0
-    for layer, (_, shape) in zip(spec.layers, shapes):
-        count = sum(int(np.prod(s)) for s in param_shapes.get(layer.name, {}).values())
+    for layer, shape in zip(spec.layers, spec.shapes[1:]):
+        count = sum(math.prod(s) for s in param_shapes.get(layer.name, {}).values())
         if layer.has_params:
             trainable = "-" if mask is None else ("yes" if mask[layer.name] else "no")
             if mask is not None and not mask[layer.name]:

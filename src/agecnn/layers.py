@@ -48,7 +48,7 @@ class LayerKind:
     without weight/bias tensors.
     """
 
-    forward: Callable  # (spec, x, {"weight", "bias"} or None, mode, rng, plan) -> (y, cache)
+    forward: Callable  # (spec, x, {"weight", "bias"} or None, rng, plan) -> (y, cache)
     backward: Callable  # (cache, d_out, need_param_grads, need_input_grad) -> (d_in, d_params)
     hypers: dict = field(default_factory=dict)
     optional: tuple = ()
@@ -713,11 +713,11 @@ KINDS = {
             "weight": (s.params["out_channels"], shape[0], s.params["kernel"], s.params["kernel"]),
             "bias": (s.params["out_channels"],)},
         scratch=_conv_scratch,
-        forward=lambda s, x, w, mode, rng, plan: conv2d_forward(
+        forward=lambda s, x, w, rng, plan: conv2d_forward(
             x, w["weight"], w["bias"], s.params["stride"], s.params["pad"], plan),
         backward=conv2d_backward),
     "relu": LayerKind(
-        forward=lambda s, x, w, mode, rng, plan: relu_forward(x, plan),
+        forward=lambda s, x, w, rng, plan: relu_forward(x, plan),
         backward=lambda cache, d, *flags: relu_backward(cache, d)),
     "lrn": LayerKind(
         hypers={"n": int, "k": float, "alpha": float, "beta": float},
@@ -725,7 +725,7 @@ KINDS = {
                        and p["alpha"] >= 0, "window n must be odd and >= 1, k > 0, alpha >= 0"),
         out_shape=lambda s, shape: _window_out_shape(s, shape, None, 1, 1, 0),
         scratch=_lrn_scratch,
-        forward=lambda s, x, w, mode, rng, plan: lrn_forward(x, **s.params, plan=plan),
+        forward=lambda s, x, w, rng, plan: lrn_forward(x, **s.params, plan=plan),
         backward=lambda cache, d, *flags: lrn_backward(cache, d)),
     "maxpool": LayerKind(
         hypers={"window": int, "stride": int},
@@ -733,7 +733,7 @@ KINDS = {
                        "window/stride must be >= 1"),
         out_shape=lambda s, shape: _window_out_shape(
             s, shape, None, s.params["window"], s.params["stride"], 0),
-        forward=lambda s, x, w, mode, rng, plan: maxpool_forward(x, **s.params, plan=plan),
+        forward=lambda s, x, w, rng, plan: maxpool_forward(x, **s.params, plan=plan),
         backward=lambda cache, d, *flags: maxpool_backward(cache, d)),
     "fc": LayerKind(
         hypers={"out_features": int, "in_features": int},
@@ -742,17 +742,18 @@ KINDS = {
         out_shape=_fc_out_shape,
         param_shapes=lambda s, shape: {"weight": (math.prod(shape), s.params["out_features"]),
                                        "bias": (s.params["out_features"],)},
-        forward=lambda s, x, w, mode, rng, plan: fc_forward(x, w["weight"], w["bias"], plan),
+        forward=lambda s, x, w, rng, plan: fc_forward(x, w["weight"], w["bias"], plan),
         backward=fc_backward),
     "dropout": LayerKind(
         hypers={"rate": float},
         check=_require(lambda p: 0.0 <= p["rate"] < 1.0, "rate must be in [0, 1)"),
-        forward=lambda s, x, w, mode, rng, plan: dropout_forward(x, s.params["rate"], mode, rng),
+        forward=lambda s, x, w, rng, plan: dropout_forward(
+            x, s.params["rate"], "train" if plan is None else "eval", rng),
         backward=lambda cache, d, *flags: dropout_backward(cache, d)),
     # Forward and backward pass scores through: the loss needs labels, so
     # network takes it from softmax_log_loss / softmax_log_loss_backward.
     "softmax_loss": LayerKind(
-        forward=lambda s, x, w, mode, rng, plan: (x, {"scores": x}),
+        forward=lambda s, x, w, rng, plan: (x, {"scores": x}),
         backward=lambda cache, d, *flags: (d, {})),
 }
 
@@ -772,7 +773,7 @@ def forward_layer(spec: LayerSpec, x, params=None, mode="train", rng=None, plan=
     if plan is None and mode == "eval":
         raise StateError(f"layer {spec.name!r}: eval mode runs on a buffer plan; "
                          "use network.eval_layers")
-    y, data = kind.forward(spec, x, params, mode, rng, plan)
+    y, data = kind.forward(spec, x, params, rng, plan)
     if mode == "eval":
         return y, None
     data["_out_shape"] = y.shape

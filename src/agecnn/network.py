@@ -139,6 +139,10 @@ def param_shapes(spec: NetworkSpec):
             for layer, shape in zip(spec.layers, spec.shapes) if layer.has_params}
 
 
+# Standard deviation of every freshly drawn weight (init_params, head_replace).
+INIT_STD = 0.01
+
+
 def _fresh(shapes, std, rng):
     return {"weight": gaussian_fill(shapes["weight"], 0.0, std, rng),
             "bias": np.zeros(shapes["bias"], DTYPE)}
@@ -181,7 +185,7 @@ class DrawnWeight:
         return out
 
 
-def init_params(spec: NetworkSpec, rng: Rng, std: float = 0.01):
+def init_params(spec: NetworkSpec, rng: Rng, std: float = INIT_STD):
     """Fresh ParamSet: weights ~ normal(0, std^2), biases zero."""
     return {name: _fresh(shapes, std, rng) for name, shapes in param_shapes(spec).items()}
 
@@ -263,7 +267,7 @@ def head_replace(spec: NetworkSpec, head_widths, params, rng: Rng,
     """Replace the fc head; trunk weights pass through untouched.
 
     Returns (new_spec, new_params, freeze_mask): new fc weights are drawn from
-    normal(0, 0.01^2) with zero biases, the mask freezes every trunk
+    normal(0, INIT_STD^2) with zero biases, the mask freezes every trunk
     parameter and marks every new fc trainable. ``params`` must cover the
     trunk's parameterized layers (a partial set from a trunk import is fine);
     old head entries are dropped. With ``draw_on_write`` each new weight is a
@@ -277,10 +281,10 @@ def head_replace(spec: NetworkSpec, head_widths, params, rng: Rng,
     for name, shapes in param_shapes(new_spec).items():
         mask[name] = name not in trunk_names
         if mask[name] and draw_on_write:
-            drawn = DrawnWeight(shapes["weight"], 0.01, rng, after=drawn)
+            drawn = DrawnWeight(shapes["weight"], INIT_STD, rng, after=drawn)
             new_params[name] = {"weight": drawn, "bias": np.zeros(shapes["bias"], DTYPE)}
         elif mask[name]:
-            new_params[name] = _fresh(shapes, 0.01, rng)
+            new_params[name] = _fresh(shapes, INIT_STD, rng)
         elif name in params:
             new_params[name] = params[name]
         else:

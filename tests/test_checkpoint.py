@@ -696,6 +696,22 @@ class TestFormatGolden:
         assert self._digest(tmp_path, *mini_fixture()) == (
             "4d607e0e0d78853675b0754554a985ba954ea54072946a12b4fbc52111544f36", 152319)
 
+    @pytest.mark.parametrize("piece_bytes", [None, 4 * 7], ids=["shipped", "7-values"])
+    @pytest.mark.parametrize("convert", [
+        lambda a: a, lambda a: a.astype(np.float64), np.asfortranarray,
+        lambda a: a.astype(">f4"),
+        lambda a: np.asmatrix(a.astype(np.float64)) if a.ndim == 2 else a],
+        ids=["float32", "float64", "fortran", "big-endian", "float64-matrix"])
+    @pytest.mark.filterwarnings("ignore::PendingDeprecationWarning")
+    def test_mini_init_converted(self, tmp_path, monkeypatch, convert, piece_bytes):
+        if piece_bytes is not None:  # converted pieces start and end mid-row
+            monkeypatch.setattr(checkpoint, "PIECE_BYTES", piece_bytes)
+        spec, params, mask = mini_fixture()
+        params = {name: {t: convert(a) for t, a in group.items()}
+                  for name, group in params.items()}
+        assert self._digest(tmp_path, spec, params, mask) == (
+            "4d607e0e0d78853675b0754554a985ba954ea54072946a12b4fbc52111544f36", 152319)
+
     def test_mini_after_head_replace(self, tmp_path):
         spec, params, _ = mini_fixture()
         replaced = head_replace(spec, [32, 16, 8], params, Rng(0).derive(0))
@@ -748,6 +764,28 @@ class TestMemory:
             assert code == 0
         assert abs(peaks[2048] - peaks[64]) < checkpoint.PIECE_BYTES
         assert peaks[2048] < 4 * 1024 * 2048  # fc3's weight is never held whole
+
+    def test_converted_save_peak_does_not_grow_with_the_head(self, tmp_path, monkeypatch):
+        # float64 params go through the ring a piece at a time, never cast whole
+        monkeypatch.setattr(checkpoint, "PIECE_BYTES", 64 << 10)
+        spec, params, _ = mini_fixture()
+        peaks = {}
+        for width in (64, 2048):
+            new_spec, fresh, mask = head_replace(spec, [width, 16, 8], params, Rng(0).derive(0))
+            wide = {name: {t: a.astype(np.float64) for t, a in group.items()}
+                    for name, group in fresh.items()}
+            path = str(tmp_path / f"{width}.acnn")
+            peaks[width], _ = traced_peak(lambda: save(new_spec, wide, mask, path))
+        assert abs(peaks[2048] - peaks[64]) < checkpoint.PIECE_BYTES
+
+    def test_one_piece_drawn_weight_makes_one_buffer(self, tmp_path):
+        # fc3's 2 MB weight is one piece; DRAW_BUFFERS of it would be 6 MB
+        spec, params, _ = mini_fixture()
+        replaced = head_replace(spec, [512, 16, 8], params, Rng(0).derive(0), draw_on_write=True)
+        weight = replaced[1]["fc3"]["weight"]
+        assert 4 * weight.size <= checkpoint.PIECE_BYTES
+        peak, _ = traced_peak(lambda: save(*replaced, str(tmp_path / "m.acnn")))
+        assert 4 * weight.size <= peak < 2 * 4 * weight.size
 
     def test_loaded_tensors_are_plain_float32_arrays(self, tmp_path):
         # sgd_step updates params and velocity in place after a resume
