@@ -174,10 +174,8 @@ def _pieces(array):
 def _cast(out, array, lo):
     """Fill float32 ``out`` with ``array``'s values from flat index ``lo`` on,
     in row-major order, cast as ``astype`` casts them. Each assignment reads
-    a view of ``array``, of any layout, so nothing is copied whole."""
-    if array.ndim <= 1:
-        out[...] = array.reshape(-1)[lo:lo + out.size]
-        return
+    a view of ``array``, of any layout, so nothing is copied whole. A 1-D
+    array's rows are single values, so the recursion ends there."""
     row = math.prod(array.shape[1:])
     first, at = divmod(lo, row)
     if at:  # the rest of a partial first row
@@ -310,13 +308,14 @@ class _Reader:
         self.path = path
         self.crc = crc
 
-    def checksum(self, to_end=False):
-        """CRC of the body bytes read so far; with ``to_end``, of the rest of
-        the file too, read one piece at a time and each folded on the helper
-        before the next is read."""
+    def checksum(self):
+        """CRC of the whole body: the bytes read so far and the rest of the
+        file, read one piece at a time and each folded on the helper before
+        the next is read. After a whole parse no byte is left to read, since
+        ``_parse`` refuses trailing bytes."""
         folded = threading.Semaphore(0)
-        while to_end and (piece := self.fh.read(PIECE_BYTES)):
-            self.crc.give(piece, folded.release)
+        for _ in range(self.fh.tell(), self.size, PIECE_BYTES):
+            self.crc.give(self.fh.read(PIECE_BYTES), folded.release)
             folded.acquire()
         return self.crc.value()
 
@@ -425,7 +424,7 @@ def load(path):
             spec, params, mask, state = _parse(cur, path)
         except (FormatError, IntegrityError):
             # a corrupt body reports as corrupt, whatever the parser tripped on
-            if cur.checksum(to_end=True) != stored_crc:
+            if cur.checksum() != stored_crc:
                 raise IntegrityError(f"{path}: checksum mismatch") from None
             raise
         if cur.checksum() != stored_crc:

@@ -30,7 +30,8 @@ class FormatError(EngineError):
 
 
 class IntegrityError(EngineError):
-    """Weight file parses but its contents are inconsistent (checksum, shapes)."""
+    """Weight file parses but its contents are inconsistent (checksum, shapes), or
+    its weights score an image as non-finite."""
 
 
 class StateError(EngineError):

@@ -389,11 +389,8 @@ class WorkerPool:
 
         Each worker takes the next i in turn, so which worker runs a piece
         varies from run to run; a piece writes only its own part of the result.
+        With one worker or at most one piece no helper is asked: worker 0 runs all.
         """
-        if self._helpers is None or count < 2:
-            for i in range(count):
-                piece(i, 0)
-            return
         todo = iter(range(count))  # shared: each next() happens under the GIL
 
         def drain(worker):

@@ -74,8 +74,8 @@ def sgd_step(params, grads, mask, state: OptState, cfg: SgdConfig):
     ``state`` come back. Decay spares biases; frozen tensors are never written.
     ``grads`` covers exactly the layers ``mask`` marks trainable, so a mask that
     marks one layer steps that layer alone, as ``train_epoch`` does while
-    backward hands over each layer's gradients. Each tensor is updated in
-    chunks of ``layers.PIECE_ELEMENTS`` elements through one chunk of scratch.
+    backward hands over each layer's gradients. Each tensor is updated in row
+    blocks of about 1 MB, at least one row, through one block of scratch.
     """
     trainable = [name for name in params if mask.get(name)]
     if set(grads) != set(trainable):
@@ -99,20 +99,17 @@ def sgd_step(params, grads, mask, state: OptState, cfg: SgdConfig):
 
 
 def _momentum_update(w, v, g, lr, mu, lam):
-    """v <- mu*v - lr*(g + lam*w); w <- w + v, in chunks of PIECE_ELEMENTS elements.
+    """v <- mu*v - lr*(g + lam*w); w <- w + v, in row blocks of about 1 MB.
 
-    Each chunk runs the float operations of ``v *= mu; v -= lr * (g + lam * w);
-    w += v`` in the same order, at the same precision, through one chunk of
-    scratch, so the bytes do not depend on the chunking.
+    A block is whole first-axis rows, at least one row, of about PIECE_ELEMENTS
+    elements, in any layout. Each block runs the float operations of ``v *= mu;
+    v -= lr * (g + lam * w); w += v`` in the same order, at the same precision,
+    through one block of scratch, so the bytes do not depend on the blocking.
     """
-    if w.flags.c_contiguous and v.flags.c_contiguous:
-        w, v, g = w.reshape(-1), v.reshape(-1), g.reshape(-1)
-        size = PIECE_ELEMENTS
-    else:  # flat views would be copies: a strided tensor is one chunk
-        size = len(w)
-    scratch = np.empty(w[:size].shape, np.result_type(g, w, lam, lr))
-    for start in range(0, len(w), size):
-        part = slice(start, start + size)
+    rows = max(1, PIECE_ELEMENTS // math.prod(w.shape[1:]))
+    scratch = np.empty(w[:rows].shape, np.result_type(g, w, lam, lr))
+    for start in range(0, len(w), rows):
+        part = slice(start, start + rows)
         wc, vc = w[part], v[part]
         t = scratch[:len(wc)]
         vc *= mu

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import network as net
 from .data import CROP_SIZE, FRAME_SIZE, Preprocessing, decode_image, resize_bilinear
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, IntegrityError, ShapeError
 from .layers import softmax
 from .tensor import DTYPE, argmax
 
@@ -95,11 +95,17 @@ def _views(spec, img, channel_means):
     return views
 
 
-def _average(scores, average):
-    """One image's class-probability vector from its per-view scores."""
+def _average(scores, average, image):
+    """One image's class-probability vector from its per-view scores; one that
+    is not finite raises IntegrityError naming ``image``, so no row shows it."""
     if average == "probability":
-        return average_probabilities(softmax(scores))
-    return softmax(scores.mean(axis=0, keepdims=True))[0]
+        probs = average_probabilities(softmax(scores))
+    else:
+        probs = softmax(scores.mean(axis=0, keepdims=True))[0]
+    if not np.isfinite(probs).all():
+        raise IntegrityError(f"non-finite class scores for {image} (the model's weights "
+                             "hold a NaN or overflow)")
+    return probs
 
 
 def predict_proba(spec, params, img, average: str = AVERAGES[0],
@@ -111,7 +117,7 @@ def predict_proba(spec, params, img, average: str = AVERAGES[0],
     """
     _check_average(average)
     return _average(net.eval_scores(spec, params, _views(spec, img, channel_means), pool),
-                    average)
+                    average, "this image")
 
 
 def predict_file(spec, params, path, average: str = AVERAGES[0],
@@ -156,5 +162,6 @@ def predict_manifest(spec, params, manifest, average: str = AVERAGES[0],
     features = features or ViewFeatures(_record_views(spec, manifest, channel_means), 0)
     stop = len(spec.layers) - 1
     return ([argmax(_average(net.eval_layers(spec, params, rows, features.stop, stop, pool),
-                             average))
-             for rows in features.rows], [rec.label for rec in manifest.records])
+                             average, rec.path))
+             for rows, rec in zip(features.rows, manifest.records)],
+            [rec.label for rec in manifest.records])

@@ -6,10 +6,11 @@ OutC x InC x kH x kW. Arrays are treated as immutable once written: operations
 return new arrays and never modify their inputs in place. There are two
 exceptions. The momentum step (``optim.sgd_step``, and ``optim.train_epoch``
 through it, one layer at a time as backward hands over its gradients)
-updates the trainable tensors and their velocities in place, in chunks of
-1 MB through one chunk of scratch. Eval mode runs only in the eval walk
-(``network.eval_layers``), on a worker pool's buffer plan: its layers write
-into the plan's buffers, ReLU in place, and the walk returns a new array.
+updates the trainable tensors and their velocities in place, in row blocks
+of about 1 MB, at least one row, through one block of scratch. Eval mode
+runs only in the eval walk (``network.eval_layers``), on a worker pool's
+buffer plan: its layers write into the plan's buffers, ReLU in place, and
+the walk returns a new array.
 
 Matrix products go to the OpenBLAS library bundled with numpy. OpenBLAS may
 round a product differently at another thread count, so the CLI runs every

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from agecnn import (AGE_LABELS, NetworkSpec, Preprocessing, Rng, SgdConfig,
+from agecnn import (AGE_LABELS, IntegrityError, NetworkSpec, Preprocessing, Rng, SgdConfig,
                     argmax, batches, build_profile, evaluate, init_params,
                     init_state, layers, load, load_manifest, make_mask,
                     network, plateau_update, predict, predict_proba,
@@ -797,6 +797,63 @@ class TestEval:
         manifest.write_bytes(b"path,label\ncaf\xe9.ppm,0-2\n")
         assert main(["eval", "--model", model, "--test", str(manifest)]) == 1
         assert "not UTF-8" in capsys.readouterr().err
+
+
+def nan_weight(params):
+    params["fc5"]["weight"][0, 0] = np.nan
+
+
+def overflowing_weights(params):
+    # every value finite; fc4's outputs overflow float32 to inf
+    for name in ("fc4", "fc5"):
+        params[name]["weight"][...] = 1e38
+
+
+class TestNonFiniteScores:
+    """A CRC-valid model whose class scores are not finite fails each image it
+    scores as a typed error naming that image, and writes no row or report."""
+
+    def _model(self, tmp_path, edit):
+        spec = build_profile("mini")
+        params = init_params(spec, Rng(0))
+        edit(params)
+        path = str(tmp_path / "bad.acnn")
+        save(spec, params, make_mask(spec, True), path)
+        return path
+
+    @pytest.mark.parametrize("edit", [nan_weight, overflowing_weights])
+    def test_predict_exits_1_naming_each_image_with_no_row(self, edit, tmp_path, capsys):
+        model = self._model(tmp_path, edit)
+        _, manifest = dataset(tmp_path, count=2)
+        listing = tmp_path / "images.txt"
+        listing.write_text("".join(r.path + "\n" for r in manifest.records))
+        with np.errstate(all="ignore"):
+            assert main(["predict", "--model", model, "--images", str(listing)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"{r.path}: non-finite class scores for this image (the model's weights "
+            "hold a NaN or overflow)" for r in manifest.records]
+
+    @pytest.mark.parametrize("edit", [nan_weight, overflowing_weights])
+    def test_eval_exits_1_naming_the_image_with_no_report(self, edit, tmp_path, capsys):
+        model = self._model(tmp_path, edit)
+        manifest_path, manifest = dataset(tmp_path, count=2)
+        with np.errstate(all="ignore"):
+            assert main(["eval", "--model", model, "--test", manifest_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"non-finite class scores for {manifest.records[0].path} (the model's weights "
+            "hold a NaN or overflow)"]
+        assert not os.path.exists(manifest_path + ".report.csv")
+
+    def test_overflow_is_refused_when_views_average_as_scores(self, tmp_path):
+        spec, params, _, _ = load(self._model(tmp_path, overflowing_weights))
+        _, manifest = dataset(tmp_path, count=1)
+        with np.errstate(all="ignore"), pytest.raises(IntegrityError, match="non-finite"):
+            predict_proba(spec, params, decode_image(manifest.records[0].path),
+                          average="score")
 
 
 class TestNulBytePath:

@@ -840,6 +840,16 @@ class TestWorkerPool:
         assert (counts == 1).all()
         assert workers <= {0, 1, 2, 3}
 
+    @pytest.mark.parametrize("workers, count", [(1, 0), (1, 1), (1, 5), (2, 0), (2, 1)])
+    def test_one_worker_or_at_most_one_piece_runs_on_the_caller(self, workers, count):
+        calls = []
+        with net.WorkerPool(workers) as pool:
+            pool.run(lambda i, worker: calls.append((i, worker, threading.current_thread())),
+                     count)
+            helpers = [t for t in threading.enumerate() if t.name.startswith("agecnn-worker")]
+        assert calls == [(i, 0, threading.current_thread()) for i in range(count)]
+        assert helpers == []
+
     def test_run_raises_a_piece_error_after_every_piece_is_done(self):
         running = []
 

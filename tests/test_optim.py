@@ -246,6 +246,38 @@ class TestSgdStep:
         peak, _ = traced_peak(lambda: sgd_step(params, grads, mask, state, cfg))
         assert peak < 2.5 * params["f0"]["weight"].nbytes
 
+    def test_strided_tensor_steps_through_one_row_block_of_scratch(self):
+        # a transposed 16 MB weight is stepped in blocks of whole rows, not
+        # through one scratch buffer of the whole tensor
+        w = np.ones((2048, 2048), np.float32).T
+        params = {"t": {"weight": w, "bias": np.ones(2048, np.float32)}}
+        mask = {"t": True}
+        cfg = SgdConfig(batch_size=1)
+        state = init_state(params, mask, cfg)
+        grads = {"t": {t: np.ones_like(a) for t, a in params["t"].items()}}
+        peak, _ = traced_peak(lambda: sgd_step(params, grads, mask, state, cfg))
+        block = 4 * PIECE_ELEMENTS
+        # beyond the block, numpy's iterator buffers for strided operands (about 0.1 MB)
+        assert block <= peak < 1.25 * block
+        assert not w.flags.c_contiguous and (w < 1).all()  # every row was stepped
+
+    def test_a_row_longer_than_a_block_is_a_block_of_one_row(self):
+        rng = Rng(45)
+        params = {"f": {"weight": rng.normal((3, PIECE_ELEMENTS + 1)).astype(np.float32),
+                        "bias": rng.normal((PIECE_ELEMENTS + 1,)).astype(np.float32)}}
+        mask = {"f": True}
+        cfg = SgdConfig(batch_size=1)
+        state = init_state(params, mask, cfg)
+        grads = {"f": {t: rng.normal(a.shape).astype(np.float32)
+                       for t, a in params["f"].items()}}
+        expected = {}
+        for t, w in params["f"].items():
+            lam = cfg.weight_decay if t == "weight" else 0.0
+            v = -cfg.lr0 * (grads["f"][t] + lam * w)
+            expected[t] = (w + v).tobytes()
+        sgd_step(params, grads, mask, state, cfg)
+        assert {t: a.tobytes() for t, a in params["f"].items()} == expected
+
     def test_quadratic_descent_is_monotone(self):
         # L(w) = 0.5*(w-3)^2, gradient w-3; plain SGD at lr 1e-2
         params = {"f": {"weight": np.array([10.0]), "bias": np.zeros(1)}}
