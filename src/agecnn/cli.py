@@ -28,6 +28,8 @@ import csv
 import math
 import sys
 
+import numpy as np
+
 from . import checkpoint, data, network, optim, predict
 from .data import AGE_LABELS, NUM_CLASSES
 from .errors import ConfigError, EngineError, InputError, ParseError
@@ -350,7 +352,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     blas_before = set_blas_threads(1)
     try:
-        with network.WorkerPool(1 if blas_before is None else network.pool_size()) as pool:
+        # overflow and NaN are found and reported as typed errors, so NumPy's
+        # floating-point warnings would only repeat them as engine internals
+        with np.errstate(all="ignore"), \
+                network.WorkerPool(1 if blas_before is None else network.pool_size()) as pool:
             return _COMMANDS[args.command](args, pool)
     except (EngineError, OSError, MemoryError) as e:
         print(str(e) or repr(e), file=sys.stderr)

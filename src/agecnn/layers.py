@@ -22,7 +22,7 @@ sizes: conv's slab, patch band and GEMM band, and LRN's prefix buffer. Conv,
 LRN and max pooling write into the activation buffer their input is not in,
 ReLU works in place, eval dropout is the identity and fc allocates its
 (small) output. For the ``vgg-face-age`` trunk at 3 rows the plan is about
-98.5 MB, and 25 MB more per further worker.
+88.5 MiB, and 15 MiB more per further worker.
 """
 
 from __future__ import annotations
@@ -252,8 +252,13 @@ def _tap_slices(kh, kw, wp, oh, stride, top=0):
 # with the batch or the image height. The band depends only on the layer's
 # shape, so both modes and every batch size run the same GEMMs on a sample:
 # BLAS may round a column differently when the GEMM's N axis is cut
-# elsewhere, so the cut must not move with the batch.
-BAND_BYTES = 16 * 2**20
+# elsewhere, so the cut must not move with the batch. 4 MiB is one core's L2
+# on the 2-core Xeon this was tuned on, so a band stays in cache between
+# ``_patches`` writing it and the GEMM packing it: the vgg-face-age trunk's
+# conv ran 613 ms at 3 rows on 2 workers against 664 at 16 MiB (median of
+# 20; 3, 6 and 8 MiB were slower). Its forward bytes were the same at every
+# budget from 2 to 16 MiB; backward's sums over bands are not.
+BAND_BYTES = 4 * 2**20
 
 
 _ConvGeometry = namedtuple("_ConvGeometry",

@@ -154,7 +154,8 @@ class TestConvForward:
         y, _ = conv2d_forward(x, w, b, stride, pad)
         assert np.allclose(y, conv_direct(x, w, b, stride, pad), atol=1e-5)
 
-    @pytest.mark.parametrize("band_bytes", [1, 2000, layers.BAND_BYTES])
+    # the shipped budget and 16 MiB: every case here is one band at either
+    @pytest.mark.parametrize("band_bytes", [1, 2000, layers.BAND_BYTES, 16 * 2**20])
     @pytest.mark.parametrize("case", [
         ((3, 3, 7, 5), (4, 3, 3, 3), 1, 1),
         ((3, 2, 9, 7), (3, 2, 3, 3), 2, 0),
@@ -322,7 +323,7 @@ class TestConvBackward:
                              [d_in, d_params["weight"], d_params["bias"]])
         assert err < 1e-4
 
-    @pytest.mark.parametrize("band_bytes", [1, 9000, layers.BAND_BYTES])
+    @pytest.mark.parametrize("band_bytes", [1, 9000, layers.BAND_BYTES, 16 * 2**20])
     @pytest.mark.parametrize("pad", [0, 1, 2])
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("kernel", [1, 2, 3, 5])

@@ -540,7 +540,19 @@ class TestEvalPlan:
             sizes = {rows: pool.plan(trunk, shapes, rows, np.float32).nbytes for rows in (3, 4)}
         largest = max(int(np.prod(shape)) for shape in shapes) * 4
         assert sizes[4] - sizes[3] == 2 * largest
-        assert sizes[3] <= 124 * 2**20
+        assert sizes[3] <= 104 * 2**20
+
+    def test_vgg_trunk_bits_do_not_depend_on_the_band_budget(self, vgg_trunk, monkeypatch):
+        # a band's rows are the GEMM's N axis: cutting them at 4 MiB rather
+        # than 16 must leave every column's K-sum, so every output bit, as it was
+        spec, params, split = vgg_trunk
+        x = Rng(41).normal((3, 3, 224, 224)).astype(np.float32)
+        got = {}
+        for band_bytes in (16 * 2**20, L.BAND_BYTES):
+            monkeypatch.setattr(L, "BAND_BYTES", band_bytes)
+            with net.WorkerPool(2) as pool:
+                got[band_bytes] = net.eval_layers(spec, params, x, 0, split, pool).tobytes()
+        assert len(got) == 2 and len(set(got.values())) == 1
 
 
 class TestBackward:
@@ -849,6 +861,18 @@ class TestWorkerPool:
             helpers = [t for t in threading.enumerate() if t.name.startswith("agecnn-worker")]
         assert calls == [(i, 0, threading.current_thread()) for i in range(count)]
         assert helpers == []
+
+    def test_helpers_run_under_the_callers_numpy_error_state(self):
+        # piece 0 holds worker 0 at the barrier, so a helper runs piece 1
+        meet, seen = threading.Barrier(2, timeout=10), {}
+
+        def piece(i, worker):
+            meet.wait()
+            seen[worker] = np.geterr()["over"]
+
+        with net.WorkerPool(2) as pool, np.errstate(over="ignore"):
+            pool.run(piece, 2)
+        assert seen == {0: "ignore", 1: "ignore"}
 
     def test_run_raises_a_piece_error_after_every_piece_is_done(self):
         running = []
