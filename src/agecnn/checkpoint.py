@@ -79,6 +79,7 @@ HEADER_SIZE = 12
 MAX_RANK = 4  # conv weights; no tensor of any network has more axes
 PIECE_BYTES = 8 << 20  # tensor values move to and from the file in pieces this size
 DRAW_BUFFERS = 3  # most ring buffers a tensor that is not ready bytes is made into
+CAST_ELEMENTS = 8192  # values _cast's iterator casts into its buffer at a time
 
 _TENSOR_ORDER = ("weight", "bias")
 
@@ -173,19 +174,17 @@ def _pieces(array):
 
 def _cast(out, array, lo):
     """Fill float32 ``out`` with ``array``'s values from flat index ``lo`` on,
-    in row-major order, cast as ``astype`` casts them. Each assignment reads
-    a view of ``array``, of any layout, so nothing is copied whole. A 1-D
-    array's rows are single values, so the recursion ends there."""
-    row = math.prod(array.shape[1:])
-    first, at = divmod(lo, row)
-    if at:  # the rest of a partial first row
-        n = min(row - at, out.size)
-        _cast(out[:n], array[first], at)
-        out, first = out[n:], first + 1
-    whole = out.size // row
-    out[:whole * row].reshape(whole, *array.shape[1:])[...] = array[first:first + whole]
-    if out.size % row:
-        _cast(out[whole * row:], array[first + whole], 0)
+    in row-major order, cast as ``astype`` casts them. One buffered iterator
+    over that range of ``array``, of any layout, casts at most CAST_ELEMENTS
+    values at a time into its own buffer, and each chunk is copied into
+    ``out``, so nothing is copied whole."""
+    it = np.nditer(array, flags=["buffered", "external_loop", "ranged"], op_dtypes=["<f4"],
+                   casting="unsafe", order="C", buffersize=CAST_ELEMENTS)
+    it.iterrange = (lo, lo + out.size)
+    at = 0
+    for chunk in it:
+        out[at:at + chunk.size] = chunk
+        at += chunk.size
 
 
 class _Writer:

@@ -205,7 +205,7 @@ def _load_manifest(path):
 
 def cmd_surgery(args, pool):
     head = _parse_head(args.head)
-    spec = network.build_profile(args.profile, dropout_rate=args.dropout)
+    spec = network.build_profile(args.profile)
     trunk_params = checkpoint.import_trunk(args.in_path, spec)
     rng = Rng(args.seed).derive(_ROLE_SURGERY)
     new_spec, new_params, mask = network.head_replace(
@@ -301,7 +301,7 @@ def cmd_eval(args, pool):
 
 
 def cmd_inspect(args, pool):
-    if args.model:
+    if args.model is not None:
         spec, params, mask, state = checkpoint.load(args.model)
     else:
         spec = network.build_profile(args.profile)

@@ -372,7 +372,7 @@ def conv2d_forward(x, w, b, stride, pad, plan=None):
                out=y[i, lo:hi, top:top + r])
 
     (_in_order if plan is None else plan.run)(piece, len(pieces))
-    return y, None if plan is not None else {"x": x, "w": w, "stride": stride, "pad": pad}
+    return y, {"x": x, "w": w, "stride": stride, "pad": pad}
 
 
 def conv2d_backward(cache, d_out, need_param_grads=True, need_input_grad=True):
@@ -436,7 +436,7 @@ def relu_forward(x, plan=None):
         np.maximum(flat[part], 0, out=out[part])
 
     (_in_order if plan is None else plan.run)(piece, len(starts))
-    return y, None if plan is not None else {"x": x}
+    return y, {"x": x}
 
 
 def relu_backward(cache, d_out):
@@ -450,10 +450,14 @@ def relu_backward(cache, d_out):
 def _channel_window_sum(t, n, prefix=None, out=None):
     """Sliding sum of width n along the channel axis; zero and total padding clip the window.
 
-    ``prefix`` (C + n channels) holds the padded cumulative sum and ``out``
-    the result; either is allocated when not given. ``out`` may be ``t``.
+    A window wider than 2C - 1 covers every channel at every position, so the
+    width is clamped there, which gives the same sums from a prefix that does
+    not grow with n. ``prefix`` (C plus the clamped width, in channels) holds
+    the padded cumulative sum and ``out`` the result; either is allocated when
+    not given. ``out`` may be ``t``.
     """
     c = t.shape[1]
+    n = min(n, 2 * c - 1)
     half = n // 2
     if prefix is None:
         prefix = np.empty(t.shape[:1] + (c + n,) + t.shape[2:], dtype=t.dtype)
@@ -465,7 +469,7 @@ def _channel_window_sum(t, n, prefix=None, out=None):
 
 def _lrn_scratch(spec, shape):
     c, h, w = shape
-    return {"prefix": (c + spec.params["n"]) * _piece_rows(h, c * w) * w}
+    return {"prefix": (c + min(spec.params["n"], 2 * c - 1)) * _piece_rows(h, c * w) * w}
 
 
 def lrn_forward(x, n, k, alpha, beta, plan=None):
@@ -474,7 +478,9 @@ def lrn_forward(x, n, k, alpha, beta, plan=None):
     Given ``plan`` (eval mode) each piece's steps run in place in the
     activation buffer x is not in, the window sum in its worker's prefix
     buffer. Without one, the base k + (alpha/n) * sum and its power
-    ``scale`` go to arrays of their own, kept for backward.
+    ``scale`` go to arrays of their own, kept for backward. The window sum
+    clamps its width at 2C - 1 (``_channel_window_sum``); alpha/n keeps the
+    declared n.
     """
     if n < 1 or n % 2 == 0:
         raise ParameterError(f"lrn window n must be odd and >= 1, got {n}")
@@ -489,7 +495,8 @@ def lrn_forward(x, n, k, alpha, beta, plan=None):
         i, top, end = pieces[j]
         rows = np.s_[i:i + 1, :, top:end]
         part, b, s = x[rows], base[rows], scale[rows]
-        prefix = None if plan is None else plan.take("prefix", (1, c + n, end - top, w), worker)
+        prefix = None if plan is None else plan.take(
+            "prefix", (1, c + min(n, 2 * c - 1), end - top, w), worker)
         _channel_window_sum(np.multiply(part, part, out=b), n, prefix, b)
         np.multiply(b, alpha / n, out=b)
         np.add(b, k, out=b)
@@ -497,8 +504,7 @@ def lrn_forward(x, n, k, alpha, beta, plan=None):
         np.multiply(part, s, out=y[rows])
 
     (_in_order if plan is None else plan.run)(piece, len(pieces))
-    return y, None if plan is not None else {"x": x, "denom_base": base, "scale": scale,
-                                             "n": n, "alpha": alpha, "beta": beta}
+    return y, {"x": x, "denom_base": base, "scale": scale, "n": n, "alpha": alpha, "beta": beta}
 
 
 def lrn_backward(cache, d_out):
@@ -767,7 +773,8 @@ def forward_layer(spec: LayerSpec, x, params=None, mode="train", rng=None, plan=
     Returns (output, LayerCache) in train mode. Eval mode needs a BufferPlan,
     from which the kernels learn their mode, and ``network.eval_layers`` is
     the walk that gives it one: the call writes into the plan's buffers, may
-    overwrite ``x``, and returns (output, None).
+    overwrite ``x``, and returns (output, None), dropping any cache the
+    kernel returns.
     """
     kind = KINDS[spec.kind]
     kind.out_shape(spec, x.shape[1:])

@@ -110,19 +110,21 @@ def _head_layers(first_index, widths, in_features, rate):
 DROPOUT_RATE = 0.6
 
 
-def build_profile(name: str, dropout_rate: float = DROPOUT_RATE) -> NetworkSpec:
-    """Construct a shipped profile by name (``vgg_face_age`` or ``mini``)."""
+def build_profile(name: str) -> NetworkSpec:
+    """Construct a shipped profile by name (``vgg_face_age`` or ``mini``),
+    its head dropout at DROPOUT_RATE; ``replace_head_spec`` builds a head at
+    another rate."""
     key = name.replace("-", "_")
     if key == "vgg_face_age":
         blocks = [([64, 64], True), ([128, 128], True),
                   ([256, 256, 256], False), ([512, 512, 512], False), ([512, 512, 512], False)]
         trunk = _trunk_layers(blocks)
-        head = _head_layers(6, [4096, 5000, 5000, 8], 512 * 7 * 7, dropout_rate)
+        head = _head_layers(6, [4096, 5000, 5000, 8], 512 * 7 * 7, DROPOUT_RATE)
         return NetworkSpec("vgg_face_age", (3, 224, 224), trunk + head)
     if key == "mini":
         blocks = [([8, 8], True), ([16, 16], True)]
         trunk = _trunk_layers(blocks)
-        head = _head_layers(3, [32, 16, 8], 16 * 8 * 8, dropout_rate)
+        head = _head_layers(3, [32, 16, 8], 16 * 8 * 8, DROPOUT_RATE)
         return NetworkSpec("mini", (3, 32, 32), trunk + head)
     raise ConfigError(f"unknown profile {name!r}; known: vgg-face-age, mini")
 
@@ -141,11 +143,6 @@ def param_shapes(spec: NetworkSpec):
 
 # Standard deviation of every freshly drawn weight (init_params, head_replace).
 INIT_STD = 0.01
-
-
-def _fresh(shapes, std, rng):
-    return {"weight": gaussian_fill(shapes["weight"], 0.0, std, rng),
-            "bias": np.zeros(shapes["bias"], DTYPE)}
 
 
 class DrawnWeight:
@@ -187,7 +184,9 @@ class DrawnWeight:
 
 def init_params(spec: NetworkSpec, rng: Rng, std: float = INIT_STD):
     """Fresh ParamSet: weights ~ normal(0, std^2), biases zero."""
-    return {name: _fresh(shapes, std, rng) for name, shapes in param_shapes(spec).items()}
+    return {name: {"weight": gaussian_fill(shapes["weight"], 0.0, std, rng),
+                   "bias": np.zeros(shapes["bias"], DTYPE)}
+            for name, shapes in param_shapes(spec).items()}
 
 
 def check_group(spec: NetworkSpec, what: str, group, names):
@@ -270,9 +269,11 @@ def head_replace(spec: NetworkSpec, head_widths, params, rng: Rng,
     normal(0, INIT_STD^2) with zero biases, the mask freezes every trunk
     parameter and marks every new fc trainable. ``params`` must cover the
     trunk's parameterized layers (a partial set from a trunk import is fine);
-    old head entries are dropped. With ``draw_on_write`` each new weight is a
-    DrawnWeight, drawn only as ``checkpoint.save`` writes it, so the head is
-    never held whole; the saved file's bytes are the same.
+    old head entries are dropped. Every new weight is made as a DrawnWeight.
+    With ``draw_on_write`` it is returned as one, drawn only as
+    ``checkpoint.save`` writes it, so the head is never held whole; without,
+    it is filled at once into a float32 array. The values, and the saved
+    file's bytes, are the same either way.
     """
     new_spec = replace_head_spec(spec, head_widths, dropout_rate)
     trunk, _ = trunk_and_head(new_spec)
@@ -280,11 +281,10 @@ def head_replace(spec: NetworkSpec, head_widths, params, rng: Rng,
     new_params, mask, drawn = {}, {}, None
     for name, shapes in param_shapes(new_spec).items():
         mask[name] = name not in trunk_names
-        if mask[name] and draw_on_write:
+        if mask[name]:
             drawn = DrawnWeight(shapes["weight"], INIT_STD, rng, after=drawn)
-            new_params[name] = {"weight": drawn, "bias": np.zeros(shapes["bias"], DTYPE)}
-        elif mask[name]:
-            new_params[name] = _fresh(shapes, INIT_STD, rng)
+            weight = drawn if draw_on_write else drawn.fill(np.empty(drawn.shape, DTYPE))
+            new_params[name] = {"weight": weight, "bias": np.zeros(shapes["bias"], DTYPE)}
         elif name in params:
             new_params[name] = params[name]
         else:
@@ -370,9 +370,12 @@ class WorkerPool:
     """Threads that share each eval-mode layer call, and the buffer plan kept between calls.
 
     The calling thread is worker 0; ``workers - 1`` helper threads join it in
-    ``run``. ``plan`` makes every ``layers.BufferPlan``: it keeps the last one
-    and hands it out again for the same layers, shapes and dtype at no more
-    rows, so a loop that scores one image per call plans its buffers once.
+    ``run``. Every pool has an executor of ``max(1, workers - 1)`` threads,
+    which starts a thread only when ``run`` first submits to it, so a
+    one-worker pool, which never submits, starts none. ``plan`` makes every
+    ``layers.BufferPlan``: it keeps the last one and hands it out again for
+    the same layers, shapes and dtype at no more rows, so a loop that scores
+    one image per call plans its buffers once.
     ``release`` frees the kept plan and leaves the helpers running; leaving
     the ``with`` block (``close``) frees the plan and stops the helpers.
     """
@@ -381,8 +384,7 @@ class WorkerPool:
         if workers < 1:
             raise ParameterError(f"a worker pool needs at least one worker, got {workers}")
         self.workers = workers
-        self._helpers = (futures.ThreadPoolExecutor(workers - 1, "agecnn-worker")
-                         if workers > 1 else None)
+        self._helpers = futures.ThreadPoolExecutor(max(1, workers - 1), "agecnn-worker")
         self._kept = None
 
     def run(self, piece, count):
@@ -424,9 +426,7 @@ class WorkerPool:
 
     def close(self):
         self.release()
-        if self._helpers is not None:
-            self._helpers.shutdown(wait=True)
-            self._helpers = None
+        self._helpers.shutdown(wait=True)
 
     def __enter__(self):
         return self

@@ -505,6 +505,27 @@ class TestLrn:
             assert np.shares_memory(y, plan.block)
             assert y.tobytes() == lrn_forward(x, 3, 2.0, 1e-4, 0.75)[0].tobytes()
 
+    def test_window_wider_than_every_channel_sizes_nothing_more(self):
+        # a window of 2C - 1 already covers every channel at every position,
+        # so a wider one plans no bigger prefix and gives the same bytes.
+        # alpha is n/4 at both widths, so alpha/n and 2*alpha*beta/n are exact
+        c, wide = 2, 2_097_153
+        rng = np.random.default_rng(14)
+        x = np.maximum(rng.normal(size=(2, c, 3, 4)), 0).astype(np.float32)
+        d_out = rng.normal(size=x.shape).astype(np.float32)
+        runs = []
+        with WorkerPool(1) as pool:
+            for spec in [lrn("n", n=n, alpha=n / 4) for n in (2 * c - 1, wide)]:
+                plan = pool.plan((spec,), (x.shape[1:],) * 2, len(x), np.float32)
+                y_eval, _ = forward_layer(spec, plan.copy_in(x), None, "eval", None, plan)
+                y, cache = forward_layer(spec, x)
+                d_in, _ = backward_layer(spec, cache, d_out)
+                assert y_eval.tobytes() == y.tobytes()
+                runs.append((plan.nbytes, y.tobytes(), d_in.tobytes()))
+        assert runs[0] == runs[1]
+        want = gather_window_sum(x, wide).tobytes()
+        assert layers._channel_window_sum(x, wide).tobytes() == want
+
 
 # ---------------------------------------------------------------------------
 # maxpool

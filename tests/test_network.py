@@ -69,9 +69,10 @@ class TestProfiles:
         assert spec.layers[-1].kind == "softmax_loss"
 
     def test_dropout_rate_flows_through(self):
-        spec = build_profile("mini", dropout_rate=0.3)
+        spec = replace_head_spec(build_profile("mini"), [32, 16, 8], dropout_rate=0.3)
         drops = [l for l in spec.layers if l.kind == "dropout"]
         assert drops and all(l.params["rate"] == 0.3 for l in drops)
+        assert [l.name for l in spec.layers] == [l.name for l in build_profile("mini").layers]
 
     def test_exactly_one_loss_layer_enforced(self):
         with pytest.raises(ConfigError):
@@ -300,7 +301,7 @@ class TestForward:
         # run alone, in both modes, and its scores equal those from batches of
         # 2 and of 1 (fc keeps a one-row product off gemv, which rounds
         # differently from gemm).
-        spec = build_profile("mini", dropout_rate=0.0)
+        spec = replace_head_spec(build_profile("mini"), [32, 16, 8], dropout_rate=0.0)
         params = init_params(spec, Rng(3), std=0.1)
         x = Rng(4).normal((6, 3, 32, 32)).astype(np.float32)
         trunk, _ = trunk_and_head(spec)
@@ -350,7 +351,7 @@ class TestFrozenPrefix:
         spec = build_profile("mini")
         names = [l.name for l in spec.layers]
         assert net.frozen_prefix(spec, make_mask(spec, {"fc5"})) == names.index("drop3")
-        spec0 = build_profile("mini", dropout_rate=0.0)
+        spec0 = replace_head_spec(build_profile("mini"), [32, 16, 8], dropout_rate=0.0)
         assert net.frozen_prefix(spec0, make_mask(spec0, {"fc5"})) == names.index("drop3")
         nodrop = NetworkSpec("t", (2, 6, 6), (conv("c1", 3), relu("r1"), fc("f1", 4),
                                               softmax_loss()))
@@ -457,7 +458,7 @@ class TestEvalPlan:
 
     def test_mini_matches_train_walk(self):
         # on a plan of NaN: every eval-mode kind writes each element it reads
-        spec = build_profile("mini", dropout_rate=0.0)
+        spec = replace_head_spec(build_profile("mini"), [32, 16, 8], dropout_rate=0.0)
         params = init_params(spec, Rng(33), std=0.1)
         x = Rng(34).normal((7, 3, 32, 32)).astype(np.float32)
         want = train_walk(spec, params, x, 0, len(spec.layers) - 1).tobytes()

@@ -1,8 +1,13 @@
 """Property tests at the input boundaries the CLI reads: checkpoint bodies and
-PPM images, mutated. Each case either loads or decodes, or fails as an
-EngineError; through ``cli.main`` a failure exits 1 with one line on stderr.
+PPM images, mutated; manifest rows, config files and argv, drawn. Each case
+either loads, decodes or runs, or fails as an EngineError; through
+``cli.main`` it exits 0, 1 or 2, a failure that exits 1 prints one line on
+stderr, and argparse's own usage error (``SystemExit(2)``) is a typed
+failure too. The argv drawn names only ``inspect``, ``predict`` and
+``eval`` on the tiny files here, with bounded values. One more property
+covers how ``save`` casts a tensor that is not ready bytes.
 
-Hypothesis draws the mutations with ``derandomize=True`` and no example
+Hypothesis draws the cases with ``derandomize=True`` and no example
 database, so every run tries the same cases in the same order.
 """
 
@@ -10,6 +15,7 @@ import contextlib
 import io
 import struct
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,9 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agecnn import EngineError, NetworkSpec, OptState, Rng, init_params, load, make_mask, save
+from agecnn import checkpoint
 from agecnn.checkpoint import HEADER_SIZE, MAGIC, VERSION
 from agecnn.cli import main
-from agecnn.data import read_ppm, write_ppm
+from agecnn.data import AGE_LABELS, load_manifest, read_ppm, write_ppm
 from agecnn.layers import conv, dropout, fc, lrn, maxpool, relu, softmax_loss
 
 
@@ -57,8 +64,13 @@ def files(tmp_path_factory):
     write_ppm(str(image), Rng(1).uniform(IMAGE_SHAPE) * 255)
     listing = root / "images.txt"
     listing.write_text(f"{image}\n")
+    manifest = root / "test.csv"
+    manifest.write_text(f"path,label\n{image.name},{AGE_LABELS[2]}\n")
+    config = root / "test.cfg"
+    config.write_text("seed = 3\naverage = score\n")
     return {"dir": root, "model": model.read_bytes(), "image": image.read_bytes(),
-            "model_path": str(model), "image_path": str(image), "listing": str(listing)}
+            "model_path": str(model), "image_path": str(image), "listing": str(listing),
+            "manifest": str(manifest), "config": str(config)}
 
 
 # Values a field may be forged to: the edges of a u32 count or extent, and
@@ -103,11 +115,21 @@ def forge(files, body):
 
 
 def run_cli(argv):
-    """(exit code, stdout, stderr lines) of one ``cli.main`` call."""
+    """(exit code, stdout, stderr lines) of one ``cli.main`` call; argparse's
+    usage error gives its SystemExit code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
     return code, out.getvalue(), err.getvalue().splitlines()
+
+
+def assert_typed_exit(code, err):
+    """Exit 0, 1 or 2; an exit 1 prints exactly one stderr line."""
+    assert code in (0, 1, 2), (code, err)
+    assert code != 1 or len(err) == 1, err
 
 
 def body_of(files):
@@ -163,3 +185,199 @@ class TestPpm:
         assert (code, len(err)) in ((0, 0), (1, 1)), (code, err)
         assert len(out.splitlines()) == 1 - code
         assert code == 0 or err[0].startswith(files["image_path"] + ": ")
+
+
+class TestCast:
+    """``save`` casts a tensor that is not C-contiguous little-endian float32
+    piece by piece; the pieces, end to end, are the tensor's float32 bytes."""
+
+    @staticmethod
+    @st.composite
+    def tensors(draw):
+        shape = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)))
+        dtype = np.dtype(draw(st.sampled_from(("f2", "f4", "f8"))))
+        dtype = dtype.newbyteorder(draw(st.sampled_from("<>")))
+        layout = draw(st.sampled_from(("C", "F", "transposed", "strided")))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        # scales past float16's range and float32's, both ways
+        scale = draw(st.sampled_from((1.0, 1e-6, 1e-42, 1e5, 1e40)))
+        full = shape if layout != "strided" else tuple(2 * e + 1 for e in shape)
+        with np.errstate(over="ignore"):
+            a = (rng.normal(size=full) * scale).astype(dtype)
+        if layout == "F":
+            a = np.asfortranarray(a)
+        elif layout == "transposed":
+            a = a.T
+        elif layout == "strided":
+            a = a[tuple(slice(None, None, -2) if i % 2 else slice(1, None, 2)
+                        for i in range(a.ndim))]
+        return a
+
+    @seeded(200)
+    @given(data=st.data())
+    def test_pieces_are_the_float32_bytes(self, data):
+        a = data.draw(self.tensors())
+        cuts = sorted(data.draw(st.sets(st.integers(1, a.size), max_size=6)) | {a.size})
+        with np.errstate(over="ignore"), \
+                mock.patch.object(checkpoint, "CAST_ELEMENTS", data.draw(st.integers(1, 64))):
+            want = np.asarray(a, "<f4").tobytes()
+            pieces, lo = [], 0
+            for hi in cuts:
+                out = np.empty(hi - lo, "<f4")
+                checkpoint._cast(out, a, lo)
+                pieces.append(out.tobytes())
+                lo = hi
+        assert b"".join(pieces) == want
+
+
+@st.composite
+def mostly(draw, valid, forged):
+    """A draw of ``valid`` (a strategy, or one value) three times in four,
+    else one of the values ``forged``."""
+    if not draw(st.integers(0, 3)):
+        return draw(st.sampled_from(tuple(forged)))
+    return draw(valid) if isinstance(valid, st.SearchStrategy) else valid
+
+
+def with_bytes(draw, text):
+    """``text`` encoded, and one time in four with 1 to 4 drawn bytes
+    inserted, which may not be UTF-8."""
+    text = text.encode("utf-8")
+    if not draw(st.integers(0, 3)):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.binary(min_size=1, max_size=4)) + text[at:]
+    return text
+
+
+# Cells a manifest row may hold beside the test image and its labels:
+# missing or odd paths, forged labels and folds.
+FORGED_CELLS = ("missing.ppm", "", " ", ".", "..", "model.acnn", "\x00", "a\nb", "é", "0-3",
+                "60", "-", "-7", "1_0", "x", "9" * 5000, '"', '"q,"', "path", "label", "#")
+
+
+@st.composite
+def manifest_texts(draw, image):
+    """A manifest: a header, then rows of a path, a label and maybe a fold
+    and more cells, each cell now and then forged."""
+    header = draw(mostly("path,label", ("PATH , Label,fold", "label,path", "path", "",
+                                        "path,label,fold,gender")))
+    row = st.tuples(
+        mostly(st.sampled_from(("image.ppm", image)), FORGED_CELLS),
+        mostly(st.sampled_from(AGE_LABELS), FORGED_CELLS),
+        st.lists(mostly("1", FORGED_CELLS), max_size=2)).map(
+            lambda r: ",".join((r[0], r[1], *r[2])))
+    rows = draw(st.lists(mostly(row, FORGED_CELLS), max_size=3))
+    return with_bytes(draw, "\n".join([header] + rows) + "\n")
+
+
+class TestManifest:
+    """Manifest rows drawn from valid and forged cells."""
+
+    @seeded(300)
+    @given(data=st.data())
+    def test_loads_or_raises_an_engine_error(self, files, data):
+        path = files["dir"] / "drawn.csv"
+        path.write_bytes(data.draw(manifest_texts(files["image_path"])))
+        try:
+            manifest = load_manifest(str(path))
+        except EngineError:
+            return
+        assert all(0 <= rec.label < len(AGE_LABELS) for rec in manifest.records)
+
+    @seeded(100)
+    @given(data=st.data())
+    def test_eval_exits_typed(self, files, data):
+        path = files["dir"] / "drawn.csv"
+        path.write_bytes(data.draw(manifest_texts(files["image_path"])))
+        code, out, err = run_cli(["eval", "--model", files["model_path"], "--test", str(path),
+                                  "--csv-out", str(files["dir"] / "report.csv")])
+        assert code in (0, 1), (code, err)
+        assert_typed_exit(code, err)
+        assert code == 1 or out.splitlines()[-1].startswith("exact=")
+
+
+# Config lines: valid ones, and keys and values each key's parser may meet.
+CONFIG_LINES = ("seed=3", "lr = 0.5", "shuffle=no", "average=score", "epochs=2", "dropout=0.1",
+                "# comment", "", "   ", "seed=1 # trailing")
+CONFIG_KEYS = ("seed", "dropout", "epochs", "lr", "momentum", "weight_decay", "weight-decay",
+               "batch_size", "lr_factor", "patience", "min_lr", "improvement_eps", "shuffle",
+               "average", "AVERAGE", "means", "model", "out", "", "x", "é")
+CONFIG_VALUES = ("0", "1", "-1", "3", "0.5", "1e999", "nan", "-inf", "yes", "OFF", "true",
+                 "probability", "score", "mean", "", " ", "1_0", "9" * 5000, "=", "a=b", "é")
+FORGED_LINES = tuple(f"{key}{sep}{value}" for key in CONFIG_KEYS for sep in (" = ", "=", " ")
+                     for value in CONFIG_VALUES)
+
+
+@st.composite
+def config_texts(draw):
+    """A key=value file of valid and forged lines."""
+    line = mostly(st.sampled_from(CONFIG_LINES), FORGED_LINES)
+    return with_bytes(draw, "\n".join(draw(st.lists(line, max_size=4))))
+
+
+class TestConfig:
+    """``--config`` files drawn from every key and forged ones."""
+
+    @seeded(200)
+    @given(data=st.data())
+    def test_predict_and_inspect_exit_typed(self, files, data):
+        path = files["dir"] / "drawn.cfg"
+        path.write_bytes(data.draw(config_texts()))
+        command = data.draw(st.sampled_from((
+            ["predict", "--model", files["model_path"], "--images", files["listing"]],
+            ["inspect", "--profile", "mini"])))
+        code, out, err = run_cli(command + ["--config", str(path)])
+        assert code in (0, 2), (code, err)
+        assert (code, len(err)) == (2, 1) or (not err and out), (code, err)
+
+
+# Each command's flags; ``inspect`` takes ``--model`` or ``--profile``.
+ARGV_FLAGS = {"inspect": (("model", "profile"), "seed", "config"),
+              "predict": ("model", "images", "means", "average", "seed", "config"),
+              "eval": ("model", "test", "csv-out", "means", "average", "seed", "config")}
+
+
+@st.composite
+def argvs(draw, files, command, forged):
+    """A ``command`` line on the tiny files: the flag ``forged`` with a value
+    drawn from valid and forged ones alike, each other flag present seven
+    times in eight with a valid value, and one time in eight an unknown flag
+    or a stray word."""
+    d = files["dir"]
+    values = {
+        "model": (files["model_path"], files["image_path"], str(d / "missing.acnn"), str(d), ""),
+        "profile": ("mini", "vgg-face-age", "vgg_face_age", "resnet", ""),
+        "images": (files["listing"], files["model_path"], str(d / "missing.txt"), str(d)),
+        "test": (files["manifest"], files["listing"], files["model_path"], str(d / "no.csv")),
+        "csv-out": (str(d / "argv.csv"), str(d / "missing" / "argv.csv"), str(d), ""),
+        "means": ("1,2,3", "0,0,0", "1,2", "nan,0,0", "1e999,0,0", "a,b,c", ",,,", ""),
+        "average": ("probability", "score", "mean", ""),
+        "seed": ("7", "0", "-1", "1e3", "x", "9" * 5000),
+        "config": (files["config"], files["listing"], str(d / "missing.cfg"), str(d)),
+    }
+    argv = [command]
+    for flag in ARGV_FLAGS[command]:
+        if isinstance(flag, tuple):
+            flag = forged if forged in flag else draw(st.sampled_from(flag))
+        if flag == forged:
+            argv += [f"--{flag}", draw(st.sampled_from(values[flag]))]
+        elif draw(st.integers(0, 7)):
+            argv += [f"--{flag}", values[flag][0]]
+    if not draw(st.integers(0, 7)):
+        argv.insert(draw(st.integers(0, len(argv))),
+                    draw(st.sampled_from(("--help-me", "-x", "stray", "--model", "--"))))
+    return argv
+
+
+class TestArgv:
+    """Command lines over ``inspect``, ``predict`` and ``eval``, one flag of
+    each forged in turn."""
+
+    @pytest.mark.parametrize("command, forged", [
+        (command, name) for command, flags in sorted(ARGV_FLAGS.items()) for flag in flags
+        for name in (flag if isinstance(flag, tuple) else (flag,))])
+    @seeded(30)
+    @given(data=st.data())
+    def test_exits_typed(self, files, command, forged, data):
+        code, out, err = run_cli(data.draw(argvs(files, command, forged)))
+        assert_typed_exit(code, err)
