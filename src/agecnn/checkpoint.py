@@ -36,28 +36,32 @@ Both directions make one pass over the file and keep one rule for body
 bytes: every one goes to one helper thread (``_Crc``), in file order, as it
 comes. In save the helper is the only thread that writes the body: the
 calling thread makes the bytes (packs each field, cuts each tensor into
-pieces of at most PIECE_BYTES) and touches the file only for the 12-byte
-header before the body and the CRC after it; the helper writes each piece,
-folds it into the CRC and hands it back. A tensor's pieces take one of two
-routes, chosen by the tensor alone. A C-contiguous little-endian float32
-array is ready bytes, and its pieces are views of its own memory. Any other
-tensor (a ``network.DrawnWeight``, surgery's fresh head, or an array of
-another dtype, byte order or layout) is made into the ring: each piece is
-drawn, or cast in row-major order as ``astype`` casts, into one of at most
-DRAW_BUFFERS reused buffers while the helper writes the piece before. So
-save holds at most DRAW_BUFFERS pieces beyond the caller's tensors, and a
-tensor's bytes are the same on either route. In load the calling thread
-parses the fields in order and reads each tensor's values from the file
-straight into its own array, and the helper folds every byte read, the rest
-of a file whose parse failed included. The CRC is compared before the
-content checks run and before any array is returned, so the bytes checked
-are the bytes returned. Files are written to a temp path and renamed into
-place (os.replace), so readers never observe a partial file, and a reader
-holding the file open keeps reading the old one.
+pieces of at most PIECE_BYTES, which the save's worker pool draws for a
+fresh weight) and touches the file only for the 12-byte header before the
+body and the CRC after it; the helper writes each piece, folds it into the
+CRC and hands it back. A tensor's pieces take one of two routes, chosen by
+the tensor alone. A C-contiguous little-endian float32 array is ready bytes,
+and its pieces are views of its own memory. Any other tensor (a
+``network.DrawnWeight``, surgery's fresh head, or an array of another dtype,
+byte order or layout) is made into the ring of at most DRAW_BUFFERS reused
+buffers while the helper writes the pieces before. A DrawnWeight's pieces
+are drawn two at a time on the save's worker pool
+(``tensor.lookahead_pieces``; the bytes do not depend on the pool's size),
+any other tensor's cast one at a time in row-major order as ``astype``
+casts. So save holds at most DRAW_BUFFERS pieces beyond the caller's
+tensors, and a tensor's bytes are the same on either route. In load the
+calling thread parses the fields in order and reads each tensor's values
+from the file straight into its own array, and the helper folds every byte
+read, the rest of a file whose parse failed included. The CRC is compared
+before the content checks run and before any array is returned, so the bytes
+checked are the bytes returned. Files are written to a temp path and renamed
+into place (os.replace), so readers never observe a partial file, and a
+reader holding the file open keeps reading the old one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import queue
@@ -72,13 +76,15 @@ from . import network as net
 from .errors import ConfigError, FormatError, IntegrityError, ParameterError, ShapeError
 from .layers import LayerSpec
 from .optim import OptState
+from .tensor import lookahead_slack
 
 MAGIC = b"ACNN"
 VERSION = 1
 HEADER_SIZE = 12
 MAX_RANK = 4  # conv weights; no tensor of any network has more axes
 PIECE_BYTES = 8 << 20  # tensor values move to and from the file in pieces this size
-DRAW_BUFFERS = 3  # most ring buffers a tensor that is not ready bytes is made into
+DRAW_BUFFERS = 4  # most ring buffers a tensor that is not ready bytes is made into; a
+                  # round of drawn pieces takes two while the helper writes the two before
 CAST_ELEMENTS = 8192  # values _cast's iterator casts into its buffer at a time
 
 _TENSOR_ORDER = ("weight", "bias")
@@ -189,10 +195,11 @@ def _cast(out, array, lo):
 
 class _Writer:
     """Mirror of _Reader: makes the body's bytes in file order and gives them
-    to a _Crc, whose helper writes them."""
+    to a _Crc, whose helper writes them. Fresh weights are drawn on ``pool``."""
 
-    def __init__(self, crc):
+    def __init__(self, crc, pool):
         self.crc = crc
+        self.pool = pool
 
     def pack(self, fmt, *values):
         self.crc.give(struct.pack("<" + fmt, *values))
@@ -219,32 +226,46 @@ class _Writer:
     def draw(self, t):
         """Give a tensor that is not ready bytes (a DrawnWeight, or an array
         of another dtype, byte order or layout) as float32 pieces made in
-        row-major order: this thread draws or casts each piece into one of at
-        most DRAW_BUFFERS reused buffers while the helper writes and folds the
-        piece before it."""
+        row-major order into at most DRAW_BUFFERS reused buffers, while the
+        helper writes and folds the pieces before them. A DrawnWeight's
+        pieces are drawn two at a time on the pool, into buffers with room
+        for a lookahead's slack; any other tensor's are cast on this
+        thread."""
         step = max(1, min(PIECE_BYTES // 4, t.size))
-        buffers = min(DRAW_BUFFERS, -(-t.size // step))
+        drawn = isinstance(t, net.DrawnWeight)
         free = queue.SimpleQueue()
+        buffers = min(DRAW_BUFFERS, -(-t.size // step))
         for _ in range(buffers):
-            free.put(np.empty(step, "<f4"))
-        for lo in range(0, t.size, step):
+            free.put(np.empty(step + lookahead_slack(step) if drawn else step, "<f4"))
+
+        def take():
             buf = free.get()
             self.crc.check()
-            piece = buf[:min(step, t.size - lo)]
-            if isinstance(t, net.DrawnWeight):
-                t.fill(piece)
-            else:
-                _cast(piece, np.asarray(t), lo)  # a subclass such as np.matrix indexes otherwise
-            self.crc.give(piece.view(np.uint8), lambda buf=buf: free.put(buf))
+            return buf
+
+        pieces = t.pieces(step, take, self.pool) if drawn else _casts(t, step, take)
+        for piece in pieces:
+            # every piece is a view of a buffer take() gave, so its base is that buffer
+            self.crc.give(piece.view(np.uint8), lambda buf=piece.base: free.put(buf))
         for _ in range(buffers):
             free.get()  # every buffer is handed back before the next tensor makes its own
         self.crc.check()
 
 
-def _write(fh, spec, params, mask, state):
+def _casts(t, step, take):
+    """An array's values, cast to float32 in row-major order, in pieces of
+    ``step`` values (the last shorter), each a view of an array ``take()``
+    returned."""
+    for lo in range(0, t.size, step):
+        piece = take()[:min(step, t.size - lo)]
+        _cast(piece, np.asarray(t), lo)  # a subclass such as np.matrix indexes otherwise
+        yield piece
+
+
+def _write(fh, spec, params, mask, state, pool):
     fh.write(MAGIC + struct.pack("<II", VERSION, 0))
     with _Crc(fh) as crc:
-        _write_body(_Writer(crc), spec, params, mask, state)
+        _write_body(_Writer(crc, pool), spec, params, mask, state)
     fh.seek(8)
     fh.write(struct.pack("<I", crc.value()))
 
@@ -282,14 +303,20 @@ def _write_body(out, spec, params, mask, state):
             out.tensor_group(state.velocity[name])
 
 
-def save(spec, params, mask, path, state: OptState | None = None) -> None:
-    """Write a checkpoint; identical inputs always produce identical bytes."""
+def save(spec, params, mask, path, state: OptState | None = None, pool=None) -> None:
+    """Write a checkpoint; identical inputs always produce identical bytes.
+
+    Fresh weights (``network.DrawnWeight``) are drawn on the workers of
+    ``pool`` (a ``network.WorkerPool``, or a one-worker pool for the call);
+    the bytes do not depend on its size.
+    """
     _check_content(spec, params, mask, state)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            _write(fh, spec, params, mask, state)
+        own = net.WorkerPool() if pool is None else contextlib.nullcontext(pool)
+        with os.fdopen(fd, "wb") as fh, own as pool:
+            _write(fh, spec, params, mask, state, pool)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -16,17 +16,22 @@ carries no OpenBLAS whose thread count can be set, the pool has one worker
 and BLAS is left alone.
 Each ``checkpoint.load`` and ``checkpoint.save`` also runs one CRC helper
 thread for its own duration. Every body byte goes to it in file order: it
-folds each into the CRC and, in a save, writes each first. The calling thread
-makes every byte (in ``surgery`` it draws the fresh head in stream order), so
-no output bit depends on the helper.
+folds each into the CRC and, in a save, writes each first, so no output bit
+depends on it. In ``surgery`` the fresh head is drawn on the pool, two
+pieces a round, the second drawn ahead and kept only where its join with
+the stream is proven (``tensor.lookahead_pieces``), so its bytes are those
+of one draw in stream order at any worker count.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import math
+import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -211,7 +216,7 @@ def cmd_surgery(args, pool):
     new_spec, new_params, mask = network.head_replace(
         spec, head, trunk_params, rng, dropout_rate=args.dropout, draw_on_write=True)
     _check_classes(new_spec)
-    checkpoint.save(new_spec, new_params, mask, args.out)
+    checkpoint.save(new_spec, new_params, mask, args.out, pool=pool)
     print(f"wrote {args.out}")
     return 0
 
@@ -259,7 +264,7 @@ def cmd_train(args, pool):
         state = optim.plateau_update(state, report.exact_accuracy, cfg)
         print(f"{state.epoch},{lr_used:.8g},{mean_loss:.6f},"
               f"{report.exact_accuracy:.6f},{report.one_off_accuracy:.6f}")
-    checkpoint.save(spec, params, mask, args.out, state=state)
+    checkpoint.save(spec, params, mask, args.out, state=state, pool=pool)
     print(f"wrote {args.out}")
     return 0
 
@@ -289,13 +294,29 @@ def cmd_eval(args, pool):
     spec, params, _, _ = checkpoint.load(args.model)
     _check_classes(spec)
     manifest = _load_manifest(args.test_manifest)
-    preds, truths = predict.predict_manifest(spec, params, manifest, average=args.average,
-                                             channel_means=means, pool=pool)
-    report = evaluate(preds, truths)
-    print(render_report(report), end="")
     csv_path = args.csv_out or args.test_manifest + ".report.csv"
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(render_csv(report))
+    # The report goes to a temp file beside its path, made before any image
+    # is scored so that an unwritable path fails at once, and renamed into
+    # place once it is whole; a failed run leaves no report.
+    if os.path.isdir(csv_path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), csv_path)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(csv_path)),
+                                   suffix=".tmp")
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, csv_path) from None
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            preds, truths = predict.predict_manifest(spec, params, manifest,
+                                                     average=args.average, channel_means=means,
+                                                     pool=pool)
+            report = evaluate(preds, truths)
+            print(render_report(report), end="")
+            fh.write(render_csv(report))
+        os.replace(tmp, csv_path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     print(f"wrote {csv_path}", file=sys.stderr)
     return 0
 

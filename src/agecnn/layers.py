@@ -462,7 +462,13 @@ def _channel_window_sum(t, n, prefix=None, out=None):
     if prefix is None:
         prefix = np.empty(t.shape[:1] + (c + n,) + t.shape[2:], dtype=t.dtype)
     prefix[:, :half + 1] = 0
-    np.cumsum(t, axis=1, out=prefix[:, half + 1:half + 1 + c])
+    # the prefix by whole-plane adds, each plane after the one before: the
+    # order np.cumsum adds in along the axis, so the same bits, but in
+    # contiguous runs rather than one strided accumulate
+    run = prefix[:, half + 1:half + 1 + c]
+    run[:, 0] = t[:, 0]
+    for j in range(1, c):
+        np.add(run[:, j - 1], t[:, j], out=run[:, j])
     prefix[:, half + 1 + c:] = prefix[:, half + c:half + 1 + c]
     return np.subtract(prefix[:, n:], prefix[:, :c], out=out)
 

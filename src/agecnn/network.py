@@ -37,7 +37,7 @@ import numpy as np
 
 from . import layers as L
 from .errors import ConfigError, ParameterError, ShapeError, StateError
-from .tensor import DTYPE, Rng, gaussian_fill
+from .tensor import DTYPE, Rng, gaussian_fill, lookahead_pieces
 
 
 @dataclass(frozen=True)
@@ -147,16 +147,19 @@ INIT_STD = 0.01
 
 class DrawnWeight:
     """A fresh weight, normal(0, std^2), drawn piece by piece as it is
-    consumed instead of held whole: ``checkpoint.save`` draws each piece into
-    a reused buffer, and its helper thread writes the piece while the next is
+    consumed instead of held whole: ``checkpoint.save`` takes its
+    ``pieces``, drawn two at a time on the save's worker pool into reused
+    buffers, and its helper thread writes each piece while the next round is
     drawn.
 
     Its values are those ``gaussian_fill`` of the whole shape would draw at
-    the same point of the rng's stream. So weights sharing an rng are filled
-    in the order they were made (``after`` is the one made before), each from
-    its first value to its last, with nothing else drawn from the rng between
-    them. A weight is drawn once: a fill past its end or before ``after`` is
-    done raises StateError, because the rng has already moved on.
+    the same point of the rng's stream, at every worker count
+    (``tensor.lookahead_pieces`` proves each piece drawn ahead, or draws it
+    again in order). So weights sharing an rng are drawn in the order they
+    were made (``after`` is the one made before), each from its first value
+    to its last, with nothing else drawn from the rng between them. A weight
+    is drawn once: a draw past its end or before ``after`` is done raises
+    StateError, because the rng has already moved on.
     """
 
     def __init__(self, shape, std: float, rng: Rng, after: "DrawnWeight" = None):
@@ -169,17 +172,33 @@ class DrawnWeight:
     def done(self) -> bool:
         return self._drawn == self.size
 
+    def _draw(self, out, rng):
+        gaussian_fill(out.shape, 0.0, self._std, rng, out=out)
+
+    def _check(self, count):
+        if self._after is not None and not self._after.done:
+            raise StateError(f"weight of shape {self.shape} drawn before the one made before it")
+        if self._drawn + count > self.size:
+            raise StateError(f"weight of shape {self.shape} has {self.size - self._drawn} "
+                             f"values left to draw, not {count}")
+
     def fill(self, out):
         """Draw the next ``out.size`` values, in row-major order, into the
         float32 array ``out``, and return it."""
-        if self._after is not None and not self._after.done:
-            raise StateError(f"weight of shape {self.shape} drawn before the one made before it")
-        if self._drawn + out.size > self.size:
-            raise StateError(f"weight of shape {self.shape} has {self.size - self._drawn} "
-                             f"values left to draw, not {out.size}")
-        gaussian_fill(out.shape, 0.0, self._std, self._rng, out=out)
+        self._check(out.size)
+        self._draw(out, self._rng)
         self._drawn += out.size
         return out
+
+    def pieces(self, step, take, pool):
+        """Yield all the weight's values, in row-major order, as float32
+        pieces of ``step`` values (the last shorter), each a view of an array
+        ``take()`` returned (see ``tensor.lookahead_pieces``), drawn on the
+        workers of ``pool``."""
+        self._check(self.size)
+        for piece in lookahead_pieces(self._draw, self.size, self._rng, step, take, pool):
+            self._drawn += piece.size
+            yield piece
 
 
 def init_params(spec: NetworkSpec, rng: Rng, std: float = INIT_STD):

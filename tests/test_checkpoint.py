@@ -652,6 +652,22 @@ class TestOnePass:
         assert capsys.readouterr().err.splitlines() == ["draw failed"]
 
 
+    def test_surgery_draw_failing_on_the_helper_exits_1(self, tmp_path, monkeypatch, capsys):
+        donor = self._donor(tmp_path)
+        monkeypatch.setattr(network, "pool_size", lambda: 2)
+        real_fill = network.gaussian_fill
+
+        def failing_fill(*args, **kwargs):
+            if threading.current_thread().name.startswith("agecnn-worker"):
+                raise OSError("draw failed on the helper")
+            time.sleep(0.001)  # the helper takes the other draw of the round meanwhile
+            return real_fill(*args, **kwargs)
+
+        monkeypatch.setattr(network, "gaussian_fill", failing_fill)
+        assert self._surgery_in_time(monkeypatch, donor) == [1]
+        assert capsys.readouterr().err.splitlines() == ["draw failed on the helper"]
+
+
 class TestDrawOnWrite:
     """save draws a DrawnWeight piece by piece as it writes it, and the file
     is the one an eager head_replace and save write."""
@@ -669,6 +685,28 @@ class TestDrawOnWrite:
             save(*head_replace(spec, [64, 24, 8], params, Rng(0).derive(0),
                                draw_on_write=draw), files[-1])
         assert read_bytes(files[0]) == read_bytes(files[1])
+
+    @pytest.mark.parametrize("proof", [True, False], ids=["joined", "proof-failed"])
+    @pytest.mark.parametrize("piece_bytes, head", [
+        (None, [5000, 24, 8]),     # fc3: two whole pieces in a round, then one short piece
+        (4 * 1000, [64, 24, 8]),   # fc3: 33 rounds of 1000-value pieces, the last one short
+    ], ids=["shipped", "1000-values"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_same_bytes_and_rng_on_any_pool(self, tmp_path, monkeypatch, workers, piece_bytes,
+                                            head, proof):
+        if piece_bytes is not None:
+            monkeypatch.setattr(checkpoint, "PIECE_BYTES", piece_bytes)
+        if not proof:
+            monkeypatch.setattr(tensor, "_state_after", lambda *args: None)
+        spec, params, _ = mini_fixture()
+        eager_rng, drawn_rng = Rng(0).derive(0), Rng(0).derive(0)
+        eager, drawn = (str(tmp_path / f"{name}.acnn") for name in ("eager", "drawn"))
+        save(*head_replace(spec, head, params, eager_rng), eager)
+        with network.WorkerPool(workers) as pool:
+            save(*head_replace(spec, head, params, drawn_rng, draw_on_write=True), drawn,
+                 pool=pool)
+        assert read_bytes(eager) == read_bytes(drawn)
+        assert drawn_rng.normal((4,)).tobytes() == eager_rng.normal((4,)).tobytes()
 
     def test_second_save_refused_and_first_kept(self, tmp_path):
         spec, params, _ = mini_fixture()

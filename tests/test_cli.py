@@ -1,5 +1,6 @@
 import collections
 import csv
+import errno
 import io
 import os
 import re
@@ -15,7 +16,7 @@ from agecnn import (AGE_LABELS, IntegrityError, NetworkSpec, Preprocessing, Rng,
                     init_state, layers, load, load_manifest, make_mask,
                     network, plateau_update, predict, predict_proba,
                     replace_head_spec, save, sgd_step, tensor, write_ppm)
-from agecnn import cli
+from agecnn import cli, metrics
 from agecnn.cli import main
 from agecnn.data import decode_image
 from agecnn.layers import conv, fc, maxpool, relu, softmax_log_loss, softmax_loss
@@ -759,6 +760,37 @@ class TestEval:
         assert os.path.exists(csv_out)
         assert read_bytes(csv_out).startswith(b"truth,")
         assert f"wrote {csv_out}" in captured.err
+
+    def test_report_bytes_are_the_evaluation_rendered(self, tmp_path, capsys):
+        model = make_model(tmp_path)
+        manifest_path, manifest = dataset(tmp_path, count=6)
+        csv_out = str(tmp_path / "report.csv")
+        assert main(["eval", "--model", model, "--test", manifest_path,
+                     "--csv-out", csv_out]) == 0
+        spec, params, _, _ = load(model)
+        report = evaluate(*predict.predict_manifest(spec, params, manifest))
+        captured = capsys.readouterr()
+        assert captured.out == metrics.render_report(report)
+        assert read_bytes(csv_out) == metrics.render_csv(report).encode("utf-8")
+        assert captured.err == f"wrote {csv_out}\n"
+        assert [name for name in os.listdir(tmp_path) if name.endswith(".tmp")] == []
+
+    @pytest.mark.parametrize("where, code", [("missing/r.csv", errno.ENOENT),
+                                             ("a-directory", errno.EISDIR)],
+                             ids=["missing-directory", "directory"])
+    def test_unwritable_report_path_fails_before_scoring(self, tmp_path, monkeypatch, capsys,
+                                                         where, code):
+        model = make_model(tmp_path)
+        manifest_path, _ = dataset(tmp_path, count=4)
+        os.mkdir(tmp_path / "a-directory")
+        csv_out = str(tmp_path / where)
+        scored = spy_scoring(monkeypatch)
+        assert main(["eval", "--model", model, "--test", manifest_path,
+                     "--csv-out", csv_out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and scored == []
+        assert captured.err.splitlines() == [f"[Errno {code}] {os.strerror(code)}: {csv_out!r}"]
+        assert [name for name in os.listdir(tmp_path) if name.endswith(".tmp")] == []
 
     def test_default_csv_path(self, tmp_path, capsys):
         model = make_model(tmp_path)

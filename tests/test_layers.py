@@ -488,6 +488,17 @@ class TestLrn:
                 assert g.dtype == w.dtype == np.float32 and g.shape == w.shape
                 assert g.tobytes() == w.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_window_sum_bytes_match_the_cumsum_prefix(self, dtype):
+        # the prefix is built by plane adds; np.cumsum adds in the same order
+        rng = np.random.default_rng(15)
+        for c in range(1, 10):
+            for n in range(1, 2 * c + 6, 2):
+                t = (rng.normal(size=(2, c, 3, 5)) * 10.0 ** rng.integers(-3, 4)).astype(dtype)
+                got = layers._channel_window_sum(t, n)
+                assert got.dtype == dtype
+                assert got.tobytes() == gather_window_sum(t, n).tobytes(), (c, n)
+
     def test_eval_peak_is_bounded(self):
         # norm1's channels and window: the plan holds two activation buffers
         # and one piece's padded prefix sum, and the call, whose steps run in
