@@ -12,7 +12,7 @@ from .data import (AGE_LABELS, NUM_CLASSES, DatasetManifest, ManifestRecord,
                    random_crop_224, read_ppm, write_ppm)
 from .errors import (ConfigError, EngineError, FormatError, InputError,
                      IntegrityError, LabelError, ParameterError, ParseError,
-                     ShapeError, StateError)
+                     ResourceError, ShapeError, StateError)
 from .metrics import (EvalReport, confusion, evaluate, exact_accuracy,
                       one_off_accuracy, render_csv, render_report,
                       row_normalize)
@@ -44,5 +44,5 @@ __all__ = [
     "save", "load", "import_trunk",
     "EngineError", "ShapeError", "ParameterError", "ConfigError",
     "ParseError", "LabelError", "FormatError", "IntegrityError",
-    "StateError", "InputError",
+    "StateError", "InputError", "ResourceError",
 ]

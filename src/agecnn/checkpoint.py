@@ -36,20 +36,21 @@ Both directions make one pass over the file and keep one rule for body
 bytes: every one goes to one helper thread (``_Crc``), in file order, as it
 comes. In save the helper is the only thread that writes the body: the
 calling thread makes the bytes (packs each field, cuts each tensor into
-pieces of at most PIECE_BYTES, which the save's worker pool draws for a
-fresh weight) and touches the file only for the 12-byte header before the
-body and the CRC after it; the helper writes each piece, folds it into the
-CRC and hands it back. A tensor's pieces take one of two routes, chosen by
-the tensor alone. A C-contiguous little-endian float32 array is ready bytes,
-and its pieces are views of its own memory. Any other tensor (a
-``network.DrawnWeight``, surgery's fresh head, or an array of another dtype,
-byte order or layout) is made into the ring of at most DRAW_BUFFERS reused
-buffers while the helper writes the pieces before. A DrawnWeight's pieces
-are drawn two at a time on the save's worker pool
-(``tensor.lookahead_pieces``; the bytes do not depend on the pool's size),
-any other tensor's cast one at a time in row-major order as ``astype``
-casts. So save holds at most DRAW_BUFFERS pieces beyond the caller's
-tensors, and a tensor's bytes are the same on either route. In load the
+pieces, which the save's worker pool makes for a tensor that is not ready
+bytes) and touches the file only for the 12-byte header before the body
+and the CRC after it; the helper writes each piece, folds it into the CRC
+and hands it back. A tensor's pieces take one of two routes, chosen by the
+tensor alone. A C-contiguous little-endian float32 array is ready bytes,
+and its pieces are views of its own memory, PIECE_BYTES each. Any other
+tensor is made into the ring of at most DRAW_BUFFERS reused buffers, a
+round of ``pool.workers`` pieces at a time, while the helper writes the
+rounds before. A ``network.DrawnWeight`` (surgery's fresh head) is drawn
+one block (``network.DRAW_BLOCK`` values) to a piece, each block from its
+own keyed stream, so the bytes do not depend on the pool or on
+PIECE_BYTES; an array of another dtype, byte order or layout is cast
+PIECE_BYTES to a piece in row-major order as ``astype`` casts. So save
+holds at most DRAW_BUFFERS pieces beyond the caller's tensors, and a
+tensor's bytes are the same on either route. In load the
 calling thread parses the fields in order and reads each tensor's values
 from the file straight into its own array, and the helper folds every byte
 read, the rest of a file whose parse failed included. The CRC is compared
@@ -76,7 +77,6 @@ from . import network as net
 from .errors import ConfigError, FormatError, IntegrityError, ParameterError, ShapeError
 from .layers import LayerSpec
 from .optim import OptState
-from .tensor import lookahead_slack
 
 MAGIC = b"ACNN"
 VERSION = 1
@@ -84,7 +84,7 @@ HEADER_SIZE = 12
 MAX_RANK = 4  # conv weights; no tensor of any network has more axes
 PIECE_BYTES = 8 << 20  # tensor values move to and from the file in pieces this size
 DRAW_BUFFERS = 4  # most ring buffers a tensor that is not ready bytes is made into; a
-                  # round of drawn pieces takes two while the helper writes the two before
+                  # round of two pieces is made while the helper writes the two before
 CAST_ELEMENTS = 8192  # values _cast's iterator casts into its buffer at a time
 
 _TENSOR_ORDER = ("weight", "bias")
@@ -109,7 +109,8 @@ class _Crc:
     but ``fh.write`` and ``zlib.crc32``, which release the GIL on large
     pieces, so the calling thread reads or makes the next piece meanwhile.
     A given piece must not change until it is handed back. As a context
-    manager it stops the helper on every exit path.
+    manager it stops the helper on every exit path; a helper that cannot
+    start raises ResourceError.
 
     A write that fails on the helper is raised on the calling thread by
     ``check`` or ``value``. The helper writes and folds nothing after it, but
@@ -125,7 +126,7 @@ class _Crc:
         self._helper = threading.Thread(target=self._fold, name="checkpoint-crc", daemon=True)
 
     def __enter__(self):
-        self._helper.start()
+        net.started("checkpoint-crc", self._helper.start)
         return self
 
     def __exit__(self, *exc):
@@ -195,7 +196,8 @@ def _cast(out, array, lo):
 
 class _Writer:
     """Mirror of _Reader: makes the body's bytes in file order and gives them
-    to a _Crc, whose helper writes them. Fresh weights are drawn on ``pool``."""
+    to a _Crc, whose helper writes them. Tensors that are not ready bytes
+    are made on ``pool``."""
 
     def __init__(self, crc, pool):
         self.crc = crc
@@ -225,41 +227,40 @@ class _Writer:
 
     def draw(self, t):
         """Give a tensor that is not ready bytes (a DrawnWeight, or an array
-        of another dtype, byte order or layout) as float32 pieces made in
-        row-major order into at most DRAW_BUFFERS reused buffers, while the
-        helper writes and folds the pieces before them. A DrawnWeight's
-        pieces are drawn two at a time on the pool, into buffers with room
-        for a lookahead's slack; any other tensor's are cast on this
-        thread."""
-        step = max(1, min(PIECE_BYTES // 4, t.size))
+        of another dtype, byte order or layout) as float32 pieces in
+        row-major order, made a round of ``pool.workers`` pieces at a time on
+        the pool into at most DRAW_BUFFERS reused buffers, while the helper
+        writes and folds the rounds before. A DrawnWeight's piece is one of
+        its blocks (``network.DRAW_BLOCK`` values); an array's is PIECE_BYTES
+        of its values, cast as ``astype`` casts them."""
         drawn = isinstance(t, net.DrawnWeight)
+        step = max(1, min(net.DRAW_BLOCK if drawn else PIECE_BYTES // 4, t.size))
+        count = -(-t.size // step)
         free = queue.SimpleQueue()
-        buffers = min(DRAW_BUFFERS, -(-t.size // step))
+        buffers = min(DRAW_BUFFERS, count)
         for _ in range(buffers):
-            free.put(np.empty(step + lookahead_slack(step) if drawn else step, "<f4"))
+            free.put(np.empty(step, "<f4"))
 
-        def take():
-            buf = free.get()
-            self.crc.check()
-            return buf
+        def make(j, worker):
+            i, piece = first + j, pieces[j]
+            if drawn:
+                t.block(i, piece)
+            else:  # a subclass such as np.matrix indexes otherwise
+                _cast(piece, np.asarray(t), i * step)
 
-        pieces = t.pieces(step, take, self.pool) if drawn else _casts(t, step, take)
-        for piece in pieces:
-            # every piece is a view of a buffer take() gave, so its base is that buffer
-            self.crc.give(piece.view(np.uint8), lambda buf=piece.base: free.put(buf))
+        per_round = min(self.pool.workers, buffers)
+        for first in range(0, count, per_round):
+            made = []
+            for _ in range(min(per_round, count - first)):
+                made.append(free.get())
+                self.crc.check()
+            pieces = [buf[:t.size - i * step] for i, buf in enumerate(made, first)]
+            self.pool.run(make, len(pieces))
+            for buf, piece in zip(made, pieces):
+                self.crc.give(piece.view(np.uint8), lambda buf=buf: free.put(buf))
         for _ in range(buffers):
             free.get()  # every buffer is handed back before the next tensor makes its own
         self.crc.check()
-
-
-def _casts(t, step, take):
-    """An array's values, cast to float32 in row-major order, in pieces of
-    ``step`` values (the last shorter), each a view of an array ``take()``
-    returned."""
-    for lo in range(0, t.size, step):
-        piece = take()[:min(step, t.size - lo)]
-        _cast(piece, np.asarray(t), lo)  # a subclass such as np.matrix indexes otherwise
-        yield piece
 
 
 def _write(fh, spec, params, mask, state, pool):
@@ -306,9 +307,10 @@ def _write_body(out, spec, params, mask, state):
 def save(spec, params, mask, path, state: OptState | None = None, pool=None) -> None:
     """Write a checkpoint; identical inputs always produce identical bytes.
 
-    Fresh weights (``network.DrawnWeight``) are drawn on the workers of
-    ``pool`` (a ``network.WorkerPool``, or a one-worker pool for the call);
-    the bytes do not depend on its size.
+    Fresh weights (``network.DrawnWeight``), and arrays that need a cast, are
+    made on the workers of ``pool`` (a ``network.WorkerPool``, or a
+    one-worker pool for the call); the bytes do not depend on its size. A
+    DrawnWeight may be saved any number of times, with the same bytes.
     """
     _check_content(spec, params, mask, state)
     directory = os.path.dirname(os.path.abspath(path))

@@ -17,10 +17,11 @@ and BLAS is left alone.
 Each ``checkpoint.load`` and ``checkpoint.save`` also runs one CRC helper
 thread for its own duration. Every body byte goes to it in file order: it
 folds each into the CRC and, in a save, writes each first, so no output bit
-depends on it. In ``surgery`` the fresh head is drawn on the pool, two
-pieces a round, the second drawn ahead and kept only where its join with
-the stream is proven (``tensor.lookahead_pieces``), so its bytes are those
-of one draw in stream order at any worker count.
+depends on it. In ``surgery`` the fresh head is drawn on the pool, one
+block of a new weight to each worker a round, each block from its own
+stream keyed by (seed, weight, block) (``network.DrawnWeight``), so its
+bytes are the same at any worker count. A thread that cannot start is a ResourceError: one
+line, exit 1, and no file left.
 """
 
 from __future__ import annotations

@@ -40,3 +40,7 @@ class StateError(EngineError):
 
 class InputError(EngineError):
     """Metric or training inputs are empty or mismatched."""
+
+
+class ResourceError(EngineError):
+    """The system refused the engine something it needs to run, such as a thread."""

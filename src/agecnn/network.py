@@ -28,6 +28,7 @@ keys, True = trainable.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent import futures
@@ -36,8 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import layers as L
-from .errors import ConfigError, ParameterError, ShapeError, StateError
-from .tensor import DTYPE, Rng, gaussian_fill, lookahead_pieces
+from .errors import ConfigError, ParameterError, ResourceError, ShapeError, StateError
+from .tensor import DTYPE, Rng, gaussian_fill
 
 
 @dataclass(frozen=True)
@@ -145,60 +146,42 @@ def param_shapes(spec: NetworkSpec):
 INIT_STD = 0.01
 
 
-class DrawnWeight:
-    """A fresh weight, normal(0, std^2), drawn piece by piece as it is
-    consumed instead of held whole: ``checkpoint.save`` takes its
-    ``pieces``, drawn two at a time on the save's worker pool into reused
-    buffers, and its helper thread writes each piece while the next round is
-    drawn.
+# Values in each block of a fresh head weight (8 MB of float32). Block b of
+# head_replace's l-th new weight is drawn from its own stream, rng.derive(l,
+# b), so a value depends only on the seed, its weight and its block.
+DRAW_BLOCK = 2**21
 
-    Its values are those ``gaussian_fill`` of the whole shape would draw at
-    the same point of the rng's stream, at every worker count
-    (``tensor.lookahead_pieces`` proves each piece drawn ahead, or draws it
-    again in order). So weights sharing an rng are drawn in the order they
-    were made (``after`` is the one made before), each from its first value
-    to its last, with nothing else drawn from the rng between them. A weight
-    is drawn once: a draw past its end or before ``after`` is done raises
-    StateError, because the rng has already moved on.
+
+class DrawnWeight:
+    """A fresh weight, normal(0, std^2), drawn block by block as it is
+    consumed instead of held whole: ``checkpoint.save`` draws its blocks a
+    round of ``pool.workers`` at a time on the save's worker pool, into
+    reused buffers, and its helper thread writes each round while the next
+    is drawn.
+
+    The weight's values, in row-major order, fall in blocks of DRAW_BLOCK
+    (the last shorter). Block b is ``gaussian_fill`` of its size from
+    ``rng.derive(b)``, its own stream, so the blocks may be drawn in any
+    order, on any thread and more than once, with the same values each time.
     """
 
-    def __init__(self, shape, std: float, rng: Rng, after: "DrawnWeight" = None):
+    def __init__(self, shape, std: float, rng: Rng):
         self.shape = tuple(shape)
         self.size = math.prod(self.shape)
-        self._std, self._rng, self._after = std, rng, after
-        self._drawn = 0
+        self._std, self._rng = std, rng
 
-    @property
-    def done(self) -> bool:
-        return self._drawn == self.size
-
-    def _draw(self, out, rng):
-        gaussian_fill(out.shape, 0.0, self._std, rng, out=out)
-
-    def _check(self, count):
-        if self._after is not None and not self._after.done:
-            raise StateError(f"weight of shape {self.shape} drawn before the one made before it")
-        if self._drawn + count > self.size:
-            raise StateError(f"weight of shape {self.shape} has {self.size - self._drawn} "
-                             f"values left to draw, not {count}")
+    def block(self, b, out):
+        """Draw block ``b`` into ``out``, a float32 array of that block's
+        size, and return it."""
+        return gaussian_fill(out.shape, 0.0, self._std, self._rng.derive(b), out=out)
 
     def fill(self, out):
-        """Draw the next ``out.size`` values, in row-major order, into the
-        float32 array ``out``, and return it."""
-        self._check(out.size)
-        self._draw(out, self._rng)
-        self._drawn += out.size
+        """Draw every block, in order, into ``out``, a C-contiguous float32
+        array of the weight's size, and return it."""
+        flat = out.reshape(-1)
+        for b, lo in enumerate(range(0, self.size, DRAW_BLOCK)):
+            self.block(b, flat[lo:lo + DRAW_BLOCK])
         return out
-
-    def pieces(self, step, take, pool):
-        """Yield all the weight's values, in row-major order, as float32
-        pieces of ``step`` values (the last shorter), each a view of an array
-        ``take()`` returned (see ``tensor.lookahead_pieces``), drawn on the
-        workers of ``pool``."""
-        self._check(self.size)
-        for piece in lookahead_pieces(self._draw, self.size, self._rng, step, take, pool):
-            self._drawn += piece.size
-            yield piece
 
 
 def init_params(spec: NetworkSpec, rng: Rng, std: float = INIT_STD):
@@ -288,8 +271,9 @@ def head_replace(spec: NetworkSpec, head_widths, params, rng: Rng,
     normal(0, INIT_STD^2) with zero biases, the mask freezes every trunk
     parameter and marks every new fc trainable. ``params`` must cover the
     trunk's parameterized layers (a partial set from a trunk import is fine);
-    old head entries are dropped. Every new weight is made as a DrawnWeight.
-    With ``draw_on_write`` it is returned as one, drawn only as
+    old head entries are dropped. The l-th new weight is made as a
+    DrawnWeight on ``rng.derive(l)``; ``rng`` itself is not drawn from. With
+    ``draw_on_write`` it is returned as one, drawn only as
     ``checkpoint.save`` writes it, so the head is never held whole; without,
     it is filled at once into a float32 array. The values, and the saved
     file's bytes, are the same either way.
@@ -297,11 +281,11 @@ def head_replace(spec: NetworkSpec, head_widths, params, rng: Rng,
     new_spec = replace_head_spec(spec, head_widths, dropout_rate)
     trunk, _ = trunk_and_head(new_spec)
     trunk_names = {l.name for l in trunk}
-    new_params, mask, drawn = {}, {}, None
+    new_params, mask, fresh = {}, {}, itertools.count()
     for name, shapes in param_shapes(new_spec).items():
         mask[name] = name not in trunk_names
         if mask[name]:
-            drawn = DrawnWeight(shapes["weight"], INIT_STD, rng, after=drawn)
+            drawn = DrawnWeight(shapes["weight"], INIT_STD, rng.derive(next(fresh)))
             weight = drawn if draw_on_write else drawn.fill(np.empty(drawn.shape, DTYPE))
             new_params[name] = {"weight": weight, "bias": np.zeros(shapes["bias"], DTYPE)}
         elif name in params:
@@ -385,6 +369,15 @@ def pool_size() -> int:
     return max(1, min(MAX_WORKERS, cpus or 1))
 
 
+def started(name, start, *args):
+    """``start(*args)``, a call that may start the thread ``name``. A thread
+    that cannot start (RuntimeError) raises ResourceError naming it."""
+    try:
+        return start(*args)
+    except RuntimeError as e:
+        raise ResourceError(f"could not start the {name} thread: {e}") from None
+
+
 class WorkerPool:
     """Threads that share each eval-mode layer call, and the buffer plan kept between calls.
 
@@ -413,7 +406,8 @@ class WorkerPool:
         varies from run to run; a piece writes only its own part of the result.
         With one worker or at most one piece no helper is asked: worker 0 runs all.
         Helpers run their pieces under the caller's NumPy error state
-        (``np.errstate``), which a thread does not inherit.
+        (``np.errstate``), which a thread does not inherit. A helper thread
+        that cannot start raises ResourceError.
         """
         todo = iter(range(count))  # shared: each next() happens under the GIL
         errstate = np.geterr()
@@ -423,10 +417,14 @@ class WorkerPool:
                 for i in todo:
                     piece(i, worker)
 
-        helpers = [self._helpers.submit(drain, w) for w in range(1, min(self.workers, count))]
+        helpers = []
         try:
+            for w in range(1, min(self.workers, count)):
+                helpers.append(started("agecnn-worker", self._helpers.submit, drain, w))
             drain(0)
         finally:
+            for _ in todo:  # after a failure, a helper that starts late finds nothing left
+                pass
             futures.wait(helpers)
         for helper in helpers:
             helper.result()

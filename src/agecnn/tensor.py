@@ -17,9 +17,10 @@ round a product differently at another thread count, so the CLI runs every
 command at one BLAS thread (``set_blas_threads``) and spreads a layer's work
 over its own worker threads (``network.WorkerPool``), in pieces that do not
 depend on the worker count. Same seed, same bytes then holds at any core
-count and any ``OPENBLAS_NUM_THREADS``, on one CPU kernel family. A long
-normal draw (a fresh head) also runs on two workers, by an exact lookahead
-that keeps the values of one serial draw (``lookahead_pieces``).
+count and any ``OPENBLAS_NUM_THREADS``, on one CPU kernel family. A fresh
+head's normal draw is spread the same way: each block of a weight comes
+from its own keyed stream (``Rng.derive``; see ``network.DrawnWeight``), so
+no block waits for another.
 """
 
 from __future__ import annotations
@@ -69,22 +70,6 @@ class Rng:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
-    @property
-    def _state(self):
-        return self._gen.bit_generator.state
-
-    @_state.setter
-    def _state(self, state):
-        self._gen.bit_generator.state = state
-
-    def _twin(self, state, raw: int = 0) -> "Rng":
-        """A stream with this one's key, at the generator ``state``, ``raw``
-        outputs of the generator on."""
-        twin = Rng(None, _key=self.key)
-        twin._state = state
-        twin._gen.bit_generator.advance(raw)
-        return twin
-
 
 # Elements gaussian_fill draws per call. The stream is consumed in order, so
 # blocked draws equal one full draw, without a float64 copy of the tensor.
@@ -114,104 +99,6 @@ def gaussian_fill(shape, mean: float, std: float, rng: Rng, out=None) -> np.ndar
         flat[start:start + _FILL_BLOCK] = rng.normal(min(_FILL_BLOCK, flat.size - start),
                                                      mean, std)
     return out
-
-
-# Values of rng's stream that a lookahead draw is searched for; where they
-# appear in it is the join that lookahead_pieces then proves.
-_JOIN_VALUES = 16
-
-
-def lookahead_slack(count: int) -> int:
-    """Values a lookahead draw makes past the piece it hands out, when it
-    starts ``count`` values ahead: room for its join, which normal draws
-    reached after 2.2% of the count on average, and at most 3.7% of 1024
-    values and 2.4% of 65536 in 400 seeds each."""
-    return count // 32 + 64
-
-
-def lookahead_pieces(draw, size, rng, step, take, pool):
-    """Yield the ``size`` values ``draw`` takes from ``rng``, in float32
-    pieces of ``step`` values (the last shorter), two pieces a round on the
-    workers of ``pool`` (a ``network.WorkerPool``).
-
-    ``draw(out, rng)`` fills the float32 array ``out`` with rng's next
-    ``out.size`` values in order, as gaussian_fill does, taking at least one
-    output of rng's generator (PCG64) per value. ``take()`` returns a float32
-    array of at least step + lookahead_slack(step) values. Each piece is a
-    view of one such array, which must not change until the piece is used.
-
-    In a round one worker draws the first piece from rng. Another draws the
-    second piece ahead, and its slack, from a twin of rng moved on one
-    generator output per value of the first piece (PCG64's exact advance,
-    O'Neill 2014). Every value takes an output, so the twin starts at or
-    before where the first piece leaves rng. Rejection sampling such as the
-    normal ziggurat (Marsaglia & Tsang 2000) falls back in step with the
-    stream by itself, so the draw ahead soon holds rng's own values. This
-    thread then draws the second piece's first _JOIN_VALUES values from rng,
-    finds them in the draw ahead at offset d, and proves the join: the
-    twin's state after d + _JOIN_VALUES values, redrawn from the state saved
-    at the start of that draw block, must equal rng's. Then the piece is
-    the view of the draw ahead from d, and rng is moved to the state after
-    it. Without a proof the piece is drawn from rng on this thread. So the
-    values, and where rng is left, are those of one draw of ``size`` values
-    at every worker count.
-    """
-    for lo in range(0, size, 2 * step):
-        first = take()[:min(step, size - lo)]
-        count = min(step, size - lo - first.size)  # the second piece's values
-        if count == 0:
-            draw(first, rng)
-            yield first
-            continue
-        ahead = take()[:count + lookahead_slack(first.size)]
-        twin = rng._twin(rng._state, first.size)
-        states = []
-
-        def job(i, worker):
-            if i == 0:
-                draw(first, rng)
-            else:
-                states.extend(_draw_marked(draw, ahead, twin))
-
-        pool.run(job, 2)
-        yield first
-        yield _join(draw, ahead, count, states, rng)
-
-
-def _draw_marked(draw, out, rng):
-    """Draw ``out`` from rng block by block; return rng's generator state at
-    the start of each block of _FILL_BLOCK values."""
-    states = []
-    for lo in range(0, out.size, _FILL_BLOCK):
-        states.append(rng._state)
-        draw(out[lo:lo + _FILL_BLOCK], rng)
-    return states
-
-
-def _state_after(draw, rng, states, at):
-    """The generator state after ``at`` values of a draw whose block states
-    ``_draw_marked`` returned, redrawn from the block holding value ``at``."""
-    block = min(at // _FILL_BLOCK, len(states) - 1)
-    twin = rng._twin(states[block])
-    draw(np.empty(at - block * _FILL_BLOCK, DTYPE), twin)
-    return twin._state
-
-
-def _join(draw, ahead, count, states, rng):
-    """rng's next ``count`` values, and rng moved past them: the view of the
-    draw ahead from its proven join, or else drawn from rng into ``ahead``."""
-    known = np.empty(min(_JOIN_VALUES, count), DTYPE)
-    draw(known, rng)
-    for d in np.flatnonzero(ahead[:ahead.size - count + 1] == known[0]):
-        if np.array_equal(ahead[d:d + known.size], known):
-            if _state_after(draw, rng, states, d + known.size) == rng._state:
-                rng._state = _state_after(draw, rng, states, d + count)
-                return ahead[d:d + count]
-            break
-    piece = ahead[:count]
-    piece[:known.size] = known
-    draw(piece[known.size:], rng)
-    return piece
 
 
 def pad2d(x: np.ndarray, pad: int, first: int, out: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from agecnn import (ConfigError, FormatError, IntegrityError, NetworkSpec,
-                    OptState, Rng, SgdConfig, ShapeError, StateError, build_profile,
+                    OptState, Rng, SgdConfig, ShapeError, build_profile,
                     head_replace, import_trunk, init_params, init_state, load, make_mask,
                     save, train_epoch)
 from agecnn import checkpoint, network, tensor
@@ -611,7 +611,7 @@ class TestOnePass:
     def _surgery_in_time(self, monkeypatch, donor):
         """(exit code, stderr lines) of a mini surgery run on its own thread,
         which must end within 30 s, leaving no checkpoint thread or file."""
-        monkeypatch.setattr(checkpoint, "PIECE_BYTES", 4096)  # 512 pieces of fc3
+        monkeypatch.setattr(network, "DRAW_BLOCK", 1024)  # 512 pieces of fc3
         codes = []
         run = threading.Thread(target=lambda: codes.append(main([
             "surgery", "--in", donor, "--profile", "mini", "--head", "512,16,8",
@@ -669,14 +669,16 @@ class TestOnePass:
 
 
 class TestDrawOnWrite:
-    """save draws a DrawnWeight piece by piece as it writes it, and the file
-    is the one an eager head_replace and save write."""
+    """save draws a DrawnWeight block by block as it writes it, and the file
+    is the one an eager head_replace and save write, on any pool and at any
+    PIECE_BYTES."""
 
     @pytest.mark.parametrize("piece_bytes, block", [(None, None), (4 * 1000, 333), (4 * 7, 5)],
                              ids=["shipped", "1000-values-by-333", "7-values-by-5"])
     def test_same_bytes_as_eager(self, tmp_path, monkeypatch, piece_bytes, block):
         if piece_bytes is not None:
             monkeypatch.setattr(checkpoint, "PIECE_BYTES", piece_bytes)
+            monkeypatch.setattr(network, "DRAW_BLOCK", piece_bytes // 4)
             monkeypatch.setattr(tensor, "_FILL_BLOCK", block)
         spec, params, _ = mini_fixture()
         files = []
@@ -686,38 +688,38 @@ class TestDrawOnWrite:
                                draw_on_write=draw), files[-1])
         assert read_bytes(files[0]) == read_bytes(files[1])
 
-    @pytest.mark.parametrize("proof", [True, False], ids=["joined", "proof-failed"])
-    @pytest.mark.parametrize("piece_bytes, head", [
-        (None, [5000, 24, 8]),     # fc3: two whole pieces in a round, then one short piece
-        (4 * 1000, [64, 24, 8]),   # fc3: 33 rounds of 1000-value pieces, the last one short
+    @pytest.mark.parametrize("piece_bytes, block, head", [
+        (None, None, [5000, 24, 8]),     # fc3: one round of two whole blocks, then a short one
+        (4 * 7, 1000, [64, 24, 8]),      # fc3: 33 rounds of 1000-value blocks, the last short
     ], ids=["shipped", "1000-values"])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_same_bytes_and_rng_on_any_pool(self, tmp_path, monkeypatch, workers, piece_bytes,
-                                            head, proof):
-        if piece_bytes is not None:
-            monkeypatch.setattr(checkpoint, "PIECE_BYTES", piece_bytes)
-        if not proof:
-            monkeypatch.setattr(tensor, "_state_after", lambda *args: None)
+                                            block, head):
+        # the eager file is saved at the shipped PIECE_BYTES, the drawn one at
+        # the case's; a tiny DRAW_BLOCK moves every value, so it holds for both
+        if block is not None:
+            monkeypatch.setattr(network, "DRAW_BLOCK", block)
         spec, params, _ = mini_fixture()
         eager_rng, drawn_rng = Rng(0).derive(0), Rng(0).derive(0)
         eager, drawn = (str(tmp_path / f"{name}.acnn") for name in ("eager", "drawn"))
         save(*head_replace(spec, head, params, eager_rng), eager)
+        if piece_bytes is not None:
+            monkeypatch.setattr(checkpoint, "PIECE_BYTES", piece_bytes)
         with network.WorkerPool(workers) as pool:
             save(*head_replace(spec, head, params, drawn_rng, draw_on_write=True), drawn,
                  pool=pool)
         assert read_bytes(eager) == read_bytes(drawn)
-        assert drawn_rng.normal((4,)).tobytes() == eager_rng.normal((4,)).tobytes()
+        # each block comes from a stream derived from the rng, not from the rng
+        untouched = Rng(0).derive(0).normal((4,)).tobytes()
+        assert drawn_rng.normal((4,)).tobytes() == eager_rng.normal((4,)).tobytes() == untouched
 
-    def test_second_save_refused_and_first_kept(self, tmp_path):
+    def test_second_save_writes_the_same_bytes(self, tmp_path):
         spec, params, _ = mini_fixture()
         replaced = head_replace(spec, [64, 24, 8], params, Rng(0).derive(0), draw_on_write=True)
-        path = str(tmp_path / "m.acnn")
-        save(*replaced, path)
-        first = read_bytes(path)
-        with pytest.raises(StateError, match="0 values left to draw"):
+        files = [str(tmp_path / f"{i}.acnn") for i in range(2)]
+        for path in files:
             save(*replaced, path)
-        assert os.listdir(tmp_path) == ["m.acnn"]
-        assert read_bytes(path) == first
+        assert read_bytes(files[0]) == read_bytes(files[1])
 
 
 class TestFormatGolden:
@@ -754,13 +756,13 @@ class TestFormatGolden:
         spec, params, _ = mini_fixture()
         replaced = head_replace(spec, [32, 16, 8], params, Rng(0).derive(0))
         assert self._digest(tmp_path, *replaced) == (
-            "878cb40181d47b931de09254f2a4fb61cb6e6c96f77536d4f39535c435d31f30", 152319)
+            "94779e5154eebb339498cf8757a84b27df6423f3fd00b0870392c73c05af8bf8", 152319)
 
     def test_mini_after_head_replace_drawn_on_write(self, tmp_path):
         spec, params, _ = mini_fixture()
         replaced = head_replace(spec, [32, 16, 8], params, Rng(0).derive(0), draw_on_write=True)
         assert self._digest(tmp_path, *replaced) == (
-            "878cb40181d47b931de09254f2a4fb61cb6e6c96f77536d4f39535c435d31f30", 152319)
+            "94779e5154eebb339498cf8757a84b27df6423f3fd00b0870392c73c05af8bf8", 152319)
 
     def test_mini_with_optimizer_state(self, tmp_path):
         spec, params, mask = mini_fixture()
@@ -787,6 +789,10 @@ class TestMemory:
     def test_surgery_peak_does_not_grow_with_the_head(self, tmp_path, monkeypatch):
         # at 64 KB pieces both first fc weights (256 KB and 8 MB) span many pieces
         monkeypatch.setattr(checkpoint, "PIECE_BYTES", 64 << 10)
+        monkeypatch.setattr(network, "DRAW_BLOCK", (64 << 10) // 4)
+        # gaussian_fill's float64 scratch at the shipped share of a block
+        # (1/32), so two workers' scratch is not twice the block itself
+        monkeypatch.setattr(tensor, "_FILL_BLOCK", (64 << 10) // 4 // 32)
         spec, params, mask = mini_fixture()
         donor = str(tmp_path / "donor.acnn")
         save(spec, params, mask, donor)
@@ -817,11 +823,11 @@ class TestMemory:
         assert abs(peaks[2048] - peaks[64]) < checkpoint.PIECE_BYTES
 
     def test_one_piece_drawn_weight_makes_one_buffer(self, tmp_path):
-        # fc3's 2 MB weight is one piece; DRAW_BUFFERS of it would be 6 MB
+        # fc3's 2 MB weight is one piece; DRAW_BUFFERS of it would be 8 MB
         spec, params, _ = mini_fixture()
         replaced = head_replace(spec, [512, 16, 8], params, Rng(0).derive(0), draw_on_write=True)
         weight = replaced[1]["fc3"]["weight"]
-        assert 4 * weight.size <= checkpoint.PIECE_BYTES
+        assert weight.size <= network.DRAW_BLOCK
         peak, _ = traced_peak(lambda: save(*replaced, str(tmp_path / "m.acnn")))
         assert 4 * weight.size <= peak < 2 * 4 * weight.size
 

@@ -1088,6 +1088,41 @@ class TestEngineThreads:
         assert "missing.ppm" in capsys.readouterr().err
         assert engine_threads() == []
 
+    @pytest.mark.parametrize("command, name, nth", [
+        ("surgery", "checkpoint-crc", 1),  # the donor's load
+        ("surgery", "checkpoint-crc", 2),  # the save, after its temp file is made
+        ("surgery", "agecnn-worker", 1),   # the save's first round of head blocks
+        ("eval", "agecnn-worker", 1),      # scoring, after the report's temp file is made
+    ], ids=["surgery-load", "surgery-save", "surgery-pool", "eval-pool"])
+    def test_a_thread_that_cannot_start_is_one_line_and_no_file(self, tmp_path, monkeypatch,
+                                                                capsys, command, name, nth):
+        model = make_model(tmp_path)
+        manifest, _ = dataset(tmp_path, count=2)
+        before = sorted(os.listdir(tmp_path))
+        monkeypatch.setattr(network, "pool_size", lambda: 2)
+        monkeypatch.setattr(network, "DRAW_BLOCK", 1024)  # fc3's 32 blocks take 16 rounds
+        real, starts = threading.Thread.start, []
+
+        def start(thread):
+            if thread.name.startswith(name):
+                starts.append(thread.name)
+                if len(starts) == nth:
+                    raise RuntimeError("can't start new thread")
+            return real(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        argv = {"surgery": ["surgery", "--in", model, "--profile", "mini", "--head", "32,16,8",
+                            "--out", str(tmp_path / "out.acnn")],
+                "eval": ["eval", "--model", model, "--test", manifest,
+                         "--csv-out", str(tmp_path / "report.csv")]}[command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"could not start the {name} thread: can't start new thread"]
+        assert len(starts) == nth
+        assert sorted(os.listdir(tmp_path)) == before
+        assert [t.name for t in threading.enumerate()
+                if t.name.startswith(("agecnn-", "checkpoint-"))] == []
+
     def test_predict_rows_and_errors_in_input_order(self, tmp_path, capsys, monkeypatch):
         # good, missing and malformed images interleaved on the crop path:
         # rows and error lines come in input order, the same at one worker

@@ -6,8 +6,9 @@ pinned to one or two CPUs (the pool size follows the affinity), with
 lines and write the same checkpoint and report bytes. The crop-path
 network's first fc (4900 inputs, 256 outputs) is a product that OpenBLAS
 0.3.31 rounds differently at one and at two threads. The mini case first
-runs a ``surgery`` whose head (12.6M values) is drawn in several rounds of
-two pieces, the second drawn ahead on the pool's helper when there is one.
+runs a ``surgery`` whose head (12.6M values, in seven blocks of at most
+``network.DRAW_BLOCK``) is drawn a round of two blocks at a time, one on
+each worker where the pool has two, each block from its own keyed stream.
 """
 
 import hashlib

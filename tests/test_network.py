@@ -5,9 +5,9 @@ import weakref
 import numpy as np
 import pytest
 
-from agecnn import (ConfigError, ParameterError, Rng, ShapeError, StateError, build_profile,
-                    head_replace, infer_shapes, init_params, make_mask,
-                    param_shapes, replace_head_spec)
+from agecnn import (ConfigError, ParameterError, ResourceError, Rng, ShapeError, StateError,
+                    build_profile, gaussian_fill, head_replace, infer_shapes, init_params,
+                    make_mask, param_shapes, replace_head_spec)
 from agecnn import layers as L
 from agecnn import network as net
 from agecnn.layers import (conv, dropout, fc, forward_layer, lrn, maxpool, relu, softmax,
@@ -218,24 +218,27 @@ class TestHeadReplace:
             assert isinstance(w, net.DrawnWeight) and w.shape == eager[name]["weight"].shape
             assert drawn[name]["bias"].tobytes() == eager[name]["bias"].tobytes()
             out = np.empty(w.size, np.float32)
-            assert w.fill(out) is out and w.done
+            assert w.fill(out) is out
             assert out.tobytes() == eager[name]["weight"].tobytes()
         assert drawn["conv1_1"] is params["conv1_1"]
 
-    def test_drawn_weight_refuses_a_second_or_early_draw(self):
+    def test_drawn_weight_blocks_come_from_keyed_streams(self, monkeypatch):
+        # block b of the l-th new weight is gaussian_fill from rng.derive(l, b),
+        # drawn in any order and as often as asked, with the same values
+        monkeypatch.setattr(net, "DRAW_BLOCK", 1000)
         spec = build_profile("mini")
         _, drawn, _ = head_replace(spec, [24, 8], init_params(spec, Rng(1)), Rng(2),
                                    draw_on_write=True)
-        first, second = drawn["fc3"]["weight"], drawn["fc4"]["weight"]
-        with pytest.raises(StateError, match="before the one made before it"):
-            second.fill(np.empty(4, np.float32))
-        first.fill(np.empty(first.size - 1, np.float32))
-        with pytest.raises(StateError, match="1 values left to draw, not 2"):
-            first.fill(np.empty(2, np.float32))
-        first.fill(np.empty(1, np.float32))
-        with pytest.raises(StateError, match="0 values left"):
-            first.fill(np.empty(1, np.float32))
-        second.fill(np.empty(second.size, np.float32))
+        for l, name in enumerate(("fc3", "fc4")):
+            w = drawn[name]["weight"]
+            want = np.concatenate([
+                gaussian_fill((min(1000, w.size - lo),), 0.0, net.INIT_STD, Rng(2).derive(l, b))
+                for b, lo in enumerate(range(0, w.size, 1000))])
+            got = np.empty(w.size, np.float32)
+            for b in reversed(range(-(-w.size // 1000))):
+                w.block(b, got[b * 1000:(b + 1) * 1000])
+            assert got.tobytes() == want.tobytes()
+            assert w.fill(np.empty(w.shape, np.float32)).tobytes() == want.tobytes()
 
     def test_head_names_continue_numbering(self):
         spec = build_profile("mini")
@@ -778,6 +781,23 @@ class TestWorkerPool:
                 for _ in range(2):  # the second call runs on the kept plan
                     got = net.eval_layers(spec, params, x, 0, stop, pool)
                     assert got.tobytes() == want.tobytes(), workers
+
+    def test_a_helper_that_cannot_start_is_a_resource_error(self, monkeypatch):
+        # the failed call's pieces are not run later by a helper that does start
+        real, failures = threading.Thread.start, [RuntimeError("can't start new thread")]
+
+        def start(thread):
+            if failures and thread.name.startswith("agecnn-worker"):
+                raise failures.pop()
+            return real(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        calls = []
+        with net.WorkerPool(2) as pool:
+            with pytest.raises(ResourceError, match="could not start the agecnn-worker thread"):
+                pool.run(lambda i, worker: calls.append(("failed", i)), 4)
+            pool.run(lambda i, worker: calls.append(("next", i)), 4)
+        assert sorted(calls) == [("next", i) for i in range(4)]
 
     def test_vgg_trunk_same_bits_on_a_pool(self, vgg_trunk):
         spec, params, split = vgg_trunk

@@ -1,12 +1,8 @@
-import sys
-import threading
-
 import numpy as np
 import pytest
 
 from agecnn import ParameterError, Rng, ShapeError, argmax, gaussian_fill
 from agecnn import tensor
-from agecnn.network import WorkerPool
 from agecnn.tensor import pad2d
 
 
@@ -114,137 +110,6 @@ class TestGaussianFill:
         gaussian_fill((300, 700), 0.0, 0.01, filled)
         twin.normal((300, 700))
         assert np.array_equal(filled.normal((5,)), twin.normal((5,)))
-
-
-def draw_normal(out, rng):
-    gaussian_fill(out.shape, 0.0, 0.01, rng, out=out)
-
-
-def lookahead(size, step, seed, workers):
-    """(the values lookahead_pieces yields, each piece's offset in its
-    buffer, and the rng after them) for ``size`` values of Rng(seed)."""
-    rng, values, offsets = Rng(seed), [], []
-
-    def take():
-        return np.full(step + tensor.lookahead_slack(step), np.nan, np.float32)
-
-    with WorkerPool(workers) as pool:
-        for piece in tensor.lookahead_pieces(draw_normal, size, rng, step, take, pool):
-            assert piece.size == min(step, size - sum(v.size for v in values))
-            values.append(piece.copy())
-            offsets.append((piece.ctypes.data - piece.base.ctypes.data) // piece.itemsize)
-    return np.concatenate(values), offsets, rng
-
-
-def count_proofs(monkeypatch):
-    """The states ``_state_after`` redraws: two a proven join (the proof and
-    the state after the piece), one a failed proof."""
-    calls, real = [], tensor._state_after
-
-    def counted(*args):
-        calls.append(args[-1])
-        return real(*args)
-
-    monkeypatch.setattr(tensor, "_state_after", counted)
-    return calls
-
-
-class TestLookaheadPieces:
-    """The values lookahead_pieces yields, and where it leaves the rng, are
-    those of one serial gaussian_fill, at every worker count."""
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("seed", [0, 3, 2024])
-    @pytest.mark.parametrize("size, step, block", [
-        (900, 250, None),                  # below one block
-        (6 * 5000, 5000, 1024),            # an exact multiple of a piece, several blocks each
-        (7 * 2000 + 17, 2000, 512),        # several rounds and a short last piece
-        (2 * 65536, 65536, None),          # one round of whole shipped blocks
-        (5, 7, None),                      # one piece, shorter than the step
-    ])
-    def test_equals_serial_fill(self, monkeypatch, workers, seed, size, step, block):
-        if block is not None:
-            monkeypatch.setattr(tensor, "_FILL_BLOCK", block)
-        serial = Rng(seed)
-        want = gaussian_fill((size,), 0.0, 0.01, serial)
-        proofs = count_proofs(monkeypatch)
-        got, offsets, rng = lookahead(size, step, seed, workers)
-        assert got.tobytes() == want.tobytes()
-        assert rng._state == serial._state
-        # every second piece of a round was drawn ahead and proven
-        assert len(proofs) == 2 * (len(offsets) // 2)
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_failed_proof_draws_the_piece_serially(self, monkeypatch, workers):
-        proofs = []
-
-        def no_proof(*args):
-            proofs.append(args[-1])
-            return None
-
-        monkeypatch.setattr(tensor, "_state_after", no_proof)
-        serial = Rng(5)
-        want = gaussian_fill((5 * 3000,), 0.0, 0.01, serial)
-        got, offsets, rng = lookahead(5 * 3000, 3000, 5, workers)
-        assert got.tobytes() == want.tobytes()
-        assert rng._state == serial._state
-        assert len(proofs) == 2 and offsets == [0] * 5
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_equal_values_do_not_fake_a_join(self, workers):
-        # a zero-std draw gives the mean everywhere, so the first values match
-        # at offset 0 of the draw ahead; only the state proof finds that the
-        # draw ahead is not yet in step, so the rng must end where a serial
-        # draw leaves it
-        def constant(out, rng):
-            gaussian_fill(out.shape, 0.5, 0.0, rng, out=out)
-
-        serial, rng = Rng(4), Rng(4)
-        want = gaussian_fill((6000,), 0.5, 0.0, serial)
-        with WorkerPool(workers) as pool:
-            got = np.concatenate([p.copy() for p in tensor.lookahead_pieces(
-                constant, 6000, rng, 2000, lambda: np.empty(2126, np.float32), pool)])
-        assert got.tobytes() == want.tobytes()
-        assert rng._state == serial._state
-
-    def test_no_join_draws_the_piece_serially(self, monkeypatch):
-        # a slack too small to reach the join: the values are not found
-        monkeypatch.setattr(tensor, "lookahead_slack", lambda count: 1)
-        serial = Rng(8)
-        want = gaussian_fill((4000,), 0.0, 0.01, serial)
-        got, offsets, rng = lookahead(4000, 2000, 8, 2)
-        assert got.tobytes() == want.tobytes() and offsets == [0, 0]
-        assert rng._state == serial._state
-
-    def test_same_values_under_fast_thread_switches(self, monkeypatch):
-        # more workers than cores, and the interpreter switching threads every
-        # microsecond: the helper's block states and draw ahead stay its own.
-        # The last round's second piece has 5 values after a whole first one
-        serial = Rng(6)
-        want = gaussian_fill((9 * 4000 + 5,), 0.0, 0.01, serial)
-        proofs = count_proofs(monkeypatch)
-        before = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got, offsets, rng = lookahead(9 * 4000 + 5, 4000, 6, 3)
-        finally:
-            sys.setswitchinterval(before)
-        assert got.tobytes() == want.tobytes() and rng._state == serial._state
-        assert len(offsets) == 10 and len(proofs) == 10
-
-    def test_a_failing_draw_is_raised(self):
-        calls = []
-
-        def failing(out, rng):
-            calls.append(threading.current_thread().name)
-            if len(calls) == 3:
-                raise OSError("draw failed")
-            draw_normal(out, rng)
-
-        with WorkerPool(2) as pool, pytest.raises(OSError, match="draw failed"):
-            for _ in tensor.lookahead_pieces(failing, 8000, Rng(1), 1000,
-                                             lambda: np.empty(2000, np.float32), pool):
-                pass
 
 
 def padded_rows(x, pad, first, rows):
