@@ -688,13 +688,14 @@ class TestDrawOnWrite:
                                draw_on_write=draw), files[-1])
         assert read_bytes(files[0]) == read_bytes(files[1])
 
+    @pytest.mark.parametrize("reverse", [False, True], ids=["in-order", "reversed"])
     @pytest.mark.parametrize("piece_bytes, block, head", [
         (None, None, [5000, 24, 8]),     # fc3: one round of two whole blocks, then a short one
         (4 * 7, 1000, [64, 24, 8]),      # fc3: 33 rounds of 1000-value blocks, the last short
     ], ids=["shipped", "1000-values"])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_same_bytes_and_rng_on_any_pool(self, tmp_path, monkeypatch, workers, piece_bytes,
-                                            block, head):
+    def test_same_bytes_and_rng_on_any_pool(self, tmp_path, monkeypatch, reverse, workers,
+                                            piece_bytes, block, head):
         # the eager file is saved at the shipped PIECE_BYTES, the drawn one at
         # the case's; a tiny DRAW_BLOCK moves every value, so it holds for both
         if block is not None:
@@ -706,6 +707,9 @@ class TestDrawOnWrite:
         if piece_bytes is not None:
             monkeypatch.setattr(checkpoint, "PIECE_BYTES", piece_bytes)
         with network.WorkerPool(workers) as pool:
+            if reverse:  # each call's pieces handed out last first
+                run = pool.run
+                pool.run = lambda piece, count: run(lambda i, w: piece(count - 1 - i, w), count)
             save(*head_replace(spec, head, params, drawn_rng, draw_on_write=True), drawn,
                  pool=pool)
         assert read_bytes(eager) == read_bytes(drawn)
