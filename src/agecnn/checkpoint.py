@@ -55,14 +55,15 @@ calling thread parses the fields in order and reads each tensor's values
 from the file straight into its own array, and the helper folds every byte
 read, the rest of a file whose parse failed included. The CRC is compared
 before the content checks run and before any array is returned, so the bytes
-checked are the bytes returned. Files are written to a temp path and renamed
-into place (os.replace), so readers never observe a partial file, and a
-reader holding the file open keeps reading the old one.
+checked are the bytes returned. Files are written by ``atomic_open``, as
+eval's report is: to a temp path, renamed into place (os.replace), so readers
+never observe a partial file, and a reader holding it keeps the old one.
 """
 
 from __future__ import annotations
 
 import contextlib
+import errno
 import math
 import os
 import queue
@@ -304,6 +305,30 @@ def _write_body(out, spec, params, mask, state):
             out.tensor_group(state.velocity[name])
 
 
+@contextlib.contextmanager
+def atomic_open(path):
+    """A binary file open on a temp file beside ``path``, renamed onto
+    ``path`` (os.replace) if the ``with`` block ends cleanly and removed if
+    it raises. A directory at ``path`` is refused before anything is written;
+    an OSError of making the temp file or of the rename names ``path``."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, path) from None
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            yield fh
+        try:
+            os.replace(tmp, path)
+        except OSError as e:
+            raise OSError(e.errno, e.strerror, path) from None
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save(spec, params, mask, path, state: OptState | None = None, pool=None) -> None:
     """Write a checkpoint; identical inputs always produce identical bytes.
 
@@ -313,17 +338,9 @@ def save(spec, params, mask, path, state: OptState | None = None, pool=None) -> 
     DrawnWeight may be saved any number of times, with the same bytes.
     """
     _check_content(spec, params, mask, state)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        own = net.WorkerPool() if pool is None else contextlib.nullcontext(pool)
-        with os.fdopen(fd, "wb") as fh, own as pool:
-            _write(fh, spec, params, mask, state, pool)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    own = net.WorkerPool() if pool is None else contextlib.nullcontext(pool)
+    with atomic_open(path) as fh, own as pool:
+        _write(fh, spec, params, mask, state, pool)
 
 
 class _Reader:

@@ -28,11 +28,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import errno
 import math
-import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -296,28 +293,15 @@ def cmd_eval(args, pool):
     _check_classes(spec)
     manifest = _load_manifest(args.test_manifest)
     csv_path = args.csv_out or args.test_manifest + ".report.csv"
-    # The report goes to a temp file beside its path, made before any image
-    # is scored so that an unwritable path fails at once, and renamed into
-    # place once it is whole; a failed run leaves no report.
-    if os.path.isdir(csv_path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), csv_path)
-    try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(csv_path)),
-                                   suffix=".tmp")
-    except OSError as e:
-        raise OSError(e.errno, e.strerror, csv_path) from None
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            preds, truths = predict.predict_manifest(spec, params, manifest,
-                                                     average=args.average, channel_means=means,
-                                                     pool=pool)
-            report = evaluate(preds, truths)
-            print(render_report(report), end="")
-            fh.write(render_csv(report))
-        os.replace(tmp, csv_path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    # The report file is opened before any image is scored, so that an
+    # unwritable path fails at once, and is in place only once it is whole.
+    with checkpoint.atomic_open(csv_path) as fh:
+        preds, truths = predict.predict_manifest(spec, params, manifest,
+                                                 average=args.average, channel_means=means,
+                                                 pool=pool)
+        report = evaluate(preds, truths)
+        print(render_report(report), end="")
+        fh.write(render_csv(report).encode("utf-8"))
     print(f"wrote {csv_path}", file=sys.stderr)
     return 0
 

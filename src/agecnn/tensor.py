@@ -17,10 +17,11 @@ round a product differently at another thread count, so the CLI runs every
 command at one BLAS thread (``set_blas_threads``) and spreads a layer's work
 over its own worker threads (``network.WorkerPool``), in pieces that do not
 depend on the worker count. Same seed, same bytes then holds at any core
-count and any ``OPENBLAS_NUM_THREADS``, on one CPU kernel family. A fresh
-head's normal draw is spread the same way: each block of a weight comes
-from its own keyed stream (``Rng.derive``; see ``network.DrawnWeight``), so
-no block waits for another.
+count and any ``OPENBLAS_NUM_THREADS``, on one CPU kernel family. Normal
+draws (``gaussian_fill``) are made in float32 straight into their tensor. A
+fresh head's draw is spread like a layer's work: each block of a weight
+comes from its own keyed stream (``Rng.derive``; see
+``network.DrawnWeight``), so no block waits for another.
 """
 
 from __future__ import annotations
@@ -71,21 +72,17 @@ class Rng:
         return self._gen.permutation(n)
 
 
-# Elements gaussian_fill draws per call. The stream is consumed in order, so
-# blocked draws equal one full draw, without a float64 copy of the tensor.
-_FILL_BLOCK = 65536
-
-
 def gaussian_fill(shape, mean: float, std: float, rng: Rng, out=None) -> np.ndarray:
     """Float32 tensor of the given shape, elements i.i.d. normal(mean, std^2):
     a new one, or ``out`` (a C-contiguous float32 array of that shape) filled
     in place and returned.
 
-    std = 0 degenerates to a constant fill with mean. Deterministic given the
-    rng's seed: equal to one float64 draw of the whole shape, cast to float32.
-    The draw takes the rng's next values in row-major order, so filling the
-    consecutive pieces of a tensor one after another, with nothing else drawn
-    from the rng between them, gives the values one fill of the whole makes.
+    numpy's float32 normal is drawn straight into the result, then scaled by
+    std and shifted by mean in place, in float32; std = 0 gives mean
+    everywhere. Deterministic given the rng's seed. The draw takes the rng's
+    next values in row-major order, so filling the consecutive pieces of a
+    tensor one after another, with nothing else drawn from the rng between
+    them, gives the values one fill of the whole makes.
     """
     if std < 0:
         raise ParameterError(f"std must be >= 0, got {std}")
@@ -95,9 +92,10 @@ def gaussian_fill(shape, mean: float, std: float, rng: Rng, out=None) -> np.ndar
         raise ShapeError(f"gaussian_fill of {tuple(shape)} cannot fill an array of "
                          f"{out.shape} {out.dtype}")
     flat = out.reshape(-1)
-    for start in range(0, flat.size, _FILL_BLOCK):
-        flat[start:start + _FILL_BLOCK] = rng.normal(min(_FILL_BLOCK, flat.size - start),
-                                                     mean, std)
+    rng._gen.standard_normal(dtype=DTYPE, out=flat)
+    # as Python floats the scalars are cast to float32, not the product to float64
+    flat *= float(std)
+    flat += float(mean)
     return out
 
 

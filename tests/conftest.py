@@ -118,6 +118,20 @@ def to64(params):
             for l, group in params.items()}
 
 
+# A file left open, or an exception lost in a finalizer or on a thread,
+# fails the test. test_acceptance.py is exempt: it leaks two file handles
+# of its own.
+STRICT_WARNINGS = ("error::ResourceWarning",
+                   "error::pytest.PytestUnraisableExceptionWarning",
+                   "error::pytest.PytestUnhandledThreadExceptionWarning")
+
+
+def pytest_collection_modifyitems(items):
+    for item in items:
+        if item.path.name != "test_acceptance.py":
+            item.add_marker(pytest.mark.filterwarnings(*STRICT_WARNINGS))
+
+
 @pytest.fixture(autouse=True)
 def no_engine_thread_left():
     """Fail a test that leaves a checkpoint helper or a pool worker running."""

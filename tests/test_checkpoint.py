@@ -15,7 +15,7 @@ from agecnn import (ConfigError, FormatError, IntegrityError, NetworkSpec,
                     OptState, Rng, SgdConfig, ShapeError, build_profile,
                     head_replace, import_trunk, init_params, init_state, load, make_mask,
                     save, train_epoch)
-from agecnn import checkpoint, network, tensor
+from agecnn import checkpoint, network
 from agecnn.checkpoint import HEADER_SIZE, MAGIC, VERSION
 from agecnn.cli import main
 from agecnn.network import eval_scores, param_shapes
@@ -676,10 +676,10 @@ class TestDrawOnWrite:
     @pytest.mark.parametrize("piece_bytes, block", [(None, None), (4 * 1000, 333), (4 * 7, 5)],
                              ids=["shipped", "1000-values-by-333", "7-values-by-5"])
     def test_same_bytes_as_eager(self, tmp_path, monkeypatch, piece_bytes, block):
+        # pieces of piece_bytes / 4 values, fresh weights in blocks of block values
         if piece_bytes is not None:
             monkeypatch.setattr(checkpoint, "PIECE_BYTES", piece_bytes)
-            monkeypatch.setattr(network, "DRAW_BLOCK", piece_bytes // 4)
-            monkeypatch.setattr(tensor, "_FILL_BLOCK", block)
+            monkeypatch.setattr(network, "DRAW_BLOCK", block)
         spec, params, _ = mini_fixture()
         files = []
         for draw in (False, True):
@@ -738,7 +738,7 @@ class TestFormatGolden:
 
     def test_mini_init(self, tmp_path):
         assert self._digest(tmp_path, *mini_fixture()) == (
-            "4d607e0e0d78853675b0754554a985ba954ea54072946a12b4fbc52111544f36", 152319)
+            "7fdf53d6943161ef53b6893313285d27765b569b7cc517ef4a3632cd1081ba6b", 152319)
 
     @pytest.mark.parametrize("piece_bytes", [None, 4 * 7], ids=["shipped", "7-values"])
     @pytest.mark.parametrize("convert", [
@@ -754,25 +754,25 @@ class TestFormatGolden:
         params = {name: {t: convert(a) for t, a in group.items()}
                   for name, group in params.items()}
         assert self._digest(tmp_path, spec, params, mask) == (
-            "4d607e0e0d78853675b0754554a985ba954ea54072946a12b4fbc52111544f36", 152319)
+            "7fdf53d6943161ef53b6893313285d27765b569b7cc517ef4a3632cd1081ba6b", 152319)
 
     def test_mini_after_head_replace(self, tmp_path):
         spec, params, _ = mini_fixture()
         replaced = head_replace(spec, [32, 16, 8], params, Rng(0).derive(0))
         assert self._digest(tmp_path, *replaced) == (
-            "94779e5154eebb339498cf8757a84b27df6423f3fd00b0870392c73c05af8bf8", 152319)
+            "2fb6bb688d10c964504b8701e4c58f2d50e2ed38f7e9355986c4dc890055e0de", 152319)
 
     def test_mini_after_head_replace_drawn_on_write(self, tmp_path):
         spec, params, _ = mini_fixture()
         replaced = head_replace(spec, [32, 16, 8], params, Rng(0).derive(0), draw_on_write=True)
         assert self._digest(tmp_path, *replaced) == (
-            "94779e5154eebb339498cf8757a84b27df6423f3fd00b0870392c73c05af8bf8", 152319)
+            "2fb6bb688d10c964504b8701e4c58f2d50e2ed38f7e9355986c4dc890055e0de", 152319)
 
     def test_mini_with_optimizer_state(self, tmp_path):
         spec, params, mask = mini_fixture()
         state = sample_state(params, mask)
         assert self._digest(tmp_path, spec, params, mask, state) == (
-            "cf6f41978dfd748d2d3cf0781fc3047105797e46a0330d74a3f7386bd074a0af", 303680)
+            "54b4b7951f147d62bf8c3a455b33c4afa3660598c68e2f166d5492a45c1c0b4a", 303680)
 
 
 class TestMemory:
@@ -794,9 +794,6 @@ class TestMemory:
         # at 64 KB pieces both first fc weights (256 KB and 8 MB) span many pieces
         monkeypatch.setattr(checkpoint, "PIECE_BYTES", 64 << 10)
         monkeypatch.setattr(network, "DRAW_BLOCK", (64 << 10) // 4)
-        # gaussian_fill's float64 scratch at the shipped share of a block
-        # (1/32), so two workers' scratch is not twice the block itself
-        monkeypatch.setattr(tensor, "_FILL_BLOCK", (64 << 10) // 4 // 32)
         spec, params, mask = mini_fixture()
         donor = str(tmp_path / "donor.acnn")
         save(spec, params, mask, donor)

@@ -220,6 +220,29 @@ class TestSurgery:
         assert os.listdir(tmp_path) == ["model.acnn"]
         assert cli._parse_head("4294967295,8") == [4294967295, 8]
 
+    @pytest.mark.parametrize("where, code", [("missing/m.acnn", errno.ENOENT),
+                                             ("a-directory", errno.EISDIR)],
+                             ids=["missing-directory", "directory"])
+    def test_unwritable_out_fails_before_drawing(self, tmp_path, monkeypatch, capsys,
+                                                 where, code):
+        donor = make_model(tmp_path)
+        os.mkdir(tmp_path / "a-directory")
+        out = str(tmp_path / where)
+        real_fill, fills = network.gaussian_fill, []
+
+        def counting_fill(*args, **kwargs):
+            fills.append(1)
+            return real_fill(*args, **kwargs)
+
+        monkeypatch.setattr(network, "gaussian_fill", counting_fill)
+        assert main(["surgery", "--in", donor, "--profile", "mini", "--head", "32,16,8",
+                     "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and fills == []
+        assert captured.err.splitlines() == [f"[Errno {code}] {os.strerror(code)}: {out!r}"]
+        assert sorted(os.listdir(tmp_path)) == ["a-directory", "model.acnn"]
+        assert os.listdir(tmp_path / "a-directory") == []
+
     @pytest.mark.parametrize("error, line", [
         (MemoryError("Unable to allocate 18.6 GiB"), "Unable to allocate 18.6 GiB"),
         (MemoryError(), "MemoryError()")], ids=["message", "bare"])

@@ -76,21 +76,21 @@ class TestGaussianFill:
         t = gaussian_fill((8,), 0.0, 1.0, Rng(4))
         assert t.dtype == np.float32
 
-    @pytest.mark.parametrize("block", [None, 7])
-    def test_blocked_draw_equals_full_draw(self, block, monkeypatch):
-        # several whole blocks plus a short one, at the shipped block size and
-        # at a tiny one
-        if block is not None:
-            monkeypatch.setattr(tensor, "_FILL_BLOCK", block)
-        shape = (3, 5, 11) if block else (1000003,)
-        want = Rng(13).normal(shape, 0.5, 2.0).astype(np.float32)
-        got = gaussian_fill(shape, 0.5, 2.0, Rng(13))
+    @pytest.mark.parametrize("shape", [(1,), (3, 5, 11), (1000003,)],
+                             ids=["1", "3x5x11", "1000003"])
+    @pytest.mark.parametrize("mean, std", [(0.0, 1.0), (0.5, 2.0), (-3.0, 0.01), (2.5, 0.0)])
+    def test_float32_draw_scaled_then_shifted(self, shape, mean, std):
+        # the bytes of numpy's float32 normal from a twin stream, times std
+        # plus mean, each step rounded to float32
+        z = Rng(13)._gen.standard_normal(shape, dtype=np.float32)
+        want = z * np.float32(std) + np.float32(mean)
+        got = gaussian_fill(shape, mean, std, Rng(13))
         assert got.shape == want.shape and got.dtype == np.float32
         assert got.tobytes() == want.tobytes()
 
-    def test_pieces_filled_in_order_equal_one_fill(self, monkeypatch):
-        # pieces of 10 and 7 values through blocks of 3: no boundary lines up
-        monkeypatch.setattr(tensor, "_FILL_BLOCK", 3)
+    def test_pieces_filled_in_order_equal_one_fill(self):
+        # pieces of 10, 7 and 19 values: odd lengths, so a piece can end on
+        # half of a 64-bit generator output
         want = gaussian_fill((4, 9), 0.0, 0.01, Rng(5)).reshape(-1)
         rng, got = Rng(5), np.empty(36, np.float32)
         for lo, hi in ((0, 10), (10, 17), (17, 36)):
@@ -104,12 +104,6 @@ class TestGaussianFill:
     def test_out_must_fit(self, out):
         with pytest.raises(ShapeError):
             gaussian_fill((6,), 0.0, 1.0, Rng(1), out=out)
-
-    def test_twin_stream_stays_in_step(self):
-        filled, twin = Rng(21), Rng(21)
-        gaussian_fill((300, 700), 0.0, 0.01, filled)
-        twin.normal((300, 700))
-        assert np.array_equal(filled.normal((5,)), twin.normal((5,)))
 
 
 def padded_rows(x, pad, first, rows):
