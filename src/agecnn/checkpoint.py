@@ -36,28 +36,25 @@ Both directions make one pass over the file and keep one rule for body
 bytes: every one goes to one helper thread (``_Crc``), in file order, as it
 comes. In save the helper is the only thread that writes the body: the
 calling thread makes the bytes (packs each field, cuts each tensor into
-pieces, which the save's worker pool makes for a tensor that is not ready
-bytes) and touches the file only for the 12-byte header before the body
+pieces) and touches the file only for the 12-byte header before the body
 and the CRC after it; the helper writes each piece, folds it into the CRC
-and hands it back. A tensor's pieces take one of two routes, chosen by the
-tensor alone. A C-contiguous little-endian float32 array is ready bytes,
-and its pieces are views of its own memory, PIECE_BYTES each. Any other
-tensor is made into the ring of at most DRAW_BUFFERS reused buffers, a
-round of ``pool.workers`` pieces at a time, while the helper writes the
-rounds before. A ``network.DrawnWeight`` (surgery's fresh head) is drawn
-one block (``network.DRAW_BLOCK`` values) to a piece, each block from its
-own keyed stream, so the bytes do not depend on the pool or on
-PIECE_BYTES; an array of another dtype, byte order or layout is cast
-PIECE_BYTES to a piece in row-major order as ``astype`` casts. So save
-holds at most DRAW_BUFFERS pieces beyond the caller's tensors, and a
-tensor's bytes are the same on either route. In load the
-calling thread parses the fields in order and reads each tensor's values
-from the file straight into its own array, and the helper folds every byte
-read, the rest of a file whose parse failed included. The CRC is compared
-before the content checks run and before any array is returned, so the bytes
-checked are the bytes returned. Files are written by ``atomic_open``, as
-eval's report is: to a temp path, renamed into place (os.replace), so readers
-never observe a partial file, and a reader holding it keeps the old one.
+and hands it back. A tensor's pieces take one route per source. An array
+(from ``load``, ``init_params``, ``init_state`` or the SGD step) is
+C-contiguous little-endian float32, and its pieces are views of its own
+memory, PIECE_BYTES each; ``save`` refuses any other array before it makes a
+file. A ``network.DrawnWeight`` (surgery's fresh head) is drawn on the save's
+worker pool, one block (``network.DRAW_BLOCK`` values) to a piece, each from
+its own keyed stream, a round of ``pool.workers`` blocks at a time into a
+ring of at most DRAW_BUFFERS reused buffers, while the helper writes the
+rounds before; its bytes do not depend on the pool or on PIECE_BYTES. In
+load the calling thread parses the fields in order and reads each tensor's
+values from the file straight into its own array, and the helper folds
+every byte read, the rest of a file whose parse failed included. The CRC is
+compared before the content checks run and before any array is returned, so
+the bytes checked are the bytes returned. Files are written by
+``atomic_open``, as eval's report is: to a temp path, renamed into place
+(os.replace), so readers never observe a partial file, and a reader holding
+it keeps the old one.
 """
 
 from __future__ import annotations
@@ -84,20 +81,32 @@ VERSION = 1
 HEADER_SIZE = 12
 MAX_RANK = 4  # conv weights; no tensor of any network has more axes
 PIECE_BYTES = 8 << 20  # tensor values move to and from the file in pieces this size
-DRAW_BUFFERS = 4  # most ring buffers a tensor that is not ready bytes is made into; a
-                  # round of two pieces is made while the helper writes the two before
-CAST_ELEMENTS = 8192  # values _cast's iterator casts into its buffer at a time
+DRAW_BUFFERS = 4  # most ring buffers a DrawnWeight is drawn into; a round of two
+                  # blocks is drawn while the helper writes the two before
 
 _TENSOR_ORDER = ("weight", "bias")
 
 
 def _check_content(spec, params, mask, state):
-    """Params, freeze mask and any optimizer velocity must match the spec; the
-    velocity covers exactly the trainable layers. Raises ConfigError or ShapeError."""
+    """Params, freeze mask and any optimizer velocity must match the spec, the
+    velocity cover exactly the trainable layers, and each tensor be a
+    C-contiguous <f4 array or a DrawnWeight. Raises ConfigError or ShapeError."""
     net.validate_params(spec, params)
     net.check_mask(spec, mask)
+    groups = {"params": params}
     if state is not None:
         net.check_group(spec, "velocity", state.velocity, [n for n in mask if mask[n]])
+        groups["velocity"] = state.velocity
+    for what, group in groups.items():
+        for name, tensors in group.items():
+            for tname, t in tensors.items():
+                if isinstance(t, net.DrawnWeight) or (
+                        isinstance(t, np.ndarray) and t.dtype == "<f4" and t.flags.c_contiguous):
+                    continue
+                got = (f"a {type(t).__name__}" if not isinstance(t, np.ndarray) else
+                       f"dtype {t.dtype.str}" if t.dtype != "<f4" else "not C-contiguous")
+                raise ConfigError(f"{what} for layer {name!r}: {tname} is {got}, expected "
+                                  "C-contiguous <f4; cast with np.ascontiguousarray(a, np.float32)")
 
 
 class _Crc:
@@ -180,25 +189,9 @@ def _pieces(array):
     return [flat[lo:lo + PIECE_BYTES] for lo in range(0, flat.size, PIECE_BYTES)]
 
 
-def _cast(out, array, lo):
-    """Fill float32 ``out`` with ``array``'s values from flat index ``lo`` on,
-    in row-major order, cast as ``astype`` casts them. One buffered iterator
-    over that range of ``array``, of any layout, casts at most CAST_ELEMENTS
-    values at a time into its own buffer, and each chunk is copied into
-    ``out``, so nothing is copied whole."""
-    it = np.nditer(array, flags=["buffered", "external_loop", "ranged"], op_dtypes=["<f4"],
-                   casting="unsafe", order="C", buffersize=CAST_ELEMENTS)
-    it.iterrange = (lo, lo + out.size)
-    at = 0
-    for chunk in it:
-        out[at:at + chunk.size] = chunk
-        at += chunk.size
-
-
 class _Writer:
     """Mirror of _Reader: makes the body's bytes in file order and gives them
-    to a _Crc, whose helper writes them. Tensors that are not ready bytes
-    are made on ``pool``."""
+    to a _Crc, whose helper writes them. DrawnWeights are drawn on ``pool``."""
 
     def __init__(self, crc, pool):
         self.crc = crc
@@ -220,22 +213,19 @@ class _Writer:
             t = group[name]
             self.string(name)
             self.pack(f"B{len(t.shape)}I", len(t.shape), *t.shape)
-            if isinstance(t, np.ndarray) and t.dtype == "<f4" and t.flags.c_contiguous:
+            if isinstance(t, net.DrawnWeight):
+                self.draw(t)
+            else:
                 for piece in _pieces(t):
                     self.crc.give(piece)
-            else:
-                self.draw(t)
 
     def draw(self, t):
-        """Give a tensor that is not ready bytes (a DrawnWeight, or an array
-        of another dtype, byte order or layout) as float32 pieces in
-        row-major order, made a round of ``pool.workers`` pieces at a time on
-        the pool into at most DRAW_BUFFERS reused buffers, while the helper
-        writes and folds the rounds before. A DrawnWeight's piece is one of
-        its blocks (``network.DRAW_BLOCK`` values); an array's is PIECE_BYTES
-        of its values, cast as ``astype`` casts them."""
-        drawn = isinstance(t, net.DrawnWeight)
-        step = max(1, min(net.DRAW_BLOCK if drawn else PIECE_BYTES // 4, t.size))
+        """Give a DrawnWeight as float32 pieces in row-major order, one of its
+        blocks (``network.DRAW_BLOCK`` values) to a piece, drawn a round of
+        ``pool.workers`` blocks at a time on the pool into at most
+        DRAW_BUFFERS reused buffers, while the helper writes and folds the
+        rounds before."""
+        step = max(1, min(net.DRAW_BLOCK, t.size))
         count = -(-t.size // step)
         free = queue.SimpleQueue()
         buffers = min(DRAW_BUFFERS, count)
@@ -243,11 +233,7 @@ class _Writer:
             free.put(np.empty(step, "<f4"))
 
         def make(j, worker):
-            i, piece = first + j, pieces[j]
-            if drawn:
-                t.block(i, piece)
-            else:  # a subclass such as np.matrix indexes otherwise
-                _cast(piece, np.asarray(t), i * step)
+            t.block(first + j, pieces[j])
 
         per_round = min(self.pool.workers, buffers)
         for first in range(0, count, per_round):
@@ -305,18 +291,25 @@ def _write_body(out, spec, params, mask, state):
             out.tensor_group(state.velocity[name])
 
 
-@contextlib.contextmanager
-def atomic_open(path):
-    """A binary file open on a temp file beside ``path``, renamed onto
-    ``path`` (os.replace) if the ``with`` block ends cleanly and removed if
-    it raises. A directory at ``path`` is refused before anything is written;
-    an OSError of making the temp file or of the rename names ``path``."""
+def temp_beside(path):
+    """(fd, path) of a new temp file beside ``path``, which ``atomic_open``
+    renames onto it. A directory at ``path`` is refused, and an OSError of
+    making the temp file names ``path``."""
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+        return tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     except OSError as e:
         raise OSError(e.errno, e.strerror, path) from None
+
+
+@contextlib.contextmanager
+def atomic_open(path):
+    """A binary file open on a temp file beside ``path`` (``temp_beside``,
+    so a bad path fails before anything is written), renamed onto ``path``
+    (os.replace) if the ``with`` block ends cleanly and removed if it
+    raises. An OSError of the rename names ``path``."""
+    fd, tmp = temp_beside(path)
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh
@@ -332,10 +325,11 @@ def atomic_open(path):
 def save(spec, params, mask, path, state: OptState | None = None, pool=None) -> None:
     """Write a checkpoint; identical inputs always produce identical bytes.
 
-    Fresh weights (``network.DrawnWeight``), and arrays that need a cast, are
-    made on the workers of ``pool`` (a ``network.WorkerPool``, or a
-    one-worker pool for the call); the bytes do not depend on its size. A
-    DrawnWeight may be saved any number of times, with the same bytes.
+    Each tensor is a C-contiguous little-endian float32 array, written from
+    its own memory, or a ``network.DrawnWeight``, drawn on the workers of
+    ``pool`` (a ``network.WorkerPool``, or a one-worker pool for the call)
+    with the same bytes at any pool size and on every save. Any other tensor
+    is a ConfigError before a file is made.
     """
     _check_content(spec, params, mask, state)
     own = net.WorkerPool() if pool is None else contextlib.nullcontext(pool)

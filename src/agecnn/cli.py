@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 
 import numpy as np
@@ -232,6 +233,10 @@ def cmd_train(args, pool):
         batch_size=args.batch_size, lr_factor=args.lr_factor, patience=args.patience,
         min_lr=args.min_lr, improvement_epsilon=args.improvement_eps)
 
+    # --out gets save's checks now, so that a bad path fails before the first epoch
+    fd, tmp = checkpoint.temp_beside(args.out)
+    os.close(fd)
+    os.unlink(tmp)
     spec, params, mask, state = checkpoint.load(args.model)
     _check_classes(spec)
     train_manifest = _load_manifest(args.train_manifest)

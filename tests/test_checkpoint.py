@@ -264,6 +264,32 @@ class TestSaveValidation:
         with pytest.raises(ConfigError):
             save(spec, params, mask, str(tmp_path / "m.acnn"), state=state)
 
+    @pytest.mark.parametrize("group, layer, tensor, make, got", [
+        ("params", "conv1_1", "weight", lambda a: a.astype(np.float64), "dtype <f8"),
+        ("params", "fc3", "weight", lambda a: a.astype(np.float16), "dtype <f2"),
+        ("params", "conv2_1", "bias", lambda a: a.astype(">f4"), "dtype >f4"),
+        ("params", "fc4", "weight", np.asfortranarray, "not C-contiguous"),
+        ("params", "conv1_2", "weight", lambda a: np.repeat(a, 2, axis=1)[:, ::2],
+         "not C-contiguous"),
+        ("params", "fc5", "weight", lambda a: np.asmatrix(a.astype(np.float64)), "dtype <f8"),
+        ("velocity", "fc4", "weight", lambda a: a.astype(np.float64), "dtype <f8")],
+        ids=["float64", "float16", "big-endian", "fortran", "strided", "float64-matrix",
+             "velocity-float64"])
+    @pytest.mark.filterwarnings("ignore::PendingDeprecationWarning")
+    def test_array_not_c_contiguous_float32_refused(self, tmp_path, group, layer, tensor,
+                                                    make, got):
+        # save writes arrays from their own memory and casts none
+        spec, params, mask = mini_fixture()
+        state = sample_state(params, mask)
+        tensors = (params if group == "params" else state.velocity)[layer]
+        tensors[tensor] = make(tensors[tensor])
+        with pytest.raises(ConfigError) as info:
+            save(spec, params, mask, str(tmp_path / "m.acnn"), state=state)
+        assert str(info.value) == (
+            f"{group} for layer {layer!r}: {tensor} is {got}, expected C-contiguous <f4; "
+            "cast with np.ascontiguousarray(a, np.float32)")
+        assert os.listdir(tmp_path) == []
+
 
 class TestLoadRejections:
     def _saved(self, tmp_path):
@@ -740,19 +766,14 @@ class TestFormatGolden:
         assert self._digest(tmp_path, *mini_fixture()) == (
             "7fdf53d6943161ef53b6893313285d27765b569b7cc517ef4a3632cd1081ba6b", 152319)
 
-    @pytest.mark.parametrize("piece_bytes", [None, 4 * 7], ids=["shipped", "7-values"])
-    @pytest.mark.parametrize("convert", [
-        lambda a: a, lambda a: a.astype(np.float64), np.asfortranarray,
-        lambda a: a.astype(">f4"),
-        lambda a: np.asmatrix(a.astype(np.float64)) if a.ndim == 2 else a],
-        ids=["float32", "float64", "fortran", "big-endian", "float64-matrix"])
-    @pytest.mark.filterwarnings("ignore::PendingDeprecationWarning")
-    def test_mini_init_converted(self, tmp_path, monkeypatch, convert, piece_bytes):
-        if piece_bytes is not None:  # converted pieces start and end mid-row
+    @pytest.mark.parametrize("piece_bytes", [None, 4 * 7],
+                             ids=["float32-shipped", "float32-7-values"])
+    def test_mini_init_converted(self, tmp_path, monkeypatch, piece_bytes):
+        # float32 arrays are written as views of their memory; at 7 values
+        # the pieces start and end mid-row
+        if piece_bytes is not None:
             monkeypatch.setattr(checkpoint, "PIECE_BYTES", piece_bytes)
         spec, params, mask = mini_fixture()
-        params = {name: {t: convert(a) for t, a in group.items()}
-                  for name, group in params.items()}
         assert self._digest(tmp_path, spec, params, mask) == (
             "7fdf53d6943161ef53b6893313285d27765b569b7cc517ef4a3632cd1081ba6b", 152319)
 
@@ -809,19 +830,6 @@ class TestMemory:
             assert code == 0
         assert abs(peaks[2048] - peaks[64]) < checkpoint.PIECE_BYTES
         assert peaks[2048] < 4 * 1024 * 2048  # fc3's weight is never held whole
-
-    def test_converted_save_peak_does_not_grow_with_the_head(self, tmp_path, monkeypatch):
-        # float64 params go through the ring a piece at a time, never cast whole
-        monkeypatch.setattr(checkpoint, "PIECE_BYTES", 64 << 10)
-        spec, params, _ = mini_fixture()
-        peaks = {}
-        for width in (64, 2048):
-            new_spec, fresh, mask = head_replace(spec, [width, 16, 8], params, Rng(0).derive(0))
-            wide = {name: {t: a.astype(np.float64) for t, a in group.items()}
-                    for name, group in fresh.items()}
-            path = str(tmp_path / f"{width}.acnn")
-            peaks[width], _ = traced_peak(lambda: save(new_spec, wide, mask, path))
-        assert abs(peaks[2048] - peaks[64]) < checkpoint.PIECE_BYTES
 
     def test_one_piece_drawn_weight_makes_one_buffer(self, tmp_path):
         # fc3's 2 MB weight is one piece; DRAW_BUFFERS of it would be 8 MB

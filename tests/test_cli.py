@@ -5,6 +5,8 @@ import io
 import os
 import re
 import shutil
+import subprocess
+import sys
 import threading
 from dataclasses import replace
 
@@ -300,6 +302,31 @@ class TestTrain:
                      "--val", manifest, "--epochs", "-1",
                      "--out", str(tmp_path / "ck.acnn")])
         assert code == 2
+
+    @pytest.mark.parametrize("where, code", [("missing/t.acnn", errno.ENOENT),
+                                             ("a-directory", errno.EISDIR)],
+                             ids=["missing-directory", "directory"])
+    def test_unwritable_out_fails_before_the_first_epoch(self, tmp_path, monkeypatch, capsys,
+                                                         where, code):
+        model = make_model(tmp_path)
+        manifest, _ = dataset(tmp_path)
+        os.mkdir(tmp_path / "a-directory")
+        listed = sorted(os.listdir(tmp_path))
+        out = str(tmp_path / where)
+        real_epoch, epochs = cli.optim.train_epoch, []
+
+        def counting_epoch(*args, **kwargs):
+            epochs.append(1)
+            return real_epoch(*args, **kwargs)
+
+        monkeypatch.setattr(cli.optim, "train_epoch", counting_epoch)
+        assert main(["train", "--model", model, "--train", manifest, "--val", manifest,
+                     "--epochs", "3", "--batch-size", "4", "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and epochs == []
+        assert captured.err.splitlines() == [f"[Errno {code}] {os.strerror(code)}: {out!r}"]
+        assert sorted(os.listdir(tmp_path)) == listed
+        assert os.listdir(tmp_path / "a-directory") == []
 
     def test_reruns_byte_identical(self, tmp_path):
         model = make_model(tmp_path)
@@ -1173,3 +1200,21 @@ class TestEngineThreads:
         monkeypatch.setattr(network, "pool_size", lambda: 1)
         assert main(argv) == 1
         assert capsys.readouterr() == (out, err)
+
+
+def test_module_entry_point_exits_with_main_code(tmp_path):
+    # python -m agecnn runs cli.entry, which turns main's return into the exit code
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "agecnn", *argv], cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                              text=True, timeout=120)
+
+    done = run("inspect", "--profile", "mini")
+    assert done.returncode == 0 and done.stdout.splitlines()[0] == "network: mini"
+    assert run("inspect", "--profile", "mini", "--no-such-flag").returncode == 2
+    missing = str(tmp_path / "missing.acnn")
+    done = run("inspect", "--model", missing)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert len(done.stderr.splitlines()) == 1 and missing in done.stderr
