@@ -91,7 +91,7 @@ def _check_content(spec, params, mask, state):
     """Params, freeze mask and any optimizer velocity must match the spec, the
     velocity cover exactly the trainable layers, and each tensor be a
     C-contiguous <f4 array or a DrawnWeight. Raises ConfigError or ShapeError."""
-    net.validate_params(spec, params)
+    net.check_group(spec, "params", params, [l.name for l in spec.parameterized()])
     net.check_mask(spec, mask)
     groups = {"params": params}
     if state is not None:
@@ -294,7 +294,10 @@ def _write_body(out, spec, params, mask, state):
 def temp_beside(path):
     """(fd, path) of a new temp file beside ``path``, which ``atomic_open``
     renames onto it. A directory at ``path`` is refused, and an OSError of
-    making the temp file names ``path``."""
+    making the temp file names ``path``. An empty path, whose directory would
+    be the working directory's parent, is refused."""
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, "an empty path names no file", path)
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     try:

@@ -207,7 +207,17 @@ def _load_manifest(path):
     return manifest
 
 
+def _check_out(path):
+    """Give ``--out`` save's checks now, so that a bad path fails before any work."""
+    if not path:
+        raise OSError("--out is an empty path")
+    fd, tmp = checkpoint.temp_beside(path)
+    os.close(fd)
+    os.unlink(tmp)
+
+
 def cmd_surgery(args, pool):
+    _check_out(args.out)
     head = _parse_head(args.head)
     spec = network.build_profile(args.profile)
     trunk_params = checkpoint.import_trunk(args.in_path, spec)
@@ -233,10 +243,7 @@ def cmd_train(args, pool):
         batch_size=args.batch_size, lr_factor=args.lr_factor, patience=args.patience,
         min_lr=args.min_lr, improvement_epsilon=args.improvement_eps)
 
-    # --out gets save's checks now, so that a bad path fails before the first epoch
-    fd, tmp = checkpoint.temp_beside(args.out)
-    os.close(fd)
-    os.unlink(tmp)
+    _check_out(args.out)
     spec, params, mask, state = checkpoint.load(args.model)
     _check_classes(spec)
     train_manifest = _load_manifest(args.train_manifest)

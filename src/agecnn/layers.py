@@ -18,7 +18,7 @@ into its buffers and the pool's workers share them. Train mode takes no plan:
 the pieces write into new arrays, in order, and the body keeps what backward
 reads. A plan holds two ping-pong activation buffers, the only buffers that
 grow with the rows, and per worker the scratch each kind's ``scratch`` rule
-sizes: conv's slab, patch band and GEMM band, and LRN's prefix buffer. Conv,
+sizes: conv's slab, patch band and GEMM band, and LRN's squares. Conv,
 LRN and max pooling write into the activation buffer their input is not in,
 ReLU works in place, eval dropout is the identity and fc allocates its
 (small) output. For the ``vgg-face-age`` trunk at 3 rows the plan is about
@@ -447,46 +447,33 @@ def relu_backward(cache, d_out):
 # lrn (across-channel local response normalization)
 # ---------------------------------------------------------------------------
 
-def _channel_window_sum(t, n, prefix=None, out=None):
-    """Sliding sum of width n along the channel axis; zero and total padding clip the window.
+def _channel_window_sum(t, n, out):
+    """Sliding sum of width n along the channel axis into ``out``; zero padding clips the window.
 
-    A window wider than 2C - 1 covers every channel at every position, so the
-    width is clamped there, which gives the same sums from a prefix that does
-    not grow with n. ``prefix`` (C plus the clamped width, in channels) holds
-    the padded cumulative sum and ``out`` the result; either is allocated when
-    not given. ``out`` may be ``t``.
+    Each window is rounded from its own terms only: the centre channel, then
+    the one 1 below, 1 above, 2 below, and so on. A window wider than the
+    channels stops at the last distance that still reaches one. ``out`` must
+    not overlap ``t``.
     """
-    c = t.shape[1]
-    n = min(n, 2 * c - 1)
-    half = n // 2
-    if prefix is None:
-        prefix = np.empty(t.shape[:1] + (c + n,) + t.shape[2:], dtype=t.dtype)
-    prefix[:, :half + 1] = 0
-    # the prefix by whole-plane adds, each plane after the one before: the
-    # order np.cumsum adds in along the axis, so the same bits, but in
-    # contiguous runs rather than one strided accumulate
-    run = prefix[:, half + 1:half + 1 + c]
-    run[:, 0] = t[:, 0]
-    for j in range(1, c):
-        np.add(run[:, j - 1], t[:, j], out=run[:, j])
-    prefix[:, half + 1 + c:] = prefix[:, half + c:half + 1 + c]
-    return np.subtract(prefix[:, n:], prefix[:, :c], out=out)
+    out[...] = t
+    for s in range(1, min(n // 2, t.shape[1] - 1) + 1):
+        np.add(out[:, s:], t[:, :-s], out=out[:, s:])
+        np.add(out[:, :-s], t[:, s:], out=out[:, :-s])
+    return out
 
 
 def _lrn_scratch(spec, shape):
     c, h, w = shape
-    return {"prefix": (c + min(spec.params["n"], 2 * c - 1)) * _piece_rows(h, c * w) * w}
+    return {"squares": c * _piece_rows(h, c * w) * w}
 
 
 def lrn_forward(x, n, k, alpha, beta, plan=None):
     """y[c] = x[c] / (k + (alpha/n) * sum_{c' in window(c)} x[c']^2)^beta, in pieces of rows.
 
     Given ``plan`` (eval mode) each piece's steps run in place in the
-    activation buffer x is not in, the window sum in its worker's prefix
+    activation buffer x is not in, its squares in its worker's ``squares``
     buffer. Without one, the base k + (alpha/n) * sum and its power
-    ``scale`` go to arrays of their own, kept for backward. The window sum
-    clamps its width at 2C - 1 (``_channel_window_sum``); alpha/n keeps the
-    declared n.
+    ``scale`` go to arrays of their own, kept for backward.
     """
     if n < 1 or n % 2 == 0:
         raise ParameterError(f"lrn window n must be odd and >= 1, got {n}")
@@ -501,9 +488,8 @@ def lrn_forward(x, n, k, alpha, beta, plan=None):
         i, top, end = pieces[j]
         rows = np.s_[i:i + 1, :, top:end]
         part, b, s = x[rows], base[rows], scale[rows]
-        prefix = None if plan is None else plan.take(
-            "prefix", (1, c + min(n, 2 * c - 1), end - top, w), worker)
-        _channel_window_sum(np.multiply(part, part, out=b), n, prefix, b)
+        squares = None if plan is None else plan.take("squares", part.shape, worker)
+        _channel_window_sum(np.multiply(part, part, out=squares), n, b)
         np.multiply(b, alpha / n, out=b)
         np.add(b, k, out=b)
         np.power(b, -beta, out=s)
@@ -518,7 +504,8 @@ def lrn_backward(cache, d_out):
     n, alpha, beta = cache["n"], cache["alpha"], cache["beta"]
     # d_in[j] = d_out[j]*S[j]^-b - (2ab/n) * x[j] * sum_{c in win(j)} d_out[c]*x[c]*S[c]^(-b-1)
     # Window membership is symmetric, so the inner sum is the same sliding sum.
-    inner = _channel_window_sum(d_out * x * scale / base, n)
+    terms = d_out * x * scale / base
+    inner = _channel_window_sum(terms, n, np.empty_like(terms))
     return d_out * scale - (2.0 * alpha * beta / n) * x * inner, {}
 
 

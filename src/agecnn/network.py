@@ -213,11 +213,6 @@ def check_group(spec: NetworkSpec, what: str, group, names):
                                  f"expected {shape}")
 
 
-def validate_params(spec: NetworkSpec, params):
-    """Check ParamSet keys and shapes against the spec; raises on mismatch."""
-    check_group(spec, "params", params, [l.name for l in spec.parameterized()])
-
-
 def make_mask(spec: NetworkSpec, trainable=True):
     """Freeze mask over the parameterized layers.
 
@@ -300,9 +295,9 @@ def head_replace(spec: NetworkSpec, head_widths, params, rng: Rng,
 # do not depend on this; fc's do (see the module docstring). The walk's
 # buffer plan grows with it: the two activation buffers hold this many rows,
 # and they alone, while conv's slab and patch band are one sample's band of
-# rows (layers.BAND_BYTES) and LRN's prefix one piece. At 3, predict's
+# rows (layers.BAND_BYTES) and LRN's squares one piece. At 3, predict's
 # three crops of one image are one call, and the vgg-face-age trunk's plan is
-# about 103.6 MiB on two workers.
+# about 103.5 MiB on two workers.
 MICRO_BATCH = 3
 
 

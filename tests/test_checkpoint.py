@@ -239,6 +239,15 @@ class TestSaveValidation:
         save(spec, params, mask, str(tmp_path / "m.acnn"))
         assert sorted(os.listdir(tmp_path)) == ["m.acnn"]
 
+    def test_empty_path_refused_before_a_temp_file(self, tmp_path, monkeypatch):
+        # an empty path's directory would be the working directory's parent
+        spec, params, mask = mini_fixture()
+        (tmp_path / "work").mkdir()
+        monkeypatch.chdir(tmp_path / "work")
+        with pytest.raises(FileNotFoundError, match="an empty path names no file"):
+            save(spec, params, mask, "")
+        assert os.listdir(tmp_path) == ["work"] and os.listdir(tmp_path / "work") == []
+
     @pytest.mark.parametrize("cut", [lambda v: v.pop("fc5"), lambda v: v["fc5"].pop("bias")],
                              ids=["layer", "bias"])
     def test_partial_velocity_rejected(self, tmp_path, cut):

@@ -521,6 +521,30 @@ class TestTrain:
         assert code == 1
 
 
+@pytest.mark.parametrize("command", ["surgery", "train"])
+def test_empty_out_fails_before_any_work(command, tmp_path, monkeypatch, capsys):
+    # an empty path's directory would be the working directory's parent: a
+    # temp file would be made there and the run's work lost at the rename
+    model = make_model(tmp_path)
+    manifest, _ = dataset(tmp_path)
+    (tmp_path / "work").mkdir()
+    monkeypatch.chdir(tmp_path / "work")
+    listed = sorted(os.listdir(tmp_path))
+
+    def unread(*args):
+        raise AssertionError("a checkpoint was read before --out was checked")
+
+    monkeypatch.setattr(cli.checkpoint, "load", unread)
+    monkeypatch.setattr(cli.checkpoint, "import_trunk", unread)
+    args = {"surgery": ["--in", model, "--profile", "mini", "--head", "32,16,8"],
+            "train": ["--model", model, "--train", manifest, "--val", manifest,
+                      "--epochs", "1"]}[command]
+    assert main([command] + args + ["--out", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == ["--out is an empty path"]
+    assert sorted(os.listdir(tmp_path)) == listed and os.listdir(tmp_path / "work") == []
+
+
 class TestOutputWidth:
     def test_surgery_head_not_8_wide_writes_nothing(self, tmp_path, capsys):
         donor = make_model(tmp_path)

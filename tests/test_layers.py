@@ -101,14 +101,27 @@ def lrn_direct(x, n, k, alpha, beta):
 
 
 def gather_window_sum(t, n):
-    """The window sum as an earlier engine computed it: clipped index arrays
-    into a concatenated prefix sum. The byte reference for every window."""
+    """The window sum by a loop over channels, each window's terms gathered in
+    the engine's order: its own term, then the channels 1 below, 1 above, 2
+    below, and so on. The byte reference for every window."""
     c = t.shape[1]
+    out = np.empty_like(t)
+    for j in range(c):
+        acc = t[:, j].copy()
+        for d in range(1, c):
+            if d <= n // 2 and j - d >= 0:
+                acc = acc + t[:, j - d]
+            if d <= n // 2 and j + d < c:
+                acc = acc + t[:, j + d]
+        out[:, j] = acc
+    return out
+
+
+def direct_window_sum(t, n):
+    """The window sum in float64 over zero-padded channel windows."""
     half = n // 2
-    cs = np.concatenate([np.zeros_like(t[:, :1]), np.cumsum(t, axis=1)], axis=1)
-    hi = np.minimum(np.arange(c) + half + 1, c)
-    lo = np.maximum(np.arange(c) - half, 0)
-    return cs[:, hi] - cs[:, lo]
+    padded = np.pad(t.astype(np.float64), ((0, 0), (half, half), (0, 0), (0, 0)))
+    return np.lib.stride_tricks.sliding_window_view(padded, n, axis=1).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +486,9 @@ class TestLrn:
             d_in, _ = lrn_backward(cache, d_out)
             return [y, cache["denom_base"], cache["scale"], d_in]
 
-        def gather(t, n, prefix=None, out=None):
-            return gather_window_sum(t, n) if out is None else \
-                np.copyto(out, gather_window_sum(t, n))
+        def gather(t, n, out):
+            out[...] = gather_window_sum(t, n)
+            return out
 
         for piece in (layers.PIECE_ELEMENTS, 8):
             monkeypatch.setattr(layers, "PIECE_ELEMENTS", piece)
@@ -488,20 +501,31 @@ class TestLrn:
                 assert g.dtype == w.dtype == np.float32 and g.shape == w.shape
                 assert g.tobytes() == w.tobytes()
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_window_sum_bytes_match_the_cumsum_prefix(self, dtype):
-        # the prefix is built by plane adds; np.cumsum adds in the same order
-        rng = np.random.default_rng(15)
-        for c in range(1, 10):
-            for n in range(1, 2 * c + 6, 2):
-                t = (rng.normal(size=(2, c, 3, 5)) * 10.0 ** rng.integers(-3, 4)).astype(dtype)
-                got = layers._channel_window_sum(t, n)
-                assert got.dtype == dtype
-                assert got.tobytes() == gather_window_sum(t, n).tobytes(), (c, n)
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_window_sums_keep_float32_precision(self, n, monkeypatch):
+        # squares from 1e-6 to 1e6 in random channel order: a small window
+        # after large channels is rounded from its own terms alone. d_out is
+        # positive so backward's terms are too, and the float64 sum of the
+        # float32 terms bounds each window's relative error at a few ulp
+        rng = np.random.default_rng(16)
+        x = (10.0 ** rng.uniform(-3, 3, size=(2, 9, 3, 4))).astype(np.float32)
+        d_out = (10.0 ** rng.uniform(-3, 3, size=x.shape)).astype(np.float32)
+        window_sum, worst = layers._channel_window_sum, []
+
+        def checked(t, n, *out):
+            want = direct_window_sum(t, n)
+            got = window_sum(t, n, *out)
+            worst.append(float(np.max(np.abs(got - want) / want)))
+            return got
+
+        monkeypatch.setattr(layers, "_channel_window_sum", checked)
+        _, cache = lrn_forward(x, n, 2.0, 1e-4, 0.75)
+        lrn_backward(cache, d_out)
+        assert len(worst) >= 2 and max(worst) < 1e-6, worst
 
     def test_eval_peak_is_bounded(self):
         # norm1's channels and window: the plan holds two activation buffers
-        # and one piece's padded prefix sum, and the call, whose steps run in
+        # and one piece's squares, and the call, whose steps run in
         # those buffers, allocates next to nothing
         spec = lrn("norm1", n=3)
         x = np.maximum(np.random.default_rng(13).normal(size=(2, 64, 32, 32)),
@@ -518,7 +542,7 @@ class TestLrn:
 
     def test_window_wider_than_every_channel_sizes_nothing_more(self):
         # a window of 2C - 1 already covers every channel at every position,
-        # so a wider one plans no bigger prefix and gives the same bytes.
+        # so a wider one plans no bigger scratch and gives the same bytes.
         # alpha is n/4 at both widths, so alpha/n and 2*alpha*beta/n are exact
         c, wide = 2, 2_097_153
         rng = np.random.default_rng(14)
@@ -535,7 +559,7 @@ class TestLrn:
                 runs.append((plan.nbytes, y.tobytes(), d_in.tobytes()))
         assert runs[0] == runs[1]
         want = gather_window_sum(x, wide).tobytes()
-        assert layers._channel_window_sum(x, wide).tobytes() == want
+        assert layers._channel_window_sum(x, wide, np.empty_like(x)).tobytes() == want
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
+import math
 import sys
 import threading
 import weakref
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from agecnn import (ConfigError, ParameterError, ResourceError, Rng, ShapeError, StateError,
                     build_profile, gaussian_fill, head_replace, infer_shapes, init_params,
@@ -12,7 +14,7 @@ from agecnn import layers as L
 from agecnn import network as net
 from agecnn.layers import (conv, dropout, fc, forward_layer, lrn, maxpool, relu, softmax,
                            softmax_loss, softmax_log_loss, softmax_log_loss_backward)
-from agecnn.network import NetworkSpec, trunk_and_head, validate_params
+from agecnn.network import NetworkSpec, check_group, trunk_and_head
 
 from conftest import eval_layer, fd_max_rel_err, nan_plans, to64, traced_peak
 
@@ -138,7 +140,7 @@ class TestParams:
     def test_init_matches_declared_shapes(self):
         spec = build_profile("mini")
         params = init_params(spec, Rng(0))
-        validate_params(spec, params)
+        check_group(spec, "params", params, [l.name for l in spec.parameterized()])
         for name, shapes in param_shapes(spec).items():
             for tname, shape in shapes.items():
                 assert params[name][tname].shape == shape
@@ -158,14 +160,14 @@ class TestParams:
         params = init_params(spec, Rng(0))
         del params["fc4"]
         with pytest.raises(ConfigError):
-            validate_params(spec, params)
+            check_group(spec, "params", params, [l.name for l in spec.parameterized()])
 
     def test_validate_rejects_wrong_shape(self):
         spec = build_profile("mini")
         params = init_params(spec, Rng(0))
         params["fc4"]["weight"] = np.zeros((3, 3), np.float32)
         with pytest.raises(ShapeError):
-            validate_params(spec, params)
+            check_group(spec, "params", params, [l.name for l in spec.parameterized()])
 
     def test_make_mask_variants(self):
         spec = build_profile("mini")
@@ -758,6 +760,75 @@ class TestRandomStacks:
         for i in range(len(x)):
             alone = net.eval_layers(spec, params, x[i:i + 1], 0, first_fc)
             assert alone[0].tobytes() == acts[first_fc][i].tobytes(), (spec.layers, i)
+
+
+def reference_forward(layer, x, params):
+    """One layer's forward in float64, by direct sums over window views of
+    ``x`` rather than the engine's bands and pieces."""
+    p, x = layer.params, x.astype(np.float64)
+    params = {t: a.astype(np.float64) for t, a in (params or {}).items()}
+    if layer.kind == "conv":
+        pad, kern, stride = p["pad"], p["kernel"], p["stride"]
+        padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        views = sliding_window_view(padded, (kern, kern), axis=(2, 3))[:, :, ::stride, ::stride]
+        return (np.einsum("ncijuv,ocuv->noij", views, params["weight"])
+                + params["bias"][:, None, None])
+    if layer.kind == "relu":
+        return np.maximum(x, 0)
+    if layer.kind == "lrn":
+        half = p["n"] // 2
+        squares = np.pad(x * x, ((0, 0), (half, half), (0, 0), (0, 0)))
+        sums = sliding_window_view(squares, p["n"], axis=1).sum(axis=-1)
+        return x / (p["k"] + p["alpha"] / p["n"] * sums) ** p["beta"]
+    if layer.kind == "maxpool":
+        window, stride = p["window"], p["stride"]
+        views = sliding_window_view(x, (window, window), axis=(2, 3))
+        return views[:, :, ::stride, ::stride].max(axis=(-2, -1))
+    if layer.kind == "fc":
+        return x.reshape(len(x), -1) @ params["weight"] + params["bias"]
+    assert layer.kind == "softmax_loss"
+    return x
+
+
+def summed_terms(layer, shape):
+    """Terms in each output's sum for input ``shape``: a conv's patch, an fc's
+    inputs, an LRN's window; none for the kinds that only select or copy."""
+    if layer.kind == "conv":
+        return shape[0] * layer.params["kernel"] ** 2
+    if layer.kind == "fc":
+        return math.prod(shape)
+    return layer.params["n"] if layer.kind == "lrn" else 0
+
+
+class TestReferenceForward:
+    """A float64 oracle over the random stacks: each layer, in both modes,
+    against a direct sum from the same float32 input. An output may be off by
+    the float32 error bound of a sum, (terms + 8) unit roundoffs of the same
+    sum over the absolute values of its terms, however a correct kernel orders
+    it; the 8 cover the roundings around the sum (a bias add, or LRN's square,
+    scale, offset, power and product)."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_every_layer_matches_the_float64_direct_sum(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        spec = random_stack(rng)
+        # many pieces, bands and column blocks, shared by two workers
+        monkeypatch.setattr(L, "BAND_BYTES", 2**9)
+        monkeypatch.setattr(L, "PIECE_ELEMENTS", 97)
+        monkeypatch.setattr(L, "FC_COLUMNS", 5)
+        params = init_params(spec, Rng(seed), std=0.5)
+        x = Rng(seed).normal((int(rng.integers(1, 8)),) + spec.input_shape).astype(np.float32)
+        unit = np.finfo(np.float32).eps / 2
+        with nan_plans(net.WorkerPool(2)) as pool:
+            for i, layer in enumerate(spec.layers):
+                want = reference_forward(layer, x, params.get(layer.name))
+                bound = (summed_terms(layer, x.shape[1:]) + 8) * unit * reference_forward(
+                    layer, np.abs(x), {t: np.abs(a) for t, a in params.get(layer.name, {}).items()})
+                y = forward_layer(layer, x, params.get(layer.name), "train")[0]
+                for got in (y, net.eval_layers(spec, params, x, i, i + 1, pool)):
+                    assert got.shape == want.shape
+                    assert np.all(np.abs(got - want) <= bound), (seed, layer)
+                x = y
 
 
 class TestWorkerPool:
