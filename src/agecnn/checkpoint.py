@@ -335,8 +335,7 @@ def save(spec, params, mask, path, state: OptState | None = None, pool=None) -> 
     is a ConfigError before a file is made.
     """
     _check_content(spec, params, mask, state)
-    own = net.WorkerPool() if pool is None else contextlib.nullcontext(pool)
-    with atomic_open(path) as fh, own as pool:
+    with atomic_open(path) as fh, net.pool_for_call(pool) as pool:
         _write(fh, spec, params, mask, state, pool)
 
 

@@ -10,10 +10,11 @@ so reruns and resumed runs are bit-reproducible.
 
 Every command runs at one BLAS thread (``tensor.set_blas_threads``; the
 caller's count is restored on return) on the one ``network.WorkerPool`` of
-``network.pool_size()`` workers that ``main`` opens for it, so its bytes do
-not depend on the core count or on ``OPENBLAS_NUM_THREADS``. Where numpy
-carries no OpenBLAS whose thread count can be set, the pool has one worker
-and BLAS is left alone.
+``network.pool_size()`` workers that ``main`` opens for it: every layer call
+in either mode, fc backward and the momentum step share its workers, so its
+bytes do not depend on the core count or on ``OPENBLAS_NUM_THREADS``. Where
+numpy carries no OpenBLAS whose thread count can be set, the pool has one
+worker and BLAS is left alone.
 Each ``checkpoint.load`` and ``checkpoint.save`` also runs one CRC helper
 thread for its own duration. Every body byte goes to it in file order: it
 folds each into the CRC and, in a save, writes each first, so no output bit

@@ -8,33 +8,44 @@ band's input rows alone are padded. Max pooling is a running maximum over
 strided window views. Direct-sum oracles live in the test suite, and the
 exact analytic gradients are finite-difference checked.
 
-Conv, ReLU, LRN and max pooling each have one forward body. It cuts the output
-into pieces fixed by the shapes alone (conv's bands and filter blocks, row
-ranges of at most about ``PIECE_ELEMENTS``), each written with the same
-operations a whole-batch call makes, so no bit depends on the mode, the batch
-or who ran a piece. Eval mode runs only on a ``BufferPlan``, which
-``network.eval_layers`` gets from a ``network.WorkerPool``: the pieces write
-into its buffers and the pool's workers share them. Train mode takes no plan:
-the pieces write into new arrays, in order, and the body keeps what backward
-reads. A plan holds two ping-pong activation buffers, the only buffers that
-grow with the rows, and per worker the scratch each kind's ``scratch`` rule
-sizes: conv's slab, patch band and GEMM band, and LRN's squares. Conv,
-LRN and max pooling write into the activation buffer their input is not in,
-ReLU works in place, eval dropout is the identity and fc allocates its
-(small) output. For the ``vgg-face-age`` trunk at 3 rows the plan is about
-88.5 MiB, and 15 MiB more per further worker.
+Every kernel has one body and one runner. The body cuts its work into
+pieces fixed by the shapes alone (conv's bands and filter blocks, row ranges
+of at most about ``PIECE_ELEMENTS``, fc's blocks of ``FC_COLUMNS``), each
+written with the same operations a whole-batch call makes, and its plan's
+``run`` runs them, so no bit depends on the mode, the batch or who ran a
+piece. A plan says its mode. Train mode runs on a ``WorkerPool``: its workers
+share the pieces, which write into new arrays, and the body keeps what
+backward reads; a call given no plan runs on ``SERIAL``, a one-worker pool
+that starts no thread. Eval mode runs only on a ``BufferPlan``, which
+``network.eval_layers`` gets from its pool's ``plan``: the pieces write into
+its buffers and the pool's workers share them. A buffer plan holds two
+ping-pong activation buffers, the only buffers that grow with the rows, and
+per worker the scratch each kind's ``scratch`` rule sizes: conv's slab,
+patch band and GEMM band, and LRN's squares. Conv, LRN and max pooling write
+into the activation buffer their input is not in, ReLU works in place, eval
+dropout is the identity and fc allocates its (small) output. For the
+``vgg-face-age`` trunk at 3 rows the plan is about 88.5 MiB, and 15 MiB more
+per further worker.
+
+Backward runs on the same pool. Fc's weight gradient is one piece per block
+of ``FC_COLUMNS`` input rows and its input gradient one more piece, each the
+bits of the whole product. Conv backward runs on the calling thread: its
+weight gradient sums every (sample, band) GEMM in a fixed order, and a cut
+of those GEMMs into filter blocks rounds unlike the whole at some shapes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from collections import namedtuple
+from concurrent import futures
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import LabelError, ParameterError, ShapeError, StateError
+from .errors import LabelError, ParameterError, ResourceError, ShapeError, StateError
 from .tensor import DTYPE, Rng, pad2d
 
 
@@ -49,7 +60,7 @@ class LayerKind:
     """
 
     forward: Callable  # (spec, x, {"weight", "bias"} or None, rng, plan) -> (y, cache)
-    backward: Callable  # (cache, d_out, need_param_grads, need_input_grad) -> (d_in, d_params)
+    backward: Callable  # (cache, d_out, need_param_grads, need_input_grad, plan) -> (d_in, d_params)
     hypers: dict = field(default_factory=dict)
     optional: tuple = ()
     check: Callable = lambda spec: None  # raises ParameterError
@@ -137,13 +148,114 @@ class LayerCache:
     data: dict
 
 
+def started(name, start, *args):
+    """``start(*args)``, a call that may start the thread ``name``. A thread
+    that cannot start (RuntimeError) raises ResourceError naming it."""
+    try:
+        return start(*args)
+    except RuntimeError as e:
+        raise ResourceError(f"could not start the {name} thread: {e}") from None
+
+
+class WorkerPool:
+    """Threads that share each layer call's pieces. A pool is the plan that
+    train mode runs on, and it makes and keeps the buffer plan of eval mode.
+
+    The calling thread is worker 0; ``workers - 1`` helper threads join it in
+    ``run``. Every pool has an executor of ``max(1, workers - 1)`` threads,
+    which starts a thread only when ``run`` first submits to it, so a
+    one-worker pool, which never submits, starts none. In train mode a
+    kernel's outputs and scratch (``other``, ``take``) are new arrays, which
+    its cache may keep. ``plan`` makes every ``BufferPlan``: it keeps the last
+    one and hands it out again for the same layers, shapes and dtype at no
+    more rows, so a loop that scores one image per call plans its buffers
+    once. ``release`` frees the kept plan and leaves the helpers running;
+    leaving the ``with`` block (``close``) frees the plan and stops the helpers.
+    """
+
+    mode = "train"
+
+    def __init__(self, workers: int = 1):
+        if workers < 1:
+            raise ParameterError(f"a worker pool needs at least one worker, got {workers}")
+        self.workers = workers
+        self._helpers = futures.ThreadPoolExecutor(max(1, workers - 1), "agecnn-worker")
+        self._kept = None
+
+    def run(self, piece, count):
+        """Call ``piece(i, worker)`` for every i in range(count); return when all are done.
+
+        Each worker takes the next i in turn, so which worker runs a piece
+        varies from run to run; a piece writes only its own part of the result.
+        With one worker or at most one piece no helper is asked: worker 0 runs all.
+        Helpers run their pieces under the caller's NumPy error state
+        (``np.errstate``), which a thread does not inherit. A helper thread
+        that cannot start raises ResourceError.
+        """
+        todo = iter(range(count))  # shared: each next() happens under the GIL
+        errstate = np.geterr()
+
+        def drain(worker):
+            with np.errstate(**errstate):
+                for i in todo:
+                    piece(i, worker)
+
+        helpers = []
+        try:
+            for w in range(1, min(self.workers, count)):
+                helpers.append(started("agecnn-worker", self._helpers.submit, drain, w))
+            drain(0)
+        finally:
+            for _ in todo:  # after a failure, a helper that starts late finds nothing left
+                pass
+            futures.wait(helpers)
+        for helper in helpers:
+            helper.result()
+
+    def other(self, x, shape, dtype):
+        """A new ``shape`` array of ``dtype``: a train-mode output."""
+        return np.empty(shape, dtype)
+
+    def take(self, name, shape, worker, dtype):
+        """A new ``shape`` array of ``dtype``: worker ``worker``'s scratch ``name``."""
+        return np.empty(shape, dtype)
+
+    def plan(self, layers, shapes, rows, dtype) -> "BufferPlan":
+        """A plan for ``rows`` rows of ``layers``: the kept one if it fits, else a new one."""
+        key = (layers, shapes, np.dtype(dtype))
+        if self._kept is None or self._kept[0] != key or self._kept[1] < rows:
+            self._kept = None  # free the old plan before the new one is built
+            self._kept = (key, rows, BufferPlan(layers, shapes, rows, dtype, self))
+        return self._kept[2]
+
+    def release(self):
+        """Free the kept plan; the next ``plan`` call builds a new one."""
+        self._kept = None
+
+    def close(self):
+        self.release()
+        self._helpers.shutdown(wait=True)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+def pool_for_call(pool):
+    """``pool`` as a context that leaves it open; given None, a one-worker pool
+    that the context closes, the pool of a library call given none."""
+    return WorkerPool() if pool is None else contextlib.nullcontext(pool)
+
+
+# The plan of a train-mode call given none: it runs every piece on the
+# calling thread and starts no thread. Never ask it for a BufferPlan (``plan``,
+# ``network.eval_layers``), which it would keep for good.
+SERIAL = WorkerPool(1)
+
 # Elements a BufferPlan aligns each buffer to: 64 bytes of float32.
 _ALIGN = 16
-
-
-def _in_order(piece, count):
-    for i in range(count):
-        piece(i, 0)
 
 
 class BufferPlan:
@@ -154,9 +266,12 @@ class BufferPlan:
     ping-pong activation buffers each hold ``rows`` of the largest of those
     shapes, and each worker of ``pool`` has its own copy of each scratch
     buffer, sized to the largest request any layer's kind makes for it.
-    ``pool``, the ``network.WorkerPool`` whose ``plan`` makes this one, runs
-    the layers' pieces on its workers.
+    ``pool``, the ``WorkerPool`` whose ``plan`` makes this one, runs the
+    layers' pieces on its workers. Every buffer has the plan's dtype, whatever
+    ``dtype`` a kernel asks ``other`` or ``take`` for.
     """
+
+    mode = "eval"
 
     def __init__(self, layers, shapes, rows, dtype, pool):
         sizes = {}
@@ -180,18 +295,18 @@ class BufferPlan:
     def nbytes(self) -> int:
         return self.block.nbytes
 
-    def other(self, x, shape):
+    def other(self, x, shape, dtype):
         """A ``shape`` view of the activation buffer that ``x`` does not live in."""
         buf = self.ping_pong[1] if np.may_share_memory(x, self.ping_pong[0]) else self.ping_pong[0]
         return buf[:math.prod(shape)].reshape(shape)
 
     def copy_in(self, x):
         """A copy of ``x`` in the activation buffer it does not live in."""
-        y = self.other(x, x.shape)
+        y = self.other(x, x.shape, x.dtype)
         y[...] = x
         return y
 
-    def take(self, name, shape, worker):
+    def take(self, name, shape, worker, dtype):
         """A ``shape`` view of worker ``worker``'s copy of scratch buffer ``name``."""
         return self.scratch[name][worker][:math.prod(shape)].reshape(shape)
 
@@ -329,7 +444,7 @@ def _patches(x, kh, kw, stride, pad, top, r, slab, band):
     return cols.reshape(cin * kh * kw, r * wp)
 
 
-def conv2d_forward(x, w, b, stride, pad, plan=None):
+def conv2d_forward(x, w, b, stride, pad, plan=SERIAL):
     """y[n,o,i,j] = b[o] + sum_{c,u,v} w[o,c,u,v] * x_padded[n,c,i*s+u,j*s+v].
 
     Each band of a sample's output rows, and each block of filters
@@ -338,9 +453,8 @@ def conv2d_forward(x, w, b, stride, pad, plan=None):
     to y. The piece first pads the input rows its band reads into its
     worker's slab (``tensor.pad2d``), so no padded copy of the whole input
     exists. These pieces, and every buffer's size, come from the shapes
-    alone (``_conv_geometry``). ``plan`` (eval mode) supplies each worker's
-    slab, band and GEMM band and y, and runs the pieces on its workers;
-    without it they are allocated and the pieces run in order.
+    alone (``_conv_geometry``). ``plan`` supplies each worker's slab, band
+    and GEMM band and y, and runs the pieces on its workers.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv expects 4-D input and weights, got {x.shape} / {w.shape}")
@@ -352,14 +466,11 @@ def conv2d_forward(x, w, b, stride, pad, plan=None):
         raise ShapeError(f"conv bias shape {b.shape} does not match {cout} filters")
     g = _conv_geometry(cin, h, wd, cout, kh, kw, stride, pad)
     oh, ow, wp = g.oh, g.ow, g.wp
-    if plan is None:
-        dtype = np.result_type(x, w)
-        scratch = [(np.empty(g.slab, x.dtype), np.empty(g.band, x.dtype), np.empty(g.gemm, dtype))]
-        y = np.empty((n, cout, oh, ow), np.result_type(dtype, b))
-    else:
-        scratch = [(plan.take("slab", (g.slab,), worker), plan.take("band", (g.band,), worker),
-                    plan.take("gemm", (g.gemm,), worker)) for worker in range(plan.workers)]
-        y = plan.other(x, (n, cout, oh, ow))
+    dtype = np.result_type(x, w)
+    scratch = [(plan.take("slab", (g.slab,), worker, x.dtype),
+                plan.take("band", (g.band,), worker, x.dtype),
+                plan.take("gemm", (g.gemm,), worker, dtype)) for worker in range(plan.workers)]
+    y = plan.other(x, (n, cout, oh, ow), np.result_type(dtype, b))
     w2 = w.reshape(cout, -1)
     pieces = [(i, top, block) for i in range(n) for top in g.tops for block in g.blocks]
 
@@ -371,7 +482,7 @@ def conv2d_forward(x, w, b, stride, pad, plan=None):
         np.add(out.reshape(hi - lo, r, wp)[:, :, :ow], b[lo:hi, None, None],
                out=y[i, lo:hi, top:top + r])
 
-    (_in_order if plan is None else plan.run)(piece, len(pieces))
+    plan.run(piece, len(pieces))
     return y, {"x": x, "w": w, "stride": stride, "pad": pad}
 
 
@@ -424,10 +535,10 @@ def conv2d_backward(cache, d_out, need_param_grads=True, need_input_grad=True):
 # relu
 # ---------------------------------------------------------------------------
 
-def relu_forward(x, plan=None):
-    """max(x, 0) in flat pieces of PIECE_ELEMENTS: in place given ``plan`` (eval
-    mode), else into a new array, keeping x for backward."""
-    y = x if plan is not None else np.empty(x.shape, x.dtype)
+def relu_forward(x, plan=SERIAL):
+    """max(x, 0) in flat pieces of PIECE_ELEMENTS: in place in eval mode, else
+    into a new array, keeping x for backward."""
+    y = x if plan.mode == "eval" else plan.other(x, x.shape, x.dtype)
     flat, out = x.reshape(-1), y.reshape(-1)
     starts = range(0, flat.size, PIECE_ELEMENTS)
 
@@ -435,7 +546,7 @@ def relu_forward(x, plan=None):
         part = slice(starts[j], starts[j] + PIECE_ELEMENTS)
         np.maximum(flat[part], 0, out=out[part])
 
-    (_in_order if plan is None else plan.run)(piece, len(starts))
+    plan.run(piece, len(starts))
     return y, {"x": x}
 
 
@@ -467,20 +578,18 @@ def _lrn_scratch(spec, shape):
     return {"squares": c * _piece_rows(h, c * w) * w}
 
 
-def lrn_forward(x, n, k, alpha, beta, plan=None):
+def lrn_forward(x, n, k, alpha, beta, plan=SERIAL):
     """y[c] = x[c] / (k + (alpha/n) * sum_{c' in window(c)} x[c']^2)^beta, in pieces of rows.
 
-    Given ``plan`` (eval mode) each piece's steps run in place in the
-    activation buffer x is not in, its squares in its worker's ``squares``
-    buffer. Without one, the base k + (alpha/n) * sum and its power
-    ``scale`` go to arrays of their own, kept for backward.
+    Each piece squares its rows into its worker's ``squares`` scratch. In
+    eval mode its steps run in place in the activation buffer x is not in (a
+    buffer plan's three ``other`` calls give the same buffer); in train mode
+    the base k + (alpha/n) * sum and its power ``scale`` go to arrays of their
+    own, kept for backward.
     """
     if n < 1 or n % 2 == 0:
         raise ParameterError(f"lrn window n must be odd and >= 1, got {n}")
-    if plan is None:
-        y, base, scale = (np.empty(x.shape, x.dtype) for _ in range(3))
-    else:
-        y = base = scale = plan.other(x, x.shape)
+    y, base, scale = (plan.other(x, x.shape, x.dtype) for _ in range(3))
     c, w = x.shape[1], x.shape[3]
     pieces = _row_pieces(x.shape[0], x.shape[2], c * w)
 
@@ -488,14 +597,14 @@ def lrn_forward(x, n, k, alpha, beta, plan=None):
         i, top, end = pieces[j]
         rows = np.s_[i:i + 1, :, top:end]
         part, b, s = x[rows], base[rows], scale[rows]
-        squares = None if plan is None else plan.take("squares", part.shape, worker)
+        squares = plan.take("squares", part.shape, worker, x.dtype)
         _channel_window_sum(np.multiply(part, part, out=squares), n, b)
         np.multiply(b, alpha / n, out=b)
         np.add(b, k, out=b)
         np.power(b, -beta, out=s)
         np.multiply(part, s, out=y[rows])
 
-    (_in_order if plan is None else plan.run)(piece, len(pieces))
+    plan.run(piece, len(pieces))
     return y, {"x": x, "denom_base": base, "scale": scale, "n": n, "alpha": alpha, "beta": beta}
 
 
@@ -520,17 +629,17 @@ def _window_views(x, window, stride, oh, ow):
             yield x[:, :, u:u + stride * (oh - 1) + 1:stride, v:v + stride * (ow - 1) + 1:stride]
 
 
-def maxpool_forward(x, window, stride, plan=None):
-    """Window-wise maximum, in pieces of output rows; into the activation buffer
-    x is not in given ``plan`` (eval mode). Else the cache records, per output,
-    the first window offset (row-major) attaining the maximum, the tie rule of
-    argmax; backward routes by it."""
+def maxpool_forward(x, window, stride, plan=SERIAL):
+    """Window-wise maximum, in pieces of output rows; in eval mode into the
+    activation buffer x is not in. In train mode the cache records, per
+    output, the first window offset (row-major) attaining the maximum, the tie
+    rule of argmax; backward routes by it."""
     if x.ndim != 4:
         raise ShapeError(f"maxpool expects a 4-D tensor, got shape {x.shape}")
     n, c, h, w = x.shape
     oh = out_extent(h, window, stride, 0, "maxpool")
     ow = out_extent(w, window, stride, 0, "maxpool")
-    y = np.empty((n, c, oh, ow), x.dtype) if plan is None else plan.other(x, (n, c, oh, ow))
+    y = plan.other(x, (n, c, oh, ow), x.dtype)
     pieces = _row_pieces(n, oh, c * ow)
 
     def piece(j, worker):
@@ -541,8 +650,8 @@ def maxpool_forward(x, window, stride, plan=None):
         for view in views:
             np.maximum(out, view, out=out)
 
-    (_in_order if plan is None else plan.run)(piece, len(pieces))
-    if plan is not None:
+    plan.run(piece, len(pieces))
+    if plan.mode == "eval":
         return y, None
     # idx counts the leading offsets whose value falls short of the maximum
     idx = np.zeros(y.shape, dtype=np.min_scalar_type(window * window - 1))
@@ -566,18 +675,23 @@ def maxpool_backward(cache, d_out):
 # fc
 # ---------------------------------------------------------------------------
 
-# Output columns of one fc GEMM. Each block of columns is its own product, in
-# both modes, so a layer wider than this is cut the same way on any number of
-# workers; blocks this wide keep BLAS off its small-matrix kernels, whose
-# bits differ, at the profiles' widths.
+# Output columns of one fc GEMM, and input rows of one dW block. Each block
+# is its own product, in both modes, so a layer wider than this is cut the
+# same way on any number of workers; blocks this wide keep BLAS off its
+# small-matrix kernels, whose bits differ, at the profiles' widths.
 FC_COLUMNS = 512
 
 
-def fc_forward(x, w, b, plan=None):
+def _fc_blocks(extent):
+    """The slices of FC_COLUMNS that cut range(extent)."""
+    return [slice(start, start + FC_COLUMNS) for start in range(0, extent, FC_COLUMNS)]
+
+
+def fc_forward(x, w, b, plan=SERIAL):
     """y = flatten(x) . w + b with w laid out in_features x out_features.
 
     The product runs in blocks of FC_COLUMNS output columns, on ``plan``'s
-    workers if it is given.
+    workers.
     """
     orig_shape = x.shape
     x2 = x.reshape(orig_shape[0], -1) if x.ndim != 2 else x
@@ -589,27 +703,28 @@ def fc_forward(x, w, b, plan=None):
     # BLAS sends a one-row product to gemv, which rounds unlike a batch's gemm
     rows = x2 if x2.shape[0] != 1 else np.concatenate([x2, x2])
     prod = np.empty((rows.shape[0], w.shape[1]), np.result_type(rows, w))
-    starts = range(0, w.shape[1], FC_COLUMNS)
-
-    def piece(j, worker):
-        block = slice(starts[j], starts[j] + FC_COLUMNS)
-        np.matmul(rows, w[:, block], out=prod[:, block])
-
-    (_in_order if plan is None else plan.run)(piece, len(starts))
+    cols = _fc_blocks(w.shape[1])
+    plan.run(lambda j, worker: np.matmul(rows, w[:, cols[j]], out=prod[:, cols[j]]), len(cols))
     y = prod[:x2.shape[0]] + b
     return y, {"x2": x2, "w": w, "orig_shape": orig_shape}
 
 
-def fc_backward(cache, d_out, need_param_grads=True, need_input_grad=True):
+def fc_backward(cache, d_out, need_param_grads=True, need_input_grad=True, plan=SERIAL):
+    """Gradients as pieces on ``plan``'s workers: d_in = d_out @ w.T whole, and
+    dW = x.T @ d_out in blocks of FC_COLUMNS input rows. A row block of dW
+    rounds as the whole product does; a column block of d_in does not at
+    small batches, so d_in is one piece."""
     x2, w = cache["x2"], cache["w"]
-    d_params = {}
-    if need_param_grads:
-        d_params["weight"] = x2.T @ d_out
-        d_params["bias"] = d_out.sum(axis=0)
-    d_in = None
+    products = []
     if need_input_grad:
-        d_in = (d_out @ w.T).reshape(cache["orig_shape"])
-    return d_in, d_params
+        d_in = np.empty(x2.shape, np.result_type(d_out, w))
+        products.append((d_out, w.T, d_in))
+    if need_param_grads:
+        dw = np.empty(w.shape, np.result_type(x2, d_out))
+        products += [(x2[:, r].T, d_out, dw[r]) for r in _fc_blocks(w.shape[0])]
+    plan.run(lambda j, worker: np.matmul(*products[j]), len(products))  # each (a, b, out)
+    d_params = {"weight": dw, "bias": d_out.sum(axis=0)} if need_param_grads else {}
+    return d_in.reshape(cache["orig_shape"]) if need_input_grad else None, d_params
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +832,7 @@ KINDS = {
         scratch=_conv_scratch,
         forward=lambda s, x, w, rng, plan: conv2d_forward(
             x, w["weight"], w["bias"], s.params["stride"], s.params["pad"], plan),
-        backward=conv2d_backward),
+        backward=lambda cache, d, params, inputs, plan: conv2d_backward(cache, d, params, inputs)),
     "relu": LayerKind(
         forward=lambda s, x, w, rng, plan: relu_forward(x, plan),
         backward=lambda cache, d, *flags: relu_backward(cache, d)),
@@ -749,8 +864,7 @@ KINDS = {
     "dropout": LayerKind(
         hypers={"rate": float},
         check=_require(lambda p: 0.0 <= p["rate"] < 1.0, "rate must be in [0, 1)"),
-        forward=lambda s, x, w, rng, plan: dropout_forward(
-            x, s.params["rate"], "train" if plan is None else "eval", rng),
+        forward=lambda s, x, w, rng, plan: dropout_forward(x, s.params["rate"], plan.mode, rng),
         backward=lambda cache, d, *flags: dropout_backward(cache, d)),
     # Forward and backward pass scores through: the loss needs labels, so
     # network takes it from softmax_log_loss / softmax_log_loss_backward.
@@ -760,22 +874,20 @@ KINDS = {
 }
 
 
-def forward_layer(spec: LayerSpec, x, params=None, mode="train", rng=None, plan=None):
+def forward_layer(spec: LayerSpec, x, params=None, mode="train", rng=None, plan=SERIAL):
     """Run one layer forward, after the shape rule NetworkSpec applies.
 
-    Returns (output, LayerCache) in train mode. Eval mode needs a BufferPlan,
-    from which the kernels learn their mode, and ``network.eval_layers`` is
-    the walk that gives it one: the call writes into the plan's buffers, may
-    overwrite ``x``, and returns (output, None), dropping any cache the
-    kernel returns.
+    ``plan`` must run ``mode``, from which the kernels learn their mode. Train
+    mode runs on a WorkerPool and returns (output, LayerCache). Eval mode
+    needs a BufferPlan, and ``network.eval_layers`` is the walk that gives it
+    one: the call writes into the plan's buffers, may overwrite ``x``, and
+    returns (output, None), dropping any cache the kernel returns.
     """
     kind = KINDS[spec.kind]
     kind.out_shape(spec, x.shape[1:])
-    if plan is not None and mode != "eval":
-        raise StateError(f"layer {spec.name!r}: a buffer plan serves eval mode only")
-    if plan is None and mode == "eval":
-        raise StateError(f"layer {spec.name!r}: eval mode runs on a buffer plan; "
-                         "use network.eval_layers")
+    if plan.mode != mode:
+        raise StateError(f"layer {spec.name!r}: {mode} mode was given a plan for {plan.mode} mode "
+                         "(eval mode runs in network.eval_layers, train mode on a WorkerPool)")
     y, data = kind.forward(spec, x, params, rng, plan)
     if mode == "eval":
         return y, None
@@ -784,8 +896,9 @@ def forward_layer(spec: LayerSpec, x, params=None, mode="train", rng=None, plan=
 
 
 def backward_layer(spec: LayerSpec, cache: LayerCache, d_out,
-                   need_param_grads=True, need_input_grad=True):
-    """Run one layer backward from its forward cache. Returns (d_in, d_params)."""
+                   need_param_grads=True, need_input_grad=True, plan=SERIAL):
+    """Run one layer backward from its forward cache, on ``plan`` (a
+    WorkerPool) where the kind has pieces. Returns (d_in, d_params)."""
     if cache.name != spec.name or cache.kind != spec.kind:
         raise StateError(
             f"cache from layer {cache.name!r}/{cache.kind} fed to {spec.name!r}/{spec.kind}")
@@ -793,4 +906,4 @@ def backward_layer(spec: LayerSpec, cache: LayerCache, d_out,
         raise ShapeError(
             f"layer {spec.name!r}: upstream gradient shape {d_out.shape} does not match "
             f"forward output {cache.data['_out_shape']}")
-    return KINDS[spec.kind].backward(cache.data, d_out, need_param_grads, need_input_grad)
+    return KINDS[spec.kind].backward(cache.data, d_out, need_param_grads, need_input_grad, plan)

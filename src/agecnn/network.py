@@ -3,16 +3,18 @@
 per-layer freeze mask, and ``eval_layers``, the only eval-mode walk, cache-free
 in micro-batches (scoring, and the frozen prefix used as a feature extractor).
 
-``eval_layers`` runs on a ``WorkerPool`` (a CLI command's one pool, or a
-one-worker pool for the call), whose ``plan`` makes the buffer plan each
-eval-mode layer call writes into. Inside each layer call the pool's threads
-share the layer's pieces (conv bands and filter blocks, row ranges of ReLU,
-LRN and max pooling, fc's blocks of ``layers.FC_COLUMNS`` output columns),
-which depend only on the shapes and are the same in train mode. So a
-sample's output through the layers before the first fc is the same at every
-batch size, micro-batch size and worker count, in either mode. A row's fc
-bits depend on its place in the GEMM of its micro-batch, so fc outputs are
-the same only for the same row groups.
+Both walks, and ``backward``, run on a ``WorkerPool``: a CLI command's one
+pool, or, given none, a one-worker pool (``layers.SERIAL`` for ``forward``
+and ``backward``, one for the call for ``eval_layers``). Train mode runs
+each layer call on the pool itself, eval mode on the buffer plan the pool's
+``plan`` makes. Inside each layer call the pool's threads share the layer's
+pieces (conv bands and filter blocks, row ranges of ReLU, LRN and max
+pooling, fc's blocks of ``layers.FC_COLUMNS`` columns), which depend only on
+the shapes and are the same in both modes. So a sample's output through the
+layers before the first fc is the same at every batch size, micro-batch size
+and worker count, in either mode. A row's fc bits depend on its place in the
+GEMM of its micro-batch, so fc outputs are the same only for the same row
+groups.
 
 A NetworkSpec decides its shapes when it is built: construction walks the
 layer kinds' shape rules once, stores every layer's input and output shape,
@@ -31,13 +33,13 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from concurrent import futures
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import layers as L
-from .errors import ConfigError, ParameterError, ResourceError, ShapeError, StateError
+from .errors import ConfigError, ParameterError, ShapeError, StateError
+from .layers import WorkerPool, pool_for_call, started  # noqa: F401  (checkpoint and cli use them)
 from .tensor import DTYPE, Rng, gaussian_fill
 
 
@@ -338,8 +340,9 @@ def _layer_params(layer, params):
     return params[layer.name]
 
 
-def forward(spec: NetworkSpec, params, batch, rng: Rng = None, start: int = 0):
-    """Apply layers[start:] in train mode. Returns (scores, cache list of those layers).
+def forward(spec: NetworkSpec, params, batch, rng: Rng = None, start: int = 0, pool=L.SERIAL):
+    """Apply layers[start:] in train mode, on ``pool``'s workers. Returns
+    (scores, cache list of those layers).
 
     With ``start`` > 0, ``batch`` is the output of the layers before it
     (``eval_layers``, the one eval-mode walk). The loss layer passes the
@@ -349,7 +352,7 @@ def forward(spec: NetworkSpec, params, batch, rng: Rng = None, start: int = 0):
     x = batch
     caches = []
     for layer in spec.layers[start:]:
-        x, cache = L.forward_layer(layer, x, _layer_params(layer, params), "train", rng)
+        x, cache = L.forward_layer(layer, x, _layer_params(layer, params), "train", rng, pool)
         caches.append(cache)
     return x, caches
 
@@ -362,89 +365,6 @@ def pool_size() -> int:
     """Workers for a WorkerPool here: the CPUs this process may run on, at most MAX_WORKERS."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return max(1, min(MAX_WORKERS, cpus or 1))
-
-
-def started(name, start, *args):
-    """``start(*args)``, a call that may start the thread ``name``. A thread
-    that cannot start (RuntimeError) raises ResourceError naming it."""
-    try:
-        return start(*args)
-    except RuntimeError as e:
-        raise ResourceError(f"could not start the {name} thread: {e}") from None
-
-
-class WorkerPool:
-    """Threads that share each eval-mode layer call, and the buffer plan kept between calls.
-
-    The calling thread is worker 0; ``workers - 1`` helper threads join it in
-    ``run``. Every pool has an executor of ``max(1, workers - 1)`` threads,
-    which starts a thread only when ``run`` first submits to it, so a
-    one-worker pool, which never submits, starts none. ``plan`` makes every
-    ``layers.BufferPlan``: it keeps the last one and hands it out again for
-    the same layers, shapes and dtype at no more rows, so a loop that scores
-    one image per call plans its buffers once.
-    ``release`` frees the kept plan and leaves the helpers running; leaving
-    the ``with`` block (``close``) frees the plan and stops the helpers.
-    """
-
-    def __init__(self, workers: int = 1):
-        if workers < 1:
-            raise ParameterError(f"a worker pool needs at least one worker, got {workers}")
-        self.workers = workers
-        self._helpers = futures.ThreadPoolExecutor(max(1, workers - 1), "agecnn-worker")
-        self._kept = None
-
-    def run(self, piece, count):
-        """Call ``piece(i, worker)`` for every i in range(count); return when all are done.
-
-        Each worker takes the next i in turn, so which worker runs a piece
-        varies from run to run; a piece writes only its own part of the result.
-        With one worker or at most one piece no helper is asked: worker 0 runs all.
-        Helpers run their pieces under the caller's NumPy error state
-        (``np.errstate``), which a thread does not inherit. A helper thread
-        that cannot start raises ResourceError.
-        """
-        todo = iter(range(count))  # shared: each next() happens under the GIL
-        errstate = np.geterr()
-
-        def drain(worker):
-            with np.errstate(**errstate):
-                for i in todo:
-                    piece(i, worker)
-
-        helpers = []
-        try:
-            for w in range(1, min(self.workers, count)):
-                helpers.append(started("agecnn-worker", self._helpers.submit, drain, w))
-            drain(0)
-        finally:
-            for _ in todo:  # after a failure, a helper that starts late finds nothing left
-                pass
-            futures.wait(helpers)
-        for helper in helpers:
-            helper.result()
-
-    def plan(self, layers, shapes, rows, dtype) -> L.BufferPlan:
-        """A plan for ``rows`` rows of ``layers``: the kept one if it fits, else a new one."""
-        key = (layers, shapes, np.dtype(dtype))
-        if self._kept is None or self._kept[0] != key or self._kept[1] < rows:
-            self._kept = None  # free the old plan before the new one is built
-            self._kept = (key, rows, L.BufferPlan(layers, shapes, rows, dtype, self))
-        return self._kept[2]
-
-    def release(self):
-        """Free the kept plan; the next ``plan`` call builds a new one."""
-        self._kept = None
-
-    def close(self):
-        self.release()
-        self._helpers.shutdown(wait=True)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
 
 
 def eval_layers(spec: NetworkSpec, params, batch, start: int, stop: int, pool=None):
@@ -461,19 +381,17 @@ def eval_layers(spec: NetworkSpec, params, batch, start: int, stop: int, pool=No
     _check_batch(spec, batch, start, stop)
     if start == stop:
         return batch
-    if pool is None:
-        with WorkerPool() as own:
-            return eval_layers(spec, params, batch, start, stop, own)
-    layers, dtype = spec.layers[start:stop], np.result_type(batch, DTYPE)
-    plan = pool.plan(layers, spec.shapes[start:stop + 1], min(MICRO_BATCH, len(batch)), dtype)
-    out = np.empty(batch.shape[:1] + spec.shapes[stop], dtype)
-    for row in range(0, batch.shape[0], MICRO_BATCH):
-        part = batch[row:row + MICRO_BATCH]
-        x = plan.copy_in(part)
-        for layer in layers:
-            x, _ = L.forward_layer(layer, x, _layer_params(layer, params), "eval", None, plan)
-        out[row:row + MICRO_BATCH] = x
-    return out
+    with pool_for_call(pool) as pool:
+        layers, dtype = spec.layers[start:stop], np.result_type(batch, DTYPE)
+        plan = pool.plan(layers, spec.shapes[start:stop + 1], min(MICRO_BATCH, len(batch)), dtype)
+        out = np.empty(batch.shape[:1] + spec.shapes[stop], dtype)
+        for row in range(0, batch.shape[0], MICRO_BATCH):
+            part = batch[row:row + MICRO_BATCH]
+            x = plan.copy_in(part)
+            for layer in layers:
+                x, _ = L.forward_layer(layer, x, _layer_params(layer, params), "eval", None, plan)
+            out[row:row + MICRO_BATCH] = x
+        return out
 
 
 def eval_scores(spec: NetworkSpec, params, batch, pool=None):
@@ -481,8 +399,9 @@ def eval_scores(spec: NetworkSpec, params, batch, pool=None):
     return eval_layers(spec, params, batch, 0, len(spec.layers) - 1, pool)
 
 
-def backward(spec: NetworkSpec, params, caches, labels, mask, *, consume=None):
-    """Gradients of the mean log loss for the mask's trainable layers only.
+def backward(spec: NetworkSpec, params, caches, labels, mask, *, consume=None, pool=L.SERIAL):
+    """Gradients of the mean log loss for the mask's trainable layers only, on
+    ``pool``'s workers (fc's pieces; conv backward runs on the calling thread).
 
     ``caches`` are the train-mode caches of the last len(caches) layers (see
     forward's ``start``); they must reach down to the earliest trainable
@@ -521,7 +440,7 @@ def backward(spec: NetworkSpec, params, caches, labels, mask, *, consume=None):
         layer = spec.layers[i]
         need_params = layer.has_params and mask[layer.name]
         need_input = i > earliest
-        d, dp = L.backward_layer(layer, caches[i - start], d, need_params, need_input)
+        d, dp = L.backward_layer(layer, caches[i - start], d, need_params, need_input, pool)
         if need_params:
             consume(layer.name, dp)
         del dp  # before the next layer's backward makes its gradients

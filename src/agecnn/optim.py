@@ -1,5 +1,7 @@
 """SGD with momentum and coupled L2 decay, plateau learning-rate schedule,
-and the one-epoch training loop, whose steps share the caller's WorkerPool.
+and the one-epoch training loop. An epoch runs on one WorkerPool, the
+caller's or its own of one worker: its steps' frozen prefix, forward, fc
+backward and momentum step all share the pool's workers.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError, ParameterError, ShapeError, StateError
-from .layers import PIECE_ELEMENTS, softmax_log_loss
+from .layers import PIECE_ELEMENTS, SERIAL, pool_for_call, softmax_log_loss
 from .network import backward, eval_layers, forward, frozen_prefix
 
 
@@ -66,7 +68,7 @@ def init_state(params, mask, cfg: SgdConfig) -> OptState:
     return OptState(velocity=velocity, lr=cfg.lr0)
 
 
-def sgd_step(params, grads, mask, state: OptState, cfg: SgdConfig):
+def sgd_step(params, grads, mask, state: OptState, cfg: SgdConfig, pool=SERIAL):
     """One update, in place: v <- mu*v - lr*(g + lambda*w); w <- w + v.
 
     The one exception to ``tensor``'s immutability rule: once the gradients are checked,
@@ -75,7 +77,8 @@ def sgd_step(params, grads, mask, state: OptState, cfg: SgdConfig):
     ``grads`` covers exactly the layers ``mask`` marks trainable, so a mask that
     marks one layer steps that layer alone, as ``train_epoch`` does while
     backward hands over each layer's gradients. Each tensor is updated in row
-    blocks of about 1 MB, at least one row, through one block of scratch.
+    blocks of about 1 MB, at least one row, shared by ``pool``'s workers, each
+    through its own block of scratch.
     """
     trainable = [name for name in params if mask.get(name)]
     if set(grads) != set(trainable):
@@ -94,30 +97,36 @@ def sgd_step(params, grads, mask, state: OptState, cfg: SgdConfig):
         for tname, w in params[name].items():
             lam = cfg.weight_decay if tname == "weight" else 0.0
             _momentum_update(w, state.velocity[name][tname], grads[name][tname],
-                             state.lr, cfg.momentum, lam)
+                             state.lr, cfg.momentum, lam, pool)
     return params, state
 
 
-def _momentum_update(w, v, g, lr, mu, lam):
+def _momentum_update(w, v, g, lr, mu, lam, pool):
     """v <- mu*v - lr*(g + lam*w); w <- w + v, in row blocks of about 1 MB.
 
     A block is whole first-axis rows, at least one row, of about PIECE_ELEMENTS
-    elements, in any layout. Each block runs the float operations of ``v *= mu;
-    v -= lr * (g + lam * w); w += v`` in the same order, at the same precision,
-    through one block of scratch, so the bytes do not depend on the blocking.
+    elements, in any layout, and one piece on ``pool``. Each block runs the
+    float operations of ``v *= mu; v -= lr * (g + lam * w); w += v`` in the
+    same order, at the same precision, through its worker's block of scratch,
+    so the bytes do not depend on the blocking or the worker.
     """
     rows = max(1, PIECE_ELEMENTS // math.prod(w.shape[1:]))
-    scratch = np.empty(w[:rows].shape, np.result_type(g, w, lam, lr))
-    for start in range(0, len(w), rows):
-        part = slice(start, start + rows)
+    starts = range(0, len(w), rows)
+    scratch = [np.empty(w[:rows].shape, np.result_type(g, w, lam, lr))
+               for _ in range(min(pool.workers, len(starts)))]
+
+    def piece(j, worker):
+        part = slice(starts[j], starts[j] + rows)
         wc, vc = w[part], v[part]
-        t = scratch[:len(wc)]
+        t = scratch[worker][:len(wc)]
         vc *= mu
         np.multiply(lam, wc, out=t)
         np.add(g[part], t, out=t)
         np.multiply(lr, t, out=t)
         vc -= t
         wc += vc
+
+    pool.run(piece, len(starts))
 
 
 def plateau_update(state: OptState, epoch_val_accuracy: float, cfg: SgdConfig) -> OptState:
@@ -139,16 +148,15 @@ def _step(spec, params, mask, state, cfg, x, labels, split, rng, pool):
     # the prefix's plan is gone before the caches are made, and the caches
     # live only as long as this step
     features = eval_layers(spec, params, x, 0, split, pool)
-    if pool is not None:
-        pool.release()
-    scores, caches = forward(spec, params, features, rng, start=split)
+    pool.release()
+    scores, caches = forward(spec, params, features, rng, split, pool)
     loss, _, _ = softmax_log_loss(scores, labels)
     if not np.isfinite(loss):
         raise StateError(f"epoch {state.epoch + 1}: batch loss is {loss}; "
                          "training diverged (try a lower learning rate)")
     # each layer steps as soon as backward has its gradients, which then die
-    backward(spec, params, caches, labels, mask,
-             consume=lambda name, g: sgd_step(params, {name: g}, {name: True}, state, cfg))
+    backward(spec, params, caches, labels, mask, pool=pool,
+             consume=lambda name, g: sgd_step(params, {name: g}, {name: True}, state, cfg, pool))
     return loss
 
 
@@ -156,10 +164,11 @@ def train_epoch(spec, params, mask, state: OptState, cfg: SgdConfig, train_batch
                 pool=None):
     """One pass over the batch stream: forward, loss, backward, sgd_step.
 
-    The frozen prefix (``network.frozen_prefix``) runs as a fixed feature
-    extractor, in eval mode and micro-batches with no caches kept, on
-    ``pool`` as ``network.eval_layers`` takes it; the step then frees the
-    pool's plan, and forward keeps train-mode caches from there on. Each step
+    The epoch runs on ``pool``, or without one on a one-worker pool of its
+    own that it closes on return. The frozen prefix (``network.frozen_prefix``)
+    runs as a fixed feature extractor, in eval mode and micro-batches with no
+    caches kept, on the pool's plan; the step then frees the plan, and
+    forward keeps train-mode caches from there on. Each step
     updates ``params`` and the velocity in place, one layer at a time: backward
     hands each trainable layer's gradients to ``sgd_step`` as soon as it has
     them and keeps none, so one layer's gradients are alive at a time. Returns
@@ -171,13 +180,14 @@ def train_epoch(spec, params, mask, state: OptState, cfg: SgdConfig, train_batch
     split = frozen_prefix(spec, mask)
     total_loss = 0.0
     total_n = 0
-    for x, labels in train_batches:
-        n = x.shape[0]
-        loss = _step(spec, params, mask, state, cfg, x, labels, split, rng, pool)
-        # drop the batch before the stream builds the next one
-        del x
-        total_loss += loss * n
-        total_n += n
+    with pool_for_call(pool) as pool:
+        for x, labels in train_batches:
+            n = x.shape[0]
+            loss = _step(spec, params, mask, state, cfg, x, labels, split, rng, pool)
+            # drop the batch before the stream builds the next one
+            del x
+            total_loss += loss * n
+            total_n += n
     if total_n == 0:
         raise InputError("train_epoch received an empty batch stream")
     for name, tensors in params.items():

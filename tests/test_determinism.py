@@ -9,6 +9,9 @@ network's first fc (4900 inputs, 256 outputs) is a product that OpenBLAS
 runs a ``surgery`` whose head (12.6M values, in seven blocks of at most
 ``network.DRAW_BLOCK``) is drawn a round of two blocks at a time, one on
 each worker where the pool has two, each block from its own keyed stream.
+The mini-conv case trains ``conv2_2`` with the head: its forward, ReLU and
+max pooling run in train mode on the pool, and its backward on the calling
+thread.
 """
 
 import hashlib
@@ -41,9 +44,10 @@ def _cpu_sets():
 
 
 def _model(tmp_path, kind):
-    if kind == "mini":
+    if kind.startswith("mini"):
         spec = build_profile("mini")
-        mask = make_mask(spec, {"fc3", "fc4", "fc5"})
+        head = {"fc3", "fc4", "fc5"}
+        mask = make_mask(spec, head | {"conv2_2"} if kind == "mini-conv" else head)
     else:
         spec = NetworkSpec("crop", (3, 224, 224), (
             conv("c1", 25), relu("r1"), maxpool("p1", window=16, stride=16),
@@ -69,9 +73,9 @@ def _run_case(tmp_path, commands, cpus, threads):
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity control")
-@pytest.mark.parametrize("kind", ["mini", "crop-path"])
+@pytest.mark.parametrize("kind", ["mini", "mini-conv", "crop-path"])
 def test_same_bytes_at_any_core_and_blas_thread_count(kind, tmp_path):
-    size = 32 if kind == "mini" else 40
+    size = 40 if kind == "crop-path" else 32
     os.mkdir(tmp_path / "train")
     os.mkdir(tmp_path / "val")
     train = write_dataset(str(tmp_path / "train"), 5, Rng(7), size=size)

@@ -709,6 +709,24 @@ class TestFc:
         d_in, _ = fc_backward(cache, np.ones((2, 4)))
         assert d_in.shape == x.shape
 
+    @pytest.mark.parametrize("n, fin, fout", [
+        (2, 1024, 32), (4, 600, 32), (1, 1000, 64), (3, 1536, 8), (32, 1100, 256)])
+    def test_backward_bits_are_the_whole_products_on_any_pool(self, n, fin, fout):
+        # dW's blocks of input rows round as the whole x.T @ d_out does. A
+        # cut of d_in's columns does not at small batches (the first two
+        # shapes, on OpenBLAS 0.3.31), so d_in is one product
+        r = np.random.default_rng(23)
+        x = r.normal(size=(n, fin)).astype(np.float32)
+        w = r.normal(size=(fin, fout)).astype(np.float32)
+        d_out = r.normal(size=(n, fout)).astype(np.float32)
+        _, cache = fc_forward(x, w, np.zeros(fout, np.float32))
+        for workers in (1, 2):
+            with WorkerPool(workers) as pool:
+                d_in, d_params = fc_backward(cache, d_out, plan=pool)
+            assert d_in.tobytes() == (d_out @ w.T).tobytes(), workers
+            assert d_params["weight"].tobytes() == (x.T @ d_out).tobytes(), workers
+            assert d_params["bias"].tobytes() == d_out.sum(axis=0).tobytes()
+
 
 # ---------------------------------------------------------------------------
 # dropout
@@ -879,13 +897,18 @@ class TestDispatch:
             assert x.tobytes() == before, spec.kind
 
     def test_buffer_plan_serves_eval_mode_only(self):
-        # a train-mode cache must not point into buffers the next call reuses
+        # one rule: a plan runs its own mode. A train-mode cache must not
+        # point into buffers the next call reuses, and eval mode must not
+        # allocate a pool's new arrays where the walk planned its buffers
         spec = relu("r")
         x = np.full((2, 3, 4, 4), -1.0, np.float32)
         with WorkerPool(1) as pool:
             plan = pool.plan((spec,), (x.shape[1:],) * 2, 2, np.float32)
-            with pytest.raises(StateError, match="eval mode only"):
+            with pytest.raises(StateError, match="train mode was given a plan for eval mode"):
                 forward_layer(spec, x, None, "train", None, plan)
+            with pytest.raises(StateError, match="eval mode was given a plan for train mode"):
+                forward_layer(spec, x, None, "eval", None, pool)
+            assert (x == -1).all()
             y, cache = forward_layer(spec, x, None, "eval", None, plan)
         assert y is x and cache is None and not x.any()
 

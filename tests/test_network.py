@@ -832,8 +832,8 @@ class TestReferenceForward:
 
 
 class TestWorkerPool:
-    """A pool shares each eval-mode layer call among its workers, in pieces
-    fixed by the shapes, so no output bit depends on the pool or its size."""
+    """A pool shares each layer call among its workers, in either mode, in
+    pieces fixed by the shapes, so no output bit depends on the pool or its size."""
 
     @pytest.mark.parametrize("band_bytes, piece", [(1, 7), (9000, 40), (None, None)])
     @pytest.mark.parametrize("which", [0, 1])

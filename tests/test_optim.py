@@ -1,13 +1,15 @@
+import sys
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from agecnn import (InputError, NetworkSpec, ParameterError, Rng, ShapeError, StateError,
-                    build_profile, init_params, make_mask)
-from agecnn import optim
+from agecnn import (InputError, LabelError, NetworkSpec, ParameterError, Rng, ShapeError,
+                    StateError, build_profile, init_params, make_mask)
+from agecnn import layers as L, optim
 from agecnn.layers import PIECE_ELEMENTS, conv, fc, maxpool, relu, softmax_loss
-from agecnn.network import WorkerPool
+from agecnn.network import WorkerPool, replace_head_spec
 from agecnn.optim import (OptState, SgdConfig, init_state, plateau_update,
                           sgd_step, train_epoch)
 
@@ -239,6 +241,24 @@ class TestSgdStep:
                     assert state.velocity[n][t].tobytes() == ref_v[n][t].tobytes(), (n, t)
         assert all(a is b for a, b in zip(arrays(), updated_in_place))
 
+    def test_blocks_shared_by_two_workers_step_as_one(self):
+        # a 16 MB weight steps in 16 row blocks, which two workers share, each
+        # through its own block of scratch: the bytes are the serial step's
+        rng = Rng(46)
+        grads = [rng.normal((4096, 1024)).astype(np.float32) for _ in range(3)]
+        start = rng.normal((4096, 1024)).astype(np.float32)
+        cfg = SgdConfig(lr0=0.05, batch_size=1)
+
+        def steps(**pool):
+            params = {"f": {"weight": start.copy()}}
+            state = init_state(params, {"f": True}, cfg)
+            for g in grads:
+                sgd_step(params, {"f": {"weight": g}}, {"f": True}, state, cfg, **pool)
+            return params["f"]["weight"].tobytes(), state.velocity["f"]["weight"].tobytes()
+
+        with WorkerPool(2) as pool:
+            assert steps(pool=pool) == steps()
+
     def test_step_allocates_no_new_tensors(self):
         # the old out-of-place step allocated about 2.2x all trainable bytes
         params, mask, cfg, state = self._trainable_set(4, (512, 512))
@@ -350,7 +370,7 @@ def one_batch_stream(x, labels, times=1):
 
 
 class TestTrainEpoch:
-    def test_step_holds_one_gradient_and_one_chunk(self):
+    def _two_fc_peak(self, pool=None):
         # two equally large fc layers, back to back: keeping a gradient past
         # its update, or a tensor-sized temporary inside it, breaks the bound
         spec = NetworkSpec("two", (1024, 1, 1), [
@@ -362,10 +382,49 @@ class TestTrainEpoch:
         x = Rng(51).normal((4, 1024, 1, 1)).astype(np.float32)
         # params and velocity exist before tracing starts, so are not counted
         peak, _ = traced_peak(lambda: train_epoch(
-            spec, params, mask, state, cfg, one_batch_stream(x, [0, 1, 2, 3]), Rng(52)))
+            spec, params, mask, state, cfg, one_batch_stream(x, [0, 1, 2, 3]), Rng(52), pool))
         largest = params["fc1"]["weight"].nbytes
         assert largest == params["fc2"]["weight"].nbytes == 4 * 2**20
+        return peak, largest
+
+    def test_step_holds_one_gradient_and_one_chunk(self):
+        peak, largest = self._two_fc_peak()
         assert peak <= largest + PIECE_ELEMENTS * 4 + 2**18, peak
+
+    def test_step_on_two_workers_holds_one_gradient_and_a_chunk_each(self):
+        # each worker steps its row blocks through a chunk of its own
+        with WorkerPool(2) as pool:
+            peak, largest = self._two_fc_peak(pool)
+        assert peak <= largest + 2 * PIECE_ELEMENTS * 4 + 2**18, peak
+
+    def test_a_failed_step_without_a_pool_leaves_nothing_behind(self):
+        # the prefix has run on the epoch's own pool and the head's forward
+        # has made its caches (the input alone is 192 KiB) when the loss
+        # meets a label out of range: the pool, its plan and the caches all
+        # go with the error. A first call warms numpy's and Python's caches
+        spec = NetworkSpec("split", (16, 64, 64), [
+            conv("c1", 16), relu("r1"), maxpool("p1"), fc("f1", 8), softmax_loss()])
+        params = init_params(spec, Rng(63))
+        mask = make_mask(spec, {"f1"})
+        cfg = SgdConfig(lr0=0.01, batch_size=3)
+        state = init_state(params, mask, cfg)
+        x = Rng(64).normal((3, 16, 64, 64)).astype(np.float32)
+        before = {n: {t: a.tobytes() for t, a in g.items()} for n, g in params.items()}
+
+        def failed_epoch():
+            with pytest.raises(LabelError, match="must lie in"):
+                train_epoch(spec, params, mask, state, cfg, one_batch_stream(x, [0, 1, 8]), Rng(65))
+
+        failed_epoch()
+        tracemalloc.start()
+        try:
+            failed_epoch()
+            left, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak > 4 * 2**20  # the prefix's plan was made
+        assert left < 2**16, left
+        assert {n: {t: a.tobytes() for t, a in g.items()} for n, g in params.items()} == before
 
     def test_step_frees_the_prefix_plan_before_the_head_runs(self):
         # a frozen conv prefix whose plan is several MB, in front of a
@@ -513,3 +572,58 @@ class TestTrainEpoch:
         spec, params, mask, cfg, state, _, _ = self._setup(0.01)
         with pytest.raises(InputError):
             train_epoch(spec, params, mask, state, cfg, iter(()), Rng(5))
+
+
+class TestTrainOnAnyPool:
+    """Every train-mode piece (a kernel's forward and backward, a momentum
+    block) is fixed by the shapes, so an epoch writes the same params and
+    velocity bytes without a pool and on a pool of one or two workers."""
+
+    MASKS = {"head": {"fc3", "fc4", "fc5"}, "conv2_2 and head": {"conv2_2", "fc3", "fc4", "fc5"},
+             "all": True}
+
+    def _epoch_bytes(self, spec, trainable, pool):
+        params = init_params(spec, Rng(70), std=0.05)
+        mask = make_mask(spec, trainable)
+        cfg = SgdConfig(lr0=0.01, batch_size=4)
+        state = init_state(params, mask, cfg)
+        x = Rng(71).normal((6,) + spec.input_shape).astype(np.float32)
+        labels = [0, 3, 5, 7, 1, 2]
+
+        def stream():  # a full batch, then a short one whose velocity is not zero
+            yield x[:4], labels[:4]
+            yield x[4:], labels[4:]
+
+        train_epoch(spec, params, mask, state, cfg, stream(), Rng(72), pool)
+        return ({n: {t: a.tobytes() for t, a in g.items()} for n, g in params.items()},
+                {n: {t: a.tobytes() for t, a in g.items()} for n, g in state.velocity.items()})
+
+    def _same_on_any_pool(self, spec, trainable):
+        want = self._epoch_bytes(spec, trainable, None)
+        for workers in (1, 2, 3):
+            with WorkerPool(workers) as pool:
+                assert self._epoch_bytes(spec, trainable, pool) == want, workers
+
+    @pytest.mark.parametrize("masked", list(MASKS))
+    def test_mini_same_bytes_on_any_pool(self, masked):
+        self._same_on_any_pool(build_profile("mini"), self.MASKS[masked])
+
+    def test_wide_head_same_bytes_on_any_pool(self):
+        # fc blocks split in both directions, and fc4's weight (1.5M values)
+        # steps in six blocks, which two workers share
+        spec = replace_head_spec(build_profile("mini"), [1536, 1000, 8])
+        self._same_on_any_pool(spec, {"fc3", "fc4", "fc5"})
+
+    def test_small_pieces_same_bytes_on_any_pool(self, monkeypatch):
+        # every kernel and every momentum step cut into many pieces, with the
+        # workers switched between as often as the interpreter allows
+        monkeypatch.setattr(L, "BAND_BYTES", 9000)
+        monkeypatch.setattr(L, "PIECE_ELEMENTS", 40)
+        monkeypatch.setattr(optim, "PIECE_ELEMENTS", 40)
+        monkeypatch.setattr(L, "FC_COLUMNS", 16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            self._same_on_any_pool(build_profile("mini"), True)
+        finally:
+            sys.setswitchinterval(interval)
