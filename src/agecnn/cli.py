@@ -11,8 +11,8 @@ so reruns and resumed runs are bit-reproducible.
 Every command runs at one BLAS thread (``tensor.set_blas_threads``; the
 caller's count is restored on return) on the one ``network.WorkerPool`` of
 ``network.pool_size()`` workers that ``main`` opens for it: every layer call
-in either mode, fc backward and the momentum step share its workers, so its
-bytes do not depend on the core count or on ``OPENBLAS_NUM_THREADS``. Where
+in either mode, every backward call and the momentum step share its workers,
+so its bytes do not depend on the core count or on ``OPENBLAS_NUM_THREADS``. Where
 numpy carries no OpenBLAS whose thread count can be set, the pool has one
 worker and BLAS is left alone.
 Each ``checkpoint.load`` and ``checkpoint.save`` also runs one CRC helper
@@ -22,7 +22,10 @@ depends on it. In ``surgery`` the fresh head is drawn on the pool, one
 block of a new weight to each worker a round, each block from its own
 stream keyed by (seed, weight, block) (``network.DrawnWeight``), so its
 bytes are the same at any worker count. A thread that cannot start is a ResourceError: one
-line, exit 1, and no file left.
+line, exit 1, and no file left. SIGINT and SIGTERM end a command with one
+line, ``<command>: stopped by SIGINT`` (exit 130) or ``... SIGTERM`` (143),
+after its temp files are removed; ``main`` handles SIGTERM only when it runs
+on the main thread, and restores the handler it found.
 """
 
 from __future__ import annotations
@@ -31,7 +34,9 @@ import argparse
 import csv
 import math
 import os
+import signal
 import sys
+import threading
 
 import numpy as np
 
@@ -348,6 +353,14 @@ def cmd_inspect(args, pool):
     return 0
 
 
+class _Terminated(BaseException):
+    """SIGTERM, raised on the main thread wherever it is running."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
+
+
 _COMMANDS = {
     "surgery": cmd_surgery,
     "train": cmd_train,
@@ -370,6 +383,9 @@ def main(argv=None) -> int:
             return 2
         args = parser.parse_args(argv)
     blas_before = set_blas_threads(1)
+    # SIGTERM unwinds the command as SIGINT does, so it too leaves no temp file
+    on_main = threading.current_thread() is threading.main_thread()
+    term_before = signal.signal(signal.SIGTERM, _terminate) if on_main else None
     try:
         # overflow and NaN are found and reported as typed errors, so NumPy's
         # floating-point warnings would only repeat them as engine internals
@@ -379,9 +395,15 @@ def main(argv=None) -> int:
     except (EngineError, OSError, MemoryError) as e:
         print(str(e) or repr(e), file=sys.stderr)
         return 1
+    except (KeyboardInterrupt, _Terminated) as e:
+        stop = signal.SIGINT if isinstance(e, KeyboardInterrupt) else signal.SIGTERM
+        print(f"{args.command}: stopped by {stop.name}", file=sys.stderr)
+        return 128 + stop
     finally:
         if blas_before is not None:
             set_blas_threads(blas_before)
+        if on_main:  # None: a handler not set from Python, which cannot be restored
+            signal.signal(signal.SIGTERM, signal.SIG_DFL if term_before is None else term_before)
 
 
 def entry():

@@ -29,14 +29,16 @@ per further worker.
 
 Backward runs on the same pool. Fc's weight gradient is one piece per block
 of ``FC_COLUMNS`` input rows and its input gradient one more piece, each the
-bits of the whole product. Conv backward runs on the calling thread: its
-weight gradient sums every (sample, band) GEMM in a fixed order, and a cut
-of those GEMMs into filter blocks rounds unlike the whole at some shapes.
+bits of the whole product. Conv's weight gradient is one piece, which sums
+every (sample, band) GEMM in a fixed order, since a cut of those GEMMs into
+filter blocks rounds unlike the whole at some shapes; each sample's input
+gradient is one more piece.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from collections import namedtuple
 from concurrent import futures
@@ -376,26 +378,25 @@ def _tap_slices(kh, kw, wp, oh, stride, top=0):
 BAND_BYTES = 4 * 2**20
 
 
-_ConvGeometry = namedtuple("_ConvGeometry",
-                           "wp oh ow plane band_rows tops blocks band gemm slab")
+_ConvGeometry = namedtuple("_ConvGeometry", "wp oh ow plane bands blocks band gemm slab")
 
 
 def _conv_geometry(cin, h, wd, cout, kh, kw, stride, pad):
     """Conv's banded lowering of one sample, from the shapes alone; forward,
     backward and the plan's scratch all read it. ``wp`` is the padded row
     width, ``plane`` a channel's flat padded plane with its zero tail (the
-    input gradient's, in backward), ``tops`` the first output row of each
-    band of ``band_rows`` rows, ``blocks`` the (first, end) filter rows of
-    each GEMM of a band, and ``band``, ``gemm`` and ``slab`` the elements of
-    a band's patches, of one GEMM and of the padded input rows the band
-    reads (``_patches``)."""
+    input gradient's, in backward), ``bands`` the (first output row, rows)
+    of each band, ``blocks`` the (first, end) filter rows of each GEMM of a
+    band, and ``band``, ``gemm`` and ``slab`` the elements of a band's
+    patches, of one GEMM and of the padded input rows the band reads
+    (``_patches``)."""
     wp = wd + 2 * pad
     oh = out_extent(h, kh, stride, pad, "conv")
     rows = max(1, min(oh, BAND_BYTES // (cin * kh * kw * wp * np.dtype(DTYPE).itemsize)))
-    tops = range(0, oh, rows)
-    blocks = _filter_blocks(cout, len(tops))
+    bands = [(top, min(rows, oh - top)) for top in range(0, oh, rows)]
+    blocks = _filter_blocks(cout, len(bands))
     return _ConvGeometry(wp, oh, out_extent(wd, kw, stride, pad, "conv"),
-                         _tap_slices(kh, kw, wp, oh, stride)[-1].stop, rows, tops, blocks,
+                         _tap_slices(kh, kw, wp, oh, stride)[-1].stop, bands, blocks,
                          cin * kh * kw * rows * wp, max(hi - lo for lo, hi in blocks) * rows * wp,
                          cin * _slab_rows(kh, kw, wp, rows, stride) * wp)
 
@@ -472,11 +473,10 @@ def conv2d_forward(x, w, b, stride, pad, plan=SERIAL):
                 plan.take("gemm", (g.gemm,), worker, dtype)) for worker in range(plan.workers)]
     y = plan.other(x, (n, cout, oh, ow), np.result_type(dtype, b))
     w2 = w.reshape(cout, -1)
-    pieces = [(i, top, block) for i in range(n) for top in g.tops for block in g.blocks]
+    pieces = [(i, top, r, block) for i in range(n) for top, r in g.bands for block in g.blocks]
 
     def piece(j, worker):
-        (i, top, (lo, hi)), (slab, band, gemm) = pieces[j], scratch[worker]
-        r = min(g.band_rows, oh - top)
+        (i, top, r, (lo, hi)), (slab, band, gemm) = pieces[j], scratch[worker]
         cols = _patches(x[i], kh, kw, stride, pad, top, r, slab, band)
         out = np.matmul(w2[lo:hi], cols, out=gemm[:(hi - lo) * r * wp].reshape(hi - lo, r * wp))
         np.add(out.reshape(hi - lo, r, wp)[:, :, :ow], b[lo:hi, None, None],
@@ -486,49 +486,54 @@ def conv2d_forward(x, w, b, stride, pad, plan=SERIAL):
     return y, {"x": x, "w": w, "stride": stride, "pad": pad}
 
 
-def conv2d_backward(cache, d_out, need_param_grads=True, need_input_grad=True):
-    """Gradients through the forward's bands, one (sample, band) at a time.
+def conv2d_backward(cache, d_out, need_param_grads=True, need_input_grad=True, plan=SERIAL):
+    """Gradients through the forward's bands, as pieces on ``plan``'s workers.
 
-    With dy_band the band's output gradient, zero on the wrapped columns,
-    dW += dy_band @ patches.T in sample-then-band order, the patches cut
-    again from the band's slab, as forward cuts them; W.T @ dy_band is added
-    back, tap by tap, into the slices of an input-gradient plane they came
-    from. Scratch is one slab, one band and one sample's input-gradient
-    plane, at any batch size.
+    With dy_band a band's output gradient, zero on the wrapped columns, the
+    first piece sums dW += dy_band @ patches.T in sample-then-band order, the
+    patches cut again into its worker's slab and band, as forward cuts them.
+    Each sample's input gradient is one more piece: W.T @ dy_band is added
+    back, tap by tap, into the slices of its worker's input-gradient plane
+    they came from. So each sum runs in one order on any pool. Scratch is one
+    slab and one band, and one input-gradient plane per worker.
     """
     x, w = cache["x"], cache["w"]
     stride, pad = cache["stride"], cache["pad"]
     n, cin, h, wd = x.shape
     cout, _, kh, kw = w.shape
     g = _conv_geometry(cin, h, wd, cout, kh, kw, stride, pad)
-    oh, ow, wp = g.oh, g.ow, g.wp
-    w2 = w.reshape(cout, -1)
+    wp, w2 = g.wp, w.reshape(cout, -1)
+
+    def dy_band(i, top, r):
+        return np.pad(d_out[i, :, top:top + r], ((0, 0), (0, 0), (0, wp - g.ow))).reshape(cout, -1)
+
+    def weight_grad(worker):
+        slab, band = (plan.take(k, (getattr(g, k),), worker, x.dtype) for k in ("slab", "band"))
+        for i in range(n):
+            for top, r in g.bands:
+                cols = _patches(x[i], kh, kw, stride, pad, top, r, slab, band)
+                np.add(dw, dy_band(i, top, r) @ cols.T, out=dw)
+
+    def input_grad(i, worker):
+        d_plane = planes[worker]
+        d_plane[...] = 0
+        for top, r in g.bands:
+            d_cols = (w2.T @ dy_band(i, top, r)).reshape(cin, kh * kw, r * wp)
+            for k, tap in enumerate(_tap_slices(kh, kw, wp, r, stride, top)):
+                d_plane[:, tap] += d_cols[:, k]
+        d_in[i] = d_plane[:, :(h + 2 * pad) * wp].reshape(cin, -1, wp)[:, pad:pad + h, pad:pad + wd]
+
+    pieces, d_in, d_params = [], None, {}
     if need_param_grads:
         dw = np.zeros(w2.shape, np.result_type(d_out, x))
-        slab, band = np.empty(g.slab, x.dtype), np.empty(g.band, x.dtype)
-    d_in = None
+        d_params = {"weight": dw.reshape(w.shape), "bias": d_out.sum(axis=(0, 2, 3))}
+        pieces.append(weight_grad)
     if need_input_grad:
         d_in = np.empty(x.shape, np.result_type(w, d_out))
-        d_plane = np.empty((cin, g.plane), d_in.dtype)
-    for i in range(n):
-        if need_input_grad:
-            d_plane[...] = 0
-        for top in g.tops:
-            r = min(g.band_rows, oh - top)
-            dy = np.zeros((cout, r * wp), d_out.dtype)
-            dy.reshape(cout, r, wp)[:, :, :ow] = d_out[i, :, top:top + r]
-            if need_param_grads:
-                dw += dy @ _patches(x[i], kh, kw, stride, pad, top, r, slab, band).T
-            if need_input_grad:
-                d_cols = (w2.T @ dy).reshape(cin, kh * kw, r * wp)
-                for k, tap in enumerate(_tap_slices(kh, kw, wp, r, stride, top)):
-                    d_plane[:, tap] += d_cols[:, k]
-        if need_input_grad:
-            img = d_plane[:, :(h + 2 * pad) * wp].reshape(cin, -1, wp)
-            d_in[i] = img[:, pad:pad + h, pad:pad + wd]
-    if not need_param_grads:
-        return d_in, {}
-    return d_in, {"weight": dw.reshape(w.shape), "bias": d_out.sum(axis=(0, 2, 3))}
+        planes = [plan.take("plane", (cin, g.plane), k, d_in.dtype) for k in range(plan.workers)]
+        pieces += [functools.partial(input_grad, i) for i in range(n)]
+    plan.run(lambda j, worker: pieces[j](worker), len(pieces))
+    return d_in, d_params
 
 
 # ---------------------------------------------------------------------------
@@ -832,7 +837,7 @@ KINDS = {
         scratch=_conv_scratch,
         forward=lambda s, x, w, rng, plan: conv2d_forward(
             x, w["weight"], w["bias"], s.params["stride"], s.params["pad"], plan),
-        backward=lambda cache, d, params, inputs, plan: conv2d_backward(cache, d, params, inputs)),
+        backward=conv2d_backward),
     "relu": LayerKind(
         forward=lambda s, x, w, rng, plan: relu_forward(x, plan),
         backward=lambda cache, d, *flags: relu_backward(cache, d)),

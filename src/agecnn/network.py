@@ -400,8 +400,8 @@ def eval_scores(spec: NetworkSpec, params, batch, pool=None):
 
 
 def backward(spec: NetworkSpec, params, caches, labels, mask, *, consume=None, pool=L.SERIAL):
-    """Gradients of the mean log loss for the mask's trainable layers only, on
-    ``pool``'s workers (fc's pieces; conv backward runs on the calling thread).
+    """Gradients of the mean log loss for the mask's trainable layers only,
+    each layer's pieces on ``pool``'s workers.
 
     ``caches`` are the train-mode caches of the last len(caches) layers (see
     forward's ``start``); they must reach down to the earliest trainable

@@ -1,7 +1,7 @@
 """SGD with momentum and coupled L2 decay, plateau learning-rate schedule,
 and the one-epoch training loop. An epoch runs on one WorkerPool, the
-caller's or its own of one worker: its steps' frozen prefix, forward, fc
-backward and momentum step all share the pool's workers.
+caller's or its own of one worker: its steps' frozen prefix, forward,
+backward (fc's and conv's) and momentum step all share the pool's workers.
 """
 
 from __future__ import annotations

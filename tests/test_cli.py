@@ -5,6 +5,7 @@ import io
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import threading
@@ -18,7 +19,7 @@ from agecnn import (AGE_LABELS, IntegrityError, NetworkSpec, Preprocessing, Rng,
                     init_state, layers, load, load_manifest, make_mask,
                     network, plateau_update, predict, predict_proba,
                     replace_head_spec, save, sgd_step, tensor, write_ppm)
-from agecnn import cli, metrics
+from agecnn import checkpoint, cli, metrics
 from agecnn.cli import main
 from agecnn.data import decode_image
 from agecnn.layers import conv, fc, maxpool, relu, softmax_log_loss, softmax_loss
@@ -1224,6 +1225,73 @@ class TestEngineThreads:
         monkeypatch.setattr(network, "pool_size", lambda: 1)
         assert main(argv) == 1
         assert capsys.readouterr() == (out, err)
+
+
+def interrupt(*args, **kwargs):
+    raise KeyboardInterrupt
+
+
+def terminate(*args, **kwargs):
+    os.kill(os.getpid(), signal.SIGTERM)
+
+
+class TestStop:
+    """SIGINT and SIGTERM end a command in one stderr line and exit 130 or
+    143, with no file and no temp file left, and main restores the SIGTERM
+    handler it found."""
+
+    @pytest.mark.parametrize("stop, line, code", [(interrupt, "SIGINT", 130),
+                                                  (terminate, "SIGTERM", 143)],
+                             ids=["SIGINT", "SIGTERM"])
+    @pytest.mark.parametrize("command, module, name", [
+        ("eval", predict, "predict_manifest"),         # the report's temp file is open
+        ("train", predict, "predict_manifest"),        # mid-epoch: its validation
+        ("train", checkpoint, "_write_body"),          # mid-save: --out's temp file is open
+    ], ids=["eval", "train-epoch", "train-save"])
+    def test_one_line_and_no_file_left(self, command, module, name, stop, line, code, tmp_path,
+                                       monkeypatch, capsys):
+        model = make_model(tmp_path)
+        manifest_path, _ = dataset(tmp_path, count=4)
+        out = str(tmp_path / "out")
+        argv = {"eval": ["eval", "--model", model, "--test", manifest_path, "--csv-out", out],
+                "train": ["train", "--model", model, "--train", manifest_path,
+                          "--val", manifest_path, "--epochs", "1", "--out", out]}[command]
+        before = sorted(os.listdir(tmp_path))
+        monkeypatch.setattr(module, name, stop)
+
+        def unexpected(signum, frame):
+            raise AssertionError("SIGTERM reached the handler main should have replaced")
+
+        outer = signal.signal(signal.SIGTERM, unexpected)
+        try:
+            assert main(argv) == code
+            assert signal.getsignal(signal.SIGTERM) is unexpected
+        except KeyboardInterrupt:  # not let through: it would end the test session
+            pytest.fail("KeyboardInterrupt left main")
+        finally:
+            signal.signal(signal.SIGTERM, outer)
+        assert capsys.readouterr().err.splitlines() == [f"{command}: stopped by {line}"]
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_sigterm_ends_a_predict_run_in_one_line(self, tmp_path):
+        # a real signal, sent once the first row is out: the rows stop, and
+        # the process exits 143 after one line
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        model = make_model(tmp_path)
+        _, manifest = dataset(tmp_path, count=1)
+        image = manifest.records[0].path
+        listing = tmp_path / "images.txt"
+        listing.write_text((image + "\n") * 5000)
+        run = subprocess.Popen([sys.executable, "-u", "-m", "agecnn", "predict", "--model", model,
+                                "--images", str(listing)], cwd=tmp_path,
+                               env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+                               stderr=subprocess.PIPE, text=True)
+        first = run.stdout.readline()
+        run.send_signal(signal.SIGTERM)
+        rest, err = run.communicate(timeout=120)
+        assert first.startswith(image + ",")
+        assert (run.returncode, err.splitlines()) == (143, ["predict: stopped by SIGTERM"])
+        assert len(rest.splitlines()) < 4999
 
 
 def test_module_entry_point_exits_with_main_code(tmp_path):

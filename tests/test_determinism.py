@@ -10,8 +10,7 @@ runs a ``surgery`` whose head (12.6M values, in seven blocks of at most
 ``network.DRAW_BLOCK``) is drawn a round of two blocks at a time, one on
 each worker where the pool has two, each block from its own keyed stream.
 The mini-conv case trains ``conv2_2`` with the head: its forward, ReLU and
-max pooling run in train mode on the pool, and its backward on the calling
-thread.
+max pooling run in train mode on the pool, and so does its backward.
 """
 
 import hashlib

@@ -1,3 +1,5 @@
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -213,7 +215,7 @@ class TestConvForward:
         r = np.random.default_rng(9)
         w = r.normal(size=(4, 32, 3, 3)).astype(np.float32)
         g = layers._conv_geometry(32, 64, 64, 4, 3, 3, 1, 1)
-        assert (g.band_rows, len(g.tops)) == (8, 8)
+        assert (g.bands[0][1], len(g.bands)) == (8, 8)
         for batch in (1, 4):
             x = r.normal(size=(batch, 32, 64, 64)).astype(np.float32)
             peak, (y, _) = traced_peak(lambda: conv2d_forward(x, w, np.zeros(4, np.float32), 1, 1))
@@ -263,8 +265,7 @@ class TestConvSlab:
         flat = np.pad(x, ((0, 0), (pad, pad), (pad, pad))).reshape(cin, -1)
         plane = np.concatenate([flat, np.zeros((cin, g.plane + 3 * wp), x.dtype)], axis=1)
         slab, band = np.empty(g.slab, x.dtype), np.empty(g.band, x.dtype)
-        for top in g.tops:
-            r = min(g.band_rows, g.oh - top)
+        for top, r in g.bands:
             rows = layers._slab_rows(k, k, wp, r, stride)
             first = top * stride * wp
             for _ in g.blocks:  # each filter block pads the band's slab again
@@ -298,7 +299,7 @@ class TestConvSlab:
     def test_one_band_two_blocks(self, monkeypatch):
         x = np.random.default_rng(5).normal(size=(3, 6, 7)).astype(np.float32)
         g = self.check(x, 6, 3, 1, 1, 6, monkeypatch)
-        assert len(g.tops) == 1 and len(g.blocks) == 2
+        assert len(g.bands) == 1 and len(g.blocks) == 2
 
 
 class TestConvBackward:
@@ -372,6 +373,68 @@ class TestConvBackward:
             sizes[batch] = x.nbytes
         assert peaks[16] <= 4 * sizes[16]
         assert peaks[16] - peaks[4] <= 1.25 * (sizes[16] - sizes[4])
+
+    def test_two_workers_add_one_input_gradient_plane(self):
+        # each worker folds into its own plane, taken once per call. The
+        # second worker adds its plane and, beside the weight gradient's
+        # piece, a sample's dy_band and W.T @ dy_band, one band in size
+        # (measured: the plane plus 1.16 bands). A slab and a band per
+        # worker, as forward takes them, would add 1.12 bands more
+        r = np.random.default_rng(9)
+        w = r.normal(size=(16, 16, 3, 3)).astype(np.float32)
+        x = r.normal(size=(16, 16, 32, 32)).astype(np.float32)
+        y, cache = conv2d_forward(x, w, np.zeros(16, np.float32), 1, 1)
+        d_out = r.normal(size=y.shape).astype(np.float32)
+        g = layers._conv_geometry(16, 32, 32, 16, 3, 3, 1, 1)
+        one, _ = traced_peak(lambda: conv2d_backward(cache, d_out))
+        with WorkerPool(2) as pool:
+            two, _ = traced_peak(lambda: conv2d_backward(cache, d_out, plan=pool))
+        plane, slack = 16 * g.plane * 4, 1.5 * g.band * 4
+        assert two <= one + plane + slack, (one, two, plane, slack)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_shape, cout, kernel, stride, pad, band_bytes", [
+        ((1, 3, 7, 9), 4, 3, 1, 1, None),
+        ((2, 4, 9, 11), 5, 3, 1, 1, 2000),   # bands of 1 to 3 rows and a short last one
+        ((3, 2, 11, 9), 3, 5, 1, 2, 1),      # 5x5, pad 2, a band per output row
+        ((4, 3, 9, 9), 6, 3, 2, 0, 900),     # stride 2, pad 0
+        ((5, 2, 10, 12), 4, 2, 2, 0, None),
+        ((5, 3, 8, 8), 2, 5, 1, 2, 1500),
+    ])
+    def test_backward_bits_are_the_same_on_any_pool(self, x_shape, cout, kernel, stride, pad,
+                                                   band_bytes, dtype, monkeypatch):
+        # dW is one piece summed in sample-then-band order and each sample's
+        # input gradient one more piece, so no bit depends on the pool or on
+        # which worker's plane a sample was folded in
+        if band_bytes:
+            monkeypatch.setattr(layers, "BAND_BYTES", band_bytes)
+        r = np.random.default_rng(sum(x_shape) + kernel)
+        x = r.normal(size=x_shape).astype(dtype)
+        w = r.normal(size=(cout, x_shape[1], kernel, kernel)).astype(dtype)
+        y, cache = conv2d_forward(x, w, np.zeros(cout, dtype), stride, pad)
+        d_out = r.normal(size=y.shape).astype(dtype)
+        g = layers._conv_geometry(*x_shape[1:], cout, kernel, kernel, stride, pad)
+        assert (len(g.bands) > 1) == bool(band_bytes)
+        dw = np.zeros((cout, w[0].size), dtype)  # the sum in sample-then-band order
+        slab, band = np.empty(g.slab, dtype), np.empty(g.band, dtype)
+        for i in range(len(x)):
+            for top, rows in g.bands:
+                dy = np.zeros((cout, rows, g.wp), dtype)
+                dy[:, :, :g.ow] = d_out[i, :, top:top + rows]
+                cols = layers._patches(x[i], kernel, kernel, stride, pad, top, rows, slab, band)
+                dw += dy.reshape(cout, -1) @ cols.T
+        for flags in ((True, True), (True, False), (False, True)):
+            runs = []
+            for workers in (1, 2, 3, 2, 3):
+                with WorkerPool(workers) if workers > 1 else nullcontext(layers.SERIAL) as pool:
+                    d_in, d_params = conv2d_backward(cache, d_out, *flags, plan=pool)
+                runs.append([None if a is None else a.tobytes()
+                             for a in (d_in, d_params.get("weight"), d_params.get("bias"))])
+            assert all(run == runs[0] for run in runs), flags
+            assert (runs[0][0] is None, runs[0][1] is None) == (not flags[1], not flags[0])
+            if flags[0]:
+                assert runs[0][1] == dw.tobytes()
+                assert runs[0][2] == d_out.sum(axis=(0, 2, 3)).tobytes()
 
     def test_skip_flags(self):
         x = np.random.default_rng(7).normal(size=(1, 1, 4, 4))

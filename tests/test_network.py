@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import weakref
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -760,6 +761,34 @@ class TestRandomStacks:
         for i in range(len(x)):
             alone = net.eval_layers(spec, params, x[i:i + 1], 0, first_fc)
             assert alone[0].tobytes() == acts[first_fc][i].tobytes(), (spec.layers, i)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_backward_bits_do_not_depend_on_the_pool(self, seed, monkeypatch):
+        # every layer trainable, and each cut into many pieces: the train
+        # walk's scores and every gradient are the same bytes on one worker
+        # and on two. A stack whose scores are not flat gets an fc under
+        # its loss, which needs one row of scores per sample
+        rng = np.random.default_rng(seed)
+        spec = random_stack(rng)
+        if len(spec.shapes[-1]) != 1:
+            spec = NetworkSpec("random", spec.input_shape,
+                               list(spec.layers[:-1]) + [fc("fs", 3), softmax_loss()])
+        monkeypatch.setattr(L, "BAND_BYTES", int(2 ** rng.uniform(6, 18)))
+        monkeypatch.setattr(L, "PIECE_ELEMENTS", int(rng.choice([97, 500, L.PIECE_ELEMENTS])))
+        monkeypatch.setattr(L, "FC_COLUMNS", int(rng.choice([2, 5, L.FC_COLUMNS])))
+        params = init_params(spec, Rng(seed), std=0.2)  # at 0.5 some losses are inf
+        mask = {layer.name: True for layer in spec.parameterized()}
+        x = Rng(seed).normal((int(rng.integers(1, 8)),) + spec.input_shape).astype(np.float32)
+        labels = rng.integers(0, spec.shapes[-1][0], len(x))
+        runs = []
+        for context in (nullcontext(L.SERIAL), net.WorkerPool(2)):
+            with context as pool:
+                scores, caches = net.forward(spec, params, x, pool=pool)
+                grads = net.backward(spec, params, caches, labels, mask, pool=pool)
+            runs.append([scores.tobytes()] + [grads[name][t].tobytes() for name in sorted(grads)
+                                              for t in ("weight", "bias")])
+        assert len(runs[0]) == 1 + 2 * len(mask)
+        assert runs[1] == runs[0], spec.layers
 
 
 def reference_forward(layer, x, params):
