@@ -44,9 +44,9 @@ C-contiguous little-endian float32, and its pieces are views of its own
 memory, PIECE_BYTES each; ``save`` refuses any other array before it makes a
 file. A ``network.DrawnWeight`` (surgery's fresh head) is drawn on the save's
 worker pool, one block (``network.DRAW_BLOCK`` values) to a piece, each from
-its own keyed stream, a round of ``pool.workers`` blocks at a time into a
-ring of at most DRAW_BUFFERS reused buffers, while the helper writes the
-rounds before; its bytes do not depend on the pool or on PIECE_BYTES. In
+its own keyed stream, a round of one block per worker at a time into a ring
+of two rounds of reused buffers, while the helper writes the round before;
+its bytes do not depend on the pool or on PIECE_BYTES. In
 load the calling thread parses the fields in order and reads each tensor's
 values from the file straight into its own array, and the helper folds
 every byte read, the rest of a file whose parse failed included. The CRC is
@@ -81,8 +81,6 @@ VERSION = 1
 HEADER_SIZE = 12
 MAX_RANK = 4  # conv weights; no tensor of any network has more axes
 PIECE_BYTES = 8 << 20  # tensor values move to and from the file in pieces this size
-DRAW_BUFFERS = 4  # most ring buffers a DrawnWeight is drawn into; a round of two
-                  # blocks is drawn while the helper writes the two before
 
 _TENSOR_ORDER = ("weight", "bias")
 
@@ -222,28 +220,25 @@ class _Writer:
     def draw(self, t):
         """Give a DrawnWeight as float32 pieces in row-major order, one of its
         blocks (``network.DRAW_BLOCK`` values) to a piece, drawn a round of
-        ``pool.workers`` blocks at a time on the pool into at most
-        DRAW_BUFFERS reused buffers, while the helper writes and folds the
-        rounds before."""
+        one block per worker at a time on the pool into a ring of reused
+        buffers. The ring holds two rounds, and no more buffers than the
+        weight has blocks: one round is drawn while the helper writes and
+        folds the other."""
         step = max(1, min(net.DRAW_BLOCK, t.size))
         count = -(-t.size // step)
+        per_round = min(self.pool.workers, count)
+        buffers = min(2 * per_round, count)
         free = queue.SimpleQueue()
-        buffers = min(DRAW_BUFFERS, count)
         for _ in range(buffers):
             free.put(np.empty(step, "<f4"))
-
-        def make(j, worker):
-            t.block(first + j, pieces[j])
-
-        per_round = min(self.pool.workers, buffers)
         for first in range(0, count, per_round):
             made = []
             for _ in range(min(per_round, count - first)):
                 made.append(free.get())
                 self.crc.check()
-            pieces = [buf[:t.size - i * step] for i, buf in enumerate(made, first)]
-            self.pool.run(make, len(pieces))
-            for buf, piece in zip(made, pieces):
+            pieces = [(b, buf[:t.size - b * step]) for b, buf in enumerate(made, first)]
+            self.pool.run(lambda piece, worker: t.block(*piece), pieces)
+            for buf, (_, piece) in zip(made, pieces):
                 self.crc.give(piece.view(np.uint8), lambda buf=buf: free.put(buf))
         for _ in range(buffers):
             free.get()  # every buffer is handed back before the next tensor makes its own

@@ -327,8 +327,8 @@ def batches(manifest: DatasetManifest, batch_size: int, shuffle: bool = False,
             if i == 0:
                 x = np.empty((len(group),) + img.shape, img.dtype)
             elif img.shape != x.shape[1:]:
-                raise ShapeError(
-                    f"{rec.path}: image shape {img.shape} differs from batch {x.shape[1:]}")
+                raise ShapeError(f"{rec.path}: image shape {img.shape} differs from the batch's "
+                                 f"first image, {group[0].path}, of shape {x.shape[1:]}")
             x[i] = img
         yield x, [rec.label for rec in group]
         # a batch the consumer has dropped is not kept alive while the next is built

@@ -5,27 +5,28 @@ rule, parameter shapes, scratch needs, forward and backward. Convolution
 multiplies by a patch matrix, one band of output rows of one sample at a
 time, in both directions; the patches are cut from a slab into which the
 band's input rows alone are padded. Max pooling is a running maximum over
-strided window views. Direct-sum oracles live in the test suite, and the
-exact analytic gradients are finite-difference checked.
+strided window views; in train mode the same piece records which offset
+attained it. Direct-sum oracles live in the test suite, and the exact
+analytic gradients are finite-difference checked.
 
-Every kernel has one body and one runner. The body cuts its work into
-pieces fixed by the shapes alone (conv's bands and filter blocks, row ranges
-of at most about ``PIECE_ELEMENTS``, fc's blocks of ``FC_COLUMNS``), each
-written with the same operations a whole-batch call makes, and its plan's
-``run`` runs them, so no bit depends on the mode, the batch or who ran a
-piece. A plan says its mode. Train mode runs on a ``WorkerPool``: its workers
-share the pieces, which write into new arrays, and the body keeps what
-backward reads; a call given no plan runs on ``SERIAL``, a one-worker pool
-that starts no thread. Eval mode runs only on a ``BufferPlan``, which
-``network.eval_layers`` gets from its pool's ``plan``: the pieces write into
-its buffers and the pool's workers share them. A buffer plan holds two
-ping-pong activation buffers, the only buffers that grow with the rows, and
-per worker the scratch each kind's ``scratch`` rule sizes: conv's slab,
-patch band and GEMM band, and LRN's squares. Conv, LRN and max pooling write
-into the activation buffer their input is not in, ReLU works in place, eval
-dropout is the identity and fc allocates its (small) output. For the
-``vgg-face-age`` trunk at 3 rows the plan is about 88.5 MiB, and 15 MiB more
-per further worker.
+Every kernel has one body and one runner. The body cuts its work into pieces
+fixed by the shapes alone (conv's bands and filter blocks, row ranges of at
+most about ``PIECE_ELEMENTS``, fc's blocks of ``FC_COLUMNS``), each written
+with the same operations a whole-batch call makes, and hands the list of
+them to its plan's ``run``, which calls the piece function once for each, so
+no bit depends on the mode, the batch or who ran a piece. A plan says its
+mode. Train mode runs on a ``WorkerPool``: its workers share the pieces,
+which write into new arrays, and the body keeps what backward reads; a call
+given no plan runs on ``SERIAL``, a one-worker pool that starts no thread.
+Eval mode runs only on a ``BufferPlan``, which ``network.eval_layers`` gets
+from its pool's ``plan``: the pieces write into its buffers and the pool's
+workers share them. A buffer plan holds two ping-pong activation buffers,
+the only buffers that grow with the rows, and per worker the scratch each
+kind's ``scratch`` rule sizes: conv's slab, patch band and GEMM band, and
+LRN's squares. Conv, LRN and max pooling write into the activation buffer
+their input is not in, ReLU works in place, eval dropout is the identity and
+fc allocates its (small) output. For the ``vgg-face-age`` trunk at 3 rows
+the plan is about 88.5 MiB, and 15 MiB more per further worker.
 
 Backward runs on the same pool. Fc's weight gradient is one piece per block
 of ``FC_COLUMNS`` input rows and its input gradient one more piece, each the
@@ -184,27 +185,28 @@ class WorkerPool:
         self._helpers = futures.ThreadPoolExecutor(max(1, workers - 1), "agecnn-worker")
         self._kept = None
 
-    def run(self, piece, count):
-        """Call ``piece(i, worker)`` for every i in range(count); return when all are done.
+    def run(self, piece, pieces):
+        """Call ``piece(p, worker)`` once for each item p of the sequence
+        ``pieces``; return when all are done.
 
-        Each worker takes the next i in turn, so which worker runs a piece
+        Each worker takes the next item in turn, so which worker runs a piece
         varies from run to run; a piece writes only its own part of the result.
         With one worker or at most one piece no helper is asked: worker 0 runs all.
         Helpers run their pieces under the caller's NumPy error state
         (``np.errstate``), which a thread does not inherit. A helper thread
         that cannot start raises ResourceError.
         """
-        todo = iter(range(count))  # shared: each next() happens under the GIL
+        todo = iter(pieces)  # shared: each next() happens under the GIL
         errstate = np.geterr()
 
         def drain(worker):
             with np.errstate(**errstate):
-                for i in todo:
-                    piece(i, worker)
+                for p in todo:
+                    piece(p, worker)
 
         helpers = []
         try:
-            for w in range(1, min(self.workers, count)):
+            for w in range(1, min(self.workers, len(pieces))):
                 helpers.append(started("agecnn-worker", self._helpers.submit, drain, w))
             drain(0)
         finally:
@@ -473,16 +475,15 @@ def conv2d_forward(x, w, b, stride, pad, plan=SERIAL):
                 plan.take("gemm", (g.gemm,), worker, dtype)) for worker in range(plan.workers)]
     y = plan.other(x, (n, cout, oh, ow), np.result_type(dtype, b))
     w2 = w.reshape(cout, -1)
-    pieces = [(i, top, r, block) for i in range(n) for top, r in g.bands for block in g.blocks]
 
-    def piece(j, worker):
-        (i, top, r, (lo, hi)), (slab, band, gemm) = pieces[j], scratch[worker]
+    def piece(p, worker):
+        (i, top, r, (lo, hi)), (slab, band, gemm) = p, scratch[worker]
         cols = _patches(x[i], kh, kw, stride, pad, top, r, slab, band)
         out = np.matmul(w2[lo:hi], cols, out=gemm[:(hi - lo) * r * wp].reshape(hi - lo, r * wp))
         np.add(out.reshape(hi - lo, r, wp)[:, :, :ow], b[lo:hi, None, None],
                out=y[i, lo:hi, top:top + r])
 
-    plan.run(piece, len(pieces))
+    plan.run(piece, [(i, top, r, blk) for i in range(n) for top, r in g.bands for blk in g.blocks])
     return y, {"x": x, "w": w, "stride": stride, "pad": pad}
 
 
@@ -532,7 +533,7 @@ def conv2d_backward(cache, d_out, need_param_grads=True, need_input_grad=True, p
         d_in = np.empty(x.shape, np.result_type(w, d_out))
         planes = [plan.take("plane", (cin, g.plane), k, d_in.dtype) for k in range(plan.workers)]
         pieces += [functools.partial(input_grad, i) for i in range(n)]
-    plan.run(lambda j, worker: pieces[j](worker), len(pieces))
+    plan.run(lambda piece, worker: piece(worker), pieces)
     return d_in, d_params
 
 
@@ -545,13 +546,8 @@ def relu_forward(x, plan=SERIAL):
     into a new array, keeping x for backward."""
     y = x if plan.mode == "eval" else plan.other(x, x.shape, x.dtype)
     flat, out = x.reshape(-1), y.reshape(-1)
-    starts = range(0, flat.size, PIECE_ELEMENTS)
-
-    def piece(j, worker):
-        part = slice(starts[j], starts[j] + PIECE_ELEMENTS)
-        np.maximum(flat[part], 0, out=out[part])
-
-    plan.run(piece, len(starts))
+    plan.run(lambda part, worker: np.maximum(flat[part], 0, out=out[part]),
+             [slice(lo, lo + PIECE_ELEMENTS) for lo in range(0, flat.size, PIECE_ELEMENTS)])
     return y, {"x": x}
 
 
@@ -595,11 +591,9 @@ def lrn_forward(x, n, k, alpha, beta, plan=SERIAL):
     if n < 1 or n % 2 == 0:
         raise ParameterError(f"lrn window n must be odd and >= 1, got {n}")
     y, base, scale = (plan.other(x, x.shape, x.dtype) for _ in range(3))
-    c, w = x.shape[1], x.shape[3]
-    pieces = _row_pieces(x.shape[0], x.shape[2], c * w)
 
-    def piece(j, worker):
-        i, top, end = pieces[j]
+    def piece(p, worker):
+        i, top, end = p
         rows = np.s_[i:i + 1, :, top:end]
         part, b, s = x[rows], base[rows], scale[rows]
         squares = plan.take("squares", part.shape, worker, x.dtype)
@@ -609,7 +603,7 @@ def lrn_forward(x, n, k, alpha, beta, plan=SERIAL):
         np.power(b, -beta, out=s)
         np.multiply(part, s, out=y[rows])
 
-    plan.run(piece, len(pieces))
+    plan.run(piece, _row_pieces(x.shape[0], x.shape[2], x.shape[1] * x.shape[3]))
     return y, {"x": x, "denom_base": base, "scale": scale, "n": n, "alpha": alpha, "beta": beta}
 
 
@@ -636,34 +630,32 @@ def _window_views(x, window, stride, oh, ow):
 
 def maxpool_forward(x, window, stride, plan=SERIAL):
     """Window-wise maximum, in pieces of output rows; in eval mode into the
-    activation buffer x is not in. In train mode the cache records, per
-    output, the first window offset (row-major) attaining the maximum, the tie
-    rule of argmax; backward routes by it."""
+    activation buffer x is not in. In train mode each piece also records, per
+    output of its rows, the first window offset (row-major) attaining the
+    maximum, the tie rule of argmax, into the cache's ``idx``; backward routes
+    by it."""
     if x.ndim != 4:
         raise ShapeError(f"maxpool expects a 4-D tensor, got shape {x.shape}")
     n, c, h, w = x.shape
     oh = out_extent(h, window, stride, 0, "maxpool")
     ow = out_extent(w, window, stride, 0, "maxpool")
     y = plan.other(x, (n, c, oh, ow), x.dtype)
-    pieces = _row_pieces(n, oh, c * ow)
+    idx = None if plan.mode == "eval" else np.zeros(y.shape, np.min_scalar_type(window**2 - 1))
 
-    def piece(j, worker):
-        i, top, end = pieces[j]
+    def piece(p, worker):
+        i, top, end = p
         out = y[i:i + 1, :, top:end]
-        views = _window_views(x[i:i + 1, :, top * stride:], window, stride, end - top, ow)
-        out[...] = next(views)
-        for view in views:
+        views = list(_window_views(x[i:i + 1, :, top * stride:], window, stride, end - top, ow))
+        out[...] = views[0]
+        for view in views[1:]:
             np.maximum(out, view, out=out)
+        if idx is not None:  # the count of leading offsets that fall short of the maximum
+            short, at = np.ones(out.shape, bool), idx[i:i + 1, :, top:end]
+            for view in views[:-1]:
+                short &= view < out
+                at += short
 
-    plan.run(piece, len(pieces))
-    if plan.mode == "eval":
-        return y, None
-    # idx counts the leading offsets whose value falls short of the maximum
-    idx = np.zeros(y.shape, dtype=np.min_scalar_type(window * window - 1))
-    short = np.ones(y.shape, dtype=bool)
-    for view in list(_window_views(x, window, stride, oh, ow))[:-1]:
-        short &= view < y
-        idx += short
+    plan.run(piece, _row_pieces(n, oh, c * ow))
     return y, {"idx": idx, "x_shape": x.shape, "window": window, "stride": stride}
 
 
@@ -708,8 +700,8 @@ def fc_forward(x, w, b, plan=SERIAL):
     # BLAS sends a one-row product to gemv, which rounds unlike a batch's gemm
     rows = x2 if x2.shape[0] != 1 else np.concatenate([x2, x2])
     prod = np.empty((rows.shape[0], w.shape[1]), np.result_type(rows, w))
-    cols = _fc_blocks(w.shape[1])
-    plan.run(lambda j, worker: np.matmul(rows, w[:, cols[j]], out=prod[:, cols[j]]), len(cols))
+    plan.run(lambda cols, worker: np.matmul(rows, w[:, cols], out=prod[:, cols]),
+             _fc_blocks(w.shape[1]))
     y = prod[:x2.shape[0]] + b
     return y, {"x2": x2, "w": w, "orig_shape": orig_shape}
 
@@ -727,7 +719,7 @@ def fc_backward(cache, d_out, need_param_grads=True, need_input_grad=True, plan=
     if need_param_grads:
         dw = np.empty(w.shape, np.result_type(x2, d_out))
         products += [(x2[:, r].T, d_out, dw[r]) for r in _fc_blocks(w.shape[0])]
-    plan.run(lambda j, worker: np.matmul(*products[j]), len(products))  # each (a, b, out)
+    plan.run(lambda product, worker: np.matmul(*product), products)  # each (a, b, out)
     d_params = {"weight": dw, "bias": d_out.sum(axis=0)} if need_param_grads else {}
     return d_in.reshape(cache["orig_shape"]) if need_input_grad else None, d_params
 

@@ -111,12 +111,11 @@ def _momentum_update(w, v, g, lr, mu, lam, pool):
     so the bytes do not depend on the blocking or the worker.
     """
     rows = max(1, PIECE_ELEMENTS // math.prod(w.shape[1:]))
-    starts = range(0, len(w), rows)
+    parts = [slice(lo, lo + rows) for lo in range(0, len(w), rows)]
     scratch = [np.empty(w[:rows].shape, np.result_type(g, w, lam, lr))
-               for _ in range(min(pool.workers, len(starts)))]
+               for _ in range(min(pool.workers, len(parts)))]
 
-    def piece(j, worker):
-        part = slice(starts[j], starts[j] + rows)
+    def piece(part, worker):
         wc, vc = w[part], v[part]
         t = scratch[worker][:len(wc)]
         vc *= mu
@@ -126,7 +125,7 @@ def _momentum_update(w, v, g, lr, mu, lam, pool):
         vc -= t
         wc += vc
 
-    pool.run(piece, len(starts))
+    pool.run(piece, parts)
 
 
 def plateau_update(state: OptState, epoch_val_accuracy: float, cfg: SgdConfig) -> OptState:

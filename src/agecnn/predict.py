@@ -77,18 +77,20 @@ def _check_average(average):
         raise ConfigError(f"average must be one of {AVERAGES}, got {average!r}")
 
 
-def _views(spec, img, channel_means):
-    """The rows one image (3xHxW, values 0..255) is scored on: three crops, or itself."""
+def _views(spec, img, channel_means, image=None):
+    """The rows one image (3xHxW, values 0..255) is scored on: three crops, or
+    itself. A shape error names ``image``, if given."""
+    where = f"{image}: " if image else ""
     if img.ndim != 3 or img.shape[0] != spec.input_shape[0]:
         raise ShapeError(
-            f"expected a {spec.input_shape[0]}xHxW image, got shape {img.shape}")
+            f"{where}expected a {spec.input_shape[0]}xHxW image, got shape {img.shape}")
     frame = Preprocessing.for_input(spec.input_shape, channel_means).rescale_to
     if frame:
         views = three_crops(resize_bilinear(img, frame, frame)).stack()
     elif img.shape == spec.input_shape:
         views = img[None].astype(DTYPE)
     else:
-        raise ShapeError(f"image shape {img.shape} does not match input contract "
+        raise ShapeError(f"{where}image shape {img.shape} does not match input contract "
                          f"{spec.input_shape}")
     if channel_means is not None:
         views = views - np.asarray(channel_means, dtype=DTYPE)[None, :, None, None]
@@ -136,7 +138,8 @@ class ViewFeatures:
 
 def _record_views(spec, manifest, channel_means):
     """Each record's views, its image decoded only when the caller asks for them."""
-    return (_views(spec, decode_image(rec.path), channel_means) for rec in manifest.records)
+    return (_views(spec, decode_image(rec.path), channel_means, rec.path)
+            for rec in manifest.records)
 
 
 def manifest_features(spec, params, manifest, channel_means, stop, pool=None) -> ViewFeatures:

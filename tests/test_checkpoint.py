@@ -744,7 +744,7 @@ class TestDrawOnWrite:
         with network.WorkerPool(workers) as pool:
             if reverse:  # each call's pieces handed out last first
                 run = pool.run
-                pool.run = lambda piece, count: run(lambda i, w: piece(count - 1 - i, w), count)
+                pool.run = lambda piece, pieces: run(piece, pieces[::-1])
             save(*head_replace(spec, head, params, drawn_rng, draw_on_write=True), drawn,
                  pool=pool)
         assert read_bytes(eager) == read_bytes(drawn)
@@ -841,13 +841,27 @@ class TestMemory:
         assert peaks[2048] < 4 * 1024 * 2048  # fc3's weight is never held whole
 
     def test_one_piece_drawn_weight_makes_one_buffer(self, tmp_path):
-        # fc3's 2 MB weight is one piece; DRAW_BUFFERS of it would be 8 MB
+        # fc3's 2 MB weight is one piece; a ring of four of it would be 8 MB
         spec, params, _ = mini_fixture()
         replaced = head_replace(spec, [512, 16, 8], params, Rng(0).derive(0), draw_on_write=True)
         weight = replaced[1]["fc3"]["weight"]
         assert weight.size <= network.DRAW_BLOCK
         peak, _ = traced_peak(lambda: save(*replaced, str(tmp_path / "m.acnn")))
         assert 4 * weight.size <= peak < 2 * 4 * weight.size
+
+    @pytest.mark.parametrize("workers, bound", [(1, 3), (2, 5)])
+    def test_drawn_weight_ring_is_two_rounds_of_the_pool(self, tmp_path, monkeypatch, workers,
+                                                         bound):
+        # fc3's 2 MB weight spans 16 blocks; the ring holds two rounds of one
+        # block per worker, so its blocks, not the weight, bound the peak
+        monkeypatch.setattr(network, "DRAW_BLOCK", 2**15)
+        spec, params, _ = mini_fixture()
+        replaced = head_replace(spec, [512, 16, 8], params, Rng(0).derive(0), draw_on_write=True)
+        assert replaced[1]["fc3"]["weight"].size == 16 * network.DRAW_BLOCK
+        block = 4 * network.DRAW_BLOCK
+        with network.WorkerPool(workers) as pool:
+            peak, _ = traced_peak(lambda: save(*replaced, str(tmp_path / "m.acnn"), pool=pool))
+        assert peak < bound * block + (64 << 10)
 
     def test_loaded_tensors_are_plain_float32_arrays(self, tmp_path):
         # sgd_step updates params and velocity in place after a resume

@@ -612,6 +612,71 @@ class TestOneImagePerForward:
         assert {rows for _, rows in seen} == {views}
 
 
+class TestWrongSizeImage:
+    """An image that does not fit a mini network's 3x32x32 input contract is
+    named in the one stderr line that fails the command."""
+
+    ODD = "image shape (3, 30, 40) does not match input contract (3, 32, 32)"
+
+    def _manifest(self, tmp_path, name, odd_first):
+        # one good 32x32 image and one 30x40 image, in either order
+        folder = tmp_path / name
+        folder.mkdir()
+        manifest = write_dataset(str(folder), 2, Rng(7))
+        odd = str(folder / ("img000.ppm" if odd_first else "img001.ppm"))
+        write_ppm(odd, np.zeros((3, 30, 40), np.float32))
+        return manifest, odd
+
+    def test_eval_names_the_image(self, tmp_path, capsys):
+        model = make_model(tmp_path)
+        manifest, odd = self._manifest(tmp_path, "test", odd_first=False)
+        assert main(["eval", "--model", model, "--test", manifest]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"{odd}: {self.ODD}"]
+        assert not os.path.exists(manifest + ".report.csv")
+
+    # all-trainable scores every val image each epoch; surgery's frozen trunk
+    # runs them once, before the first epoch (manifest_features)
+    @pytest.mark.parametrize("kind", ["all-trainable", "surgery"])
+    def test_train_validation_names_the_image(self, kind, tmp_path, capsys):
+        model = make_model(tmp_path)
+        if kind == "surgery":
+            model = surgery_model(tmp_path, model)
+        os.mkdir(tmp_path / "train")
+        train = write_dataset(str(tmp_path / "train"), 2, Rng(7))
+        val, odd = self._manifest(tmp_path, "val", odd_first=False)
+        out = str(tmp_path / "ck.acnn")
+        capsys.readouterr()
+        assert main(["train", "--model", model, "--train", train, "--val", val,
+                     "--epochs", "1", "--batch-size", "2", "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"{odd}: {self.ODD}"]
+        assert not os.path.exists(out)
+
+    def test_predict_names_the_image_once(self, tmp_path, capsys):
+        model = make_model(tmp_path)
+        _, odd = self._manifest(tmp_path, "images", odd_first=True)
+        listing = tmp_path / "images.txt"
+        listing.write_text(odd + "\n")
+        assert main(["predict", "--model", model, "--images", str(listing)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"{odd}: {self.ODD}"]
+
+    def test_train_batch_names_the_odd_image_and_the_first(self, tmp_path, capsys):
+        # the odd image leads the batch: the line names it and the good one
+        model = make_model(tmp_path)
+        train, odd = self._manifest(tmp_path, "train", odd_first=True)
+        good = str(tmp_path / "train" / "img001.ppm")
+        assert main(["train", "--model", model, "--train", train, "--val", train,
+                     "--epochs", "1", "--batch-size", "4", "--no-shuffle",
+                     "--out", str(tmp_path / "ck.acnn")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"{good}: image shape (3, 32, 32) differs from the batch's first image, {odd}, "
+            "of shape (3, 30, 40)"]
+
+
 # Required arguments per command; the command itself is stubbed out.
 REQUIRED = {
     "surgery": ["--in", "donor.acnn", "--profile", "mini", "--out", "out.acnn"],

@@ -526,6 +526,18 @@ class TestBatches:
             list(batches(m, 2, preprocessing=self._pre()))
         assert "b.ppm" in str(err.value)
 
+    def test_mixed_sizes_name_the_odd_image_and_the_first(self, tmp_path):
+        # the odd image leads the batch: the error names both, with their shapes
+        write_ppm(str(tmp_path / "a.ppm"), np.zeros((3, 9, 9), np.float32))
+        write_ppm(str(tmp_path / "b.ppm"), np.zeros((3, 8, 8), np.float32))
+        (tmp_path / "m.csv").write_text("path,label\na.ppm,0-2\nb.ppm,4-6\n")
+        m = load_manifest(str(tmp_path / "m.csv"))
+        with pytest.raises(ShapeError) as err:
+            list(batches(m, 4, preprocessing=self._pre()))
+        assert str(err.value) == (
+            f"{tmp_path / 'b.ppm'}: image shape (3, 8, 8) differs from the batch's first "
+            f"image, {tmp_path / 'a.ppm'}, of shape (3, 9, 9)")
+
 
 class TestImageCost:
     """What one image can cost is bounded by data.MAX_PPM_EXTENT."""

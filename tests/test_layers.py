@@ -692,6 +692,34 @@ class TestMaxpool:
         want[:2 * stride:stride, :2 * stride:stride] = d_out[0, 0]
         assert np.array_equal(d_in[0, 0], want)
 
+    @pytest.mark.parametrize("window, stride, h, w", [(2, 2, 8, 10), (3, 2, 9, 11), (3, 1, 7, 9)])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("piece_rows", [1, 2])
+    def test_train_index_in_pieces_is_the_whole_batch_rule(self, window, stride, h, w, workers,
+                                                           piece_rows, monkeypatch):
+        # each piece records its own rows' index; on tie-heavy input (few
+        # repeated values, a constant plane, a constant sample) every output
+        # routes to its window's first maximum, as argmax over all views does
+        x = np.random.default_rng(19).integers(-1, 2, size=(3, 4, h, w)).astype(np.float32)
+        x[:, 1], x[1] = 2.0, 0.0
+        oh, ow = (h - window) // stride + 1, (w - window) // stride + 1
+        monkeypatch.setattr(layers, "PIECE_ELEMENTS", piece_rows * 4 * ow)
+        rows, cols = stride * (oh - 1) + 1, stride * (ow - 1) + 1
+        views = np.stack([x[:, :, u:u + rows:stride, v:v + cols:stride]
+                          for u in range(window) for v in range(window)])
+        want_idx = views.argmax(axis=0).astype(np.min_scalar_type(window * window - 1))
+        d_out = np.random.default_rng(20).integers(-3, 4, size=want_idx.shape).astype(np.float32)
+        want_d_in = np.zeros_like(x)  # integer gradients: any summation order is exact
+        n, c, i, j = np.indices(want_idx.shape)
+        np.add.at(want_d_in,
+                  (n, c, i * stride + want_idx // window, j * stride + want_idx % window), d_out)
+        with WorkerPool(workers) if workers > 1 else nullcontext(layers.SERIAL) as pool:
+            y, cache = maxpool_forward(x, window, stride, pool)
+        assert y.tobytes() == views.max(axis=0).tobytes()
+        assert cache["idx"].dtype == want_idx.dtype
+        assert cache["idx"].tobytes() == want_idx.tobytes()
+        assert maxpool_backward(cache, d_out)[0].tobytes() == want_d_in.tobytes()
+
     def test_eval_mode_keeps_no_cache(self):
         x = np.random.default_rng(18).normal(size=(1, 2, 4, 4))
         y, cache = eval_layer(maxpool("p"), x)

@@ -895,8 +895,8 @@ class TestWorkerPool:
         calls = []
         with net.WorkerPool(2) as pool:
             with pytest.raises(ResourceError, match="could not start the agecnn-worker thread"):
-                pool.run(lambda i, worker: calls.append(("failed", i)), 4)
-            pool.run(lambda i, worker: calls.append(("next", i)), 4)
+                pool.run(lambda i, worker: calls.append(("failed", i)), range(4))
+            pool.run(lambda i, worker: calls.append(("next", i)), range(4))
         assert sorted(calls) == [("next", i) for i in range(4)]
 
     def test_vgg_trunk_same_bits_on_a_pool(self, vgg_trunk):
@@ -951,7 +951,7 @@ class TestWorkerPool:
             plan = pool.plan(layers, shapes, 3, np.float32)
             assert pool.plan(layers, shapes, 3, np.float32) is plan
             used = set()
-            pool.run(piece, 8)
+            pool.run(piece, range(8))
             assert used == {0, 1}
 
     def test_run_calls_every_piece_once(self):
@@ -967,18 +967,31 @@ class TestWorkerPool:
         sys.setswitchinterval(1e-6)
         try:
             with net.WorkerPool(4) as pool:
-                pool.run(piece, len(counts))
+                pool.run(piece, range(len(counts)))
         finally:
             sys.setswitchinterval(interval)
         assert (counts == 1).all()
         assert workers <= {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_run_hands_out_each_item_of_the_pieces_once(self, workers):
+        # pieces are whatever the sequence holds, here tuples, never indices
+        pieces, seen = [(i, f"piece {i}") for i in range(3000)], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with net.WorkerPool(workers) as pool:
+                pool.run(lambda piece, worker: seen.append(piece), pieces)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(seen) == pieces
 
     @pytest.mark.parametrize("workers, count", [(1, 0), (1, 1), (1, 5), (2, 0), (2, 1)])
     def test_one_worker_or_at_most_one_piece_runs_on_the_caller(self, workers, count):
         calls = []
         with net.WorkerPool(workers) as pool:
             pool.run(lambda i, worker: calls.append((i, worker, threading.current_thread())),
-                     count)
+                     range(count))
             helpers = [t for t in threading.enumerate() if t.name.startswith("agecnn-worker")]
         assert calls == [(i, 0, threading.current_thread()) for i in range(count)]
         assert helpers == []
@@ -992,7 +1005,7 @@ class TestWorkerPool:
             seen[worker] = np.geterr()["over"]
 
         with net.WorkerPool(2) as pool, np.errstate(over="ignore"):
-            pool.run(piece, 2)
+            pool.run(piece, range(2))
         assert seen == {0: "ignore", 1: "ignore"}
 
     def test_run_raises_a_piece_error_after_every_piece_is_done(self):
@@ -1006,7 +1019,7 @@ class TestWorkerPool:
 
         with net.WorkerPool(2) as pool:
             with pytest.raises(ValueError, match="piece 3"):
-                pool.run(piece, 40)
+                pool.run(piece, range(40))
             assert running == [3]
 
     def test_close_leaves_no_thread(self):
@@ -1014,7 +1027,7 @@ class TestWorkerPool:
             return [t for t in threading.enumerate() if t.name.startswith("agecnn-worker")]
 
         with net.WorkerPool(2) as pool:
-            pool.run(lambda i, worker: None, 4)
+            pool.run(lambda i, worker: None, range(4))
             assert len(alive()) == 1
         assert alive() == []
 

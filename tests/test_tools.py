@@ -45,3 +45,9 @@ def test_loc_counts_raw_and_code_lines(tmp_path):
     assert (raw, code) == (21, 8)
     assert code == sum(kind == "C" for kind, _ in FIXTURE)
 
+
+
+def test_loc_counts_a_last_line_without_a_newline(tmp_path):
+    path = tmp_path / "fixture.py"
+    path.write_text("x = 1\ny = 2")
+    assert load_tool("loc").counts(str(path)) == (2, 2)

@@ -19,7 +19,7 @@ _STATEMENT_START = {None, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT}
 def counts(path):
     """(raw lines, code lines) of one Python source file."""
     with open(path, "rb") as fh:
-        raw = fh.read().count(b"\n")
+        raw = len(fh.read().splitlines())
         fh.seek(0)
         tokens = [t for t in tokenize.tokenize(fh.readline)
                   if t.type not in (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)]
