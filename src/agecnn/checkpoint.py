@@ -73,7 +73,7 @@ import numpy as np
 
 from . import network as net
 from .errors import ConfigError, FormatError, IntegrityError, ParameterError, ShapeError
-from .layers import LayerSpec
+from .layers import SERIAL, LayerSpec, started
 from .optim import OptState
 
 MAGIC = b"ACNN"
@@ -134,7 +134,7 @@ class _Crc:
         self._helper = threading.Thread(target=self._fold, name="checkpoint-crc", daemon=True)
 
     def __enter__(self):
-        net.started("checkpoint-crc", self._helper.start)
+        started("checkpoint-crc", self._helper.start)
         return self
 
     def __exit__(self, *exc):
@@ -320,17 +320,17 @@ def atomic_open(path):
         raise
 
 
-def save(spec, params, mask, path, state: OptState | None = None, pool=None) -> None:
+def save(spec, params, mask, path, state: OptState | None = None, pool=SERIAL) -> None:
     """Write a checkpoint; identical inputs always produce identical bytes.
 
     Each tensor is a C-contiguous little-endian float32 array, written from
     its own memory, or a ``network.DrawnWeight``, drawn on the workers of
-    ``pool`` (a ``network.WorkerPool``, or a one-worker pool for the call)
-    with the same bytes at any pool size and on every save. Any other tensor
-    is a ConfigError before a file is made.
+    ``pool`` (a ``network.WorkerPool``; the default, ``layers.SERIAL``,
+    draws on the calling thread) with the same bytes at any pool size and on
+    every save. Any other tensor is a ConfigError before a file is made.
     """
     _check_content(spec, params, mask, state)
-    with atomic_open(path) as fh, net.pool_for_call(pool) as pool:
+    with atomic_open(path) as fh:
         _write(fh, spec, params, mask, state, pool)
 
 
@@ -396,6 +396,13 @@ class _Reader:
         return dict(self.tensor() for _ in range(count))
 
 
+def _new_key(seen, key, path, where):
+    """``key``, which ``seen`` must not hold yet: ``save`` writes no key twice."""
+    if key in seen:
+        raise IntegrityError(f"{path}: {where} names {key!r} twice")
+    return key
+
+
 def _parse(cur, path):
     name = cur.string()
     (rank,) = cur.unpack("B")
@@ -407,7 +414,7 @@ def _parse(cur, path):
         kind = cur.string()
         hypers = {}
         for _ in range(cur.unpack("H")[0]):
-            key = cur.string()
+            key = _new_key(hypers, cur.string(), path, f"layer {lname!r}")
             (hypers[key],) = cur.unpack("d")
         try:
             # LayerSpec casts each value to the type its kind declares.
@@ -428,14 +435,14 @@ def _parse(cur, path):
         mask = {}
         for _ in range(cur.unpack("I")[0]):
             # the name must be consumed before the flag byte
-            mname = cur.string()
+            mname = _new_key(mask, cur.string(), path, "the freeze mask")
             mask[mname] = bool(cur.unpack("B")[0])
     state = None
     if cur.unpack("B")[0]:
         lr, best, stalled, epoch, vel_count = cur.unpack("ddIII")
         velocity = {}
         for _ in range(vel_count):
-            vname = cur.string()
+            vname = _new_key(velocity, cur.string(), path, "the velocity")
             velocity[vname] = cur.tensor_group()
         state = OptState(velocity=velocity, lr=lr, best_accuracy=best,
                          epochs_since_improvement=stalled, epoch=epoch)

@@ -55,9 +55,10 @@ class DatasetManifest:
 
 
 def read_lines(path, error):
-    """Lines of a UTF-8 text file, endings kept; undecodable bytes raise ``error``."""
+    """Lines of a UTF-8 text file, endings kept, a leading byte-order mark
+    dropped; undecodable bytes raise ``error``."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             return fh.readlines()
     except UnicodeDecodeError as e:
         raise error(f"{path}: not UTF-8 text ({e.reason})") from None

@@ -16,17 +16,18 @@ with the same operations a whole-batch call makes, and hands the list of
 them to its plan's ``run``, which calls the piece function once for each, so
 no bit depends on the mode, the batch or who ran a piece. A plan says its
 mode. Train mode runs on a ``WorkerPool``: its workers share the pieces,
-which write into new arrays, and the body keeps what backward reads; a call
-given no plan runs on ``SERIAL``, a one-worker pool that starts no thread.
-Eval mode runs only on a ``BufferPlan``, which ``network.eval_layers`` gets
-from its pool's ``plan``: the pieces write into its buffers and the pool's
-workers share them. A buffer plan holds two ping-pong activation buffers,
-the only buffers that grow with the rows, and per worker the scratch each
-kind's ``scratch`` rule sizes: conv's slab, patch band and GEMM band, and
-LRN's squares. Conv, LRN and max pooling write into the activation buffer
-their input is not in, ReLU works in place, eval dropout is the identity and
-fc allocates its (small) output. For the ``vgg-face-age`` trunk at 3 rows
-the plan is about 88.5 MiB, and 15 MiB more per further worker.
+which write into new arrays, and the body keeps what backward reads. A call
+given no pool runs on ``SERIAL``, a one-worker pool that starts no thread
+and keeps no buffer plan. Eval mode runs only on a ``BufferPlan``, which
+``network.eval_layers`` gets from its pool's ``plan``: the pieces write into
+its buffers and the pool's workers share them. A buffer plan holds two
+ping-pong activation buffers, the only buffers that grow with the rows, and
+per worker the scratch each kind's ``scratch`` rule sizes: conv's slab,
+patch band and GEMM band, and LRN's squares. Conv, LRN and max pooling
+write into the activation buffer their input is not in, ReLU works in
+place, eval dropout is the identity and fc allocates its (small) output.
+For the ``vgg-face-age`` trunk at 3 rows the plan is about 88.5 MiB, and
+15 MiB more per further worker.
 
 Backward runs on the same pool. Fc's weight gradient is one piece per block
 of ``FC_COLUMNS`` input rows and its input gradient one more piece, each the
@@ -38,7 +39,6 @@ gradient is one more piece.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from collections import namedtuple
@@ -172,8 +172,9 @@ class WorkerPool:
     its cache may keep. ``plan`` makes every ``BufferPlan``: it keeps the last
     one and hands it out again for the same layers, shapes and dtype at no
     more rows, so a loop that scores one image per call plans its buffers
-    once. ``release`` frees the kept plan and leaves the helpers running;
-    leaving the ``with`` block (``close``) frees the plan and stops the helpers.
+    once (``SERIAL``, the pool of a call given none, keeps none).
+    ``release`` frees the kept plan and leaves the helpers running; leaving
+    the ``with`` block (``close``) frees the plan and stops the helpers.
     """
 
     mode = "train"
@@ -247,16 +248,16 @@ class WorkerPool:
         self.close()
 
 
-def pool_for_call(pool):
-    """``pool`` as a context that leaves it open; given None, a one-worker pool
-    that the context closes, the pool of a library call given none."""
-    return WorkerPool() if pool is None else contextlib.nullcontext(pool)
+class _Serial(WorkerPool):
+    """The pool of every call given none. It has one worker, so it runs every
+    piece on the calling thread and starts no thread, and it keeps no plan,
+    so a buffer plan lives only as long as the call that asked for it."""
+
+    def plan(self, layers, shapes, rows, dtype) -> "BufferPlan":
+        return BufferPlan(layers, shapes, rows, dtype, self)
 
 
-# The plan of a train-mode call given none: it runs every piece on the
-# calling thread and starts no thread. Never ask it for a BufferPlan (``plan``,
-# ``network.eval_layers``), which it would keep for good.
-SERIAL = WorkerPool(1)
+SERIAL = _Serial()
 
 # Elements a BufferPlan aligns each buffer to: 64 bytes of float32.
 _ALIGN = 16

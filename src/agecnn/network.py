@@ -4,13 +4,13 @@ per-layer freeze mask, and ``eval_layers``, the only eval-mode walk, cache-free
 in micro-batches (scoring, and the frozen prefix used as a feature extractor).
 
 Both walks, and ``backward``, run on a ``WorkerPool``: a CLI command's one
-pool, or, given none, a one-worker pool (``layers.SERIAL`` for ``forward``
-and ``backward``, one for the call for ``eval_layers``). Train mode runs
-each layer call on the pool itself, eval mode on the buffer plan the pool's
-``plan`` makes. Inside each layer call the pool's threads share the layer's
-pieces (conv bands and filter blocks, row ranges of ReLU, LRN and max
-pooling, fc's blocks of ``layers.FC_COLUMNS`` columns), which depend only on
-the shapes and are the same in both modes. So a sample's output through the
+pool, or, given none, ``layers.SERIAL``, one worker that keeps no buffer
+plan past the call. Train mode runs each layer call on the pool itself, eval
+mode on the buffer plan the pool's ``plan`` makes. Inside each layer call
+the pool's threads share the layer's pieces (conv bands and filter blocks,
+row ranges of ReLU, LRN and max pooling, fc's blocks of
+``layers.FC_COLUMNS`` columns), which depend only on the shapes and are the
+same in both modes. So a sample's output through the
 layers before the first fc is the same at every batch size, micro-batch size
 and worker count, in either mode. A row's fc bits depend on its place in the
 GEMM of its micro-batch, so fc outputs are the same only for the same row
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import layers as L
 from .errors import ConfigError, ParameterError, ShapeError, StateError
-from .layers import WorkerPool, pool_for_call, started  # noqa: F401  (checkpoint and cli use them)
+from .layers import WorkerPool  # noqa: F401  (cli uses it)
 from .tensor import DTYPE, Rng, gaussian_fill
 
 
@@ -367,34 +367,33 @@ def pool_size() -> int:
     return max(1, min(MAX_WORKERS, cpus or 1))
 
 
-def eval_layers(spec: NetworkSpec, params, batch, start: int, stop: int, pool=None):
+def eval_layers(spec: NetworkSpec, params, batch, start: int, stop: int, pool=L.SERIAL):
     """Eval-mode output of layers [start, stop), MICRO_BATCH rows per call.
 
-    The walk runs on the plan of ``pool`` (a WorkerPool, or a one-worker pool
-    that lasts the call), sized from the layers' shapes at the rows of its
-    largest micro-batch; the pool's workers share each layer's pieces. Each
-    micro-batch is copied into the plan, every layer call writes into it and
-    returns no cache, and the last layer's output is copied into a new result
-    array. ``start`` == ``stop`` returns ``batch``; a range outside
+    The walk runs on the plan of ``pool`` (a WorkerPool; ``layers.SERIAL``,
+    the default, plans for this call alone), sized from the layers' shapes at
+    the rows of its largest micro-batch; the pool's workers share each
+    layer's pieces. Each micro-batch is copied into the plan, every layer
+    call writes into it and returns no cache, and the last layer's output is
+    copied into a new result array. ``start`` == ``stop`` returns ``batch``; a range outside
     0 <= start <= stop <= len(spec.layers) raises ParameterError.
     """
     _check_batch(spec, batch, start, stop)
     if start == stop:
         return batch
-    with pool_for_call(pool) as pool:
-        layers, dtype = spec.layers[start:stop], np.result_type(batch, DTYPE)
-        plan = pool.plan(layers, spec.shapes[start:stop + 1], min(MICRO_BATCH, len(batch)), dtype)
-        out = np.empty(batch.shape[:1] + spec.shapes[stop], dtype)
-        for row in range(0, batch.shape[0], MICRO_BATCH):
-            part = batch[row:row + MICRO_BATCH]
-            x = plan.copy_in(part)
-            for layer in layers:
-                x, _ = L.forward_layer(layer, x, _layer_params(layer, params), "eval", None, plan)
-            out[row:row + MICRO_BATCH] = x
-        return out
+    layers, dtype = spec.layers[start:stop], np.result_type(batch, DTYPE)
+    plan = pool.plan(layers, spec.shapes[start:stop + 1], min(MICRO_BATCH, len(batch)), dtype)
+    out = np.empty(batch.shape[:1] + spec.shapes[stop], dtype)
+    for row in range(0, batch.shape[0], MICRO_BATCH):
+        part = batch[row:row + MICRO_BATCH]
+        x = plan.copy_in(part)
+        for layer in layers:
+            x, _ = L.forward_layer(layer, x, _layer_params(layer, params), "eval", None, plan)
+        out[row:row + MICRO_BATCH] = x
+    return out
 
 
-def eval_scores(spec: NetworkSpec, params, batch, pool=None):
+def eval_scores(spec: NetworkSpec, params, batch, pool=L.SERIAL):
     """Eval-mode pre-softmax scores (all layers except the final loss layer)."""
     return eval_layers(spec, params, batch, 0, len(spec.layers) - 1, pool)
 

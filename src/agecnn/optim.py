@@ -1,7 +1,8 @@
 """SGD with momentum and coupled L2 decay, plateau learning-rate schedule,
 and the one-epoch training loop. An epoch runs on one WorkerPool, the
-caller's or its own of one worker: its steps' frozen prefix, forward,
-backward (fc's and conv's) and momentum step all share the pool's workers.
+caller's or, given none, ``layers.SERIAL``: its steps' frozen prefix,
+forward, backward (fc's and conv's) and momentum step all share the pool's
+workers.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError, ParameterError, ShapeError, StateError
-from .layers import PIECE_ELEMENTS, SERIAL, pool_for_call, softmax_log_loss
+from .layers import SERIAL, _piece_rows, softmax_log_loss
 from .network import backward, eval_layers, forward, frozen_prefix
 
 
@@ -104,13 +105,15 @@ def sgd_step(params, grads, mask, state: OptState, cfg: SgdConfig, pool=SERIAL):
 def _momentum_update(w, v, g, lr, mu, lam, pool):
     """v <- mu*v - lr*(g + lam*w); w <- w + v, in row blocks of about 1 MB.
 
-    A block is whole first-axis rows, at least one row, of about PIECE_ELEMENTS
-    elements, in any layout, and one piece on ``pool``. Each block runs the
-    float operations of ``v *= mu; v -= lr * (g + lam * w); w += v`` in the
-    same order, at the same precision, through its worker's block of scratch,
-    so the bytes do not depend on the blocking or the worker.
+    A block is whole first-axis rows, at least one row, of about
+    ``layers.PIECE_ELEMENTS`` elements (``layers._piece_rows``, the rule of a
+    ReLU, LRN or max-pooling piece), in any layout, and one piece on ``pool``.
+    Each block runs the float operations of ``v *= mu; v -= lr * (g + lam *
+    w); w += v`` in the same order, at the same precision, through its
+    worker's block of scratch, so the bytes do not depend on the blocking or
+    the worker.
     """
-    rows = max(1, PIECE_ELEMENTS // math.prod(w.shape[1:]))
+    rows = _piece_rows(len(w), math.prod(w.shape[1:]))
     parts = [slice(lo, lo + rows) for lo in range(0, len(w), rows)]
     scratch = [np.empty(w[:rows].shape, np.result_type(g, w, lam, lr))
                for _ in range(min(pool.workers, len(parts)))]
@@ -160,15 +163,15 @@ def _step(spec, params, mask, state, cfg, x, labels, split, rng, pool):
 
 
 def train_epoch(spec, params, mask, state: OptState, cfg: SgdConfig, train_batches, rng,
-                pool=None):
+                pool=SERIAL):
     """One pass over the batch stream: forward, loss, backward, sgd_step.
 
-    The epoch runs on ``pool``, or without one on a one-worker pool of its
-    own that it closes on return. The frozen prefix (``network.frozen_prefix``)
-    runs as a fixed feature extractor, in eval mode and micro-batches with no
-    caches kept, on the pool's plan; the step then frees the plan, and
-    forward keeps train-mode caches from there on. Each step
-    updates ``params`` and the velocity in place, one layer at a time: backward
+    The epoch runs on ``pool``, by default ``layers.SERIAL``, which keeps no
+    plan past the step that asked for it. The frozen prefix
+    (``network.frozen_prefix``) runs as a fixed feature extractor, in eval
+    mode and micro-batches with no caches kept, on the pool's plan; the step
+    then frees the plan, and forward keeps train-mode caches from there on.
+    Each step updates ``params`` and the velocity in place, one layer at a time: backward
     hands each trainable layer's gradients to ``sgd_step`` as soon as it has
     them and keeps none, so one layer's gradients are alive at a time. Returns
     (params, state', mean per-example loss). A non-finite batch loss raises
@@ -179,14 +182,13 @@ def train_epoch(spec, params, mask, state: OptState, cfg: SgdConfig, train_batch
     split = frozen_prefix(spec, mask)
     total_loss = 0.0
     total_n = 0
-    with pool_for_call(pool) as pool:
-        for x, labels in train_batches:
-            n = x.shape[0]
-            loss = _step(spec, params, mask, state, cfg, x, labels, split, rng, pool)
-            # drop the batch before the stream builds the next one
-            del x
-            total_loss += loss * n
-            total_n += n
+    for x, labels in train_batches:
+        n = x.shape[0]
+        loss = _step(spec, params, mask, state, cfg, x, labels, split, rng, pool)
+        # drop the batch before the stream builds the next one
+        del x
+        total_loss += loss * n
+        total_n += n
     if total_n == 0:
         raise InputError("train_epoch received an empty batch stream")
     for name, tensors in params.items():

@@ -13,9 +13,10 @@ walk, ``network.eval_layers``: ``predict_proba`` scores one image, and
 ``predict_manifest`` (``eval`` and validation) each record of a manifest in
 turn. Validation in ``train`` computes the outputs of frozen leading layers
 once per image (``manifest_features``) and starts each epoch's walk there.
-Every scorer takes an optional ``network.WorkerPool``, the CLI command's one
-pool, whose workers share each layer call and whose plan serves image after
-image (else each call plans on a one-worker pool); it changes no output bit.
+Every scorer takes a ``network.WorkerPool``, the CLI command's one pool,
+whose workers share each layer call and whose plan serves image after image;
+given none, each call plans for itself on ``layers.SERIAL``. The pool changes
+no output bit.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from . import network as net
 from .data import CROP_SIZE, FRAME_SIZE, Preprocessing, decode_image, resize_bilinear
 from .errors import ConfigError, IntegrityError, ShapeError
-from .layers import softmax
+from .layers import SERIAL, softmax
 from .tensor import DTYPE, argmax
 
 # (row, col) offsets of the three views inside the FRAME_SIZE frame.
@@ -111,7 +112,7 @@ def _average(scores, average, image):
 
 
 def predict_proba(spec, params, img, average: str = AVERAGES[0],
-                  channel_means=None, pool=None) -> np.ndarray:
+                  channel_means=None, pool=SERIAL) -> np.ndarray:
     """Class-probability vector for one image (3xHxW, values 0..255).
 
     average: 'probability' averages softmaxed per-view outputs; 'score'
@@ -123,7 +124,7 @@ def predict_proba(spec, params, img, average: str = AVERAGES[0],
 
 
 def predict_file(spec, params, path, average: str = AVERAGES[0],
-                 channel_means=None, pool=None) -> np.ndarray:
+                 channel_means=None, pool=SERIAL) -> np.ndarray:
     return predict_proba(spec, params, decode_image(path), average=average,
                          channel_means=channel_means, pool=pool)
 
@@ -142,7 +143,7 @@ def _record_views(spec, manifest, channel_means):
             for rec in manifest.records)
 
 
-def manifest_features(spec, params, manifest, channel_means, stop, pool=None) -> ViewFeatures:
+def manifest_features(spec, params, manifest, channel_means, stop, pool=SERIAL) -> ViewFeatures:
     """Eval-mode outputs of layers [0, stop) for each record's views.
 
     Each image is decoded and run on its own; only its outputs are kept.
@@ -153,7 +154,7 @@ def manifest_features(spec, params, manifest, channel_means, stop, pool=None) ->
 
 
 def predict_manifest(spec, params, manifest, average: str = AVERAGES[0],
-                     channel_means=None, features=None, pool=None):
+                     channel_means=None, features=None, pool=SERIAL):
     """Predicted and true label indices for every record of a manifest.
 
     Each record is scored as ``predict_proba`` scores one image. ``features``

@@ -505,6 +505,53 @@ class TestPartialVelocity:
         assert not os.path.exists(tmp_path / "out.acnn")
 
 
+class TestRepeatedKey:
+    """``save`` writes each key once. A file forged to repeat one, with the
+    CRC recomputed, is refused rather than read with the last value winning."""
+
+    def _hyperparameter(self, path):
+        # conv1_1's first hyperparameter entry, written twice
+        spec, params, mask = mini_fixture()
+        body = saved_body(path, spec, params, mask)
+        head = packed_str("conv1_1") + packed_str("conv")
+        at = body.index(head) + len(head)
+        (count,) = struct.unpack_from("<H", body, at)
+        (key_len,) = struct.unpack_from("<H", body, at + 2)
+        entry = body[at + 2:at + 2 + 2 + key_len + 8]
+        return body[:at] + struct.pack("<H", count + 1) + entry + body[at + 2:]
+
+    def _mask(self, path):
+        # frozen conv1_1 named again as trainable
+        spec, params, mask = mini_fixture()
+        mask["conv1_1"] = False
+        body = saved_body(path, spec, params, mask)
+        old = struct.pack("<BI", 1, len(mask)) + packed_str("conv1_1") + b"\x00"
+        assert body.count(old) == 1
+        return body.replace(old, struct.pack("<BI", 1, len(mask) + 1) + packed_str("conv1_1")
+                            + b"\x01" + packed_str("conv1_1") + b"\x00")
+
+    def _velocity(self, path):
+        # fc5's velocity group, which ends the file, written twice
+        spec, params, mask = mini_fixture()
+        body = saved_body(path, spec, params, mask, sample_state(params, mask))
+        group = body[body.rindex(packed_str("fc5") + struct.pack("<H", 2)):]
+        count = struct.pack("<I", len(mask)) + packed_str("conv1_1") + struct.pack("<H", 2)
+        at = body.rindex(count)
+        return body[:at] + struct.pack("<I", len(mask) + 1) + body[at + 4:] + group
+
+    @pytest.mark.parametrize("forge, layer", [("_hyperparameter", "conv1_1"),
+                                              ("_mask", "conv1_1"), ("_velocity", "fc5")])
+    def test_load_and_inspect_refuse(self, tmp_path, capsys, forge, layer):
+        path = str(tmp_path / "forged.acnn")
+        write_forged(path, getattr(self, forge)(path))
+        with pytest.raises(IntegrityError, match=rf"forged\.acnn: .*'{layer}'.* twice"):
+            load(path)
+        capsys.readouterr()
+        assert main(["inspect", "--model", path]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and "forged.acnn" in err
+
+
 class _FullDisk:
     """A file whose writes fail once ``limit`` bytes would be on disk, each
     failing write after a stall of ``stall`` seconds."""

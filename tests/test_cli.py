@@ -868,6 +868,46 @@ class TestPredict:
         assert error in captured.err
 
 
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark, which Excel and Notepad write, is
+    ignored: each text file a command reads gives the exit code and stdout
+    it gives without one."""
+
+    def _same_with_mark(self, path, argv, capsys):
+        text = read_bytes(path)
+        capsys.readouterr()
+        results = []
+        for data in (text, b"\xef\xbb\xbf" + text):
+            write_bytes(path, data)
+            results.append((main(argv), capsys.readouterr().out))
+        assert results[0][0] == 0
+        assert results[1] == results[0]
+
+    def test_manifest(self, tmp_path, capsys):
+        model = make_model(tmp_path)
+        manifest_path, _ = dataset(tmp_path, count=4)
+        self._same_with_mark(manifest_path, ["eval", "--model", model, "--test", manifest_path],
+                             capsys)
+
+    def test_image_list(self, tmp_path, capsys):
+        model = make_model(tmp_path)
+        _, manifest = dataset(tmp_path, count=4)
+        listing = tmp_path / "images.txt"
+        listing.write_text("\n".join(r.path for r in manifest.records) + "\n")
+        self._same_with_mark(str(listing), ["predict", "--model", model, "--images", str(listing)],
+                             capsys)
+
+    def test_config_file(self, tmp_path, capsys):
+        model = make_model(tmp_path)
+        _, manifest = dataset(tmp_path, count=4)
+        listing = tmp_path / "images.txt"
+        listing.write_text("\n".join(r.path for r in manifest.records) + "\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("average = score\n")
+        self._same_with_mark(str(cfg), ["predict", "--model", model, "--images", str(listing),
+                                        "--config", str(cfg)], capsys)
+
+
 class TestEval:
     def test_perfect_pairing_scores_100(self, tmp_path, capsys):
         model = make_model(tmp_path)

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 import weakref
 from contextlib import nullcontext
 
@@ -15,9 +16,13 @@ from agecnn import layers as L
 from agecnn import network as net
 from agecnn.layers import (conv, dropout, fc, forward_layer, lrn, maxpool, relu, softmax,
                            softmax_loss, softmax_log_loss, softmax_log_loss_backward)
+from agecnn.checkpoint import save
+from agecnn.data import load_manifest
 from agecnn.network import NetworkSpec, check_group, trunk_and_head
+from agecnn.optim import SgdConfig, init_state, train_epoch
+from agecnn.predict import manifest_features, predict_manifest, predict_proba
 
-from conftest import eval_layer, fd_max_rel_err, nan_plans, to64, traced_peak
+from conftest import eval_layer, fd_max_rel_err, nan_plans, to64, traced_peak, write_dataset
 
 
 def param_counts(spec):
@@ -538,6 +543,19 @@ class TestEvalPlan:
         for batch in (3, 7):
             assert plan <= peaks[batch] <= plan + 2**20, (batch, peaks)
 
+    def test_serial_plans_the_walk_alone(self, vgg_trunk):
+        # the trunk's 88.5 MiB plan goes with the walk: layers.SERIAL keeps none
+        spec, params, split = vgg_trunk
+        x = Rng(43).normal((3, 3, 224, 224)).astype(np.float32)
+        L.SERIAL.release()  # a plan an earlier test kept is not this walk's
+        tracemalloc.start()
+        try:
+            net.eval_layers(spec, params, x, 0, split, pool=L.SERIAL)
+            left = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert left < 2**20, left
+
     def test_plan_grows_only_by_the_activations(self, vgg_trunk):
         # conv pads each band into its worker's slab, so at two workers only
         # the two activation buffers grow with the rows
@@ -1057,6 +1075,96 @@ class TestPerSampleClaim:
         assert len({a.tobytes() for a in alone}) == 7
         with net.WorkerPool(2) as pool:
             for batch in range(1, 8):
-                for p in (None, pool):
+                for p in (L.SERIAL, pool):
                     got = net.eval_layers(spec, params, x[:batch], 0, first_fc, p)
                     assert [g.tobytes() for g in got] == [a.tobytes() for a in alone[:batch]]
+
+
+class TestCallGivenNoPool:
+    """Every call that takes a pool runs, given none, on ``layers.SERIAL``,
+    which plans for the call alone: on ``mini`` each call, given no pool or
+    given SERIAL, leaves nothing traced behind once it returns (or fails
+    mid-walk), and none starts a pool worker."""
+
+    @pytest.fixture(scope="class")
+    def mini(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("mini")
+        manifest = load_manifest(write_dataset(str(directory), 3, Rng(90)))
+        spec = build_profile("mini")
+        params = init_params(spec, Rng(91), std=0.05)
+        x = Rng(92).normal((3,) + spec.input_shape).astype(np.float32)
+        return spec, params, x, manifest, str(directory / "head.acnn")
+
+    def _calls(self, mini):
+        spec, params, x, manifest, path = mini
+        split = [l.name for l in spec.layers].index("fc3")
+        head = head_replace(spec, [24, 8], params, Rng(93).derive(0), draw_on_write=True)
+
+        def epoch(**pool):
+            # a fresh copy each call: the epoch steps the head in place
+            epoch_params = {n: {t: a.copy() for t, a in g.items()} for n, g in params.items()}
+            mask = make_mask(spec, {"fc3", "fc4", "fc5"})
+            cfg = SgdConfig(lr0=0.01, batch_size=3)
+            train_epoch(spec, epoch_params, mask, init_state(epoch_params, mask, cfg), cfg,
+                        iter([(x, [0, 3, 7])]), Rng(94), **pool)
+
+        return {
+            "eval_layers": lambda **pool: net.eval_layers(spec, params, x, 0, split, **pool),
+            "eval_scores": lambda **pool: net.eval_scores(spec, params, x, **pool),
+            "predict_proba": lambda **pool: predict_proba(spec, params, x[0], **pool),
+            "manifest_features": lambda **pool: manifest_features(
+                spec, params, manifest, None, split, **pool),
+            "predict_manifest": lambda **pool: predict_manifest(spec, params, manifest, **pool),
+            "save": lambda **pool: save(*head, path, **pool),
+            "train_epoch": epoch,
+        }
+
+    def _left_and_threads(self, call, monkeypatch, **pool):
+        # bytes still traced after the call returns, and the threads it started
+        L.SERIAL.release()  # a plan an earlier test kept is not this call's
+        with net.WorkerPool(1) as warm:
+            call(pool=warm)  # warm-up: numpy's and Python's caches
+        names = []
+        start = threading.Thread.start
+
+        def spy(thread):
+            names.append(thread.name)
+            start(thread)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(threading.Thread, "start", spy)
+            tracemalloc.start()
+            try:
+                call(**pool)
+                left = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+        return left, names
+
+    @pytest.mark.parametrize("given", ["no pool", "SERIAL"])
+    @pytest.mark.parametrize("name", ["eval_layers", "eval_scores", "predict_proba",
+                                      "manifest_features", "predict_manifest", "save",
+                                      "train_epoch"])
+    def test_call_leaves_nothing_and_starts_no_worker(self, mini, name, given, monkeypatch):
+        pool = {} if given == "no pool" else {"pool": L.SERIAL}
+        left, names = self._left_and_threads(self._calls(mini)[name], monkeypatch, **pool)
+        assert left < 2**16, left
+        # save's CRC helper is the one thread a call starts, and it stops
+        assert names == (["checkpoint-crc"] if name == "save" else []), names
+
+    @pytest.mark.parametrize("given", ["no pool", "SERIAL"])
+    def test_shape_error_mid_walk_leaves_nothing(self, mini, given, monkeypatch):
+        # fc3's bias is the wrong shape: the walk fails there, after the
+        # conv layers have written into the plan
+        spec, params, x, _, _ = mini
+        broken = dict(params, fc3={"weight": params["fc3"]["weight"],
+                                   "bias": np.zeros(5, np.float32)})
+        pool = {} if given == "no pool" else {"pool": L.SERIAL}
+
+        def failed_walk(**pool):
+            with pytest.raises(ShapeError, match="fc bias"):
+                net.eval_scores(spec, broken, x, **pool)
+
+        left, names = self._left_and_threads(failed_walk, monkeypatch, **pool)
+        assert left < 2**16, left
+        assert names == []

@@ -259,6 +259,31 @@ class TestSgdStep:
         with WorkerPool(2) as pool:
             assert steps(pool=pool) == steps()
 
+    def test_layers_piece_size_alone_sets_the_row_blocks(self, monkeypatch):
+        # the step takes its row blocks from layers' rule: patching
+        # layers.PIECE_ELEMENTS alone cuts a small weight into many blocks,
+        # with the bytes of the unpatched step
+        rng = Rng(47)
+        grads = [rng.normal((12, 5, 3)).astype(np.float32) for _ in range(3)]
+        start = rng.normal((12, 5, 3)).astype(np.float32)
+        cfg = SgdConfig(lr0=0.05, batch_size=1)
+
+        def steps(**pool):
+            params = {"f": {"weight": start.copy()}}
+            state = init_state(params, {"f": True}, cfg)
+            for g in grads:
+                sgd_step(params, {"f": {"weight": g}}, {"f": True}, state, cfg, **pool)
+            return params["f"]["weight"].tobytes(), state.velocity["f"]["weight"].tobytes()
+
+        want = steps()
+        monkeypatch.setattr(L, "PIECE_ELEMENTS", 30)  # two rows of 15 values
+        with WorkerPool(2) as pool:
+            counts = []
+            run = pool.run
+            pool.run = lambda piece, pieces: (counts.append(len(pieces)), run(piece, pieces))
+            assert steps(pool=pool) == want
+        assert counts == [6] * 3
+
     def test_step_allocates_no_new_tensors(self):
         # the old out-of-place step allocated about 2.2x all trainable bytes
         params, mask, cfg, state = self._trainable_set(4, (512, 512))
@@ -370,7 +395,7 @@ def one_batch_stream(x, labels, times=1):
 
 
 class TestTrainEpoch:
-    def _two_fc_peak(self, pool=None):
+    def _two_fc_peak(self, pool=L.SERIAL):
         # two equally large fc layers, back to back: keeping a gradient past
         # its update, or a tensor-sized temporary inside it, breaks the bound
         spec = NetworkSpec("two", (1024, 1, 1), [
@@ -599,7 +624,7 @@ class TestTrainOnAnyPool:
                 {n: {t: a.tobytes() for t, a in g.items()} for n, g in state.velocity.items()})
 
     def _same_on_any_pool(self, spec, trainable):
-        want = self._epoch_bytes(spec, trainable, None)
+        want = self._epoch_bytes(spec, trainable, L.SERIAL)
         for workers in (1, 2, 3):
             with WorkerPool(workers) as pool:
                 assert self._epoch_bytes(spec, trainable, pool) == want, workers
@@ -619,7 +644,6 @@ class TestTrainOnAnyPool:
         # workers switched between as often as the interpreter allows
         monkeypatch.setattr(L, "BAND_BYTES", 9000)
         monkeypatch.setattr(L, "PIECE_ELEMENTS", 40)
-        monkeypatch.setattr(optim, "PIECE_ELEMENTS", 40)
         monkeypatch.setattr(L, "FC_COLUMNS", 16)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
