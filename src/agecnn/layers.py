@@ -14,11 +14,14 @@ fixed by the shapes alone (conv's bands and filter blocks, row ranges of at
 most about ``PIECE_ELEMENTS``, fc's blocks of ``FC_COLUMNS``), each written
 with the same operations a whole-batch call makes, and hands the list of
 them to its plan's ``run``, which calls the piece function once for each, so
-no bit depends on the mode, the batch or who ran a piece. A plan says its
-mode. Train mode runs on a ``WorkerPool``: its workers share the pieces,
-which write into new arrays, and the body keeps what backward reads. A call
-given no pool runs on ``SERIAL``, a one-worker pool that starts no thread
-and keeps no buffer plan. Eval mode runs only on a ``BufferPlan``, which
+no bit depends on the mode, the batch or who ran a piece. A piece takes its
+scratch from its plan (``take``) when it runs; no kernel reads the worker
+count. A plan says its mode. Train mode runs on a ``WorkerPool``: its workers
+share the pieces, which write into new arrays and take new scratch, so no
+two pieces share a buffer and a worker that runs no piece holds none, and
+the body keeps what backward reads. A call given no pool runs on
+``SERIAL``, a one-worker pool that starts no thread and keeps no buffer
+plan. Eval mode runs only on a ``BufferPlan``, which
 ``network.eval_layers`` gets from its pool's ``plan``: the pieces write into
 its buffers and the pool's workers share them. A buffer plan holds two
 ping-pong activation buffers, the only buffers that grow with the rows, and
@@ -34,7 +37,7 @@ of ``FC_COLUMNS`` input rows and its input gradient one more piece, each the
 bits of the whole product. Conv's weight gradient is one piece, which sums
 every (sample, band) GEMM in a fixed order, since a cut of those GEMMs into
 filter blocks rounds unlike the whole at some shapes; each sample's input
-gradient is one more piece.
+gradient is one more piece, which takes its plane when it runs.
 """
 
 from __future__ import annotations
@@ -168,11 +171,13 @@ class WorkerPool:
     ``run``. Every pool has an executor of ``max(1, workers - 1)`` threads,
     which starts a thread only when ``run`` first submits to it, so a
     one-worker pool, which never submits, starts none. In train mode a
-    kernel's outputs and scratch (``other``, ``take``) are new arrays, which
-    its cache may keep. ``plan`` makes every ``BufferPlan``: it keeps the last
-    one and hands it out again for the same layers, shapes and dtype at no
-    more rows, so a loop that scores one image per call plans its buffers
-    once (``SERIAL``, the pool of a call given none, keeps none).
+    kernel's outputs (``other``) are new arrays, which its cache may keep,
+    and so is each piece's scratch (``take``), taken when the piece runs: a
+    call holds one per running piece, at most one per worker. ``plan`` makes
+    every ``BufferPlan``: it keeps the last one and hands it out again for
+    the same layers, shapes and dtype at no more rows, so a loop that scores
+    one image per call plans its buffers once (``SERIAL``, the pool of a
+    call given none, keeps none).
     ``release`` frees the kept plan and leaves the helpers running; leaving
     the ``with`` block (``close``) frees the plan and stops the helpers.
     """
@@ -222,7 +227,8 @@ class WorkerPool:
         return np.empty(shape, dtype)
 
     def take(self, name, shape, worker, dtype):
-        """A new ``shape`` array of ``dtype``: worker ``worker``'s scratch ``name``."""
+        """A new ``shape`` array of ``dtype``: the scratch ``name`` of a piece
+        running on worker ``worker``, its own for as long as it holds it."""
         return np.empty(shape, dtype)
 
     def plan(self, layers, shapes, rows, dtype) -> "BufferPlan":
@@ -284,7 +290,7 @@ class BufferPlan:
             for name, size in KINDS[layer.kind].scratch(layer, shape).items():
                 sizes[name] = max(sizes.get(name, 0), size)
         act = rows * max(math.prod(shape) for shape in shapes)
-        self.workers, self.run = pool.workers, pool.run
+        self.run = pool.run
         # One block, carved into 64-byte aligned buffers: a large block is
         # mapped on its own, so freeing the plan hands all of it back to the
         # system, where buffers below the allocator's mapping threshold would
@@ -454,11 +460,12 @@ def conv2d_forward(x, w, b, stride, pad, plan=SERIAL):
     Each band of a sample's output rows, and each block of filters
     (``_filter_blocks``), is one piece and one GEMM: weights times the band's
     patch matrix (``_patches``), with the bias added as the band is written
-    to y. The piece first pads the input rows its band reads into its
-    worker's slab (``tensor.pad2d``), so no padded copy of the whole input
-    exists. These pieces, and every buffer's size, come from the shapes
-    alone (``_conv_geometry``). ``plan`` supplies each worker's slab, band
-    and GEMM band and y, and runs the pieces on its workers.
+    to y. The piece first pads the input rows its band reads into its slab
+    (``tensor.pad2d``), so no padded copy of the whole input exists. These
+    pieces, and every buffer's size, come from the shapes alone
+    (``_conv_geometry``). ``plan`` supplies y and runs the pieces on its
+    workers; each piece takes its slab, its band and a GEMM band the size of
+    its filter block from ``plan`` when it runs.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv expects 4-D input and weights, got {x.shape} / {w.shape}")
@@ -471,16 +478,14 @@ def conv2d_forward(x, w, b, stride, pad, plan=SERIAL):
     g = _conv_geometry(cin, h, wd, cout, kh, kw, stride, pad)
     oh, ow, wp = g.oh, g.ow, g.wp
     dtype = np.result_type(x, w)
-    scratch = [(plan.take("slab", (g.slab,), worker, x.dtype),
-                plan.take("band", (g.band,), worker, x.dtype),
-                plan.take("gemm", (g.gemm,), worker, dtype)) for worker in range(plan.workers)]
     y = plan.other(x, (n, cout, oh, ow), np.result_type(dtype, b))
     w2 = w.reshape(cout, -1)
 
     def piece(p, worker):
-        (i, top, r, (lo, hi)), (slab, band, gemm) = p, scratch[worker]
+        i, top, r, (lo, hi) = p
+        slab, band = (plan.take(k, (getattr(g, k),), worker, x.dtype) for k in ("slab", "band"))
         cols = _patches(x[i], kh, kw, stride, pad, top, r, slab, band)
-        out = np.matmul(w2[lo:hi], cols, out=gemm[:(hi - lo) * r * wp].reshape(hi - lo, r * wp))
+        out = np.matmul(w2[lo:hi], cols, out=plan.take("gemm", (hi - lo, r * wp), worker, dtype))
         np.add(out.reshape(hi - lo, r, wp)[:, :, :ow], b[lo:hi, None, None],
                out=y[i, lo:hi, top:top + r])
 
@@ -493,11 +498,12 @@ def conv2d_backward(cache, d_out, need_param_grads=True, need_input_grad=True, p
 
     With dy_band a band's output gradient, zero on the wrapped columns, the
     first piece sums dW += dy_band @ patches.T in sample-then-band order, the
-    patches cut again into its worker's slab and band, as forward cuts them.
-    Each sample's input gradient is one more piece: W.T @ dy_band is added
-    back, tap by tap, into the slices of its worker's input-gradient plane
-    they came from. So each sum runs in one order on any pool. Scratch is one
-    slab and one band, and one input-gradient plane per worker.
+    patches cut again into a slab and a band, as forward cuts them. Each
+    sample's input gradient is one more piece: W.T @ dy_band is added back,
+    tap by tap, into the slices of the piece's input-gradient plane they came
+    from. So each sum runs in one order on any pool. Each piece takes its
+    scratch when it runs: one slab and one band, and an input-gradient plane
+    per running piece, at most one per worker.
     """
     x, w = cache["x"], cache["w"]
     stride, pad = cache["stride"], cache["pad"]
@@ -517,7 +523,7 @@ def conv2d_backward(cache, d_out, need_param_grads=True, need_input_grad=True, p
                 np.add(dw, dy_band(i, top, r) @ cols.T, out=dw)
 
     def input_grad(i, worker):
-        d_plane = planes[worker]
+        d_plane = plan.take("plane", (cin, g.plane), worker, d_in.dtype)
         d_plane[...] = 0
         for top, r in g.bands:
             d_cols = (w2.T @ dy_band(i, top, r)).reshape(cin, kh * kw, r * wp)
@@ -532,7 +538,6 @@ def conv2d_backward(cache, d_out, need_param_grads=True, need_input_grad=True, p
         pieces.append(weight_grad)
     if need_input_grad:
         d_in = np.empty(x.shape, np.result_type(w, d_out))
-        planes = [plan.take("plane", (cin, g.plane), k, d_in.dtype) for k in range(plan.workers)]
         pieces += [functools.partial(input_grad, i) for i in range(n)]
     plan.run(lambda piece, worker: piece(worker), pieces)
     return d_in, d_params
@@ -544,16 +549,20 @@ def conv2d_backward(cache, d_out, need_param_grads=True, need_input_grad=True, p
 
 def relu_forward(x, plan=SERIAL):
     """max(x, 0) in flat pieces of PIECE_ELEMENTS: in place in eval mode, else
-    into a new array, keeping x for backward."""
+    into a new array y, which the cache keeps for backward. The next layer's
+    cache holds y too, so x, a conv's or an fc's output, dies once the
+    caller drops it."""
     y = x if plan.mode == "eval" else plan.other(x, x.shape, x.dtype)
     flat, out = x.reshape(-1), y.reshape(-1)
     plan.run(lambda part, worker: np.maximum(flat[part], 0, out=out[part]),
              [slice(lo, lo + PIECE_ELEMENTS) for lo in range(0, flat.size, PIECE_ELEMENTS)])
-    return y, {"x": x}
+    return y, {"y": y}
 
 
 def relu_backward(cache, d_out):
-    return d_out * (cache["x"] > 0), {}
+    """d_out where the output is positive, else 0: y > 0 exactly where x > 0,
+    NaN and -0.0 included."""
+    return d_out * (cache["y"] > 0), {}
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,8 @@ def sgd_step(params, grads, mask, state: OptState, cfg: SgdConfig, pool=SERIAL):
     marks one layer steps that layer alone, as ``train_epoch`` does while
     backward hands over each layer's gradients. Each tensor is updated in row
     blocks of about 1 MB, at least one row, shared by ``pool``'s workers, each
-    through its own block of scratch.
+    block through scratch it takes when it runs: one per running block, at
+    most one per worker.
     """
     trainable = [name for name in params if mask.get(name)]
     if set(grads) != set(trainable):
@@ -109,18 +110,17 @@ def _momentum_update(w, v, g, lr, mu, lam, pool):
     ``layers.PIECE_ELEMENTS`` elements (``layers._piece_rows``, the rule of a
     ReLU, LRN or max-pooling piece), in any layout, and one piece on ``pool``.
     Each block runs the float operations of ``v *= mu; v -= lr * (g + lam *
-    w); w += v`` in the same order, at the same precision, through its
-    worker's block of scratch, so the bytes do not depend on the blocking or
-    the worker.
+    w); w += v`` in the same order, at the same precision, through a block
+    of scratch it takes from ``pool`` when it runs (one per running block, at
+    most one per worker), so the bytes do not depend on the blocking or the
+    worker.
     """
     rows = _piece_rows(len(w), math.prod(w.shape[1:]))
-    parts = [slice(lo, lo + rows) for lo in range(0, len(w), rows)]
-    scratch = [np.empty(w[:rows].shape, np.result_type(g, w, lam, lr))
-               for _ in range(min(pool.workers, len(parts)))]
+    dtype = np.result_type(g, w, lam, lr)
 
     def piece(part, worker):
         wc, vc = w[part], v[part]
-        t = scratch[worker][:len(wc)]
+        t = pool.take("momentum", wc.shape, worker, dtype)
         vc *= mu
         np.multiply(lam, wc, out=t)
         np.add(g[part], t, out=t)
@@ -128,7 +128,7 @@ def _momentum_update(w, v, g, lr, mu, lam, pool):
         vc -= t
         wc += vc
 
-    pool.run(piece, parts)
+    pool.run(piece, [slice(lo, lo + rows) for lo in range(0, len(w), rows)])
 
 
 def plateau_update(state: OptState, epoch_val_accuracy: float, cfg: SgdConfig) -> OptState:

@@ -8,7 +8,8 @@ exceptions. The momentum step (``optim.sgd_step``, and ``optim.train_epoch``
 through it, one layer at a time as backward hands over its gradients)
 updates the trainable tensors and their velocities in place, in row blocks
 of about 1 MB, at least one row, which a worker pool's workers share, each
-through a block of scratch of its own. Eval mode runs only in the eval walk
+block through scratch it takes when it runs: one block of scratch per
+running block, at most one per worker. Eval mode runs only in the eval walk
 (``network.eval_layers``), on a worker pool's buffer plan: its layers write
 into the plan's buffers, ReLU in place, and the walk returns a new array.
 Train mode runs on the pool itself and writes into new arrays.

@@ -206,6 +206,21 @@ class TestConvForward:
         assert peaks[16] <= 1.8 * sizes[16]
         assert peaks[16] - peaks[4] <= 1.25 * (sizes[16] - sizes[4])
 
+    def test_one_piece_on_two_workers_peaks_as_on_one(self):
+        # a piece takes its slab, band and GEMM band when it runs, so the
+        # worker that runs no piece of a one-band, one-block call takes none
+        r = np.random.default_rng(12)
+        x = r.normal(size=(1, 64, 28, 28)).astype(np.float32)
+        w = r.normal(size=(2, 64, 3, 3)).astype(np.float32)
+        b = np.zeros(2, np.float32)
+        g = layers._conv_geometry(64, 28, 28, 2, 3, 3, 1, 1)
+        assert len(g.bands) == 1 and len(g.blocks) == 1
+        peaks = {}
+        for workers in (1, 2):
+            with WorkerPool(workers) as pool:
+                peaks[workers], _ = traced_peak(lambda: conv2d_forward(x, w, b, 1, 1, pool))
+        assert peaks[2] <= peaks[1] + 2**16, peaks
+
     def test_train_peak_pads_one_band_at_a_time(self, monkeypatch):
         # without a plan and beside y, the band and the GEMM band: one slab,
         # padded again by each band. At 32x64x64 in bands of 8 rows the slab
@@ -375,11 +390,11 @@ class TestConvBackward:
         assert peaks[16] - peaks[4] <= 1.25 * (sizes[16] - sizes[4])
 
     def test_two_workers_add_one_input_gradient_plane(self):
-        # each worker folds into its own plane, taken once per call. The
-        # second worker adds its plane and, beside the weight gradient's
-        # piece, a sample's dy_band and W.T @ dy_band, one band in size
-        # (measured: the plane plus 1.16 bands). A slab and a band per
-        # worker, as forward takes them, would add 1.12 bands more
+        # each running piece folds into a plane of its own, taken when it
+        # runs. The second worker adds its plane and, beside the weight
+        # gradient's piece, a sample's dy_band and W.T @ dy_band, one band in
+        # size (measured: the plane plus 1.16 bands). A slab and a band for
+        # the second worker too would add 1.12 bands more
         r = np.random.default_rng(9)
         w = r.normal(size=(16, 16, 3, 3)).astype(np.float32)
         x = r.normal(size=(16, 16, 32, 32)).astype(np.float32)
@@ -391,6 +406,22 @@ class TestConvBackward:
             two, _ = traced_peak(lambda: conv2d_backward(cache, d_out, plan=pool))
         plane, slack = 16 * g.plane * 4, 1.5 * g.band * 4
         assert two <= one + plane + slack, (one, two, plane, slack)
+
+    def test_one_sample_input_gradient_on_two_workers_peaks_as_on_one(self):
+        # at batch 1 the input gradient is one piece, which takes its plane
+        # when it runs: the worker that runs no piece takes no plane
+        r = np.random.default_rng(13)
+        x = r.normal(size=(1, 64, 56, 56)).astype(np.float32)
+        w = r.normal(size=(64, 64, 3, 3)).astype(np.float32)
+        y, cache = conv2d_forward(x, w, np.zeros(64, np.float32), 1, 1)
+        d_out = r.normal(size=y.shape).astype(np.float32)
+        peaks = {}
+        for workers in (1, 2):
+            with WorkerPool(workers) as pool:
+                peaks[workers], d_in = traced_peak(
+                    lambda: conv2d_backward(cache, d_out, False, plan=pool)[0])
+                assert d_in.shape == x.shape
+        assert peaks[2] <= peaks[1] + 2**16, peaks
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("x_shape, cout, kernel, stride, pad, band_bytes", [
@@ -473,6 +504,15 @@ class TestRelu:
         d_in, d_params = relu_backward(cache, np.array([1.0, 1.0]))
         assert d_in.tolist() == [0.0, 1.0]
         assert d_params == {}
+
+    def test_backward_mask_from_the_output_is_the_inputs(self):
+        # the cache keeps y, and y > 0 exactly where x > 0: NaN, -0.0 and
+        # infinities included
+        x = np.array([np.nan, -0.0, 0.0, -np.inf, np.inf, -1e-45, 1e-45, -3.0, 2.0], np.float32)
+        with np.errstate(invalid="ignore"):
+            _, cache = relu_forward(x)
+            d_in, _ = relu_backward(cache, np.full(x.shape, 7.0, np.float32))
+        assert d_in.tobytes() == np.where(x > 0, np.float32(7.0), np.float32(0.0)).tobytes()
 
     def test_finite_differences(self):
         # inputs kept away from the kink at zero

@@ -336,6 +336,28 @@ class TestForward:
             pair, _ = net.forward(spec, params, x[i:i + 2], rng=Rng(9))
             assert np.array_equal(pair, trained[i:i + 2])
 
+    def test_a_relu_feeding_a_conv_lrn_or_fc_frees_its_input(self, monkeypatch):
+        # a ReLU's cache keeps its output, which the next conv, LRN or fc
+        # cache keeps too, so the conv or fc output it read dies as soon as
+        # it returns: the caches hold one such output less per ReLU
+        spec = build_profile("mini")
+        params = init_params(spec, Rng(3))
+        x = Rng(4).normal((2, 3, 32, 32)).astype(np.float32)
+        outputs, run = [], L.forward_layer
+
+        def forward_layer(layer, x, *args):
+            y, cache = run(layer, x, *args)
+            outputs.append(weakref.ref(y))
+            return y, cache
+
+        monkeypatch.setattr(L, "forward_layer", forward_layer)
+        _, caches = net.forward(spec, params, x, rng=Rng(9))  # alive while checked
+        kinds = [l.kind for l in spec.layers]
+        fed = [i - 1 for i, kind in enumerate(kinds)
+               if kind == "relu" and kinds[i + 1] in ("conv", "lrn", "fc")]
+        assert [spec.layers[i].name for i in fed] == ["conv1_1", "conv2_1"]
+        assert [spec.layers[i].name for i in fed if outputs[i]() is not None] == []
+
     def test_batch_shape_checked(self):
         spec = build_profile("mini")
         params = init_params(spec, Rng(3))
