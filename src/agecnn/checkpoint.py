@@ -237,7 +237,7 @@ class _Writer:
                 made.append(free.get())
                 self.crc.check()
             pieces = [(b, buf[:t.size - b * step]) for b, buf in enumerate(made, first)]
-            self.pool.run(lambda piece, worker: t.block(*piece), pieces)
+            self.pool.run(lambda piece: t.block(*piece), pieces)
             for buf, (_, piece) in zip(made, pieces):
                 self.crc.give(piece.view(np.uint8), lambda buf=buf: free.put(buf))
         for _ in range(buffers):

@@ -85,12 +85,12 @@ def _read_config(path, flags):
 
 
 def _parse_head(text):
+    if not text.strip():
+        raise ConfigError("head widths must not be empty")
     try:
-        widths = [int(part) for part in text.split(",") if part.strip()]
+        widths = [int(part) for part in text.split(",")]
     except ValueError:
         raise ConfigError(f"bad head widths {text!r}; expected comma-separated integers") from None
-    if not widths:
-        raise ConfigError("head widths must not be empty")
     if max(widths) > 0xFFFFFFFF:
         raise ConfigError(f"head width {max(widths)} does not fit a checkpoint extent "
                           f"(at most {0xFFFFFFFF})")
@@ -101,7 +101,7 @@ def _parse_means(text):
     """The three channel means of a --means value, or None if it is not given."""
     if not text:
         return None
-    parts = [p for p in text.split(",") if p.strip()]
+    parts = text.split(",")
     if len(parts) != 3:
         raise ConfigError(f"expected three channel means, got {text!r}")
     try:
@@ -259,8 +259,7 @@ def cmd_train(args, pool):
     if args.epochs > 0 and state is None:
         state = optim.init_state(params, mask, cfg)
     # The frozen prefix never changes, so the val views go through it once,
-    # where what it outputs per view is smaller than the view. Its plan
-    # stays in the pool until the first step's prefix has run.
+    # where what it outputs per view is smaller than the view.
     split = network.frozen_prefix(spec, mask)
     val_features = None
     if args.epochs > 0 and split and math.prod(spec.shapes[split]) < math.prod(spec.input_shape):

@@ -1,43 +1,43 @@
 """Forward and backward computation for every layer kind in the profiles.
 
 Each kind is one entry of ``KINDS``: its hyperparameters, range rule, shape
-rule, parameter shapes, scratch needs, forward and backward. Convolution
-multiplies by a patch matrix, one band of output rows of one sample at a
-time, in both directions; the patches are cut from a slab into which the
-band's input rows alone are padded. Max pooling is a running maximum over
-strided window views; in train mode the same piece records which offset
-attained it. Direct-sum oracles live in the test suite, and the exact
-analytic gradients are finite-difference checked.
+rule, parameter shapes, forward and backward. Convolution multiplies by a
+patch matrix, one band of output rows of one sample at a time, in both
+directions; the patches are cut from a slab into which the band's input rows
+alone are padded. Max pooling is a running maximum over strided window
+views; in train mode the same piece records which offset attained it.
+Direct-sum oracles live in the test suite, and the exact analytic gradients
+are finite-difference checked.
 
 Every kernel has one body and one runner. The body cuts its work into pieces
 fixed by the shapes alone (conv's bands and filter blocks, row ranges of at
 most about ``PIECE_ELEMENTS``, fc's blocks of ``FC_COLUMNS``), each written
 with the same operations a whole-batch call makes, and hands the list of
 them to its plan's ``run``, which calls the piece function once for each, so
-no bit depends on the mode, the batch or who ran a piece. A piece takes its
-scratch from its plan (``take``) when it runs; no kernel reads the worker
-count. A plan says its mode. Train mode runs on a ``WorkerPool``: its workers
-share the pieces, which write into new arrays and take new scratch, so no
-two pieces share a buffer and a worker that runs no piece holds none, and
-the body keeps what backward reads. A call given no pool runs on
-``SERIAL``, a one-worker pool that starts no thread and keeps no buffer
-plan. Eval mode runs only on a ``BufferPlan``, which
-``network.eval_layers`` gets from its pool's ``plan``: the pieces write into
-its buffers and the pool's workers share them. A buffer plan holds two
-ping-pong activation buffers, the only buffers that grow with the rows, and
-per worker the scratch each kind's ``scratch`` rule sizes: conv's slab,
-patch band and GEMM band, and LRN's squares. Conv, LRN and max pooling
-write into the activation buffer their input is not in, ReLU works in
-place, eval dropout is the identity and fc allocates its (small) output.
-For the ``vgg-face-age`` trunk at 3 rows the plan is about 88.5 MiB, and
-15 MiB more per further worker.
+no bit depends on the mode, the batch or who ran a piece. In either mode a
+piece makes its own scratch (conv's slab, patch band and GEMM band, LRN's
+squares) when it runs and drops it when it returns, so a call holds one
+piece's scratch per running piece, at most one per worker, and no kernel
+reads the worker count. A plan says its mode. Train mode runs on a
+``WorkerPool``, whose workers share the pieces and whose outputs are new
+arrays, so the body keeps what backward reads; a call given no pool runs on
+``SERIAL``, a one-worker pool that starts no thread.
+
+The plan rule: eval mode runs only on a ``BufferPlan``, which
+``network.eval_layers`` builds for its own walk and drops when the walk
+returns, and which holds just two ping-pong activation buffers of rows x the
+largest activation each, on any number of workers; no pool keeps a buffer
+between calls. Conv, LRN and max pooling write into the activation buffer
+their input is not in, ReLU works in place, eval dropout is the identity and
+fc allocates its (small) output. For the ``vgg-face-age`` trunk at 3 rows
+the plan is 73.5 MiB.
 
 Backward runs on the same pool. Fc's weight gradient is one piece per block
 of ``FC_COLUMNS`` input rows and its input gradient one more piece, each the
 bits of the whole product. Conv's weight gradient is one piece, which sums
 every (sample, band) GEMM in a fixed order, since a cut of those GEMMs into
 filter blocks rounds unlike the whole at some shapes; each sample's input
-gradient is one more piece, which takes its plane when it runs.
+gradient is one more piece, which makes its plane when it runs.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ class LayerKind:
     check: Callable = lambda spec: None  # raises ParameterError
     out_shape: Callable = lambda spec, shape: shape  # raises ShapeError if the input misfits
     param_shapes: Optional[Callable] = None  # (spec, in_shape) -> {"weight": ..., "bias": ...}
-    scratch: Callable = lambda spec, shape: {}  # BufferPlan {name: elements}, one per worker
 
 
 @dataclass(frozen=True)
@@ -164,22 +163,16 @@ def started(name, start, *args):
 
 
 class WorkerPool:
-    """Threads that share each layer call's pieces. A pool is the plan that
-    train mode runs on, and it makes and keeps the buffer plan of eval mode.
+    """Threads that share each layer call's pieces: the plan train mode runs
+    on, and the runner of every eval walk's ``BufferPlan``.
 
-    The calling thread is worker 0; ``workers - 1`` helper threads join it in
-    ``run``. Every pool has an executor of ``max(1, workers - 1)`` threads,
+    The calling thread is one worker; ``workers - 1`` helper threads join it
+    in ``run``. Every pool has an executor of ``max(1, workers - 1)`` threads,
     which starts a thread only when ``run`` first submits to it, so a
     one-worker pool, which never submits, starts none. In train mode a
-    kernel's outputs (``other``) are new arrays, which its cache may keep,
-    and so is each piece's scratch (``take``), taken when the piece runs: a
-    call holds one per running piece, at most one per worker. ``plan`` makes
-    every ``BufferPlan``: it keeps the last one and hands it out again for
-    the same layers, shapes and dtype at no more rows, so a loop that scores
-    one image per call plans its buffers once (``SERIAL``, the pool of a
-    call given none, keeps none).
-    ``release`` frees the kept plan and leaves the helpers running; leaving
-    the ``with`` block (``close``) frees the plan and stops the helpers.
+    kernel's outputs (``other``) are new arrays, which its cache may keep. A
+    pool keeps no buffer between calls; leaving the ``with`` block
+    (``close``) stops the helpers.
     """
 
     mode = "train"
@@ -189,15 +182,14 @@ class WorkerPool:
             raise ParameterError(f"a worker pool needs at least one worker, got {workers}")
         self.workers = workers
         self._helpers = futures.ThreadPoolExecutor(max(1, workers - 1), "agecnn-worker")
-        self._kept = None
 
     def run(self, piece, pieces):
-        """Call ``piece(p, worker)`` once for each item p of the sequence
-        ``pieces``; return when all are done.
+        """Call ``piece(p)`` once for each item p of the sequence ``pieces``;
+        return when all are done.
 
         Each worker takes the next item in turn, so which worker runs a piece
         varies from run to run; a piece writes only its own part of the result.
-        With one worker or at most one piece no helper is asked: worker 0 runs all.
+        With one worker or at most one piece no helper is asked: the caller runs all.
         Helpers run their pieces under the caller's NumPy error state
         (``np.errstate``), which a thread does not inherit. A helper thread
         that cannot start raises ResourceError.
@@ -205,16 +197,16 @@ class WorkerPool:
         todo = iter(pieces)  # shared: each next() happens under the GIL
         errstate = np.geterr()
 
-        def drain(worker):
+        def drain():
             with np.errstate(**errstate):
                 for p in todo:
-                    piece(p, worker)
+                    piece(p)
 
         helpers = []
         try:
-            for w in range(1, min(self.workers, len(pieces))):
-                helpers.append(started("agecnn-worker", self._helpers.submit, drain, w))
-            drain(0)
+            for _ in range(1, min(self.workers, len(pieces))):
+                helpers.append(started("agecnn-worker", self._helpers.submit, drain))
+            drain()
         finally:
             for _ in todo:  # after a failure, a helper that starts late finds nothing left
                 pass
@@ -226,25 +218,7 @@ class WorkerPool:
         """A new ``shape`` array of ``dtype``: a train-mode output."""
         return np.empty(shape, dtype)
 
-    def take(self, name, shape, worker, dtype):
-        """A new ``shape`` array of ``dtype``: the scratch ``name`` of a piece
-        running on worker ``worker``, its own for as long as it holds it."""
-        return np.empty(shape, dtype)
-
-    def plan(self, layers, shapes, rows, dtype) -> "BufferPlan":
-        """A plan for ``rows`` rows of ``layers``: the kept one if it fits, else a new one."""
-        key = (layers, shapes, np.dtype(dtype))
-        if self._kept is None or self._kept[0] != key or self._kept[1] < rows:
-            self._kept = None  # free the old plan before the new one is built
-            self._kept = (key, rows, BufferPlan(layers, shapes, rows, dtype, self))
-        return self._kept[2]
-
-    def release(self):
-        """Free the kept plan; the next ``plan`` call builds a new one."""
-        self._kept = None
-
     def close(self):
-        self.release()
         self._helpers.shutdown(wait=True)
 
     def __enter__(self):
@@ -254,53 +228,36 @@ class WorkerPool:
         self.close()
 
 
-class _Serial(WorkerPool):
-    """The pool of every call given none. It has one worker, so it runs every
-    piece on the calling thread and starts no thread, and it keeps no plan,
-    so a buffer plan lives only as long as the call that asked for it."""
-
-    def plan(self, layers, shapes, rows, dtype) -> "BufferPlan":
-        return BufferPlan(layers, shapes, rows, dtype, self)
-
-
-SERIAL = _Serial()
+# The pool of every call given none: one worker, so it starts no thread.
+SERIAL = WorkerPool(1)
 
 # Elements a BufferPlan aligns each buffer to: 64 bytes of float32.
 _ALIGN = 16
 
 
 class BufferPlan:
-    """The buffers an eval-mode run of layers writes into, sized from its shapes.
+    """The two ping-pong activation buffers of one eval walk (the plan rule
+    is in the module docstring).
 
-    ``shapes`` are the per-sample input shape of ``layers[0]`` followed by each
-    layer's output shape; ``rows`` is the most samples one call carries. Two
-    ping-pong activation buffers each hold ``rows`` of the largest of those
-    shapes, and each worker of ``pool`` has its own copy of each scratch
-    buffer, sized to the largest request any layer's kind makes for it.
-    ``pool``, the ``WorkerPool`` whose ``plan`` makes this one, runs the
-    layers' pieces on its workers. Every buffer has the plan's dtype, whatever
-    ``dtype`` a kernel asks ``other`` or ``take`` for.
+    ``shapes`` are the per-sample shapes the walk passes through (its input's
+    and each layer's output's) and ``rows`` the most samples one call
+    carries: each buffer holds ``rows`` of the largest shape. ``pool``, a
+    ``WorkerPool``, runs the layers' pieces on its workers. Every buffer has
+    the plan's dtype, whatever ``dtype`` a kernel asks ``other`` for.
     """
 
     mode = "eval"
 
-    def __init__(self, layers, shapes, rows, dtype, pool):
-        sizes = {}
-        for layer, shape in zip(layers, shapes):
-            for name, size in KINDS[layer.kind].scratch(layer, shape).items():
-                sizes[name] = max(sizes.get(name, 0), size)
+    def __init__(self, shapes, rows, dtype, pool):
         act = rows * max(math.prod(shape) for shape in shapes)
         self.run = pool.run
-        # One block, carved into 64-byte aligned buffers: a large block is
+        # One block, cut into two 64-byte aligned buffers: a large block is
         # mapped on its own, so freeing the plan hands all of it back to the
         # system, where buffers below the allocator's mapping threshold would
         # stay in the heap.
-        lengths = [act, act] + [sizes[name] for name in sizes for _ in range(pool.workers)]
-        starts = np.cumsum([0] + [-(-n // _ALIGN) * _ALIGN for n in lengths])
-        self.block = np.empty(starts[-1], dtype)
-        bufs = iter([self.block[a:a + n] for a, n in zip(starts, lengths)])
-        self.ping_pong = (next(bufs), next(bufs))
-        self.scratch = {name: [next(bufs) for _ in range(pool.workers)] for name in sizes}
+        step = -(-act // _ALIGN) * _ALIGN
+        self.block = np.empty(2 * step, dtype)
+        self.ping_pong = (self.block[:act], self.block[step:step + act])
 
     @property
     def nbytes(self) -> int:
@@ -316,10 +273,6 @@ class BufferPlan:
         y = self.other(x, x.shape, x.dtype)
         y[...] = x
         return y
-
-    def take(self, name, shape, worker, dtype):
-        """A ``shape`` view of worker ``worker``'s copy of scratch buffer ``name``."""
-        return self.scratch[name][worker][:math.prod(shape)].reshape(shape)
 
 
 # Most elements one piece of a ReLU, LRN or max-pooling call covers (1 MB of
@@ -391,8 +344,8 @@ _ConvGeometry = namedtuple("_ConvGeometry", "wp oh ow plane bands blocks band ge
 
 
 def _conv_geometry(cin, h, wd, cout, kh, kw, stride, pad):
-    """Conv's banded lowering of one sample, from the shapes alone; forward,
-    backward and the plan's scratch all read it. ``wp`` is the padded row
+    """Conv's banded lowering of one sample, from the shapes alone; forward
+    and backward read it. ``wp`` is the padded row
     width, ``plane`` a channel's flat padded plane with its zero tail (the
     input gradient's, in backward), ``bands`` the (first output row, rows)
     of each band, ``blocks`` the (first, end) filter rows of each GEMM of a
@@ -415,14 +368,6 @@ def _slab_rows(kh, kw, wp, r, stride):
     first to the end of its last tap slice, whose wrapped columns run on
     into the next row."""
     return -(-_tap_slices(kh, kw, wp, r, stride)[-1].stop // wp)
-
-
-def _conv_scratch(spec, shape):
-    """A slab, a patch band and a GEMM band: one band's worth, at any batch size."""
-    k = spec.params["kernel"]
-    g = _conv_geometry(*shape, spec.params["out_channels"], k, k, spec.params["stride"],
-                       spec.params["pad"])
-    return {"slab": g.slab, "band": g.band, "gemm": g.gemm}
 
 
 def _filter_blocks(cout, bands):
@@ -464,8 +409,8 @@ def conv2d_forward(x, w, b, stride, pad, plan=SERIAL):
     (``tensor.pad2d``), so no padded copy of the whole input exists. These
     pieces, and every buffer's size, come from the shapes alone
     (``_conv_geometry``). ``plan`` supplies y and runs the pieces on its
-    workers; each piece takes its slab, its band and a GEMM band the size of
-    its filter block from ``plan`` when it runs.
+    workers; each piece makes its slab, its band and a GEMM band the size of
+    its filter block when it runs.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv expects 4-D input and weights, got {x.shape} / {w.shape}")
@@ -481,11 +426,11 @@ def conv2d_forward(x, w, b, stride, pad, plan=SERIAL):
     y = plan.other(x, (n, cout, oh, ow), np.result_type(dtype, b))
     w2 = w.reshape(cout, -1)
 
-    def piece(p, worker):
+    def piece(p):
         i, top, r, (lo, hi) = p
-        slab, band = (plan.take(k, (getattr(g, k),), worker, x.dtype) for k in ("slab", "band"))
-        cols = _patches(x[i], kh, kw, stride, pad, top, r, slab, band)
-        out = np.matmul(w2[lo:hi], cols, out=plan.take("gemm", (hi - lo, r * wp), worker, dtype))
+        cols = _patches(x[i], kh, kw, stride, pad, top, r, np.empty(g.slab, x.dtype),
+                        np.empty(g.band, x.dtype))
+        out = np.matmul(w2[lo:hi], cols, out=np.empty((hi - lo, r * wp), dtype))
         np.add(out.reshape(hi - lo, r, wp)[:, :, :ow], b[lo:hi, None, None],
                out=y[i, lo:hi, top:top + r])
 
@@ -501,9 +446,9 @@ def conv2d_backward(cache, d_out, need_param_grads=True, need_input_grad=True, p
     patches cut again into a slab and a band, as forward cuts them. Each
     sample's input gradient is one more piece: W.T @ dy_band is added back,
     tap by tap, into the slices of the piece's input-gradient plane they came
-    from. So each sum runs in one order on any pool. Each piece takes its
-    scratch when it runs: one slab and one band, and an input-gradient plane
-    per running piece, at most one per worker.
+    from. So each sum runs in one order on any pool. Each piece makes its
+    scratch when it runs: a slab and a band, or a zeroed input-gradient
+    plane.
     """
     x, w = cache["x"], cache["w"]
     stride, pad = cache["stride"], cache["pad"]
@@ -515,16 +460,15 @@ def conv2d_backward(cache, d_out, need_param_grads=True, need_input_grad=True, p
     def dy_band(i, top, r):
         return np.pad(d_out[i, :, top:top + r], ((0, 0), (0, 0), (0, wp - g.ow))).reshape(cout, -1)
 
-    def weight_grad(worker):
-        slab, band = (plan.take(k, (getattr(g, k),), worker, x.dtype) for k in ("slab", "band"))
+    def weight_grad():
+        slab, band = np.empty(g.slab, x.dtype), np.empty(g.band, x.dtype)
         for i in range(n):
             for top, r in g.bands:
                 cols = _patches(x[i], kh, kw, stride, pad, top, r, slab, band)
                 np.add(dw, dy_band(i, top, r) @ cols.T, out=dw)
 
-    def input_grad(i, worker):
-        d_plane = plan.take("plane", (cin, g.plane), worker, d_in.dtype)
-        d_plane[...] = 0
+    def input_grad(i):
+        d_plane = np.zeros((cin, g.plane), d_in.dtype)
         for top, r in g.bands:
             d_cols = (w2.T @ dy_band(i, top, r)).reshape(cin, kh * kw, r * wp)
             for k, tap in enumerate(_tap_slices(kh, kw, wp, r, stride, top)):
@@ -539,7 +483,7 @@ def conv2d_backward(cache, d_out, need_param_grads=True, need_input_grad=True, p
     if need_input_grad:
         d_in = np.empty(x.shape, np.result_type(w, d_out))
         pieces += [functools.partial(input_grad, i) for i in range(n)]
-    plan.run(lambda piece, worker: piece(worker), pieces)
+    plan.run(lambda piece: piece(), pieces)
     return d_in, d_params
 
 
@@ -554,7 +498,7 @@ def relu_forward(x, plan=SERIAL):
     caller drops it."""
     y = x if plan.mode == "eval" else plan.other(x, x.shape, x.dtype)
     flat, out = x.reshape(-1), y.reshape(-1)
-    plan.run(lambda part, worker: np.maximum(flat[part], 0, out=out[part]),
+    plan.run(lambda part: np.maximum(flat[part], 0, out=out[part]),
              [slice(lo, lo + PIECE_ELEMENTS) for lo in range(0, flat.size, PIECE_ELEMENTS)])
     return y, {"y": y}
 
@@ -584,30 +528,24 @@ def _channel_window_sum(t, n, out):
     return out
 
 
-def _lrn_scratch(spec, shape):
-    c, h, w = shape
-    return {"squares": c * _piece_rows(h, c * w) * w}
-
-
 def lrn_forward(x, n, k, alpha, beta, plan=SERIAL):
     """y[c] = x[c] / (k + (alpha/n) * sum_{c' in window(c)} x[c']^2)^beta, in pieces of rows.
 
-    Each piece squares its rows into its worker's ``squares`` scratch. In
-    eval mode its steps run in place in the activation buffer x is not in (a
-    buffer plan's three ``other`` calls give the same buffer); in train mode
-    the base k + (alpha/n) * sum and its power ``scale`` go to arrays of their
-    own, kept for backward.
+    Each piece squares its rows into scratch of its own. In eval mode its
+    steps run in place in the activation buffer x is not in (a buffer plan's
+    three ``other`` calls give the same buffer); in train mode the base k +
+    (alpha/n) * sum and its power ``scale`` go to arrays of their own, kept
+    for backward.
     """
     if n < 1 or n % 2 == 0:
         raise ParameterError(f"lrn window n must be odd and >= 1, got {n}")
     y, base, scale = (plan.other(x, x.shape, x.dtype) for _ in range(3))
 
-    def piece(p, worker):
+    def piece(p):
         i, top, end = p
         rows = np.s_[i:i + 1, :, top:end]
         part, b, s = x[rows], base[rows], scale[rows]
-        squares = plan.take("squares", part.shape, worker, x.dtype)
-        _channel_window_sum(np.multiply(part, part, out=squares), n, b)
+        _channel_window_sum(np.multiply(part, part), n, b)
         np.multiply(b, alpha / n, out=b)
         np.add(b, k, out=b)
         np.power(b, -beta, out=s)
@@ -652,7 +590,7 @@ def maxpool_forward(x, window, stride, plan=SERIAL):
     y = plan.other(x, (n, c, oh, ow), x.dtype)
     idx = None if plan.mode == "eval" else np.zeros(y.shape, np.min_scalar_type(window**2 - 1))
 
-    def piece(p, worker):
+    def piece(p):
         i, top, end = p
         out = y[i:i + 1, :, top:end]
         views = list(_window_views(x[i:i + 1, :, top * stride:], window, stride, end - top, ow))
@@ -710,7 +648,7 @@ def fc_forward(x, w, b, plan=SERIAL):
     # BLAS sends a one-row product to gemv, which rounds unlike a batch's gemm
     rows = x2 if x2.shape[0] != 1 else np.concatenate([x2, x2])
     prod = np.empty((rows.shape[0], w.shape[1]), np.result_type(rows, w))
-    plan.run(lambda cols, worker: np.matmul(rows, w[:, cols], out=prod[:, cols]),
+    plan.run(lambda cols: np.matmul(rows, w[:, cols], out=prod[:, cols]),
              _fc_blocks(w.shape[1]))
     y = prod[:x2.shape[0]] + b
     return y, {"x2": x2, "w": w, "orig_shape": orig_shape}
@@ -729,7 +667,7 @@ def fc_backward(cache, d_out, need_param_grads=True, need_input_grad=True, plan=
     if need_param_grads:
         dw = np.empty(w.shape, np.result_type(x2, d_out))
         products += [(x2[:, r].T, d_out, dw[r]) for r in _fc_blocks(w.shape[0])]
-    plan.run(lambda product, worker: np.matmul(*product), products)  # each (a, b, out)
+    plan.run(lambda product: np.matmul(*product), products)  # each (a, b, out)
     d_params = {"weight": dw, "bias": d_out.sum(axis=0)} if need_param_grads else {}
     return d_in.reshape(cache["orig_shape"]) if need_input_grad else None, d_params
 
@@ -836,7 +774,6 @@ KINDS = {
         param_shapes=lambda s, shape: {
             "weight": (s.params["out_channels"], shape[0], s.params["kernel"], s.params["kernel"]),
             "bias": (s.params["out_channels"],)},
-        scratch=_conv_scratch,
         forward=lambda s, x, w, rng, plan: conv2d_forward(
             x, w["weight"], w["bias"], s.params["stride"], s.params["pad"], plan),
         backward=conv2d_backward),
@@ -848,7 +785,6 @@ KINDS = {
         check=_require(lambda p: p["n"] >= 1 and p["n"] % 2 == 1 and p["k"] > 0
                        and p["alpha"] >= 0, "window n must be odd and >= 1, k > 0, alpha >= 0"),
         out_shape=lambda s, shape: _window_out_shape(s, shape, None, 1, 1, 0),
-        scratch=_lrn_scratch,
         forward=lambda s, x, w, rng, plan: lrn_forward(x, **s.params, plan=plan),
         backward=lambda cache, d, *flags: lrn_backward(cache, d)),
     "maxpool": LayerKind(

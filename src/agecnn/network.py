@@ -4,9 +4,9 @@ per-layer freeze mask, and ``eval_layers``, the only eval-mode walk, cache-free
 in micro-batches (scoring, and the frozen prefix used as a feature extractor).
 
 Both walks, and ``backward``, run on a ``WorkerPool``: a CLI command's one
-pool, or, given none, ``layers.SERIAL``, one worker that keeps no buffer
-plan past the call. Train mode runs each layer call on the pool itself, eval
-mode on the buffer plan the pool's ``plan`` makes. Inside each layer call
+pool, or, given none, ``layers.SERIAL``, one worker. Train mode runs each
+layer call on the pool itself, eval mode on the buffer plan ``eval_layers``
+builds for its walk (the plan rule is in ``layers``). Inside each layer call
 the pool's threads share the layer's pieces (conv bands and filter blocks,
 row ranges of ReLU, LRN and max pooling, fc's blocks of
 ``layers.FC_COLUMNS`` columns), which depend only on the shapes and are the
@@ -295,11 +295,9 @@ def head_replace(spec: NetworkSpec, head_widths, params, rng: Rng,
 # Rows per forward call when layers run cache-free in eval mode
 # (eval_layers). Every op before the first fc is per-sample, so its outputs
 # do not depend on this; fc's do (see the module docstring). The walk's
-# buffer plan grows with it: the two activation buffers hold this many rows,
-# and they alone, while conv's slab and patch band are one sample's band of
-# rows (layers.BAND_BYTES) and LRN's squares one piece. At 3, predict's
-# three crops of one image are one call, and the vgg-face-age trunk's plan is
-# about 103.5 MiB on two workers.
+# buffer plan, two activation buffers, holds this many rows; a piece's
+# scratch does not grow with it. At 3, predict's three crops of one image
+# are one call, and the vgg-face-age trunk's plan is 73.5 MiB.
 MICRO_BATCH = 3
 
 
@@ -370,19 +368,20 @@ def pool_size() -> int:
 def eval_layers(spec: NetworkSpec, params, batch, start: int, stop: int, pool=L.SERIAL):
     """Eval-mode output of layers [start, stop), MICRO_BATCH rows per call.
 
-    The walk runs on the plan of ``pool`` (a WorkerPool; ``layers.SERIAL``,
-    the default, plans for this call alone), sized from the layers' shapes at
-    the rows of its largest micro-batch; the pool's workers share each
-    layer's pieces. Each micro-batch is copied into the plan, every layer
-    call writes into it and returns no cache, and the last layer's output is
-    copied into a new result array. ``start`` == ``stop`` returns ``batch``; a range outside
-    0 <= start <= stop <= len(spec.layers) raises ParameterError.
+    The walk builds its own buffer plan, sized from the layers' shapes at
+    the rows of its largest micro-batch, and drops it when it returns; the
+    workers of ``pool`` (a WorkerPool, by default ``layers.SERIAL``) share
+    each layer's pieces. Each micro-batch is copied into the plan, every
+    layer call writes into it and returns no cache, and the last layer's
+    output is copied into a new result array. ``start`` == ``stop`` returns
+    ``batch``; a range outside 0 <= start <= stop <= len(spec.layers) raises
+    ParameterError.
     """
     _check_batch(spec, batch, start, stop)
     if start == stop:
         return batch
     layers, dtype = spec.layers[start:stop], np.result_type(batch, DTYPE)
-    plan = pool.plan(layers, spec.shapes[start:stop + 1], min(MICRO_BATCH, len(batch)), dtype)
+    plan = L.BufferPlan(spec.shapes[start:stop + 1], min(MICRO_BATCH, len(batch)), dtype, pool)
     out = np.empty(batch.shape[:1] + spec.shapes[stop], dtype)
     for row in range(0, batch.shape[0], MICRO_BATCH):
         part = batch[row:row + MICRO_BATCH]

@@ -79,7 +79,7 @@ def sgd_step(params, grads, mask, state: OptState, cfg: SgdConfig, pool=SERIAL):
     marks one layer steps that layer alone, as ``train_epoch`` does while
     backward hands over each layer's gradients. Each tensor is updated in row
     blocks of about 1 MB, at least one row, shared by ``pool``'s workers, each
-    block through scratch it takes when it runs: one per running block, at
+    block through scratch it makes when it runs: one per running block, at
     most one per worker.
     """
     trainable = [name for name in params if mask.get(name)]
@@ -111,16 +111,15 @@ def _momentum_update(w, v, g, lr, mu, lam, pool):
     ReLU, LRN or max-pooling piece), in any layout, and one piece on ``pool``.
     Each block runs the float operations of ``v *= mu; v -= lr * (g + lam *
     w); w += v`` in the same order, at the same precision, through a block
-    of scratch it takes from ``pool`` when it runs (one per running block, at
-    most one per worker), so the bytes do not depend on the blocking or the
-    worker.
+    of scratch it makes when it runs (one per running block, at most one per
+    worker), so the bytes do not depend on the blocking or the worker.
     """
     rows = _piece_rows(len(w), math.prod(w.shape[1:]))
     dtype = np.result_type(g, w, lam, lr)
 
-    def piece(part, worker):
+    def piece(part):
         wc, vc = w[part], v[part]
-        t = pool.take("momentum", wc.shape, worker, dtype)
+        t = np.empty(wc.shape, dtype)
         vc *= mu
         np.multiply(lam, wc, out=t)
         np.add(g[part], t, out=t)
@@ -135,13 +134,14 @@ def plateau_update(state: OptState, epoch_val_accuracy: float, cfg: SgdConfig) -
     """Divide lr by 1/lr_factor after `patience` epochs without improvement.
 
     Improvement means accuracy > best + improvement_epsilon. The lr never
-    increases and never drops below min_lr.
+    increases, and a cut never takes it below min_lr; an lr already below
+    min_lr (a resumed run given a larger one) stays where it is.
     """
     if epoch_val_accuracy > state.best_accuracy + cfg.improvement_epsilon:
         return replace(state, best_accuracy=epoch_val_accuracy, epochs_since_improvement=0)
     stalled = state.epochs_since_improvement + 1
     if stalled >= cfg.patience:
-        return replace(state, lr=max(state.lr * cfg.lr_factor, cfg.min_lr),
+        return replace(state, lr=min(state.lr, max(state.lr * cfg.lr_factor, cfg.min_lr)),
                        epochs_since_improvement=0)
     return replace(state, epochs_since_improvement=stalled)
 
@@ -150,7 +150,6 @@ def _step(spec, params, mask, state, cfg, x, labels, split, rng, pool):
     # the prefix's plan is gone before the caches are made, and the caches
     # live only as long as this step
     features = eval_layers(spec, params, x, 0, split, pool)
-    pool.release()
     scores, caches = forward(spec, params, features, rng, split, pool)
     loss, _, _ = softmax_log_loss(scores, labels)
     if not np.isfinite(loss):
@@ -166,11 +165,11 @@ def train_epoch(spec, params, mask, state: OptState, cfg: SgdConfig, train_batch
                 pool=SERIAL):
     """One pass over the batch stream: forward, loss, backward, sgd_step.
 
-    The epoch runs on ``pool``, by default ``layers.SERIAL``, which keeps no
-    plan past the step that asked for it. The frozen prefix
-    (``network.frozen_prefix``) runs as a fixed feature extractor, in eval
-    mode and micro-batches with no caches kept, on the pool's plan; the step
-    then frees the plan, and forward keeps train-mode caches from there on.
+    The epoch runs on ``pool``, by default ``layers.SERIAL``. The frozen
+    prefix (``network.frozen_prefix``) runs as a fixed feature extractor, in
+    eval mode and micro-batches with no caches kept, on a buffer plan that
+    is gone when the prefix returns; forward keeps train-mode caches from
+    there on.
     Each step updates ``params`` and the velocity in place, one layer at a time: backward
     hands each trainable layer's gradients to ``sgd_step`` as soon as it has
     them and keeps none, so one layer's gradients are alive at a time. Returns

@@ -14,9 +14,8 @@ walk, ``network.eval_layers``: ``predict_proba`` scores one image, and
 turn. Validation in ``train`` computes the outputs of frozen leading layers
 once per image (``manifest_features``) and starts each epoch's walk there.
 Every scorer takes a ``network.WorkerPool``, the CLI command's one pool,
-whose workers share each layer call and whose plan serves image after image;
-given none, each call plans for itself on ``layers.SERIAL``. The pool changes
-no output bit.
+whose workers share each layer call, or, given none, ``layers.SERIAL``; each
+image's walk plans its own buffers. The pool changes no output bit.
 """
 
 from __future__ import annotations

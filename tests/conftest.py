@@ -1,5 +1,6 @@
 """Shared test helpers: finite-difference gradient checking and synthetic data."""
 
+import contextlib
 import os
 import sys
 import threading
@@ -8,8 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from agecnn import AGE_LABELS, Rng, write_ppm
-from agecnn.layers import KINDS, forward_layer
+from agecnn import AGE_LABELS, Rng, layers, write_ppm
+from agecnn.layers import KINDS, BufferPlan, forward_layer
 from agecnn.network import WorkerPool
 from agecnn.tensor import DTYPE
 
@@ -60,30 +61,36 @@ def traced_peak(fn):
 
 
 def eval_layer(spec, x, params=None):
-    """One layer in eval mode on a one-worker pool's plan, as forward_layer's
-    (output, cache), the output copied out of the plan into an array of its own."""
+    """One layer in eval mode on a plan run by a one-worker pool, as
+    forward_layer's (output, cache), the output copied out of the plan into
+    an array of its own."""
     shapes = (x.shape[1:], KINDS[spec.kind].out_shape(spec, x.shape[1:]))
     with WorkerPool(1) as pool:
-        plan = pool.plan((spec,), shapes, len(x), np.result_type(x, DTYPE))
+        plan = BufferPlan(shapes, len(x), np.result_type(x, DTYPE), pool)
         y, cache = forward_layer(spec, plan.copy_in(x), params, "eval", None, plan)
         return y.copy(), cache
 
 
+@contextlib.contextmanager
 def nan_plans(pool):
-    """``pool``, with every plan it hands out filled with NaN first.
+    """Enter ``pool`` while every ``layers.BufferPlan`` made starts as NaN.
 
-    ``network.eval_layers`` asks its pool for the plan once per walk, so each
-    walk starts on a block of NaN: a scratch or activation element that an
-    eval-mode kind reads before it writes it turns up in the result."""
-    make = pool.plan
+    ``network.eval_layers`` makes one plan per walk, so each walk starts on a
+    block of NaN: an activation element that an eval-mode kind reads before
+    it writes it turns up in the result."""
+    made = layers.BufferPlan
 
-    def plan(*args):
-        made = make(*args)
-        made.block.fill(np.nan)
-        return made
+    class NanPlan(made):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.block.fill(np.nan)
 
-    pool.plan = plan
-    return pool
+    layers.BufferPlan = NanPlan
+    try:
+        with pool:
+            yield pool
+    finally:
+        layers.BufferPlan = made
 
 
 # Bytes with a meaning in a manifest, PPM header or config file: separators,

@@ -204,7 +204,7 @@ class TestSurgery:
 
     def test_bad_head_is_runtime_failure(self, tmp_path, capsys):
         donor = make_model(tmp_path)
-        for head in ("32,banana", ","):
+        for head in ("32,banana", ",", "32,,8", "32,16,8,"):
             code = main(["surgery", "--in", donor, "--profile", "mini",
                          "--head", head, "--out", str(tmp_path / "x.acnn")])
             assert code == 1
@@ -770,7 +770,8 @@ class TestConfigFile:
 
 # (--means value, a part of its error)
 BAD_MEANS = [("nan,0,0", "finite"), ("0,inf,0", "finite"),
-             ("1,2", "expected three channel means"), ("a,b,c", "bad channel means")]
+             ("1,2", "expected three channel means"), ("a,b,c", "bad channel means"),
+             ("1,,2,3", "expected three channel means"), ("1,,2", "bad channel means")]
 
 
 class TestPredict:

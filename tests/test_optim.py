@@ -387,6 +387,12 @@ class TestPlateau:
             s = plateau_update(s, a, cfg)
             assert s.lr <= prev
             prev = s.lr
+        # an lr below min_lr (a resumed run given a larger --min-lr) stays put
+        cfg = SgdConfig(min_lr=0.01, patience=1)
+        s = self._state(lr=0.001)
+        for a in (0.5, 0.5, 0.5):
+            s = plateau_update(s, a, cfg)
+            assert s.lr == 0.001
 
 
 def one_batch_stream(x, labels, times=1):
@@ -447,14 +453,16 @@ class TestTrainEpoch:
             left, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak > 4 * 2**20  # the prefix's plan was made
+        assert peak > 4 * 2**20  # the prefix ran: its plan and a conv piece's scratch
         assert left < 2**16, left
         assert {n: {t: a.tobytes() for t, a in g.items()} for n, g in params.items()} == before
 
     def test_step_frees_the_prefix_plan_before_the_head_runs(self):
-        # a frozen conv prefix whose plan is several MB, in front of a
-        # trainable fc whose gradient is about as large: a pool that kept the
-        # plan into the head's forward and backward would hold both at once
+        # a frozen conv prefix that holds several MB while it runs (its plan
+        # and a conv piece's scratch on each of two workers), in front of a
+        # trainable fc whose gradient is about as large: a step that kept
+        # the prefix's buffers into the head's forward and backward would
+        # hold both at once
         spec = NetworkSpec("split", (16, 64, 64), [
             conv("c1", 16), relu("r1"), maxpool("p1"), fc("f1", 64), softmax_loss()])
         params = init_params(spec, Rng(60))
@@ -462,14 +470,15 @@ class TestTrainEpoch:
         cfg = SgdConfig(lr0=0.01, batch_size=3)
         state = init_state(params, mask, cfg)
         x = Rng(61).normal((3, 16, 64, 64)).astype(np.float32)
+        g = L._conv_geometry(16, 64, 64, 16, 3, 3, 1, 1)
         with WorkerPool(2) as pool:
-            plan = pool.plan(spec.layers[:3], spec.shapes[:4], 3, np.float32).nbytes
-            pool.release()
+            plan = L.BufferPlan(spec.shapes[:4], 3, np.float32, pool).nbytes
+            prefix = plan + 2 * 4 * (g.slab + g.band + g.gemm)
             peak, _ = traced_peak(lambda: train_epoch(
                 spec, params, mask, state, cfg, one_batch_stream(x, [0, 1, 2]), Rng(62), pool))
         grad = params["f1"]["weight"].nbytes
-        assert plan > 6 * 2**20 and grad == 4 * 2**20
-        assert peak < plan + grad, (peak, plan, grad)
+        assert prefix > 6 * 2**20 and grad == 4 * 2**20
+        assert peak < prefix + grad, (peak, prefix, grad)
 
     def _setup(self, lr):
         spec = build_profile("mini")
